@@ -24,9 +24,12 @@ and surfaces from any ``fsync`` whose durability level includes the
 broken tier.
 
 The accounting (what each tier is owed, what stranded where) lives in
-the plane-agnostic :class:`~repro.pipeline.staging.StagingCore`, which
-the timing plane's pump model drives identically — the ``tiers``
-section of ``stats()`` is bit-identical across planes.
+the plane-agnostic :class:`~repro.pipeline.staging.StagingCore`, and
+the pump step itself (retry, forward, strand, deferred close) is
+:func:`repro.pipeline.writeback.migrate` — both run unchanged by the
+timing plane, so the ``tiers`` section of ``stats()`` is bit-identical
+across planes.  This class is the storage fan-out, the pump threads,
+and the engine's threaded *port*.
 """
 
 from __future__ import annotations
@@ -37,8 +40,9 @@ from typing import Any, Callable, Optional, Sequence
 
 from ..errors import BackendTimeoutError, ShutdownError
 from ..pipeline.events import PipelineEvent
-from ..pipeline.resilience import BackendHealth, RetryPolicy, run_attempts
+from ..pipeline.resilience import BackendHealth, RetryPolicy
 from ..pipeline.staging import StagedFile, StagingCore, tier_health_emit
+from ..pipeline.writeback import Extent, blocking, contiguous, migrate, run, stage
 from .base import Backend, BackendStat
 
 __all__ = ["TieredBackend"]
@@ -56,42 +60,6 @@ class _TierHandle:
         self.path = path
         self.inner = inner
         self.staged = staged
-
-
-class _Extent:
-    """One pump work item: ``chunks`` accepted extents, contiguous in
-    ``handle``'s file, bound for tier ``tier``."""
-
-    __slots__ = ("handle", "tier", "offset", "length", "chunks", "lengths")
-
-    def __init__(
-        self,
-        handle: _TierHandle,
-        tier: int,
-        offset: int,
-        length: int,
-        chunks: int = 1,
-        lengths: tuple[int, ...] | None = None,
-    ):
-        self.handle = handle
-        self.tier = tier
-        self.offset = offset
-        self.length = length
-        self.chunks = chunks
-        #: Original per-extent lengths, kept so a coalesced migration can
-        #: still issue a *vectored* destination write (one iovec per
-        #: accepted extent, like the writeback batching it mirrors).
-        self.lengths = lengths if lengths is not None else (length,)
-
-
-def _chainable(prev: _Extent, nxt: _Extent) -> bool:
-    """Whether ``nxt`` extends ``prev`` into one migration op: same
-    file, same destination tier, contiguous bytes."""
-    return (
-        nxt.handle is prev.handle
-        and nxt.tier == prev.tier
-        and nxt.offset == prev.offset + prev.length
-    )
 
 
 class TieredBackend(Backend):
@@ -117,19 +85,19 @@ class TieredBackend(Backend):
                 "(a single tier is just that backend)"
             )
         self.tiers: list[Backend] = list(tiers)
-        self._retry = retry if retry is not None else RetryPolicy()
+        self.retry = retry if retry is not None else RetryPolicy()
         self._breaker_threshold = breaker_threshold
         self._emit: EmitFn = emit if emit is not None else (lambda event: None)
         self._clock = clock if clock is not None else time.perf_counter
-        self._sleep = sleep
+        self.sleep = blocking(sleep)
         self._fsync_tier_knob = fsync_tier
         self._pump_threads = pump_threads
         self._pump_batch = pump_batch_chunks
         # One lock guards the staging accounting; the idle condition
         # wakes fsync/drain waiters whenever debt is paid (or forgiven).
-        self._lock = threading.RLock()
-        self._idle = threading.Condition(self._lock)
-        self._pump_depth = 0
+        self.lock = threading.RLock()
+        self._idle = threading.Condition(self.lock)
+        self.pump_depth = 0
         self._workers: list[threading.Thread] = []
         self._started = False
         self._shutdown = False
@@ -144,7 +112,7 @@ class TieredBackend(Backend):
         """(Re)derive the staging core and per-tier breakers from the
         current emit/clock/policy — called at construction and again
         from :meth:`bind` once the mount's kernel exists."""
-        self._core = StagingCore(
+        self.staging = StagingCore(
             ntiers=len(self.tiers),
             fsync_tier=self._fsync_tier_knob,
             emit=self._emit,
@@ -153,9 +121,9 @@ class TieredBackend(Backend):
         # healths[k] guards migrations *into* tier k (k >= 1); tier 0 is
         # covered by the mount's own breaker, since tier-0 writes are the
         # mount's backend writes.
-        self._healths: list[Optional[BackendHealth]] = [None]
+        self.tier_healths: list[Optional[BackendHealth]] = [None]
         for tier in range(1, len(self.tiers)):
-            self._healths.append(
+            self.tier_healths.append(
                 BackendHealth(
                     threshold=self._breaker_threshold,
                     emit=tier_health_emit(self._emit, tier),
@@ -184,7 +152,7 @@ class TieredBackend(Backend):
         self._emit = emit
         self._clock = clock
         if retry is not None:
-            self._retry = retry
+            self.retry = retry
         if breaker_threshold is not None:
             self._breaker_threshold = breaker_threshold
         self._fsync_tier_knob = fsync_tier
@@ -197,7 +165,7 @@ class TieredBackend(Backend):
     @property
     def fsync_tier(self) -> int:
         """The resolved durability level (tier index) fsync syncs through."""
-        return self._core.fsync_tier
+        return self.staging.fsync_tier
 
     def resolve_fsync_tier(self, tier: int) -> int:
         """Normalize an ``fsync_tier`` knob (-1 = deepest) against this
@@ -207,13 +175,13 @@ class TieredBackend(Backend):
     @property
     def outstanding(self) -> int:
         """Total arrivals still owed across all files and tiers."""
-        with self._lock:
-            return self._core.outstanding
+        with self.lock:
+            return self.staging.outstanding
 
     # -- pump lifecycle -------------------------------------------------------
 
     def _ensure_started(self) -> None:
-        with self._lock:
+        with self.lock:
             if self._started:
                 return
             if self._shutdown:
@@ -230,108 +198,76 @@ class TieredBackend(Backend):
         while True:
             try:
                 if self._pump_batch > 1:
-                    extents = self._queue.get_batch(self._pump_batch, _chainable)
+                    extents = self._queue.get_batch(self._pump_batch, contiguous)
                 else:
                     extents = [self._queue.get()]
             except ShutdownError:
                 return
-            with self._lock:
-                self._pump_depth -= len(extents)
-            self._migrate(extents)
+            run(migrate(self, extents))
 
-    def _enqueue(self, extent: _Extent) -> None:
-        """Hand one extent to the pump (caller holds the lock); the
-        depth gauge counts queued extents, maintained here rather than
-        read back from the queue so both planes publish the same
-        workload-determined depths."""
-        self._pump_depth += 1
-        self._core.enqueued(extent.tier, self._pump_depth)
+    # -- the writeback engine's pump port (threaded plane) --------------------
+    # plus the attributes ``retry``, ``sleep``, ``staging``,
+    # ``tier_healths``, ``lock`` and ``pump_depth`` set up above.
+
+    @blocking
+    def tier_copy(
+        self, handle: _TierHandle, tier: int, offset: int, lengths: Sequence[int]
+    ) -> None:
+        payload = self.tiers[tier - 1].pread(
+            handle.inner[tier - 1], sum(lengths), offset
+        )
+        view = memoryview(payload)
+        if len(lengths) > 1:
+            # one iovec per accepted extent, like the writeback batching
+            views, at = [], 0
+            for n in lengths:
+                views.append(view[at : at + n])
+                at += n
+            self.tiers[tier].pwritev(handle.inner[tier], views, offset)
+        else:
+            self.tiers[tier].pwrite(handle.inner[tier], view, offset)
+
+    @blocking
+    def pump_put(self, extent: Extent) -> None:
         self._queue.put(extent)
 
-    def _migrate(self, extents: list[_Extent]) -> None:
-        """One pump op: read the contiguous run from tier k-1 and write
-        it into tier k under the destination tier's own retry/breaker.
-        On success the run is forwarded toward tier k+1; on retry
-        exhaustion it strands where it is."""
-        handle = extents[0].handle
-        sf = handle.staged
-        tier = extents[0].tier
-        offset = extents[0].offset
-        total = sum(e.length for e in extents)
-        chunks = sum(e.chunks for e in extents)
-        lengths = [n for e in extents for n in e.lengths]
-        start = self._clock()
+    def staging_wake(self, sf: StagedFile) -> None:
+        self._idle.notify_all()
 
-        def attempt() -> None:
-            payload = self.tiers[tier - 1].pread(
-                handle.inner[tier - 1], total, offset
-            )
-            view = memoryview(payload)
-            if len(lengths) > 1:
-                views, at = [], 0
-                for n in lengths:
-                    views.append(view[at : at + n])
-                    at += n
-                self.tiers[tier].pwritev(handle.inner[tier], views, offset)
-            else:
-                self.tiers[tier].pwrite(handle.inner[tier], view, offset)
+    def _close_inner(self, handle: _TierHandle) -> None:
+        for tier, backend in enumerate(self.tiers):
+            backend.close(handle.inner[tier])
 
-        error = run_attempts(
-            self._retry,
-            attempt,
-            path=handle.path,
-            file_offset=offset,
-            clock=self._clock,
-            health=self._healths[tier],
-            on_retry=lambda attempt_no, delay, exc: self._core.retried(
-                tier, handle.path, offset, attempt_no, delay, exc
-            ),
-            sleep=self._sleep,
-        )
-        deferred_close = False
-        with self._idle:
-            if error is None:
-                self._core.migrated(sf, tier, offset, total, chunks, start)
-                if tier + 1 < len(self.tiers):
-                    self._enqueue(
-                        _Extent(
-                            handle, tier + 1, offset, total, chunks,
-                            lengths=tuple(lengths),
-                        )
-                    )
-            else:
-                self._core.stranded(sf, tier, offset, total, chunks, start, error)
-            if sf.closing and sum(sf.pending) == 0:
-                sf.closing = False
-                deferred_close = True
-            self._idle.notify_all()
-        if deferred_close:
-            self._close_inner(handle)
+    tier_close = blocking(_close_inner)
 
     # -- data plane -----------------------------------------------------------
 
     def open(self, path: str, create: bool = True, truncate: bool = False) -> Any:
         self._ensure_started()
         inner = [t.open(path, create, truncate) for t in self.tiers]
-        return _TierHandle(path, inner, self._core.file(path))
+        return _TierHandle(path, inner, self.staging.file(path))
 
     def pwrite(self, handle: Any, data: bytes | memoryview, offset: int) -> int:
         n = self.tiers[0].pwrite(handle.inner[0], data, offset)
-        self._stage(handle, offset, n)
+        self.stage(handle, offset, n)
         return n
 
     def pwritev(
         self, handle: Any, views: Sequence[bytes | memoryview], offset: int
     ) -> int:
         n = self.tiers[0].pwritev(handle.inner[0], views, offset)
-        self._stage(handle, offset, n)
+        self.stage(handle, offset, n)
         return n
 
-    def _stage(self, handle: _TierHandle, offset: int, length: int) -> None:
+    def tier0(self, handle: _TierHandle) -> tuple[Backend, Any]:
+        """The staging tier and this file's handle in it — for a caller
+        that stages explicitly (the mount's IO workers write here under
+        retry, then call :meth:`stage` once)."""
+        return self.tiers[0], handle.inner[0]
+
+    def stage(self, handle: _TierHandle, offset: int, length: int) -> None:
         """Tier 0 accepted one extent: account it and hand it to the pump."""
-        with self._lock:
-            self._core.accept(handle.staged, offset, length)
-            self._enqueue(_Extent(handle, 1, offset, length))
+        run(stage(self, handle, offset, length))
 
     def pread(self, handle: Any, size: int, offset: int) -> bytes:
         # Tier 0 is a full replica by construction — reads never wait on
@@ -342,7 +278,7 @@ class TieredBackend(Backend):
         return self.tiers[0].pread_into(handle.inner[0], buf, offset)
 
     def fsync(self, handle: Any) -> None:
-        self.fsync_through(handle, self._core.fsync_tier)
+        self.fsync_through(handle, self.staging.fsync_tier)
 
     def fsync_through(
         self, handle: Any, tier: int, timeout: float | None = 60.0
@@ -370,22 +306,18 @@ class TieredBackend(Backend):
             raise error
         for level in range(tier + 1):
             self.tiers[level].fsync(handle.inner[level])
-        with self._lock:
-            self._core.synced(sf, tier)
+        with self.lock:
+            self.staging.synced(sf, tier)
 
     def close(self, handle: Any) -> None:
         """Release the handle.  A file with migrations still in flight
         defers the underlying per-tier closes to the pump worker that
         pays its last debt — close never waits for deep tiers."""
-        with self._lock:
+        with self.lock:
             if sum(handle.staged.pending) > 0:
                 handle.staged.closing = True
                 return
         self._close_inner(handle)
-
-    def _close_inner(self, handle: _TierHandle) -> None:
-        for tier, backend in enumerate(self.tiers):
-            backend.close(handle.inner[tier])
 
     def file_size(self, handle: Any) -> int:
         return self.tiers[0].file_size(handle.inner[0])
@@ -397,7 +329,7 @@ class TieredBackend(Backend):
         (every extent arrived at the deepest tier or stranded)."""
         with self._idle:
             deadline = None if timeout is None else time.monotonic() + timeout
-            while self._core.outstanding > 0:
+            while self.staging.outstanding > 0:
                 remaining = (
                     None if deadline is None else deadline - time.monotonic()
                 )
@@ -405,14 +337,14 @@ class TieredBackend(Backend):
                 if stuck or not self._idle.wait(timeout=remaining):
                     raise BackendTimeoutError(
                         f"tier pump drain stuck "
-                        f"({self._core.outstanding} arrival(s) outstanding)"
+                        f"({self.staging.outstanding} arrival(s) outstanding)"
                     )
 
     def shutdown(self, timeout: float | None = 30.0) -> None:
         """Drain the pump, then stop its workers.  Idempotent; the queue
         closes (drain-then-stop) even when the drain times out, so
         workers always exit once their current op finishes."""
-        with self._lock:
+        with self.lock:
             if self._shutdown:
                 return
             self._shutdown = True

@@ -46,9 +46,6 @@ class CRFSConfig:
     #: read-your-writes extension for general (non-checkpoint) workloads
     #: that interleave reads and writes.
     read_passthrough: bool = True
-    #: Pad the final partial chunk write?  The paper writes only valid
-    #: bytes; padding is an ablation knob (always False for fidelity).
-    pad_partial_chunks: bool = False
     #: Per-file restart readahead cache, in chunks leased from the
     #: buffer pool.  0 (the paper's behaviour, and the default) keeps
     #: reads pure passthrough; > 0 serves chunk-aligned reads from a

@@ -11,11 +11,10 @@ The pipeline *state machine* — aggregation planning, drain accounting,
 the writeback-error latch, and the event/stats stream — lives in the
 plane-agnostic :mod:`repro.pipeline` package and is shared with the
 timing-plane model (:mod:`repro.simcrfs`), so both planes provably
-aggregate, drain, and count identically (``repro.core.planner`` remains
-as a re-export shim).
+aggregate, drain, and count identically.
 """
 
-from .planner import Fill, Seal, SealReason, WritePlanner
+from ..pipeline.planner import Fill, Seal, SealReason, WritePlanner
 from .buffer_pool import BufferPool
 from .chunk import Chunk
 from .workqueue import WorkQueue, QueueClosed

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from ..errors import FileStateError
-from .planner import SealReason
+from ..pipeline.planner import SealReason
 
 __all__ = ["Chunk"]
 

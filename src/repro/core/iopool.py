@@ -20,24 +20,26 @@ The same workers also service restart-readahead prefetches
 low-priority band so speculative reads never delay a checkpoint
 writeback.
 
-Resilience: each chunk writeback is driven under the mount's
-:class:`~repro.pipeline.resilience.RetryPolicy` before an error is
-latched — failed attempts back off and reissue (``ChunkRetried`` on the
-stream), per-attempt outcomes feed the
-:class:`~repro.pipeline.resilience.BackendHealth` circuit breaker.
+What a worker does with a dequeued run of chunks — retry under the
+mount's :class:`~repro.pipeline.resilience.RetryPolicy`, batch
+accounting, breaker fallback — is :func:`repro.pipeline.writeback.writeback`,
+the one definition both planes run.  This module is the threads, the
+queue wiring, and the engine's threaded *port*: blocking backend calls
+presented as generators that never yield.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
+from ..backends.tiered import TieredBackend
 from ..pipeline import PipelineStats
 from ..pipeline.events import WorkersDrained
 from ..pipeline.kernel import EmitFn
-from ..pipeline.resilience import BackendHealth, RetryPolicy, run_attempts
+from ..pipeline.resilience import BackendHealth, RetryPolicy
+from ..pipeline.writeback import Extent, blocking, contiguous, run, writeback
 from .buffer_pool import BufferPool
 from .chunk import Chunk
 from .filetable import FileEntry
@@ -50,12 +52,19 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["IOThreadPool", "WorkItem"]
 
 
-@dataclass
-class WorkItem:
-    """A sealed chunk bound for the backing filesystem."""
+class WorkItem(Extent):
+    """A sealed chunk bound for the backing filesystem: the engine's
+    tier-0 extent plus the pooled buffer to recycle.  ``data`` is one
+    payload view for all attempts — the chunk stays leased (and stable)
+    until its completion."""
 
-    chunk: Chunk
-    entry: FileEntry
+    __slots__ = ("chunk",)
+
+    def __init__(self, chunk: Chunk, entry: FileEntry):
+        super().__init__(
+            entry, 0, chunk.file_offset, chunk.valid, data=chunk.payload()
+        )
+        self.chunk = chunk
 
 
 class IOThreadPool:
@@ -79,13 +88,15 @@ class IOThreadPool:
         if batch_chunks < 1:
             raise ValueError(f"batch_chunks must be >= 1, got {batch_chunks}")
         self.backend = backend
+        self.tiered = backend if isinstance(backend, TieredBackend) else None
         self.queue = queue
         self.pool = pool
         self.nthreads = nthreads
         self.batch_chunks = batch_chunks
         self.stats = stats if stats is not None else PipelineStats()
         self.retry = retry if retry is not None else RetryPolicy()
-        self.health = health
+        # A standalone pool gets a breaker that never trips (threshold 0).
+        self.health = health if health is not None else BackendHealth()
         # Shutdown drain time goes out on the mount's event stream when
         # one is wired; standalone pools fall back to feeding the stats
         # registry directly so the counter exists either way.
@@ -118,21 +129,11 @@ class IOThreadPool:
             t.start()
             self._threads.append(t)
 
-    @staticmethod
-    def _chainable(prev: object, nxt: object) -> bool:
-        """Whether ``nxt`` extends ``prev``'s file run: same entry, and
-        its chunk starts exactly where ``prev``'s valid bytes end."""
-        if not isinstance(prev, WorkItem) or not isinstance(nxt, WorkItem):
-            return False
-        if prev.entry is not nxt.entry:
-            return False
-        return nxt.chunk.file_offset == prev.chunk.file_offset + prev.chunk.valid
-
     def _worker(self) -> None:
         while True:
             try:
                 if self.batch_chunks > 1:
-                    items = self.queue.get_batch(self.batch_chunks, self._chainable)
+                    items = self.queue.get_batch(self.batch_chunks, contiguous)
                 else:
                     items = [self.queue.get()]
             except QueueClosed:
@@ -145,85 +146,38 @@ class IOThreadPool:
                 # batched, so the list is a singleton.
                 items[0].cache.service_prefetch(items[0])
                 continue
-            if len(items) == 1:
-                self._write_one(items[0])
-            else:
-                self._write_batch(items)
+            run(writeback(self, items))
 
-    def _write_one(self, item: WorkItem) -> None:
-        chunk, entry = item.chunk, item.entry
-        start = entry.pipeline.clock()
-        # Retry the pwrite under the policy before latching; only the
-        # error that survives retry exhaustion reaches the entry.  One
-        # payload view for all attempts — the chunk stays leased until
-        # the completion below.
-        payload = chunk.payload()
-        error = run_attempts(
-            self.retry,
-            lambda: self.backend.pwrite(
-                entry.backend_handle, payload, chunk.file_offset
-            ),
-            path=entry.path,
-            file_offset=chunk.file_offset,
-            clock=entry.pipeline.clock,
-            health=self.health,
-            on_retry=lambda attempt, delay, exc: entry.pipeline.note_retry(
-                chunk.file_offset, attempt, delay, exc
-            ),
-        )
-        # Account *before* recycling: once complete_chunk_count rises a
-        # drain-waiter may proceed, and that is safe even if the chunk
-        # is still being reset.
-        entry.note_chunk_complete(
-            error, nbytes=chunk.valid, file_offset=chunk.file_offset, start=start
-        )
-        self.pool.release(chunk)
+    # -- the writeback engine's port (threaded plane) ---------------------------
 
-    def _write_batch(self, items: list[WorkItem]) -> None:
-        """Issue a gathered run of contiguous chunks as one pwritev.
+    sleep = staticmethod(blocking(time.sleep))
 
-        The batch is one backend op: one retry schedule at the batch's
-        base offset, one health record, and — on exhaustion — the same
-        surviving error attributed to every chunk in the batch.  If the
-        breaker is already open the batch is broken back into per-chunk
-        writes, which route through the degraded accounting individually.
-        """
-        entry = items[0].entry
-        chunks = [item.chunk for item in items]
-        base = chunks[0].file_offset
-        total = sum(c.valid for c in chunks)
-        if self.health is not None and self.health.degraded:
-            entry.pipeline.note_batch_broken(base, len(chunks), "degraded")
-            for item in items:
-                self._write_one(item)
-            return
-        start = entry.pipeline.clock()
-        # One iovec list per batch, built up front and reused across
-        # retry attempts — the payloads are views of pooled buffers that
-        # stay leased (and stable) until the completions below recycle
-        # them, so re-slicing per attempt would only re-allocate.
-        views = [c.payload() for c in chunks]
-        error = run_attempts(
-            self.retry,
-            lambda: self.backend.pwritev(entry.backend_handle, views, base),
-            path=entry.path,
-            file_offset=base,
-            clock=entry.pipeline.clock,
-            health=self.health,
-            on_retry=lambda attempt, delay, exc: entry.pipeline.note_retry(
-                base, attempt, delay, exc
-            ),
+    @blocking
+    def backend_write(
+        self, entry: FileEntry, extents: Sequence[Extent], offset: int
+    ) -> None:
+        backend, handle = self.backend, entry.backend_handle
+        if self.tiered is not None:
+            # Tier 0 directly: the engine stages a run once, after its
+            # attempt loop — never once per reissued attempt.
+            backend, handle = self.tiered.tier0(handle)
+        if len(extents) == 1:
+            backend.pwrite(handle, extents[0].data, offset)
+        else:
+            backend.pwritev(handle, [e.data for e in extents], offset)
+
+    @blocking
+    def stage(self, entry: FileEntry, offset: int, length: int) -> None:
+        if self.tiered is not None:
+            self.tiered.stage(entry.backend_handle, offset, length)
+
+    def complete(
+        self, item: WorkItem, error: BaseException | None, start: float
+    ) -> None:
+        item.file.note_chunk_complete(
+            error, nbytes=item.length, file_offset=item.offset, start=start
         )
-        entry.pipeline.note_batch(base, len(chunks), total, start=start, error=error)
-        # Per-chunk completion in offset order keeps the drain counters
-        # and the error latch exactly as the unbatched path would have
-        # left them (a failed vectored write latches on the first chunk
-        # and counts an io_error for every one).
-        for chunk in chunks:
-            entry.note_chunk_complete(
-                error, nbytes=chunk.valid, file_offset=chunk.file_offset, start=start
-            )
-            self.pool.release(chunk)
+        self.pool.release(item.chunk)
 
     def shutdown(self, timeout: float = 30.0) -> None:
         """Drain-close the queue and join the workers.

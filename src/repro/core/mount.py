@@ -40,8 +40,9 @@ from ..config import CRFSConfig, DEFAULT_CONFIG
 from ..errors import FileStateError, MountError
 from ..pipeline import Fill, PipelineKernel, PipelineObserver, Seal, SealReason
 from ..pipeline.readahead import ReadaheadCore
-from ..pipeline.resilience import BackendHealth, run_attempts
+from ..pipeline.resilience import BackendHealth
 from ..pipeline.tenancy import DRRScheduler, PoolLedger
+from ..pipeline.writeback import Extent, run, write_through
 from .buffer_pool import BufferPool
 from .delta import DeltaCheckpointer
 from .filetable import FileEntry, OpenFileTable
@@ -370,26 +371,16 @@ class CRFS:
     def _pwrite_degraded(
         self, entry: FileEntry, view: memoryview, offset: int
     ) -> None:
-        """Synchronous probe write while the circuit breaker is open.
-
-        Retried under the mount policy like any chunk writeback; a
-        success closes the breaker (the health tracker emits
-        ``BackendRecovered``), exhaustion raises to the writer — the
-        error is synchronous, so nothing is latched.
-        """
-        error = run_attempts(
-            self.retry,
-            lambda: self.backend.pwrite(entry.backend_handle, view, offset),
-            path=entry.path,
-            file_offset=offset,
-            clock=self.kernel.clock,
-            health=self.health,
-            on_retry=lambda attempt, delay, exc: entry.pipeline.note_retry(
-                offset, attempt, delay, exc
-            ),
+        """Synchronous probe write while the circuit breaker is open:
+        the engine's :func:`~repro.pipeline.writeback.write_through`
+        over the IO pool's port — retried like any chunk writeback,
+        staged once on a tiered mount, raised (not latched) on
+        exhaustion."""
+        run(
+            write_through(
+                self.iopool, Extent(entry, 0, offset, len(view), data=view)
+            )
         )
-        if error is not None:
-            raise error
 
     def _shed_read_caches(self) -> None:
         """Pool-pressure relief: return every read-cache-held buffer.

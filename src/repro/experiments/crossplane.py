@@ -393,11 +393,18 @@ def _timing_tenant_stats(config: CRFSConfig, seed: int) -> dict[str, Any]:
 # gauge — and every tier counter — is a pure function of the workload.
 # A `popped` handshake on the functional plane pins the one racy edge
 # (the pump taking the gate extent before the second file stages).  The
-# faulted variant makes every deep-tier write after the gate fail until
-# retries exhaust: extents strand at tier 0, the per-tier breaker trips,
-# and fsync surfaces the strand error — identically on both planes.
+# ``deep_dead`` variant makes every deep-tier write after the gate fail
+# until retries exhaust: extents strand at tier 0, the per-tier breaker
+# trips, and fsync surfaces the strand error — identically on both
+# planes.  The ``broken_batch`` variant (driven by the cross-plane
+# tests) moves the gate to tier 0 and makes it *fail*: the mount's
+# breaker is open when the lone IO worker gathers the run, so the batch
+# is broken into degraded per-chunk writes — which must still stage and
+# migrate.  Its pump is not gated, so there the pump-queue gauge alone
+# is timing-dependent on the functional plane.
 
 _TIER_RUN_CHUNKS = 6
+_TIER_ARMS = ("clean", "deep_dead", "broken_batch")
 
 
 def _error_key(error: BaseException | None) -> tuple[str, str] | None:
@@ -407,24 +414,33 @@ def _error_key(error: BaseException | None) -> tuple[str, str] | None:
     return (type(error).__name__, str(error))
 
 
-def _tiered_config(faulted: bool) -> CRFSConfig:
+def _tiered_config(arm: str) -> CRFSConfig:
+    assert arm in _TIER_ARMS, arm
+    deep_dead = arm == "deep_dead"
     return CRFSConfig(
         chunk_size=64 * KiB,
         pool_size=1 * MiB,  # all chunks fit: no pool backpressure
         io_threads=1,
         tier_pump_threads=1,
-        tier_pump_batch_chunks=1 if faulted else 4,
-        retry_attempts=2 if faulted else 1,
-        breaker_threshold=2 if faulted else 0,
+        tier_pump_batch_chunks=4 if arm == "clean" else 1,
+        writeback_batch_chunks=4 if arm == "broken_batch" else 1,
+        retry_attempts=2 if deep_dead else 1,
+        breaker_threshold={"deep_dead": 2, "broken_batch": 1}.get(arm, 0),
         retry_backoff=1e-4,
         retry_backoff_max=1e-3,
         retry_jitter=0.0,
     )
 
 
-def _tier_fault_rules(faulted: bool) -> list[FaultRule]:
+def _tier_fault_rules(arm: str) -> list[FaultRule]:
+    """The rules of the faulty tier: the deep tier, or — for
+    ``broken_batch`` — tier 0.  The first pwrite is the gate."""
+    if arm == "broken_batch":
+        return [
+            FaultRule(op="pwrite", nth=1, delay=1.0, error=BackendIOError("gate EIO"))
+        ]
     rules = [FaultRule(op="pwrite", nth=1, delay=1.0)]
-    if faulted:
+    if arm == "deep_dead":
         rules.append(
             FaultRule(
                 op="pwrite", nth=2, every=True, error=BackendIOError("deep EIO")
@@ -433,7 +449,7 @@ def _tier_fault_rules(faulted: bool) -> list[FaultRule]:
     return rules
 
 
-def _functional_tiered_stats(config: CRFSConfig, faulted: bool) -> dict[str, Any]:
+def _functional_tiered_stats(config: CRFSConfig, arm: str) -> dict[str, Any]:
     gate = threading.Event()
     popped = threading.Event()
 
@@ -441,14 +457,16 @@ def _functional_tiered_stats(config: CRFSConfig, faulted: bool) -> dict[str, Any
         popped.set()
         gate.wait()
 
-    deep = FaultyBackend(MemBackend(), _tier_fault_rules(faulted), sleep=hold)
-    fs = CRFS(TieredBackend([MemBackend(), deep]), config)
+    faulty = FaultyBackend(MemBackend(), _tier_fault_rules(arm), sleep=hold)
+    tiers = [faulty, MemBackend()] if arm == "broken_batch" else [MemBackend(), faulty]
+    fs = CRFS(TieredBackend(tiers), config)
     sync_error: BaseException | None = None
     with fs:
-        with fs.open("/gate.img") as fg, fs.open("/rank0.img") as fb:
+        fg = fs.open("/gate.img")
+        with fs.open("/rank0.img") as fb:
             fg.write(b"\x00" * config.chunk_size)
             if not popped.wait(timeout=30):  # pragma: no cover - stuck gate
-                raise RuntimeError("tier pump never reached the gate")
+                raise RuntimeError("the gate write was never reached")
             for _ in range(_TIER_RUN_CHUNKS):
                 fb.write(b"\x00" * config.chunk_size)
             gate.set()
@@ -456,23 +474,27 @@ def _functional_tiered_stats(config: CRFSConfig, faulted: bool) -> dict[str, Any
                 fb.fsync()
             except BackendIOError as exc:
                 sync_error = exc
+        try:
+            fg.close()
+        except BackendIOError:
+            if arm != "broken_batch":  # only that arm's gate chunk fails
+                raise
     stats = fs.stats()
     stats["_sync_error"] = sync_error
     return stats
 
 
-def _timing_tiered_stats(
-    config: CRFSConfig, seed: int, faulted: bool
-) -> dict[str, Any]:
+def _timing_tiered_stats(config: CRFSConfig, seed: int, arm: str) -> dict[str, Any]:
     sim = Simulator()
     hw = DEFAULT_HW
     membus = SharedBandwidth(sim, hw.membus_bandwidth)
-    deep = FaultySimFilesystem(
+    faulty = FaultySimFilesystem(
         NullSimFilesystem(sim, hw, rng_for(seed, "crossplane/tiered-deep")),
-        _tier_fault_rules(faulted),
+        _tier_fault_rules(arm),
     )
+    plain = NullSimFilesystem(sim, hw, rng_for(seed, "crossplane/tiered-0"))
     backend = TieredSimFilesystem(
-        [NullSimFilesystem(sim, hw, rng_for(seed, "crossplane/tiered-0")), deep]
+        [faulty, plain] if arm == "broken_batch" else [plain, faulty]
     )
     crfs = SimCRFS(sim, hw, config, backend, membus)
     captured: list[BaseException | None] = [None]
@@ -488,7 +510,11 @@ def _timing_tiered_stats(
         except BackendIOError as exc:
             captured[0] = exc
         yield from crfs.close(fb)
-        yield from crfs.close(fg)
+        try:
+            yield from crfs.close(fg)
+        except BackendIOError:
+            if arm != "broken_batch":
+                raise
 
     sim.run_until_complete([sim.spawn(proc())])
     sim.run_until_complete([sim.spawn(crfs.drain_staging(), name="drain")])
@@ -691,10 +717,10 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
     )
 
     tiered: dict[str, tuple[dict[str, Any], dict[str, Any]]] = {}
-    for arm, faulted in (("tiered", False), ("tiered_faulted", True)):
-        aconfig = _tiered_config(faulted)
-        afunc = _functional_tiered_stats(aconfig, faulted)
-        atiming = _timing_tiered_stats(aconfig, seed, faulted)
+    for arm, kind in (("tiered", "clean"), ("tiered_faulted", "deep_dead")):
+        aconfig = _tiered_config(kind)
+        afunc = _functional_tiered_stats(aconfig, kind)
+        atiming = _timing_tiered_stats(aconfig, seed, kind)
         tiered[arm] = (afunc, atiming)
         match = afunc["tiers"] == atiming["tiers"]
         if not match:

@@ -20,7 +20,6 @@ and therefore advisory.
 
 from __future__ import annotations
 
-import math
 import tempfile
 import threading
 import time
@@ -40,6 +39,7 @@ from ..simio.params import DEFAULT_HW
 from ..simio.tiered import TieredSimFilesystem
 from ..units import MiB
 from ..util.rng import rng_for
+from ..util.stats import nearest_rank as percentile
 from ..workloads import LLMCadenceWorkload
 from .scenarios import Scenario, default_scenarios
 
@@ -64,15 +64,6 @@ class LatencyRecorder(PipelineObserver):
             self.write_durations.append(event.duration)
         elif isinstance(event, ChunkWritten) and event.error is None:
             self.chunk_durations.append(event.duration)
-
-
-def percentile(values: list[float], q: float) -> float:
-    """Nearest-rank percentile (deterministic, no interpolation)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = math.ceil(q / 100.0 * len(ordered))
-    return ordered[min(len(ordered), max(1, rank)) - 1]
 
 
 def _metrics(

@@ -5,8 +5,11 @@ One mechanism, defined once: write aggregation into fixed-size chunks
 ``write_chunk_count``/``complete_chunk_count`` drain accounting and the
 latched writeback-error contract (:mod:`~repro.pipeline.kernel`), a
 unified event stream with observer hooks
-(:mod:`~repro.pipeline.events`), and the counter registry every
-``stats()`` snapshot is served from (:mod:`~repro.pipeline.stats`).
+(:mod:`~repro.pipeline.events`), the counter registry every
+``stats()`` snapshot is served from (:mod:`~repro.pipeline.stats`), and
+the per-chunk writeback control flow — retry loop, IO-worker step, tier
+pump — as generators over a per-plane port
+(:mod:`~repro.pipeline.writeback`).
 
 Both planes import this package: :mod:`repro.core` executes the state
 machine with real threads and buffers, :mod:`repro.simcrfs` with
@@ -57,7 +60,7 @@ from .events import (
 from .kernel import FilePipeline, PipelineKernel
 from .planner import Fill, PlanOp, Seal, SealReason, WritePlanner
 from .readahead import DEMAND, PREFETCH, CacheEntry, ReadaheadCore
-from .resilience import BackendHealth, RetryPolicy, run_attempts
+from .resilience import BackendHealth, RetryPolicy
 from .staging import StagedFile, StagingCore
 from .stats import PipelineStats, flatten_snapshot
 from .tenancy import (
@@ -133,5 +136,4 @@ __all__ = [
     "WriteObserved",
     "WritePlanner",
     "flatten_snapshot",
-    "run_attempts",
 ]

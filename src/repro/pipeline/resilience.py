@@ -17,12 +17,11 @@ place that failure policy is encoded for both planes:
   serves writes synchronously (write-through, bypassing the buffer
   pool) until any probe write succeeds, which closes the breaker
   (``BackendRecovered``) and restores asynchronous aggregation.
-* :func:`run_attempts` — the functional plane's retry driver (the
-  timing plane drives the same policy with virtual-clock waits in
-  :meth:`repro.simcrfs.model.SimCRFS`).
 
-Both planes consult the same policy objects, so the resilience counters
-in ``stats()`` stay cross-plane comparable.
+The attempt loop that drives a backend op under these two objects is
+:func:`repro.pipeline.writeback.attempts` — one definition, run by both
+planes, so the resilience counters in ``stats()`` stay cross-plane
+comparable.
 """
 
 from __future__ import annotations
@@ -32,11 +31,11 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from ..errors import BackendTimeoutError, ConfigError
+from ..errors import ConfigError
 from ..util.rng import rng_for
 from .events import BackendDegraded, BackendRecovered, PipelineEvent
 
-__all__ = ["RetryPolicy", "BackendHealth", "run_attempts"]
+__all__ = ["RetryPolicy", "BackendHealth"]
 
 EmitFn = Callable[[PipelineEvent], None]
 
@@ -189,56 +188,3 @@ class BackendHealth:
         if recovered:
             self._emit(BackendRecovered(downtime=downtime, t=now))
         return recovered
-
-
-def run_attempts(
-    policy: RetryPolicy,
-    fn: Callable[[], None],
-    *,
-    path: str,
-    file_offset: int,
-    clock: Callable[[], float] | None = None,
-    health: BackendHealth | None = None,
-    on_retry: Callable[[int, float, BaseException], None] | None = None,
-    sleep: Callable[[float], None] = time.sleep,
-) -> BaseException | None:
-    """Drive ``fn`` under ``policy`` (functional plane) and return the
-    error to surface, or None on success.
-
-    ``on_retry(attempt, delay, error)`` fires before each backoff sleep
-    (the caller publishes ``ChunkRetried`` there).  Outcomes are fed to
-    ``health`` per attempt.  Non-``Exception`` failures (KeyboardInterrupt
-    and friends) are never retried.
-    """
-    clock = clock if clock is not None else time.perf_counter
-    attempt = 1
-    while True:
-        t0 = clock()
-        error: BaseException | None = None
-        try:
-            fn()
-        except BaseException as exc:  # noqa: BLE001 - surfaced to the caller
-            error = exc
-        else:
-            elapsed = clock() - t0
-            if policy.timed_out(elapsed):
-                # the write landed but overran its deadline: positional
-                # writes are idempotent, so count it failed and reissue
-                error = BackendTimeoutError(
-                    f"{path}@{file_offset}: attempt took {elapsed:.3f}s "
-                    f"(limit {policy.attempt_timeout}s)"
-                )
-        if error is None:
-            if health is not None:
-                health.record_success()
-            return None
-        if health is not None:
-            health.record_failure()
-        if not isinstance(error, Exception) or not policy.should_retry(attempt):
-            return error
-        delay = policy.delay(attempt, path, file_offset)
-        if on_retry is not None:
-            on_retry(attempt, delay, error)
-        if delay > 0:
-            sleep(delay)
-        attempt += 1

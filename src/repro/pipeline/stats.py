@@ -14,6 +14,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Iterable
 
+from ..util.stats import nearest_rank
 from .copies import CopyLedger
 from .events import (
     AdmissionWait,
@@ -56,20 +57,6 @@ from .events import (
 from .planner import SealReason
 
 __all__ = ["PipelineStats", "flatten_snapshot"]
-
-
-def _percentile_nearest(samples: list[float], q: float) -> float:
-    """Nearest-rank percentile (no interpolation) over drain samples.
-
-    Deliberately numpy-free and branch-simple so both planes compute the
-    identical value from the identical FileDrained sequence; an empty
-    sample set reports 0.0 so idle tenants keep a full key set.
-    """
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = max(0, min(len(ordered) - 1, int(round(q / 100.0 * len(ordered))) - 1))
-    return ordered[rank]
 
 
 def _new_tenant_counters() -> dict[str, Any]:
@@ -453,10 +440,10 @@ class PipelineStats(PipelineObserver):
                 "tenants": {
                     name: dict(
                         self.tenants[name],
-                        drain_p50=_percentile_nearest(
+                        drain_p50=nearest_rank(
                             self._drain_samples.get(name, []), 50.0
                         ),
-                        drain_p99=_percentile_nearest(
+                        drain_p99=nearest_rank(
                             self._drain_samples.get(name, []), 99.0
                         ),
                     )

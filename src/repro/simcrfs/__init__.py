@@ -3,7 +3,7 @@
 The same pipeline as :mod:`repro.core` — buffer pool, work queue, IO
 threads, drain-on-close — expressed as simulated processes over the
 modelled hardware, and driven by the *same* pure
-:class:`~repro.core.planner.WritePlanner`, so both planes provably
+:class:`~repro.pipeline.planner.WritePlanner`, so both planes provably
 aggregate identically (see ``tests/test_cross_plane.py``).
 """
 

@@ -30,12 +30,13 @@ Costs on the write path (what the application's checkpoint time sees):
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Optional, Sequence
 
 from ..checkpoint.manifest import Manifest, generation_path, manifest_path
 from ..config import CRFSConfig
-from ..errors import BackendIOError, BackendTimeoutError, ShutdownError
+from ..errors import BackendIOError, ShutdownError
 from ..pipeline import (
     AdmissionWait,
     BackendHealth,
@@ -51,6 +52,14 @@ from ..pipeline import (
 from ..pipeline.readahead import DEMAND, PREFETCH, CacheEntry, ReadaheadCore
 from ..pipeline.staging import StagedFile, StagingCore, tier_health_emit
 from ..pipeline.tenancy import DEFAULT_TENANT, DRRScheduler, PoolLedger
+from ..pipeline.writeback import (
+    Extent,
+    contiguous,
+    migrate,
+    stage,
+    write_through,
+    writeback,
+)
 from ..sim import (
     SharedBandwidth,
     SimEvent,
@@ -142,30 +151,6 @@ class _SimReadFetch:
     length: int
 
 
-class _SimExtent:
-    """One pump work item — the timing-plane twin of the functional
-    plane's ``_Extent``: ``chunks`` accepted extents, contiguous in
-    ``f``'s file, bound for tier ``tier``."""
-
-    __slots__ = ("f", "tier", "offset", "length", "chunks", "lengths")
-
-    def __init__(
-        self,
-        f: SimCRFSFile,
-        tier: int,
-        offset: int,
-        length: int,
-        chunks: int = 1,
-        lengths: tuple[int, ...] | None = None,
-    ):
-        self.f = f
-        self.tier = tier
-        self.offset = offset
-        self.length = length
-        self.chunks = chunks
-        self.lengths = lengths if lengths is not None else (length,)
-
-
 class SimCRFS:
     """One node's CRFS mount over a modelled backing filesystem."""
 
@@ -190,7 +175,7 @@ class SimCRFS:
         #: keep draining the file they last wrote, so one file's chunks
         #: reach the backend back-to-back instead of interleaving.
         self.file_affine = file_affine
-        self._backlog: "dict[SimCRFSFile, list[Seal]]" = {}
+        self._backlog: "dict[SimCRFSFile, list[Extent]]" = {}
         #: Open files with a read cache — pool-pressure shedding (mirror
         #: of ``CRFS._shed_read_caches``) must reach every cache.
         self._cached_files: "list[SimCRFSFile]" = []
@@ -213,14 +198,13 @@ class SimCRFS:
         )
         # Tiered staging: the same plane-agnostic StagingCore the
         # functional TieredBackend drives, paid down here by pump
-        # *processes* over an unbounded SimQueue (mirror of the private
-        # WorkQueue + pump threads — its depths never touch the mount's
-        # `queue` stats section).
+        # *processes* over an unbounded SimQueue (its depths never
+        # touch the mount's `queue` stats section).
         self.staging: Optional[StagingCore] = None
         self._pump_queue: Optional[SimQueue] = None
-        self._pump_depth = 0
+        self.pump_depth = 0
         self._pump_waiters: list[SimEvent] = []
-        self._tier_healths: list[Optional[BackendHealth]] = []
+        self.tier_healths: list[Optional[BackendHealth]] = []
         self._pump_procs: list = []
         if ntiers:
             self.staging = StagingCore(
@@ -230,7 +214,7 @@ class SimCRFS:
                 clock=lambda: sim.now,
             )
             self._pump_queue = SimQueue(sim)
-            self._tier_healths = [None] + [
+            self.tier_healths = [None] + [
                 BackendHealth(
                     config.breaker_threshold,
                     emit=tier_health_emit(self.kernel.emit, tier),
@@ -778,8 +762,6 @@ class SimCRFS:
             for ev in waiters:
                 ev.succeed()
 
-    # -- resilience (mirrors pipeline.resilience.run_attempts, virtual time) ----
-
     def _write_degraded(self, f: SimCRFSFile, nbytes: int):
         """Generator: breaker-open write — synchronous write-through.
 
@@ -788,7 +770,8 @@ class SimCRFS:
         tracker emits ``BackendRecovered``), and subsequent writes take
         the asynchronous aggregation path again.  On retry exhaustion
         the error is raised here, at the write() itself — nothing is
-        latched, because nothing was accepted asynchronously.
+        latched, because nothing was accepted asynchronously (the
+        engine's :func:`~repro.pipeline.writeback.write_through`).
         """
         t0 = self.sim.now
         offset0 = f.pos
@@ -800,94 +783,60 @@ class SimCRFS:
             yield self.sim.timeout(self.hw.fuse_request_overhead)
             if request >= PAGE:
                 yield self.membus.transfer(request)
-            error = yield from self._attempt_backend_write(f, request, f.pos)
-            if error is not None:
-                raise error
-            yield from self._stage(f, f.pos, request)
+            yield from write_through(self, Extent(f, 0, f.pos, request))
             f.pos += request
         f.pipeline.note_write(
             offset0, nbytes, start=t0, write_through=True, degraded=True
         )
 
-    def _attempt_backend_write(self, f: SimCRFSFile, length: int, file_offset: int):
-        """Generator: one backend write driven under the mount's
-        :class:`RetryPolicy` — the timing-plane twin of
-        :func:`repro.pipeline.resilience.run_attempts`, with backoff as
-        virtual-clock timeouts.  Returns the error that survives retry
-        exhaustion, or None on success.
-        """
-        return (
-            yield from self._attempt_op(
-                f, file_offset, lambda: self.backend.write(f.backend_file, length)
-            )
+    # -- the writeback engine's port (timing plane) ------------------------------
+    # The operations the shared flows in :mod:`repro.pipeline.writeback`
+    # drive, as virtual-clock generators; ``retry``, ``health``,
+    # ``staging``, ``tier_healths`` and ``pump_depth`` are set up in
+    # ``__init__``.  The simulator is single-threaded: no lock.
+
+    lock = nullcontext()
+
+    def sleep(self, delay: float):
+        yield self.sim.timeout(delay)
+
+    def backend_write(self, f: SimCRFSFile, extents: Sequence[Extent], offset: int):
+        if len(extents) == 1:
+            return self.backend.write(f.backend_file, extents[0].length)
+        return self.backend.writev(f.backend_file, [e.length for e in extents])
+
+    def stage(self, f: SimCRFSFile, offset: int, length: int):
+        if self.staging is not None:
+            yield from stage(self, f, offset, length)
+
+    def complete(self, extent: Extent, error: BaseException | None, t0: float) -> None:
+        """Per-chunk completion accounting: drain counters, error latch,
+        pool recycle, drain-waiter wakeup."""
+        f = extent.file
+        drained = f.pipeline.note_complete(
+            length=extent.length,
+            file_offset=extent.offset,
+            error=error,
+            start=t0,
         )
+        self._pool_release(f.tenant)
+        if drained and f._drain_waiters:
+            waiters, f._drain_waiters = f._drain_waiters, []
+            for ev in waiters:
+                ev.succeed()
 
-    def _attempt_backend_writev(self, f: SimCRFSFile, sizes: list, file_offset: int):
-        """Generator: one vectored backend write under the retry policy —
-        the whole batch is one backend op, retried (and health-recorded)
-        as one, mirroring the functional plane's pwritev-under-
-        run_attempts."""
-        return (
-            yield from self._attempt_op(
-                f, file_offset, lambda: self.backend.writev(f.backend_file, sizes)
-            )
-        )
+    def tier_copy(self, f: SimCRFSFile, tier: int, offset: int, lengths: Sequence[int]):
+        yield from self.backend.tier_read(f.backend_file, tier - 1, sum(lengths))
+        if len(lengths) > 1:
+            yield from self.backend.tier_writev(f.backend_file, tier, list(lengths))
+        else:
+            yield from self.backend.tier_write(f.backend_file, tier, lengths[0])
 
-    def _attempt_op(self, f: SimCRFSFile, file_offset: int, make_op):
-        """Shared attempt loop; ``make_op`` supplies a fresh backend-op
-        generator per attempt."""
-        policy = self.retry
-        attempt = 1
-        while True:
-            t0 = self.sim.now
-            error: BaseException | None = None
-            try:
-                yield from make_op()
-            except Exception as exc:  # noqa: BLE001 - surfaced to the caller
-                error = exc
-            else:
-                elapsed = self.sim.now - t0
-                if policy.timed_out(elapsed):
-                    error = BackendTimeoutError(
-                        f"{f.path}@{file_offset}: attempt took {elapsed:.3f}s "
-                        f"(limit {policy.attempt_timeout}s)"
-                    )
-            if error is None:
-                self.health.record_success()
-                return None
-            self.health.record_failure()
-            if not policy.should_retry(attempt):
-                return error
-            delay = policy.delay(attempt, f.path, file_offset)
-            f.pipeline.note_retry(file_offset, attempt, delay, error)
-            if delay > 0:
-                yield self.sim.timeout(delay)
-            attempt += 1
-
-    # -- tier staging (mirror of backends.tiered, virtual time) ------------------
-
-    def _stage(self, f: SimCRFSFile, file_offset: int, length: int):
-        """Generator: tier 0 accepted one extent — one successful
-        backend write op — so account it and hand it to the pump
-        (mirror of ``TieredBackend._stage``).  No-op on untiered
-        mounts."""
-        if self.staging is None:
-            return
-        self.staging.accept(f.staged, file_offset, length)
-        extent = _SimExtent(f, 1, file_offset, length)
-        self._pump_depth += 1
-        self.staging.enqueued(extent.tier, self._pump_depth)
+    def pump_put(self, extent: Extent):
         yield self._pump_queue.put(extent)
 
-    @staticmethod
-    def _chain_extents(prev: _SimExtent, nxt: _SimExtent) -> bool:
-        """Whether ``nxt`` extends ``prev`` into one migration op — the
-        timing-plane twin of ``backends.tiered._chainable``."""
-        return (
-            nxt.f is prev.f
-            and nxt.tier == prev.tier
-            and nxt.offset == prev.offset + prev.length
-        )
+    def tier_close(self, f: SimCRFSFile):
+        return self.backend.close(f.backend_file)
 
     def _pump_proc(self, index: int):
         batch_limit = self.config.tier_pump_batch_chunks
@@ -899,88 +848,11 @@ class SimCRFS:
             extents = [item]
             if batch_limit > 1:
                 extents.extend(
-                    self._pump_queue.take_adjacent(
-                        item, batch_limit - 1, self._chain_extents
-                    )
+                    self._pump_queue.take_adjacent(item, batch_limit - 1, contiguous)
                 )
-            self._pump_depth -= len(extents)
-            yield from self._pump_migrate(extents)
+            yield from migrate(self, extents)
 
-    def _pump_migrate(self, extents: "list[_SimExtent]"):
-        """Generator: one pump op — read the contiguous run from tier
-        k-1 and write it into tier k under the destination tier's own
-        retry/breaker; forward on success, strand on exhaustion."""
-        f = extents[0].f
-        sf = f.staged
-        tier = extents[0].tier
-        offset = extents[0].offset
-        total = sum(e.length for e in extents)
-        chunks = sum(e.chunks for e in extents)
-        lengths = [n for e in extents for n in e.lengths]
-        start = self.sim.now
-
-        def make_op():
-            yield from self.backend.tier_read(f.backend_file, tier - 1, total)
-            if len(lengths) > 1:
-                yield from self.backend.tier_writev(
-                    f.backend_file, tier, list(lengths)
-                )
-            else:
-                yield from self.backend.tier_write(f.backend_file, tier, total)
-
-        error = yield from self._attempt_tier_op(tier, f.path, offset, make_op)
-        if error is None:
-            self.staging.migrated(sf, tier, offset, total, chunks, start)
-            if tier + 1 < self.staging.ntiers:
-                nxt = _SimExtent(
-                    f, tier + 1, offset, total, chunks, lengths=tuple(lengths)
-                )
-                self._pump_depth += 1
-                self.staging.enqueued(nxt.tier, self._pump_depth)
-                yield self._pump_queue.put(nxt)
-        else:
-            self.staging.stranded(sf, tier, offset, total, chunks, start, error)
-        self._wake_staging_waiters(sf)
-        if sf.closing and sum(sf.pending) == 0:
-            sf.closing = False
-            yield from self.backend.close(f.backend_file)
-
-    def _attempt_tier_op(self, tier: int, path: str, file_offset: int, make_op):
-        """The pump's attempt loop: like :meth:`_attempt_op` but under
-        the destination tier's own breaker, with retries published as
-        ``TierRetried`` — deep-tier trouble never pollutes the mount's
-        ``resilience`` section (mirror of ``run_attempts`` as
-        ``TieredBackend._migrate`` drives it)."""
-        policy = self.retry
-        health = self._tier_healths[tier]
-        attempt = 1
-        while True:
-            t0 = self.sim.now
-            error: BaseException | None = None
-            try:
-                yield from make_op()
-            except Exception as exc:  # noqa: BLE001 - strand-latched by caller
-                error = exc
-            else:
-                elapsed = self.sim.now - t0
-                if policy.timed_out(elapsed):
-                    error = BackendTimeoutError(
-                        f"{path}@{file_offset}: attempt took {elapsed:.3f}s "
-                        f"(limit {policy.attempt_timeout}s)"
-                    )
-            if error is None:
-                health.record_success()
-                return None
-            health.record_failure()
-            if not policy.should_retry(attempt):
-                return error
-            delay = policy.delay(attempt, path, file_offset)
-            self.staging.retried(tier, path, file_offset, attempt, delay, error)
-            if delay > 0:
-                yield self.sim.timeout(delay)
-            attempt += 1
-
-    def _wake_staging_waiters(self, sf: StagedFile) -> None:
+    def staging_wake(self, sf: StagedFile) -> None:
         """Wake fsync waiters parked on the file plus mount-wide drain
         waiters; all re-check their predicates (the sim's analogue of
         the functional plane's ``notify_all``)."""
@@ -1011,11 +883,12 @@ class SimCRFS:
         f.pipeline.note_queued(seal)
         f.has_chunk = False
         yield self.sim.timeout(self.hw.crfs_seal_overhead)
+        extent = Extent(f, 0, seal.file_offset, seal.length)
         if self.file_affine:
-            self._backlog.setdefault(f, []).append(seal)
+            self._backlog.setdefault(f, []).append(extent)
             yield self.queue.put(None, tenant=f.tenant)  # wake one IO thread
         else:
-            yield self.queue.put((f, seal), tenant=f.tenant)
+            yield self.queue.put(extent, tenant=f.tenant)
         self.kernel.emit(
             QueuePressure(
                 depth=len(self.queue),
@@ -1033,45 +906,16 @@ class SimCRFS:
             yield ev
         f.pipeline.note_drained(start, outstanding)
 
-    def _take_affine(self, last: Optional[SimCRFSFile]):
-        """Pick the next backlog item, preferring the thread's last file."""
+    def _take_affine(self, last: Optional[SimCRFSFile]) -> Extent:
+        """Pick the next backlog chunk, preferring the thread's last file."""
         if last is not None and self._backlog.get(last):
             f = last
         else:
             f = next(iter(self._backlog))
-        seal = self._backlog[f].pop(0)
+        extent = self._backlog[f].pop(0)
         if not self._backlog[f]:
             del self._backlog[f]
-        return f, seal
-
-    @staticmethod
-    def _chain_seals(prev: Any, nxt: Any) -> bool:
-        """Whether queued item ``nxt`` extends ``prev``'s file run — the
-        timing-plane twin of ``IOThreadPool._chainable``."""
-        if not isinstance(prev, tuple) or not isinstance(nxt, tuple):
-            return False
-        pf, ps = prev
-        nf, ns = nxt
-        if pf is not nf:
-            return False
-        return ns.file_offset == ps.file_offset + ps.length
-
-    def _complete_seal(
-        self, f: SimCRFSFile, seal: Seal, error: BaseException | None, t0: float
-    ) -> None:
-        """Per-chunk completion accounting: drain counters, error latch,
-        pool recycle, drain-waiter wakeup."""
-        drained = f.pipeline.note_complete(
-            length=seal.length,
-            file_offset=seal.file_offset,
-            error=error,
-            start=t0,
-        )
-        self._pool_release(f.tenant)
-        if drained and f._drain_waiters:
-            waiters, f._drain_waiters = f._drain_waiters, []
-            for ev in waiters:
-                ev.succeed()
+        return extent
 
     def _io_thread(self, index: int):
         last: Optional[SimCRFSFile] = None
@@ -1090,54 +934,16 @@ class SimCRFS:
             if self.file_affine:
                 # file_affine already drains one file back-to-back via
                 # the backlog; coalescing is not applied on top of it.
-                f, seal = self._take_affine(last)
-                last = f
-            else:
-                f, seal = item
-                if batch_limit > 1:
-                    gathered = self.queue.take_adjacent(
-                        item, batch_limit - 1, self._chain_seals, tenant=f.tenant
+                item = self._take_affine(last)
+                last = item.file
+            extents = [item]
+            if batch_limit > 1 and not self.file_affine:
+                extents.extend(
+                    self.queue.take_adjacent(
+                        item, batch_limit - 1, contiguous, tenant=item.file.tenant
                     )
-                    if gathered:
-                        yield from self._write_batch(
-                            f, [seal] + [g[1] for g in gathered]
-                        )
-                        continue
-            t0 = self.sim.now
-            error = yield from self._attempt_backend_write(
-                f, seal.length, seal.file_offset
-            )
-            if error is None:
-                yield from self._stage(f, seal.file_offset, seal.length)
-            self._complete_seal(f, seal, error, t0)
-
-    def _write_batch(self, f: SimCRFSFile, seals: "list[Seal]"):
-        """Generator: one gathered run of contiguous seals as a single
-        vectored backend write — identical batch accounting (one backend
-        op, one BatchWritten, per-chunk completions in offset order) to
-        the functional plane's ``IOThreadPool._write_batch``."""
-        base = seals[0].file_offset
-        total = sum(s.length for s in seals)
-        if self.health.degraded:
-            f.pipeline.note_batch_broken(base, len(seals), "degraded")
-            for seal in seals:
-                t0 = self.sim.now
-                error = yield from self._attempt_backend_write(
-                    f, seal.length, seal.file_offset
                 )
-                self._complete_seal(f, seal, error, t0)
-            return
-        t0 = self.sim.now
-        error = yield from self._attempt_backend_writev(
-            f, [s.length for s in seals], base
-        )
-        if error is None:
-            # One pwritev = one accepted extent of the gathered length
-            # (mirror of TieredBackend.pwritev staging once).
-            yield from self._stage(f, base, total)
-        f.pipeline.note_batch(base, len(seals), total, start=t0, error=error)
-        for seal in seals:
-            self._complete_seal(f, seal, error, t0)
+            yield from writeback(self, extents)
 
     def shutdown(self) -> None:
         self._stopped = True

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["RunningStats", "histogram_by_buckets", "percentile", "summarize"]
+__all__ = ["RunningStats", "histogram_by_buckets", "nearest_rank", "percentile", "summarize"]
 
 
 class RunningStats:
@@ -140,6 +140,23 @@ def percentile(values: Sequence[float], q: float) -> float:
     if arr.size == 0:
         raise ValueError("percentile of empty sequence")
     return float(np.percentile(arr, q))
+
+
+def nearest_rank(values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile: the smallest sample with at least ``q``
+    percent of the samples at or below it (rank ``ceil(q/100 * n)``).
+
+    No interpolation and no numpy, so both planes — and the perf
+    harness — compute the identical value from the identical sample
+    sequence; an empty set reports 0.0 so idle tenants keep a full key
+    set.  (:func:`percentile` interpolates and feeds the paper-figure
+    reports.)
+    """
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    rank = math.ceil(q / 100.0 * len(ordered))
+    return ordered[min(len(ordered), max(1, rank)) - 1]
 
 
 def summarize(values: Sequence[float]) -> dict[str, float]:

@@ -1,5 +1,7 @@
 """Tests for CRFSConfig validation and derived values."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import CRFSConfig, DEFAULT_CONFIG
@@ -20,6 +22,11 @@ class TestDefaults:
     def test_frozen(self):
         with pytest.raises(Exception):
             DEFAULT_CONFIG.chunk_size = 1  # type: ignore[misc]
+
+    def test_knob_count_is_a_tracked_yardstick(self):
+        """ROADMAP aim 2 counts config knobs; a new one must be argued
+        for (and this number moved) deliberately."""
+        assert len(dataclasses.fields(CRFSConfig)) == 24
 
 
 class TestValidation:

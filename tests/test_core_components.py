@@ -10,7 +10,7 @@ from repro.core.buffer_pool import BufferPool
 from repro.core.chunk import Chunk
 from repro.core.filetable import FileEntry, OpenFileTable
 from repro.core.iopool import IOThreadPool, WorkItem
-from repro.core.planner import SealReason
+from repro.pipeline.planner import SealReason
 from repro.core.workqueue import QueueClosed, WorkQueue
 from repro.errors import (
     BackendIOError,

@@ -4,7 +4,7 @@ property-based invariants both planes rely on."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.planner import Fill, Seal, SealReason, WritePlanner
+from repro.pipeline.planner import Fill, Seal, SealReason, WritePlanner
 from repro.errors import ConfigError
 
 

@@ -469,10 +469,15 @@ class TestCrossPlaneTieredDifferential:
     pump-queue gauge — must be bit-identical across planes, and a
     faulted arm's strand error must surface identically too.  Reuses
     the crossplane experiment's arm builders so the test and the
-    experiment can never drift apart."""
+    experiment can never drift apart.
 
-    @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "deep_dead"])
-    def test_tiers_section_identical(self, faulted):
+    ``broken_batch`` gates (and fails) tier 0 instead, so the mount's
+    breaker is open when the worker gathers the run: the broken batch's
+    chunks must stage and migrate on both planes.  Its pump runs
+    ungated, so only there the pump-queue gauge is left out."""
+
+    @pytest.mark.parametrize("arm", ["clean", "deep_dead", "broken_batch"])
+    def test_tiers_section_identical(self, arm):
         from repro.experiments.crossplane import (
             _error_key,
             _functional_tiered_stats,
@@ -480,17 +485,21 @@ class TestCrossPlaneTieredDifferential:
             _timing_tiered_stats,
         )
 
-        config = _tiered_config(faulted)
-        func = _functional_tiered_stats(config, faulted)
-        timing = _timing_tiered_stats(config, seed=1, faulted=faulted)
+        config = _tiered_config(arm)
+        func = _functional_tiered_stats(config, arm)
+        timing = _timing_tiered_stats(config, seed=1, arm=arm)
 
+        if arm == "broken_batch":
+            for snap in (func, timing):
+                for counters in snap["tiers"]["per_tier"].values():
+                    del counters["pump_queue_max"]
         assert func["tiers"] == timing["tiers"]
         assert _error_key(func["_sync_error"]) == _error_key(
             timing["_sync_error"]
         )
 
         per_tier = func["tiers"]["per_tier"]
-        if faulted:
+        if arm == "deep_dead":
             # the dead deep tier strands the run; only the gate chunk
             # (written before the outage rule arms) lands deep
             assert func["_sync_error"] is not None
@@ -498,12 +507,24 @@ class TestCrossPlaneTieredDifferential:
             assert per_tier["1"]["chunks_staged"] == 1
             assert per_tier["1"]["breaker_trips"] == 1
             assert per_tier["0"]["breaker_trips"] == 0
-        else:
+        elif arm == "clean":
             assert func["_sync_error"] is None
             assert per_tier["1"]["chunks_staged"] == 7
             assert per_tier["1"]["chunks_stranded"] == 0
             assert per_tier["1"]["pump_queue_max"] == 6
             assert func["tiers"]["sync_through"] == 1
+        else:
+            # the failed gate chunk never stages; the 4-chunk batch the
+            # open breaker broke stages chunk by chunk (the first one
+            # closes the breaker), the remaining 2 as one healthy batch
+            assert func["_sync_error"] is None
+            assert func["batch"] == timing["batch"]
+            assert func["batch"]["broken"] == 1
+            assert func["batch"]["per_batch"] == {"2": 1}
+            for tier in ("0", "1"):
+                assert per_tier[tier]["chunks_staged"] == 5
+                assert per_tier[tier]["bytes_staged"] == 6 * config.chunk_size
+            assert per_tier["1"]["chunks_stranded"] == 0
 
 
 class TestCrossPlaneDeltaDifferential:

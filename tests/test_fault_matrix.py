@@ -1005,6 +1005,76 @@ class TestSimTierCellParity:
             assert stats["resilience"]["breaker_trips"] == 0
 
 
+class TestTierZeroLateAttempt:
+    """A tier-0 attempt that *landed* but overran ``retry_timeout`` is
+    reissued (positional writes are idempotent) — and the extent is
+    staged once, after the attempt loop, not once per attempt: the deep
+    tier is owed one arrival and sees one migration."""
+
+    SIZE = 4 * KiB
+    RULES = [FaultRule(op="pwrite", nth=1, delay=0.02)]  # 20 ms vs a 5 ms limit
+
+    def config(self):
+        return CRFSConfig(
+            chunk_size=self.SIZE, pool_size=4 * self.SIZE, io_threads=1,
+            retry_attempts=2, retry_timeout=0.005, retry_jitter=0.0, **FAST,
+        )
+
+    def functional(self):
+        from repro.backends import TieredBackend
+
+        tier0 = FaultyBackend(MemBackend(), list(self.RULES))  # real sleep
+        with CRFS(TieredBackend([tier0, MemBackend()]), self.config()) as fs:
+            with fs.open("/f.img") as f:
+                f.write(b"x" * self.SIZE)
+                f.fsync()
+            return fs.stats()
+
+    def timing(self):
+        from repro.sim import SharedBandwidth, Simulator
+        from repro.simcrfs import SimCRFS
+        from repro.simio.faulty import FaultySimFilesystem
+        from repro.simio.nullfs import NullSimFilesystem
+        from repro.simio.params import DEFAULT_HW
+        from repro.simio.tiered import TieredSimFilesystem
+        from repro.util.rng import rng_for
+
+        sim = Simulator()
+        hw = DEFAULT_HW
+        tier0 = FaultySimFilesystem(
+            NullSimFilesystem(sim, hw, rng_for(1, "late/t0")), list(self.RULES)
+        )
+        backend = TieredSimFilesystem(
+            [tier0, NullSimFilesystem(sim, hw, rng_for(1, "late/deep"))]
+        )
+        crfs = SimCRFS(
+            sim, hw, self.config(), backend, SharedBandwidth(sim, hw.membus_bandwidth)
+        )
+
+        def proc():
+            f = crfs.open("/f.img")
+            yield from crfs.write(f, self.SIZE)
+            yield from crfs.fsync(f)
+            yield from crfs.close(f)
+
+        sim.run_until_complete([sim.spawn(proc())])
+        sim.run_until_complete([sim.spawn(crfs.drain_staging(), name="drain")])
+        crfs.shutdown()
+        return crfs.stats()
+
+    @pytest.mark.parametrize("plane", ["functional", "timing"])
+    def test_reissued_extent_stages_once(self, plane):
+        stats = getattr(self, plane)()
+        assert stats["resilience"]["chunks_retried"] == 1  # it was reissued
+        assert stats["resilience"]["errors_latched"] == 0
+        tiers = stats["tiers"]["per_tier"]
+        for level in ("0", "1"):
+            assert tiers[level]["bytes_staged"] == self.SIZE
+            assert tiers[level]["chunks_staged"] == 1
+        assert tiers["0"]["chunks_migrated"] == 1
+        assert tiers["0"]["bytes_migrated"] == self.SIZE
+
+
 # -- delta-checkpoint cells: manifest and generation-file faults ---------------
 
 

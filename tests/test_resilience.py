@@ -1,5 +1,6 @@
 """Writeback resilience: retry policy, circuit breaker, and both planes'
-retry drivers (``pipeline/resilience.py`` plus its core/simcrfs wiring).
+wiring of them (``pipeline/resilience.py`` under ``core``/``simcrfs``;
+the attempt loop itself is unit-tested in ``test_writeback_engine.py``).
 
 The contract under test: transient backend faults are retried under the
 mount's :class:`RetryPolicy` before anything latches; consecutive
@@ -17,7 +18,7 @@ import pytest
 from repro.backends import FaultRule, FaultyBackend, MemBackend
 from repro.config import CRFSConfig
 from repro.core import CRFS
-from repro.errors import BackendIOError, BackendTimeoutError, ConfigError
+from repro.errors import BackendIOError, ConfigError
 from repro.pipeline import (
     BackendDegraded,
     BackendHealth,
@@ -25,7 +26,6 @@ from repro.pipeline import (
     ChunkRetried,
     PipelineObserver,
     RetryPolicy,
-    run_attempts,
 )
 from repro.sim import SharedBandwidth, Simulator
 from repro.simcrfs import SimCRFS
@@ -39,12 +39,6 @@ CHUNK = 64 * KiB
 
 #: Fast real-time backoff for threaded tests.
 FAST = dict(retry_backoff=1e-4, retry_backoff_max=1e-3)
-
-
-def fast_policy(**kw):
-    kw.setdefault("backoff", 1e-4)
-    kw.setdefault("backoff_max", 1e-3)
-    return RetryPolicy(**kw)
 
 
 class Recorder(PipelineObserver):
@@ -182,102 +176,6 @@ class TestBackendHealth:
             t.join()
         assert h.failures == h.successes == 8000
         assert h.trips == h.recoveries
-
-
-# ---------------------------------------------------------------------------
-# run_attempts (the functional-plane driver)
-
-
-class TestRunAttempts:
-    def test_success_first_try(self):
-        calls = []
-        err = run_attempts(
-            fast_policy(), lambda: calls.append(1), path="/f", file_offset=0
-        )
-        assert err is None and len(calls) == 1
-
-    def test_retry_then_success(self):
-        outcomes = [OSError("EIO"), OSError("EIO"), None]
-        retries = []
-
-        def fn():
-            if (exc := outcomes.pop(0)) is not None:
-                raise exc
-
-        err = run_attempts(
-            fast_policy(attempts=3),
-            fn,
-            path="/f",
-            file_offset=0,
-            on_retry=lambda a, d, e: retries.append((a, d, e)),
-            sleep=lambda s: None,
-        )
-        assert err is None
-        assert [a for a, _, _ in retries] == [1, 2]
-        assert all(d >= 0 for _, d, _ in retries)
-
-    def test_exhaustion_returns_last_error(self):
-        err = run_attempts(
-            fast_policy(attempts=3),
-            lambda: (_ for _ in ()).throw(OSError("always")),
-            path="/f",
-            file_offset=0,
-            sleep=lambda s: None,
-        )
-        assert isinstance(err, OSError)
-
-    def test_health_fed_per_attempt(self):
-        h = BackendHealth(threshold=0)
-        outcomes = [OSError("x"), None]
-
-        def fn():
-            if (exc := outcomes.pop(0)) is not None:
-                raise exc
-
-        run_attempts(
-            fast_policy(attempts=2), fn, path="/f", file_offset=0,
-            health=h, sleep=lambda s: None,
-        )
-        assert h.failures == 1 and h.successes == 1
-
-    def test_non_exception_failures_never_retried(self):
-        calls = []
-
-        def fn():
-            calls.append(1)
-            raise KeyboardInterrupt()
-
-        err = run_attempts(
-            fast_policy(attempts=5), fn, path="/f", file_offset=0,
-            sleep=lambda s: None,
-        )
-        assert isinstance(err, KeyboardInterrupt) and len(calls) == 1
-
-    def test_attempt_timeout_reissues(self):
-        # fake clock: each attempt appears to take 1.0s against a 0.5s cap
-        now = [0.0]
-
-        def clock():
-            now[0] += 0.5
-            return now[0]
-
-        calls = []
-        err = run_attempts(
-            fast_policy(attempts=2, attempt_timeout=0.3),
-            lambda: calls.append(1),
-            path="/f",
-            file_offset=0,
-            clock=clock,
-            sleep=lambda s: None,
-        )
-        assert isinstance(err, BackendTimeoutError)
-        assert len(calls) == 2  # the over-deadline write was reissued
-
-    def test_no_timeout_when_fast_enough(self):
-        err = run_attempts(
-            fast_policy(attempt_timeout=30.0), lambda: None, path="/f", file_offset=0
-        )
-        assert err is None
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.backends import InstrumentedBackend, MemBackend
 from repro.config import CRFSConfig
 from repro.core import CRFS
-from repro.core.planner import SealReason, WritePlanner
+from repro.pipeline.planner import SealReason, WritePlanner
 from repro.errors import ConfigError
 from repro.units import KiB
 
