@@ -1,21 +1,14 @@
-"""Threaded execution of the delta-checkpoint kernel.
+"""The threaded plane's delta-checkpoint port.
 
-:class:`DeltaCheckpointer` drives the plane-agnostic
-:class:`~repro.pipeline.delta.DeltaTracker` with real bytes: dirty
-extents stream through the mount's normal aggregation pipeline into the
-generation file (``<path>.g<N>``), the manifest is then written
-synchronously straight to the backend (it is the durable commit point —
-a latched asynchronous failure would be the wrong contract), and only a
-successful manifest write advances the chain.  Restore loads and
-validates the manifest, then reassembles the logical image with one
-read per contiguous same-owner run through the mount's normal
-(cacheable) read path.
-
-The timing plane mirrors this exact op sequence in
-:meth:`repro.simcrfs.model.SimCRFS.delta_checkpoint` /
-``delta_restore``, so ``stats()["delta"]`` — and every
-workload-determined pipeline counter the delta traffic moves — is
-bit-identical across planes.
+The drivers — plan, dirty extents through the mount's normal
+aggregation pipeline into ``<path>.g<N>``, the synchronous manifest
+write as the durable commit point, and the chain restore — are
+:func:`repro.pipeline.delta.checkpoint` / ``restore``, the same
+definitions the timing plane runs.  :class:`DeltaCheckpointer` is what
+they stand on here: real bytes, the mount's file handles, and a
+manifest that is read back and validated (a latched asynchronous
+failure would be the wrong contract for a commit point, so the manifest
+goes straight to the backend).
 """
 
 from __future__ import annotations
@@ -25,9 +18,12 @@ from typing import TYPE_CHECKING, Iterable
 from ..backends.base import normalize_path
 from ..checkpoint.manifest import Manifest, generation_path, manifest_path
 from ..errors import ManifestError
-from ..pipeline.delta import DeltaPlan
+from ..pipeline import delta
+from ..pipeline.delta import DeltaExtent, DeltaPlan
+from ..pipeline.writeback import blocking, run
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .handle import CRFSFile
     from .mount import CRFS
 
 __all__ = ["DeltaCheckpointer"]
@@ -38,8 +34,7 @@ class DeltaCheckpointer:
 
     def __init__(self, fs: "CRFS"):
         self.fs = fs
-
-    # -- checkpoint ------------------------------------------------------------
+        self.kernel = fs.kernel
 
     def checkpoint(
         self,
@@ -52,46 +47,62 @@ class DeltaCheckpointer:
 
         ``image`` is the full current logical image; ``dirty`` declares
         which chunk indices changed since the previous generation
-        (``None`` = all, and generation 0 is always a full dump).  Only
-        the dirty extents enter the pipeline; clean chunks stay manifest
-        references to older generations.
+        (``None`` = all, and generation 0 is always a full dump).  Clean
+        chunks stay manifest references to older generations.
         """
-        norm = normalize_path(path)
-        tracker = self.fs.kernel.delta(norm)
         view = memoryview(image)
-        plan = tracker.plan_checkpoint(len(view), dirty)
-
-        f = self.fs.open(
-            generation_path(norm, plan.generation),
-            create=True,
-            truncate=True,
-            tenant=tenant,
+        return run(
+            delta.checkpoint(self, normalize_path(path), len(view), dirty, tenant, view)
         )
-        try:
-            for ext in plan.extents:
-                f.pwrite(
-                    view[ext.file_offset : ext.file_offset + ext.length],
-                    ext.file_offset,
-                )
-            f.fsync()
-        finally:
-            f.close()
 
-        raw = plan.manifest.to_bytes()
-        try:
-            self._write_manifest(norm, raw)
-        except BaseException:
-            # The old manifest was truncated before the failure: the
-            # on-disk chain head is suspect until a clean commit.
-            tracker.note_torn()
-            raise
-        tracker.commit(plan, len(raw))
-        return plan
+    def restore(self, path: str, tenant: str | None = None) -> bytes:
+        """Reassemble the current logical image across the chain."""
+        return b"".join(run(delta.restore(self, normalize_path(path), tenant)))
 
-    def _write_manifest(self, norm: str, raw: bytes) -> None:
+    # -- the delta drivers' port (threaded plane) ------------------------------
+
+    def open_generation(
+        self, path: str, generation: int, tenant: str | None, create: bool
+    ) -> "CRFSFile":
+        try:
+            return self.fs.open(
+                generation_path(path, generation),
+                create=create,
+                truncate=create,
+                tenant=tenant,
+            )
+        except FileNotFoundError as exc:
+            raise ManifestError(
+                f"{path}: generation file g{generation} missing"
+            ) from exc
+
+    @blocking
+    def write_extent(self, f: CRFSFile, ext: DeltaExtent, image: memoryview) -> None:
+        f.pwrite(image[ext.file_offset : ext.file_offset + ext.length], ext.file_offset)
+
+    @blocking
+    def fsync(self, f: CRFSFile) -> None:
+        f.fsync()
+
+    @blocking
+    def close(self, f: CRFSFile) -> None:
+        f.close()
+
+    @blocking
+    def read_run(self, f: CRFSFile, file_offset: int, length: int) -> bytes:
+        data = f.pread(length, file_offset)
+        if len(data) != length:
+            raise ManifestError(
+                f"{f.path}: short read at {file_offset} "
+                f"({len(data)} of {length} bytes)"
+            )
+        return data
+
+    @blocking
+    def write_manifest(self, path: str, raw: bytes) -> None:
         """Synchronous manifest replace: truncate, write, (fsync), close."""
         backend = self.fs.backend
-        handle = backend.open(manifest_path(norm), create=True, truncate=True)
+        handle = backend.open(manifest_path(path), create=True, truncate=True)
         try:
             backend.pwrite(handle, raw, 0)
             if self.fs.config.delta_manifest_sync:
@@ -99,74 +110,35 @@ class DeltaCheckpointer:
         finally:
             backend.close(handle)
 
-    # -- restore ---------------------------------------------------------------
-
+    @blocking
     def load_manifest(self, path: str) -> Manifest:
         """Read and validate ``path``'s manifest; every tear, checksum
         mismatch, or divergence from the in-session chain raises
         :class:`~repro.errors.ManifestError` — restore never silently
         reassembles a stale generation."""
-        norm = normalize_path(path)
-        tracker = self.fs.kernel.delta(norm)
-        tracker.check_restorable()
         backend = self.fs.backend
         try:
-            handle = backend.open(manifest_path(norm), create=False)
+            handle = backend.open(manifest_path(path), create=False)
         except FileNotFoundError as exc:
-            raise ManifestError(f"{norm}: manifest file missing") from exc
+            raise ManifestError(f"{path}: manifest file missing") from exc
         try:
             raw = backend.pread(handle, backend.file_size(handle), 0)
         finally:
             backend.close(handle)
         manifest = Manifest.from_bytes(raw)
-        if manifest.path != norm:
+        if manifest.path != path:
             raise ManifestError(
-                f"manifest names {manifest.path!r}, expected {norm!r}"
+                f"manifest names {manifest.path!r}, expected {path!r}"
             )
         if manifest.chunk_size != self.fs.config.chunk_size:
             raise ManifestError(
-                f"{norm}: manifest chunk_size {manifest.chunk_size} != "
+                f"{path}: manifest chunk_size {manifest.chunk_size} != "
                 f"mount chunk_size {self.fs.config.chunk_size}"
             )
-        if manifest.generation != tracker.generation:
+        generation = self.kernel.delta(path).generation
+        if manifest.generation != generation:
             raise ManifestError(
-                f"{norm}: stale manifest generation {manifest.generation}, "
-                f"chain is at {tracker.generation}"
+                f"{path}: stale manifest generation {manifest.generation}, "
+                f"chain is at {generation}"
             )
         return manifest
-
-    def restore(self, path: str, tenant: str | None = None) -> bytes:
-        """Reassemble the current logical image across the chain."""
-        norm = normalize_path(path)
-        tracker = self.fs.kernel.delta(norm)
-        manifest = self.load_manifest(norm)
-        runs = manifest.owner_runs()
-        image = bytearray(manifest.logical_size)
-        open_files: dict[int, object] = {}
-        try:
-            for gen, file_offset, length, _chunks in runs:
-                f = open_files.get(gen)
-                if f is None:
-                    try:
-                        f = self.fs.open(
-                            generation_path(norm, gen),
-                            create=False,
-                            tenant=tenant,
-                        )
-                    except FileNotFoundError as exc:
-                        raise ManifestError(
-                            f"{norm}: generation file g{gen} missing"
-                        ) from exc
-                    open_files[gen] = f
-                data = f.pread(length, file_offset)
-                if len(data) != length:
-                    raise ManifestError(
-                        f"{norm}: short read from generation g{gen} at "
-                        f"{file_offset} ({len(data)} of {length} bytes)"
-                    )
-                image[file_offset : file_offset + length] = data
-        finally:
-            for f in open_files.values():
-                f.close()  # type: ignore[attr-defined]
-        tracker.note_restore(len(runs), manifest.logical_size)
-        return bytes(image)

@@ -100,8 +100,7 @@ class CRFSFile:
         """Logical file size: backend size or the aggregation append
         point, whichever is larger (buffered bytes count)."""
         self._check_open()
-        backend_size = self._fs.backend.file_size(self._entry.backend_handle)
-        return max(backend_size, self._entry.planner.append_point)
+        return self._fs.file_size(self._entry)
 
     # -- durability ---------------------------------------------------------
 

@@ -16,8 +16,9 @@ accounting goes through the entry's shared
 events.
 
 The same workers also service restart-readahead prefetches
-(:class:`~repro.core.readcache.ReadChunk`), queued on the work queue's
-low-priority band so speculative reads never delay a checkpoint
+(:class:`~repro.pipeline.readahead.Prefetch`, stepped by
+:func:`~repro.pipeline.readahead.service_prefetch`), queued on the work
+queue's low-priority band so speculative reads never delay a checkpoint
 writeback.
 
 What a worker does with a dequeued run of chunks — retry under the
@@ -38,12 +39,12 @@ from ..backends.tiered import TieredBackend
 from ..pipeline import PipelineStats
 from ..pipeline.events import WorkersDrained
 from ..pipeline.kernel import EmitFn
+from ..pipeline.readahead import Prefetch, service_prefetch
 from ..pipeline.resilience import BackendHealth, RetryPolicy
 from ..pipeline.writeback import Extent, blocking, contiguous, run, writeback
 from .buffer_pool import BufferPool
 from .chunk import Chunk
 from .filetable import FileEntry
-from .readcache import ReadChunk
 from .workqueue import QueueClosed, WorkQueue
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -138,15 +139,15 @@ class IOThreadPool:
                     items = [self.queue.get()]
             except QueueClosed:
                 return
-            if isinstance(items[0], ReadChunk):
-                # Readahead prefetch (low band): the cache leases its
-                # buffer with try_acquire and drops starved fetches, so
+            if isinstance(items[0], Prefetch):
+                # Readahead prefetch (low band): the flow leases its
+                # buffer with try_lease and drops starved fetches, so
                 # this path can never park the worker on a full pool —
                 # shutdown() always drains.  Low-band items are never
                 # batched, so the list is a singleton.
-                items[0].cache.service_prefetch(items[0])
-                continue
-            run(writeback(self, items))
+                run(service_prefetch(items[0]))
+            else:
+                run(writeback(self, items))
 
     # -- the writeback engine's port (threaded plane) ---------------------------
 

@@ -39,10 +39,11 @@ from ..backends.tiered import TieredBackend
 from ..config import CRFSConfig, DEFAULT_CONFIG
 from ..errors import FileStateError, MountError
 from ..pipeline import Fill, PipelineKernel, PipelineObserver, Seal, SealReason
+from ..pipeline import readahead
 from ..pipeline.readahead import ReadaheadCore
 from ..pipeline.resilience import BackendHealth
 from ..pipeline.tenancy import DRRScheduler, PoolLedger
-from ..pipeline.writeback import Extent, run, write_through
+from ..pipeline.writeback import Extent, blocking, run, write_through
 from .buffer_pool import BufferPool
 from .delta import DeltaCheckpointer
 from .filetable import FileEntry, OpenFileTable
@@ -192,7 +193,7 @@ class CRFS:
                         # Before iopool.shutdown: in-flight prefetch entries
                         # are marked evicted and the (still running) workers
                         # return their buffers themselves.
-                        entry.read_cache.clear()
+                        readahead.clear(entry.read_cache)
                     # drop all remaining references
                     last = False
                     while not last:
@@ -294,7 +295,7 @@ class CRFS:
             _, last = self.table.close(entry.path)
             if last:
                 if entry.read_cache is not None:
-                    entry.read_cache.clear()
+                    readahead.clear(entry.read_cache)
                 self.backend.close(entry.backend_handle)
                 self.kernel.file_closed(entry.path, tenant=entry.tenant)
 
@@ -318,7 +319,7 @@ class CRFS:
         if degraded or (threshold and len(view) >= threshold):
             with entry.write_lock:
                 if entry.read_cache is not None:
-                    entry.read_cache.invalidate(offset, len(view))
+                    readahead.invalidate(entry.read_cache, offset, len(view))
                 for op in entry.pipeline.plan_write_through(offset, len(view)):
                     assert isinstance(op, Seal)
                     self._seal_current(entry, op)
@@ -341,7 +342,7 @@ class CRFS:
                 # Cached chunks covering these bytes are stale the moment
                 # the write is accepted (reads go flush+drain first, but
                 # the cache would otherwise keep serving the old bytes).
-                entry.read_cache.invalidate(offset, len(view))
+                readahead.invalidate(entry.read_cache, offset, len(view))
             # plan_write fails fast if a prior async write already failed —
             # writing more data into chunks would be silently lost.
             ops = entry.pipeline.plan_write(offset, len(view))
@@ -393,7 +394,7 @@ class CRFS:
             for path in self.table.paths(tenant):
                 entry = self.table.lookup(path)
                 if entry is not None and entry.read_cache is not None:
-                    entry.read_cache.clear()
+                    readahead.clear(entry.read_cache)
 
     def _seal_current(self, entry: FileEntry, seal: Seal) -> None:
         chunk = entry.current_chunk
@@ -429,47 +430,39 @@ class CRFS:
     # -- read path (passthrough or readahead cache) ----------------------------
 
     def _read(self, entry: FileEntry, size: int, offset: int) -> bytes:
-        """read(): passthrough by default, cached with readahead on.
+        """read(): passthrough by default, cached with readahead on —
+        :func:`repro.pipeline.readahead.read`, the one definition both
+        planes run.
 
         The paper's behaviour (Section IV-D1) — "we directly pass it to
         the underlying filesystem without any additional operation" —
         is the default and the ``read_cache_chunks=0`` path.  With
         ``read_passthrough=False`` a passthrough read still flushes and
         drains first (read-your-writes for non-checkpoint workloads).
-
-        With a read cache configured, reads flush+drain (read-your-
-        writes through pending chunks), then serve chunk-aligned slices
-        from the per-file cache, prefetching the next
-        ``readahead_chunks`` through the IO pool.  While the circuit
-        breaker is open the cache is bypassed entirely — every backend
-        op is suspect, so reads degrade to the synchronous passthrough
-        the paper ships.
         """
         self._require_mounted()
-        t0 = self.kernel.clock()
-        cache = entry.read_cache
-        if cache is None or self.health.degraded:
-            if not self.config.read_passthrough:
-                with entry.write_lock:
-                    self._flush_locked(entry)
-                entry.wait_drained()
-            data = self.backend.pread(entry.backend_handle, size, offset)
-            entry.pipeline.note_read(offset, size, start=t0)
-            return data
+        return run(readahead.read(self, entry, size, offset))
+
+    # The read flow's mount-level port (threaded plane); the per-file
+    # half is the entry's :class:`~repro.core.readcache.ReadCache`.
+
+    @blocking
+    def flush_drain(self, entry: FileEntry) -> None:
         with entry.write_lock:
             self._flush_locked(entry)
         entry.wait_drained()
-        file_size = max(
+
+    @blocking
+    def read_through(self, entry: FileEntry, size: int, offset: int) -> bytes:
+        return self.backend.pread(entry.backend_handle, size, offset)
+
+    def file_size(self, entry: FileEntry) -> int:
+        """Logical size: backend size or the aggregation append point,
+        whichever is larger (buffered bytes count)."""
+        return max(
             self.backend.file_size(entry.backend_handle),
             entry.planner.append_point,
         )
-        data = cache.read(size, offset, file_size)
-        # The cache served views internally; the bytes it returned are
-        # the one boundary materialization — account it (len(data) is
-        # the request clipped at file_size, matching the timing plane's
-        # end - offset).
-        entry.pipeline.note_read(offset, size, start=t0, copied=len(data))
-        return data
 
     # -- incremental (delta) checkpointing --------------------------------------
 

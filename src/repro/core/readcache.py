@@ -1,12 +1,15 @@
-"""Threaded execution of the readahead cache (restart read path).
+"""The threaded plane's read-cache port (restart read path).
 
 :class:`~repro.pipeline.readahead.ReadaheadCore` makes every decision
-(hit/miss, admit/evict, the prefetch window); this module executes them
-on the functional plane: chunk buffers leased from the mount's
-:class:`~repro.core.buffer_pool.BufferPool`, demand fetches performed
-synchronously by the reading thread, and prefetches pushed through the
-existing :class:`~repro.core.workqueue.WorkQueue` as low-priority
-:class:`ReadChunk` items the IO workers service between writebacks.
+(hit/miss, admit/evict, the prefetch window) and the flows in
+:mod:`repro.pipeline.readahead` execute them — the same definitions the
+timing plane runs.  This module is what those flows stand on here:
+chunk buffers leased from the mount's
+:class:`~repro.core.buffer_pool.BufferPool`, blocking backend reads,
+the condition variable a reader parks on, and prefetches pushed through
+the existing :class:`~repro.core.workqueue.WorkQueue` as low-priority
+:class:`~repro.pipeline.readahead.Prefetch` items the IO workers
+service between writebacks.
 
 Deadlock discipline (the shutdown-safety contract the regression tests
 pin):
@@ -16,14 +19,14 @@ pin):
   full pool cannot park a worker and hang ``IOThreadPool.shutdown``;
 * low-band queue puts never block, so a reader holding the cache lock
   cannot stall behind write backpressure;
-* teardown (:meth:`ReadCache.clear`) never waits for in-flight
-  fetches — it marks their entries evicted and the worker releases the
-  buffer itself when the fetch lands.
+* teardown (:func:`~repro.pipeline.readahead.clear`) never waits for
+  in-flight fetches — it marks their entries evicted and the worker
+  releases the buffer itself when the fetch lands.
 
-Lock order: ``entry.write_lock`` → ``ReadCache._cond`` → pool/queue
+Lock order: ``entry.write_lock`` → ``ReadCache.lock`` → pool/queue
 internal locks.  The backend ``pread`` for a *demand* miss runs under
-``_cond`` (same-file readers serialize, different files don't);
-prefetch workers drop ``_cond`` around their ``pread`` so foreground
+``lock`` (same-file readers serialize, different files don't);
+prefetch workers drop ``lock`` around their ``pread`` so foreground
 hits overlap with background fetches.
 """
 
@@ -31,34 +34,26 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any
 
-from ..errors import BackendIOError, FileStateError, ShutdownError
-from ..pipeline.readahead import DEMAND, PREFETCH, CacheEntry, ReadaheadCore
+from ..errors import FileStateError
+from ..pipeline.readahead import CacheEntry, Prefetch, ReadaheadCore, serve
 from ..pipeline.resilience import BackendHealth
 from ..pipeline.tenancy import DEFAULT_TENANT
+from ..pipeline.writeback import blocking, run
 from .buffer_pool import BufferPool
+from .chunk import Chunk
 from .workqueue import WorkQueue
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..backends.base import Backend
 
-__all__ = ["ReadCache", "ReadChunk"]
-
-
-@dataclass
-class ReadChunk:
-    """A low-priority prefetch bound for the IO thread pool."""
-
-    cache: "ReadCache"
-    centry: CacheEntry
-    file_offset: int
-    length: int
+__all__ = ["ReadCache"]
 
 
 class ReadCache:
-    """Per-file readahead cache on the functional plane."""
+    """Per-file readahead cache on the functional plane: the port the
+    shared read flows drive."""
 
     def __init__(
         self,
@@ -77,12 +72,14 @@ class ReadCache:
         self.core = core
         self.pool = pool
         self.queue = queue
-        self.health = health
+        # A standalone cache gets a breaker that never trips.
+        self.health = health if health is not None else BackendHealth()
         #: The owning file's tenant: cache leases draw on its pool quota
         #: and prefetches queue under its name (low band, so they are
         #: never weighed against the tenant's writeback share).
         self.tenant = tenant
-        self._cond = threading.Condition()
+        self.lock = threading.RLock()
+        self._cond = threading.Condition(self.lock)
         # Deferred-release machinery for the zero-copy serve path: while
         # a read is collecting views of pooled buffers (_defer_depth >
         # 0), an evicted payload the read has already collected a view
@@ -93,236 +90,98 @@ class ReadCache:
         # release immediately, preserving the pre-zero-copy pool timing
         # (a concurrent prefetch's try_acquire must not starve on a
         # buffer that's merely parked).  Drained when the read's join
-        # completes.  Guarded by _cond.
+        # completes.  Guarded by lock.
         self._defer_depth = 0
-        self._deferred: list[Any] = []
+        self._deferred: list[Chunk] = []
         self._held: set[int] = set()
 
-    # -- the foreground read path ---------------------------------------------
-
-    def read(self, size: int, offset: int, file_size: int) -> bytes:
-        """Serve one pread from the cache, fetching and prefetching.
-
-        ``file_size`` is the caller-resolved size (backend size fused
-        with the planner's append point, after flush+drain), used both
-        to clamp the read like a passthrough pread would and to stop the
-        prefetch window at EOF.
-        """
-        end = min(offset + size, file_size)
-        if size <= 0 or end <= offset:
-            return b""
-        cs = self.core.chunk_size
-        parts: list[Any] = []
-        with self._cond:
+    def read(self, offset: int, end: int, file_size: int) -> bytes:
+        """Serve one pread of ``[offset, end)`` (already clipped at
+        ``file_size``, the caller-resolved size after flush+drain) from
+        the cache, fetching and prefetching."""
+        with self.lock:
             self._defer_depth += 1
             try:
-                for index in range(offset // cs, (end - 1) // cs + 1):
-                    lo = max(offset, index * cs)
-                    hi = min(end, (index + 1) * cs)
-                    parts.append(self._chunk_slice(index, lo, hi, file_size))
-                    self._issue_prefetches(index, file_size)
                 # The POSIX-shim boundary: this single join is the one
                 # materialization a cached read pays (the read_boundary
-                # copy the pipeline accounts) — everything above handed
-                # back views of pooled buffers.
-                return b"".join(parts)
+                # copy the pipeline accounts) — the flow handed back
+                # views of pooled buffers.
+                return b"".join(run(serve(self, offset, end, file_size)))
             finally:
                 self._defer_depth -= 1
                 if self._defer_depth == 0:
                     self._held.clear()
                     if self._deferred:
                         drained, self._deferred = self._deferred, []
-                        for payload in drained:
-                            self.pool.release(payload)
+                        for chunk in drained:
+                            self.pool.release(chunk)
 
-    def _chunk_slice(
-        self, index: int, lo: int, hi: int, file_size: int
-    ) -> "memoryview | bytes":
-        """One chunk's contribution to a read: a zero-copy view of the
-        resident buffer, or backend bytes on the degraded path (caller
-        holds _cond, with deferred release active — views stay valid
-        until the join)."""
-        base = index * self.core.chunk_size
-        while True:
-            centry = self.core.access(index)
-            if centry is None:
-                return self._demand_fetch(centry_index=index, lo=lo, hi=hi,
-                                          file_size=file_size)
-            if not centry.ready:
-                # In flight (a hit on our own prefetch): wait for the
-                # worker; on a drop/eviction, retry from a fresh access.
-                # The 30 s bound is a deadline — completion broadcasts
-                # for *other* chunks wake this waiter too, and each
-                # wakeup must wait only on the remainder.
-                deadline = time.monotonic() + 30.0
-                while not centry.ready and not centry.evicted:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not self._cond.wait(timeout=remaining):
-                        raise FileStateError(
-                            f"{self.path}: readahead fetch stuck (chunk @{base})"
-                        )
-                if centry.evicted:
-                    continue
-            self._held.add(id(centry.payload))
-            return memoryview(centry.payload.buffer)[lo - base : hi - base]
+    # -- the read engine's port (threaded plane) -------------------------------
 
-    def _demand_fetch(
-        self, centry_index: int, lo: int, hi: int, file_size: int
-    ) -> "memoryview | bytes":
-        """Foreground miss: fetch the whole aligned chunk synchronously
-        (caller holds _cond).  The backend fills the pooled buffer
-        directly (``pread_into``) — no intermediate bytes.  A starved
-        pool degrades to an uncached slice read; a backend failure
-        surfaces as :class:`CRFSError` (counted by the breaker) —
-        demand reads are never silent."""
-        cs = self.core.chunk_size
-        base = centry_index * cs
-        centry, evicted = self.core.admit(centry_index, DEMAND)
-        self._release_evicted(evicted)
-        chunk = self.pool.try_acquire(tenant=self.tenant)
-        if chunk is None:
-            # Silent un-admit (demand origin); starved=True still feeds
-            # the adaptive window its pool-contention pressure signal.
-            self.core.fetch_failed(centry, starved=True)
-            return self.backend.pread(self.backend_handle, hi - lo, lo)
-        length = min(cs, file_size - base)
-        try:
-            got = self.backend.pread_into(
-                self.backend_handle, memoryview(chunk.buffer)[:length], base
-            )
-        except Exception as exc:
-            self.core.fetch_failed(centry)
-            # The chunk never left the clean state (the fill happens
-            # before open_for), so skip the redundant reset.
-            self.pool.release(chunk, already_reset=True)
-            self._cond.notify_all()
-            if self.health is not None:
-                self.health.record_failure()
-            raise BackendIOError(
-                f"{self.path}: demand read of chunk @{base} failed: {exc}"
-            ) from exc
-        chunk.open_for(self, base)
+    @blocking
+    def serve_read(self, offset: int, end: int, file_size: int) -> bytes:
+        return self.read(offset, end, file_size)
+
+    @blocking
+    def try_lease(self) -> Chunk | None:
+        return self.pool.try_acquire(tenant=self.tenant)
+
+    @blocking
+    def fetch(self, chunk: Chunk, offset: int, length: int) -> int:
+        """Fill the leased buffer directly (``pread_into`` — no
+        intermediate bytes).  The chunk is exclusively the fetcher's
+        until ``fetch_done`` publishes it, so no lock is needed; the
+        fill happens before ``open_for``, so a failed fetch leaves the
+        chunk clean."""
+        got = self.backend.pread_into(
+            self.backend_handle, memoryview(chunk.buffer)[:length], offset
+        )
+        chunk.open_for(self, offset)
         chunk.fill_external(got)
+        return got
+
+    @blocking
+    def read_uncached(self, offset: int, length: int) -> bytes:
+        return self.backend.pread(self.backend_handle, length, offset)
+
+    def view(self, chunk: Chunk, lo: int, hi: int) -> memoryview:
+        """A zero-copy view of a resident buffer, valid until the
+        collecting read's join (deferred release is active)."""
         self._held.add(id(chunk))
-        if self.core.fetch_done(centry, chunk, got):
-            self._cond.notify_all()
-        else:  # evicted while we fetched (a concurrent writer invalidated)
-            self._defer_or_release(chunk)
-        return memoryview(chunk.buffer)[lo - base : hi - base]
+        return memoryview(chunk.buffer)[lo:hi]
 
-    def _issue_prefetches(self, index: int, file_size: int) -> None:
-        """Slide the window (caller holds _cond).  Degraded mode issues
-        nothing: with the breaker open every backend op is suspect, and
-        speculative reads would only feed it more failures."""
-        if self.core.depth <= 0 or (self.health is not None and self.health.degraded):
-            return
-        cs = self.core.chunk_size
-        for pidx in self.core.plan_prefetch(index, file_size):
-            centry, evicted = self.core.admit(pidx, PREFETCH)
-            self._release_evicted(evicted)
-            base = pidx * cs
-            item = ReadChunk(
-                cache=self,
-                centry=centry,
-                file_offset=base,
-                length=min(cs, file_size - base),
-            )
-            try:
-                self.queue.put(item, low=True, tenant=self.tenant)
-            except ShutdownError:  # racing unmount: drop, never block
-                self.core.fetch_failed(centry)
+    @blocking
+    def await_entry(self, centry: CacheEntry, timeout: float = 30.0) -> None:
+        """Park on the cache condition until ``centry`` is ready or
+        evicted (caller holds ``lock``).  ``timeout`` is a deadline —
+        completion broadcasts for *other* chunks wake this waiter too,
+        and each wakeup must wait only on the remainder."""
+        deadline = time.monotonic() + timeout
+        while not centry.ready and not centry.evicted:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not self._cond.wait(timeout=remaining):
+                base = centry.index * self.core.chunk_size
+                raise FileStateError(
+                    f"{self.path}: readahead fetch stuck (chunk @{base})"
+                )
 
-    # -- the background (IO worker) path ---------------------------------------
+    def wake(self, centry: CacheEntry) -> None:
+        self._cond.notify_all()
 
-    def service_prefetch(self, item: ReadChunk) -> None:
-        """Execute one queued prefetch; called from an IO worker.
-
-        Never blocks on the pool (try_acquire; starved → dropped) and
-        drops _cond around the backend pread so foreground cache hits
-        proceed while the fetch is in flight.
-        """
-        centry = item.centry
-        with self._cond:
-            if centry.evicted:  # invalidated/cleared while queued
-                return
-            chunk = self.pool.try_acquire(tenant=self.tenant)
-            if chunk is None:
-                self.core.fetch_failed(centry, starved=True)
-                self._cond.notify_all()
-                return
-        try:
-            # Fill the leased buffer directly — the chunk is exclusively
-            # ours until fetch_done publishes it, so no lock is needed
-            # around the backend call.
-            got = self.backend.pread_into(
-                self.backend_handle,
-                memoryview(chunk.buffer)[: item.length],
-                item.file_offset,
-            )
-        except Exception:
-            # Prefetch failures are silent: drop the entry, the chunk is
-            # refetched on demand if a read actually wants it.  The chunk
-            # is still clean (the fill happens before open_for), so skip
-            # the reset.
-            with self._cond:
-                if not centry.evicted:
-                    self.core.fetch_failed(centry)
-                self._cond.notify_all()
-            self.pool.release(chunk, already_reset=True)
-            if self.health is not None:
-                self.health.record_failure()
-            return
-        with self._cond:
-            chunk.open_for(self, item.file_offset)
-            chunk.fill_external(got)
-            if self.core.fetch_done(centry, chunk, got):
-                self._cond.notify_all()
-            else:
-                # Evicted while in flight (drop-accounted at eviction).
-                # The buffer was never published to a reader, so it can
-                # go straight back to the pool.
-                self.pool.release(chunk)
-
-    # -- write-path and teardown hooks -----------------------------------------
-
-    def invalidate(self, offset: int, length: int) -> None:
-        """Drop cached chunks overlapping a just-accepted write (called
-        under the file's write_lock)."""
-        with self._cond:
-            self._release_evicted(self.core.invalidate(offset, length))
-
-    def clear(self) -> None:
-        """Teardown (last close / unmount): drop everything without
-        waiting.  In-flight fetches are marked evicted; the worker
-        holding the buffer releases it when its pread lands, before
-        ``IOThreadPool.shutdown`` joins it."""
-        with self._cond:
-            self._release_evicted(self.core.clear())
-
-    def _defer_or_release(self, payload: Any) -> None:
+    def release(self, chunk: Chunk) -> None:
         """Return one leased buffer to the pool — unless the read in
         mid-collection holds a view of it, in which case park it until
-        the read's views are joined (caller holds _cond).  Buffers the
-        read never collected release immediately: eviction victims are
-        LRU while the read's chunks are MRU, so the common case pays no
-        deferral and the pool sees the same timing as an eager release
-        (the cross-plane differential pins that a prefetch try-acquire
-        never starves on a merely-parked buffer)."""
-        if self._defer_depth > 0 and id(payload) in self._held:
-            self._deferred.append(payload)
+        the read's views are joined (caller holds ``lock``).  Buffers
+        the read never collected release immediately: eviction victims
+        are LRU while the read's chunks are MRU, so the common case pays
+        no deferral and the pool sees the same timing as an eager
+        release (the cross-plane differential pins that a prefetch
+        try-acquire never starves on a merely-parked buffer)."""
+        if self._defer_depth > 0 and id(chunk) in self._held:
+            self._deferred.append(chunk)
         else:
-            self.pool.release(payload)
+            self.pool.release(chunk)
 
-    def _release_evicted(self, entries: Iterable[CacheEntry]) -> None:
-        """Return evictees' buffers to the pool (deferred while a read
-        holds views of them) and wake waiters parked on in-flight ones
-        (caller holds _cond)."""
-        woke = False
-        for entry in entries:
-            if entry.payload is not None:
-                self._defer_or_release(entry.payload)
-                entry.payload = None
-            if not entry.ready:
-                woke = True
-        if woke:
-            self._cond.notify_all()
+    @blocking
+    def enqueue_prefetch(self, item: Prefetch) -> None:
+        self.queue.put(item, low=True, tenant=self.tenant)

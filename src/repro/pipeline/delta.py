@@ -15,25 +15,45 @@ now, these chunks changed" declaration into:
   generation pointer, so a retry re-plans the same generation and a
   torn manifest can never be silently trusted.
 
-Both planes execute the same plan: the functional plane with real
-pwrites into ``<path>.g<N>``, the timing plane with virtual-clock
-writes of the same extents — so ``stats()["delta"]`` is bit-identical
-for identical workloads.  Dirtiness is *declared by the workload*
-(chunk indices), not diffed from data: the timing plane is data-free,
-and LLM trainers know exactly which shards/optimizer slices changed.
+Dirtiness is *declared by the workload* (chunk indices), not diffed
+from data: the timing plane is data-free, and LLM trainers know exactly
+which shards/optimizer slices changed.
+
+The drivers that execute a plan — :func:`checkpoint` and
+:func:`restore` — live here too, once, as generator functions over a
+per-plane port (the technique of :mod:`repro.pipeline.writeback`):
+the functional plane's :class:`~repro.core.delta.DeltaCheckpointer`
+moves real bytes into ``<path>.g<N>``, the timing plane's
+:class:`~repro.simcrfs.model.SimCRFS` virtual-clock writes of the same
+extents.  A port provides ``kernel`` plus
+
+``open_generation(path, generation, tenant, create)``
+    open one generation file through the mount (plain call; ``create``
+    truncates for a checkpoint, otherwise the file must exist);
+``write_extent(file, extent, image)``
+    one dirty extent through the normal write path;
+``fsync(file)`` / ``close(file)``
+    the mount's own durability and close;
+``write_manifest(path, raw)``
+    the synchronous manifest replace, straight to the backend;
+``load_manifest(path)``
+    the current :class:`~repro.checkpoint.manifest.Manifest` (real
+    bytes validated, or derived from the tracker);
+``read_run(file, file_offset, length)``
+    one owner run through the normal (cacheable) read path.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Any, Callable, Generator, Iterable
 
 from ..checkpoint.manifest import Manifest
 from ..errors import ManifestError
 from .events import DeltaGenerationCommitted, DeltaRestored, PipelineEvent
 
-__all__ = ["DeltaExtent", "DeltaPlan", "DeltaTracker"]
+__all__ = ["DeltaExtent", "DeltaPlan", "DeltaTracker", "checkpoint", "restore"]
 
 EmitFn = Callable[[PipelineEvent], None]
 
@@ -270,3 +290,73 @@ class DeltaTracker:
                 t=self.clock(),
             )
         )
+
+
+# -- the drivers both planes run ----------------------------------------------
+
+
+def checkpoint(
+    port: Any,
+    path: str,
+    logical_size: int,
+    dirty: Iterable[int] | None = None,
+    tenant: str | None = None,
+    image: Any = None,
+) -> Generator[Any, Any, DeltaPlan]:
+    """Commit one generation of ``path``'s chain and return its plan.
+
+    Only the dirty extents enter the pipeline (one write per contiguous
+    extent, at its logical offset, ``image`` handed through to the port
+    untouched); fsync + close drain the generation file — closed even
+    when the data phase fails, which leaves the old chain head fully
+    restorable.  The manifest write is the durable commit point: only a
+    successful one advances the chain, a failed one marks it torn.
+    """
+    tracker = port.kernel.delta(path)
+    plan = tracker.plan_checkpoint(logical_size, dirty)
+    f = port.open_generation(path, plan.generation, tenant, create=True)
+    try:
+        for ext in plan.extents:
+            yield from port.write_extent(f, ext, image)
+        yield from port.fsync(f)
+    finally:
+        yield from port.close(f)
+    raw = plan.manifest.to_bytes()
+    try:
+        yield from port.write_manifest(path, raw)
+    except BaseException:
+        # The old manifest was truncated before the failure: the
+        # on-disk chain head is suspect until a clean commit.
+        tracker.note_torn()
+        raise
+    tracker.commit(plan, len(raw))
+    return plan
+
+
+def restore(
+    port: Any, path: str, tenant: str | None = None
+) -> Generator[Any, Any, list[Any]]:
+    """Reassemble the current logical image across the chain: refuse a
+    torn or empty chain, load the manifest, then one read per contiguous
+    same-owner run with every distinct generation file opened exactly
+    once.  Returns what each run's read returned — the runs tile the
+    image in offset order."""
+    tracker = port.kernel.delta(path)
+    tracker.check_restorable()
+    manifest = yield from port.load_manifest(path)
+    runs = manifest.owner_runs()
+    files: dict[int, Any] = {}
+    parts = []
+    try:
+        for generation, file_offset, length, _chunks in runs:
+            f = files.get(generation)
+            if f is None:
+                f = files[generation] = port.open_generation(
+                    path, generation, tenant, create=False
+                )
+            parts.append((yield from port.read_run(f, file_offset, length)))
+    finally:
+        for f in files.values():
+            yield from port.close(f)
+    tracker.note_restore(len(runs), manifest.logical_size)
+    return parts

@@ -1,4 +1,4 @@
-"""Plane-agnostic readahead cache state machine (restart read path).
+"""The restart read path, written once: cache decisions and read flows.
 
 The paper optimizes only the checkpoint *write* path and passes reads
 straight through (Section IV-D1) — restart replays the same many-medium-
@@ -7,15 +7,53 @@ mechanism: a bounded per-file cache of chunk-aligned reads plus a
 sliding prefetch window pushed through the existing IO machinery.
 
 Like :class:`~repro.pipeline.kernel.FilePipeline` for writes, the
-*decisions* live here once and both planes execute them:
+*decisions* live here once — :class:`ReadaheadCore` holds the LRU index
+of :class:`CacheEntry` objects, classifies every chunk access as hit or
+miss, admits/evicts entries and plans the prefetch window — and so do
+the *control flows* that execute them, as plain generator functions over
+a per-plane port (the technique of :mod:`repro.pipeline.writeback`):
 
-* :class:`ReadaheadCore` holds the LRU index of
-  :class:`CacheEntry` objects, classifies every chunk access as hit or
-  miss, admits/evicts entries and plans the prefetch window;
-* the threaded plane (:mod:`repro.core.readcache`) executes fetches
-  with real buffers, a condition variable and ``ReadChunk`` work items;
-* the timing plane (:mod:`repro.simcrfs.model`) executes the same
-  decisions as virtual-clock generator processes.
+* :func:`read` — one application read: passthrough or cached;
+* :func:`serve` / :func:`cached_chunk` — the per-chunk loop of a cached
+  read and the service of one chunk (hit, demand fetch, park on an
+  in-flight entry, starved pool → uncached slice);
+* :func:`issue_prefetches` / :func:`service_prefetch` — slide the window
+  onto the work queue's low band; the IO-worker step for one
+  :class:`Prefetch`;
+* :func:`release_evicted`, :func:`invalidate`, :func:`clear` — evictee
+  release + waiter wake-up, and the write-path / teardown hooks.
+
+Ports (duck-typed).  The *mount* (:class:`~repro.core.mount.CRFS`,
+:class:`~repro.simcrfs.model.SimCRFS`) provides ``config``, ``health``,
+``flush_drain(file)``, ``read_through(file, size, offset)`` and
+``file_size(file)``; files expose ``pipeline`` and ``read_cache``.  The
+*per-file cache* (:class:`~repro.core.readcache.ReadCache`,
+:class:`~repro.simcrfs.model.SimReadCache`) provides ``core``,
+``health``, ``path`` and
+
+``lock``
+    context manager guarding the core (a real lock on the threaded
+    plane, a null context on the single-threaded simulator);
+``try_lease()``
+    one pool buffer, or None when starved — never blocks on the pool;
+``fetch(lease, offset, length)``
+    fill the leased buffer from the backend; returns the byte count;
+``read_uncached(offset, length)``
+    a slice straight from the backend (starved demand read);
+``view(lease, lo, hi)``
+    what a read is handed for bytes ``lo:hi`` of a resident buffer;
+``await_entry(entry)``
+    park until an in-flight entry is ready or evicted;
+``wake(entry)``
+    wake readers parked on ``entry``;
+``release(lease)``
+    return one buffer to the pool;
+``enqueue_prefetch(item)``
+    put one :class:`Prefetch` on the work queue's low band;
+``serve_read(offset, end, file_size)``
+    run :func:`serve` with the plane's own cost of handing the bytes
+    back (the threaded join under the cache lock, the modelled FUSE
+    round-trips and copy-out).
 
 Determinism contract (what the cross-plane differential tests lean on):
 every decision — hit vs. miss, admit, evict, prefetch planning — is a
@@ -30,16 +68,19 @@ one of ``ChunkPrefetched`` (delivered) or ``PrefetchDropped`` (pool
 starved, backend error, or evicted in flight); a delivered prefetch
 that leaves the cache unused emits ``PrefetchWasted``.
 
-Synchronization is the caller's job: every method must be invoked under
-the owning plane's per-file cache lock (the timing plane's cooperative
-scheduler needs none).
+Synchronization: every :class:`ReadaheadCore` method must be invoked
+under the owning cache port's ``lock``; the flows below take it where
+they are entered from outside a read (:func:`serve` runs with it
+already held by ``serve_read``).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
+from ..errors import BackendIOError, ShutdownError
 from .copies import FETCH
 from .events import (
     ChunkPrefetched,
@@ -52,8 +93,24 @@ from .events import (
     WindowShrunk,
 )
 from .kernel import EmitFn
+from .writeback import Gen
 
-__all__ = ["AdaptiveWindow", "CacheEntry", "ReadaheadCore", "DEMAND", "PREFETCH"]
+__all__ = [
+    "AdaptiveWindow",
+    "CacheEntry",
+    "Prefetch",
+    "ReadaheadCore",
+    "DEMAND",
+    "PREFETCH",
+    "cached_chunk",
+    "clear",
+    "invalidate",
+    "issue_prefetches",
+    "read",
+    "release_evicted",
+    "serve",
+    "service_prefetch",
+]
 
 #: Why an entry entered the cache: a foreground miss or the window.
 DEMAND = "demand"
@@ -63,11 +120,12 @@ PREFETCH = "prefetch"
 class CacheEntry:
     """One chunk-aligned cache slot.
 
-    ``payload`` is plane-owned: the threaded plane stores the leased
-    :class:`~repro.core.chunk.Chunk`, the timing plane a truthy marker
-    for "holds one pool slot".  ``waiters`` likewise: the timing plane
-    parks per-entry :class:`~repro.sim.primitives.SimEvent` objects
-    here (the threaded plane waits on its cache condition instead).
+    ``payload`` is the port's lease: the threaded plane stores the
+    leased :class:`~repro.core.chunk.Chunk`, the timing plane a truthy
+    marker for "holds one pool slot".  ``waiters`` likewise: the timing
+    plane parks per-entry :class:`~repro.sim.primitives.SimEvent`
+    objects here (the threaded plane waits on its cache condition
+    instead).
     """
 
     __slots__ = ("index", "origin", "ready", "used", "evicted", "payload", "waiters")
@@ -410,3 +468,204 @@ class ReadaheadCore:
             self._emit(
                 WindowShrunk(path=self.path, window=self.window.window, t=self._clock())
             )
+
+
+# -- the read engine: the flows both planes run -------------------------------
+
+
+@dataclass
+class Prefetch:
+    """One window fetch bound for the IO workers — the work item both
+    planes put on the queue's low band."""
+
+    cache: Any
+    centry: CacheEntry
+    file_offset: int
+    length: int
+
+
+def read(port: Any, f: Any, size: int, offset: int) -> Gen:
+    """One application read of ``size`` bytes at ``offset``.
+
+    Passthrough (the paper's Section IV-D1 behaviour) when the file has
+    no cache or while the circuit breaker is open — with the breaker
+    open every backend op is suspect, and the passthrough read doubles
+    as a recovery probe, the read-side analogue of "every degraded
+    write is a probe": its outcome is recorded, so a healed backend
+    gets its cache back.  Otherwise flush + drain (read-your-writes
+    through pending chunks), clip at the file size like a passthrough
+    pread would, and serve chunk-aligned slices from the cache.
+    """
+    pipeline = f.pipeline
+    t0 = pipeline.clock()
+    cache = f.read_cache
+    health = port.health
+    degraded = health.degraded
+    if cache is None or degraded:
+        if not port.config.read_passthrough:
+            yield from port.flush_drain(f)
+        try:
+            data = yield from port.read_through(f, size, offset)
+        except Exception:
+            if degraded:
+                health.record_failure()
+            raise
+        if degraded:
+            health.record_success()
+        pipeline.note_read(offset, size, start=t0)
+        return data
+    yield from port.flush_drain(f)
+    file_size = port.file_size(f)
+    end = max(offset, min(offset + size, file_size))
+    data = yield from cache.serve_read(offset, end, file_size)
+    # ``end - offset`` is the cached serve's one boundary
+    # materialization: the request clipped at the file size.
+    pipeline.note_read(offset, size, start=t0, copied=end - offset)
+    return data
+
+
+def serve(cache: Any, offset: int, end: int, file_size: int) -> Gen:
+    """The per-chunk loop of one cached read of ``[offset, end)``
+    (caller holds ``cache.lock``): service each chunk, then slide the
+    prefetch window past it.  Returns the per-chunk views in order."""
+    cs = cache.core.chunk_size
+    parts = []
+    if end > offset:
+        for index in range(offset // cs, (end - 1) // cs + 1):
+            lo = max(offset, index * cs)
+            hi = min(end, (index + 1) * cs)
+            parts.append((yield from cached_chunk(cache, index, lo, hi, file_size)))
+            yield from issue_prefetches(cache, index, file_size)
+    return parts
+
+
+def cached_chunk(cache: Any, index: int, lo: int, hi: int, file_size: int) -> Gen:
+    """One chunk's contribution to a cached read (caller holds
+    ``cache.lock``).  A miss fetches the whole aligned chunk on demand;
+    a hit on an in-flight entry (our own prefetch) parks until the
+    worker lands it and, if it was dropped or evicted instead, retries
+    from a fresh access."""
+    core = cache.core
+    base = index * core.chunk_size
+    while True:
+        centry = core.access(index)
+        if centry is None:
+            return (yield from _demand_fetch(cache, index, lo, hi, file_size))
+        if not centry.ready:
+            yield from cache.await_entry(centry)
+        if centry.evicted:
+            continue
+        return cache.view(centry.payload, lo - base, hi - base)
+
+
+def _demand_fetch(cache: Any, index: int, lo: int, hi: int, file_size: int) -> Gen:
+    """Foreground miss.  A starved pool un-admits silently (still a
+    pool-pressure signal for the adaptive window) and degrades to an
+    uncached slice read; a backend failure surfaces as
+    :class:`BackendIOError` and is counted by the breaker — demand
+    reads are never silent."""
+    core = cache.core
+    base = index * core.chunk_size
+    centry, evicted = core.admit(index, DEMAND)
+    release_evicted(cache, evicted)
+    lease = yield from cache.try_lease()
+    if lease is None:
+        core.fetch_failed(centry, starved=True)
+        cache.wake(centry)
+        return (yield from cache.read_uncached(lo, hi - lo))
+    try:
+        got = yield from cache.fetch(lease, base, min(core.chunk_size, file_size - base))
+    except Exception as exc:
+        core.fetch_failed(centry)
+        cache.wake(centry)
+        cache.release(lease)
+        cache.health.record_failure()
+        raise BackendIOError(
+            f"{cache.path}: demand read of chunk @{base} failed: {exc}"
+        ) from exc
+    cache.health.record_success()
+    part = cache.view(lease, lo - base, hi - base)
+    if core.fetch_done(centry, lease, got):
+        cache.wake(centry)
+    else:  # evicted while we fetched (a concurrent writer invalidated)
+        cache.release(lease)
+    return part
+
+
+def issue_prefetches(cache: Any, index: int, file_size: int) -> Gen:
+    """Slide the window after an access (caller holds ``cache.lock``).
+    Degraded mode issues nothing: with the breaker open every backend
+    op is suspect, and speculative reads would only feed it failures."""
+    core = cache.core
+    if core.depth <= 0 or cache.health.degraded:
+        return
+    cs = core.chunk_size
+    for pidx in core.plan_prefetch(index, file_size):
+        centry, evicted = core.admit(pidx, PREFETCH)
+        release_evicted(cache, evicted)
+        base = pidx * cs
+        item = Prefetch(cache, centry, base, min(cs, file_size - base))
+        try:
+            yield from cache.enqueue_prefetch(item)
+        except ShutdownError:  # racing unmount: drop, never block
+            core.fetch_failed(centry)
+
+
+def service_prefetch(item: Prefetch) -> Gen:
+    """The IO-worker step for one queued prefetch.  Never blocks on the
+    pool (starved → dropped), so a full pool cannot park a worker; the
+    lock is dropped around the backend read so foreground hits overlap
+    the fetch.  Failures are silent — the chunk is refetched on demand
+    if a read actually wants it — but still counted by the breaker."""
+    cache, centry = item.cache, item.centry
+    core = cache.core
+    with cache.lock:
+        if centry.evicted:  # invalidated/cleared while queued
+            return
+        lease = yield from cache.try_lease()
+        if lease is None:
+            core.fetch_failed(centry, starved=True)
+            cache.wake(centry)
+            return
+    try:
+        got = yield from cache.fetch(lease, item.file_offset, item.length)
+    except Exception:
+        with cache.lock:
+            if not centry.evicted:
+                core.fetch_failed(centry)
+            cache.wake(centry)
+            cache.release(lease)
+        cache.health.record_failure()
+        return
+    cache.health.record_success()
+    with cache.lock:
+        if core.fetch_done(centry, lease, got):
+            cache.wake(centry)
+        else:  # evicted in flight (drop-accounted at eviction)
+            cache.release(lease)
+
+
+def release_evicted(cache: Any, entries: Iterable[CacheEntry]) -> None:
+    """Return evictees' buffers to the pool and wake readers parked on
+    in-flight ones (caller holds ``cache.lock``).  An in-flight
+    evictee's buffer is still with its fetcher, which releases it when
+    ``fetch_done`` reports the eviction."""
+    for entry in entries:
+        if entry.payload is not None:
+            cache.release(entry.payload)
+            entry.payload = None
+        if not entry.ready:
+            cache.wake(entry)
+
+
+def invalidate(cache: Any, offset: int, length: int) -> None:
+    """Drop cached chunks overlapping a just-accepted write."""
+    with cache.lock:
+        release_evicted(cache, cache.core.invalidate(offset, length))
+
+
+def clear(cache: Any) -> None:
+    """Teardown (last close, unmount, pool-pressure shed): drop
+    everything without waiting for in-flight fetches."""
+    with cache.lock:
+        release_evicted(cache, cache.core.clear())

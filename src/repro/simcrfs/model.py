@@ -4,12 +4,16 @@ One :class:`SimCRFS` instance models one node's CRFS mount: a buffer
 pool (counting semaphore over pool chunks), the work queue, and
 ``io_threads`` worker processes that write sealed chunks to the backing
 :class:`~repro.simio.fsbase.SimFilesystem`.  The pipeline *state
-machine* — aggregation planning, the
-``write_chunk_count``/``complete_chunk_count`` drain accounting, the
-error latch — is the shared, plane-agnostic
-:class:`~repro.pipeline.kernel.FilePipeline`; this module supplies its
-discrete-event execution on the virtual clock.  Every state transition
-is published on the mount's
+machine* — aggregation planning, the ``write_chunk_count`` /
+``complete_chunk_count`` drain accounting, the error latch — is the
+shared :class:`~repro.pipeline.kernel.FilePipeline`, and the control
+flows that run it — chunk writeback and the tier pump
+(:mod:`repro.pipeline.writeback`), the cached-read service
+(:mod:`repro.pipeline.readahead`), the delta checkpoint/restore drivers
+(:mod:`repro.pipeline.delta`) — are the generator functions the
+threaded plane runs too.  This module is their *port* on the virtual
+clock: processes, queues, the pool, and the modelled costs.  Every
+state transition is published on the mount's
 :class:`~repro.pipeline.kernel.PipelineKernel` stream, so
 :meth:`SimCRFS.stats` reports the same schema as the functional plane's
 ``CRFS.stats()`` — from the identical counting code.
@@ -31,12 +35,11 @@ Costs on the write path (what the application's checkpoint time sees):
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence
 
 from ..checkpoint.manifest import Manifest, generation_path, manifest_path
 from ..config import CRFSConfig
-from ..errors import BackendIOError, ShutdownError
+from ..errors import ShutdownError
 from ..pipeline import (
     AdmissionWait,
     BackendHealth,
@@ -49,7 +52,9 @@ from ..pipeline import (
     Seal,
     WorkersDrained,
 )
-from ..pipeline.readahead import DEMAND, PREFETCH, CacheEntry, ReadaheadCore
+from ..pipeline import delta, readahead
+from ..pipeline.delta import DeltaExtent
+from ..pipeline.readahead import CacheEntry, Prefetch, ReadaheadCore
 from ..pipeline.staging import StagedFile, StagingCore, tier_health_emit
 from ..pipeline.tenancy import DEFAULT_TENANT, DRRScheduler, PoolLedger
 from ..pipeline.writeback import (
@@ -73,7 +78,22 @@ from ..simio.params import HardwareParams
 from ..simio.tiered import TieredSimFilesystem
 from .fuse import fuse_requests
 
-__all__ = ["SimCRFS", "SimCRFSFile"]
+__all__ = ["SimCRFS", "SimCRFSFile", "SimReadCache"]
+
+
+def _park(sim: Simulator, waiters: "list[SimEvent]"):
+    """Generator: park until the next :func:`_wake_all` of ``waiters``."""
+    ev = SimEvent(sim)
+    waiters.append(ev)
+    yield ev
+
+
+def _wake_all(waiters: "list[SimEvent]") -> None:
+    """Succeed every parked event, in arrival order, emptying the list
+    (the simulator's ``notify_all``; the woken re-check their predicate)."""
+    parked, waiters[:] = waiters[:], []
+    for ev in parked:
+        ev.succeed()
 
 
 class SimCRFSFile:
@@ -89,7 +109,7 @@ class SimCRFSFile:
         "pos",
         "read_pos",
         "known_size",
-        "read_core",
+        "read_cache",
         "staged",
     )
 
@@ -99,7 +119,6 @@ class SimCRFSFile:
         pipeline: FilePipeline,
         backend_file: SimFile,
         known_size: int = 0,
-        read_core: Optional[ReadaheadCore] = None,
         tenant: str = DEFAULT_TENANT,
         staged: Optional[StagedFile] = None,
     ):
@@ -118,9 +137,10 @@ class SimCRFSFile:
         #: opens an image written earlier; checkpoint data in the timing
         #: plane is a stream of sizes, so the size must be declared.
         self.known_size = known_size
-        #: Restart-readahead decisions (shared, plane-agnostic core);
-        #: None keeps reads on the paper's passthrough path.
-        self.read_core = read_core
+        #: Restart-readahead cache port (:class:`SimReadCache`), attached
+        #: by the mount when ``config.read_cache_chunks > 0``; None keeps
+        #: reads on the paper's passthrough path.
+        self.read_cache: Optional[SimReadCache] = None
 
     # -- kernel passthrough ----------------------------------------------------
 
@@ -141,14 +161,66 @@ class SimCRFSFile:
         return self.pipeline.drained
 
 
-@dataclass
-class _SimReadFetch:
-    """A low-priority readahead prefetch on the simulated work queue."""
+class SimReadCache:
+    """Per-file readahead cache on the timing plane: the port the
+    shared flows in :mod:`repro.pipeline.readahead` drive, as
+    virtual-clock generators.  A lease is a pool slot (``True``), a
+    view is nothing — data here is a stream of sizes."""
 
-    f: SimCRFSFile
-    centry: CacheEntry
-    file_offset: int
-    length: int
+    lock = nullcontext()  # the simulator is single-threaded
+
+    def __init__(self, fs: "SimCRFS", f: SimCRFSFile, core: ReadaheadCore):
+        self.fs = fs
+        self.f = f
+        self.core = core
+        self.path = f.path
+        self.health = fs.health
+
+    def serve_read(self, offset: int, end: int, file_size: int):
+        yield from readahead.serve(self, offset, end, file_size)
+        if end > offset:
+            # Serving pass: the mount's own cost of handing the cached
+            # bytes back — FUSE request round-trips plus the copy out of
+            # the chunk over the shared memory bus.
+            fs = self.fs
+            for request in fuse_requests(end - offset, fs.hw.fuse_max_request):
+                yield fs.sim.timeout(fs.hw.fuse_request_overhead)
+                if request >= PAGE:
+                    yield fs.membus.transfer(request)
+
+    def try_lease(self):
+        fs, tenant = self.fs, self.f.tenant
+        if fs._pool_starved(tenant):
+            return None
+        yield fs._pool_acquire(tenant)
+        fs._note_pool(tenant)
+        return True
+
+    def fetch(self, lease: Any, offset: int, length: int):
+        yield from self.fs.backend.read(self.f.backend_file, length)
+        return length
+
+    def read_uncached(self, offset: int, length: int):
+        yield from self.fs.backend.read(self.f.backend_file, length)
+
+    @staticmethod
+    def view(lease: Any, lo: int, hi: int) -> None:
+        return None
+
+    def await_entry(self, centry: CacheEntry):
+        return _park(self.fs.sim, centry.waiters)
+
+    @staticmethod
+    def wake(centry: CacheEntry) -> None:
+        _wake_all(centry.waiters)
+
+    def release(self, lease: Any) -> None:
+        self.fs._pool_release(self.f.tenant)
+
+    def enqueue_prefetch(self, item: Prefetch):
+        fs, tenant = self.fs, self.f.tenant
+        yield fs.queue.put(item, low=True, tenant=tenant)
+        fs._note_queued(tenant)
 
 
 class SimCRFS:
@@ -176,8 +248,8 @@ class SimCRFS:
         #: reach the backend back-to-back instead of interleaving.
         self.file_affine = file_affine
         self._backlog: "dict[SimCRFSFile, list[Extent]]" = {}
-        #: Open files with a read cache — pool-pressure shedding (mirror
-        #: of ``CRFS._shed_read_caches``) must reach every cache.
+        #: Open files with a read cache — pool-pressure shedding must
+        #: reach every cache.
         self._cached_files: "list[SimCRFSFile]" = []
         self.tenants = config.tenant_registry()
         ntiers = len(backend.tiers) if isinstance(backend, TieredSimFilesystem) else 0
@@ -256,7 +328,6 @@ class SimCRFS:
             sim.spawn(self._io_thread(i), name=f"{node}-crfs-io{i}")
             for i in range(config.io_threads)
         ]
-        self._stopped = False
 
     # -- stats views (all counters live in kernel.stats) ------------------------
 
@@ -304,27 +375,28 @@ class SimCRFS:
         # simio.ext3).
         backend_file.bulk_writer = True
         self.kernel.file_opened(path, tenant=resolved)
-        read_core = None
-        if self.config.read_cache_chunks > 0:
-            read_core = ReadaheadCore(
-                path,
-                self.config.chunk_size,
-                capacity=self.config.read_cache_chunks,
-                depth=self.config.readahead_chunks,
-                emit=self.kernel.emit,
-                clock=lambda: self.sim.now,
-                adaptive=self.config.readahead_adaptive,
-            )
         f = SimCRFSFile(
             path,
             self.kernel.file(path, tenant=resolved),
             backend_file,
             known_size=size,
-            read_core=read_core,
             tenant=resolved,
             staged=self.staging.file(path) if self.staging is not None else None,
         )
-        if read_core is not None:
+        if self.config.read_cache_chunks > 0:
+            f.read_cache = SimReadCache(
+                self,
+                f,
+                ReadaheadCore(
+                    path,
+                    self.config.chunk_size,
+                    capacity=self.config.read_cache_chunks,
+                    depth=self.config.readahead_chunks,
+                    emit=self.kernel.emit,
+                    clock=lambda: self.sim.now,
+                    adaptive=self.config.readahead_adaptive,
+                ),
+            )
             self._cached_files.append(f)
         return f
 
@@ -344,8 +416,8 @@ class SimCRFS:
         return self.pool.in_use >= self.pool.capacity or self.pool.waiting > 0
 
     def _pool_starved(self, tenant: str) -> bool:
-        """The read-path try-acquire predicate (mirror of
-        ``BufferPool.try_acquire`` returning None)."""
+        """The read-path try-lease predicate (when
+        ``BufferPool.try_acquire`` would return None)."""
         if isinstance(self.pool, SimTenantPool):
             return self.pool.would_wait(tenant)
         return self.pool.in_use >= self.pool.capacity
@@ -355,14 +427,16 @@ class SimCRFS:
             return self.pool.held(tenant)
         return self.pool.in_use
 
-    def _note_pool_acquired(self, tenant: str, waited: bool) -> None:
-        """The acquire-side ``PoolPressure`` event (after the yield)."""
+    def _note_pool(self, tenant: str, waited: bool = False, released: bool = False):
+        """The ``PoolPressure`` event after an acquire (once the yield
+        returned) or a release."""
         self.kernel.emit(
             PoolPressure(
                 waited=waited,
                 in_use=self.pool.in_use,
                 tenant=tenant,
                 tenant_in_use=self._tenant_in_use(tenant),
+                released=released,
             )
         )
 
@@ -374,15 +448,7 @@ class SimCRFS:
             self.pool.release(tenant)
         else:
             self.pool.release()
-        self.kernel.emit(
-            PoolPressure(
-                waited=False,
-                in_use=self.pool.in_use,
-                tenant=tenant,
-                tenant_in_use=self._tenant_in_use(tenant),
-                released=True,
-            )
-        )
+        self._note_pool(tenant, released=True)
 
     def write(self, f: SimCRFSFile, nbytes: int):
         """Generator: one application write() through FUSE into chunks."""
@@ -391,7 +457,8 @@ class SimCRFS:
             return
         t0 = self.sim.now
         offset0 = f.pos
-        self._invalidate_read_cache(f, offset0, nbytes)
+        if f.read_cache is not None:
+            readahead.invalidate(f.read_cache, offset0, nbytes)
         for request in fuse_requests(nbytes, self.hw.fuse_max_request):
             yield self.sim.timeout(self.hw.fuse_request_overhead)
             if request >= PAGE:
@@ -403,13 +470,13 @@ class SimCRFS:
                         waited = self._pool_would_wait(f.tenant)
                         if waited:
                             # Read-cache leases draw on this pool; shed
-                            # them before parking the writer (mirror of
-                            # CRFS._shed_read_caches) or a full cache
-                            # deadlocks the virtual clock.
+                            # them before parking the writer (as
+                            # CRFS._shed_read_caches does) or a full
+                            # cache deadlocks the virtual clock.
                             self._shed_read_caches()
                             waited = self._pool_would_wait(f.tenant)
                         yield self._pool_acquire(f.tenant)
-                        self._note_pool_acquired(f.tenant, waited)
+                        self._note_pool(f.tenant, waited=waited)
                         f.has_chunk = True
                 else:
                     yield from self._seal(f, op)
@@ -429,13 +496,11 @@ class SimCRFS:
         the backend close to the pump process that pays its last debt —
         close never waits for deep tiers (mirror of
         ``TieredBackend.close``)."""
-        yield from self.flush(f)
-        yield from self._wait_drained(f)
-        f.pipeline.raise_latched()
-        if f.read_core is not None:
-            # Teardown mirror of ReadCache.clear(): cached-but-unused
-            # prefetches are waste-accounted, pool slots go back.
-            self._release_read_evicted(f.read_core.clear(), f.tenant)
+        yield from self.flush_drain(f)
+        if f.read_cache is not None:
+            # Teardown: cached-but-unused prefetches are
+            # waste-accounted, pool slots go back.
+            readahead.clear(f.read_cache)
             if f in self._cached_files:
                 self._cached_files.remove(f)
         if f.staged is not None and sum(f.staged.pending) > 0:
@@ -451,13 +516,11 @@ class SimCRFS:
         file's extents have reached tiers ``0..fsync_tier``, surface
         the shallowest strand error, then fsync exactly those tiers
         (mirror of ``TieredBackend.fsync_through``)."""
-        yield from self.flush(f)
-        yield from self._wait_drained(f)
-        f.pipeline.raise_latched()
+        yield from self.flush_drain(f)
         if self.staging is None:
             yield from self.backend.fsync(f.backend_file)
-            return
-        yield from self.fsync_through(f, self.staging.fsync_tier)
+        else:
+            yield from self.fsync_through(f, self.staging.fsync_tier)
 
     def fsync_through(self, f: SimCRFSFile, tier: int):
         """Generator: durability through tier ``tier`` (tiered mounts)."""
@@ -465,9 +528,7 @@ class SimCRFS:
         tier = StagingCore.resolve_tier(tier, self.staging.ntiers)
         sf = f.staged
         while sf.pending_through(tier) > 0:
-            ev = SimEvent(self.sim)
-            sf.waiters.append(ev)
-            yield ev
+            yield from _park(self.sim, sf.waiters)
         error = sf.sync_error(tier)
         if error is not None:
             raise error
@@ -476,60 +537,45 @@ class SimCRFS:
         self.staging.synced(sf, tier)
 
     def read(self, f: SimCRFSFile, nbytes: int):
-        """Generator: one sequential read() at the file's read cursor.
-
-        Passthrough (the paper's Section IV-D1 behaviour) when no read
-        cache is configured or while the circuit breaker is open; with
-        ``read_cache_chunks`` set, the restart-readahead mirror of the
-        functional plane's :class:`~repro.core.readcache.ReadCache` —
-        flush + drain (read-your-writes), then chunk-aligned fetches
-        against the shared :class:`ReadaheadCore` decisions, with
-        prefetches serviced by the IO threads off the queue's low band.
-        """
-        t0 = self.sim.now
-        offset = f.read_pos
-        if f.read_core is None or self.health.degraded:
-            if not self.config.read_passthrough:
-                yield from self.flush(f)
-                yield from self._wait_drained(f)
-                f.pipeline.raise_latched()
-            for request in fuse_requests(nbytes, self.hw.fuse_max_request):
-                yield self.sim.timeout(self.hw.fuse_request_overhead)
-                yield from self.backend.read(f.backend_file, request)
-            f.pipeline.note_read(offset, nbytes, start=t0)
-            f.read_pos += nbytes
-            return
-        yield from self.flush(f)
-        yield from self._wait_drained(f)
-        f.pipeline.raise_latched()
-        file_size = max(f.known_size, f.planner.append_point)
-        end = min(offset + nbytes, file_size)
-        if nbytes > 0 and end > offset:
-            cs = self.config.chunk_size
-            for index in range(offset // cs, (end - 1) // cs + 1):
-                lo = max(offset, index * cs)
-                hi = min(end, (index + 1) * cs)
-                yield from self._cached_chunk(f, index, lo, hi, file_size)
-                yield from self._issue_read_prefetches(f, index, file_size)
-            # Serving pass: the mount's own cost of handing the cached
-            # bytes back — FUSE request round-trips plus the copy out of
-            # the chunk over the shared memory bus.
-            for request in fuse_requests(end - offset, self.hw.fuse_max_request):
-                yield self.sim.timeout(self.hw.fuse_request_overhead)
-                if request >= PAGE:
-                    yield self.membus.transfer(request)
-        # The cached serve's boundary materialization: the request
-        # clipped at file_size — what the functional plane's join
-        # produces (len of the returned bytes).
-        copied = end - offset if nbytes > 0 and end > offset else 0
-        f.pipeline.note_read(offset, nbytes, start=t0, copied=copied)
+        """Generator: one sequential read() at the file's read cursor —
+        :func:`repro.pipeline.readahead.read`, the one definition both
+        planes run (passthrough, or the readahead cache with prefetches
+        serviced by the IO threads off the queue's low band)."""
+        yield from readahead.read(self, f, nbytes, f.read_pos)
         f.read_pos += nbytes
 
     def seek(self, f: SimCRFSFile, pos: int) -> None:
         """Reposition the sequential read cursor (restart replays)."""
         f.read_pos = pos
 
-    # -- incremental (delta) checkpoints (mirror of core.delta) -----------------
+    # The read flow's mount-level port (timing plane); the per-file half
+    # is the file's :class:`SimReadCache`.
+
+    def flush_drain(self, f: SimCRFSFile):
+        yield from self.flush(f)
+        yield from self._wait_drained(f)
+        f.pipeline.raise_latched()
+
+    def read_through(self, f: SimCRFSFile, nbytes: int, offset: int):
+        for request in fuse_requests(nbytes, self.hw.fuse_max_request):
+            yield self.sim.timeout(self.hw.fuse_request_overhead)
+            yield from self.backend.read(f.backend_file, request)
+
+    @staticmethod
+    def file_size(f: SimCRFSFile) -> int:
+        return max(f.known_size, f.planner.append_point)
+
+    def _shed_read_caches(self) -> None:
+        """Pool-pressure relief: drop every read-cache lease back to the
+        pool (the cache is advisory; a parked writer is not)."""
+        for cached in list(self._cached_files):
+            readahead.clear(cached.read_cache)
+
+    # -- incremental (delta) checkpoints -----------------------------------------
+    # :func:`repro.pipeline.delta.checkpoint` / ``restore`` over this
+    # mount as their port.  Data is a stream of sizes here, so the caller
+    # declares ``logical_size`` and the dirty chunk indices instead of
+    # bytes, and the committed tracker state *is* the manifest.
 
     def delta_checkpoint(
         self,
@@ -538,60 +584,41 @@ class SimCRFS:
         dirty: Iterable[int] | None = None,
         tenant: str | None = None,
     ):
-        """Generator: commit one generation of ``path``'s delta chain.
-
-        The exact op sequence of the functional plane's
-        :meth:`repro.core.delta.DeltaCheckpointer.checkpoint`: dirty
-        extents stream through the normal write pipeline into this
-        generation's file (one write per contiguous extent, at its
-        logical offset), fsync + close drain it, then the manifest is
-        written synchronously straight to the backend — the durable
-        commit point.  Only a successful manifest write advances the
-        chain; a failed one marks it torn, exactly like the threaded
-        plane.  Data is a stream of sizes here, so the caller declares
-        ``logical_size`` and the dirty chunk indices instead of bytes.
-        """
-        tracker = self.kernel.delta(path)
-        plan = tracker.plan_checkpoint(logical_size, dirty)
-        f = self.open(generation_path(path, plan.generation), tenant=tenant)
-        try:
-            for ext in plan.extents:
-                f.pos = ext.file_offset
-                yield from self.write(f, ext.length)
-            yield from self.fsync(f)
-        finally:
-            yield from self.close(f)
-        raw = plan.manifest.to_bytes()
-        try:
-            mf = self.backend.open(manifest_path(path))
-            try:
-                yield from self.backend.write(mf, len(raw))
-                if self.config.delta_manifest_sync:
-                    yield from self.backend.fsync(mf)
-            finally:
-                yield from self.backend.close(mf)
-        except BaseException:
-            # The old manifest was truncated before the failure: the
-            # on-disk chain head is suspect until a clean commit.
-            tracker.note_torn()
-            raise
-        tracker.commit(plan, len(raw))
-        return plan
+        """Generator: commit one generation of ``path``'s delta chain;
+        returns the plan."""
+        return (yield from delta.checkpoint(self, path, logical_size, dirty, tenant))
 
     def delta_restore(self, path: str, tenant: str | None = None):
         """Generator: reassemble the current logical image across the
-        chain — the timing twin of
-        :meth:`repro.core.delta.DeltaCheckpointer.restore`.
+        chain; returns the reassembled logical size."""
+        yield from delta.restore(self, path, tenant)
+        return self.kernel.delta(path).logical_size
 
-        The manifest read is modelled (the functional plane validates
-        real bytes; this plane is data-free, so the committed tracker
-        state *is* the manifest), then each contiguous same-owner run
-        costs one read through the normal cacheable read path, with
-        every distinct generation file opened exactly once at its
-        recorded physical size.  Returns the reassembled logical size.
-        """
+    def open_generation(self, path: str, generation: int, tenant: str | None, create: bool):
+        size = 0 if create else self.kernel.delta(path).gen_size(generation)
+        return self.open(generation_path(path, generation), size=size, tenant=tenant)
+
+    def write_extent(self, f: SimCRFSFile, ext: DeltaExtent, image: Any):
+        f.pos = ext.file_offset
+        yield from self.write(f, ext.length)
+
+    def read_run(self, f: SimCRFSFile, file_offset: int, length: int):
+        self.seek(f, file_offset)
+        yield from self.read(f, length)
+
+    def write_manifest(self, path: str, raw: bytes):
+        mf = self.backend.open(manifest_path(path))
+        try:
+            yield from self.backend.write(mf, len(raw))
+            if self.config.delta_manifest_sync:
+                yield from self.backend.fsync(mf)
+        finally:
+            yield from self.backend.close(mf)
+
+    def load_manifest(self, path: str):
+        """The manifest read is modelled; its content is the committed
+        tracker state (the functional plane validates real bytes)."""
         tracker = self.kernel.delta(path)
-        tracker.check_restorable()
         manifest = Manifest(
             path=tracker.path,
             generation=tracker.generation,
@@ -604,163 +631,7 @@ class SimCRFS:
             yield from self.backend.read(mf, len(manifest.to_bytes()))
         finally:
             yield from self.backend.close(mf)
-        runs = manifest.owner_runs()
-        open_files: "dict[int, SimCRFSFile]" = {}
-        try:
-            for gen, file_offset, length, _chunks in runs:
-                f = open_files.get(gen)
-                if f is None:
-                    f = self.open(
-                        generation_path(path, gen),
-                        size=tracker.gen_size(gen),
-                        tenant=tenant,
-                    )
-                    open_files[gen] = f
-                self.seek(f, file_offset)
-                yield from self.read(f, length)
-        finally:
-            for f in open_files.values():
-                yield from self.close(f)
-        tracker.note_restore(len(runs), manifest.logical_size)
-        return manifest.logical_size
-
-    # -- readahead internals (mirror of core.readcache, virtual time) ----------
-
-    def _cached_chunk(self, f: SimCRFSFile, index: int, lo: int, hi: int,
-                      file_size: int):
-        """Generator: one chunk's contribution to a cached read."""
-        core = f.read_core
-        cs = core.chunk_size
-        base = index * cs
-        while True:
-            centry = core.access(index)
-            if centry is None:
-                # Foreground miss: fetch the whole aligned chunk.  A full
-                # pool degrades to an uncached slice read (mirror of
-                # BufferPool.try_acquire returning None); a backend
-                # failure surfaces — demand reads are never silent.
-                centry, evicted = core.admit(index, DEMAND)
-                self._release_read_evicted(evicted, f.tenant)
-                if self._pool_starved(f.tenant):
-                    # Silent un-admit (demand); starved=True still feeds
-                    # the adaptive window its pool-pressure signal.
-                    core.fetch_failed(centry, starved=True)
-                    self._wake_read_waiters(centry)
-                    yield from self.backend.read(f.backend_file, hi - lo)
-                    return
-                yield self._pool_acquire(f.tenant)
-                self._note_pool_acquired(f.tenant, waited=False)
-                length = min(cs, file_size - base)
-                try:
-                    yield from self.backend.read(f.backend_file, length)
-                except Exception as exc:  # noqa: BLE001 - surfaced to caller
-                    core.fetch_failed(centry)
-                    self._wake_read_waiters(centry)
-                    self._pool_release(f.tenant)
-                    self.health.record_failure()
-                    raise BackendIOError(
-                        f"{f.path}: demand read of chunk @{base} failed: {exc}"
-                    ) from exc
-                if core.fetch_done(centry, True, length):
-                    self._wake_read_waiters(centry)
-                else:  # evicted while fetching (concurrent invalidation)
-                    self._pool_release(f.tenant)
-                return
-            if centry.ready:
-                return
-            # In flight (a hit on our own prefetch): park on the entry;
-            # on a drop/eviction, retry from a fresh access.
-            ev = SimEvent(self.sim)
-            centry.waiters.append(ev)
-            yield ev
-            if centry.evicted:
-                continue
-            return
-
-    def _issue_read_prefetches(self, f: SimCRFSFile, index: int, file_size: int):
-        """Generator: slide the window after an access.  Degraded mode
-        issues nothing — with the breaker open every backend op is
-        suspect, and speculative reads would only feed it more failures."""
-        core = f.read_core
-        if core.depth <= 0 or self.health.degraded:
-            return
-        cs = core.chunk_size
-        for pidx in core.plan_prefetch(index, file_size):
-            centry, evicted = core.admit(pidx, PREFETCH)
-            self._release_read_evicted(evicted, f.tenant)
-            base = pidx * cs
-            item = _SimReadFetch(
-                f=f, centry=centry, file_offset=base,
-                length=min(cs, file_size - base),
-            )
-            yield self.queue.put(item, low=True, tenant=f.tenant)
-            self.kernel.emit(
-                QueuePressure(
-                    depth=len(self.queue),
-                    tenant=f.tenant,
-                    tenant_depth=self.queue.depth(f.tenant),
-                )
-            )
-
-    def _service_read_fetch(self, item: _SimReadFetch):
-        """Generator: one queued prefetch, run by an IO thread.  Never
-        parks on a full pool (starved → dropped), so shutdown drains."""
-        centry = item.centry
-        core = item.f.read_core
-        tenant = item.f.tenant
-        if centry.evicted:  # invalidated/cleared while queued
-            return
-        if self._pool_starved(tenant):
-            core.fetch_failed(centry, starved=True)
-            self._wake_read_waiters(centry)
-            return
-        yield self._pool_acquire(tenant)
-        self._note_pool_acquired(tenant, waited=False)
-        try:
-            yield from self.backend.read(item.f.backend_file, item.length)
-        except Exception:  # noqa: BLE001 - prefetch failures are silent
-            if not centry.evicted:
-                core.fetch_failed(centry)
-            self._wake_read_waiters(centry)
-            self._pool_release(tenant)
-            self.health.record_failure()
-            return
-        if core.fetch_done(centry, True, item.length):
-            self._wake_read_waiters(centry)
-        else:  # evicted while in flight; drop-accounted at eviction
-            self._pool_release(tenant)
-
-    def _shed_read_caches(self) -> None:
-        """Pool-pressure relief: drop every read-cache lease back to the
-        pool (the cache is advisory; a parked writer is not)."""
-        for cached in list(self._cached_files):
-            if cached.read_core is not None:
-                self._release_read_evicted(
-                    cached.read_core.clear(), cached.tenant
-                )
-
-    def _invalidate_read_cache(self, f: SimCRFSFile, offset: int, nbytes: int) -> None:
-        """Drop cached chunks overlapping a just-accepted write."""
-        if f.read_core is None:
-            return
-        self._release_read_evicted(f.read_core.invalidate(offset, nbytes), f.tenant)
-
-    def _release_read_evicted(
-        self, entries: Iterable[CacheEntry], tenant: str = DEFAULT_TENANT
-    ) -> None:
-        """Return evictees' pool slots and wake parked readers."""
-        for entry in entries:
-            if entry.payload is not None:
-                entry.payload = None
-                self._pool_release(tenant)
-            self._wake_read_waiters(entry)
-
-    @staticmethod
-    def _wake_read_waiters(entry: CacheEntry) -> None:
-        if entry.waiters:
-            waiters, entry.waiters = entry.waiters, []
-            for ev in waiters:
-                ev.succeed()
+        return manifest
 
     def _write_degraded(self, f: SimCRFSFile, nbytes: int):
         """Generator: breaker-open write — synchronous write-through.
@@ -775,7 +646,8 @@ class SimCRFS:
         """
         t0 = self.sim.now
         offset0 = f.pos
-        self._invalidate_read_cache(f, offset0, nbytes)
+        if f.read_cache is not None:
+            readahead.invalidate(f.read_cache, offset0, nbytes)
         for op in f.pipeline.plan_write_through(f.pos, nbytes):
             assert isinstance(op, Seal)
             yield from self._seal(f, op)
@@ -820,10 +692,8 @@ class SimCRFS:
             start=t0,
         )
         self._pool_release(f.tenant)
-        if drained and f._drain_waiters:
-            waiters, f._drain_waiters = f._drain_waiters, []
-            for ev in waiters:
-                ev.succeed()
+        if drained:
+            _wake_all(f._drain_waiters)
 
     def tier_copy(self, f: SimCRFSFile, tier: int, offset: int, lengths: Sequence[int]):
         yield from self.backend.tier_read(f.backend_file, tier - 1, sum(lengths))
@@ -854,16 +724,9 @@ class SimCRFS:
 
     def staging_wake(self, sf: StagedFile) -> None:
         """Wake fsync waiters parked on the file plus mount-wide drain
-        waiters; all re-check their predicates (the sim's analogue of
-        the functional plane's ``notify_all``)."""
-        if sf.waiters:
-            waiters, sf.waiters = sf.waiters, []
-            for ev in waiters:
-                ev.succeed()
-        if self._pump_waiters:
-            waiters, self._pump_waiters = self._pump_waiters, []
-            for ev in waiters:
-                ev.succeed()
+        waiters; all re-check their predicates."""
+        _wake_all(sf.waiters)
+        _wake_all(self._pump_waiters)
 
     def drain_staging(self):
         """Generator: block until the pump owes nothing anywhere —
@@ -873,9 +736,7 @@ class SimCRFS:
         if self.staging is None:
             return
         while self.staging.outstanding > 0:
-            ev = SimEvent(self.sim)
-            self._pump_waiters.append(ev)
-            yield ev
+            yield from _park(self.sim, self._pump_waiters)
 
     # -- pipeline internals ------------------------------------------------------
 
@@ -889,11 +750,15 @@ class SimCRFS:
             yield self.queue.put(None, tenant=f.tenant)  # wake one IO thread
         else:
             yield self.queue.put(extent, tenant=f.tenant)
+        self._note_queued(f.tenant)
+
+    def _note_queued(self, tenant: str) -> None:
+        """The put-side ``QueuePressure`` event (after the yield)."""
         self.kernel.emit(
             QueuePressure(
                 depth=len(self.queue),
-                tenant=f.tenant,
-                tenant_depth=self.queue.depth(f.tenant),
+                tenant=tenant,
+                tenant_depth=self.queue.depth(tenant),
             )
         )
 
@@ -901,9 +766,7 @@ class SimCRFS:
         start = self.sim.now
         outstanding = f.pipeline.outstanding
         while not f.drained:
-            ev = SimEvent(self.sim)
-            f._drain_waiters.append(ev)
-            yield ev
+            yield from _park(self.sim, f._drain_waiters)
         f.pipeline.note_drained(start, outstanding)
 
     def _take_affine(self, last: Optional[SimCRFSFile]) -> Extent:
@@ -925,11 +788,11 @@ class SimCRFS:
                 item = yield self.queue.get()
             except ShutdownError:  # queue closed at unmount
                 return
-            if isinstance(item, _SimReadFetch):
+            if isinstance(item, Prefetch):
                 # Readahead prefetch off the low band — serviced between
                 # writebacks; carries itself even in file_affine mode
                 # (the backlog holds only write seals).
-                yield from self._service_read_fetch(item)
+                yield from readahead.service_prefetch(item)
                 continue
             if self.file_affine:
                 # file_affine already drains one file back-to-back via
@@ -946,7 +809,6 @@ class SimCRFS:
             yield from writeback(self, extents)
 
     def shutdown(self) -> None:
-        self._stopped = True
         self.queue.close()
         if self._pump_queue is not None:
             # Drain-then-stop, like the functional tiered shutdown: the

@@ -8,6 +8,7 @@ This is the test that justifies claiming both planes implement *the same
 filesystem*."""
 
 import threading
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -252,19 +253,20 @@ class TestCrossPlaneStatsDifferential:
 # -- the restart read plane differential --------------------------------------
 
 
-def _read_config(chunk_size):
+def _read_config(chunk_size, **overrides):
     """Readahead config whose read accounting is workload-determined on
     both planes: reads start only after the write stream drains, so the
     whole pool (4 chunks) is free for the cache (4 chunks) and the
     prefetch try-acquire can never starve; cache capacity >= readahead
     window + 2 keeps sequential reads from churning the LRU window."""
-    return CRFSConfig(
+    base = CRFSConfig(
         chunk_size=chunk_size,
         pool_size=chunk_size * 4,
         io_threads=1,
         read_cache_chunks=4,
         readahead_chunks=2,
     )
+    return replace(base, **overrides)
 
 
 def _read_plan(total, request):
@@ -275,40 +277,68 @@ def _read_plan(total, request):
     return out
 
 
-def functional_read_run(write_sizes, read_request, chunk_size):
+def functional_read_run(write_sizes, read_request, chunk_size, rules=(), **overrides):
     """stats snapshot from the threaded plane after write + sequential
-    read-back through the readahead cache."""
-    fs = CRFS(MemBackend(), _read_config(chunk_size))
+    read-back through the readahead cache, plus each read's outcome
+    (``"ok"`` or the exception type a faulted read surfaced as)."""
+    backend = FaultyBackend(MemBackend(), list(rules))
+    fs = CRFS(backend, _read_config(chunk_size, **overrides))
+    outcomes, offset = [], 0
     with fs:
         with fs.open("/rank0.img") as f:
             for size in write_sizes:
                 f.write(b"x" * size)
-            f.seek(0)
             for size in _read_plan(sum(write_sizes), read_request):
-                f.read(size)
-    return fs.stats()
+                try:
+                    f.pread(size, offset)
+                    outcomes.append("ok")
+                except Exception as exc:
+                    outcomes.append(type(exc).__name__)
+                offset += size
+    return dict(fs.stats(), outcomes=outcomes)
 
 
-def timing_read_run(write_sizes, read_request, chunk_size):
-    """stats snapshot from the DES plane — same workload, same snapshot
-    code path."""
+def timing_read_run(write_sizes, read_request, chunk_size, rules=(), **overrides):
+    """The same from the DES plane — same workload, same faults, same
+    snapshot code path."""
     sim = Simulator()
     hw = DEFAULT_HW
     membus = SharedBandwidth(sim, hw.membus_bandwidth)
-    backend = NullSimFilesystem(sim, hw, rng_for(1, "xp-read"))
-    crfs = SimCRFS(sim, hw, _read_config(chunk_size), backend, membus)
+    backend = FaultySimFilesystem(
+        NullSimFilesystem(sim, hw, rng_for(1, "xp-read")), list(rules)
+    )
+    crfs = SimCRFS(sim, hw, _read_config(chunk_size, **overrides), backend, membus)
+    outcomes = []
 
     def proc():
         f = crfs.open("/rank0.img")
         for size in write_sizes:
             yield from crfs.write(f, size)
-        crfs.seek(f, 0)
+        offset = 0
         for size in _read_plan(sum(write_sizes), read_request):
-            yield from crfs.read(f, size)
+            crfs.seek(f, offset)
+            try:
+                yield from crfs.read(f, size)
+                outcomes.append("ok")
+            except Exception as exc:
+                outcomes.append(type(exc).__name__)
+            offset += size
         yield from crfs.close(f)
 
     sim.run_until_complete([sim.spawn(proc())])
-    return crfs.stats()
+    return dict(crfs.stats(), outcomes=outcomes)
+
+
+READ_PLANES = {"functional": functional_read_run, "timing": timing_read_run}
+
+#: A read-only restart mount that keeps faults deterministic across
+#: planes: no window, so every backend pread is a demand fetch (or a
+#: degraded passthrough) in read order.
+BREAKER = dict(readahead_chunks=0, breaker_threshold=3)
+
+#: preads #3-#6 fail: three failed demand fetches trip the breaker, one
+#: failed passthrough probe keeps it open, the first good probe closes it.
+OUTAGE = [FaultRule(op="pread", nth=3, every=True, until=6, error=OSError("outage"))]
 
 
 class TestCrossPlaneReadDifferential:
@@ -317,20 +347,24 @@ class TestCrossPlaneReadDifferential:
     bit-identical across planes for the same workload."""
 
     @pytest.mark.parametrize(
-        "sizes,request_size",
+        "sizes,request_size,faults",
         [
-            ([100 * KiB, 100 * KiB, 56 * KiB], 48 * KiB),
-            ([4096] * 40, 7 * KiB),       # sub-chunk requests
-            ([65 * KiB], 65 * KiB),       # one chunk + spill, one read
-            ([300 * KiB], 96 * KiB),      # requests spanning chunks
-            ([1], 1),
+            ([100 * KiB, 100 * KiB, 56 * KiB], 48 * KiB, {}),
+            ([4096] * 40, 7 * KiB, {}),       # sub-chunk requests
+            ([65 * KiB], 65 * KiB, {}),       # one chunk + spill, one read
+            ([300 * KiB], 96 * KiB, {}),      # requests spanning chunks
+            ([1], 1, {}),
+            # a bounded read outage: trip, degraded probes, recovery
+            ([64 * KiB] * 12, 64 * KiB, dict(BREAKER, rules=OUTAGE)),
         ],
     )
-    def test_read_section_identical(self, sizes, request_size):
+    def test_read_section_identical(self, sizes, request_size, faults):
         chunk = 64 * KiB
-        func = functional_read_run(sizes, request_size, chunk)
-        timing = timing_read_run(sizes, request_size, chunk)
+        func = functional_read_run(sizes, request_size, chunk, **faults)
+        timing = timing_read_run(sizes, request_size, chunk, **faults)
         assert func["read"] == timing["read"]
+        assert func["resilience"] == timing["resilience"]
+        assert func["outcomes"] == timing["outcomes"]
         # reads ride the same pool/queue as writes: the acquire and put
         # counters stay workload-determined too
         assert func["pool"]["acquires"] == timing["pool"]["acquires"]
@@ -359,6 +393,47 @@ class TestCrossPlaneReadDifferential:
         assert func["read"] == timing["read"]
         for key in DETERMINISTIC_FIELDS:
             assert func[key] == timing[key], key
+
+
+class TestReadBreaker:
+    """Read outcomes feed the consecutive-failure breaker both ways: a
+    fetch that lands (or a degraded passthrough probe that succeeds)
+    resets the streak, so only a real outage trips it — and a healed
+    backend gets its cache back."""
+
+    @pytest.mark.parametrize("plane", sorted(READ_PLANES))
+    def test_non_consecutive_read_faults_never_trip(self, plane):
+        """Every 5th pread faults — six failures, each separated by four
+        fetches that landed: never ``breaker_threshold`` in a row."""
+        rules = [FaultRule(op="pread", nth=5, period=5, error=OSError("blip"))]
+        stats = READ_PLANES[plane](
+            [64 * KiB] * 32, 64 * KiB, 64 * KiB, rules=rules, **BREAKER
+        )
+        assert stats["resilience"]["breaker_trips"] == 0
+        # the cache stayed in the path for the whole mount: every read
+        # reached it, and every fault surfaced wrapped, never raw
+        assert stats["read"]["misses"] == 32
+        assert stats["outcomes"].count("BackendIOError") == 6
+        assert stats["outcomes"].count("ok") == 26
+
+    @pytest.mark.parametrize("plane", sorted(READ_PLANES))
+    def test_bounded_outage_trips_recovers_and_serves_hits_again(self, plane):
+        """12 chunks read in half-chunk requests: the outage fails the
+        demand fetches for both halves of chunk 2 and the first of
+        chunk 3 (trip); the passthrough probe for chunk 3's second half
+        fails raw, the one for chunk 4's first half lands and closes the
+        breaker — from there on the cache fetches and serves hits."""
+        stats = READ_PLANES[plane](
+            [64 * KiB] * 12, 32 * KiB, 64 * KiB, rules=OUTAGE, **BREAKER
+        )
+        assert stats["resilience"]["breaker_trips"] == 1
+        assert stats["resilience"]["breaker_recoveries"] == 1
+        assert stats["outcomes"][:12] == (
+            ["ok"] * 4 + ["BackendIOError"] * 3 + ["OSError"] + ["ok"] * 4
+        )
+        assert set(stats["outcomes"][12:]) == {"ok"}
+        # chunks 0-1 and 5-11 each served their second half from cache
+        assert stats["read"]["hits"] == 9
 
 
 # -- the coalesced-writeback differential --------------------------------------

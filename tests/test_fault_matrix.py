@@ -11,7 +11,10 @@ The invariants each cell is checked against:
 * **pread** faults split by origin: a *prefetch* failure is silent (the
   entry is dropped and refetched on demand), a *demand* (foreground)
   failure raises :class:`BackendIOError` at the read call itself; both
-  count toward the circuit breaker.
+  count toward the circuit breaker.  (One flow serves both planes:
+  its policy is unit-tested through a fake port in
+  ``test_restore_engine.py``, the planes' ports by the faulted case of
+  ``TestCrossPlaneReadDifferential``.)
 * **fsync/close** faults are synchronous backend calls: they raise at
   the call site itself, regardless of the retry budget (the retry
   policy covers chunk writeback only).
@@ -249,82 +252,6 @@ class TestPreadCells:
             after = fs.stats()["read"]
             assert after["misses"] == stats["read"]["misses"]
             assert after["prefetched"] == 0
-
-
-class TestSimPreadCells:
-    """The same pread cells on the timing plane, via the shared
-    FaultSchedule — deterministic on the virtual clock."""
-
-    def _run(self, rules, proc_body):
-        from repro.sim import SharedBandwidth, Simulator
-        from repro.simcrfs import SimCRFS
-        from repro.simio.faulty import FaultySimFilesystem
-        from repro.simio.nullfs import NullSimFilesystem
-        from repro.simio.params import DEFAULT_HW
-        from repro.util.rng import rng_for
-
-        sim = Simulator()
-        hw = DEFAULT_HW
-        membus = SharedBandwidth(sim, hw.membus_bandwidth)
-        backend = FaultySimFilesystem(
-            NullSimFilesystem(sim, hw, rng_for(1, "fault-pread")), rules
-        )
-        cfg = CRFSConfig(
-            chunk_size=CHUNK, pool_size=4 * CHUNK, io_threads=1,
-            read_cache_chunks=4, readahead_chunks=2,
-            retry_attempts=1, **FAST,
-        )
-        crfs = SimCRFS(sim, hw, cfg, backend, membus)
-        sim.run_until_complete([sim.spawn(proc_body(crfs))])
-        crfs.shutdown()
-        return backend, crfs.stats()
-
-    def test_sim_demand_read_fault_raises(self):
-        errors = []
-
-        def proc(crfs):
-            f = crfs.open("/ckpt")
-            for _ in range(NCHUNKS):
-                yield from crfs.write(f, CHUNK)
-            yield from crfs.fsync(f)
-            crfs.seek(f, 0)
-            try:
-                yield from crfs.read(f, CHUNK)
-            except BackendIOError as exc:
-                errors.append(exc)
-            yield from crfs.read(f, CHUNK)  # clean demand refetch
-            yield from crfs.close(f)
-
-        backend, stats = self._run(make_rules("pread", "first"), proc)
-        assert len(errors) == 1 and "demand read" in str(errors[0])
-        assert stats["read"]["misses"] == 2
-        assert stats["read"]["hits"] == 0
-        assert backend.faults_fired == 1
-
-    def test_sim_prefetch_fault_silent(self):
-        """Sequential read-back with the chunk-1 prefetch faulted: no
-        error escapes, the drop is accounted, every byte is read."""
-
-        def proc(crfs):
-            f = crfs.open("/ckpt")
-            for _ in range(NCHUNKS):
-                yield from crfs.write(f, CHUNK)
-            yield from crfs.fsync(f)
-            crfs.seek(f, 0)
-            for _ in range(NCHUNKS):
-                yield from crfs.read(f, CHUNK)
-            yield from crfs.close(f)
-
-        rules = [FaultRule(op="pread", nth=2, error=OSError("injected-prefetch"))]
-        backend, stats = self._run(rules, proc)
-        read = stats["read"]
-        assert read["bytes_read"] == NCHUNKS * CHUNK
-        assert read["prefetch_dropped"] == 1
-        assert read["prefetched"] == 2
-        assert read["misses"] == 2  # chunk 0, plus the dropped chunk 1
-        assert read["prefetch_wasted"] == 0
-        assert stats["resilience"]["errors_latched"] == 0
-        assert backend.faults_fired == 1
 
 
 class TestFsyncCells:

@@ -273,23 +273,6 @@ class TestShutdownSafety:
         assert fs.pool.free_chunks == fs.pool.nchunks
 
 
-class TestBreakerBypass:
-    def test_degraded_mode_bypasses_cache(self):
-        data = image(2)
-        fs = CRFS(MemBackend(), ra_config(breaker_threshold=1))
-        with fs, fs.open("/ckpt") as f:
-            f.write(data)
-            f.fsync()
-            fs.health.record_failure()  # trip the breaker directly
-            assert fs.health.degraded
-            assert f.pread(CHUNK, 0) == data[:CHUNK]
-            read = fs.stats()["read"]
-        # passthrough: counted as a read, but the cache never engaged
-        assert read["reads"] == 1
-        assert read["hits"] == read["misses"] == 0
-        assert read["prefetched"] == read["prefetch_dropped"] == 0
-
-
 class TestEvictionAccounting:
     def test_long_scan_evicts_without_leaking(self):
         """An 8-chunk scan through a 4-entry cache churns the LRU; every

@@ -9,9 +9,9 @@ the wait — each loop still gives up within the original deadline.
 
 Covered loops: ``WorkQueue.get`` / ``WorkQueue.get_batch``,
 ``FileEntry.wait_drained``, ``TieredBackend.fsync_through`` /
-``TieredBackend.drain``, and the readahead cache's in-flight wait in
-``ReadCache._chunk_slice`` (exercised via its recovery path, since its
-deadline constant is not configurable).
+``TieredBackend.drain``, and the readahead cache's in-flight wait,
+``ReadCache.await_entry`` (the threaded port's one waiting method, so
+its deadline is a plain argument).
 """
 
 import threading
@@ -22,9 +22,13 @@ import pytest
 from repro.backends import FaultRule, FaultyBackend, MemBackend, TieredBackend
 from repro.config import CRFSConfig
 from repro.core import CRFS
+from repro.core.buffer_pool import BufferPool
 from repro.core.filetable import FileEntry
+from repro.core.readcache import ReadCache
 from repro.core.workqueue import WorkQueue
 from repro.errors import BackendTimeoutError, FileStateError
+from repro.pipeline.readahead import PREFETCH, ReadaheadCore
+from repro.pipeline.writeback import run
 from repro.units import KiB
 
 CHUNK = 64 * KiB
@@ -153,6 +157,40 @@ class TestTierStagingDeadlines:
 
 
 class TestReadCacheInFlightWait:
+    def _parked(self):
+        """A cache with one prefetch entry nobody will ever land."""
+        cache = ReadCache(
+            "/stuck", MemBackend(), None,
+            ReadaheadCore("/stuck", CHUNK, capacity=4, depth=1),
+            BufferPool(CHUNK, 4 * CHUNK), WorkQueue(),
+        )
+        centry, _ = cache.core.admit(3, PREFETCH)
+        return cache, centry
+
+    def test_inflight_wait_times_out_under_notify_storm(self):
+        cache, centry = self._parked()
+
+        def wait():
+            with cache.lock:
+                run(cache.await_entry(centry, timeout=0.3))
+
+        with _Teaser(cache._cond):
+            assert_deadline(wait, FileStateError, 0.3)
+
+    def test_inflight_wait_returns_when_the_fetch_lands(self):
+        cache, centry = self._parked()
+
+        def land():
+            with cache.lock:
+                cache.core.fetch_done(centry, object(), CHUNK)
+                cache.wake(centry)
+
+        with _Teaser(cache._cond):
+            threading.Timer(0.1, land).start()
+            with cache.lock:
+                run(cache.await_entry(centry, timeout=5.0))  # must not raise
+        assert centry.ready
+
     def test_inflight_wait_survives_spurious_wakeups(self):
         """A read that lands on its own in-flight prefetch is woken by
         completions for *other* chunks (spurious for it) and must keep
