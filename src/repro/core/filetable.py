@@ -26,7 +26,7 @@ import time
 from typing import Any, Callable, Optional
 
 from ..errors import FileStateError
-from ..pipeline import FilePipeline, Seal
+from ..pipeline import FilePipeline, PipelineKernel, Seal
 from ..pipeline.kernel import EmitFn
 from ..pipeline.tenancy import DEFAULT_TENANT
 from .chunk import Chunk
@@ -46,6 +46,7 @@ class FileEntry:
         emit: EmitFn | None = None,
         clock: Callable[[], float] | None = None,
         tenant: str = DEFAULT_TENANT,
+        kernel: PipelineKernel | None = None,
     ):
         self.path = path
         self.backend_handle = backend_handle
@@ -65,7 +66,13 @@ class FileEntry:
         self._lock = threading.RLock()
         self._drain = threading.Condition(self._lock)
         self.pipeline = FilePipeline(
-            path, chunk_size, emit=emit, lock=self._lock, clock=clock, tenant=tenant
+            path,
+            chunk_size,
+            emit=emit,
+            lock=self._lock,
+            clock=clock,
+            tenant=tenant,
+            kernel=kernel,
         )
 
     # -- kernel passthrough ----------------------------------------------------

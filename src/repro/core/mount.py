@@ -38,7 +38,7 @@ from ..backends.base import Backend, BackendStat, normalize_path
 from ..backends.tiered import TieredBackend
 from ..config import CRFSConfig, DEFAULT_CONFIG
 from ..errors import FileStateError, MountError
-from ..pipeline import Fill, PipelineKernel, PipelineObserver, Seal, SealReason
+from ..pipeline import Fill, PipelineKernel, PipelineObserver, Seal
 from ..pipeline import readahead
 from ..pipeline.readahead import ReadaheadCore
 from ..pipeline.resilience import BackendHealth
@@ -141,23 +141,9 @@ class CRFS:
         self._mounted = False
         self._lifecycle = threading.Lock()
 
-    # -- mount-level stats views (all counters live in kernel.stats) -----------
-
-    @property
-    def total_writes(self) -> int:
-        return self.kernel.stats.writes
-
-    @property
-    def total_bytes_in(self) -> int:
-        return self.kernel.stats.bytes_in
-
     @property
     def write_through_bytes(self) -> int:
-        return self.kernel.stats.write_through_bytes
-
-    @property
-    def seal_counts(self) -> dict[SealReason, int]:
-        return dict(self.kernel.stats.seal_counts)
+        return self.stats()["write_through_bytes"]
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -255,9 +241,8 @@ class CRFS:
                 norm,
                 handle,
                 self.config.chunk_size,
-                emit=self.kernel.emit,
-                clock=self.kernel.clock,
                 tenant=resolved,
+                kernel=self.kernel,
             )
             if self.config.read_cache_chunks > 0:
                 entry.read_cache = ReadCache(
@@ -302,7 +287,13 @@ class CRFS:
     # -- write path ---------------------------------------------------------
 
     def _write(self, entry: FileEntry, data: bytes | memoryview, offset: int) -> int:
-        """Aggregate one write (Section IV-B).  Returns len(data).
+        """Aggregate one write (Section IV-B).  Returns its byte count.
+
+        A write that continues the append point and leaves room in the
+        open chunk — what a checkpoint mostly issues — is planned by
+        ``FilePipeline.fit_write``, copied and counted under the
+        per-file lock alone; any other takes the general plan below
+        (acquire, fill, seal, enqueue).
 
         With ``write_through_threshold`` set, writes at least that large
         skip aggregation: the partial chunk is sealed first (preserving
@@ -313,14 +304,23 @@ class CRFS:
         """
         self._require_mounted()
         view = memoryview(data)
-        t0 = self.kernel.clock()
+        if not view.c_contiguous:
+            raise BufferError(f"{entry.path}: write of a non-contiguous buffer")
+        nbytes = view.nbytes
+        if nbytes != len(view):  # items wider than a byte, or several dimensions
+            view = view.cast("B")
+        kernel = self.kernel
+        # Timestamps feed the write's events, which nobody but the
+        # stats registry may be listening for (it ignores them).
+        t0 = kernel.clock() if kernel.observed else None
+        pipeline = entry.pipeline
         threshold = self.config.write_through_threshold
         degraded = self.health.degraded
-        if degraded or (threshold and len(view) >= threshold):
+        if degraded or (threshold and nbytes >= threshold):
             with entry.write_lock:
                 if entry.read_cache is not None:
-                    readahead.invalidate(entry.read_cache, offset, len(view))
-                for op in entry.pipeline.plan_write_through(offset, len(view)):
+                    readahead.invalidate(entry.read_cache, offset, nbytes)
+                for op in pipeline.plan_write_through(offset, nbytes):
                     assert isinstance(op, Seal)
                     self._seal_current(entry, op)
                 if not degraded:
@@ -333,41 +333,50 @@ class CRFS:
                 # the seals above were enqueued under the lock, and
                 # positional pwrites to disjoint offsets commute.
                 self._pwrite_degraded(entry, view, offset)
-            entry.pipeline.note_write(
-                offset, len(view), start=t0, write_through=True, degraded=degraded
+            pipeline.note_write(
+                offset, nbytes, start=t0, write_through=True, degraded=degraded
             )
-            return len(view)
+            return nbytes
         with entry.write_lock:
+            # Either plan fails fast if a prior async write already
+            # failed — writing more data into chunks would be silently
+            # lost.
+            at = pipeline.fit_write(offset, nbytes)
             if entry.read_cache is not None:
                 # Cached chunks covering these bytes are stale the moment
                 # the write is accepted (reads go flush+drain first, but
                 # the cache would otherwise keep serving the old bytes).
-                readahead.invalidate(entry.read_cache, offset, len(view))
-            # plan_write fails fast if a prior async write already failed —
-            # writing more data into chunks would be silently lost.
-            ops = entry.pipeline.plan_write(offset, len(view))
-            for op in ops:
-                if isinstance(op, Fill):
-                    if entry.current_chunk is None:
-                        if self.pool.free_chunks == 0:
-                            # Read-cache leases draw on this same pool; a
-                            # fully populated cache (capacity >= pool) can
-                            # otherwise pin every chunk and starve the
-                            # writer forever.  The cache is advisory — a
-                            # blocked writer is not — so shed it first.
-                            self._shed_read_caches()
-                        chunk = self.pool.acquire(tenant=entry.tenant)
-                        chunk.open_for(entry, op.file_offset - op.chunk_offset)
-                        entry.current_chunk = chunk
-                    entry.current_chunk.append(
-                        view[op.data_offset : op.data_offset + op.length],
-                        op.chunk_offset,
-                        op.length,
-                    )
-                else:  # Seal
-                    self._seal_current(entry, op)
-        entry.pipeline.note_write(offset, len(view), start=t0)
-        return len(view)
+                readahead.invalidate(entry.read_cache, offset, nbytes)
+            if at is not None:
+                if nbytes:
+                    entry.current_chunk.append(view, at, nbytes)
+                pipeline.count_write(nbytes)
+            else:
+                for op in pipeline.plan_write(offset, nbytes):
+                    if isinstance(op, Fill):
+                        if entry.current_chunk is None:
+                            if self.pool.free_chunks == 0:
+                                # Read-cache leases draw on this same pool; a
+                                # fully populated cache (capacity >= pool) can
+                                # otherwise pin every chunk and starve the
+                                # writer forever.  The cache is advisory — a
+                                # blocked writer is not — so shed it first.
+                                self._shed_read_caches()
+                            chunk = self.pool.acquire(tenant=entry.tenant)
+                            chunk.open_for(entry, op.file_offset - op.chunk_offset)
+                            entry.current_chunk = chunk
+                        entry.current_chunk.append(
+                            view[op.data_offset : op.data_offset + op.length],
+                            op.chunk_offset,
+                            op.length,
+                        )
+                    else:  # Seal
+                        self._seal_current(entry, op)
+        if at is None:
+            pipeline.note_write(offset, nbytes, start=t0)
+        elif t0 is not None:
+            pipeline.publish_write(offset, nbytes, t0)
+        return nbytes
 
     def _pwrite_degraded(
         self, entry: FileEntry, view: memoryview, offset: int

@@ -19,13 +19,13 @@ to make, and counts every one of them.  The sites:
     definition; serving from it afterwards is not.
 
 Emission happens in shared kernel code (``FilePipeline.note_write`` /
-``note_read`` and ``ReadaheadCore.fetch_done``), so the ledger — and
-therefore ``stats()["mem"]`` — is bit-identical across the functional
-and timing planes by construction.  Backend-internal materializations
-(e.g. ``MemBackend.pread`` returning ``bytes``) are a property of the
-backend boundary, documented on :class:`~repro.backends.base.Backend`,
-and deliberately *not* counted: they differ per backend and would break
-cross-plane parity.
+``count_write`` / ``note_read`` and ``ReadaheadCore.fetch_done``), so
+the ledger — and therefore ``stats()["mem"]`` — is bit-identical across
+the functional and timing planes by construction.  Backend-internal
+materializations (e.g. ``MemBackend.pread`` returning ``bytes``) are a
+property of the backend boundary, documented on
+:class:`~repro.backends.base.Backend`, and deliberately *not* counted:
+they differ per backend and would break cross-plane parity.
 """
 
 from __future__ import annotations
@@ -61,19 +61,20 @@ class CopyLedger:
             site: {"copies": 0, "bytes": 0} for site in COPY_SITES
         }
 
-    def record(self, site: str, length: int) -> None:
-        """Count one copy of ``length`` bytes at ``site``.
+    def record(self, site: str, length: int, copies: int = 1) -> None:
+        """Count one copy of ``length`` bytes at ``site`` — or
+        ``copies`` of them, ``length`` bytes in all.
 
         Unknown sites are admitted (they grow ``by_site``) so the
         ledger never drops data, but every in-tree emitter uses a
         :data:`COPY_SITES` constant.
         """
-        self.copies += 1
+        self.copies += copies
         self.bytes_copied += length
         bucket = self.by_site.get(site)
         if bucket is None:
             bucket = self.by_site.setdefault(site, {"copies": 0, "bytes": 0})
-        bucket["copies"] += 1
+        bucket["copies"] += copies
         bucket["bytes"] += length
 
     def snapshot(self) -> dict:

@@ -15,7 +15,10 @@ Split of responsibilities:
   decide what happens (fail-fast on a latched error, then delegate to
   the shared :class:`~repro.pipeline.planner.WritePlanner`);
   ``note_*`` methods account for what the plane executed and publish
-  the matching event on the unified stream.  The drain *predicate*
+  the matching event on the unified stream.  The one per-call case
+  that can neither block nor seal — a write that fits the open chunk —
+  has its own three plain functions (:meth:`FilePipeline.fit_write`,
+  ``count_write``, ``publish_write``).  The drain *predicate*
   (``drained``) and the raise-exactly-once error contract
   (:meth:`FilePipeline.raise_latched`) live here; how a caller blocks
   until drained is the plane's business (condition variables vs. sim
@@ -50,7 +53,7 @@ from .events import (
     WriteObserved,
 )
 from .planner import PlanOp, Seal, WritePlanner
-from .stats import PipelineStats
+from .stats import HotWrites, PipelineStats
 
 __all__ = ["FilePipeline", "PipelineKernel"]
 
@@ -78,7 +81,9 @@ class FilePipeline:
     functional plane passes the :class:`threading.RLock` its drain
     condition is built on, the timing plane passes nothing (virtual
     time needs no lock).  ``clock`` supplies event timestamps:
-    ``time.perf_counter`` or the simulator's ``now``.
+    ``time.perf_counter`` or the simulator's ``now``.  ``kernel`` is
+    the mount's :class:`PipelineKernel`, which then supplies stream and
+    clock; a pipeline built without one publishes to ``emit`` alone.
     """
 
     def __init__(
@@ -89,12 +94,25 @@ class FilePipeline:
         lock: Any = None,
         clock: Callable[[], float] | None = None,
         tenant: str = "default",
+        kernel: "PipelineKernel | None" = None,
     ):
+        if kernel is not None:
+            emit, clock = kernel.emit, kernel.clock
         self.path = path
         self.tenant = tenant
         self.planner = WritePlanner(chunk_size)
         self.clock = clock if clock is not None else time.perf_counter
         self._emit = emit if emit is not None else _no_emit
+        # Writes that fit the open chunk are counted per file, in a cell
+        # the kernel's stats fold, and published only to the observers
+        # that did not count them; without a kernel nobody folds the
+        # cell and ``emit`` is the only observer.
+        if kernel is not None:
+            self._hot = kernel.stats.hot_writes(path, tenant)
+            self._publish = kernel.publish
+        else:
+            self._hot = HotWrites(tenant)
+            self._publish = self._emit
         self._lock = lock if lock is not None else _NullLock()
         self.write_chunk_count = 0  # chunks handed to the work queue
         self.complete_chunk_count = 0  # chunks the IO workers finished
@@ -115,6 +133,40 @@ class FilePipeline:
         with self._lock:
             self._check_writable()
             return self.planner.write(offset, length)
+
+    def fit_write(self, offset: int, length: int) -> int | None:
+        """Plan a write that continues the append point and leaves room
+        in the open chunk — or is empty — by arithmetic alone.
+
+        Returns the chunk offset to copy the ``length`` bytes to, having
+        advanced the planner exactly as
+        :meth:`~repro.pipeline.planner.WritePlanner.write` would (its
+        plan for this case is one ``Fill``, or nothing); returns None,
+        with the planner untouched, for every other write — no chunk
+        open yet, the chunk fills or spans, a gap or a rewind — which
+        goes through :meth:`plan_write`.  Raises, like it, if an error
+        is latched.  The caller holds whatever serialises writers of
+        this file (the per-file ``write_lock``); the drain lock is not
+        needed — the latch is one attribute read and the planner is
+        only ever advanced by those writers.
+        """
+        if self._error is not None:
+            self._check_writable()
+        planner = self.planner
+        fill = planner.chunk_fill
+        if length > 0:
+            if (
+                fill == 0
+                or offset != planner.chunk_file_offset + fill
+                or fill + length >= planner.chunk_size
+            ):
+                return None
+            planner.chunk_fill = fill + length
+            planner.total_bytes += length
+        elif length < 0 or offset < 0:
+            return None  # the planner rejects it
+        planner.total_writes += 1
+        return fill
 
     def plan_flush(self) -> list[PlanOp]:
         """Seal ops for the partial chunk (close()/fsync() path)."""
@@ -146,25 +198,50 @@ class FilePipeline:
         hands the caller's view straight to the backend: no pipeline
         copy.
         """
+        self._observe_write(self._emit, offset, length, start, write_through, degraded)
+
+    def count_write(self, length: int) -> None:
+        """A write :meth:`fit_write` planned was copied into the chunk:
+        count it, and its one ingest copy, in the file's hot counters —
+        what :meth:`note_write` has the stats registry derive from two
+        events (an empty write copies nothing).  Same caller-held
+        serialisation as :meth:`fit_write`."""
+        hot = self._hot
+        writes, nbytes, copies = hot.counts
+        hot.counts = (writes + 1, nbytes + length, copies + (length > 0))
+
+    def publish_write(self, offset: int, length: int, start: float) -> None:
+        """The events of a write already counted by :meth:`count_write`,
+        for the observers other than the stats registry (skipped
+        entirely while there are none: ``PipelineKernel.observed``)."""
+        self._observe_write(self._publish, offset, length, start)
+
+    def _observe_write(
+        self,
+        emit: EmitFn,
+        offset: int,
+        length: int,
+        start: float | None,
+        write_through: bool = False,
+        degraded: bool = False,
+    ) -> None:
         now = self.clock()
         if start is None:
             start = now
+        # Positional: a per-call path, and keywords cost a quarter of
+        # what building these two records does.
         if not write_through and length > 0:
-            self._emit(
-                CopyObserved(
-                    path=self.path, site=INGEST, length=length, t=now
-                )
-            )
-        self._emit(
+            emit(CopyObserved(self.path, INGEST, length, now))
+        emit(
             WriteObserved(
-                path=self.path,
-                offset=offset,
-                length=length,
-                start=start,
-                duration=now - start,
-                write_through=write_through,
-                degraded=degraded,
-                tenant=self.tenant,
+                self.path,
+                offset,
+                length,
+                start,
+                now - start,
+                write_through,
+                degraded,
+                self.tenant,
             )
         )
 
@@ -406,7 +483,11 @@ class PipelineKernel:
             tiers=tiers,
             fsync_tier=fsync_tier,
         )
-        self._observers: list[PipelineObserver] = [self.stats, *observers]
+        #: Everyone listening besides the kernel's own stats.
+        self._observers: list[PipelineObserver] = list(observers)
+        #: Whether there is anyone — the per-call paths build event
+        #: objects only then.
+        self.observed = bool(self._observers)
         # Per-path delta-checkpoint generation chains (created lazily;
         # non-delta mounts never populate this).
         self._deltas: dict[str, DeltaTracker] = {}
@@ -414,8 +495,16 @@ class PipelineKernel:
     def subscribe(self, observer: PipelineObserver) -> None:
         """Attach an observer to the unified event stream."""
         self._observers.append(observer)
+        self.observed = True
 
     def emit(self, event: PipelineEvent) -> None:
+        self.stats.on_event(event)
+        for observer in self._observers:
+            observer.on_event(event)
+
+    def publish(self, event: PipelineEvent) -> None:
+        """Deliver an event whose counts the stats registry already has
+        (``FilePipeline.count_write``) to every other observer."""
         for observer in self._observers:
             observer.on_event(event)
 
@@ -424,12 +513,7 @@ class PipelineKernel:
     ) -> FilePipeline:
         """A per-file pipeline wired to this kernel's stream and clock."""
         return FilePipeline(
-            path,
-            self.chunk_size,
-            emit=self.emit,
-            lock=lock,
-            clock=self.clock,
-            tenant=tenant,
+            path, self.chunk_size, lock=lock, tenant=tenant, kernel=self
         )
 
     def delta(self, path: str) -> DeltaTracker:

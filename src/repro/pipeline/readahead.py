@@ -128,12 +128,13 @@ class CacheEntry:
     instead).
     """
 
-    __slots__ = ("index", "origin", "ready", "used", "evicted", "payload", "waiters")
+    __slots__ = ("index", "origin", "ready", "valid", "used", "evicted", "payload", "waiters")
 
     def __init__(self, index: int, origin: str):
         self.index = index
         self.origin = origin
         self.ready = False  # payload holds the fetched chunk
+        self.valid = 0  # bytes the fetch delivered (short at the then-EOF)
         self.used = False  # some read was served from (or waited on) it
         self.evicted = False  # removed from the index; payload is stale
         self.payload: Any = None
@@ -384,6 +385,7 @@ class ReadaheadCore:
         if entry.evicted:
             return False
         entry.ready = True
+        entry.valid = length
         entry.payload = payload
         if entry.origin == PREFETCH:
             self._emit(
@@ -543,8 +545,9 @@ def cached_chunk(cache: Any, index: int, lo: int, hi: int, file_size: int) -> Ge
     """One chunk's contribution to a cached read (caller holds
     ``cache.lock``).  A miss fetches the whole aligned chunk on demand;
     a hit on an in-flight entry (our own prefetch) parks until the
-    worker lands it and, if it was dropped or evicted instead, retries
-    from a fresh access."""
+    worker lands it and, if it was dropped or evicted instead — or
+    turns out to hold fewer valid bytes than the read now needs —
+    retries from a fresh access."""
     core = cache.core
     base = index * core.chunk_size
     while True:
@@ -554,6 +557,13 @@ def cached_chunk(cache: Any, index: int, lo: int, hi: int, file_size: int) -> Ge
         if not centry.ready:
             yield from cache.await_entry(centry)
         if centry.evicted:
+            continue
+        if hi - base > centry.valid:
+            # ``hi`` is clipped at the file size, so the entry was
+            # fetched short at a then-EOF that a write elsewhere (no
+            # invalidation reached it) has since moved: past ``valid``
+            # its buffer holds whatever the pooled chunk held before.
+            release_evicted(cache, core.invalidate(base, 1))
             continue
         return cache.view(centry.payload, lo - base, hi - base)
 

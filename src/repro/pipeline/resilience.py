@@ -143,9 +143,12 @@ class BackendHealth:
 
     @property
     def degraded(self) -> bool:
-        """Whether the breaker is open (mount is in write-through)."""
-        with self._lock:
-            return self._degraded
+        """Whether the breaker is open (mount is in write-through).
+
+        Read on every ``write()``: one attribute read, atomic without
+        the lock (which could not keep the answer fresh past its
+        release anyway)."""
+        return self._degraded
 
     @property
     def consecutive_failures(self) -> int:

@@ -1,12 +1,15 @@
 """PipelineStats: the counter registry behind ``stats()``.
 
 One instance per mount, shared by every pipeline component (file
-pipelines, buffer pool, work queue, IO workers) on *either* plane.  All
-counters are derived from the unified event stream in :meth:`on_event`
-and bumped under one lock, so :meth:`snapshot` returns one atomic,
-mutually-consistent view — the functional plane's ``CRFS.stats()`` and
-the timing plane's ``SimCRFS.stats()`` both return exactly this schema,
-which the cross-plane differential tests compare field-for-field.
+pipelines, buffer pool, work queue, IO workers) on *either* plane.
+Counters are derived from the unified event stream in :meth:`on_event`
+and bumped under one lock — all but the per-call ones of a write that
+fits its open chunk, which each open file gathers in its own
+:class:`HotWrites` cell without that lock and :meth:`snapshot` folds in.
+Either way :meth:`snapshot` returns one atomic, mutually-consistent
+view — the functional plane's ``CRFS.stats()`` and the timing plane's
+``SimCRFS.stats()`` both return exactly this schema, which the
+cross-plane differential tests compare field-for-field.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import threading
 from typing import Any, Iterable
 
 from ..util.stats import nearest_rank
-from .copies import CopyLedger
+from .copies import INGEST, CopyLedger
 from .events import (
     AdmissionWait,
     BackendDegraded,
@@ -56,7 +59,7 @@ from .events import (
 )
 from .planner import SealReason
 
-__all__ = ["PipelineStats", "flatten_snapshot"]
+__all__ = ["HotWrites", "PipelineStats", "flatten_snapshot"]
 
 
 def _new_tenant_counters() -> dict[str, Any]:
@@ -132,14 +135,38 @@ def flatten_snapshot(
     return flat
 
 
+class HotWrites:
+    """One open file's count of the writes that fit their open chunk.
+
+    The file's writer — whoever holds its write serialisation (the
+    threaded plane's per-file ``write_lock``; the simulator is
+    single-threaded) — replaces :attr:`counts` whole, so the registry
+    reads a whole number of writes at any instant without a lock the
+    writer would have to share.  :attr:`folded` (how much of it the
+    registry has absorbed) and :attr:`opens` belong to the registry and
+    its lock.
+    """
+
+    __slots__ = ("tenant", "opens", "counts", "folded")
+
+    def __init__(self, tenant: str):
+        self.tenant = tenant
+        self.opens = 0  # FileOpened minus FileClosed seen for the file
+        #: cumulative (writes, bytes, ingest copies)
+        self.counts = (0, 0, 0)
+        self.folded = (0, 0, 0)
+
+
 class PipelineStats(PipelineObserver):
     """Thread-safe counter registry fed by the pipeline event stream.
 
     ``chunk_size``/``pool_chunks`` are structural gauges reported in the
-    snapshot's ``pool`` section; everything else is counted from events.
-    Reading an individual attribute is a single-int read (atomic in
-    CPython); use :meth:`snapshot` when fields must be consistent with
-    each other.
+    snapshot's ``pool`` section; everything else is counted from events
+    or folded from the open files' :class:`HotWrites`.  Reading an
+    individual attribute is a single-int read (atomic in CPython), but
+    ``writes``, ``bytes_in``, their per-tenant shares and the ingest
+    copies are only as fresh as the last fold; use :meth:`snapshot`
+    for those, and whenever fields must be consistent with each other.
     """
 
     def __init__(
@@ -167,6 +194,9 @@ class PipelineStats(PipelineObserver):
         self.tiers: dict[str, dict[str, Any]] = {
             str(level): _new_tier_counters() for level in range(tiers)
         }
+        # Hot write counters of the files now open, by (path, tenant);
+        # folded by every snapshot, folded and dropped at FileClosed.
+        self._hot: dict[tuple[str, str], HotWrites] = {}
         # -- write path
         self.writes = 0
         self.bytes_in = 0
@@ -249,172 +279,251 @@ class PipelineStats(PipelineObserver):
             counters = self.tenants[name] = _new_tenant_counters()
         return counters
 
+    # -- per-file hot write counters --------------------------------------------
+
+    def hot_writes(self, path: str, tenant: str) -> HotWrites:
+        """The cell an open file's pipeline counts its fitting writes in."""
+        with self._lock:
+            return self._hot_cell(path, tenant)
+
+    def _hot_cell(self, path: str, tenant: str) -> HotWrites:
+        hot = self._hot.get((path, tenant))
+        if hot is None:
+            hot = self._hot[(path, tenant)] = HotWrites(tenant)
+        return hot
+
+    def _fold(self, hot: HotWrites) -> None:
+        """Absorb what ``hot`` gathered since it was last folded (caller
+        holds the lock) — through the same arithmetic as the
+        ``WriteObserved``/``CopyObserved`` events these writes replace."""
+        counts = hot.counts
+        writes, nbytes, copies = (now - was for now, was in zip(counts, hot.folded))
+        if writes:
+            self._count_writes(hot.tenant, writes, nbytes)
+            self.copies.record(INGEST, nbytes, copies)
+            hot.folded = counts
+
     # -- event intake ---------------------------------------------------------
 
     def on_event(self, event: PipelineEvent) -> None:
-        with self._lock:
-            if isinstance(event, WriteObserved):
-                self.writes += 1
-                self.bytes_in += event.length
-                if event.write_through:
-                    self.write_through_bytes += event.length
-                if event.degraded:
-                    self.degraded_writes += 1
-                    self.degraded_bytes += event.length
-                t = self._tenant(event.tenant)
-                t["writes"] += 1
-                t["bytes_in"] += event.length
-            elif isinstance(event, ChunkSealed):
-                self.seal_counts[event.reason] += 1
-                self._tenant(event.tenant)["chunks_queued"] += 1
-            elif isinstance(event, ChunkWritten):
-                t = self._tenant(event.tenant)
-                if event.error is None:
-                    self.chunks_written += 1
-                    self.bytes_out += event.length
-                    t["chunks_written"] += 1
-                    t["bytes_out"] += event.length
-                else:
-                    self.io_errors += 1
-                    t["io_errors"] += 1
-            elif isinstance(event, BatchWritten):
-                if event.error is None:
-                    self.batches_written += 1
-                    self.batch_chunks += event.chunks
-                    self.batch_bytes += event.length
-                    self.batch_histogram[event.chunks] = (
-                        self.batch_histogram.get(event.chunks, 0) + 1
-                    )
-                else:
-                    self.batch_errors += 1
-            elif isinstance(event, BatchBroken):
-                self.batches_broken += 1
-            elif isinstance(event, PoolPressure):
-                if event.released:
-                    self.pool_releases += 1
-                else:
-                    self.pool_acquires += 1
-                    if event.waited:
-                        self.pool_waits += 1
-                    if event.in_use > self.pool_max_in_use:
-                        self.pool_max_in_use = event.in_use
-                    t = self._tenant(event.tenant)
-                    if event.tenant_in_use > t["pool_max_in_use"]:
-                        t["pool_max_in_use"] = event.tenant_in_use
-            elif isinstance(event, QueuePressure):
-                self.queue_puts += 1
-                if event.depth > self.queue_max_depth:
-                    self.queue_max_depth = event.depth
-                t = self._tenant(event.tenant)
-                if event.tenant_depth > t["queue_max_depth"]:
-                    t["queue_max_depth"] = event.tenant_depth
-            elif isinstance(event, AdmissionWait):
-                self.admission_waits += 1
-                self._tenant(event.tenant)["admission_waits"] += 1
-            elif isinstance(event, FileOpened):
-                self.open_files += 1
-            elif isinstance(event, FileClosed):
-                self.open_files -= 1
-            elif isinstance(event, ErrorLatched):
-                self.errors_latched += 1
-            elif isinstance(event, ChunkRetried):
-                self.chunks_retried += 1
-            elif isinstance(event, BackendDegraded):
-                self.breaker_trips += 1
-            elif isinstance(event, BackendRecovered):
-                self.breaker_recoveries += 1
-            elif isinstance(event, FileDrained):
-                self.drain_waits += 1
-                if event.outstanding:
-                    self.drain_waits_blocked += 1
-                self.drain_time_total += event.duration
-                if event.duration > self.drain_time_max:
-                    self.drain_time_max = event.duration
-                t = self._tenant(event.tenant)
-                t["drain_waits"] += 1
-                if event.outstanding:
-                    t["drain_waits_blocked"] += 1
-                t["drain_time_total"] += event.duration
-                if event.duration > t["drain_time_max"]:
-                    t["drain_time_max"] = event.duration
-                self._drain_samples.setdefault(event.tenant, []).append(
-                    event.duration
-                )
-            elif isinstance(event, WorkersDrained):
-                self.shutdown_drains += 1
-                self.shutdown_drain_time += event.duration
-            elif isinstance(event, ReadObserved):
-                self.reads += 1
-                self.bytes_read += event.length
-                t = self._tenant(event.tenant)
-                t["reads"] += 1
-                t["bytes_read"] += event.length
-            elif isinstance(event, CopyObserved):
-                self.copies.record(event.site, event.length)
-            elif isinstance(event, ReadHit):
-                self.read_hits += 1
-            elif isinstance(event, ReadMiss):
-                self.read_misses += 1
-            elif isinstance(event, ChunkPrefetched):
-                self.chunks_prefetched += 1
-            elif isinstance(event, PrefetchDropped):
-                self.prefetch_dropped += 1
-            elif isinstance(event, PrefetchWasted):
-                self.prefetch_wasted += 1
-            elif isinstance(event, WindowGrown):
-                self.window_grown += 1
-                self.current_window = event.window
-            elif isinstance(event, WindowShrunk):
-                self.window_shrunk += 1
-                self.current_window = event.window
-            elif isinstance(event, DeltaGenerationCommitted):
-                self.delta_generations += 1
-                self.delta_dirty_chunks += event.dirty_chunks
-                self.delta_clean_chunks += event.clean_chunks
-                self.delta_bytes_written += event.dirty_bytes
-                self.delta_logical_bytes += event.logical_bytes
-                self.delta_manifest_writes += 1
-                self.delta_manifest_bytes += event.manifest_bytes
-            elif isinstance(event, DeltaRestored):
-                self.delta_restores += 1
-                self.delta_reassembly_reads += event.reassembly_reads
-                self.delta_reassembly_bytes += event.reassembly_bytes
-            elif isinstance(event, TierStaged):
-                t = self.tiers["0"]
-                t["chunks_staged"] += 1
-                t["bytes_staged"] += event.length
-            elif isinstance(event, TierMigrated):
-                dst = self.tiers[str(event.tier)]
-                if event.error is None:
-                    dst["chunks_staged"] += event.chunks
-                    dst["bytes_staged"] += event.length
-                    src = self.tiers[str(event.tier - 1)]
-                    src["chunks_migrated"] += event.chunks
-                    src["bytes_migrated"] += event.length
-                else:
-                    dst["migrate_errors"] += 1
-                    dst["chunks_stranded"] += event.chunks
-                    dst["bytes_stranded"] += event.length
-            elif isinstance(event, TierPumpPressure):
-                t = self.tiers[str(event.tier)]
-                if event.depth > t["pump_queue_max"]:
-                    t["pump_queue_max"] = event.depth
-            elif isinstance(event, TierSynced):
-                self.tiers[str(event.tier)]["syncs"] += 1
-                if event.tier > self.sync_through:
-                    self.sync_through = event.tier
-            elif isinstance(event, TierRetried):
-                self.tiers[str(event.tier)]["migrate_retries"] += 1
-            elif isinstance(event, TierDegraded):
-                self.tiers[str(event.tier)]["breaker_trips"] += 1
-            elif isinstance(event, TierRecovered):
-                self.tiers[str(event.tier)]["breaker_recoveries"] += 1
+        handler = _HANDLERS.get(type(event))
+        if handler is not None:
+            with self._lock:
+                handler(self, event)
+
+    # One handler per event type (caller holds the lock); ``_HANDLERS``
+    # below maps each exact type to its handler — no event class is
+    # subclassed, so the exact type is the whole dispatch.
+
+    def _count_writes(self, tenant: str, writes: int, nbytes: int) -> None:
+        """``writes`` accepted application writes of ``nbytes`` in all
+        — one ``WriteObserved``, or what a file's hot counters gathered
+        since they were last folded."""
+        self.writes += writes
+        self.bytes_in += nbytes
+        t = self._tenant(tenant)
+        t["writes"] += writes
+        t["bytes_in"] += nbytes
+
+    def _on_write(self, event: WriteObserved) -> None:
+        self._count_writes(event.tenant, 1, event.length)
+        if event.write_through:
+            self.write_through_bytes += event.length
+        if event.degraded:
+            self.degraded_writes += 1
+            self.degraded_bytes += event.length
+
+    def _on_copy(self, event: CopyObserved) -> None:
+        self.copies.record(event.site, event.length)
+
+    def _on_chunk_sealed(self, event: ChunkSealed) -> None:
+        self.seal_counts[event.reason] += 1
+        self._tenant(event.tenant)["chunks_queued"] += 1
+
+    def _on_chunk_written(self, event: ChunkWritten) -> None:
+        t = self._tenant(event.tenant)
+        if event.error is None:
+            self.chunks_written += 1
+            self.bytes_out += event.length
+            t["chunks_written"] += 1
+            t["bytes_out"] += event.length
+        else:
+            self.io_errors += 1
+            t["io_errors"] += 1
+
+    def _on_batch_written(self, event: BatchWritten) -> None:
+        if event.error is None:
+            self.batches_written += 1
+            self.batch_chunks += event.chunks
+            self.batch_bytes += event.length
+            self.batch_histogram[event.chunks] = (
+                self.batch_histogram.get(event.chunks, 0) + 1
+            )
+        else:
+            self.batch_errors += 1
+
+    def _on_batch_broken(self, event: BatchBroken) -> None:
+        self.batches_broken += 1
+
+    def _on_pool_pressure(self, event: PoolPressure) -> None:
+        if event.released:
+            self.pool_releases += 1
+            return
+        self.pool_acquires += 1
+        if event.waited:
+            self.pool_waits += 1
+        if event.in_use > self.pool_max_in_use:
+            self.pool_max_in_use = event.in_use
+        t = self._tenant(event.tenant)
+        if event.tenant_in_use > t["pool_max_in_use"]:
+            t["pool_max_in_use"] = event.tenant_in_use
+
+    def _on_queue_pressure(self, event: QueuePressure) -> None:
+        self.queue_puts += 1
+        if event.depth > self.queue_max_depth:
+            self.queue_max_depth = event.depth
+        t = self._tenant(event.tenant)
+        if event.tenant_depth > t["queue_max_depth"]:
+            t["queue_max_depth"] = event.tenant_depth
+
+    def _on_admission_wait(self, event: AdmissionWait) -> None:
+        self.admission_waits += 1
+        self._tenant(event.tenant)["admission_waits"] += 1
+
+    def _on_file_opened(self, event: FileOpened) -> None:
+        self.open_files += 1
+        self._hot_cell(event.path, event.tenant).opens += 1
+
+    def _on_file_closed(self, event: FileClosed) -> None:
+        self.open_files -= 1
+        key = (event.path, event.tenant)
+        hot = self._hot.get(key)
+        if hot is not None:
+            hot.opens -= 1
+            if hot.opens <= 0:
+                self._fold(hot)
+                del self._hot[key]
+
+    def _on_error_latched(self, event: ErrorLatched) -> None:
+        self.errors_latched += 1
+
+    def _on_chunk_retried(self, event: ChunkRetried) -> None:
+        self.chunks_retried += 1
+
+    def _on_backend_degraded(self, event: BackendDegraded) -> None:
+        self.breaker_trips += 1
+
+    def _on_backend_recovered(self, event: BackendRecovered) -> None:
+        self.breaker_recoveries += 1
+
+    def _on_file_drained(self, event: FileDrained) -> None:
+        self.drain_waits += 1
+        if event.outstanding:
+            self.drain_waits_blocked += 1
+        self.drain_time_total += event.duration
+        if event.duration > self.drain_time_max:
+            self.drain_time_max = event.duration
+        t = self._tenant(event.tenant)
+        t["drain_waits"] += 1
+        if event.outstanding:
+            t["drain_waits_blocked"] += 1
+        t["drain_time_total"] += event.duration
+        if event.duration > t["drain_time_max"]:
+            t["drain_time_max"] = event.duration
+        self._drain_samples.setdefault(event.tenant, []).append(event.duration)
+
+    def _on_workers_drained(self, event: WorkersDrained) -> None:
+        self.shutdown_drains += 1
+        self.shutdown_drain_time += event.duration
+
+    def _on_read(self, event: ReadObserved) -> None:
+        self.reads += 1
+        self.bytes_read += event.length
+        t = self._tenant(event.tenant)
+        t["reads"] += 1
+        t["bytes_read"] += event.length
+
+    def _on_read_hit(self, event: ReadHit) -> None:
+        self.read_hits += 1
+
+    def _on_read_miss(self, event: ReadMiss) -> None:
+        self.read_misses += 1
+
+    def _on_chunk_prefetched(self, event: ChunkPrefetched) -> None:
+        self.chunks_prefetched += 1
+
+    def _on_prefetch_dropped(self, event: PrefetchDropped) -> None:
+        self.prefetch_dropped += 1
+
+    def _on_prefetch_wasted(self, event: PrefetchWasted) -> None:
+        self.prefetch_wasted += 1
+
+    def _on_window_grown(self, event: WindowGrown) -> None:
+        self.window_grown += 1
+        self.current_window = event.window
+
+    def _on_window_shrunk(self, event: WindowShrunk) -> None:
+        self.window_shrunk += 1
+        self.current_window = event.window
+
+    def _on_delta_committed(self, event: DeltaGenerationCommitted) -> None:
+        self.delta_generations += 1
+        self.delta_dirty_chunks += event.dirty_chunks
+        self.delta_clean_chunks += event.clean_chunks
+        self.delta_bytes_written += event.dirty_bytes
+        self.delta_logical_bytes += event.logical_bytes
+        self.delta_manifest_writes += 1
+        self.delta_manifest_bytes += event.manifest_bytes
+
+    def _on_delta_restored(self, event: DeltaRestored) -> None:
+        self.delta_restores += 1
+        self.delta_reassembly_reads += event.reassembly_reads
+        self.delta_reassembly_bytes += event.reassembly_bytes
+
+    def _on_tier_staged(self, event: TierStaged) -> None:
+        t = self.tiers["0"]
+        t["chunks_staged"] += 1
+        t["bytes_staged"] += event.length
+
+    def _on_tier_migrated(self, event: TierMigrated) -> None:
+        dst = self.tiers[str(event.tier)]
+        if event.error is None:
+            dst["chunks_staged"] += event.chunks
+            dst["bytes_staged"] += event.length
+            src = self.tiers[str(event.tier - 1)]
+            src["chunks_migrated"] += event.chunks
+            src["bytes_migrated"] += event.length
+        else:
+            dst["migrate_errors"] += 1
+            dst["chunks_stranded"] += event.chunks
+            dst["bytes_stranded"] += event.length
+
+    def _on_tier_pump_pressure(self, event: TierPumpPressure) -> None:
+        t = self.tiers[str(event.tier)]
+        if event.depth > t["pump_queue_max"]:
+            t["pump_queue_max"] = event.depth
+
+    def _on_tier_synced(self, event: TierSynced) -> None:
+        self.tiers[str(event.tier)]["syncs"] += 1
+        if event.tier > self.sync_through:
+            self.sync_through = event.tier
+
+    def _on_tier_retried(self, event: TierRetried) -> None:
+        self.tiers[str(event.tier)]["migrate_retries"] += 1
+
+    def _on_tier_degraded(self, event: TierDegraded) -> None:
+        self.tiers[str(event.tier)]["breaker_trips"] += 1
+
+    def _on_tier_recovered(self, event: TierRecovered) -> None:
+        self.tiers[str(event.tier)]["breaker_recoveries"] += 1
 
     # -- snapshot -------------------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
         """One atomic, plane-identical view of every counter."""
         with self._lock:
+            for hot in self._hot.values():
+                self._fold(hot)
             return {
                 "writes": self.writes,
                 "bytes_in": self.bytes_in,
@@ -518,3 +627,41 @@ class PipelineStats(PipelineObserver):
                     "degraded_bytes": self.degraded_bytes,
                 },
             }
+
+
+_HANDLERS = {
+    WriteObserved: PipelineStats._on_write,
+    CopyObserved: PipelineStats._on_copy,
+    ChunkSealed: PipelineStats._on_chunk_sealed,
+    ChunkWritten: PipelineStats._on_chunk_written,
+    BatchWritten: PipelineStats._on_batch_written,
+    BatchBroken: PipelineStats._on_batch_broken,
+    PoolPressure: PipelineStats._on_pool_pressure,
+    QueuePressure: PipelineStats._on_queue_pressure,
+    AdmissionWait: PipelineStats._on_admission_wait,
+    FileOpened: PipelineStats._on_file_opened,
+    FileClosed: PipelineStats._on_file_closed,
+    ErrorLatched: PipelineStats._on_error_latched,
+    ChunkRetried: PipelineStats._on_chunk_retried,
+    BackendDegraded: PipelineStats._on_backend_degraded,
+    BackendRecovered: PipelineStats._on_backend_recovered,
+    FileDrained: PipelineStats._on_file_drained,
+    WorkersDrained: PipelineStats._on_workers_drained,
+    ReadObserved: PipelineStats._on_read,
+    ReadHit: PipelineStats._on_read_hit,
+    ReadMiss: PipelineStats._on_read_miss,
+    ChunkPrefetched: PipelineStats._on_chunk_prefetched,
+    PrefetchDropped: PipelineStats._on_prefetch_dropped,
+    PrefetchWasted: PipelineStats._on_prefetch_wasted,
+    WindowGrown: PipelineStats._on_window_grown,
+    WindowShrunk: PipelineStats._on_window_shrunk,
+    DeltaGenerationCommitted: PipelineStats._on_delta_committed,
+    DeltaRestored: PipelineStats._on_delta_restored,
+    TierStaged: PipelineStats._on_tier_staged,
+    TierMigrated: PipelineStats._on_tier_migrated,
+    TierPumpPressure: PipelineStats._on_tier_pump_pressure,
+    TierSynced: PipelineStats._on_tier_synced,
+    TierRetried: PipelineStats._on_tier_retried,
+    TierDegraded: PipelineStats._on_tier_degraded,
+    TierRecovered: PipelineStats._on_tier_recovered,
+}

@@ -339,14 +339,6 @@ class SimCRFS:
     def bytes_written(self) -> int:
         return self.kernel.stats.bytes_out
 
-    @property
-    def total_writes(self) -> int:
-        return self.kernel.stats.writes
-
-    @property
-    def total_bytes_in(self) -> int:
-        return self.kernel.stats.bytes_in
-
     def stats(self) -> dict[str, Any]:
         """One atomic snapshot of the pipeline counters — the identical
         schema (and counting code) as the functional plane's
@@ -457,31 +449,40 @@ class SimCRFS:
             return
         t0 = self.sim.now
         offset0 = f.pos
+        pipeline = f.pipeline
         if f.read_cache is not None:
             readahead.invalidate(f.read_cache, offset0, nbytes)
+        fits = True  # every request so far fit the open chunk
         for request in fuse_requests(nbytes, self.hw.fuse_max_request):
             yield self.sim.timeout(self.hw.fuse_request_overhead)
             if request >= PAGE:
                 yield self.membus.transfer(request)
-            for op in f.pipeline.plan_write(f.pos, request):
-                if isinstance(op, Fill):
-                    if not f.has_chunk:
-                        # backpressure point
-                        waited = self._pool_would_wait(f.tenant)
-                        if waited:
-                            # Read-cache leases draw on this pool; shed
-                            # them before parking the writer (as
-                            # CRFS._shed_read_caches does) or a full
-                            # cache deadlocks the virtual clock.
-                            self._shed_read_caches()
+            if pipeline.fit_write(f.pos, request) is None:
+                fits = False
+                for op in pipeline.plan_write(f.pos, request):
+                    if isinstance(op, Fill):
+                        if not f.has_chunk:
+                            # backpressure point
                             waited = self._pool_would_wait(f.tenant)
-                        yield self._pool_acquire(f.tenant)
-                        self._note_pool(f.tenant, waited=waited)
-                        f.has_chunk = True
-                else:
-                    yield from self._seal(f, op)
+                            if waited:
+                                # Read-cache leases draw on this pool; shed
+                                # them before parking the writer (as
+                                # CRFS._shed_read_caches does) or a full
+                                # cache deadlocks the virtual clock.
+                                self._shed_read_caches()
+                                waited = self._pool_would_wait(f.tenant)
+                            yield self._pool_acquire(f.tenant)
+                            self._note_pool(f.tenant, waited=waited)
+                            f.has_chunk = True
+                    else:
+                        yield from self._seal(f, op)
             f.pos += request
-        f.pipeline.note_write(offset0, nbytes, start=t0)
+        if not fits:
+            pipeline.note_write(offset0, nbytes, start=t0)
+        else:
+            pipeline.count_write(nbytes)
+            if self.kernel.observed:
+                pipeline.publish_write(offset0, nbytes, t0)
 
     def flush(self, f: SimCRFSFile):
         """Generator: seal the partial chunk (close/fsync path)."""

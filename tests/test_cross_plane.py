@@ -380,6 +380,51 @@ class TestCrossPlaneReadDifferential:
             assert snap["read"]["misses"] >= 1
             assert snap["read"]["prefetched"] > 0
 
+    def test_entry_fetched_short_at_an_old_eof_is_refetched(self):
+        """Chunk 1 is prefetched holding the file's last byte; a write
+        two chunks on grows the file without touching it; the next read
+        reaches a second byte into it.  Serving that from the cached
+        buffer returned whatever the pooled chunk held before (0x07,
+        from its turn as a write chunk) for a byte that is a hole."""
+        chunk = 4096
+        cfg = _read_config(chunk)
+        fs = CRFS(MemBackend(), cfg)
+        with fs:
+            with fs.open("/rank0.img") as f:
+                f.write(b"\x07" * (chunk + 1))
+                assert f.pread(1, 0) == b"\x07"
+                f.pwrite(b"\x09", 2 * chunk)
+                assert f.pread(chunk + 2, 0) == b"\x07" * (chunk + 1) + b"\x00"
+                # consume the window's last prefetch, so none is in
+                # flight (plane-dependently) at close
+                assert f.pread(1, 2 * chunk) == b"\x09"
+        func = fs.stats()
+
+        sim = Simulator()
+        membus = SharedBandwidth(sim, DEFAULT_HW.membus_bandwidth)
+        backend = NullSimFilesystem(sim, DEFAULT_HW, rng_for(1, "xp-short"))
+        crfs = SimCRFS(sim, DEFAULT_HW, cfg, backend, membus)
+
+        def proc():
+            f = crfs.open("/rank0.img")
+            yield from crfs.write(f, chunk + 1)
+            yield from crfs.read(f, 1)
+            f.pos = 2 * chunk
+            yield from crfs.write(f, 1)
+            crfs.seek(f, 0)
+            yield from crfs.read(f, chunk + 2)
+            crfs.seek(f, 2 * chunk)
+            yield from crfs.read(f, 1)
+            yield from crfs.close(f)
+
+        sim.run_until_complete([sim.spawn(proc())])
+        timing = crfs.stats()
+        assert func["read"] == timing["read"]
+        # chunk 0: miss, then hit; chunk 1: the stale hit, then its
+        # re-fetch; chunk 2: hit
+        assert (func["read"]["hits"], func["read"]["misses"]) == (3, 2)
+        assert func["mem"] == timing["mem"]
+
     @given(
         sizes=st.lists(st.integers(min_value=1, max_value=150 * KiB), min_size=1,
                        max_size=15),

@@ -1,5 +1,9 @@
 """Edge-case tests for CRFSFile handle semantics and mount namespace ops."""
 
+import io
+from array import array
+
+import numpy as np
 import pytest
 
 from repro.backends import MemBackend
@@ -100,6 +104,53 @@ class TestReadSemantics:
         assert f.writable() and f.readable() and f.seekable()
         f.close()
         assert not f.writable() and not f.readable()
+
+
+class TestWriteBufferTypes:
+    """``write()`` takes any C-contiguous buffer and writes its bytes —
+    a buffer's length counts items, which are not bytes for an
+    ``array("d")`` or a NumPy shard."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            array("d", [1.0, 2.0, 3.0]),
+            np.arange(12, dtype=np.float32).reshape(3, 4),
+            memoryview(array("H", range(100))),
+        ],
+        ids=["array-d", "numpy-2d-float32", "memoryview-H"],
+    )
+    @pytest.mark.parametrize("threshold", [0, 16], ids=["aggregated", "write-through"])
+    def test_wide_items_write_all_their_bytes(self, data, threshold):
+        raw = memoryview(data).tobytes()
+        assert len(raw) > len(data)
+        mem = MemBackend()
+        cfg = CRFSConfig(
+            chunk_size=4 * KiB, pool_size=32 * KiB, write_through_threshold=threshold
+        )
+        with CRFS(mem, cfg) as fs:
+            with fs.open("/f") as f:
+                f.write(b"\xff")  # opens the chunk: the next write fits it
+                assert f.write(data) == len(raw)
+                assert f.tell() == 1 + len(raw)
+            assert fs.stats()["bytes_in"] == 1 + len(raw)
+        handle = mem.open("/f", create=False)
+        assert mem.pread(handle, mem.file_size(handle), 0) == b"\xff" + raw
+
+    @pytest.mark.parametrize(
+        "data",
+        [memoryview(b"abcdef")[::2], np.arange(12, dtype=np.float32).reshape(3, 4).T],
+        ids=["strided-bytes", "numpy-transposed"],
+    )
+    def test_non_contiguous_buffer_is_refused_like_io_does(self, fs, data):
+        # BufferError from a memoryview; NumPy's own export says ValueError
+        with pytest.raises((BufferError, ValueError)):
+            io.BytesIO().write(data)
+        with fs.open("/f") as f:
+            with pytest.raises(BufferError):
+                f.write(data)
+            assert f.tell() == 0
+        assert fs.stats()["writes"] == 0
 
 
 class TestHandleLifecycle:

@@ -14,7 +14,7 @@ weaker (paper Section IV-D1, checkpoint-only) read semantics.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.backends import MemBackend
 from repro.config import CRFSConfig
@@ -109,6 +109,11 @@ def run_sequence(ops, config):
 
 class TestReadPathProperties:
     @given(ops=OPS)
+    # A chunk cached short at the then-EOF, the file grown by a write
+    # that does not overlap it, then read past its valid bytes.
+    @example(
+        ops=[("write", 0, 4097), ("pread", 0, 1), ("pwrite", 8192, 1), ("pread", 0, 4098)]
+    )
     @settings(max_examples=30, deadline=None)
     def test_cache_is_semantically_invisible(self, ops):
         cached_obs, cached_bytes, cached_stats = run_sequence(ops, cached_config())
