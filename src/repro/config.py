@@ -59,7 +59,7 @@ class CRFSConfig:
     readahead_chunks: int = 0
     #: Adaptive prefetch window (AIMD): ``readahead_chunks`` becomes the
     #: *initial* window, which grows by one chunk per streak of
-    #: consecutive sequential hits (up to ``read_cache_chunks - 1``) and
+    #: consecutive sequential hits (up to ``read_cache_chunks - 2``) and
     #: halves under cache pressure — unread prefetches evicted, fetches
     #: dropped on a starved pool, delivered prefetches wasted.  False
     #: (the default) keeps the window pinned at ``readahead_chunks``.

@@ -440,17 +440,24 @@ class CRFS:
 
     def _read(self, entry: FileEntry, size: int, offset: int) -> bytes:
         """read(): passthrough by default, cached with readahead on —
-        :func:`repro.pipeline.readahead.read`, the one definition both
-        planes run.
+        the definitions in :mod:`repro.pipeline.readahead` both planes
+        run.  A cached file's reads go through its
+        :meth:`~repro.core.readcache.ReadCache.read`, which serves
+        resident bytes with the plain ``read_resident`` and everything
+        else with the ``read`` flow.
 
         The paper's behaviour (Section IV-D1) — "we directly pass it to
         the underlying filesystem without any additional operation" —
         is the default and the ``read_cache_chunks=0`` path.  With
         ``read_passthrough=False`` a passthrough read still flushes and
-        drains first (read-your-writes for non-checkpoint workloads).
+        drains first if anything is pending (read-your-writes for
+        non-checkpoint workloads).
         """
         self._require_mounted()
-        return run(readahead.read(self, entry, size, offset))
+        cache = entry.read_cache
+        if cache is None:
+            return run(readahead.read(self, entry, size, offset))
+        return cache.read(self, entry, size, offset)
 
     # The read flow's mount-level port (threaded plane); the per-file
     # half is the entry's :class:`~repro.core.readcache.ReadCache`.

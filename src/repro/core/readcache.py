@@ -37,7 +37,8 @@ import time
 from typing import TYPE_CHECKING, Any
 
 from ..errors import FileStateError
-from ..pipeline.readahead import CacheEntry, Prefetch, ReadaheadCore, serve
+from ..pipeline import readahead
+from ..pipeline.readahead import CacheEntry, Prefetch, ReadaheadCore
 from ..pipeline.resilience import BackendHealth
 from ..pipeline.tenancy import DEFAULT_TENANT
 from ..pipeline.writeback import blocking, run
@@ -95,18 +96,47 @@ class ReadCache:
         self._deferred: list[Chunk] = []
         self._held: set[int] = set()
 
-    def read(self, offset: int, end: int, file_size: int) -> bytes:
-        """Serve one pread of ``[offset, end)`` (already clipped at
-        ``file_size``, the caller-resolved size after flush+drain) from
-        the cache, fetching and prefetching."""
+    def read(self, fs: Any, entry: Any, size: int, offset: int) -> bytes:
+        """One pread of the file this cache belongs to (``entry``, open
+        on mount ``fs``).  Bytes that are resident are a slice: the
+        shared plain function finds them, and they are joined — before
+        the window slides, so no view outlives a buffer and nothing is
+        deferred — under one hold of ``lock``.  Any other read runs
+        :func:`repro.pipeline.readahead.read`, the flow."""
+        kernel = fs.kernel
+        # Timestamps feed the read's events, which nobody but the stats
+        # registry may be listening for (it ignores them).
+        t0 = kernel.clock() if kernel.observed else None
+        with self.lock:
+            served = readahead.read_resident(
+                fs, entry, size, offset, None if t0 is None else kernel.publish
+            )
+            if served is not None:
+                parts, slide = served
+                # The POSIX-shim boundary: the one materialization a
+                # cached read pays (the read_boundary copy).
+                data = b"".join(parts)
+                if slide is not None:
+                    run(slide)
+        if served is None:
+            return run(readahead.read(fs, entry, size, offset))
+        if t0 is not None:
+            entry.pipeline.publish_read(offset, size, t0)
+        return data
+
+    # -- the read engine's port (threaded plane) -------------------------------
+
+    @blocking
+    def serve_read(self, offset: int, end: int, file_size: int) -> bytes:
+        """Serve ``[offset, end)`` (already clipped at ``file_size``,
+        the caller-resolved size after any flush+drain) from the cache,
+        fetching and prefetching."""
         with self.lock:
             self._defer_depth += 1
             try:
-                # The POSIX-shim boundary: this single join is the one
-                # materialization a cached read pays (the read_boundary
-                # copy the pipeline accounts) — the flow handed back
+                # The POSIX-shim boundary again — the flow handed back
                 # views of pooled buffers.
-                return b"".join(run(serve(self, offset, end, file_size)))
+                return b"".join(run(readahead.serve(self, offset, end, file_size)))
             finally:
                 self._defer_depth -= 1
                 if self._defer_depth == 0:
@@ -115,12 +145,6 @@ class ReadCache:
                         drained, self._deferred = self._deferred, []
                         for chunk in drained:
                             self.pool.release(chunk)
-
-    # -- the read engine's port (threaded plane) -------------------------------
-
-    @blocking
-    def serve_read(self, offset: int, end: int, file_size: int) -> bytes:
-        return self.read(offset, end, file_size)
 
     @blocking
     def try_lease(self) -> Chunk | None:
@@ -146,8 +170,10 @@ class ReadCache:
 
     def view(self, chunk: Chunk, lo: int, hi: int) -> memoryview:
         """A zero-copy view of a resident buffer, valid until the
-        collecting read's join (deferred release is active)."""
-        self._held.add(id(chunk))
+        collecting read's join: the flow's is kept alive by deferred
+        release, a resident read joins before anything can evict."""
+        if self._defer_depth:
+            self._held.add(id(chunk))
         return memoryview(chunk.buffer)[lo:hi]
 
     @blocking

@@ -138,6 +138,17 @@ def check_baseline(baseline: dict[str, Any]) -> list[str]:
     if read is not None and not (read.get("prefetched", 0) > 0):
         problems.append("restart_readahead: no prefetches in the baseline")
 
+    def fetched_once(scenario: str, read: Any) -> None:
+        # A sequential restore that wastes a prefetch fetched a chunk
+        # twice: the window evicted its own unread prefetch.
+        if read is not None and read.get("prefetch_wasted", 0) != 0:
+            problems.append(
+                f"{scenario}: {read['prefetch_wasted']} prefetch(es) wasted — "
+                "a sequential restore must fetch every chunk once"
+            )
+
+    fetched_once("restart_readahead", read)
+
     batch = sub("batched_writeback", "stats", "batch")
     if batch is not None and not (batch.get("batches", 0) > 0):
         problems.append("batched_writeback: the gather never coalesced")
@@ -171,6 +182,7 @@ def check_baseline(baseline: dict[str, Any]) -> list[str]:
                 )
         if not storm_read.get("prefetched", 0) > 0:
             problems.append("restart_storm: no prefetches in the baseline")
+        fetched_once("restart_storm", storm_read)
     if sub("restart_storm", "restore_span_s") is not None:
         if not scenarios["restart_storm"]["restore_span_s"] > 0:
             problems.append("restart_storm: restore_span_s not positive")

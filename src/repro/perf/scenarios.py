@@ -21,10 +21,11 @@ must keep honest:
   sequentially over the NFS model: the restart read plane, with the
   chunked readahead cache prefetching through the IO pool.
 * ``restart_storm`` — 4 ranks restart concurrently over the striped
-  Lustre model behind a deliberately over-eager readahead window on a
-  tight shared cache: the adaptive clamp keeps the window inside the
-  thrash-free ceiling, beating both the static window and
-  readahead-off on time-to-last-restore (``restore_span_s``).
+  Lustre model behind an adaptive readahead window configured as wide
+  as the tight shared cache allows (current chunk + window = cache):
+  every chunk is fetched once and the restore beats readahead-off on
+  time-to-last-restore (``restore_span_s``) — as the static window at
+  the same knob does (``perfbench`` gates both).
 * ``tenant_storm`` — a storm tenant's oversized burst beside two
   reserved-pool victims through one IO thread: weighted DRR service,
   queue-quota admission control, per-tenant pool partitioning.
@@ -231,15 +232,15 @@ SCENARIOS: dict[str, Scenario] = {
         Scenario(
             name="restart_storm",
             description="4 ranks restart concurrently over the striped "
-            "Lustre model through a deliberately over-eager window on a "
-            "tight shared cache: the adaptive clamp keeps the window "
-            "inside the thrash-free ceiling",
+            "Lustre model through an adaptive window configured as wide "
+            "as the tight shared cache allows: every chunk is fetched "
+            "once",
             config=CRFSConfig(
                 chunk_size=256 * KiB,
                 pool_size=16 * 256 * KiB,  # 4 chunks per resident rank
                 io_threads=2,
                 read_cache_chunks=4,
-                readahead_chunks=3,  # working set 5 > cache 4: mis-tuned
+                readahead_chunks=3,  # current chunk + window = cache 4
                 readahead_adaptive=True,
             ),
             nwriters=4,

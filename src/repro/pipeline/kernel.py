@@ -15,10 +15,13 @@ Split of responsibilities:
   decide what happens (fail-fast on a latched error, then delegate to
   the shared :class:`~repro.pipeline.planner.WritePlanner`);
   ``note_*`` methods account for what the plane executed and publish
-  the matching event on the unified stream.  The one per-call case
-  that can neither block nor seal — a write that fits the open chunk —
-  has its own three plain functions (:meth:`FilePipeline.fit_write`,
-  ``count_write``, ``publish_write``).  The drain *predicate*
+  the matching event on the unified stream.  The per-call cases that
+  can neither block nor seal have plain functions of their own: a
+  write that fits the open chunk (:meth:`FilePipeline.fit_write`,
+  ``count_write``, ``publish_write``) and a read served from resident
+  cache chunks (:func:`repro.pipeline.readahead.read_resident`, which
+  asks :attr:`FilePipeline.clean` and uses ``count_read``,
+  ``publish_read``).  The drain *predicate*
   (``drained``) and the raise-exactly-once error contract
   (:meth:`FilePipeline.raise_latched`) live here; how a caller blocks
   until drained is the plane's business (condition variables vs. sim
@@ -53,7 +56,7 @@ from .events import (
     WriteObserved,
 )
 from .planner import PlanOp, Seal, WritePlanner
-from .stats import HotWrites, PipelineStats
+from .stats import HotCounts, PipelineStats
 
 __all__ = ["FilePipeline", "PipelineKernel"]
 
@@ -103,15 +106,16 @@ class FilePipeline:
         self.planner = WritePlanner(chunk_size)
         self.clock = clock if clock is not None else time.perf_counter
         self._emit = emit if emit is not None else _no_emit
-        # Writes that fit the open chunk are counted per file, in a cell
-        # the kernel's stats fold, and published only to the observers
-        # that did not count them; without a kernel nobody folds the
-        # cell and ``emit`` is the only observer.
+        # Writes that fit the open chunk and reads of resident cache
+        # chunks are counted per file, in a cell the kernel's stats
+        # fold, and published only to the observers that did not count
+        # them; without a kernel nobody folds the cell and ``emit`` is
+        # the only observer.
         if kernel is not None:
-            self._hot = kernel.stats.hot_writes(path, tenant)
+            self._hot = kernel.stats.hot_counts(path, tenant)
             self._publish = kernel.publish
         else:
-            self._hot = HotWrites(tenant)
+            self._hot = HotCounts(tenant)
             self._publish = self._emit
         self._lock = lock if lock is not None else _NullLock()
         self.write_chunk_count = 0  # chunks handed to the work queue
@@ -207,8 +211,8 @@ class FilePipeline:
         events (an empty write copies nothing).  Same caller-held
         serialisation as :meth:`fit_write`."""
         hot = self._hot
-        writes, nbytes, copies = hot.counts
-        hot.counts = (writes + 1, nbytes + length, copies + (length > 0))
+        writes, nbytes, copies = hot.writes
+        hot.writes = (writes + 1, nbytes + length, copies + (length > 0))
 
     def publish_write(self, offset: int, length: int, start: float) -> None:
         """The events of a write already counted by :meth:`count_write`,
@@ -262,25 +266,39 @@ class FilePipeline:
         inside the backend is its own boundary property, documented on
         :class:`~repro.backends.base.Backend`).
         """
+        self._observe_read(self._emit, offset, length, start, copied)
+
+    def count_read(self, length: int, hits: int) -> None:
+        """A read of ``length`` bytes was served from ``hits`` resident
+        cache chunks and joined at the shim boundary: count it, the
+        hits and that one ``read_boundary`` copy in the file's hot
+        counters — what :meth:`note_read` and ``ReadaheadCore.access``
+        have the stats registry derive from events.  The caller holds
+        the file's read-cache lock, which serialises such reads."""
+        hot = self._hot
+        reads, nbytes, total_hits = hot.reads
+        hot.reads = (reads + 1, nbytes + length, total_hits + hits)
+
+    def publish_read(self, offset: int, length: int, start: float) -> None:
+        """The events of a read already counted by :meth:`count_read`,
+        for the observers other than the stats registry (skipped
+        entirely while there are none: ``PipelineKernel.observed``)."""
+        self._observe_read(self._publish, offset, length, start, copied=length)
+
+    def _observe_read(
+        self,
+        emit: EmitFn,
+        offset: int,
+        length: int,
+        start: float | None,
+        copied: int,
+    ) -> None:
         now = self.clock()
         if start is None:
             start = now
         if copied > 0:
-            self._emit(
-                CopyObserved(
-                    path=self.path, site=READ_BOUNDARY, length=copied, t=now
-                )
-            )
-        self._emit(
-            ReadObserved(
-                path=self.path,
-                offset=offset,
-                length=length,
-                start=start,
-                duration=now - start,
-                tenant=self.tenant,
-            )
-        )
+            emit(CopyObserved(self.path, READ_BOUNDARY, copied, now))
+        emit(ReadObserved(self.path, offset, length, start, now - start, self.tenant))
 
     def note_retry(
         self, file_offset: int, attempt: int, delay: float, error: BaseException
@@ -334,10 +352,12 @@ class FilePipeline:
                 raise FileStateError(
                     f"{self.path}: chunk completion with no outstanding write"
                 )
-            self.complete_chunk_count += 1
             latched = error is not None and self._error is None
             if latched:
                 self._error = error
+            # After the latch: whoever sees this count sees the error
+            # (``clean`` reads both without the lock).
+            self.complete_chunk_count += 1
             drained = self.complete_chunk_count >= self.write_chunk_count
         self._emit(
             ChunkWritten(
@@ -430,6 +450,29 @@ class FilePipeline:
     def drained(self) -> bool:
         with self._lock:
             return self.complete_chunk_count >= self.write_chunk_count
+
+    @property
+    def clean(self) -> bool:
+        """Whether a read has nothing to flush, wait for or be told: no
+        open chunk, every sealed chunk written, no latched error still
+        to surface.  Only a read of a file that is not clean enters the
+        plane's flush + drain.
+
+        Lock-free, and still never true while bytes of a *finished*
+        write are short of the backend, because of the order things
+        change and are read in: the planner counts a seal before it
+        empties ``chunk_fill`` (and counts it at plan time, ahead of
+        ``write_chunk_count``), a completion latches its error before
+        it is counted, and this reads fill, then completions, then
+        seals, then the latch.  A write still in its call may be missed
+        — as by any read racing it.
+        """
+        planner = self.planner
+        return (
+            planner.chunk_fill == 0
+            and self.complete_chunk_count >= planner.sealed_chunks
+            and self._error is None
+        )
 
     # -- error latch (the POSIX writeback-error contract) ----------------------
 

@@ -171,6 +171,8 @@ class WritePlanner:
             length=self.chunk_fill,
             reason=reason,
         )
+        # Counted before ``chunk_fill`` empties below: the lock-free
+        # ``FilePipeline.clean`` must never see neither.
         self.sealed_chunks += 1
         self.seal_reasons[reason] += 1
         self.chunk_file_offset += self.chunk_fill

@@ -13,6 +13,9 @@ miss, admits/evicts entries and plans the prefetch window — and so do
 the *control flows* that execute them, as plain generator functions over
 a per-plane port (the technique of :mod:`repro.pipeline.writeback`):
 
+* :func:`read_resident` — not a flow: the one per-call case that cannot
+  block (a clean file, every chunk of the range resident) served by a
+  plain function both planes try first;
 * :func:`read` — one application read: passthrough or cached;
 * :func:`serve` / :func:`cached_chunk` — the per-chunk loop of a cached
   read and the service of one chunk (hit, demand fetch, park on an
@@ -25,7 +28,8 @@ a per-plane port (the technique of :mod:`repro.pipeline.writeback`):
 
 Ports (duck-typed).  The *mount* (:class:`~repro.core.mount.CRFS`,
 :class:`~repro.simcrfs.model.SimCRFS`) provides ``config``, ``health``,
-``flush_drain(file)``, ``read_through(file, size, offset)`` and
+``flush_drain(file)`` (entered only for a file that is not
+``pipeline.clean``), ``read_through(file, size, offset)`` and
 ``file_size(file)``; files expose ``pipeline`` and ``read_cache``.  The
 *per-file cache* (:class:`~repro.core.readcache.ReadCache`,
 :class:`~repro.simcrfs.model.SimReadCache`) provides ``core``,
@@ -59,8 +63,10 @@ Determinism contract (what the cross-plane differential tests lean on):
 every decision — hit vs. miss, admit, evict, prefetch planning — is a
 pure function of the *access sequence*, never of fetch timing.  An
 entry still in flight counts as a **hit** (the fetch was saved either
-way), and eviction is strict LRU regardless of entry state, so two
-planes replaying the same reads make byte-identical decisions even
+way), and the eviction victim — least recently used outside the live
+window — is chosen regardless of entry state from LRU order, the
+latest access and the window width, all functions of that sequence, so
+two planes replaying the same reads make byte-identical decisions even
 though their fetches complete at different (virtual or wall) times.
 
 Accounting invariants: every issued prefetch eventually emits exactly
@@ -107,6 +113,7 @@ __all__ = [
     "invalidate",
     "issue_prefetches",
     "read",
+    "read_resident",
     "release_evicted",
     "serve",
     "service_prefetch",
@@ -152,10 +159,9 @@ class AdaptiveWindow:
 
     Additive increase: every ``grow_streak`` consecutive sequential hits
     widen the window by one chunk, up to ``ceiling`` (cache capacity
-    minus two, so a fully grown window's working set — the chunk being
-    served plus the window — still leaves one slot of slack and never
-    evicts a ready-but-unread prefetch).  Multiplicative decrease: each
-    cache-pressure signal
+    minus two: the chunk being served plus a fully grown window leave
+    one slot, which keeps the chunk just consumed for a re-read).
+    Multiplicative decrease: each cache-pressure signal
     — an unread prefetch evicted, a fetch dropped on a starved pool, a
     delivered prefetch wasted — halves the window down to ``floor``.
     With ``adaptive=False`` the window is pinned at ``initial``: the
@@ -169,7 +175,7 @@ class AdaptiveWindow:
     """
 
     __slots__ = ("window", "initial", "floor", "ceiling", "grow_streak",
-                 "adaptive", "_streak", "_last_index")
+                 "adaptive", "last_index", "_streak")
 
     def __init__(
         self,
@@ -192,12 +198,19 @@ class AdaptiveWindow:
         self.grow_streak = grow_streak
         self.adaptive = adaptive
         self._streak = 0
-        self._last_index: Optional[int] = None
+        #: The chunk the latest access touched — the low edge of the
+        #: live window eviction spares (None before the first access).
+        self.last_index: Optional[int] = None
+
+    @property
+    def widest(self) -> int:
+        """The widest the window can be after any further accesses."""
+        return self.ceiling if self.adaptive else self.window
 
     def on_access(self, index: int, hit: bool) -> bool:
         """Observe one chunk access; True when the window grew."""
-        sequential = self._last_index is not None and index == self._last_index + 1
-        self._last_index = index
+        sequential = self.last_index is not None and index == self.last_index + 1
+        self.last_index = index
         if not self.adaptive:
             return False
         if hit and sequential:
@@ -231,13 +244,15 @@ class ReadaheadCore:
     ``depth`` is the sliding prefetch window issued after every access —
     fixed at the ``readahead_chunks`` knob by default, governed by an
     :class:`AdaptiveWindow` between 1 and ``capacity - 2`` when
-    ``adaptive`` is set.  The adaptive ceiling keeps one slot of slack
-    beyond the working set (current chunk + window): at ``capacity - 1``
-    the set fills the cache exactly and every window slide evicts a
-    ready-but-unread prefetch — the window would thrash at its own
-    ceiling.  ``capacity > depth`` (enforced by
-    :class:`~repro.config.CRFSConfig` and by the window ceiling)
-    guarantees the window can never evict the chunk being served.
+    ``adaptive`` is set.  Eviction spares the *live window* — the chunk
+    the latest access touched and the ``depth`` chunks after it — and
+    takes the least recently used entry outside it, so the chunk being
+    served and the prefetches issued for it are never their own
+    window's victims: a sequential scan fetches every chunk once at any
+    ``capacity > depth`` (enforced by :class:`~repro.config.CRFSConfig`
+    and by the window ceiling), which is also what guarantees a victim
+    outside the window exists.  The slot the adaptive ceiling leaves
+    beyond current chunk + window holds the chunk just consumed.
     """
 
     def __init__(
@@ -303,7 +318,7 @@ class ReadaheadCore:
         A resident entry — ready *or* still in flight — is a hit (the
         caller waits on in-flight entries); absence is a miss and the
         caller fetches on demand.  Both outcomes go out on the event
-        stream, and the hit is marked used and moved to MRU.
+        stream.
         """
         entry = self._entries.get(index)
         if entry is None:
@@ -314,27 +329,58 @@ class ReadaheadCore:
                     t=self._clock(),
                 )
             )
+            self._observe_access(index, hit=False)
         else:
-            entry.used = True
-            self._entries.move_to_end(index)
-            self._emit(
-                ReadHit(
-                    path=self.path,
-                    file_offset=index * self.chunk_size,
-                    t=self._clock(),
-                )
-            )
-        if self.window.on_access(index, hit=entry is not None):
+            self.hit(entry, self._emit)
+        return entry
+
+    def hit(self, entry: CacheEntry, emit: Optional[EmitFn]) -> None:
+        """The decisions of one hit: ``entry`` is marked used, moved to
+        MRU and shown to the window controller.  Its ``ReadHit`` goes to
+        ``emit`` — the stream for :meth:`access`; for a caller that
+        counts the hit itself (:func:`read_resident`), the observers
+        besides the stats registry, or None while there are none."""
+        entry.used = True
+        self._entries.move_to_end(entry.index)
+        if emit is not None:
+            emit(ReadHit(self.path, entry.index * self.chunk_size, self._clock()))
+        self._observe_access(entry.index, hit=True)
+
+    def _observe_access(self, index: int, hit: bool) -> None:
+        if self.window.on_access(index, hit=hit):
             self._emit(
                 WindowGrown(path=self.path, window=self.window.window, t=self._clock())
             )
-        return entry
+
+    def resident(self, index: int, nbytes: int) -> Optional[CacheEntry]:
+        """The entry of chunk ``index`` if a read of its first
+        ``nbytes`` bytes can be served from it right now — resident,
+        fetched, and not short of them (:attr:`CacheEntry.valid`) — else
+        None.  Decides and counts nothing."""
+        entry = self._entries.get(index)
+        if entry is not None and entry.ready and entry.valid >= nbytes:
+            return entry
+        return None
+
+    def window_resident(self, index: int, depth: Optional[int] = None) -> bool:
+        """Whether every chunk of the window after ``index`` (``depth``
+        chunks; the current width by default) is in the cache, ready or
+        in flight — sliding it would then issue nothing.  The file size
+        is not consulted: a chunk past EOF counts as absent."""
+        entries = self._entries
+        if depth is None:
+            depth = self.depth
+        for i in range(index + 1, index + 1 + depth):
+            if i not in entries:
+                return False
+        return True
 
     def admit(self, index: int, origin: str) -> Tuple[CacheEntry, List[CacheEntry]]:
-        """Insert a fresh entry at MRU; returns it plus LRU evictions.
+        """Insert a fresh entry at MRU; returns it plus the evictions.
 
-        Eviction is state-independent (strict LRU even for in-flight
-        entries) so the resident set is a pure function of the access
+        The victim is the least recently used entry outside the live
+        window (:meth:`_victim`), whatever its state — in-flight entries
+        included — so the resident set is a pure function of the access
         sequence.  The caller releases the evictees' payloads and wakes
         their waiters; evicted in-flight fetches are drop-accounted
         here, delivered-but-unused prefetches as waste.
@@ -343,14 +389,36 @@ class ReadaheadCore:
         self._entries[index] = entry
         evicted: List[CacheEntry] = []
         while len(self._entries) > self.capacity:
-            old_index, old = next(iter(self._entries.items()))
-            if old is entry:  # capacity >= 1 makes this unreachable
+            old = self._victim(entry)
+            if old is None:  # capacity >= 1 makes this unreachable
                 break
-            del self._entries[old_index]
+            del self._entries[old.index]
             self._account_removal(old, pressure_drop=True)
             old.evicted = True
             evicted.append(old)
         return entry, evicted
+
+    def _victim(self, admitted: CacheEntry) -> Optional[CacheEntry]:
+        """Whom to evict for ``admitted``: the least recently used entry
+        whose chunk lies outside ``[a, a + depth]``, ``a`` being the
+        chunk of the latest access — the chunk being served and the
+        window issued for it.  LRU order, ``a`` and ``depth`` are all
+        functions of the access sequence, so the choice is too.  Only a
+        core built with ``depth >= capacity`` (which ``CRFSConfig``
+        refuses) can find every other entry inside the window; the
+        least recently used of those goes then."""
+        last = self.window.last_index
+        # Before the first access the window is empty.
+        low, high = (0, -1) if last is None else (last, last + self.depth)
+        inside: Optional[CacheEntry] = None
+        for entry in self._entries.values():
+            if entry is admitted:
+                continue
+            if not low <= entry.index <= high:
+                return entry
+            if inside is None:
+                inside = entry
+        return inside
 
     def plan_prefetch(self, index: int, file_size: int) -> List[int]:
         """The absent chunk indices in the window after ``index``.
@@ -486,17 +554,84 @@ class Prefetch:
     length: int
 
 
+def read_resident(
+    port: Any, f: Any, size: int, offset: int, publish: Optional[EmitFn]
+) -> Optional[Tuple[list, Optional[Gen]]]:
+    """Serve one application read from resident cache chunks, or return
+    None — having decided and counted nothing — for :func:`read` to.
+
+    Not a flow: the case is split off by what the call can see in its
+    input, and nothing in it can block.  The mount is not degraded, the
+    file is *clean* (``FilePipeline.clean``: nothing to flush, wait for
+    or surface, so no drain lock is taken and no drain wait recorded)
+    and every chunk of ``[offset, offset + size)`` is in the cache,
+    fetched, and holds the bytes asked of it — bytes inside an entry's
+    ``valid`` existed when it was fetched and a write would have dropped
+    the entry, so the file size is not asked for either.  Each chunk
+    then gets exactly the decisions :func:`cached_chunk` makes on a hit
+    (``ReadaheadCore.hit``), in the same order, and the read is counted
+    in the file's hot counters (``FilePipeline.count_read``); a
+    ``ReadHit`` record is built only for ``publish`` — the observers
+    besides the stats registry, None while there are none.
+
+    Returns ``(parts, slide)``: the per-chunk views, which the caller
+    joins before it does anything else, and — only when a chunk of the
+    window after the last access is absent — the :func:`issue_prefetches`
+    flow for the caller to drive as it drives any flow.  A read of
+    several chunks is served only when none but its last can have a
+    window to slide (a slide is a flow this function cannot enter
+    mid-read): the widest window an earlier access could leave must be
+    resident already.  Then no admission happens before the last
+    access, and that one's victims lie outside its window — never a
+    chunk this read has yet to touch.
+
+    The caller holds ``f.read_cache.lock`` from here until it has
+    joined the parts and driven the slide.
+    """
+    cache = f.read_cache
+    pipeline = f.pipeline
+    if cache is None or size <= 0 or port.health.degraded or not pipeline.clean:
+        return None
+    core = cache.core
+    cs = core.chunk_size
+    end = offset + size
+    first, last = offset // cs, (end - 1) // cs
+    found = []
+    for index in range(first, last + 1):
+        centry = core.resident(index, min(end - index * cs, cs))
+        if centry is None:
+            return None
+        found.append(centry)
+    if last > first and not core.window_resident(last, core.window.widest - 1):
+        return None
+    parts = []
+    for centry in found:
+        core.hit(centry, publish)
+        base = centry.index * cs
+        parts.append(
+            cache.view(centry.payload, max(offset - base, 0), min(end - base, cs))
+        )
+    pipeline.count_read(size, len(found))
+    slide = None
+    if not core.window_resident(last):
+        slide = issue_prefetches(cache, last, port.file_size(f))
+    return parts, slide
+
+
 def read(port: Any, f: Any, size: int, offset: int) -> Gen:
-    """One application read of ``size`` bytes at ``offset``.
+    """One application read of ``size`` bytes at ``offset`` — any that
+    :func:`read_resident` did not serve.
 
     Passthrough (the paper's Section IV-D1 behaviour) when the file has
     no cache or while the circuit breaker is open — with the breaker
     open every backend op is suspect, and the passthrough read doubles
     as a recovery probe, the read-side analogue of "every degraded
     write is a probe": its outcome is recorded, so a healed backend
-    gets its cache back.  Otherwise flush + drain (read-your-writes
-    through pending chunks), clip at the file size like a passthrough
-    pread would, and serve chunk-aligned slices from the cache.
+    gets its cache back.  Otherwise flush + drain if the file has
+    anything pending (read-your-writes through pending chunks; a latched
+    writeback error surfaces here), clip at the file size like a
+    passthrough pread would, and serve chunk-aligned slices from the
+    cache.
     """
     pipeline = f.pipeline
     t0 = pipeline.clock()
@@ -504,7 +639,7 @@ def read(port: Any, f: Any, size: int, offset: int) -> Gen:
     health = port.health
     degraded = health.degraded
     if cache is None or degraded:
-        if not port.config.read_passthrough:
+        if not port.config.read_passthrough and not pipeline.clean:
             yield from port.flush_drain(f)
         try:
             data = yield from port.read_through(f, size, offset)
@@ -516,7 +651,8 @@ def read(port: Any, f: Any, size: int, offset: int) -> Gen:
             health.record_success()
         pipeline.note_read(offset, size, start=t0)
         return data
-    yield from port.flush_drain(f)
+    if not pipeline.clean:
+        yield from port.flush_drain(f)
     file_size = port.file_size(f)
     end = max(offset, min(offset + size, file_size))
     data = yield from cache.serve_read(offset, end, file_size)

@@ -4,8 +4,9 @@ One instance per mount, shared by every pipeline component (file
 pipelines, buffer pool, work queue, IO workers) on *either* plane.
 Counters are derived from the unified event stream in :meth:`on_event`
 and bumped under one lock — all but the per-call ones of a write that
-fits its open chunk, which each open file gathers in its own
-:class:`HotWrites` cell without that lock and :meth:`snapshot` folds in.
+fits its open chunk and of a read served from resident cache chunks,
+which each open file gathers in its own :class:`HotCounts` cell without
+that lock and :meth:`snapshot` folds in.
 Either way :meth:`snapshot` returns one atomic, mutually-consistent
 view — the functional plane's ``CRFS.stats()`` and the timing plane's
 ``SimCRFS.stats()`` both return exactly this schema, which the
@@ -18,7 +19,7 @@ import threading
 from typing import Any, Iterable
 
 from ..util.stats import nearest_rank
-from .copies import INGEST, CopyLedger
+from .copies import INGEST, READ_BOUNDARY, CopyLedger
 from .events import (
     AdmissionWait,
     BackendDegraded,
@@ -59,7 +60,7 @@ from .events import (
 )
 from .planner import SealReason
 
-__all__ = ["HotWrites", "PipelineStats", "flatten_snapshot"]
+__all__ = ["HotCounts", "PipelineStats", "flatten_snapshot"]
 
 
 def _new_tenant_counters() -> dict[str, Any]:
@@ -135,26 +136,33 @@ def flatten_snapshot(
     return flat
 
 
-class HotWrites:
-    """One open file's count of the writes that fit their open chunk.
+class HotCounts:
+    """One open file's count of the per-call cases that build no event:
+    writes that fit their open chunk, reads served from resident cache
+    chunks.
 
     The file's writer — whoever holds its write serialisation (the
     threaded plane's per-file ``write_lock``; the simulator is
-    single-threaded) — replaces :attr:`counts` whole, so the registry
-    reads a whole number of writes at any instant without a lock the
-    writer would have to share.  :attr:`folded` (how much of it the
+    single-threaded) — replaces :attr:`writes` whole, and its reader —
+    whoever holds its read-cache lock — :attr:`reads`, so the registry
+    reads a whole number of calls at any instant without a lock they
+    would have to share.  The ``folded_*`` twins (how much of each the
     registry has absorbed) and :attr:`opens` belong to the registry and
     its lock.
     """
 
-    __slots__ = ("tenant", "opens", "counts", "folded")
+    __slots__ = ("tenant", "opens", "writes", "folded_writes", "reads", "folded_reads")
 
     def __init__(self, tenant: str):
         self.tenant = tenant
         self.opens = 0  # FileOpened minus FileClosed seen for the file
         #: cumulative (writes, bytes, ingest copies)
-        self.counts = (0, 0, 0)
-        self.folded = (0, 0, 0)
+        self.writes = (0, 0, 0)
+        self.folded_writes = (0, 0, 0)
+        #: cumulative (reads, bytes — each read joined once at the shim
+        #: boundary —, chunk hits)
+        self.reads = (0, 0, 0)
+        self.folded_reads = (0, 0, 0)
 
 
 class PipelineStats(PipelineObserver):
@@ -162,10 +170,11 @@ class PipelineStats(PipelineObserver):
 
     ``chunk_size``/``pool_chunks`` are structural gauges reported in the
     snapshot's ``pool`` section; everything else is counted from events
-    or folded from the open files' :class:`HotWrites`.  Reading an
+    or folded from the open files' :class:`HotCounts`.  Reading an
     individual attribute is a single-int read (atomic in CPython), but
-    ``writes``, ``bytes_in``, their per-tenant shares and the ingest
-    copies are only as fresh as the last fold; use :meth:`snapshot`
+    ``writes``, ``bytes_in``, ``reads``, ``bytes_read``, ``read_hits``,
+    their per-tenant shares and the ingest and read-boundary copies are
+    only as fresh as the last fold; use :meth:`snapshot`
     for those, and whenever fields must be consistent with each other.
     """
 
@@ -194,9 +203,9 @@ class PipelineStats(PipelineObserver):
         self.tiers: dict[str, dict[str, Any]] = {
             str(level): _new_tier_counters() for level in range(tiers)
         }
-        # Hot write counters of the files now open, by (path, tenant);
-        # folded by every snapshot, folded and dropped at FileClosed.
-        self._hot: dict[tuple[str, str], HotWrites] = {}
+        # Hot counters of the files now open, by (path, tenant); folded
+        # by every snapshot, folded and dropped at FileClosed.
+        self._hot: dict[tuple[str, str], HotCounts] = {}
         # -- write path
         self.writes = 0
         self.bytes_in = 0
@@ -279,29 +288,38 @@ class PipelineStats(PipelineObserver):
             counters = self.tenants[name] = _new_tenant_counters()
         return counters
 
-    # -- per-file hot write counters --------------------------------------------
+    # -- per-file hot counters ---------------------------------------------------
 
-    def hot_writes(self, path: str, tenant: str) -> HotWrites:
-        """The cell an open file's pipeline counts its fitting writes in."""
+    def hot_counts(self, path: str, tenant: str) -> HotCounts:
+        """The cell an open file's pipeline counts its fitting writes
+        and resident reads in."""
         with self._lock:
             return self._hot_cell(path, tenant)
 
-    def _hot_cell(self, path: str, tenant: str) -> HotWrites:
+    def _hot_cell(self, path: str, tenant: str) -> HotCounts:
         hot = self._hot.get((path, tenant))
         if hot is None:
-            hot = self._hot[(path, tenant)] = HotWrites(tenant)
+            hot = self._hot[(path, tenant)] = HotCounts(tenant)
         return hot
 
-    def _fold(self, hot: HotWrites) -> None:
+    def _fold(self, hot: HotCounts) -> None:
         """Absorb what ``hot`` gathered since it was last folded (caller
         holds the lock) — through the same arithmetic as the
-        ``WriteObserved``/``CopyObserved`` events these writes replace."""
-        counts = hot.counts
-        writes, nbytes, copies = (now - was for now, was in zip(counts, hot.folded))
+        ``WriteObserved``/``ReadObserved``/``ReadHit``/``CopyObserved``
+        events these calls replace."""
+        counts = hot.writes
+        writes, nbytes, copies = (now - was for now, was in zip(counts, hot.folded_writes))
         if writes:
             self._count_writes(hot.tenant, writes, nbytes)
             self.copies.record(INGEST, nbytes, copies)
-            hot.folded = counts
+            hot.folded_writes = counts
+        counts = hot.reads
+        reads, nbytes, hits = (now - was for now, was in zip(counts, hot.folded_reads))
+        if reads:
+            self._count_reads(hot.tenant, reads, nbytes)
+            self.read_hits += hits
+            self.copies.record(READ_BOUNDARY, nbytes, reads)
+            hot.folded_reads = counts
 
     # -- event intake ---------------------------------------------------------
 
@@ -436,12 +454,18 @@ class PipelineStats(PipelineObserver):
         self.shutdown_drains += 1
         self.shutdown_drain_time += event.duration
 
+    def _count_reads(self, tenant: str, reads: int, nbytes: int) -> None:
+        """``reads`` application reads asking for ``nbytes`` in all —
+        one ``ReadObserved``, or what a file's hot counters gathered
+        since they were last folded."""
+        self.reads += reads
+        self.bytes_read += nbytes
+        t = self._tenant(tenant)
+        t["reads"] += reads
+        t["bytes_read"] += nbytes
+
     def _on_read(self, event: ReadObserved) -> None:
-        self.reads += 1
-        self.bytes_read += event.length
-        t = self._tenant(event.tenant)
-        t["reads"] += 1
-        t["bytes_read"] += event.length
+        self._count_reads(event.tenant, 1, event.length)
 
     def _on_read_hit(self, event: ReadHit) -> None:
         self.read_hits += 1

@@ -179,14 +179,17 @@ class SimReadCache:
     def serve_read(self, offset: int, end: int, file_size: int):
         yield from readahead.serve(self, offset, end, file_size)
         if end > offset:
-            # Serving pass: the mount's own cost of handing the cached
-            # bytes back — FUSE request round-trips plus the copy out of
-            # the chunk over the shared memory bus.
-            fs = self.fs
-            for request in fuse_requests(end - offset, fs.hw.fuse_max_request):
-                yield fs.sim.timeout(fs.hw.fuse_request_overhead)
-                if request >= PAGE:
-                    yield fs.membus.transfer(request)
+            yield from self.hand_back(end - offset)
+
+    def hand_back(self, nbytes: int):
+        """Serving pass: the mount's own cost of handing ``nbytes``
+        cached bytes back — FUSE request round-trips plus the copy out
+        of the chunk over the shared memory bus."""
+        fs = self.fs
+        for request in fuse_requests(nbytes, fs.hw.fuse_max_request):
+            yield fs.sim.timeout(fs.hw.fuse_request_overhead)
+            if request >= PAGE:
+                yield fs.membus.transfer(request)
 
     def try_lease(self):
         fs, tenant = self.fs, self.f.tenant
@@ -539,10 +542,24 @@ class SimCRFS:
 
     def read(self, f: SimCRFSFile, nbytes: int):
         """Generator: one sequential read() at the file's read cursor —
-        :func:`repro.pipeline.readahead.read`, the one definition both
-        planes run (passthrough, or the readahead cache with prefetches
-        serviced by the IO threads off the queue's low band)."""
-        yield from readahead.read(self, f, nbytes, f.read_pos)
+        the definitions in :mod:`repro.pipeline.readahead` both planes
+        run: resident bytes decided and counted by ``read_resident``
+        and charged the modelled serving cost, anything else the
+        ``read`` flow (passthrough, or the readahead cache with
+        prefetches serviced by the IO threads off the queue's low
+        band)."""
+        t0 = self.sim.now
+        publish = self.kernel.publish if self.kernel.observed else None
+        served = readahead.read_resident(self, f, nbytes, f.read_pos, publish)
+        if served is None:
+            yield from readahead.read(self, f, nbytes, f.read_pos)
+        else:
+            _, slide = served
+            if slide is not None:
+                yield from slide
+            yield from f.read_cache.hand_back(nbytes)
+            if publish is not None:
+                f.pipeline.publish_read(f.read_pos, nbytes, t0)
         f.read_pos += nbytes
 
     def seek(self, f: SimCRFSFile, pos: int) -> None:

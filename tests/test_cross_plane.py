@@ -257,8 +257,9 @@ def _read_config(chunk_size, **overrides):
     """Readahead config whose read accounting is workload-determined on
     both planes: reads start only after the write stream drains, so the
     whole pool (4 chunks) is free for the cache (4 chunks) and the
-    prefetch try-acquire can never starve; cache capacity >= readahead
-    window + 2 keeps sequential reads from churning the LRU window."""
+    prefetch try-acquire can never starve; cache capacity = readahead
+    window + 2 keeps the chunk just consumed beside the live window
+    (window + 1 would fetch every chunk once just the same)."""
     base = CRFSConfig(
         chunk_size=chunk_size,
         pool_size=chunk_size * 4,

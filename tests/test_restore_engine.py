@@ -345,12 +345,35 @@ class TestRead:
 
     def test_passthrough_flushes_first_when_asked_to(self):
         mount = FakeMount(passthrough=False)
+        mount.file.pipeline.plan_write(0, 10)  # an open chunk to flush
         mount.read(100, 0)
         assert mount.log == ["flush_drain", ("through", 100, 0)]
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_a_read_of_a_clean_file_is_not_a_drain_wait(self, cached):
+        mount = FakeMount(FakeCache() if cached else None, passthrough=False)
+        assert mount.file.pipeline.clean
+        mount.read(100, 0)
+        assert "flush_drain" not in mount.log
+
+    @pytest.mark.parametrize("pending", ["open chunk", "outstanding", "latched"])
+    def test_a_file_with_anything_pending_is_flushed_and_drained(self, pending):
+        mount = FakeMount(FakeCache())
+        pipeline = mount.file.pipeline
+        pipeline.plan_write(0, 10 if pending == "open chunk" else CHUNK)
+        if pending != "open chunk":
+            pipeline.note_queued()
+            assert not pipeline.clean  # sealed by the planner, not yet written
+        if pending == "latched":
+            pipeline.note_complete(error=OSError("EIO"))
+        assert not pipeline.clean
+        mount.read(100, 0)
+        assert mount.log == ["flush_drain"]
 
     def test_cached_read_flushes_clips_and_accounts_the_boundary_copy(self):
         cache = FakeCache()
         mount = FakeMount(cache)
+        mount.file.pipeline.plan_write(SIZE, 10)  # an open chunk to flush
         parts = mount.read(2 * CHUNK, SIZE - CHUNK - 8)  # asks for CHUNK - 8 past EOF
         assert mount.log == ["flush_drain"]
         assert parts == [(1, CHUNK - 8, CHUNK), (2, 0, CHUNK)]
