@@ -11,7 +11,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-__all__ = ["Backend", "BackendStat"]
+__all__ = ["Backend", "BackendStat", "byte_view"]
 
 
 @dataclass(frozen=True)
@@ -139,6 +139,24 @@ class Backend(ABC):
 
     @abstractmethod
     def truncate(self, path: str, size: int) -> None: ...
+
+
+def byte_view(data: Any) -> memoryview:
+    """``data`` as a flat view of unsigned bytes, sharing its memory.
+
+    The data path copies through ``memoryview`` assignment (one
+    ``memcpy``, no temporary), which — unlike the ``bytearray`` slice
+    assignment it replaced — insists that both sides have the same item
+    format.  So whatever a caller hands ``write()`` or ``pwrite()``
+    (``array("d")``, a signed or N-d NumPy shard, a ``ctypes`` array, a
+    ``"c"``-format view) is cast here, at the boundary.  Raises
+    ``TypeError`` for a buffer that is not C-contiguous.
+    """
+    view = data if isinstance(data, memoryview) else memoryview(data)
+    if view.format != "B" or view.ndim != 1:
+        # An empty N-d view is the one thing cast() refuses.
+        view = view.cast("B") if view.nbytes else memoryview(b"")
+    return view
 
 
 def normalize_path(path: str) -> str:

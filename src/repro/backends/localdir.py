@@ -19,7 +19,7 @@ from ..errors import (
     IsADirectory,
     NotADirectory,
 )
-from .base import Backend, BackendStat, normalize_path
+from .base import Backend, BackendStat, byte_view, normalize_path
 
 __all__ = ["LocalDirBackend"]
 
@@ -59,7 +59,7 @@ class LocalDirBackend(Backend):
             raise NotADirectory(path) from None
 
     def pwrite(self, handle: Any, data: bytes | memoryview, offset: int) -> int:
-        view = memoryview(data)
+        view = byte_view(data)  # lengths below are bytes, whatever the item format
         total = 0
         while total < len(view):
             total += os.pwrite(handle, view[total:], offset + total)
@@ -70,7 +70,7 @@ class LocalDirBackend(Backend):
     ) -> int:
         if not hasattr(os, "pwritev"):  # pragma: no cover - platform fallback
             return super().pwritev(handle, views, offset)
-        bufs = [memoryview(v) for v in views if len(v)]
+        bufs = [b for b in map(byte_view, views) if len(b)]
         if not bufs:
             return 0
         expected = sum(len(b) for b in bufs)

@@ -23,7 +23,7 @@ from ..errors import (
     IsADirectory,
     NotADirectory,
 )
-from .base import Backend, BackendStat, normalize_path, split_path
+from .base import Backend, BackendStat, byte_view, normalize_path, split_path
 
 __all__ = ["MemBackend"]
 
@@ -125,44 +125,41 @@ class MemBackend(Backend):
         return h
 
     def pwrite(self, handle: Any, data: bytes | memoryview, offset: int) -> int:
-        h = self._handle(handle)
-        # Splice the caller's view straight into the node's bytearray —
-        # no intermediate bytes().  The slice assignment consumes the
-        # view before returning, which is the pwrite aliasing contract.
-        view = data if isinstance(data, memoryview) else memoryview(data)
-        length = view.nbytes
-        if length == 0:  # POSIX: zero-length writes do not extend the file
-            return 0
-        node = h.node
-        with node.lock:
-            end = offset + length
-            if end > len(node.data):
-                node.data.extend(b"\x00" * (end - len(node.data)))
-            node.data[offset:end] = view
-        self.total_pwrites += 1
-        self.total_bytes_written += length
-        return length
+        return self._splice(self._handle(handle).node, (byte_view(data),), offset)
 
     def pwritev(
         self, handle: Any, views: Sequence[bytes | memoryview], offset: int
     ) -> int:
-        h = self._handle(handle)
-        vs = [v if isinstance(v, memoryview) else memoryview(v) for v in views]
-        total = sum(v.nbytes for v in vs)
-        if total == 0:
-            return 0
-        node = h.node
-        with node.lock:
-            end = offset + total
-            if end > len(node.data):
-                node.data.extend(b"\x00" * (end - len(node.data)))
-            # One zero-extend, then back-to-back splices — no b"".join
-            # materialization of the whole batch.
-            pos = offset
-            for v in vs:
-                node.data[pos : pos + v.nbytes] = v
-                pos += v.nbytes
         # One backend op for the whole batch: the point of the gather.
+        node = self._handle(handle).node
+        return self._splice(node, [byte_view(v) for v in views], offset)
+
+    def _splice(self, node: _FileNode, views: Sequence[memoryview], offset: int) -> int:
+        """Lay ``views`` back to back into the node at ``offset``, each
+        byte copied once: bytes that land on existing data are
+        overwritten through a transient view of the node (a ``bytearray``
+        slice assignment would copy the source into a temporary first),
+        bytes past EOF are appended, and only a real gap is zero-filled.
+        Everything is consumed before returning, which is the pwrite
+        aliasing contract."""
+        total = sum(len(v) for v in views)
+        if total == 0:  # POSIX: zero-length writes do not extend the file
+            return 0
+        with node.lock:
+            data = node.data
+            if offset > len(data):
+                data += bytes(offset - len(data))
+            pos = offset
+            for v in views:
+                over = min(len(v), len(data) - pos)
+                if over:
+                    # Released before the append below: a bytearray
+                    # with a live export cannot grow.
+                    with memoryview(data) as dst:
+                        dst[pos : pos + over] = v[:over]
+                if over < len(v):
+                    data += v[over:]
+                pos += len(v)
         self.total_pwrites += 1
         self.total_bytes_written += total
         return total

@@ -193,17 +193,12 @@ class BufferPool:
 
     # -- release ---------------------------------------------------------------
 
-    def release(self, chunk: Chunk, already_reset: bool = False) -> None:
-        """Recycle a chunk.
-
-        Resets its metadata unless the caller passes ``already_reset``
-        (a fast path for chunks that never left the clean state — e.g.
-        a failed demand fetch that wrote nothing).  Emits a
-        ``released`` ``PoolPressure`` event so the stats timeline sees
-        the ``in_use`` gauge fall.
+    def release(self, chunk: Chunk) -> None:
+        """Recycle a chunk: reset its metadata and emit a ``released``
+        ``PoolPressure`` event, so the stats timeline sees the
+        ``in_use`` gauge fall.
         """
-        if not already_reset:
-            chunk.reset()
+        chunk.reset()
         with self._available:
             if len(self._free) >= self.nchunks:
                 raise ShutdownError("double release into buffer pool")

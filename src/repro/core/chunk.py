@@ -4,16 +4,32 @@ The paper (Section IV-B): "Each chunk is tagged with metadata information
 including target file handler, offset into the file, valid data size in
 the chunk, etc."  A chunk's byte buffer is allocated once (pool init) and
 reused for its whole life; only the metadata is reset between uses.
+
+The ingest copy into that buffer is one ``memcpy`` (DESIGN.md §3k): a
+``bytearray`` slice assignment would first materialise a non-
+``bytearray`` source as a temporary ``bytearray`` and copy that, so
+:meth:`Chunk.append` writes through a standing ``memoryview`` instead,
+and through ``np.copyto`` — which releases the GIL — from
+:data:`BULK_COPY_BYTES` up.
 """
 
 from __future__ import annotations
 
 from typing import Any, Optional
 
+import numpy as np
+
 from ..errors import FileStateError
 from ..pipeline.planner import SealReason
+from ..units import KiB
 
-__all__ = ["Chunk"]
+__all__ = ["BULK_COPY_BYTES", "Chunk"]
+
+#: Appends at least this long copy with the GIL released.  Measured, not
+#: guessed (``table1_node`` ``epoch_s``, DESIGN.md §3k): flat from
+#: 64 KiB to 1 MiB; at 8 KiB a third slower — a release shorter than a
+#: GIL hand-off buys no overlap and only invites the hand-off.
+BULK_COPY_BYTES = 64 * KiB
 
 
 class Chunk:
@@ -22,13 +38,28 @@ class Chunk:
     Lifecycle: FREE -> (acquire) OPEN -> fills via :meth:`append` ->
     (seal) SEALED, carrying (file, offset, valid length) -> IO thread
     writes it out -> (reset) FREE again.
+
+    :attr:`view` and :attr:`array` are the buffer's two standing
+    exports, made once: every copy in or out goes through one of them,
+    and while they exist the ``bytearray`` cannot be resized.
     """
 
-    __slots__ = ("index", "buffer", "valid", "file_offset", "owner", "seal_reason")
+    __slots__ = (
+        "index",
+        "buffer",
+        "view",
+        "array",
+        "valid",
+        "file_offset",
+        "owner",
+        "seal_reason",
+    )
 
     def __init__(self, index: int, size: int):
         self.index = index
         self.buffer = bytearray(size)
+        self.view = memoryview(self.buffer)
+        self.array = np.frombuffer(self.buffer, np.uint8)
         self.valid = 0  # bytes of valid data ("size of valid data in the chunk")
         self.file_offset = 0  # "offset of this chunk in the original file"
         self.owner: Any = None  # "ownership identities" (the file entry)
@@ -52,15 +83,30 @@ class Chunk:
         self.seal_reason = None
 
     def append(self, data: bytes | memoryview, chunk_offset: int, length: int) -> None:
-        """Copy ``length`` bytes at the planner-designated append point."""
-        if chunk_offset != self.valid:
+        """Copy ``data`` — exactly ``length`` unsigned bytes — to the
+        planner-designated append point, in one ``memcpy``.
+
+        A bulk append (:data:`BULK_COPY_BYTES` and up) runs with the GIL
+        released, so two writers copy on two cores and an IO worker back
+        from ``pwrite`` can recycle its buffer meanwhile; the source is
+        pinned by ``np.frombuffer``'s buffer export for the duration, as
+        ``os.pwrite`` pins what it writes.
+        """
+        start = self.valid
+        if chunk_offset != start:
             raise FileStateError(
-                f"append at {chunk_offset} but chunk append point is {self.valid}"
+                f"append at {chunk_offset} but chunk append point is {start}"
             )
-        if length > self.room:
+        if length > len(self.buffer) - start:
             raise FileStateError(f"append of {length} overflows chunk (room {self.room})")
-        self.buffer[self.valid : self.valid + length] = data[:length]
-        self.valid += length
+        if len(data) != length:
+            raise FileStateError(f"append of {length} given {len(data)} bytes")
+        end = start + length
+        if length < BULK_COPY_BYTES:
+            self.view[start:end] = data
+        else:
+            np.copyto(self.array[start:end], np.frombuffer(data, np.uint8))
+        self.valid = end
 
     def fill_external(self, length: int) -> None:
         """Declare ``length`` bytes already written into :attr:`buffer`
@@ -88,7 +134,7 @@ class Chunk:
 
     def payload(self) -> memoryview:
         """The valid bytes, zero-copy."""
-        return memoryview(self.buffer)[: self.valid]
+        return self.view[: self.valid]
 
     def reset(self) -> None:
         """Return to the clean state (pool release path)."""

@@ -34,7 +34,7 @@ import threading
 import time
 from typing import Any, Iterable
 
-from ..backends.base import Backend, BackendStat, normalize_path
+from ..backends.base import Backend, BackendStat, byte_view, normalize_path
 from ..backends.tiered import TieredBackend
 from ..config import CRFSConfig, DEFAULT_CONFIG
 from ..errors import FileStateError, MountError
@@ -306,9 +306,11 @@ class CRFS:
         view = memoryview(data)
         if not view.c_contiguous:
             raise BufferError(f"{entry.path}: write of a non-contiguous buffer")
-        nbytes = view.nbytes
-        if nbytes != len(view):  # items wider than a byte, or several dimensions
-            view = view.cast("B")
+        # Flat unsigned bytes before anything is planned: the chunk copy
+        # checks the item format, and a write refused after the planner
+        # advanced would wedge the file.
+        view = byte_view(view)
+        nbytes = len(view)
         kernel = self.kernel
         # Timestamps feed the write's events, which nobody but the
         # stats registry may be listening for (it ignores them).

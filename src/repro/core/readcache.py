@@ -157,9 +157,7 @@ class ReadCache:
         until ``fetch_done`` publishes it, so no lock is needed; the
         fill happens before ``open_for``, so a failed fetch leaves the
         chunk clean."""
-        got = self.backend.pread_into(
-            self.backend_handle, memoryview(chunk.buffer)[:length], offset
-        )
+        got = self.backend.pread_into(self.backend_handle, chunk.view[:length], offset)
         chunk.open_for(self, offset)
         chunk.fill_external(got)
         return got
@@ -174,7 +172,7 @@ class ReadCache:
         release, a resident read joins before anything can evict."""
         if self._defer_depth:
             self._held.add(id(chunk))
-        return memoryview(chunk.buffer)[lo:hi]
+        return chunk.view[lo:hi]
 
     @blocking
     def await_entry(self, centry: CacheEntry, timeout: float = 30.0) -> None:

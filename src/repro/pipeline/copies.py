@@ -7,7 +7,11 @@ to make, and counts every one of them.  The sites:
     User buffer → pooled chunk buffer in ``Chunk.append``.  The single
     copy the aggregated write path pays per byte; it is also the
     aliasing snapshot point — the caller may mutate its buffer the
-    moment ``pwrite`` returns.
+    moment ``pwrite`` returns.  The ledger counts *budgeted* copies;
+    that the interpreter adds none to this one (a ``bytearray`` slice
+    assignment would: a temporary of the whole source) is the
+    ``memoryview`` / ``np.copyto`` copy in ``Chunk.append``, pinned by
+    ``tests/test_zero_copy.py::TestNoHiddenCopy``.
 ``read_boundary``
     Cached ``memoryview`` slice(s) → the ``bytes`` object handed across
     the POSIX-shim boundary on a cache-served read.  Internal movement

@@ -1,6 +1,7 @@
 """Tests for all storage backends against the shared Backend contract."""
 
 import threading
+from array import array
 
 import pytest
 
@@ -96,6 +97,38 @@ class TestBackendContract:
         backend.pwrite(fd, b"aaaa", 0)
         backend.pwrite(fd, b"bb", 1)
         assert backend.pread(fd, 4, 0) == b"abba"
+        backend.close(fd)
+
+    def test_write_straddling_eof_overwrites_then_grows(self, backend):
+        fd = backend.open("/f")
+        backend.pwrite(fd, b"aaaa", 0)
+        assert backend.pwrite(fd, b"bbbbbb", 2) == 6
+        assert backend.pread(fd, 100, 0) == b"aabbbbbb"
+        backend.pwrite(fd, b"cc", 8)  # still growable: no view of it left behind
+        assert backend.file_size(fd) == 10
+        backend.close(fd)
+
+    def test_gather_over_a_gap_and_across_eof(self, backend):
+        fd = backend.open("/f")
+        backend.pwrite(fd, b"0123456789", 0)
+        views = [memoryview(b"AAAA"), b"", bytearray(b"BBBB"), memoryview(b"xCCx")[1:3]]
+        assert backend.pwritev(fd, views, 4) == 10
+        assert backend.pread(fd, 100, 0) == b"0123AAAABBBBCC"
+        assert backend.pwritev(fd, [b"DD", b"EE"], 16) == 4
+        assert backend.pread(fd, 100, 0) == b"0123AAAABBBBCC\x00\x00DDEE"
+        assert backend.pwritev(fd, [b"", b""], 64) == 0  # and no growth
+        assert backend.file_size(fd) == 20
+        backend.close(fd)
+
+    def test_items_wider_than_a_byte_are_written_as_their_bytes(self, backend):
+        doubles = array("d", [1.5, -2.25])
+        fd = backend.open("/f")
+        backend.pwrite(fd, b"\xff" * 20, 0)
+        assert backend.pwrite(fd, doubles, 2) == 16  # in place
+        assert backend.pwritev(fd, [array("b", [-1, 2]), doubles], 20) == 18  # at EOF
+        assert backend.pread(fd, 100, 0) == (
+            b"\xff\xff" + doubles.tobytes() + b"\xff\xff\xff\x02" + doubles.tobytes()
+        )
         backend.close(fd)
 
     def test_open_no_create_missing(self, backend):

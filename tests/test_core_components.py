@@ -79,10 +79,13 @@ class TestBufferPool:
         b = pool.acquire()
         assert pool.free_chunks == 0
         assert pool.in_use == 2
+        a.open_for("owner", 0)
+        a.append(b"x" * 16, 0, 16)
         pool.release(a)
         assert pool.free_chunks == 1
         c = pool.acquire()
         assert c is a  # recycled
+        assert c.valid == 0 and c.owner is None  # and scrubbed
 
     def test_acquire_blocks_until_release(self):
         pool = BufferPool(64, 64)

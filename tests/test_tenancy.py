@@ -299,24 +299,6 @@ class TestBufferPoolTenancy:
         assert snap["pool"]["acquires"] == 1
         assert snap["pool"]["releases"] == 1
 
-    def test_release_already_reset_skips_the_reset(self):
-        pool = BufferPool(64 * KiB, 64 * KiB)
-        chunk = pool.acquire()
-        chunk.open_for("owner", 0)
-        chunk.append(b"x" * 16, 0, 16)
-        # The fast path trusts the caller: the dirty metadata survives.
-        pool.release(chunk, already_reset=True)
-        chunk = pool.acquire()
-        assert chunk.valid == 16 and chunk.owner == "owner"
-        # The default path scrubs it.
-        chunk.reset()
-        chunk.open_for("owner", 0)
-        chunk.append(b"x" * 16, 0, 16)
-        pool.release(chunk)
-        chunk = pool.acquire()
-        assert chunk.valid == 0 and chunk.owner is None
-        pool.release(chunk)
-
     def test_acquire_timeout_is_a_deadline_not_rearmed(self):
         """Regression for the re-armed acquire timeout: a waiter racing
         with other acquirers must not block past the advertised bound."""
