@@ -99,7 +99,7 @@ class PosixShim:
     def write(self, fd: int, data: bytes) -> int:
         state = self._state(fd)
         if state.append:
-            state.handle.seek(0, SEEK_END)
+            return state.handle.append(data)
         return state.handle.write(data)
 
     def pwrite(self, fd: int, data: bytes, offset: int) -> int:

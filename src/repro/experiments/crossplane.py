@@ -14,6 +14,7 @@ bit-identical (timing-dependent gauges like queue depth are excluded).
 from __future__ import annotations
 
 import threading
+import time
 from typing import Any
 
 from ..backends import FaultyBackend, MemBackend, TieredBackend
@@ -469,6 +470,17 @@ def _functional_tiered_stats(config: CRFSConfig, arm: str) -> dict[str, Any]:
                 raise RuntimeError("the gate write was never reached")
             for _ in range(_TIER_RUN_CHUNKS):
                 fb.write(b"\x00" * config.chunk_size)
+            if arm != "broken_batch":
+                # The gate holds the pump, whose queue is complete only
+                # once tier 0 has staged the whole run: the writes
+                # returned when their chunks were queued for the IO
+                # worker.  ``outstanding`` is read under the lock that
+                # stages an extent and queues it for the pump.
+                deadline = time.monotonic() + 30
+                while fs.backend.outstanding <= _TIER_RUN_CHUNKS:  # + the gate's
+                    if time.monotonic() > deadline:  # pragma: no cover
+                        raise RuntimeError("the run was never fully staged")
+                    time.sleep(0.001)
             gate.set()
             try:
                 fb.fsync()

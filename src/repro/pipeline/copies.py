@@ -23,7 +23,7 @@ to make, and counts every one of them.  The sites:
     definition; serving from it afterwards is not.
 
 Emission happens in shared kernel code (``FilePipeline.note_write`` /
-``count_write`` / ``note_read`` and ``ReadaheadCore.fetch_done``), so
+``fit_write`` / ``note_read`` and ``ReadaheadCore.fetch_done``), so
 the ledger — and therefore ``stats()["mem"]`` — is bit-identical across
 the functional and timing planes by construction.  Backend-internal
 materializations (e.g. ``MemBackend.pread`` returning ``bytes``) are a

@@ -18,7 +18,7 @@ Split of responsibilities:
   the matching event on the unified stream.  The per-call cases that
   can neither block nor seal have plain functions of their own: a
   write that fits the open chunk (:meth:`FilePipeline.fit_write`,
-  ``count_write``, ``publish_write``) and a read served from resident
+  ``publish_write``) and a read served from resident
   cache chunks (:func:`repro.pipeline.readahead.read_resident`, which
   asks :attr:`FilePipeline.clean` and uses ``count_read``,
   ``publish_read``).  The drain *predicate*
@@ -139,20 +139,26 @@ class FilePipeline:
             return self.planner.write(offset, length)
 
     def fit_write(self, offset: int, length: int) -> int | None:
-        """Plan a write that continues the append point and leaves room
-        in the open chunk — or is empty — by arithmetic alone.
+        """Plan and count a write that continues the append point and
+        leaves room in the open chunk — or is empty — by arithmetic
+        alone.
 
         Returns the chunk offset to copy the ``length`` bytes to, having
         advanced the planner exactly as
         :meth:`~repro.pipeline.planner.WritePlanner.write` would (its
-        plan for this case is one ``Fill``, or nothing); returns None,
-        with the planner untouched, for every other write — no chunk
-        open yet, the chunk fills or spans, a gap or a rewind — which
-        goes through :meth:`plan_write`.  Raises, like it, if an error
-        is latched.  The caller holds whatever serialises writers of
-        this file (the per-file ``write_lock``); the drain lock is not
-        needed — the latch is one attribute read and the planner is
-        only ever advanced by those writers.
+        plan for this case is one ``Fill``, or nothing) and counted the
+        write, and its one ingest copy, in the file's hot counters —
+        what :meth:`note_write` has the stats registry derive from two
+        events (an empty write copies nothing).  Returns None, with
+        planner and counters untouched, for every other write — no
+        chunk open yet, the chunk fills or spans, a gap or a rewind —
+        which goes through :meth:`plan_write`.  Raises, like it, if an
+        error is latched.  The caller holds whatever serialises writers
+        of this file (the per-file ``write_lock``; the simulator is
+        single-threaded) and copies the bytes before releasing it; the
+        drain lock is not needed — the latch is one attribute read and
+        the planner and the ``writes`` cell are only ever advanced by
+        those writers.
         """
         if self._error is not None:
             self._check_writable()
@@ -170,6 +176,9 @@ class FilePipeline:
         elif length < 0 or offset < 0:
             return None  # the planner rejects it
         planner.total_writes += 1
+        hot = self._hot
+        writes, nbytes, copies = hot.writes
+        hot.writes = (writes + 1, nbytes + length, copies + (length > 0))
         return fill
 
     def plan_flush(self) -> list[PlanOp]:
@@ -204,18 +213,8 @@ class FilePipeline:
         """
         self._observe_write(self._emit, offset, length, start, write_through, degraded)
 
-    def count_write(self, length: int) -> None:
-        """A write :meth:`fit_write` planned was copied into the chunk:
-        count it, and its one ingest copy, in the file's hot counters —
-        what :meth:`note_write` has the stats registry derive from two
-        events (an empty write copies nothing).  Same caller-held
-        serialisation as :meth:`fit_write`."""
-        hot = self._hot
-        writes, nbytes, copies = hot.writes
-        hot.writes = (writes + 1, nbytes + length, copies + (length > 0))
-
     def publish_write(self, offset: int, length: int, start: float) -> None:
-        """The events of a write already counted by :meth:`count_write`,
+        """The events of a write already counted by :meth:`fit_write`,
         for the observers other than the stats registry (skipped
         entirely while there are none: ``PipelineKernel.observed``)."""
         self._observe_write(self._publish, offset, length, start)
@@ -547,7 +546,7 @@ class PipelineKernel:
 
     def publish(self, event: PipelineEvent) -> None:
         """Deliver an event whose counts the stats registry already has
-        (``FilePipeline.count_write``) to every other observer."""
+        (``FilePipeline.fit_write``) to every other observer."""
         for observer in self._observers:
             observer.on_event(event)
 

@@ -134,21 +134,16 @@ class BackendHealth:
         self._clock = clock if clock is not None else time.perf_counter
         self._lock = threading.Lock()
         self._consecutive_failures = 0
-        self._degraded = False
+        #: Whether the breaker is open (mount is in write-through).
+        #: Changed only under the lock; read on every ``write()`` without
+        #: it — a plain attribute read is atomic, and the lock could not
+        #: keep the answer fresh past its release anyway.
+        self.degraded = False
         self._degraded_since = 0.0
         self.failures = 0
         self.successes = 0
         self.trips = 0
         self.recoveries = 0
-
-    @property
-    def degraded(self) -> bool:
-        """Whether the breaker is open (mount is in write-through).
-
-        Read on every ``write()``: one attribute read, atomic without
-        the lock (which could not keep the answer fresh past its
-        release anyway)."""
-        return self._degraded
 
     @property
     def consecutive_failures(self) -> int:
@@ -164,11 +159,11 @@ class BackendHealth:
             self._consecutive_failures += 1
             tripped = (
                 self.threshold > 0
-                and not self._degraded
+                and not self.degraded
                 and self._consecutive_failures >= self.threshold
             )
             if tripped:
-                self._degraded = True
+                self.degraded = True
                 self._degraded_since = now
                 self.trips += 1
                 consecutive = self._consecutive_failures
@@ -183,9 +178,9 @@ class BackendHealth:
         with self._lock:
             self.successes += 1
             self._consecutive_failures = 0
-            recovered = self._degraded
+            recovered = self.degraded
             if recovered:
-                self._degraded = False
+                self.degraded = False
                 self.recoveries += 1
                 downtime = now - self._degraded_since
         if recovered:

@@ -455,13 +455,14 @@ class SimCRFS:
         pipeline = f.pipeline
         if f.read_cache is not None:
             readahead.invalidate(f.read_cache, offset0, nbytes)
-        fits = True  # every request so far fit the open chunk
+        # Planned and counted whole, up front, if it fits the open chunk;
+        # the loop below then only costs out its FUSE requests.
+        fits = pipeline.fit_write(offset0, nbytes) is not None
         for request in fuse_requests(nbytes, self.hw.fuse_max_request):
             yield self.sim.timeout(self.hw.fuse_request_overhead)
             if request >= PAGE:
                 yield self.membus.transfer(request)
-            if pipeline.fit_write(f.pos, request) is None:
-                fits = False
+            if not fits:
                 for op in pipeline.plan_write(f.pos, request):
                     if isinstance(op, Fill):
                         if not f.has_chunk:
@@ -482,10 +483,8 @@ class SimCRFS:
             f.pos += request
         if not fits:
             pipeline.note_write(offset0, nbytes, start=t0)
-        else:
-            pipeline.count_write(nbytes)
-            if self.kernel.observed:
-                pipeline.publish_write(offset0, nbytes, t0)
+        elif self.kernel.observed:
+            pipeline.publish_write(offset0, nbytes, t0)
 
     def flush(self, f: SimCRFSFile):
         """Generator: seal the partial chunk (close/fsync path)."""

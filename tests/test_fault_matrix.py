@@ -691,6 +691,14 @@ def tier_cell_functional(rules, attempts, nchunks=NCHUNKS, gated=False, batch=1)
             # staging is asynchronous: the write itself never raises
             f.write(bytes([i + 1]) * CHUNK)
         if gated:
+            # The writes returned once their chunks were queued for the
+            # IO worker; the pump's batches are fixed only once tier 0
+            # has staged them all.  ``outstanding`` reads under the
+            # lock that stages an extent and queues it for the pump.
+            deadline = time.monotonic() + 30
+            while fs.backend.outstanding < nchunks + 1:  # + the gate's
+                assert time.monotonic() < deadline, "run never fully staged"
+                time.sleep(0.001)
             gate.set()
         try:
             f.fsync()  # durability through the deep tier

@@ -1,5 +1,8 @@
 """Tests for the POSIX fd-style facade."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.backends import MemBackend
@@ -12,6 +15,7 @@ from repro.core.posix import (
     O_RDONLY,
     O_TRUNC,
     O_WRONLY,
+    SEEK_CUR,
     SEEK_END,
     SEEK_SET,
     PosixShim,
@@ -70,6 +74,45 @@ class TestOpenFlags:
         px.write(fd, b"+more")
         px.close(fd)
         assert backend.read_file("/f") == b"start+more"
+        fd = px.open("/f", O_WRONLY | O_APPEND)
+        px.lseek(fd, 0, SEEK_SET)
+        px.write(fd, b"!")
+        assert px.lseek(fd, 0, SEEK_CUR) == 11  # just past the append
+        px.close(fd)
+        assert backend.read_file("/f") == b"start+more!"
+
+    def test_concurrent_appends_never_overlap(self, rig):
+        """Two ``O_APPEND`` fds on one file, one thread each.  Finding
+        the end and writing there are one step under the file's write
+        lock; as a seek then a write, another appender's bytes landed
+        in between and a third of the records were overwritten."""
+        px, backend = rig
+        count = 2000
+        fds = {tag: px.open("/log", O_WRONLY | O_CREAT | O_APPEND) for tag in "ab"}
+
+        def appender(tag):
+            for i in range(count):
+                px.write(fds[tag], b"%s%09d" % (tag.encode(), i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=appender, args=(tag,)) for tag in fds]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for fd in fds.values():
+            px.close(fd)
+        image = backend.read_file("/log")
+        assert len(image) == 2 * count * 10
+        records = [image[i : i + 10] for i in range(0, len(image), 10)]
+        for tag in "ab":
+            mine = [r for r in records if r[:1] == tag.encode()]
+            assert mine == [b"%s%09d" % (tag.encode(), i) for i in range(count)]
 
     def test_fd_numbers_unique(self, rig):
         px, _ = rig

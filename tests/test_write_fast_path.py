@@ -141,6 +141,8 @@ class TestFitWriteMatchesThePlanner:
         assert p.fit_write(30, CHUNK - 31) == 30  # one byte of room left
         assert p.fit_write(7, 0) == CHUNK - 1  # empty: anywhere, any state
         assert p.planner.total_writes == 4
+        # (writes, bytes, ingest copies): the accepted three, and no refusal
+        assert p._hot.writes == (3, 20 + CHUNK - 31, 2)
 
     def test_what_the_planner_rejects_is_left_to_the_planner(self):
         p = FilePipeline("/f", CHUNK)
@@ -350,7 +352,6 @@ class TestObservers:
         p = FilePipeline("/f", CHUNK, emit=events.append, clock=lambda: 5.0)
         p.plan_write(0, 10)
         assert p.fit_write(10, 6) == 10
-        p.count_write(6)
         p.publish_write(10, 6, 4.0)
         assert events == [
             CopyObserved(path="/f", site=INGEST, length=6, t=5.0),
@@ -486,7 +487,6 @@ class TestHotCountersFoldAndDrop:
         p.note_write(0, 10)
         for i in range(3):
             assert p.fit_write(10 + 5 * i, 5) == 10 + 5 * i
-            p.count_write(5)
             snap = kernel.snapshot()
             assert (snap["writes"], snap["bytes_in"]) == (2 + i, 15 + 5 * i)
         kernel.file_closed("/f")
