@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from ..errors import FileStateError
+from ..pipeline.writeback import flush, run
 
 if TYPE_CHECKING:  # pragma: no cover
     from .filetable import FileEntry
@@ -117,8 +118,9 @@ class CRFSFile:
         return self._pos
 
     def size(self) -> int:
-        """Logical file size: backend size or the aggregation append
-        point, whichever is larger (buffered bytes count)."""
+        """Logical file size: the backend's, or the end of every byte
+        written through the mount, whichever is larger (buffered and
+        in-flight bytes count)."""
         self._check_open()
         return self._fs.file_size(self._entry)
 
@@ -128,7 +130,7 @@ class CRFSFile:
         """Seal the partial chunk (asynchronous; does not wait)."""
         self._check_open()
         with self._entry.write_lock:
-            self._fs._flush_locked(self._entry)
+            run(flush(self._fs, self._entry))
 
     def fsync(self) -> None:
         """Flush, drain, and fsync the backing file (Section IV-D2)."""

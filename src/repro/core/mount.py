@@ -44,7 +44,7 @@ from ..pipeline import readahead
 from ..pipeline.readahead import ReadaheadCore
 from ..pipeline.resilience import BackendHealth
 from ..pipeline.tenancy import DRRScheduler, PoolLedger
-from ..pipeline.writeback import Extent, blocking, run, write_through
+from ..pipeline.writeback import Extent, blocking, flush, ingest, run, write_through
 from .buffer_pool import BufferPool
 from .chunk import BULK_COPY_BYTES
 from .delta import DeltaCheckpointer
@@ -178,7 +178,7 @@ class CRFS:
                     if entry is None:
                         continue
                     with entry.write_lock:
-                        self._flush_locked(entry)
+                        run(flush(self, entry))
                     entry.wait_drained(timeout=timeout)
                     if entry.read_cache is not None:
                         # Before iopool.shutdown: in-flight prefetch entries
@@ -278,7 +278,7 @@ class CRFS:
         for all outstanding chunk writes, then drop the reference."""
         self._require_mounted()
         with entry.write_lock:
-            self._flush_locked(entry)
+            run(flush(self, entry))
         try:
             entry.wait_drained(timeout=timeout)
         finally:
@@ -305,17 +305,19 @@ class CRFS:
         A write that continues the append point and leaves room in the
         open chunk — what a checkpoint mostly issues — is planned and
         counted by ``FilePipeline.fit_write`` and copied under the
-        per-file lock alone; any other takes the general plan below
-        (acquire, fill, seal, enqueue).  The fitting case enters no
-        Python frame besides the handle's call, this one and
+        per-file lock alone; any other is the general write, the shared
+        :func:`~repro.pipeline.writeback.ingest` flow (acquire, fill,
+        seal, enqueue) over this mount as its port.  The fitting case
+        enters no Python frame besides the handle's call, this one and
         ``fit_write``: every check it needs is an attribute read here.
 
         With ``write_through_threshold`` set, writes at least that large
-        skip aggregation: the partial chunk is sealed first (preserving
-        issue order), then the data goes straight to the backend
-        synchronously.  While the backend circuit breaker is open, every
-        write takes this synchronous path (bypassing the buffer pool)
-        and doubles as a recovery probe.
+        skip aggregation, and while the backend circuit breaker is open
+        every write does (bypassing the buffer pool, and doubling as a
+        recovery probe): :func:`~repro.pipeline.writeback.flush` seals
+        the partial chunk first (preserving issue order), then
+        :func:`~repro.pipeline.writeback.write_through` writes the bytes
+        synchronously, retried and fed to the breaker like any chunk.
         """
         if not self._mounted:
             raise MountError("filesystem is not mounted")
@@ -340,19 +342,15 @@ class CRFS:
                     offset = self.file_size(entry)
                 if entry.read_cache is not None:
                     readahead.invalidate(entry.read_cache, offset, nbytes)
-                for op in pipeline.plan_write_through(offset, nbytes):
-                    assert isinstance(op, Seal)
-                    self._seal_current(entry, op)
-                if not degraded:
-                    self.backend.pwrite(entry.backend_handle, view, offset)
-            if degraded:
-                # Outside write_lock: the degraded probe retries with
-                # backoff, and sleeping under the per-file lock would
-                # stall every concurrent writer to this file for the
-                # full retry budget.  Issue order is already pinned —
-                # the seals above were enqueued under the lock, and
-                # positional pwrites to disjoint offsets commute.
-                self._pwrite_degraded(entry, view, offset)
+                run(flush(self, entry, (offset, nbytes)))
+            # Outside write_lock: the write retries with backoff, and
+            # sleeping under the per-file lock would stall every
+            # concurrent writer to this file for the full retry budget.
+            # Issue order is already pinned — the seal above was
+            # enqueued under the lock, and positional pwrites to
+            # disjoint offsets commute.
+            extent = Extent(entry, 0, offset, nbytes, data=view)
+            run(write_through(self.iopool, extent))
             pipeline.note_write(
                 offset, nbytes, start=t0, write_through=True, degraded=degraded
             )
@@ -374,26 +372,7 @@ class CRFS:
                 # the cache would otherwise keep serving the old bytes).
                 readahead.invalidate(entry.read_cache, offset, nbytes)
             if at is None:
-                for op in pipeline.plan_write(offset, nbytes):
-                    if isinstance(op, Fill):
-                        if entry.current_chunk is None:
-                            if self.pool.free_chunks == 0:
-                                # Read-cache leases draw on this same pool; a
-                                # fully populated cache (capacity >= pool) can
-                                # otherwise pin every chunk and starve the
-                                # writer forever.  The cache is advisory — a
-                                # blocked writer is not — so shed it first.
-                                self._shed_read_caches()
-                            chunk = self.pool.acquire(tenant=entry.tenant)
-                            chunk.open_for(entry, op.file_offset - op.chunk_offset)
-                            entry.current_chunk = chunk
-                        entry.current_chunk.append(
-                            view[op.data_offset : op.data_offset + op.length],
-                            op.chunk_offset,
-                            op.length,
-                        )
-                    else:  # Seal
-                        self._seal_current(entry, op)
+                run(ingest(self, entry, offset, nbytes, view))
             elif nbytes:
                 chunk = entry.current_chunk
                 if nbytes < BULK_COPY_BYTES:
@@ -401,7 +380,7 @@ class CRFS:
                     # just proved: under ``write_lock`` the open chunk's
                     # ``valid`` is the planner's ``chunk_fill``, and
                     # ``at + nbytes`` is short of its end.  A divergence
-                    # still surfaces, at the seal (``_seal_current``).
+                    # still surfaces, at the seal (:meth:`seal`).
                     end = at + nbytes
                     chunk.view[at:end] = view
                     chunk.valid = end
@@ -415,37 +394,42 @@ class CRFS:
             pipeline.publish_write(offset, nbytes, t0)
         return offset + nbytes
 
-    def _pwrite_degraded(
-        self, entry: FileEntry, view: memoryview, offset: int
-    ) -> None:
-        """Synchronous probe write while the circuit breaker is open:
-        the engine's :func:`~repro.pipeline.writeback.write_through`
-        over the IO pool's port — retried like any chunk writeback,
-        staged once on a tiered mount, raised (not latched) on
-        exhaustion."""
-        run(
-            write_through(
-                self.iopool, Extent(entry, 0, offset, len(view), data=view)
-            )
-        )
+    # The write flows' port (threaded plane): ``ingest`` and ``flush``
+    # run these under the file's ``write_lock``.
 
-    def _shed_read_caches(self) -> None:
+    def pool_would_wait(self, entry: FileEntry) -> bool:
+        return self.pool.free_chunks == 0
+
+    def shed_read_caches(self) -> None:
         """Pool-pressure relief: return every read-cache-held buffer.
 
-        Cross-file on purpose — any open file's cache may be what pins
-        the pool.  In-flight fetches are marked evicted and release on
-        completion, so a shed may free chunks slightly later than it
-        returns; ``pool.acquire`` then waits the short remainder."""
+        Read-cache leases draw on the write pool, and a fully populated
+        cache (capacity >= pool) could otherwise pin every chunk and
+        starve a writer forever.  Cross-file on purpose — any open
+        file's cache may be what pins the pool.  In-flight fetches are
+        marked evicted and release on completion, so a shed may free
+        chunks slightly later than it returns; ``pool.acquire`` then
+        waits the short remainder."""
         for tenant in self.table.tenants():
             for path in self.table.paths(tenant):
                 entry = self.table.lookup(path)
                 if entry is not None and entry.read_cache is not None:
                     readahead.clear(entry.read_cache)
 
-    def _seal_current(self, entry: FileEntry, seal: Seal) -> None:
+    @blocking
+    def acquire(self, entry: FileEntry, file_offset: int) -> None:
+        chunk = self.pool.acquire(tenant=entry.tenant)
+        chunk.open_for(entry, file_offset)
+        entry.current_chunk = chunk
+
+    @blocking
+    def fill(self, entry: FileEntry, op: Fill, view: memoryview) -> None:
+        start = op.data_offset
+        entry.current_chunk.append(view[start : start + op.length], op.chunk_offset, op.length)
+
+    @blocking
+    def seal(self, entry: FileEntry, seal: Seal) -> None:
         chunk = entry.current_chunk
-        if chunk is None:
-            raise FileStateError(f"{entry.path}: seal with no open chunk")
         if chunk.valid != seal.length or chunk.file_offset != seal.file_offset:
             raise FileStateError(
                 f"{entry.path}: planner/runtime divergence "
@@ -455,13 +439,15 @@ class CRFS:
         chunk.seal(seal.reason)
         entry.current_chunk = None
         entry.note_chunk_queued(seal)
-        self.queue.put(WorkItem(chunk=chunk, entry=entry), tenant=entry.tenant)
-
-    def _flush_locked(self, entry: FileEntry) -> None:
-        """Seal the partial chunk, if any (caller holds write_lock)."""
-        for op in entry.pipeline.plan_flush():
-            assert isinstance(op, Seal)
-            self._seal_current(entry, op)
+        item = WorkItem(chunk=chunk, entry=entry)
+        try:
+            self.queue.put(item, tenant=entry.tenant)
+        except BaseException as exc:
+            # Sealed and counted but never queued (a stalled or closed
+            # queue): complete it as failed, so the cause is latched for
+            # the next write and close, and the buffer is recycled.
+            self.iopool.complete(item, exc, None)
+            raise
 
     def _fsync(self, entry: FileEntry, timeout: float = 60.0) -> None:
         """fsync() semantics (Section IV-D2): enqueue the current buffer
@@ -469,7 +455,7 @@ class CRFS:
         underlying file."""
         self._require_mounted()
         with entry.write_lock:
-            self._flush_locked(entry)
+            run(flush(self, entry))
         entry.wait_drained(timeout=timeout)
         self.backend.fsync(entry.backend_handle)
 
@@ -503,7 +489,7 @@ class CRFS:
     @blocking
     def flush_drain(self, entry: FileEntry) -> None:
         with entry.write_lock:
-            self._flush_locked(entry)
+            run(flush(self, entry))
         entry.wait_drained()
 
     @blocking
@@ -511,12 +497,9 @@ class CRFS:
         return self.backend.pread(entry.backend_handle, size, offset)
 
     def file_size(self, entry: FileEntry) -> int:
-        """Logical size: backend size or the aggregation append point,
-        whichever is larger (buffered bytes count)."""
-        return max(
-            self.backend.file_size(entry.backend_handle),
-            entry.planner.append_point,
-        )
+        """Logical size: the backend's, or the end of what the planner
+        took in — buffered or still in flight — whichever is larger."""
+        return max(self.backend.file_size(entry.backend_handle), entry.planner.size)
 
     # -- incremental (delta) checkpointing --------------------------------------
 

@@ -73,7 +73,8 @@ class WritePlanner:
     """Aggregation bookkeeping for a single open file.
 
     State: the open chunk's position in the file (``chunk_file_offset``)
-    and fill level (``chunk_fill``), plus the expected append point.
+    and fill level (``chunk_fill``), plus the expected append point and
+    the end of every byte written so far (:attr:`size`).
     The planner never touches bytes — it emits :class:`Fill`/:class:`Seal`
     ops for the runtime to execute against real buffers (functional plane)
     or to cost out (timing plane).
@@ -85,6 +86,11 @@ class WritePlanner:
         self.chunk_size = chunk_size
         self.chunk_file_offset = 0  # file position of the open chunk
         self.chunk_fill = 0  # valid bytes in the open chunk
+        #: The highest append point left behind by a jump (a gap, a
+        #: rewind, an external write): past it no byte was written
+        #: unless the append point itself is further on.
+        self.high_water = 0
+        self._before = (0, 0)  # (chunk_file_offset, chunk_fill) before a plan
         # -- lifetime stats
         self.total_writes = 0
         self.total_bytes = 0
@@ -99,8 +105,20 @@ class WritePlanner:
         return self.chunk_file_offset + self.chunk_fill
 
     @property
+    def size(self) -> int:
+        """The end of the file's bytes as written through this planner —
+        sealed and in flight, or still in the open chunk — whichever
+        write came last (``O_APPEND`` and ``SEEK_END`` land here)."""
+        return max(self.high_water, self.chunk_file_offset + self.chunk_fill)
+
+    @property
     def has_partial(self) -> bool:
         return self.chunk_fill > 0
+
+    def _mark(self) -> None:
+        """Record the append point before it may jump."""
+        self._before = (self.chunk_file_offset, self.chunk_fill)
+        self.high_water = max(self.high_water, self.append_point)
 
     # -- operations -----------------------------------------------------------
 
@@ -114,6 +132,7 @@ class WritePlanner:
         self.total_bytes += length
         if length == 0:
             return []
+        self._mark()
         ops: list[PlanOp] = []
         if self.chunk_fill > 0 and offset != self.append_point:
             # Out-of-order write: seal what we have so chunks stay contiguous.
@@ -156,6 +175,7 @@ class WritePlanner:
         """
         if offset < 0 or length < 0:
             raise ValueError("negative offset/length")
+        self._mark()
         ops: list[PlanOp] = []
         if self.chunk_fill > 0:
             ops.append(self._seal(SealReason.FLUSH))
@@ -164,6 +184,27 @@ class WritePlanner:
         self.chunk_file_offset = offset + length
         self.chunk_fill = 0
         return ops
+
+    def rewind(self, ops: list[PlanOp], done: int) -> None:
+        """The runtime executed ``ops[:done]`` of the plan :meth:`write`
+        last returned, and the op at ``done`` raised having changed
+        nothing: put the planner where the runtime is, so the next write
+        or flush plans against what exists.  The position moves first:
+        the lock-free ``FilePipeline.clean`` must never see a partial
+        chunk as sealed."""
+        if done == 0:
+            self.chunk_file_offset, self.chunk_fill = self._before
+        elif type(last := ops[done - 1]) is Seal:
+            self.chunk_file_offset, self.chunk_fill = last.file_offset + last.length, 0
+        else:
+            self.chunk_file_offset = last.file_offset - last.chunk_offset
+            self.chunk_fill = last.chunk_offset + last.length
+        for op in ops[done:]:
+            if type(op) is Seal:
+                self.sealed_chunks -= 1
+                self.seal_reasons[op.reason] -= 1
+            else:
+                self.total_bytes -= op.length
 
     def _seal(self, reason: SealReason) -> Seal:
         seal = Seal(

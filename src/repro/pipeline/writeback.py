@@ -12,7 +12,13 @@ lives here as plain generator functions over a small per-plane *port*:
   :class:`~repro.pipeline.resilience.BackendHealth` breaker;
 * :func:`writeback` — the IO-worker step: a single chunk, a gathered
   ``pwritev`` batch, or a batch broken by an open breaker;
-* :func:`write_through` — the degraded (breaker-open) synchronous probe;
+* :func:`ingest` — the general write (Section IV-B): copy into the
+  file's open chunk, seal and enqueue it when it fills (or on a gap),
+  take a fresh one;
+* :func:`flush` — seal the partial chunk (close/fsync, and ahead of
+  the bytes of a write that skips aggregation);
+* :func:`write_through` — a synchronous write under the retry policy and
+  breaker (the write-through threshold, and the breaker-open probe);
 * :func:`stage` / :func:`migrate` — tier-0 acceptance and the pump step
   (forward on success, strand on retry exhaustion).
 
@@ -39,6 +45,24 @@ Ports (duck-typed; see :class:`~repro.core.iopool.IOThreadPool`,
 ``complete(extent, error, start)``
     per-chunk completion accounting plus buffer recycle;
 
+for the write flows (the mount, :class:`~repro.core.mount.CRFS` /
+:class:`~repro.simcrfs.model.SimCRFS`, run under the file's
+``write_lock`` on the threaded plane):
+
+``acquire(file, offset)``
+    a fresh pool chunk, opened for ``file`` at ``offset``;
+``fill(file, op, data)``
+    execute one :class:`~repro.pipeline.planner.Fill`;
+``seal(file, op)``
+    seal the open chunk as :class:`~repro.pipeline.planner.Seal` ``op``
+    says and hand it to the work queue — a hand-off that raises after
+    the chunk was taken completes it as failed, latching the cause;
+``pool_would_wait(file)`` / ``shed_read_caches()``
+    the backpressure predicate, and the pressure relief run before an
+    acquire it says would wait;
+
+where files also expose ``current_chunk`` (None while no chunk is open)
+and a write op that raises has changed nothing, but for that seal;
 and for the pump flows: ``retry``, ``sleep``, ``staging`` (the shared
 :class:`~repro.pipeline.staging.StagingCore`), ``tier_healths``,
 ``lock`` (a context manager guarding the staging accounting — a real
@@ -55,7 +79,8 @@ from __future__ import annotations
 import functools
 from typing import Any, Callable, Generator, Sequence
 
-from ..errors import BackendTimeoutError
+from ..errors import BackendTimeoutError, FileStateError
+from .planner import Seal
 from .resilience import BackendHealth, RetryPolicy
 
 __all__ = [
@@ -63,6 +88,8 @@ __all__ = [
     "attempts",
     "blocking",
     "contiguous",
+    "flush",
+    "ingest",
     "migrate",
     "run",
     "stage",
@@ -244,12 +271,73 @@ def writeback(port: Any, extents: Sequence[Extent]) -> Gen:
 
 
 def write_through(port: Any, extent: Extent) -> Gen:
-    """The breaker-open synchronous write, doubling as a recovery probe:
-    a success closes the breaker, exhaustion raises to the writer — the
-    error is synchronous, so nothing is latched."""
+    """A synchronous write under the retry policy and the breaker — a
+    write at the write-through threshold, or any write while the breaker
+    is open, when it doubles as a recovery probe: a success closes the
+    breaker, exhaustion raises to the writer — the error is synchronous,
+    so nothing is latched."""
     error = yield from _write_run(port, [extent])
     if error is not None:
         raise error
+
+
+def _seal(port: Any, file: Any, seal: Seal) -> Gen:
+    if file.current_chunk is None:
+        raise FileStateError(f"{file.path}: seal with no open chunk")
+    yield from port.seal(file, seal)
+
+
+def ingest(port: Any, file: Any, offset: int, length: int, data: Any = None) -> Gen:
+    """The general write (Section IV-B): execute the Fill/Seal plan of
+    one write.  A fresh chunk is acquired only while none is open, and
+    an acquire the pool would make wait is preceded by shedding the read
+    caches — their leases draw on the same pool, and the cache is
+    advisory where a parked writer is not.  ``data`` is the threaded
+    plane's byte view (the timing plane moves sizes).
+
+    A Fill the runtime cannot execute as planned (a fresh chunk while
+    one is open, or a continuation with none) raises.  Whatever raises,
+    the planner is rewound to the ops that ran — a seal that took the
+    chunk before its hand-off raised ran, and latched the cause — so the
+    file is never left divergent: it stays writable and closable, or
+    fails fast naming what went wrong."""
+    pipeline = file.pipeline
+    ops = pipeline.plan_write(offset, length)
+    done = 0
+    try:
+        for op in ops:
+            held = file.current_chunk is not None
+            if type(op) is Seal:
+                yield from _seal(port, file, op)
+            else:
+                if held == (op.chunk_offset == 0):
+                    raise FileStateError(
+                        f"{file.path}: planner/runtime divergence (fill at "
+                        f"chunk offset {op.chunk_offset}, open chunk {held})"
+                    )
+                if not held:
+                    if port.pool_would_wait(file):
+                        port.shed_read_caches()
+                    yield from port.acquire(file, op.file_offset)
+                yield from port.fill(file, op, data)
+            done += 1
+    except BaseException:
+        if type(ops[done]) is Seal and held and file.current_chunk is None:
+            done += 1
+        pipeline.planner.rewind(ops, done)
+        raise
+
+
+def flush(port: Any, file: Any, through: tuple[int, int] | None = None) -> Gen:
+    """Seal the partial chunk, if any: on close/fsync, or — ``through``
+    is the (offset, length) of a write that skips aggregation — ahead of
+    every byte the caller then writes with :func:`write_through`, moving
+    the append point past the range (and failing fast, like
+    :func:`ingest`, on a latched error)."""
+    pipeline = file.pipeline
+    ops = pipeline.plan_flush() if through is None else pipeline.plan_write_through(*through)
+    for op in ops:
+        yield from _seal(port, file, op)
 
 
 def _enqueue(port: Any, extent: Extent) -> Gen:

@@ -43,7 +43,6 @@ from ..errors import ShutdownError
 from ..pipeline import (
     AdmissionWait,
     BackendHealth,
-    Fill,
     FilePipeline,
     PipelineKernel,
     PipelineObserver,
@@ -60,6 +59,8 @@ from ..pipeline.tenancy import DEFAULT_TENANT, DRRScheduler, PoolLedger
 from ..pipeline.writeback import (
     Extent,
     contiguous,
+    flush,
+    ingest,
     migrate,
     stage,
     write_through,
@@ -104,7 +105,7 @@ class SimCRFSFile:
         "pipeline",
         "backend_file",
         "tenant",
-        "has_chunk",
+        "current_chunk",
         "_drain_waiters",
         "pos",
         "read_pos",
@@ -126,7 +127,8 @@ class SimCRFSFile:
         self.pipeline = pipeline
         self.backend_file = backend_file
         self.tenant = tenant
-        self.has_chunk = False  # a chunk is currently open for this file
+        #: True while a chunk (a pool slot — data here is sizes) is open.
+        self.current_chunk: Optional[bool] = None
         self._drain_waiters: list[SimEvent] = []
         #: Tier-staging debt (tiered mounts only): the shared
         #: plane-agnostic accounting the pump processes pay down.
@@ -403,11 +405,11 @@ class SimCRFS:
             return self.pool.acquire(tenant)
         return self.pool.acquire()
 
-    def _pool_would_wait(self, tenant: str) -> bool:
+    def pool_would_wait(self, f: SimCRFSFile) -> bool:
         """The write-path backpressure predicate, sampled before the
         acquire is yielded."""
         if isinstance(self.pool, SimTenantPool):
-            return self.pool.would_wait(tenant)
+            return self.pool.would_wait(f.tenant)
         return self.pool.in_use >= self.pool.capacity or self.pool.waiting > 0
 
     def _pool_starved(self, tenant: str) -> bool:
@@ -446,51 +448,43 @@ class SimCRFS:
         self._note_pool(tenant, released=True)
 
     def write(self, f: SimCRFSFile, nbytes: int):
-        """Generator: one application write() through FUSE into chunks."""
-        if self.health.degraded:
-            yield from self._write_degraded(f, nbytes)
-            return
+        """Generator: one application write() through FUSE into chunks.
+
+        Each 128 KiB request is costed (round-trip, copy over the memory
+        bus), then planned and executed by the shared
+        :func:`~repro.pipeline.writeback.ingest` — unless the write fits
+        the open chunk whole, when ``fit_write`` plans and counts it up
+        front and the loop only costs out its requests.  A write at
+        ``write_through_threshold`` bypasses aggregation, and while the
+        breaker is open every write does (as a recovery probe), as on the
+        threaded plane: ``flush`` seals the partial chunk, then each
+        request is written through, its error raised here (nothing was
+        accepted asynchronously, so nothing is latched)."""
         t0 = self.sim.now
         offset0 = f.pos
         pipeline = f.pipeline
+        degraded = self.health.degraded
+        direct = degraded or 0 < self.config.write_through_threshold <= nbytes
         if f.read_cache is not None:
             readahead.invalidate(f.read_cache, offset0, nbytes)
-        # Planned and counted whole, up front, if it fits the open chunk;
-        # the loop below then only costs out its FUSE requests.
-        fits = pipeline.fit_write(offset0, nbytes) is not None
+        if direct:
+            yield from flush(self, f, (offset0, nbytes))
+        fits = not direct and pipeline.fit_write(offset0, nbytes) is not None
         for request in fuse_requests(nbytes, self.hw.fuse_max_request):
             yield self.sim.timeout(self.hw.fuse_request_overhead)
             if request >= PAGE:
                 yield self.membus.transfer(request)
-            if not fits:
-                for op in pipeline.plan_write(f.pos, request):
-                    if isinstance(op, Fill):
-                        if not f.has_chunk:
-                            # backpressure point
-                            waited = self._pool_would_wait(f.tenant)
-                            if waited:
-                                # Read-cache leases draw on this pool; shed
-                                # them before parking the writer (as
-                                # CRFS._shed_read_caches does) or a full
-                                # cache deadlocks the virtual clock.
-                                self._shed_read_caches()
-                                waited = self._pool_would_wait(f.tenant)
-                            yield self._pool_acquire(f.tenant)
-                            self._note_pool(f.tenant, waited=waited)
-                            f.has_chunk = True
-                    else:
-                        yield from self._seal(f, op)
+            if direct:
+                yield from write_through(self, Extent(f, 0, f.pos, request))
+            elif not fits:
+                yield from ingest(self, f, f.pos, request)
             f.pos += request
         if not fits:
-            pipeline.note_write(offset0, nbytes, start=t0)
+            pipeline.note_write(
+                offset0, nbytes, start=t0, write_through=direct, degraded=degraded
+            )
         elif self.kernel.observed:
             pipeline.publish_write(offset0, nbytes, t0)
-
-    def flush(self, f: SimCRFSFile):
-        """Generator: seal the partial chunk (close/fsync path)."""
-        for op in f.pipeline.plan_flush():
-            assert isinstance(op, Seal)
-            yield from self._seal(f, op)
 
     def close(self, f: SimCRFSFile):
         """Generator: Section IV-C close — flush, drain, backend close.
@@ -569,7 +563,7 @@ class SimCRFS:
     # is the file's :class:`SimReadCache`.
 
     def flush_drain(self, f: SimCRFSFile):
-        yield from self.flush(f)
+        yield from flush(self, f)
         yield from self._wait_drained(f)
         f.pipeline.raise_latched()
 
@@ -580,9 +574,9 @@ class SimCRFS:
 
     @staticmethod
     def file_size(f: SimCRFSFile) -> int:
-        return max(f.known_size, f.planner.append_point)
+        return max(f.known_size, f.planner.size)
 
-    def _shed_read_caches(self) -> None:
+    def shed_read_caches(self) -> None:
         """Pool-pressure relief: drop every read-cache lease back to the
         pool (the cache is advisory; a parked writer is not)."""
         for cached in list(self._cached_files):
@@ -650,34 +644,6 @@ class SimCRFS:
             yield from self.backend.close(mf)
         return manifest
 
-    def _write_degraded(self, f: SimCRFSFile, nbytes: int):
-        """Generator: breaker-open write — synchronous write-through.
-
-        Every degraded write doubles as a recovery probe: the first
-        backend write that succeeds closes the breaker (the health
-        tracker emits ``BackendRecovered``), and subsequent writes take
-        the asynchronous aggregation path again.  On retry exhaustion
-        the error is raised here, at the write() itself — nothing is
-        latched, because nothing was accepted asynchronously (the
-        engine's :func:`~repro.pipeline.writeback.write_through`).
-        """
-        t0 = self.sim.now
-        offset0 = f.pos
-        if f.read_cache is not None:
-            readahead.invalidate(f.read_cache, offset0, nbytes)
-        for op in f.pipeline.plan_write_through(f.pos, nbytes):
-            assert isinstance(op, Seal)
-            yield from self._seal(f, op)
-        for request in fuse_requests(nbytes, self.hw.fuse_max_request):
-            yield self.sim.timeout(self.hw.fuse_request_overhead)
-            if request >= PAGE:
-                yield self.membus.transfer(request)
-            yield from write_through(self, Extent(f, 0, f.pos, request))
-            f.pos += request
-        f.pipeline.note_write(
-            offset0, nbytes, start=t0, write_through=True, degraded=True
-        )
-
     # -- the writeback engine's port (timing plane) ------------------------------
     # The operations the shared flows in :mod:`repro.pipeline.writeback`
     # drive, as virtual-clock generators; ``retry``, ``health``,
@@ -685,6 +651,28 @@ class SimCRFS:
     # ``__init__``.  The simulator is single-threaded: no lock.
 
     lock = nullcontext()
+
+    def acquire(self, f: SimCRFSFile, file_offset: int):
+        waited = self.pool_would_wait(f)
+        yield self._pool_acquire(f.tenant)
+        self._note_pool(f.tenant, waited=waited)
+        f.current_chunk = True
+
+    @staticmethod
+    def fill(f: SimCRFSFile, op: Any, data: Any):
+        return ()  # the copy is costed per FUSE request, in write()
+
+    def seal(self, f: SimCRFSFile, seal: Seal):
+        f.pipeline.note_queued(seal)
+        f.current_chunk = None
+        yield self.sim.timeout(self.hw.crfs_seal_overhead)
+        extent = Extent(f, 0, seal.file_offset, seal.length)
+        if self.file_affine:
+            self._backlog.setdefault(f, []).append(extent)
+            yield self.queue.put(None, tenant=f.tenant)  # wake one IO thread
+        else:
+            yield self.queue.put(extent, tenant=f.tenant)
+        self._note_queued(f.tenant)
 
     def sleep(self, delay: float):
         yield self.sim.timeout(delay)
@@ -756,18 +744,6 @@ class SimCRFS:
             yield from _park(self.sim, self._pump_waiters)
 
     # -- pipeline internals ------------------------------------------------------
-
-    def _seal(self, f: SimCRFSFile, seal: Seal):
-        f.pipeline.note_queued(seal)
-        f.has_chunk = False
-        yield self.sim.timeout(self.hw.crfs_seal_overhead)
-        extent = Extent(f, 0, seal.file_offset, seal.length)
-        if self.file_affine:
-            self._backlog.setdefault(f, []).append(extent)
-            yield self.queue.put(None, tenant=f.tenant)  # wake one IO thread
-        else:
-            yield self.queue.put(extent, tenant=f.tenant)
-        self._note_queued(f.tenant)
 
     def _note_queued(self, tenant: str) -> None:
         """The put-side ``QueuePressure`` event (after the yield)."""

@@ -337,8 +337,19 @@ class TestSnapshotsUnderConcurrentReaders:
         nbytes = 4 * CHUNK
         data = {name: image(nbytes, salt=ord(name)) for name in "ab"}
         plan = [((i * 37) % (nbytes - 200), 8 + (i * 13) % 192) for i in range(per_reader)]
-        snapshots, errors = [], []
+        errors = []
+        taken, last = 0, None
         done = threading.Event()
+
+        def whole(snap, last):
+            """Assert ``snap`` adds up across tenants and that no read
+            counter went back since ``last``; return its counters."""
+            read, tenants = snap["read"], snap["tenants"].values()
+            assert sum(t["reads"] for t in tenants) == read["reads"]
+            assert sum(t["bytes_read"] for t in tenants) == read["bytes_read"]
+            now = (read["reads"], read["bytes_read"], read["hits"])
+            assert now >= last
+            return now
 
         def guarded(fn, *args):
             try:
@@ -360,8 +371,13 @@ class TestSnapshotsUnderConcurrentReaders:
                 time.sleep(0.0002)
 
         def watcher():
+            # Each snapshot is checked as it is taken, not kept: the loop
+            # runs as long as the readers do, and a list of every
+            # snapshot grows to gigabytes on a loaded machine.
+            nonlocal taken, last
             while not done.is_set():
-                snapshots.append(fs.stats())
+                last = whole(fs.stats(), last)
+                taken += 1
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -372,6 +388,7 @@ class TestSnapshotsUnderConcurrentReaders:
                     f.write(data[name])
                     f.fsync()
                 base = fs.stats()
+                last = (base["read"]["reads"], base["read"]["bytes_read"], base["read"]["hits"])
                 readers = [
                     threading.Thread(target=guarded, args=(reader, files[n], n)) for n in "ab"
                 ]
@@ -393,15 +410,9 @@ class TestSnapshotsUnderConcurrentReaders:
         finally:
             sys.setswitchinterval(interval)
         assert errors == []
-        assert len(snapshots) > 10
+        assert taken > 10
         assert 0 < len(flows) < 2 * per_reader  # both ways were taken
-        last = (base["read"]["reads"], base["read"]["bytes_read"], base["read"]["hits"])
-        for snap in snapshots + [final]:
-            read, tenants = snap["read"], snap["tenants"].values()
-            assert sum(t["reads"] for t in tenants) == read["reads"]
-            assert sum(t["bytes_read"] for t in tenants) == read["bytes_read"]
-            assert (read["reads"], read["bytes_read"], read["hits"]) >= last
-            last = (read["reads"], read["bytes_read"], read["hits"])
+        whole(final, last)
         total = sum(size for _, size in plan)
         assert final["read"]["reads"] == 2 * per_reader
         assert final["read"]["bytes_read"] == 2 * total

@@ -1,18 +1,19 @@
 """The writeback engine (``pipeline/writeback.py``) driven through a
 fake port — no threads, no simulator.
 
-The three control flows both planes run (the attempt loop, the
-IO-worker step, the tier-pump step) are plain generators over a port,
-so their policy is pinned here once: failure classification, one health
-record per attempt, retry-before-sleep ordering, batch error
-attribution, stage-once, break-on-open-breaker, forward/strand.
+The control flows both planes run (the attempt loop, the IO-worker
+step, the tier-pump step, the general write) are plain generators over
+a port, so their policy is pinned here once: failure classification,
+one health record per attempt, retry-before-sleep ordering, batch error
+attribution, stage-once, break-on-open-breaker, forward/strand, and
+acquire/fill/seal order with its shed-before-wait and rewind-on-raise.
 """
 
 from contextlib import nullcontext
 
 import pytest
 
-from repro.errors import BackendTimeoutError
+from repro.errors import BackendTimeoutError, FileStateError
 from repro.pipeline import (
     BackendHealth,
     BatchBroken,
@@ -29,6 +30,8 @@ from repro.pipeline.writeback import (
     attempts,
     blocking,
     contiguous,
+    flush,
+    ingest,
     migrate,
     run,
     stage,
@@ -53,6 +56,7 @@ class FakeFile:
         self.path = path
         self.pipeline = FilePipeline(path, CHUNK, emit=events.append)
         self.staged = staging.file(path) if staging is not None else None
+        self.current_chunk = None
 
 
 class FakePort:
@@ -70,6 +74,8 @@ class FakePort:
         self.health = BackendHealth(threshold, emit=self.events.append)
         self.pump_depth = 0
         self.pump_queue = []
+        self.would_wait = False
+        self.raises = {}  # write-port op -> the error it raises once
         self.staging = None
         if ntiers:
             self.staging = StagingCore(ntiers, emit=self.events.append)
@@ -115,6 +121,31 @@ class FakePort:
     @blocking
     def tier_close(self, file):
         self.log.append(("close", file.path))
+
+    def pool_would_wait(self, file):
+        return self.would_wait
+
+    def shed_read_caches(self):
+        self.log.append(("shed",))
+
+    def _write_op(self, name, *record):
+        if name in self.raises:
+            raise self.raises.pop(name)
+        self.log.append((name, *record))
+
+    @blocking
+    def acquire(self, file, offset):
+        self._write_op("acquire", offset)
+        file.current_chunk = offset
+
+    @blocking
+    def fill(self, file, op, data):
+        self._write_op("fill", op.file_offset, op.length)
+
+    @blocking
+    def seal(self, file, op):
+        self._write_op("seal", op.file_offset, op.length)
+        file.current_chunk = None
 
     def of(self, cls):
         return [e for e in self.events if isinstance(e, cls)]
@@ -399,3 +430,114 @@ class TestPump:
         run(migrate(port, port.pump_queue))
         assert port.log[-2:] == [("wake",), ("close", "/f")]
         assert not f.staged.closing
+
+
+# ---------------------------------------------------------------------------
+# ingest / flush (the general write)
+
+
+def write_port():
+    port = FakePort()
+    return port, port.file("/f")
+
+
+def kinds(port):
+    return [rec[0] for rec in port.log]
+
+
+class TestIngest:
+    def test_a_spanning_write_seals_and_enqueues_each_chunk_before_the_next_acquire(self):
+        port, f = write_port()
+        run(ingest(port, f, 0, 2 * CHUNK + 100))
+        assert port.log == [
+            ("acquire", 0), ("fill", 0, CHUNK), ("seal", 0, CHUNK),
+            ("acquire", CHUNK), ("fill", CHUNK, CHUNK), ("seal", CHUNK, CHUNK),
+            ("acquire", 2 * CHUNK), ("fill", 2 * CHUNK, 100),
+        ]
+
+    def test_no_acquire_while_a_chunk_is_open(self):
+        port, f = write_port()
+        run(ingest(port, f, 0, 100))
+        run(ingest(port, f, 100, 100))
+        assert kinds(port) == ["acquire", "fill", "fill"]
+
+    def test_read_caches_are_shed_before_an_acquire_that_would_wait_and_only_then(self):
+        port, f = write_port()
+        run(ingest(port, f, 0, 100))  # the pool has room: no shed
+        port.would_wait = True
+        run(ingest(port, f, 100, 100))  # a chunk is open: no acquire, no shed
+        assert ("shed",) not in port.log
+        run(ingest(port, f, 4 * CHUNK, 100))  # a gap: seal, then a fresh chunk
+        assert port.log[-4:] == [
+            ("seal", 0, 200), ("shed",), ("acquire", 4 * CHUNK), ("fill", 4 * CHUNK, 100)
+        ]
+
+    def test_the_partial_chunk_is_sealed_before_any_write_through_byte(self):
+        port, f = write_port()
+        run(ingest(port, f, 0, 100))
+        run(flush(port, f, (100, 3 * CHUNK)))
+        run(write_through(port, Extent(f, 0, 100, 3 * CHUNK)))
+        assert port.log[1:] == [
+            ("fill", 0, 100), ("seal", 0, 100), ("write", 100, [3 * CHUNK]),
+            ("stage", 100, 3 * CHUNK),
+        ]
+        assert f.pipeline.planner.size == 100 + 3 * CHUNK
+
+    def test_flush_seals_the_partial_chunk_once(self):
+        port, f = write_port()
+        run(ingest(port, f, 0, 100))
+        run(flush(port, f))
+        run(flush(port, f))
+        assert port.ops("seal") == [("seal", 0, 100)]
+
+    def test_a_planner_runtime_divergence_raises(self):
+        port, f = write_port()
+        run(ingest(port, f, 0, 100))
+        f.current_chunk = None  # the runtime lost the open chunk
+        with pytest.raises(FileStateError, match="divergence"):
+            run(ingest(port, f, 100, 100))
+        with pytest.raises(FileStateError, match="seal with no open chunk"):
+            run(flush(port, f))
+        port, f = write_port()
+        f.current_chunk = 0  # a chunk the planner never opened
+        with pytest.raises(FileStateError, match="divergence"):
+            run(ingest(port, f, 0, 100))
+
+    def test_a_port_op_that_raises_rewinds_the_planner_to_what_ran(self):
+        port, f = write_port()
+        run(ingest(port, f, 0, 100))
+        port.raises["acquire"] = OSError("pool stalled")
+        with pytest.raises(OSError, match="pool stalled"):
+            run(ingest(port, f, 100, CHUNK))  # fills and seals chunk 0, then fails
+        planner = f.pipeline.planner
+        assert (planner.append_point, planner.sealed_chunks, planner.size) == (CHUNK, 1, CHUNK)
+        run(ingest(port, f, CHUNK, 10))
+        run(flush(port, f))
+        assert port.ops("seal") == [("seal", 0, CHUNK), ("seal", CHUNK, 10)]
+
+    def test_a_seal_that_raises_leaves_the_chunk_open_and_the_count_unchanged(self):
+        port, f = write_port()
+        run(ingest(port, f, 0, 100))
+        port.raises["seal"] = OSError("queue closed")
+        with pytest.raises(OSError, match="queue closed"):
+            run(ingest(port, f, 2 * CHUNK, 10))  # the gap seal fails first
+        planner = f.pipeline.planner
+        assert (planner.chunk_file_offset, planner.chunk_fill, planner.sealed_chunks) == (0, 100, 0)
+        run(flush(port, f))
+        assert port.ops("seal") == [("seal", 0, 100)]
+
+    def test_a_seal_that_took_the_chunk_before_it_raised_has_run(self):
+        port, f = write_port()
+        run(ingest(port, f, 0, 100))
+
+        @blocking
+        def seal(file, op):
+            file.current_chunk = None  # taken, then the hand-off fails
+            raise OSError("queue closed")
+
+        port.seal = seal
+        with pytest.raises(OSError, match="queue closed"):
+            run(ingest(port, f, 2 * CHUNK, 10))
+        planner = f.pipeline.planner
+        assert (planner.chunk_fill, planner.sealed_chunks, planner.size) == (0, 1, 100)
+        run(flush(port, f))  # nothing left to seal: no "seal with no open chunk"
