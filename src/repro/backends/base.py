@@ -34,6 +34,12 @@ class Backend(ABC):
     """
 
     name = "backend"
+    #: Whether a read is a copy out of memory the host already holds (a
+    #: RAM store, the page cache of a local file), so moving the bytes
+    #: is its whole cost.  The threaded read cache then lets the reader
+    #: that consumes a chunk fill it itself; over a backend with latency
+    #: of its own (the default) the IO workers fetch the window ahead.
+    reads_from_memory = False
 
     # -- data plane ---------------------------------------------------------
 

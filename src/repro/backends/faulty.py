@@ -194,6 +194,13 @@ class FaultyBackend(Backend):
     def faults_fired(self) -> int:
         return self.schedule.faults_fired
 
+    @property
+    def reads_from_memory(self) -> bool:  # type: ignore[override]
+        # A rule that delays reads stands for a device with latency.
+        return self.inner.reads_from_memory and not any(
+            rule.op == "pread" and rule.delay for rule in self.rules
+        )
+
     def add_rule(self, rule: FaultRule) -> None:
         self.schedule.add_rule(rule)
 

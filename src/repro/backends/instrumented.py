@@ -134,6 +134,10 @@ class InstrumentedBackend(Backend):
         self._lock = threading.Lock()
         self._handle_paths: dict[Any, str] = {}
 
+    @property
+    def reads_from_memory(self) -> bool:  # type: ignore[override]
+        return self.inner.reads_from_memory
+
     def _record(self, op: str, path: str, size: int, offset: int, start: float) -> None:
         rec = OpRecord(
             op=op,

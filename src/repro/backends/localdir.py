@@ -28,6 +28,7 @@ class LocalDirBackend(Backend):
     """Backend rooted at a real directory.  Paths may not escape the root."""
 
     name = "localdir"
+    reads_from_memory = True  # the page cache; the kernel reads ahead of a miss
 
     def __init__(self, root: str):
         self.root = os.path.abspath(root)

@@ -58,6 +58,7 @@ class MemBackend(Backend):
     """Thread-safe in-memory filesystem tree."""
 
     name = "mem"
+    reads_from_memory = True
 
     def __init__(self) -> None:
         self._root = _DirNode()

@@ -26,6 +26,7 @@ class NullBackend(Backend):
     """Discards writes; reads return zeros up to the recorded size."""
 
     name = "null"
+    reads_from_memory = True
 
     def __init__(self) -> None:
         self._sizes: dict[str, int] = {}

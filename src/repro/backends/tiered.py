@@ -108,6 +108,10 @@ class TieredBackend(Backend):
 
         self._queue = WorkQueue()
 
+    @property
+    def reads_from_memory(self) -> bool:  # type: ignore[override]
+        return self.tiers[0].reads_from_memory  # reads are served by tier 0
+
     def _rebuild(self) -> None:
         """(Re)derive the staging core and per-tier breakers from the
         current emit/clock/policy — called at construction and again

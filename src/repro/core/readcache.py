@@ -6,17 +6,37 @@
 timing plane runs.  This module is what those flows stand on here:
 chunk buffers leased from the mount's
 :class:`~repro.core.buffer_pool.BufferPool`, blocking backend reads,
-the condition variable a reader parks on, and prefetches pushed through
-the existing :class:`~repro.core.workqueue.WorkQueue` as low-priority
-:class:`~repro.pipeline.readahead.Prefetch` items the IO workers
-service between writebacks.
+and prefetches pushed through the existing
+:class:`~repro.core.workqueue.WorkQueue` as low-priority
+:class:`~repro.pipeline.readahead.Prefetch` items.
+
+A chunk's backend read is two port steps, **warm** and **fill**, and
+the backend decides which one moves the bytes
+(:attr:`ReadCache.warm_reads`):
+
+* over a backend with latency of its own, the warm is the read — a
+  ``pread_into`` the IO workers run on the prefetches between
+  writebacks, so the window hides the latency — and the fill is free.
+  A reader that reaches a chunk still in flight parks on the cache
+  condition until it lands;
+* over a backend that reads from memory
+  (:attr:`~repro.backends.base.Backend.reads_from_memory`: a RAM store,
+  the page cache) there is no latency to hide, and a worker's copy was
+  one the reader then waited for.  There the warm is free: the reader
+  that slid the window leases each prefetch's buffer itself, under the
+  cache lock it already holds (a read still collecting views of pooled
+  buffers does so once they are joined, or when it reaches the chunk),
+  and the first reader to touch the entry fills it with its own
+  ``pread_into``, GIL released, right before its copy-out.  No reader
+  waits on another thread and no IO worker holds a cache buffer; the
+  workers drop the queued items.
 
 Deadlock discipline (the shutdown-safety contract the regression tests
 pin):
 
-* IO workers never block on the pool — a prefetch uses
-  :meth:`BufferPool.try_acquire` and is *dropped* when starved, so a
-  full pool cannot park a worker and hang ``IOThreadPool.shutdown``;
+* nothing on the read path blocks on the pool — a prefetch's lease is
+  a :meth:`BufferPool.try_acquire`, *dropped* when starved, so a full
+  pool cannot park a worker and hang ``IOThreadPool.shutdown``;
 * low-band queue puts never block, so a reader holding the cache lock
   cannot stall behind write backpressure;
 * teardown (:func:`~repro.pipeline.readahead.clear`) never waits for
@@ -24,10 +44,10 @@ pin):
   releases the buffer itself when the fetch lands.
 
 Lock order: ``entry.write_lock`` → ``ReadCache.lock`` → pool/queue
-internal locks.  The backend ``pread`` for a *demand* miss runs under
-``lock`` (same-file readers serialize, different files don't);
-prefetch workers drop ``lock`` around their ``pread`` so foreground
-hits overlap with background fetches.
+internal locks.  A demand read and a reader's fill run under ``lock``
+(same-file readers serialize, different files don't); prefetch workers
+drop ``lock`` around their ``pread`` so foreground hits overlap with
+background fetches.
 """
 
 from __future__ import annotations
@@ -79,6 +99,10 @@ class ReadCache:
         #: and prefetches queue under its name (low band, so they are
         #: never weighed against the tenant's writeback share).
         self.tenant = tenant
+        #: Whether the warm is the backend read (the IO workers fetch
+        #: ahead) rather than the fill (the reader fetches what it
+        #: consumes) — fixed for the cache's life.
+        self.warm_reads = not backend.reads_from_memory
         self.lock = threading.RLock()
         self._cond = threading.Condition(self.lock)
         # Deferred-release machinery for the zero-copy serve path: while
@@ -95,6 +119,12 @@ class ReadCache:
         self._defer_depth = 0
         self._deferred: list[Chunk] = []
         self._held: set[int] = set()
+        # Prefetches a collecting read slid the window for, when the
+        # reader warms them: warmed once its views are joined and its
+        # deferred buffers are back (the lease must not starve on one),
+        # or when the same read reaches the chunk (await_entry).
+        # Guarded by lock.
+        self._unwarmed: list[Prefetch] = []
 
     def read(self, fs: Any, entry: Any, size: int, offset: int) -> bytes:
         """One pread of the file this cache belongs to (``entry``, open
@@ -145,18 +175,34 @@ class ReadCache:
                         drained, self._deferred = self._deferred, []
                         for chunk in drained:
                             self.pool.release(chunk)
+                    if self._unwarmed:
+                        pending, self._unwarmed = self._unwarmed, []
+                        for item in pending:
+                            run(readahead.service_prefetch(item))
 
     @blocking
     def try_lease(self) -> Chunk | None:
         return self.pool.try_acquire(tenant=self.tenant)
 
     @blocking
-    def fetch(self, chunk: Chunk, offset: int, length: int) -> int:
+    def warm(self, chunk: Chunk, offset: int, length: int) -> int:
+        """The backend read where the warm is it (an IO worker's
+        prefetch, without ``lock``; a demand miss, under it); free —
+        the fill will read — otherwise."""
+        return self._read_into(chunk, offset, length) if self.warm_reads else length
+
+    @blocking
+    def fill(self, chunk: Chunk, offset: int, length: int) -> int:
+        """The reader's backend read, under ``lock``, where the warm
+        did not read; free otherwise."""
+        return length if self.warm_reads else self._read_into(chunk, offset, length)
+
+    def _read_into(self, chunk: Chunk, offset: int, length: int) -> int:
         """Fill the leased buffer directly (``pread_into`` — no
-        intermediate bytes).  The chunk is exclusively the fetcher's
-        until ``fetch_done`` publishes it, so no lock is needed; the
-        fill happens before ``open_for``, so a failed fetch leaves the
-        chunk clean."""
+        intermediate bytes).  A prefetch's chunk is exclusively its IO
+        worker's until ``warm_done`` publishes it, so the worker needs
+        no lock; the read happens before ``open_for``, so a failed one
+        leaves the chunk clean."""
         got = self.backend.pread_into(self.backend_handle, chunk.view[:length], offset)
         chunk.open_for(self, offset)
         chunk.fill_external(got)
@@ -176,10 +222,20 @@ class ReadCache:
 
     @blocking
     def await_entry(self, centry: CacheEntry, timeout: float = 30.0) -> None:
-        """Park on the cache condition until ``centry`` is ready or
-        evicted (caller holds ``lock``).  ``timeout`` is a deadline —
-        completion broadcasts for *other* chunks wake this waiter too,
-        and each wakeup must wait only on the remainder."""
+        """Until ``centry`` is warmed or evicted (caller holds
+        ``lock``).  Where the reader warms, only this read's own slide
+        can have left it unwarmed: warm it now, on this thread.
+        Otherwise park on the cache condition while an IO worker
+        fetches it.  ``timeout`` is a deadline — completion broadcasts
+        for *other* chunks wake this waiter too, and each wakeup must
+        wait only on the remainder."""
+        if not self.warm_reads:
+            for i, item in enumerate(self._unwarmed):
+                if item.centry is centry:
+                    del self._unwarmed[i]
+                    run(readahead.service_prefetch(item))
+                    return
+            return
         deadline = time.monotonic() + timeout
         while not centry.ready and not centry.evicted:
             remaining = deadline - time.monotonic()
@@ -190,7 +246,8 @@ class ReadCache:
                 )
 
     def wake(self, centry: CacheEntry) -> None:
-        self._cond.notify_all()
+        if self.warm_reads:  # nobody parks where the reader warms
+            self._cond.notify_all()
 
     def release(self, chunk: Chunk) -> None:
         """Return one leased buffer to the pool — unless the read in
@@ -208,4 +265,15 @@ class ReadCache:
 
     @blocking
     def enqueue_prefetch(self, item: Prefetch) -> None:
+        """Queue the prefetch for the IO workers; where the reader
+        warms, also lease and warm it on this thread (the caller holds
+        ``lock``): right here, or — while a read is collecting views —
+        once they are joined.  The put comes first so a queue closed by
+        a racing unmount drops the entry before it leases."""
         self.queue.put(item, low=True, tenant=self.tenant)
+        if self.warm_reads:
+            return
+        if self._defer_depth:
+            self._unwarmed.append(item)
+        else:
+            run(readahead.service_prefetch(item))

@@ -18,12 +18,14 @@ to make, and counts every one of them.  The sites:
     between cache and caller is views; the join at the shim is the one
     copy.
 ``fetch``
-    Backend → pooled cache buffer when the readahead core fetches a
-    chunk (prefetch or demand).  Filling the cache is a copy by
-    definition; serving from it afterwards is not.
+    Backend → pooled cache buffer, counted when a read first takes a
+    cached chunk (a prefetched one, or a demand miss), whichever thread
+    moved its bytes.  Filling the cache is a copy by definition;
+    serving from it afterwards is not, and a prefetch the window evicts
+    unread counts as wasted, not copied.
 
 Emission happens in shared kernel code (``FilePipeline.note_write`` /
-``fit_write`` / ``note_read`` and ``ReadaheadCore.fetch_done``), so
+``fit_write`` / ``note_read`` and ``ReadaheadCore.fill_done``), so
 the ledger — and therefore ``stats()["mem"]`` — is bit-identical across
 the functional and timing planes by construction.  Backend-internal
 materializations (e.g. ``MemBackend.pread`` returning ``bytes``) are a

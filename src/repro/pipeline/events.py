@@ -298,7 +298,7 @@ class CopyObserved(PipelineEvent):
     pooled chunk buffer, the single copy the write path is allowed),
     ``"read_boundary"`` (cached view(s) → the ``bytes`` handed across
     the POSIX-shim boundary) or ``"fetch"`` (backend → pooled cache
-    buffer on a readahead/demand fetch).  Backend-*internal*
+    buffer when a read fills a cached chunk).  Backend-*internal*
     materializations (e.g. a passthrough ``pread``) are a property of
     the backend, not the pipeline, and are documented at the
     :class:`~repro.backends.base.Backend` interface instead of counted

@@ -18,10 +18,11 @@ a per-plane port (the technique of :mod:`repro.pipeline.writeback`):
   plain function both planes try first;
 * :func:`read` — one application read: passthrough or cached;
 * :func:`serve` / :func:`cached_chunk` — the per-chunk loop of a cached
-  read and the service of one chunk (hit, demand fetch, park on an
-  in-flight entry, starved pool → uncached slice);
+  read and the service of one chunk (hit, fill of a warmed entry,
+  demand fetch, park on an in-flight entry, starved pool → uncached
+  slice);
 * :func:`issue_prefetches` / :func:`service_prefetch` — slide the window
-  onto the work queue's low band; the IO-worker step for one
+  onto the work queue's low band; lease and warm one
   :class:`Prefetch`;
 * :func:`release_evicted`, :func:`invalidate`, :func:`clear` — evictee
   release + waiter wake-up, and the write-path / teardown hooks.
@@ -40,20 +41,35 @@ Ports (duck-typed).  The *mount* (:class:`~repro.core.mount.CRFS`,
     plane, a null context on the single-threaded simulator);
 ``try_lease()``
     one pool buffer, or None when starved — never blocks on the pool;
-``fetch(lease, offset, length)``
-    fill the leased buffer from the backend; returns the byte count;
+``warm_reads``
+    which half of a chunk's backend read moves the bytes: True when
+    the warm does (the timing plane; the threaded plane over a backend
+    with latency of its own), False when the fill does (the threaded
+    plane over a backend that reads from memory);
+``warm(lease, offset, length)``
+    the first half — get ``length`` bytes at ``offset`` ready to move;
+    returns the byte count it got (promised, where it is free);
+``fill(lease, offset, length)``
+    the second half — have the warmed bytes in the leased buffer;
+    returns the byte count there (short if the file shrank behind the
+    mount);
 ``read_uncached(offset, length)``
     a slice straight from the backend (starved demand read);
 ``view(lease, lo, hi)``
     what a read is handed for bytes ``lo:hi`` of a resident buffer;
 ``await_entry(entry)``
-    park until an in-flight entry is ready or evicted;
+    until an entry not yet warmed is ready or evicted: park while the
+    IO side warms it or, where the reader warms (only the read's own
+    slide can have left one unwarmed), warm it on the spot;
 ``wake(entry)``
     wake readers parked on ``entry``;
 ``release(lease)``
     return one buffer to the pool;
 ``enqueue_prefetch(item)``
-    put one :class:`Prefetch` on the work queue's low band;
+    put one :class:`Prefetch` on the work queue's low band, where the
+    plane's IO side runs :func:`service_prefetch` on it — or, where the
+    reader warms, run that on the reader and leave the IO side nothing
+    to do;
 ``serve_read(offset, end, file_size)``
     run :func:`serve` with the plane's own cost of handing the bytes
     back (the threaded join under the cache lock, the modelled FUSE
@@ -62,17 +78,22 @@ Ports (duck-typed).  The *mount* (:class:`~repro.core.mount.CRFS`,
 Determinism contract (what the cross-plane differential tests lean on):
 every decision — hit vs. miss, admit, evict, prefetch planning — is a
 pure function of the *access sequence*, never of fetch timing.  An
-entry still in flight counts as a **hit** (the fetch was saved either
-way), and the eviction victim — least recently used outside the live
-window — is chosen regardless of entry state from LRU order, the
-latest access and the window width, all functions of that sequence, so
-two planes replaying the same reads make byte-identical decisions even
-though their fetches complete at different (virtual or wall) times.
+entry still in flight, or warmed and not yet filled, counts as a
+**hit** (the fetch was saved either way), and the eviction victim —
+least recently used outside the live window — is chosen regardless of
+entry state from LRU order, the latest access and the window width,
+all functions of that sequence, so two planes replaying the same reads
+make byte-identical decisions even though their fetches complete at
+different (virtual or wall) times.
 
 Accounting invariants: every issued prefetch eventually emits exactly
-one of ``ChunkPrefetched`` (delivered) or ``PrefetchDropped`` (pool
-starved, backend error, or evicted in flight); a delivered prefetch
-that leaves the cache unused emits ``PrefetchWasted``.
+one of ``ChunkPrefetched`` (warmed) or ``PrefetchDropped`` (pool
+starved, backend error, or evicted in flight); a warmed prefetch that
+leaves the cache unused emits ``PrefetchWasted``.  The ``fetch`` copy
+(backend → pooled buffer) is counted at the fill, where a read first
+takes the chunk, whichever half moved its bytes — so the ledger is the
+same on both planes, and a prefetch evicted unread counts as wasted,
+not as a copy.  The breaker counts a success where bytes did move.
 
 Synchronization: every :class:`ReadaheadCore` method must be invoked
 under the owning cache port's ``lock``; the flows below take it where
@@ -135,20 +156,22 @@ class CacheEntry:
     instead).
     """
 
-    __slots__ = ("index", "origin", "ready", "valid", "used", "evicted", "payload", "waiters")
+    __slots__ = ("index", "origin", "ready", "filled", "valid", "used", "evicted",
+                 "payload", "waiters")
 
     def __init__(self, index: int, origin: str):
         self.index = index
         self.origin = origin
-        self.ready = False  # payload holds the fetched chunk
-        self.valid = 0  # bytes the fetch delivered (short at the then-EOF)
+        self.ready = False  # warmed: payload is leased, a read may fill it
+        self.filled = False  # payload holds the chunk's bytes
+        self.valid = 0  # bytes the chunk holds (short at the then-EOF)
         self.used = False  # some read was served from (or waited on) it
         self.evicted = False  # removed from the index; payload is stale
         self.payload: Any = None
         self.waiters: List[Any] = []
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "ready" if self.ready else "fetching"
+        state = "filled" if self.filled else "warm" if self.ready else "fetching"
         if self.evicted:
             state = "evicted"
         return f"<CacheEntry #{self.index} {self.origin} {state}>"
@@ -315,10 +338,10 @@ class ReadaheadCore:
     def access(self, index: int) -> Optional[CacheEntry]:
         """Classify one chunk access; returns the entry on a hit.
 
-        A resident entry — ready *or* still in flight — is a hit (the
-        caller waits on in-flight entries); absence is a miss and the
-        caller fetches on demand.  Both outcomes go out on the event
-        stream.
+        A resident entry — filled, warmed *or* still in flight — is a
+        hit (the caller fills a warmed entry and waits on an in-flight
+        one); absence is a miss and the caller fetches on demand.  Both
+        outcomes go out on the event stream.
         """
         entry = self._entries.get(index)
         if entry is None:
@@ -355,10 +378,10 @@ class ReadaheadCore:
     def resident(self, index: int, nbytes: int) -> Optional[CacheEntry]:
         """The entry of chunk ``index`` if a read of its first
         ``nbytes`` bytes can be served from it right now — resident,
-        fetched, and not short of them (:attr:`CacheEntry.valid`) — else
+        filled, and not short of them (:attr:`CacheEntry.valid`) — else
         None.  Decides and counts nothing."""
         entry = self._entries.get(index)
-        if entry is not None and entry.ready and entry.valid >= nbytes:
+        if entry is not None and entry.filled and entry.valid >= nbytes:
             return entry
         return None
 
@@ -436,20 +459,11 @@ class ReadaheadCore:
 
     # -- fetch completion ------------------------------------------------------
 
-    def fetch_done(self, entry: CacheEntry, payload: Any, length: int) -> bool:
-        """An issued fetch delivered.  Returns False when the entry was
-        evicted in flight — the caller then releases ``payload`` itself
-        (the drop was accounted at eviction time).
-
-        The backend→pooled-buffer copy happened whether or not the entry
-        survived its flight, so the ``fetch`` copy is accounted before
-        the eviction check (failed fetches moved no bytes and go through
-        :meth:`fetch_failed` instead, which accounts nothing)."""
-        self._emit(
-            CopyObserved(
-                path=self.path, site=FETCH, length=length, t=self._clock()
-            )
-        )
+    def warm_done(self, entry: CacheEntry, payload: Any, length: int) -> bool:
+        """An issued warm landed: ``entry`` holds its lease and will
+        hold ``length`` bytes once filled.  Returns False when the entry
+        was evicted in flight — the caller then releases ``payload``
+        itself (the drop was accounted at eviction time)."""
         if entry.evicted:
             return False
         entry.ready = True
@@ -466,12 +480,24 @@ class ReadaheadCore:
             )
         return True
 
+    def fill_done(self, entry: CacheEntry, got: int) -> None:
+        """A fill left ``got`` bytes in ``entry``'s buffer — no more
+        than the warm promised, fewer if the file shrank behind the
+        mount, and the entry then holds only those.  The backend →
+        pooled-buffer copy happened whether or not the entry survived,
+        so the ``fetch`` copy is accounted either way (a failed fill
+        moved no bytes and goes through :meth:`fetch_failed` instead)."""
+        self._emit(CopyObserved(path=self.path, site=FETCH, length=got, t=self._clock()))
+        entry.filled = True
+        entry.valid = got
+
     def fetch_failed(self, entry: CacheEntry, starved: bool = False) -> None:
         """An issued fetch was abandoned: pool starved or backend error.
 
-        The entry leaves the index; a prefetch is drop-accounted
-        (foreground demand failures raise at the caller instead, so
-        demand removals stay silent).  Waiters are woken by the caller
+        The entry leaves the index; a prefetch still in flight is
+        drop-accounted (foreground demand failures raise at the caller
+        instead, and a failed fill retries on demand, so those removals
+        stay silent).  Waiters are woken by the caller
         and retry from a fresh access.  ``starved`` marks pool
         contention — a cache-pressure signal for the adaptive window —
         while backend errors leave the window alone (the circuit
@@ -545,7 +571,7 @@ class ReadaheadCore:
 
 @dataclass
 class Prefetch:
-    """One window fetch bound for the IO workers — the work item both
+    """One window prefetch bound for the IO side — the work item both
     planes put on the queue's low band."""
 
     cache: Any
@@ -565,8 +591,8 @@ def read_resident(
     file is *clean* (``FilePipeline.clean``: nothing to flush, wait for
     or surface, so no drain lock is taken and no drain wait recorded)
     and every chunk of ``[offset, offset + size)`` is in the cache,
-    fetched, and holds the bytes asked of it — bytes inside an entry's
-    ``valid`` existed when it was fetched and a write would have dropped
+    filled, and holds the bytes asked of it — bytes inside an entry's
+    ``valid`` existed when it was filled and a write would have dropped
     the entry, so the file size is not asked for either.  Each chunk
     then gets exactly the decisions :func:`cached_chunk` makes on a hit
     (``ReadaheadCore.hit``), in the same order, and the read is counted
@@ -680,10 +706,11 @@ def serve(cache: Any, offset: int, end: int, file_size: int) -> Gen:
 def cached_chunk(cache: Any, index: int, lo: int, hi: int, file_size: int) -> Gen:
     """One chunk's contribution to a cached read (caller holds
     ``cache.lock``).  A miss fetches the whole aligned chunk on demand;
-    a hit on an in-flight entry (our own prefetch) parks until the
-    worker lands it and, if it was dropped or evicted instead — or
-    turns out to hold fewer valid bytes than the read now needs —
-    retries from a fresh access."""
+    the first read of a warmed entry fills it; a hit on an entry not
+    yet warmed waits for its warm (``await_entry``).  If
+    the entry was dropped or evicted instead, its fill failed, or it
+    turns out to hold fewer valid bytes than the read now needs, the
+    read retries from a fresh access."""
     core = cache.core
     base = index * core.chunk_size
     while True:
@@ -696,12 +723,44 @@ def cached_chunk(cache: Any, index: int, lo: int, hi: int, file_size: int) -> Ge
             continue
         if hi - base > centry.valid:
             # ``hi`` is clipped at the file size, so the entry was
-            # fetched short at a then-EOF that a write elsewhere (no
+            # warmed short at a then-EOF that a write elsewhere (no
             # invalidation reached it) has since moved: past ``valid``
             # its buffer holds whatever the pooled chunk held before.
             release_evicted(cache, core.invalidate(base, 1))
             continue
-        return cache.view(centry.payload, lo - base, hi - base)
+        if not centry.filled and not (yield from _fill(cache, centry)):
+            continue
+        return _view(cache, centry.payload, base, centry.valid, lo, hi)
+
+
+def _view(cache: Any, lease: Any, base: int, valid: int, lo: int, hi: int) -> Any:
+    """The view of bytes ``[lo, hi)`` of the chunk at ``base``, clipped
+    at the ``valid`` bytes its buffer holds: a fill that came back short
+    makes the read short, as a passthrough ``pread`` would be — past
+    ``valid`` the pooled buffer holds another file's bytes."""
+    return cache.view(lease, lo - base, max(lo, min(hi, base + valid)) - base)
+
+
+def _fill(cache: Any, centry: CacheEntry) -> Gen:
+    """The first read of a warmed prefetch has its bytes in the leased
+    buffer — moving them, where the warm did not (caller holds
+    ``cache.lock``); returns whether the entry is now filled.  A failure
+    is silent like the prefetch's own — the entry drops and the read
+    refetches it on demand — but counted by the breaker."""
+    core = cache.core
+    try:
+        got = yield from cache.fill(
+            centry.payload, centry.index * core.chunk_size, centry.valid
+        )
+    except Exception:
+        core.fetch_failed(centry)
+        release_evicted(cache, [centry])
+        cache.health.record_failure()
+        return False
+    if not cache.warm_reads:  # the warm counted its own read
+        cache.health.record_success()
+    core.fill_done(centry, got)
+    return True
 
 
 def _demand_fetch(cache: Any, index: int, lo: int, hi: int, file_size: int) -> Gen:
@@ -720,7 +779,10 @@ def _demand_fetch(cache: Any, index: int, lo: int, hi: int, file_size: int) -> G
         cache.wake(centry)
         return (yield from cache.read_uncached(lo, hi - lo))
     try:
-        got = yield from cache.fetch(lease, base, min(core.chunk_size, file_size - base))
+        length = yield from cache.warm(
+            lease, base, min(core.chunk_size, file_size - base)
+        )
+        got = yield from cache.fill(lease, base, length)
     except Exception as exc:
         core.fetch_failed(centry)
         cache.wake(centry)
@@ -730,8 +792,10 @@ def _demand_fetch(cache: Any, index: int, lo: int, hi: int, file_size: int) -> G
             f"{cache.path}: demand read of chunk @{base} failed: {exc}"
         ) from exc
     cache.health.record_success()
-    part = cache.view(lease, lo - base, hi - base)
-    if core.fetch_done(centry, lease, got):
+    part = _view(cache, lease, base, got, lo, hi)
+    live = core.warm_done(centry, lease, length)
+    core.fill_done(centry, got)
+    if live:
         cache.wake(centry)
     else:  # evicted while we fetched (a concurrent writer invalidated)
         cache.release(lease)
@@ -758,11 +822,14 @@ def issue_prefetches(cache: Any, index: int, file_size: int) -> Gen:
 
 
 def service_prefetch(item: Prefetch) -> Gen:
-    """The IO-worker step for one queued prefetch.  Never blocks on the
-    pool (starved → dropped), so a full pool cannot park a worker; the
-    lock is dropped around the backend read so foreground hits overlap
-    the fetch.  Failures are silent — the chunk is refetched on demand
-    if a read actually wants it — but still counted by the breaker."""
+    """Lease and warm one prefetch: the IO side's step for a queued
+    item — or, where the reader warms (``warm_reads`` False), the step
+    that reader runs itself, free, so the entry is ready before it lets
+    go of the lock.  Never blocks on the pool (starved → dropped), so a
+    full pool cannot park an IO thread; the lock is dropped around the
+    warm so foreground hits overlap the fetch.  Failures are silent —
+    the chunk is refetched on demand if a read actually wants it — but
+    still counted by the breaker, and so is a warm that read bytes."""
     cache, centry = item.cache, item.centry
     core = cache.core
     with cache.lock:
@@ -774,7 +841,7 @@ def service_prefetch(item: Prefetch) -> Gen:
             cache.wake(centry)
             return
     try:
-        got = yield from cache.fetch(lease, item.file_offset, item.length)
+        length = yield from cache.warm(lease, item.file_offset, item.length)
     except Exception:
         with cache.lock:
             if not centry.evicted:
@@ -783,9 +850,10 @@ def service_prefetch(item: Prefetch) -> Gen:
             cache.release(lease)
         cache.health.record_failure()
         return
-    cache.health.record_success()
+    if cache.warm_reads:  # the warm read the bytes (else the fill counts)
+        cache.health.record_success()
     with cache.lock:
-        if core.fetch_done(centry, lease, got):
+        if core.warm_done(centry, lease, length):
             cache.wake(centry)
         else:  # evicted in flight (drop-accounted at eviction)
             cache.release(lease)
@@ -794,8 +862,8 @@ def service_prefetch(item: Prefetch) -> Gen:
 def release_evicted(cache: Any, entries: Iterable[CacheEntry]) -> None:
     """Return evictees' buffers to the pool and wake readers parked on
     in-flight ones (caller holds ``cache.lock``).  An in-flight
-    evictee's buffer is still with its fetcher, which releases it when
-    ``fetch_done`` reports the eviction."""
+    evictee's buffer is still with its warm, which releases it when
+    ``warm_done`` reports the eviction."""
     for entry in entries:
         if entry.payload is not None:
             cache.release(entry.payload)
@@ -812,6 +880,6 @@ def invalidate(cache: Any, offset: int, length: int) -> None:
 
 def clear(cache: Any) -> None:
     """Teardown (last close, unmount, pool-pressure shed): drop
-    everything without waiting for in-flight fetches."""
+    everything without waiting for in-flight warms."""
     with cache.lock:
         release_evicted(cache, cache.core.clear())

@@ -170,6 +170,7 @@ class SimReadCache:
     view is nothing — data here is a stream of sizes."""
 
     lock = nullcontext()  # the simulator is single-threaded
+    warm_reads = True  # the IO threads model the backend read; the fill is free
 
     def __init__(self, fs: "SimCRFS", f: SimCRFSFile, core: ReadaheadCore):
         self.fs = fs
@@ -201,9 +202,14 @@ class SimReadCache:
         fs._note_pool(tenant)
         return True
 
-    def fetch(self, lease: Any, offset: int, length: int):
+    def warm(self, lease: Any, offset: int, length: int):
         yield from self.fs.backend.read(self.f.backend_file, length)
         return length
+
+    @staticmethod
+    def fill(lease: Any, offset: int, length: int):
+        return length
+        yield  # a generator: the warm modelled the whole read
 
     def read_uncached(self, offset: int, length: int):
         yield from self.fs.backend.read(self.f.backend_file, length)

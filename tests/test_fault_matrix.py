@@ -168,17 +168,6 @@ def read_mount(rules, **overrides):
     return mem, backend, CRFS(backend, cfg)
 
 
-def wait_read_stats(fs, predicate, timeout=10.0):
-    """Poll stats()["read"] until the background prefetches settle."""
-    deadline = time.monotonic() + timeout
-    while True:
-        section = fs.stats()["read"]
-        if predicate(section):
-            return section
-        assert time.monotonic() < deadline, f"read section stuck: {section}"
-        time.sleep(0.001)
-
-
 class TestPreadCells:
     """Read-plane faults: demand reads are loud, prefetches silent."""
 
@@ -202,9 +191,11 @@ class TestPreadCells:
         assert backend.faults_fired == 1
 
     def test_prefetch_fault_is_silent_and_refetched_on_demand(self):
-        """pread #1 is the demand fetch of chunk 0; #2 is the queued
-        prefetch of chunk 1.  Failing #2 must not surface anywhere — the
-        entry drops, and reading chunk 1 refetches it on demand."""
+        """pread #1 is the demand fetch of chunk 0.  The window warms
+        chunks 1 and 2 without reading them; #2 is the fill of chunk 1
+        by the read that first touches it.  Failing #2 must not surface
+        anywhere — the entry drops, the breaker counts it, and the same
+        read refetches the chunk on demand."""
         _, backend, fs = read_mount(
             [FaultRule(op="pread", nth=2, error=OSError("injected-prefetch"))]
         )
@@ -213,17 +204,13 @@ class TestPreadCells:
             f.write(DATA)
             f.fsync()
             assert f.pread(CHUNK, 0) == DATA[:CHUNK]
-            # both issued prefetches (chunks 1 and 2) must resolve: the
-            # faulted one as a drop, the other as a delivery
-            section = wait_read_stats(
-                fs, lambda r: r["prefetched"] + r["prefetch_dropped"] == 2
-            )
-            assert section["prefetch_dropped"] == 1
-            assert section["prefetched"] == 1
-            # the dropped chunk comes back on demand, byte-identical
+            assert fs.stats()["read"]["prefetched"] == 2  # warmed: no bytes moved
+            # the faulted fill is silent; the chunk comes back byte-identical
             assert f.pread(CHUNK, CHUNK) == DATA[CHUNK : 2 * CHUNK]
             stats = fs.stats()
             assert stats["read"]["misses"] == 2  # chunk 0 + the refetch
+            assert stats["read"]["prefetch_dropped"] == 0
+            assert fs.health.failures == 1
             assert stats["resilience"]["errors_latched"] == 0
         assert backend.faults_fired == 1
 

@@ -63,18 +63,6 @@ def cached_config(capacity=4, depth=2, pool=16, **kw):
     )
 
 
-def settle(f, timeout=10.0):
-    """Wait until no fetch of ``f``'s cache is in flight."""
-    cache = f._entry.read_cache
-    deadline = time.monotonic() + timeout
-    while True:
-        with cache.lock:
-            if cache.core.pending == 0:
-                return
-        assert time.monotonic() < deadline, "prefetch never landed"
-        time.sleep(0.0005)
-
-
 @pytest.fixture
 def flows(monkeypatch):
     """(offset, size) of the reads that took the ``read`` flow."""
@@ -163,7 +151,7 @@ class TestEveryChunkIsFetchedOnceThroughTheFakePort:
                 for item in list(cache.queue):
                     land(item)
             offset += size
-        assert sorted(rec[2] for rec in cache.ops("fetch")) == [
+        assert sorted(rec[2] for rec in cache.ops("warm")) == [
             i * CHUNK for i in range(NCHUNKS)
         ]
         assert cache.of(PrefetchWasted) == cache.of(PrefetchDropped) == []
@@ -191,12 +179,12 @@ def replay(core, accesses, landing):
         if entry is None:
             entry = admit(index, DEMAND)
         if not entry.ready:
-            core.fetch_done(entry, object(), CHUNK)
+            core.warm_done(entry, object(), CHUNK)
         for ahead in core.plan_prefetch(index, SIZE):
             prefetch = admit(ahead, PREFETCH)
             issued += 1
             if landing == "now" or (landing == "other" and issued % 2):
-                core.fetch_done(prefetch, object(), CHUNK)
+                core.warm_done(prefetch, object(), CHUNK)
     return decisions, [e.index for e in core.entries()], core.depth
 
 
@@ -257,8 +245,7 @@ _OPS = st.lists(
 
 
 def run_ops(ops, adaptive):
-    """Replay ``ops`` on a fresh mount over a 4-chunk image, letting
-    fetches land between calls so nothing depends on their timing."""
+    """Replay ``ops`` on a fresh mount over a 4-chunk image."""
     cfg = cached_config(readahead_adaptive=adaptive)
     model = bytearray(image(4 * CHUNK))
     got = []
@@ -270,7 +257,6 @@ def run_ops(ops, adaptive):
                 if op == "pread":
                     got.append(f.pread(size, offset))
                     assert got[-1] == bytes(model[offset : offset + size])
-                    settle(f)
                 elif op == "pwrite":
                     data = image(size, salt=i + 1)
                     f.pwrite(data, offset)
@@ -307,7 +293,6 @@ class TestResidentReadMatchesTheFlowAlone:
                 f.fsync()
                 for i in range(6):
                     assert f.pread(CHUNK, i * CHUNK) == data[i * CHUNK : (i + 1) * CHUNK]
-                    settle(f)
                 before = fs.stats()["read"]
                 del flows[:]
                 request = 5 * CHUNK // 2
@@ -433,6 +418,8 @@ class TestIneligibleReadsTakeTheFlow:
         release, started = threading.Event(), threading.Event()
 
         class SlowPrefetch(MemBackend):
+            reads_from_memory = False  # an IO worker fetches chunk 1
+
             def pread_into(self, handle, buf, offset):
                 if offset >= CHUNK:  # demand is chunk 0
                     started.set()
@@ -453,6 +440,22 @@ class TestIneligibleReadsTakeTheFlow:
                 assert f.pread(8, CHUNK + 8) == data[CHUNK + 8 : CHUNK + 16]
                 assert flows == [(CHUNK, 8)]  # landed: resident now
 
+    def test_warmed_entry(self, flows):
+        """A warmed prefetch holds no bytes until a read fills it: the
+        first read of it takes the flow, the next one is a slice."""
+        data = image(2 * CHUNK)
+        with CRFS(MemBackend(), cached_config(depth=1)) as fs:
+            with fs.open("/f") as f:
+                f.write(data)
+                f.fsync()
+                assert f.pread(8, 0) == data[:8]
+                assert f._entry.read_cache.core.entries()[-1].ready  # chunk 1, warmed
+                del flows[:]
+                assert f.pread(8, CHUNK) == data[CHUNK : CHUNK + 8]
+                assert flows == [(CHUNK, 8)]
+                assert f.pread(8, CHUNK + 8) == data[CHUNK + 8 : CHUNK + 16]
+                assert flows == [(CHUNK, 8)]  # filled: resident now
+
     def test_entry_fetched_short_at_an_old_eof(self, flows):
         """PR 18's repro: chunk 1 was fetched holding one byte; the
         file has since grown past it without touching it."""
@@ -460,15 +463,14 @@ class TestIneligibleReadsTakeTheFlow:
             with fs.open("/f") as f:
                 f.write(b"\x07" * (CHUNK + 1))
                 assert f.pread(1, 0) == b"\x07"
-                settle(f)
                 f.pwrite(b"\x09", 2 * CHUNK)
                 f.fsync()
                 del flows[:]
-                assert f.pread(1, CHUNK) == b"\x07"  # inside the valid byte
-                assert flows == []
+                assert f.pread(1, CHUNK) == b"\x07"  # the fill: inside the valid byte
+                assert flows == [(CHUNK, 1)]
                 assert f.pread(2, CHUNK) == b"\x07\x00"
                 assert f.pread(CHUNK + 2, 0) == b"\x07" * (CHUNK + 1) + b"\x00"
-                assert flows == [(CHUNK, 2)]  # re-fetched whole: resident since
+                assert flows == [(CHUNK, 1), (CHUNK, 2)]  # re-fetched whole: resident since
 
     def test_range_spanning_a_missing_chunk(self, flows):
         data = image(3 * CHUNK)
@@ -532,7 +534,6 @@ class TestIneligibleReadsTakeTheFlow:
         f.write(data)
         f.fsync()
         assert f.pread(8, 0) == data[:8]
-        settle(f)
         f.pwrite(b"x" * CHUNK, 2 * CHUNK)  # seals at once; its pwrite fails
         deadline = time.monotonic() + 10
         while f._entry.peek_error() is None and time.monotonic() < deadline:

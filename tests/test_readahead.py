@@ -246,6 +246,8 @@ class TestShutdownSafety:
         started = threading.Event()
 
         class SlowReads(MemBackend):
+            reads_from_memory = False  # the IO worker fetches the prefetch
+
             def pread_into(self, handle, buf, offset):
                 if offset >= CHUNK:  # only prefetches (demand is chunk 0)
                     started.set()

@@ -4,10 +4,12 @@ no threads, no simulator, no backend.
 
 Both planes run these exact generators, so their policy is pinned here
 once: hit / demand miss / park-then-ready / park-then-evicted-retry,
-starved demand vs. starved prefetch, loud demand failures and silent
-prefetch failures (both counted by the breaker, landed fetches too),
-lease released exactly once, nothing speculative while degraded; the
-checkpoint's commit discipline and the restore's open-once walk.
+the fill of a warmed entry (once, by the first read, and short when
+the backend is), starved demand vs. starved prefetch, loud demand
+failures and silent prefetch and fill failures (all counted by the
+breaker, landed fetches too), lease released exactly once, nothing
+speculative while degraded; the checkpoint's commit discipline and the
+restore's open-once walk.
 """
 
 from contextlib import nullcontext
@@ -26,6 +28,7 @@ from repro.pipeline import (
     FilePipeline,
     PipelineKernel,
     PrefetchDropped,
+    PrefetchWasted,
     ReadHit,
     ReadMiss,
     ReadObserved,
@@ -48,15 +51,23 @@ SIZE = 8 * CHUNK  # the fake file: eight whole chunks
 
 
 class FakeCache:
-    """A scripted per-file cache port.  ``free`` pool slots back the
-    leases (small ints, so tests can name them); ``outcomes`` is
-    consumed one per ``fetch`` (an exception instance raises, a callable
-    runs mid-fetch, None lands); every operation is appended to ``log``."""
+    """A scripted per-file cache port, shaped like the timing plane's:
+    the warm is the backend read, the fill is free.  ``free`` pool slots
+    back the leases (small ints, so tests can name them); ``outcomes``
+    is consumed one per ``warm`` (an exception instance raises, a
+    callable runs mid-warm, None lands) and ``fills`` one per ``fill``
+    (an exception raises, an int is the byte count of a short fill, None
+    fills what was asked); every operation is appended to ``log``.
+    ``warm_reads=False`` tells the flows the fill is the read instead,
+    as the threaded port says over a backend that reads from memory."""
 
     lock = nullcontext()
     path = "/f"
 
-    def __init__(self, capacity=4, depth=0, free=4, threshold=0, outcomes=()):
+    def __init__(
+        self, capacity=4, depth=0, free=4, threshold=0, outcomes=(), fills=(), warm_reads=True
+    ):
+        self.warm_reads = warm_reads
         self.events = []
         self.log = []
         self.core = ReadaheadCore(
@@ -66,6 +77,7 @@ class FakeCache:
         self.free = free
         self.leased = 0
         self.outcomes = list(outcomes)
+        self.fills = list(fills)
         self.queue = []
         self.on_await = lambda centry: None
 
@@ -78,14 +90,22 @@ class FakeCache:
         return self.leased
 
     @blocking
-    def fetch(self, lease, offset, length):
-        self.log.append(("fetch", lease, offset, length))
+    def warm(self, lease, offset, length):
+        self.log.append(("warm", lease, offset, length))
         outcome = self.outcomes.pop(0) if self.outcomes else None
         if isinstance(outcome, BaseException):
             raise outcome
         if outcome is not None:
             outcome()
         return length
+
+    @blocking
+    def fill(self, lease, offset, length):
+        self.log.append(("fill", lease, offset, length))
+        outcome = self.fills.pop(0) if self.fills else None
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return length if outcome is None else outcome
 
     @blocking
     def read_uncached(self, offset, length):
@@ -136,7 +156,7 @@ class TestCachedChunk:
     def test_demand_miss_fetches_the_whole_aligned_chunk(self):
         cache = FakeCache()
         assert cache.chunk(2, lo=100, hi=200) == (1, 100, 200)
-        assert cache.ops("fetch") == [("fetch", 1, 2 * CHUNK, CHUNK)]
+        assert cache.ops("warm") == [("warm", 1, 2 * CHUNK, CHUNK)]
         assert len(cache.of(ReadMiss)) == 1 and cache.of(ReadHit) == []
         assert cache.health.successes == 1  # a landed fetch resets the streak
 
@@ -144,13 +164,13 @@ class TestCachedChunk:
         cache = FakeCache()
         size = 2 * CHUNK + 10
         run(cached_chunk(cache, 2, 2 * CHUNK, size, size))
-        assert cache.ops("fetch") == [("fetch", 1, 2 * CHUNK, 10)]
+        assert cache.ops("warm") == [("warm", 1, 2 * CHUNK, 10)]
 
     def test_hit_serves_the_resident_lease_without_a_fetch(self):
         cache = FakeCache()
         cache.chunk(0)
         assert cache.chunk(0, lo=8, hi=16) == (1, 8, 16)
-        assert len(cache.ops("fetch")) == 1
+        assert len(cache.ops("warm")) == 1
         assert len(cache.of(ReadHit)) == 1
 
     def test_in_flight_hit_parks_then_serves_what_the_worker_landed(self):
@@ -161,7 +181,7 @@ class TestCachedChunk:
         cache.on_await = lambda centry: run(service_prefetch(item))
         assert cache.chunk(1) == (2, 0, CHUNK)  # the prefetch's lease
         assert cache.ops("await") == [("await", 1)]
-        assert [rec[2] for rec in cache.ops("fetch")] == [0, CHUNK]  # no refetch
+        assert [rec[2] for rec in cache.ops("warm")] == [0, CHUNK]  # no refetch
         assert len(cache.of(ChunkPrefetched)) == 1
 
     def test_in_flight_hit_evicted_while_parked_retries_from_a_fresh_access(self):
@@ -175,12 +195,12 @@ class TestCachedChunk:
         assert len(cache.of(ReadHit)) == 1 and len(cache.of(ReadMiss)) == 2
         assert len(cache.of(PrefetchDropped)) == 1
         assert ("wake", 1) in cache.log
-        assert cache.ops("fetch")[-1][2:] == (CHUNK, CHUNK)
+        assert cache.ops("warm")[-1][2:] == (CHUNK, CHUNK)
 
     def test_starved_demand_unadmits_and_reads_an_uncached_slice(self):
         cache = FakeCache(free=0)
         assert cache.chunk(3, lo=10, hi=20) == ("backend", 3 * CHUNK + 10, 10)
-        assert cache.ops("fetch") == []
+        assert cache.ops("warm") == []
         assert len(cache.core) == 0  # silently un-admitted ...
         assert cache.of(PrefetchDropped) == []  # ... demand drops are not accounted
 
@@ -255,7 +275,7 @@ class TestPrefetch:
     def test_starved_prefetch_is_dropped_never_blocked(self):
         cache, item = self.primed(free=1)  # the demand fetch took the last slot
         run(service_prefetch(item))
-        assert cache.ops("fetch") == [("fetch", 1, 0, CHUNK)]
+        assert cache.ops("warm") == [("warm", 1, 0, CHUNK)]
         assert len(cache.of(PrefetchDropped)) == 1
         assert item.centry.evicted and ("wake", 1) in cache.log
 
@@ -273,7 +293,7 @@ class TestPrefetch:
         cache, item = self.primed()
         clear(cache)
         run(service_prefetch(item))
-        assert cache.leased == 1 and cache.ops("fetch") == [("fetch", 1, 0, CHUNK)]
+        assert cache.leased == 1 and cache.ops("warm") == [("warm", 1, 0, CHUNK)]
 
     def test_evicted_while_fetching_releases_the_lease_exactly_once(self):
         cache, item = self.primed()
@@ -293,6 +313,77 @@ class TestPrefetch:
         cache.try_lease = parks
         with pytest.raises(RuntimeError, match="yielded"):
             run(service_prefetch(item))
+
+
+# ---------------------------------------------------------------------------
+# fill: the first read of a warmed entry moves its bytes
+
+
+def fetch_copies(cache):
+    return [e.length for e in cache.of(CopyObserved) if e.site == "fetch"]
+
+
+class TestFill:
+    def warmed(self, **kw):
+        """A cache that served chunk 0 and warmed the chunk-1 prefetch."""
+        cache = FakeCache(depth=1, **kw)
+        cache.chunk(0)
+        run(issue_prefetches(cache, 0, SIZE))
+        run(service_prefetch(cache.queue[0]))
+        return cache
+
+    def test_the_first_read_fills_once_and_the_copy_is_counted_there(self):
+        cache = self.warmed()
+        assert fetch_copies(cache) == [CHUNK]  # chunk 0's; the warm copied nothing
+        assert cache.chunk(1, lo=8, hi=16) == (2, 8, 16)
+        assert cache.chunk(1) == (2, 0, CHUNK)
+        assert cache.ops("fill")[1:] == [("fill", 2, CHUNK, CHUNK)]
+        assert fetch_copies(cache) == [CHUNK, CHUNK]
+        assert len(cache.of(ReadHit)) == 2 and len(cache.of(ReadMiss)) == 1
+
+    def test_a_prefetch_evicted_unread_copies_nothing(self):
+        cache = self.warmed()
+        clear(cache)
+        assert fetch_copies(cache) == [CHUNK]
+        assert len(cache.of(PrefetchWasted)) == 1
+        assert cache.free == 4
+
+    def test_a_failed_fill_is_silent_counted_and_refetched_on_demand(self):
+        cache = self.warmed(fills=[None, OSError("EIO")])  # chunk 0's lands
+        assert cache.chunk(1) == (3, 0, CHUNK)  # the refetch's lease
+        assert ("release", 2) in cache.log
+        assert cache.health.failures == 1
+        assert len(cache.of(ReadHit)) == 1 and len(cache.of(ReadMiss)) == 2
+        assert cache.of(PrefetchDropped) == []  # it was warmed: not a drop
+        assert fetch_copies(cache) == [CHUNK, CHUNK]
+
+    def test_a_short_fill_makes_a_short_read(self):
+        """The backend shrank behind the mount: the read stops at the
+        bytes the fill got, not at what the pooled buffer holds."""
+        cache = self.warmed(fills=[None, 100])
+        assert cache.chunk(1, lo=50, hi=200) == (2, 50, 100)
+        assert fetch_copies(cache) == [CHUNK, 100]
+
+    def test_a_short_demand_fetch_makes_a_short_read(self):
+        cache = FakeCache(fills=[1000])
+        assert cache.chunk(0) == (1, 0, 1000)
+
+    @pytest.mark.parametrize("warm_reads", [True, False])
+    def test_the_breaker_counts_a_success_where_the_bytes_moved(self, warm_reads):
+        cache = self.warmed(warm_reads=warm_reads)
+        assert cache.health.successes == (2 if warm_reads else 1)  # + chunk 0's
+        cache.chunk(1)
+        assert cache.health.successes == 2
+
+    def test_a_free_warm_never_closes_the_breaker(self):
+        """Where the fill is the read, a warm moves nothing: it is no
+        probe, and a breaker a failure tripped stays open through it."""
+        cache = FakeCache(depth=1, threshold=1, warm_reads=False)
+        cache.chunk(0)
+        run(issue_prefetches(cache, 0, SIZE))
+        cache.health.record_failure()
+        run(service_prefetch(cache.queue[0]))
+        assert cache.queue[0].centry.ready and cache.health.degraded
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ Covered loops: ``WorkQueue.get`` / ``WorkQueue.get_batch``,
 ``FileEntry.wait_drained``, ``TieredBackend.fsync_through`` /
 ``TieredBackend.drain``, and the readahead cache's in-flight wait,
 ``ReadCache.await_entry`` (the threaded port's one waiting method, so
-its deadline is a plain argument).
+its deadline is a plain argument) — which parks only over a backend
+that does not read from memory, where the IO workers fetch the window.
 """
 
 import threading
@@ -158,9 +159,11 @@ class TestTierStagingDeadlines:
 
 class TestReadCacheInFlightWait:
     def _parked(self):
-        """A cache with one prefetch entry nobody will ever land."""
+        """A cache with one prefetch entry nobody will ever land, over a
+        backend whose reads are delayed — so a reader parks on it."""
+        slow = FaultyBackend(MemBackend(), [FaultRule(op="pread", delay=1.0)])
         cache = ReadCache(
-            "/stuck", MemBackend(), None,
+            "/stuck", slow, None,
             ReadaheadCore("/stuck", CHUNK, capacity=4, depth=1),
             BufferPool(CHUNK, 4 * CHUNK), WorkQueue(),
         )
@@ -182,7 +185,7 @@ class TestReadCacheInFlightWait:
 
         def land():
             with cache.lock:
-                cache.core.fetch_done(centry, object(), CHUNK)
+                cache.core.warm_done(centry, object(), CHUNK)
                 cache.wake(centry)
 
         with _Teaser(cache._cond):
