@@ -9,12 +9,18 @@ Mirrors the tunables the paper exposes at mount time (Section IV/V-B):
 * **io threads** — worker threads draining the work queue.  The paper
   finds 4 to be the sweet spot and uses it throughout.
 
-The defaults here are the paper's chosen operating point.
+The defaults here are the paper's chosen operating point.  The work
+queue has no bound of its own: a chunk is allocated from the pool
+before it is queued, so the pool (and, on a multi-tenant mount, each
+tenant's queue quota) bounds it.  Every other field is here because a
+scenario, experiment or benchmark sets it to a value other than its
+default; ``tests/test_config.py`` pins the field names, so a new knob
+is a reviewed diff.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 from .errors import ConfigError
@@ -22,7 +28,7 @@ from .pipeline.resilience import RetryPolicy
 from .pipeline.tenancy import TenantRegistry, TenantSpec
 from .units import KiB, MiB, parse_size
 
-__all__ = ["CRFSConfig", "DEFAULT_CONFIG", "TenantSpec"]
+__all__ = ["CRFSConfig", "DEFAULT_CONFIG", "RetryPolicy", "TenantSpec"]
 
 
 @dataclass(frozen=True)
@@ -35,10 +41,6 @@ class CRFSConfig:
     pool_size: int = 16 * MiB
     #: Number of IO worker threads draining the work queue (paper: 4).
     io_threads: int = 4
-    #: Maximum queued chunks in the work queue; 0 means unbounded.  The
-    #: paper's design is implicitly bounded by the pool (a chunk must be
-    #: allocated before it can be queued), so the default keeps that.
-    work_queue_depth: int = 0
     #: Whether read() passes straight through to the backend (paper
     #: behaviour: "we directly pass it to the underlying filesystem").
     #: With False, a read first flushes and drains the file's pending
@@ -70,23 +72,10 @@ class CRFSConfig:
     #: behaviour, since BLCR's large writes still benefit from the
     #: asynchronous chunk pipeline.  Ablation knob.
     write_through_threshold: int = 0
-    #: Total backend write attempts per chunk (1 = fail fast, the
-    #: paper's implicit behaviour: the first writeback error latches).
-    retry_attempts: int = 1
-    #: Backoff before the second attempt, in seconds; doubles (see
-    #: ``retry_backoff_factor``) up to ``retry_backoff_max``.
-    retry_backoff: float = 0.002
-    retry_backoff_factor: float = 2.0
-    retry_backoff_max: float = 0.1
-    #: Deterministic jitter fraction applied to each backoff delay
-    #: (drawn from util.rng, so schedules are reproducible).
-    retry_jitter: float = 0.1
-    #: Per-attempt deadline in seconds; an attempt that overruns it is
-    #: treated as failed and reissued (chunk pwrites are idempotent).
-    #: 0 disables the deadline.
-    retry_timeout: float = 0.0
-    #: Root seed for the deterministic retry jitter streams.
-    retry_seed: int = 2011
+    #: Writeback retry schedule: attempts per chunk (1 = fail fast, the
+    #: paper's implicit behaviour: the first writeback error latches),
+    #: backoff and its cap, and deterministic jitter.
+    retry: RetryPolicy = RetryPolicy()
     #: Consecutive failed write attempts that trip the backend circuit
     #: breaker, degrading the mount to synchronous write-through until a
     #: probe write succeeds.  0 disables the breaker.
@@ -115,12 +104,6 @@ class CRFSConfig:
     #: write-through durability.  0 returns at tier-0 (staging) speed.
     #: Ignored by single-backend mounts.
     fsync_tier: int = -1
-    #: Incremental (delta) checkpointing: fsync the manifest file before
-    #: a generation commits.  True (the default) makes the manifest the
-    #: durable commit point of the chain; False is the ablation arm
-    #: (cadence latency without the manifest barrier — a crash can then
-    #: tear the manifest, which restore detects via its checksum).
-    delta_manifest_sync: bool = True
     #: Pump workers migrating staged extents tier-to-tier in the
     #: background (per tiered mount, not per tier).
     tier_pump_threads: int = 1
@@ -143,10 +126,6 @@ class CRFSConfig:
             )
         if self.io_threads < 1:
             raise ConfigError(f"io_threads must be >= 1, got {self.io_threads}")
-        if self.work_queue_depth < 0:
-            raise ConfigError(
-                f"work_queue_depth must be >= 0, got {self.work_queue_depth}"
-            )
         if self.write_through_threshold < 0:
             raise ConfigError(
                 f"write_through_threshold must be >= 0, got {self.write_through_threshold}"
@@ -200,9 +179,6 @@ class CRFSConfig:
             raise ConfigError(
                 f"tier_pump_batch_chunks must be >= 1, got {self.tier_pump_batch_chunks}"
             )
-        # Delegates the retry-knob validation (attempts >= 1, backoff
-        # bounds, jitter range) to RetryPolicy's own __post_init__.
-        self.retry_policy()
         # Delegates tenant validation (unique names, reservations fit
         # the pool) to TenantRegistry's constructor.
         self.tenant_registry()
@@ -210,18 +186,6 @@ class CRFSConfig:
     def tenant_registry(self) -> TenantRegistry:
         """The :class:`TenantRegistry` these specs describe (validated)."""
         return TenantRegistry(self.tenants, pool_chunks=self.pool_chunks)
-
-    def retry_policy(self) -> RetryPolicy:
-        """The writeback :class:`RetryPolicy` these knobs describe."""
-        return RetryPolicy(
-            attempts=self.retry_attempts,
-            backoff=self.retry_backoff,
-            backoff_factor=self.retry_backoff_factor,
-            backoff_max=self.retry_backoff_max,
-            jitter=self.retry_jitter,
-            attempt_timeout=self.retry_timeout,
-            seed=self.retry_seed,
-        )
 
     @property
     def pool_chunks(self) -> int:

@@ -100,13 +100,12 @@ class DeltaCheckpointer:
 
     @blocking
     def write_manifest(self, path: str, raw: bytes) -> None:
-        """Synchronous manifest replace: truncate, write, (fsync), close."""
+        """Synchronous manifest replace: truncate, write, fsync, close."""
         backend = self.fs.backend
         handle = backend.open(manifest_path(path), create=True, truncate=True)
         try:
             backend.pwrite(handle, raw, 0)
-            if self.fs.config.delta_manifest_sync:
-                backend.fsync(handle)
+            backend.fsync(handle)
         finally:
             backend.close(handle)
 

@@ -94,7 +94,7 @@ class CRFS:
             ),
         )
         stats = self.kernel.stats
-        self.retry = config.retry_policy()
+        self.retry = config.retry
         self.health = BackendHealth(
             config.breaker_threshold, emit=self.kernel.emit, clock=self.kernel.clock
         )
@@ -120,7 +120,6 @@ class CRFS:
             config.chunk_size, config.pool_size, stats=stats, ledger=ledger
         )
         self.queue = WorkQueue(
-            config.work_queue_depth,
             stats=stats,
             scheduler=DRRScheduler(
                 weights=self.tenants.weights(), fair=config.tenant_fairness

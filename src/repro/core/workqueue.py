@@ -9,7 +9,7 @@ Item storage and service order live in a
 plane's ``SimQueue``: per-tenant sub-queues served weighted
 deficit-round-robin under contention, which degrades to exact FIFO for
 a single-tenant mount.  This class adds what is thread-specific —
-the mutex, the condition variables, capacity/quota blocking and the
+the mutex, the condition variables, quota blocking and the
 drain-close protocol.
 
 Close semantics are drain-then-stop: after :meth:`close`, queued items
@@ -41,19 +41,21 @@ class QueueClosed(ShutdownError):
 
 
 class WorkQueue:
-    """Bounded (optionally unbounded) thread-safe queue with drain-close.
+    """Thread-safe queue with drain-close.
 
     Two priority bands: the default (high) band carries writeback
     chunks, the low band readahead prefetches — ``get`` always drains
     the high band first, so prefetch never delays a checkpoint write.
-    ``capacity`` bounds the high band only; low-band puts never block
-    (prefetch volume is already bounded by cache admission, and a
-    blocking low put from a reader holding cache locks could deadlock).
+    The queue has no bound of its own: a chunk is taken from the buffer
+    pool before it is queued, so the pool bounds the high band (the
+    paper's design).
 
     Multi-tenant mounts add per-tenant ``quotas`` on queued high-band
     chunks: a tenant at its quota blocks *its own* writers at
     :meth:`put` (admission control), leaving other tenants' puts and the
-    IO workers untouched.
+    IO workers untouched.  Low-band puts never block (prefetch volume
+    is already bounded by cache admission, and a blocking low put from
+    a reader holding cache locks could deadlock).
 
     Depth accounting is published as ``QueuePressure`` /
     ``AdmissionWait`` events into the shared
@@ -62,14 +64,10 @@ class WorkQueue:
 
     def __init__(
         self,
-        capacity: int = 0,
         stats: PipelineStats | None = None,
         scheduler: DRRScheduler | None = None,
         quotas: Mapping[str, int] | None = None,
     ):
-        if capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {capacity}")
-        self.capacity = capacity  # 0 = unbounded
         self.stats = stats if stats is not None else PipelineStats()
         self.scheduler = scheduler if scheduler is not None else DRRScheduler()
         self.quotas = {t: q for t, q in (quotas or {}).items() if q > 0}
@@ -104,22 +102,13 @@ class WorkQueue:
 
     # -- put -------------------------------------------------------------------
 
-    def _put_blocked(self, tenant: str, quota: int) -> bool:
-        """Whether a high-band put must wait (caller holds the lock):
-        the band is at capacity, or the tenant is at its quota."""
-        if self.capacity and self.scheduler.high_len >= self.capacity:
-            return True
-        return bool(quota) and self.scheduler.depth(tenant) >= quota
-
     def _wake_putters(self) -> None:
         """Wake blocked putters after a high-band item left the queue
-        (caller holds the lock).  With quotas, waiters block on
-        *different* predicates (their own tenant's depth), so everyone
-        must recheck; without, one waiter per freed slot suffices."""
+        (caller holds the lock).  A putter waits only on its own
+        tenant's quota — waiters block on *different* predicates — so
+        every one must recheck; with no quotas nobody waits."""
         if self.quotas:
             self._not_full.notify_all()
-        else:
-            self._not_full.notify()
 
     def put(
         self,
@@ -131,17 +120,16 @@ class WorkQueue:
         """Enqueue ``item`` for ``tenant``; raises :class:`QueueClosed`
         once closed.
 
-        Band contract: high-band puts block while the band is at
-        ``capacity`` or the tenant is at its ``queue_quota``, and raise
-        :class:`QueueFullTimeout` after ``timeout`` seconds (None = wait
-        forever; default 30 s).  The bound is a *deadline*: wakeups that
-        do not admit the put wait only on the remainder.  Low-band puts
-        NEVER block — the band is unbounded and quota-exempt by design
-        (prefetch volume is capped upstream by cache admission, and a
-        blocking low put from a reader holding cache locks could
-        deadlock) — so passing ``timeout`` with ``low=True`` is a
-        contract violation and raises :class:`ValueError` instead of
-        being silently ignored.
+        Band contract: high-band puts block while the tenant is at its
+        ``queue_quota``, and raise :class:`QueueFullTimeout` after
+        ``timeout`` seconds (None = wait forever; default 30 s).  The
+        bound is a *deadline*: wakeups that do not admit the put wait
+        only on the remainder.  Low-band puts NEVER block — the band is
+        unbounded and quota-exempt by design (prefetch volume is capped
+        upstream by cache admission, and a blocking low put from a
+        reader holding cache locks could deadlock) — so passing
+        ``timeout`` with ``low=True`` is a contract violation and raises
+        :class:`ValueError` instead of being silently ignored.
         """
         if low and timeout is not _DEFAULT_TIMEOUT:
             raise ValueError(
@@ -166,10 +154,8 @@ class WorkQueue:
             quota = self.quotas.get(tenant, 0)
             deadline = None if timeout is None else time.monotonic() + timeout
             admission_noted = False
-            while self._put_blocked(tenant, quota) and not self._closed:
-                if not admission_noted and quota and (
-                    self.scheduler.depth(tenant) >= quota
-                ):
+            while quota and self.scheduler.depth(tenant) >= quota and not self._closed:
+                if not admission_noted:
                     # Count the blocking put once, not once per wakeup.
                     self.stats.on_event(
                         AdmissionWait(
@@ -273,11 +259,7 @@ class WorkQueue:
                 batch.extend(
                     self.scheduler.gather(tenant, limit - 1, chain, item)
                 )
-            if self.quotas:
-                self._not_full.notify_all()
-            else:
-                for _ in batch:
-                    self._not_full.notify()
+            self._wake_putters()
             return batch
 
     def close(self) -> None:

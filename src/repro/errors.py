@@ -114,12 +114,12 @@ class BackendIOError(CRFSError, OSError):
 
 
 class BackendTimeoutError(BackendIOError):
-    """A backend operation exceeded its per-attempt deadline.
+    """A backend operation outlived its deadline.
 
-    Raised by the writeback retry layer when an attempt overruns the
-    configured ``retry_timeout``.  Positional chunk writes are
-    idempotent, so a write that overran its deadline is safely treated
-    as failed and reissued.
+    Raised by :class:`~repro.backends.tiered.TieredBackend` when one of
+    its waits runs out of time: an ``fsync`` waiting for staged extents
+    to reach the durability tier, a pump drain, or a pump worker that
+    does not exit at shutdown.
     """
 
     errno = _errno.ETIMEDOUT

@@ -48,7 +48,7 @@ from ..backends import (
 )
 from ..backends.faulty import FaultRule
 from ..checkpoint.sizedist import WriteSizeDistribution
-from ..config import CRFSConfig, TenantSpec
+from ..config import CRFSConfig, RetryPolicy, TenantSpec
 from ..core import CRFS
 from ..errors import BackendIOError
 from ..sim import SharedBandwidth, Simulator
@@ -352,11 +352,13 @@ def tiered_arm(kind: str) -> Arm:
         tier_pump_threads=1,
         tier_pump_batch_chunks=4 if kind == "clean" else 1,
         writeback_batch_chunks=4 if broken else 1,
-        retry_attempts=2 if kind == "deep_dead" else 1,
+        retry=RetryPolicy(
+            attempts=2 if kind == "deep_dead" else 1,
+            backoff=1e-4,
+            backoff_max=1e-3,
+            jitter=0.0,
+        ),
         breaker_threshold={"deep_dead": 2, "broken_batch": 1}.get(kind, 0),
-        retry_backoff=1e-4,
-        retry_backoff_max=1e-3,
-        retry_jitter=0.0,
     )
 
     def tier(s: Snapshot, k: str, *keys: str) -> tuple:

@@ -17,10 +17,11 @@ Functional-plane rows drive the real threaded mount over a
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any
 
 from ..backends import FaultRule, FaultyBackend, MemBackend, TieredBackend
-from ..config import CRFSConfig
+from ..config import CRFSConfig, RetryPolicy
 from ..core import CRFS
 from ..errors import BackendIOError
 from ..pipeline import BackendDegraded, BackendRecovered, PipelineObserver
@@ -46,7 +47,7 @@ CHUNK = 64 * KiB
 #: deterministic (chunk pwrites hit the FaultyBackend in seal order).
 CONFIG = CRFSConfig(chunk_size=CHUNK, pool_size=4 * CHUNK, io_threads=1)
 #: Fast, deterministic backoff for the sweep (microseconds of real sleep).
-RETRY_KNOBS = dict(retry_backoff=1e-4, retry_backoff_max=1e-3)
+RETRY = RetryPolicy(backoff=1e-4, backoff_max=1e-3)
 
 
 def _workload(fast: bool) -> list[int]:
@@ -89,7 +90,7 @@ class _BreakerWatch(PipelineObserver):
 def _functional_row(mode: str, attempts: int, sizes: list[int], seed: int) -> dict:
     mem = MemBackend()
     backend = FaultyBackend(mem, _fault_rules(mode, seed), sleep=lambda s: None)
-    config = CONFIG.with_(retry_attempts=attempts, **RETRY_KNOBS)
+    config = CONFIG.with_(retry=replace(RETRY, attempts=attempts))
     path = "/rank0.img"
     write_errors = close_errors = 0
     with CRFS(backend, config) as fs:
@@ -131,7 +132,7 @@ def _timing_row(mode: str, attempts: int, sizes: list[int], seed: int) -> dict:
     # threshold 2: the outage (2 failing ops) trips the breaker exactly
     # when every attempt inside it has failed
     config = CONFIG.with_(
-        retry_attempts=attempts, breaker_threshold=2, **RETRY_KNOBS
+        retry=replace(RETRY, attempts=attempts), breaker_threshold=2
     )
     crfs = SimCRFS(sim, hw, config, backend, membus, observers=(watch,))
     errors: list[str] = []
@@ -221,11 +222,10 @@ def _tier_fault_rules(mode: str) -> list[FaultRule]:
 
 def _tier_config(attempts: int) -> CRFSConfig:
     return CONFIG.with_(
-        retry_attempts=attempts,
+        retry=replace(RETRY, attempts=attempts),
         breaker_threshold=2,
         tier_pump_threads=1,
         tier_pump_batch_chunks=1,
-        **RETRY_KNOBS,
     )
 
 

@@ -28,7 +28,6 @@ from .compare import (
 )
 from .runner import run_scenario_real, run_scenario_sim, run_suite
 from .scenarios import SCENARIOS, Scenario
-from .trend import compute_trend, render_trend
 from .schema import (
     SCHEMA_VERSION,
     ArtifactError,
@@ -52,11 +51,9 @@ __all__ = [
     "build_artifact",
     "canonical_metrics",
     "compare_artifacts",
-    "compute_trend",
     "dump_artifact",
     "load_artifact",
     "render_report",
-    "render_trend",
     "run_scenario_real",
     "run_scenario_sim",
     "run_suite",

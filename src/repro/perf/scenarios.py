@@ -57,7 +57,7 @@ from typing import Callable
 
 from ..backends.faulty import FaultRule
 from ..checkpoint.sizedist import WriteSizeDistribution
-from ..config import CRFSConfig, TenantSpec
+from ..config import CRFSConfig, RetryPolicy, TenantSpec
 from ..units import KiB, MiB
 from ..util.rng import rng_for
 
@@ -65,7 +65,7 @@ __all__ = ["SCENARIOS", "Scenario", "default_scenarios"]
 
 #: Fast, bounded backoff so the functional plane's retries sleep
 #: microseconds, matching the resilience test suite's knobs.
-_RETRY_KNOBS = dict(retry_backoff=1e-4, retry_backoff_max=1e-3, retry_jitter=0.0)
+_FAST_RETRY = dict(backoff=1e-4, backoff_max=1e-3, jitter=0.0)
 
 
 def _no_rules() -> list[FaultRule]:
@@ -191,9 +191,8 @@ SCENARIOS: dict[str, Scenario] = {
                 chunk_size=1 * MiB,
                 pool_size=8 * MiB,
                 io_threads=1,  # seal-order faults, like the faultsweep rows
-                retry_attempts=8,
+                retry=RetryPolicy(attempts=8, **_FAST_RETRY),
                 breaker_threshold=3,
-                **_RETRY_KNOBS,
             ),
             image_size=4 * MiB,
             fast_image_size=1 * MiB,

@@ -8,9 +8,7 @@ place that failure policy is encoded for both planes:
 * :class:`RetryPolicy` — how many attempts a chunk writeback gets,
   exponential backoff between them (with deterministic jitter derived
   from :func:`repro.util.rng.rng_for`, so identical workloads back off
-  identically run-to-run and plane-to-plane), and an optional
-  per-attempt deadline.  Positional chunk writes are idempotent, so an
-  attempt that overruns its deadline is treated as failed and reissued.
+  identically run-to-run and plane-to-plane).
 * :class:`BackendHealth` — a per-backend consecutive-failure tracker.
   After ``threshold`` consecutive failed attempts it trips a circuit
   breaker (``BackendDegraded`` on the unified stream); the mount then
@@ -39,6 +37,11 @@ __all__ = ["RetryPolicy", "BackendHealth"]
 
 EmitFn = Callable[[PipelineEvent], None]
 
+#: Each backoff is this many times the one before it (up to the cap).
+BACKOFF_FACTOR = 2.0
+#: Root seed of the deterministic jitter streams.
+JITTER_SEED = 2011
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -46,60 +49,38 @@ class RetryPolicy:
 
     ``attempts`` counts the first try: 1 means fail-fast (the pre-retry
     behaviour), N allows N-1 retries.  The delay before attempt k+1 is
-    ``min(backoff * backoff_factor**(k-1), backoff_max)`` scaled by a
+    ``min(backoff * BACKOFF_FACTOR**(k-1), backoff_max)`` scaled by a
     deterministic jitter factor in ``[1-jitter, 1+jitter]`` derived
-    from ``(seed, path, file_offset, attempt)`` — no shared mutable RNG
-    state, so concurrent workers and the simulation plane draw
-    identical schedules for identical chunks.
+    from ``(JITTER_SEED, path, file_offset, attempt)`` — no shared
+    mutable RNG state, so concurrent workers and the simulation plane
+    draw identical schedules for identical chunks.
     """
 
     attempts: int = 1
     backoff: float = 0.002
-    backoff_factor: float = 2.0
     backoff_max: float = 0.1
     jitter: float = 0.1
-    attempt_timeout: float = 0.0  # 0 = no per-attempt deadline
-    seed: int = 2011
 
     def __post_init__(self) -> None:
         if self.attempts < 1:
             raise ConfigError(f"attempts must be >= 1, got {self.attempts}")
         if self.backoff < 0:
             raise ConfigError(f"backoff must be >= 0, got {self.backoff}")
-        if self.backoff_factor < 1.0:
-            raise ConfigError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
         if self.backoff_max < 0:
             raise ConfigError(f"backoff_max must be >= 0, got {self.backoff_max}")
         if not 0.0 <= self.jitter <= 1.0:
             raise ConfigError(f"jitter must be in [0, 1], got {self.jitter}")
-        if self.attempt_timeout < 0:
-            raise ConfigError(
-                f"attempt_timeout must be >= 0, got {self.attempt_timeout}"
-            )
-
-    @property
-    def enabled(self) -> bool:
-        """Whether any retries are allowed at all."""
-        return self.attempts > 1
 
     def should_retry(self, attempt: int) -> bool:
         """Whether a failure of 1-based ``attempt`` gets another try."""
         return attempt < self.attempts
 
-    def timed_out(self, elapsed: float) -> bool:
-        """Whether an attempt that took ``elapsed`` overran its deadline."""
-        return self.attempt_timeout > 0 and elapsed > self.attempt_timeout
-
     def delay(self, attempt: int, path: str, file_offset: int) -> float:
         """Backoff before the attempt after 1-based ``attempt`` failed."""
-        base = min(
-            self.backoff * self.backoff_factor ** (attempt - 1), self.backoff_max
-        )
+        base = min(self.backoff * BACKOFF_FACTOR ** (attempt - 1), self.backoff_max)
         if base <= 0 or self.jitter <= 0:
             return base
-        rng = rng_for(self.seed, f"retry/{path}/{file_offset}/{attempt}")
+        rng = rng_for(JITTER_SEED, f"retry/{path}/{file_offset}/{attempt}")
         return base * float(rng.uniform(1.0 - self.jitter, 1.0 + self.jitter))
 
 

@@ -81,7 +81,7 @@ class TenantRegistry:
 
     A mount with no configured specs is single-tenant: every open
     resolves to :data:`DEFAULT_TENANT` and the scheduler/pool degrade to
-    the exact pre-tenant FIFO/semaphore behaviour.
+    one global FIFO.
     """
 
     def __init__(self, specs: Iterable[TenantSpec] = (), pool_chunks: int = 0):

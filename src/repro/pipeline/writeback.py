@@ -79,7 +79,7 @@ from __future__ import annotations
 import functools
 from typing import Any, Callable, Generator, Sequence
 
-from ..errors import BackendTimeoutError, FileStateError
+from ..errors import FileStateError
 from .planner import Seal
 from .resilience import BackendHealth, RetryPolicy
 
@@ -170,24 +170,19 @@ def attempts(
     *,
     path: str,
     file_offset: int,
-    clock: Callable[[], float],
     sleep: Callable[[float], Gen],
     on_retry: Callable[[int, float, BaseException], None] | None = None,
 ) -> Gen:
     """Drive ``op`` (a fresh generator per attempt) under ``policy`` and
     return the error to surface, or None on success.
 
-    Every attempt's outcome is fed to ``health``.  Positional writes are
-    idempotent, so an attempt that landed but overran the per-attempt
-    deadline counts as failed and is reissued.  ``on_retry(attempt,
+    Every attempt's outcome is fed to ``health``.  ``on_retry(attempt,
     delay, error)`` fires before each backoff sleep.  Non-``Exception``
     failures (KeyboardInterrupt and friends) are surfaced but never
     retried.
     """
     attempt = 1
     while True:
-        t0 = clock()
-        error: BaseException | None = None
         try:
             yield from op()
         except GeneratorExit:  # the driving process is being torn down
@@ -195,13 +190,6 @@ def attempts(
         except BaseException as exc:  # noqa: BLE001 - surfaced to the caller
             error = exc
         else:
-            elapsed = clock() - t0
-            if policy.timed_out(elapsed):
-                error = BackendTimeoutError(
-                    f"{path}@{file_offset}: attempt took {elapsed:.3f}s "
-                    f"(limit {policy.attempt_timeout}s)"
-                )
-        if error is None:
             health.record_success()
             return None
         health.record_failure()
@@ -230,7 +218,6 @@ def _write_run(port: Any, extents: Sequence[Extent]) -> Gen:
         lambda: port.backend_write(file, extents, base),
         path=file.path,
         file_offset=base,
-        clock=pipeline.clock,
         sleep=port.sleep,
         on_retry=functools.partial(pipeline.note_retry, base),
     )
@@ -379,7 +366,6 @@ def migrate(port: Any, extents: Sequence[Extent]) -> Gen:
         lambda: port.tier_copy(file, tier, offset, lengths),
         path=file.path,
         file_offset=offset,
-        clock=staging.clock,
         sleep=port.sleep,
         on_retry=functools.partial(staging.retried, tier, file.path, offset),
     )

@@ -129,22 +129,21 @@ class _PoolAcquire(Waitable):
 
 
 class SimTenantPool:
-    """A buffer pool partitioned through a shared
+    """A buffer pool accounted through a
     :class:`~repro.pipeline.tenancy.PoolLedger` — the timing-plane twin
-    of a ledger-backed ``BufferPool``.
+    of ``BufferPool`` (with one default tenant and no reservation, a
+    global FIFO pool).
 
-    Unlike :class:`SimSemaphore` (strict global FIFO), admission is per
-    tenant: an acquire proceeds whenever the *ledger* admits the tenant,
-    even while other tenants queue — that is the isolation property (a
-    storm parked on the shared region cannot delay a victim drawing on
-    its own reservation).  Waiters are FIFO among themselves: a release
+    Admission is per tenant: an acquire proceeds whenever the *ledger*
+    admits the tenant, even while other tenants queue — that is the
+    isolation property (a storm parked on the shared region cannot
+    delay a victim drawing on its own reservation).  Waiters are FIFO among themselves: a release
     resumes the first admissible waiter.
     """
 
     def __init__(self, sim: Simulator, ledger: PoolLedger):
         self.sim = sim
         self.ledger = ledger
-        self.capacity = ledger.nchunks
         self._waiters: Deque[tuple[Process, str]] = deque()
         self.total_acquires = 0
         self.total_waits = 0
@@ -220,44 +219,37 @@ class _Put(Waitable):
 
 
 class SimQueue:
-    """Bounded FIFO queue — the work queue of the CRFS model.
+    """FIFO work queue of the CRFS model.
 
-    * ``yield q.put(item)`` blocks while the queue is full.
+    * ``yield q.put(item)`` enqueues; it parks only while the item's
+      tenant is at its queue quota.
     * ``yield q.get()`` blocks while it is empty; returns the item.
     * :meth:`close` wakes all blocked getters with :class:`ShutdownError`
       and makes further puts fail — the IO-thread shutdown protocol.
 
-    Two priority bands, mirroring the functional plane's WorkQueue:
-    ``put(item, low=True)`` enqueues on the low band (readahead
-    prefetches), which getters drain only when the high band is empty;
-    ``capacity`` bounds the high band only and low puts never block.
-
-    Multi-tenant models pass a shared
-    :class:`~repro.pipeline.tenancy.DRRScheduler` — item storage and
-    service order then live in the exact class the functional plane's
-    ``WorkQueue`` delegates to, plus per-tenant ``quotas`` that park a
-    tenant's putters at admission (``on_admission_wait`` is called once
-    per parked put, so the model can emit the matching event).  With no
-    scheduler the pre-tenant deque path runs untouched.
+    Item storage and service order live in a
+    :class:`~repro.pipeline.tenancy.DRRScheduler` — the exact class the
+    functional plane's ``WorkQueue`` delegates to (one default
+    sub-queue, which is exact FIFO, unless the model passes a tenant
+    scheduler).  Two priority bands, as there: ``put(item, low=True)``
+    enqueues on the low band (readahead prefetches), which getters
+    drain only when the high band is empty, and low puts never park.
+    Per-tenant ``quotas`` park a tenant's high-band putters at
+    admission (``on_admission_wait`` is called once per parked put, so
+    the model can emit the matching event).
     """
 
     def __init__(
         self,
         sim: Simulator,
-        capacity: int = 0,
         scheduler: DRRScheduler | None = None,
         quotas: Mapping[str, int] | None = None,
         on_admission_wait: Callable[[str, int], None] | None = None,
     ):
-        if capacity < 0:
-            raise SimulationError(f"queue capacity must be >= 0, got {capacity}")
         self.sim = sim
-        self.capacity = capacity  # 0 = unbounded
-        self.scheduler = scheduler
+        self.scheduler = scheduler if scheduler is not None else DRRScheduler()
         self.quotas = {t: q for t, q in (quotas or {}).items() if q > 0}
         self.on_admission_wait = on_admission_wait
-        self._items: Deque[Any] = deque()
-        self._low: Deque[Any] = deque()
         self._getters: Deque[Process] = deque()
         self._putters: Deque[tuple[Process, Any, str]] = deque()
         self.closed = False
@@ -265,16 +257,11 @@ class SimQueue:
         self.total_puts = 0
 
     def __len__(self) -> int:
-        if self.scheduler is not None:
-            return len(self.scheduler)
-        return len(self._items) + len(self._low)
+        return len(self.scheduler)
 
     def depth(self, tenant: str) -> int:
-        """Queued high-band items for ``tenant`` (the admission gauge);
-        scheduler mode only — the deque path has a single tenant."""
-        if self.scheduler is not None:
-            return self.scheduler.depth(tenant)
-        return len(self._items) if tenant == DEFAULT_TENANT else 0
+        """Queued high-band items for ``tenant`` (the admission gauge)."""
+        return self.scheduler.depth(tenant)
 
     def put(
         self, item: Any, low: bool = False, tenant: str = DEFAULT_TENANT
@@ -285,11 +272,7 @@ class SimQueue:
         return _Get(self)
 
     def _put_blocked(self, tenant: str) -> bool:
-        """Whether a scheduler-mode high-band put must park: the band is
-        at capacity, or the tenant is at its quota."""
-        assert self.scheduler is not None
-        if self.capacity and self.scheduler.high_len >= self.capacity:
-            return True
+        """Whether a high-band put must park: the tenant is at its quota."""
         quota = self.quotas.get(tenant, 0)
         return bool(quota) and self.scheduler.depth(tenant) >= quota
 
@@ -309,36 +292,18 @@ class SimQueue:
             self.sim.schedule(0.0, getter._resume, item)
             self.sim.schedule(0.0, proc._resume, None)
             return
-        if self.scheduler is not None:
-            if not low and self._put_blocked(tenant):
-                if self.quotas.get(tenant, 0) and (
-                    self.scheduler.depth(tenant) >= self.quotas[tenant]
-                ):
-                    if self.on_admission_wait is not None:
-                        self.on_admission_wait(
-                            tenant, self.scheduler.depth(tenant)
-                        )
-                self._putters.append((proc, item, tenant))
-                return
-            self.scheduler.push(tenant, item, low=low)
-            self.max_depth = max(self.max_depth, len(self))
-            self.sim.schedule(0.0, proc._resume, None)
-            return
-        if low:
-            self._low.append(item)
-            self.max_depth = max(self.max_depth, len(self))
-            self.sim.schedule(0.0, proc._resume, None)
-        elif self.capacity == 0 or len(self._items) < self.capacity:
-            self._items.append(item)
-            self.max_depth = max(self.max_depth, len(self))
-            self.sim.schedule(0.0, proc._resume, None)
-        else:
+        if not low and self._put_blocked(tenant):
+            if self.on_admission_wait is not None:
+                self.on_admission_wait(tenant, self.scheduler.depth(tenant))
             self._putters.append((proc, item, tenant))
+            return
+        self.scheduler.push(tenant, item, low=low)
+        self.max_depth = max(self.max_depth, len(self))
+        self.sim.schedule(0.0, proc._resume, None)
 
     def _readmit_putters(self) -> None:
-        """Scheduler mode: re-admit parked putters now within capacity
-        and quota, preserving arrival order among those still blocked."""
-        assert self.scheduler is not None
+        """Re-admit parked putters now within their quota, preserving
+        arrival order among those still blocked."""
         if not self._putters:
             return
         kept: Deque[tuple[Process, Any, str]] = deque()
@@ -353,29 +318,13 @@ class SimQueue:
         self._putters = kept
 
     def _enqueue_getter(self, proc: Process) -> None:
-        if self.scheduler is not None:
-            was_high = self.scheduler.high_len > 0
-            popped = self.scheduler.pop()
-            if popped is not None:
-                _, item = popped
-                if was_high:
-                    self._readmit_putters()
-                self.sim.schedule(0.0, proc._resume, item)
-            elif self.closed:
-                self.sim.schedule(0.0, proc._throw, ShutdownError("queue closed"))
-            else:
-                self._getters.append(proc)
-            return
-        if self._items:
-            item = self._items.popleft()
-            if self._putters:
-                putter, pitem, _ = self._putters.popleft()
-                self._items.append(pitem)
-                self.max_depth = max(self.max_depth, len(self))
-                self.sim.schedule(0.0, putter._resume, None)
+        was_high = self.scheduler.high_len > 0
+        popped = self.scheduler.pop()
+        if popped is not None:
+            _, item = popped
+            if was_high:
+                self._readmit_putters()
             self.sim.schedule(0.0, proc._resume, item)
-        elif self._low:
-            self.sim.schedule(0.0, proc._resume, self._low.popleft())
         elif self.closed:
             self.sim.schedule(0.0, proc._throw, ShutdownError("queue closed"))
         else:
@@ -388,46 +337,21 @@ class SimQueue:
         chain: Callable[[Any, Any], bool],
         tenant: str = DEFAULT_TENANT,
     ) -> list[Any]:
-        """Synchronously take up to ``limit`` queued high-band items that
-        ``chain`` accepts as the continuation of ``last``.
+        """Synchronously take up to ``limit`` queued high-band items of
+        ``tenant`` that ``chain`` accepts as the continuation of ``last``.
 
         The batch-gather mirror of the functional plane's
         ``WorkQueue.get_batch``: called by a getter right after its
-        ``yield q.get()`` returned ``last``, it scans the high band
-        — ``chain(tail, candidate)`` with a rolling tail — skipping
-        non-matching items and preserving their relative order.  Never
-        blocks; freeing high-band slots re-admits parked putters.
-
-        In scheduler mode only ``tenant``'s own sub-queue is scanned
-        (batches never span tenants) and the gathered run is charged
-        against the tenant's DRR deficit.
+        ``yield q.get()`` returned ``last``, it scans ``tenant``'s own
+        sub-queue (batches never span tenants) — ``chain(tail,
+        candidate)`` with a rolling tail — skipping non-matching items
+        and preserving their relative order.  The gathered run is
+        charged against the tenant's DRR deficit.  Never blocks; freeing
+        high-band slots re-admits parked putters.
         """
-        if self.scheduler is not None:
-            batch = self.scheduler.gather(tenant, limit, chain, last)
-            if batch:
-                self._readmit_putters()
-            return batch
-        batch = []
-        if limit <= 0 or not self._items:
-            return batch
-        tail = last
-        remaining: Deque[Any] = deque()
-        while self._items and len(batch) < limit:
-            candidate = self._items.popleft()
-            if chain(tail, candidate):
-                batch.append(candidate)
-                tail = candidate
-            else:
-                remaining.append(candidate)
-        remaining.extend(self._items)
-        self._items = remaining
-        while self._putters and (
-            self.capacity == 0 or len(self._items) < self.capacity
-        ):
-            putter, pitem, _ = self._putters.popleft()
-            self._items.append(pitem)
-            self.max_depth = max(self.max_depth, len(self))
-            self.sim.schedule(0.0, putter._resume, None)
+        batch = self.scheduler.gather(tenant, limit, chain, last)
+        if batch:
+            self._readmit_putters()
         return batch
 
     def close(self) -> None:

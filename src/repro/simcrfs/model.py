@@ -70,7 +70,6 @@ from ..sim import (
     SharedBandwidth,
     SimEvent,
     SimQueue,
-    SimSemaphore,
     SimTenantPool,
     Simulator,
 )
@@ -196,9 +195,9 @@ class SimReadCache:
 
     def try_lease(self):
         fs, tenant = self.fs, self.f.tenant
-        if fs._pool_starved(tenant):
+        if fs.pool.would_wait(tenant):
             return None
-        yield fs._pool_acquire(tenant)
+        yield fs.pool.acquire(tenant)
         fs._note_pool(tenant)
         return True
 
@@ -275,14 +274,14 @@ class SimCRFS:
                 StagingCore.resolve_tier(config.fsync_tier, ntiers) if ntiers else -1
             ),
         )
-        self.retry = config.retry_policy()
+        self.retry = config.retry
         self.health = BackendHealth(
             config.breaker_threshold, emit=self.kernel.emit, clock=lambda: sim.now
         )
         # Tiered staging: the same plane-agnostic StagingCore the
         # functional TieredBackend drives, paid down here by pump
-        # *processes* over an unbounded SimQueue (its depths never
-        # touch the mount's `queue` stats section).
+        # *processes* over their own SimQueue (its depths never touch
+        # the mount's `queue` stats section).
         self.staging: Optional[StagingCore] = None
         self._pump_queue: Optional[SimQueue] = None
         self.pump_depth = 0
@@ -309,32 +308,23 @@ class SimCRFS:
                 sim.spawn(self._pump_proc(i), name=f"{node}-crfs-pump{i}")
                 for i in range(config.tier_pump_threads)
             ]
-        # With no tenants configured the exact pre-tenant primitives run
-        # (semaphore pool, plain FIFO deques) so default-config virtual
-        # time stays bit-identical; with tenants, the same ledger /
-        # scheduler classes the functional plane delegates to take over,
-        # keeping service order identical across planes by construction.
-        if self.tenants.active:
-            self.pool: Any = SimTenantPool(
-                sim,
-                PoolLedger(
-                    max(1, config.pool_chunks), self.tenants.reservations()
-                ),
-            )
-            self.queue = SimQueue(
-                sim,
-                capacity=config.work_queue_depth,
-                scheduler=DRRScheduler(
-                    weights=self.tenants.weights(), fair=config.tenant_fairness
-                ),
-                quotas=self.tenants.quotas(),
-                on_admission_wait=lambda tenant, depth: self.kernel.emit(
-                    AdmissionWait(tenant=tenant, depth=depth, t=sim.now)
-                ),
-            )
-        else:
-            self.pool = SimSemaphore(sim, capacity=max(1, config.pool_chunks))
-            self.queue = SimQueue(sim)
+        # The same ledger / scheduler classes the functional plane
+        # delegates to, so service order is identical across planes by
+        # construction (one default tenant: a global FIFO pool and queue).
+        self.pool = SimTenantPool(
+            sim,
+            PoolLedger(max(1, config.pool_chunks), self.tenants.reservations()),
+        )
+        self.queue = SimQueue(
+            sim,
+            scheduler=DRRScheduler(
+                weights=self.tenants.weights(), fair=config.tenant_fairness
+            ),
+            quotas=self.tenants.quotas(),
+            on_admission_wait=lambda tenant, depth: self.kernel.emit(
+                AdmissionWait(tenant=tenant, depth=depth, t=sim.now)
+            ),
+        )
         self._io_threads = [
             sim.spawn(self._io_thread(i), name=f"{node}-crfs-io{i}")
             for i in range(config.io_threads)
@@ -403,32 +393,12 @@ class SimCRFS:
             self._cached_files.append(f)
         return f
 
-    # -- pool plumbing (semaphore vs ledger-partitioned) ------------------------
-
-    def _pool_acquire(self, tenant: str):
-        """Waitable for one pool chunk, tenant-aware when partitioned."""
-        if isinstance(self.pool, SimTenantPool):
-            return self.pool.acquire(tenant)
-        return self.pool.acquire()
+    # -- pool plumbing ------------------------------------------------------------
 
     def pool_would_wait(self, f: SimCRFSFile) -> bool:
         """The write-path backpressure predicate, sampled before the
         acquire is yielded."""
-        if isinstance(self.pool, SimTenantPool):
-            return self.pool.would_wait(f.tenant)
-        return self.pool.in_use >= self.pool.capacity or self.pool.waiting > 0
-
-    def _pool_starved(self, tenant: str) -> bool:
-        """The read-path try-lease predicate (when
-        ``BufferPool.try_acquire`` would return None)."""
-        if isinstance(self.pool, SimTenantPool):
-            return self.pool.would_wait(tenant)
-        return self.pool.in_use >= self.pool.capacity
-
-    def _tenant_in_use(self, tenant: str) -> int:
-        if isinstance(self.pool, SimTenantPool):
-            return self.pool.held(tenant)
-        return self.pool.in_use
+        return self.pool.would_wait(f.tenant)
 
     def _note_pool(self, tenant: str, waited: bool = False, released: bool = False):
         """The ``PoolPressure`` event after an acquire (once the yield
@@ -438,7 +408,7 @@ class SimCRFS:
                 waited=waited,
                 in_use=self.pool.in_use,
                 tenant=tenant,
-                tenant_in_use=self._tenant_in_use(tenant),
+                tenant_in_use=self.pool.held(tenant),
                 released=released,
             )
         )
@@ -447,10 +417,7 @@ class SimCRFS:
         """Recycle one chunk and emit the released ``PoolPressure`` — the
         one choke point, like the functional plane's
         ``BufferPool.release``."""
-        if isinstance(self.pool, SimTenantPool):
-            self.pool.release(tenant)
-        else:
-            self.pool.release()
+        self.pool.release(tenant)
         self._note_pool(tenant, released=True)
 
     def write(self, f: SimCRFSFile, nbytes: int):
@@ -627,8 +594,7 @@ class SimCRFS:
         mf = self.backend.open(manifest_path(path))
         try:
             yield from self.backend.write(mf, len(raw))
-            if self.config.delta_manifest_sync:
-                yield from self.backend.fsync(mf)
+            yield from self.backend.fsync(mf)
         finally:
             yield from self.backend.close(mf)
 
@@ -660,7 +626,7 @@ class SimCRFS:
 
     def acquire(self, f: SimCRFSFile, file_offset: int):
         waited = self.pool_would_wait(f)
-        yield self._pool_acquire(f.tenant)
+        yield self.pool.acquire(f.tenant)
         self._note_pool(f.tenant, waited=waited)
         f.current_chunk = True
 

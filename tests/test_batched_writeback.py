@@ -17,16 +17,17 @@ from repro.backends import FaultRule, FaultyBackend, MemBackend
 from repro.backends.base import Backend
 from repro.backends.instrumented import InstrumentedBackend
 from repro.backends.localdir import LocalDirBackend
-from repro.config import CRFSConfig
+from repro.config import CRFSConfig, RetryPolicy
 from repro.core import CRFS
 from repro.core.workqueue import QueueClosed, QueueFullTimeout, WorkQueue
+from repro.pipeline.tenancy import DEFAULT_TENANT
 from repro.errors import BackendIOError
 from repro.units import KiB, MiB
 
 CHUNK = 64 * KiB
 NCHUNKS = 16  # the gated run: two full gathers at batch limit 8
 
-FAST = dict(retry_backoff=1e-4, retry_backoff_max=1e-3, retry_jitter=0.0)
+FAST = RetryPolicy(backoff=1e-4, backoff_max=1e-3, jitter=0.0)
 
 
 def run_data() -> bytes:
@@ -40,7 +41,7 @@ def batched_config(**overrides) -> CRFSConfig:
         pool_size=2 * MiB,  # gate chunk + the whole run fit: no backpressure
         io_threads=1,
         writeback_batch_chunks=8,
-        **FAST,
+        retry=FAST,
     )
     kw.update(overrides)
     return CRFSConfig(**kw)
@@ -133,25 +134,30 @@ class TestGetBatch:
             WorkQueue().get_batch(8, contiguous, timeout=0.01)
 
 
+def at_quota():
+    """A queue whose default tenant is at its quota of one high-band
+    item (a quota is the queue's only bound of its own)."""
+    q = WorkQueue(quotas={DEFAULT_TENANT: 1})
+    q.put("x")
+    return q
+
+
 class TestPutContract:
     """The two bands' blocking/timeout/close contracts."""
 
     def test_full_high_band_put_times_out(self):
-        q = WorkQueue(capacity=1)
-        q.put("x")
+        q = at_quota()
         with pytest.raises(QueueFullTimeout):
             q.put("y", timeout=0.01)
 
     def test_low_band_put_rejects_explicit_timeout(self):
-        q = WorkQueue(capacity=1)
-        q.put("x")  # band full — a low put must still not block
+        q = at_quota()  # a low put must still not block
         with pytest.raises(ValueError, match="never block"):
             q.put("y", timeout=0.01, low=True)
 
     def test_low_band_put_never_blocks_at_capacity(self):
-        q = WorkQueue(capacity=1)
-        q.put("x")
-        q.put("y", low=True)  # returns immediately despite the full band
+        q = at_quota()
+        q.put("y", low=True)  # returns immediately despite the quota
         assert len(q) == 2
 
     def test_both_bands_reject_put_after_close(self):
@@ -173,8 +179,7 @@ class TestPutContract:
             q.get()
 
     def test_close_wakes_blocked_high_put(self):
-        q = WorkQueue(capacity=1)
-        q.put("x")
+        q = at_quota()
         errors = []
 
         def blocked_put():
@@ -215,7 +220,7 @@ class TestSimTakeAdjacent:
             first = yield q.get()
             out["first"] = first
             out["batch"] = q.take_adjacent(first, 7, contiguous)
-            out["left"] = list(q._items)
+            out["left"] = [q.scheduler.pop()[1] for _ in range(len(q))]
 
         sim.run_until_complete([sim.spawn(producer())])
         sim.run_until_complete([sim.spawn(consumer())])
@@ -392,9 +397,8 @@ class TestDegradedWriteLockHold:
                 chunk_size=CHUNK,
                 pool_size=4 * CHUNK,
                 io_threads=1,
-                retry_attempts=1,
+                retry=FAST,
                 breaker_threshold=1,
-                **FAST,
             ),
         ).mount()
         try:

@@ -12,6 +12,7 @@ from repro.core.filetable import FileEntry, OpenFileTable
 from repro.core.iopool import IOThreadPool, WorkItem
 from repro.pipeline.planner import SealReason
 from repro.core.workqueue import QueueClosed, WorkQueue
+from repro.pipeline.tenancy import DEFAULT_TENANT
 from repro.errors import (
     BackendIOError,
     ConfigError,
@@ -170,7 +171,7 @@ class TestWorkQueue:
         assert got == ["item"]
 
     def test_bounded_put_blocks(self):
-        q = WorkQueue(capacity=1)
+        q = WorkQueue(quotas={DEFAULT_TENANT: 1})
         q.put(1)
         done = []
 
@@ -224,10 +225,6 @@ class TestWorkQueue:
         assert q.total_puts == 5
         assert q.max_depth == 5
         assert len(q) == 5
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            WorkQueue(capacity=-1)
 
 
 class TestFileEntryDrain:

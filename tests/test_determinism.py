@@ -142,8 +142,9 @@ class TestConcurrencyStress:
 
     def test_queue_stress_many_producers(self):
         from repro.core.workqueue import QueueClosed, WorkQueue
+        from repro.pipeline.tenancy import DEFAULT_TENANT
 
-        q = WorkQueue(capacity=8)
+        q = WorkQueue(quotas={DEFAULT_TENANT: 8})  # producers block
         produced, consumed = [], []
         lock = threading.Lock()
 

@@ -28,7 +28,7 @@ import time
 import pytest
 
 from repro.backends import FaultRule, FaultyBackend, MemBackend
-from repro.config import CRFSConfig
+from repro.config import CRFSConfig, RetryPolicy
 from repro.core import CRFS
 from repro.errors import BackendIOError
 from repro.units import KiB
@@ -37,7 +37,9 @@ CHUNK = 64 * KiB
 NCHUNKS = 4
 DATA = bytes(range(256)) * (CHUNK // 256) * NCHUNKS  # 4 whole chunks
 
-FAST = dict(retry_backoff=1e-4, retry_backoff_max=1e-3)
+def fast(attempts=1):
+    """A retry schedule whose backoff sleeps microseconds."""
+    return RetryPolicy(attempts=attempts, backoff=1e-4, backoff_max=1e-3)
 
 
 def make_rules(op: str, schedule: str) -> list[FaultRule]:
@@ -56,7 +58,7 @@ def mount(rules, attempts):
     backend = FaultyBackend(mem, rules, sleep=lambda s: None)
     cfg = CRFSConfig(
         chunk_size=CHUNK, pool_size=4 * CHUNK, io_threads=1,
-        retry_attempts=attempts, **FAST,
+        retry=fast(attempts),
     )
     return mem, backend, CRFS(backend, cfg)
 
@@ -163,7 +165,7 @@ def read_mount(rules, **overrides):
     cfg = CRFSConfig(
         chunk_size=CHUNK, pool_size=4 * CHUNK, io_threads=1,
         read_cache_chunks=4, readahead_chunks=2,
-        retry_attempts=1, **FAST, **overrides,
+        retry=fast(), **overrides,
     )
     return mem, backend, CRFS(backend, cfg)
 
@@ -337,7 +339,7 @@ def gated_batched_mount(extra_rules, **overrides):
     backend = FaultyBackend(mem, rules, sleep=lambda _s: gate.wait())
     cfg = CRFSConfig(
         chunk_size=CHUNK, pool_size=20 * CHUNK, io_threads=1,
-        writeback_batch_chunks=8, **{**dict(retry_attempts=1, **FAST), **overrides},
+        writeback_batch_chunks=8, **{"retry": fast(), **overrides},
     )
     return mem, backend, CRFS(backend, cfg), gate
 
@@ -379,7 +381,7 @@ class TestPwritevCells:
         byte-identically."""
         mem, backend, fs, gate = gated_batched_mount(
             [FaultRule(op="pwritev", nth=1, error=OSError("transient"))],
-            retry_attempts=4,
+            retry=fast(4),
         )
         with fs:
             fa = fs.open("/gate.img")
@@ -451,7 +453,7 @@ class TestSimPwritevCells:
         cfg = CRFSConfig(
             chunk_size=CHUNK, pool_size=20 * CHUNK, io_threads=1,
             writeback_batch_chunks=8,
-            **{**dict(retry_attempts=1, **FAST), **overrides},
+            **{"retry": fast(), **overrides},
         )
         crfs = SimCRFS(sim, hw, cfg, backend, membus)
         errors = []
@@ -491,7 +493,7 @@ class TestSimPwritevCells:
     def test_sim_batch_retries_as_one_op(self):
         backend, stats, errors = self._run(
             [FaultRule(op="pwritev", nth=1, error=OSError("transient"))],
-            retry_attempts=4,
+            retry=fast(4),
         )
         assert not errors
         assert stats["resilience"]["chunks_retried"] == 1
@@ -664,8 +666,8 @@ def tier_cell_functional(rules, attempts, nchunks=NCHUNKS, gated=False, batch=1)
     deep = FaultyBackend(deep_mem, all_rules, sleep=hold if gated else lambda s: None)
     cfg = CRFSConfig(
         chunk_size=CHUNK, pool_size=(nchunks + 4) * CHUNK, io_threads=1,
-        retry_attempts=attempts, breaker_threshold=2,
-        tier_pump_threads=1, tier_pump_batch_chunks=batch, **FAST,
+        retry=fast(attempts), breaker_threshold=2,
+        tier_pump_threads=1, tier_pump_batch_chunks=batch,
     )
     sync_errors = []
     with CRFS(TieredBackend([tier0, deep]), cfg) as fs:
@@ -724,8 +726,8 @@ def tier_cell_sim(rules, attempts, nchunks=NCHUNKS, gated=False, batch=1, seed=1
     )
     cfg = CRFSConfig(
         chunk_size=CHUNK, pool_size=(nchunks + 4) * CHUNK, io_threads=1,
-        retry_attempts=attempts, breaker_threshold=2,
-        tier_pump_threads=1, tier_pump_batch_chunks=batch, **FAST,
+        retry=fast(attempts), breaker_threshold=2,
+        tier_pump_threads=1, tier_pump_batch_chunks=batch,
     )
     crfs = SimCRFS(sim, hw, cfg, backend, membus)
     sync_errors = []
@@ -879,7 +881,7 @@ class TestTierFsyncCells:
         )
         cfg = CRFSConfig(
             chunk_size=CHUNK, pool_size=4 * CHUNK, io_threads=1,
-            tier_pump_threads=1, **FAST,
+            tier_pump_threads=1, retry=fast(),
         )
         with CRFS(TieredBackend([MemBackend(), deep]), cfg) as fs:
             f = fs.open("/run.img")
@@ -927,76 +929,6 @@ class TestSimTierCellParity:
             assert stats["resilience"]["breaker_trips"] == 0
 
 
-class TestTierZeroLateAttempt:
-    """A tier-0 attempt that *landed* but overran ``retry_timeout`` is
-    reissued (positional writes are idempotent) — and the extent is
-    staged once, after the attempt loop, not once per attempt: the deep
-    tier is owed one arrival and sees one migration."""
-
-    SIZE = 4 * KiB
-    RULES = [FaultRule(op="pwrite", nth=1, delay=0.02)]  # 20 ms vs a 5 ms limit
-
-    def config(self):
-        return CRFSConfig(
-            chunk_size=self.SIZE, pool_size=4 * self.SIZE, io_threads=1,
-            retry_attempts=2, retry_timeout=0.005, retry_jitter=0.0, **FAST,
-        )
-
-    def functional(self):
-        from repro.backends import TieredBackend
-
-        tier0 = FaultyBackend(MemBackend(), list(self.RULES))  # real sleep
-        with CRFS(TieredBackend([tier0, MemBackend()]), self.config()) as fs:
-            with fs.open("/f.img") as f:
-                f.write(b"x" * self.SIZE)
-                f.fsync()
-            return fs.stats()
-
-    def timing(self):
-        from repro.sim import SharedBandwidth, Simulator
-        from repro.simcrfs import SimCRFS
-        from repro.simio.faulty import FaultySimFilesystem
-        from repro.simio.nullfs import NullSimFilesystem
-        from repro.simio.params import DEFAULT_HW
-        from repro.simio.tiered import TieredSimFilesystem
-        from repro.util.rng import rng_for
-
-        sim = Simulator()
-        hw = DEFAULT_HW
-        tier0 = FaultySimFilesystem(
-            NullSimFilesystem(sim, hw, rng_for(1, "late/t0")), list(self.RULES)
-        )
-        backend = TieredSimFilesystem(
-            [tier0, NullSimFilesystem(sim, hw, rng_for(1, "late/deep"))]
-        )
-        crfs = SimCRFS(
-            sim, hw, self.config(), backend, SharedBandwidth(sim, hw.membus_bandwidth)
-        )
-
-        def proc():
-            f = crfs.open("/f.img")
-            yield from crfs.write(f, self.SIZE)
-            yield from crfs.fsync(f)
-            yield from crfs.close(f)
-
-        sim.run_until_complete([sim.spawn(proc())])
-        sim.run_until_complete([sim.spawn(crfs.drain_staging(), name="drain")])
-        crfs.shutdown()
-        return crfs.stats()
-
-    @pytest.mark.parametrize("plane", ["functional", "timing"])
-    def test_reissued_extent_stages_once(self, plane):
-        stats = getattr(self, plane)()
-        assert stats["resilience"]["chunks_retried"] == 1  # it was reissued
-        assert stats["resilience"]["errors_latched"] == 0
-        tiers = stats["tiers"]["per_tier"]
-        for level in ("0", "1"):
-            assert tiers[level]["bytes_staged"] == self.SIZE
-            assert tiers[level]["chunks_staged"] == 1
-        assert tiers["0"]["chunks_migrated"] == 1
-        assert tiers["0"]["bytes_migrated"] == self.SIZE
-
-
 # -- delta-checkpoint cells: manifest and generation-file faults ---------------
 
 
@@ -1005,7 +937,7 @@ def delta_mount(rules, attempts=1, **cfg_kw):
     backend = FaultyBackend(mem, rules, sleep=lambda s: None)
     cfg = CRFSConfig(
         chunk_size=CHUNK, pool_size=4 * CHUNK, io_threads=1,
-        retry_attempts=attempts, **FAST, **cfg_kw,
+        retry=fast(attempts), **cfg_kw,
     )
     return mem, backend, CRFS(backend, cfg)
 
@@ -1104,18 +1036,6 @@ class TestDeltaManifestCells:
             assert tracker.generation == 1
             assert fs.delta_restore("/ckpt") == bytes(image)
 
-    def test_manifest_sync_off_skips_the_faulted_fsync(self):
-        """``delta_manifest_sync=False`` is the knob's ablation arm: a
-        manifest fsync rule can never fire because the fsync is never
-        issued."""
-        mem, backend, fs = delta_mount(
-            manifest_rules("fsync", "every"), delta_manifest_sync=False
-        )
-        with fs:
-            fs.delta_checkpoint("/ckpt", DATA)
-            assert fs.delta_restore("/ckpt") == DATA
-        assert backend.faults_fired == 0
-
 
 class TestDeltaDataCells:
     """Generation-file data writes ride the normal asynchronous
@@ -1197,7 +1117,7 @@ class TestSimDeltaManifestCells:
         )
         cfg = CRFSConfig(
             chunk_size=CHUNK, pool_size=4 * CHUNK, io_threads=1,
-            retry_attempts=1, **FAST,
+            retry=fast(),
         )
         crfs = SimCRFS(sim, hw, cfg, backend, membus)
         sim.run_until_complete([sim.spawn(proc_body(crfs))])

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from repro import CRFS, CRFSConfig, MemBackend
+from repro import CRFS, CRFSConfig, MemBackend, RetryPolicy
 from repro.backends import FaultRule, FaultyBackend
 from repro.errors import BackendIOError, QueueFullTimeout, ShutdownError
 from repro.sim import SharedBandwidth, Simulator
@@ -74,15 +74,13 @@ class TestWriteThroughThreshold:
     the breaker-open probe: retried, and counted by the breaker."""
 
     @staticmethod
-    def config(**kw):
+    def config(attempts, **kw):
         return CRFSConfig(
             chunk_size=16 * KiB,
             pool_size=128 * KiB,
             io_threads=1,
             write_through_threshold=64 * KiB,
-            retry_backoff=1e-4,
-            retry_backoff_max=1e-3,
-            retry_jitter=0.0,
+            retry=RetryPolicy(attempts, backoff=1e-4, backoff_max=1e-3, jitter=0.0),
             **kw,
         )
 
@@ -90,7 +88,7 @@ class TestWriteThroughThreshold:
         backend = FaultyBackend(
             MemBackend(), [FaultRule(op="pwrite", nth=1, error=BackendIOError("EIO"))]
         )
-        with CRFS(backend, self.config(retry_attempts=3)) as fs:
+        with CRFS(backend, self.config(3)) as fs:
             with fs.open("/f") as f:
                 f.write(b"W" * (64 * KiB))
             stats = fs.stats()
@@ -103,7 +101,7 @@ class TestWriteThroughThreshold:
             MemBackend(),
             [FaultRule(op="pwrite", nth=1, every=True, error=BackendIOError("dead"))],
         )
-        with CRFS(backend, self.config(retry_attempts=2, breaker_threshold=2)) as fs:
+        with CRFS(backend, self.config(2, breaker_threshold=2)) as fs:
             with fs.open("/f") as f:
                 with pytest.raises(BackendIOError, match="dead"):
                     f.write(b"W" * (64 * KiB))

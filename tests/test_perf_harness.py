@@ -15,8 +15,14 @@ import pytest
 from repro.backends import MemBackend
 from repro.config import CRFSConfig
 from repro.core import CRFS
-from repro.perf.cli import main as perf_main
-from repro.perf.compare import POLICIES, MetricPolicy, compare_artifacts, render_report
+from repro.perf.cli import check_baseline, main as perf_main
+from repro.perf.compare import (
+    OPTIONAL_METRICS,
+    POLICIES,
+    MetricPolicy,
+    compare_artifacts,
+    render_report,
+)
 from repro.perf.runner import percentile, run_scenario_real, run_scenario_sim, run_suite
 from repro.perf.scenarios import SCENARIOS, default_scenarios
 from repro.perf.schema import (
@@ -481,3 +487,99 @@ class TestTieredStagingGoodput:
         b = run_scenario_sim(SCENARIOS["tiered_staging"], SEED, fast=True)
         assert a["stats"]["tiers"] == b["stats"]["tiers"]
         assert a["elapsed_s"] == b["elapsed_s"]
+
+
+# -- optional copy metrics in compare: fabricated artifacts -------------------
+
+
+def fake_artifact():
+    """A one-scenario sim artifact with every required metric."""
+    metrics = {
+        "bytes_in": 8 << 20,
+        "writes": 128,
+        "elapsed_s": 0.02,
+        "goodput_mib_s": 100.0,
+        "write_latency_p50_s": 1e-5,
+        "write_latency_p95_s": 2e-5,
+        "chunk_write_p50_s": 1e-4,
+        "chunk_write_p95_s": 2e-4,
+        "chunks_queued": 8,
+        "chunks_written": 8,
+        "drain_waits": 1,
+        "drain_time_s": 1e-4,
+        "stats": {},
+    }
+    return build_artifact(
+        {"sim": {"seq": metrics}}, seed=SEED, fast=True, created="2026-08-01T00:00:00Z"
+    )
+
+
+class TestOptionalCopyMetrics:
+    def test_optional_metrics_are_disjoint_from_required(self):
+        assert not set(OPTIONAL_METRICS) & set(REQUIRED_METRICS)
+        assert not set(OPTIONAL_METRICS) & set(POLICIES)
+
+    def _pair(self):
+        base = fake_artifact()
+        new = copy.deepcopy(base)
+        return new, base
+
+    def test_absent_on_either_side_is_not_judged(self):
+        new, base = self._pair()
+        new["planes"]["sim"]["seq"]["bytes_copied"] = 999  # only in new
+        assert compare_artifacts(new, base).ok
+        new, base = self._pair()
+        base["planes"]["sim"]["seq"]["bytes_copied"] = 999  # only in base
+        assert compare_artifacts(new, base).ok
+
+    def test_drift_when_both_present_is_a_regression(self):
+        new, base = self._pair()
+        base["planes"]["sim"]["seq"]["bytes_copied"] = 1000
+        new["planes"]["sim"]["seq"]["bytes_copied"] = 1001
+        report = compare_artifacts(new, base)
+        assert not report.ok
+        assert [(d.scenario, d.metric) for d in report.regressions] == [
+            ("seq", "bytes_copied")
+        ]
+
+    def test_equal_copy_metrics_pass(self):
+        new, base = self._pair()
+        for art in (new, base):
+            art["planes"]["sim"]["seq"]["bytes_copied"] = 4096
+            art["planes"]["sim"]["seq"]["copies"] = 7
+        assert compare_artifacts(new, base).ok
+
+
+# -- check-baseline: the zero_copy pins ---------------------------------------
+
+
+class TestCheckBaselineZeroCopyPins:
+    def _baseline(self):
+        return copy.deepcopy(load_artifact("benchmarks/baselines/baseline.json"))
+
+    def test_committed_baseline_pins_zero_copy(self):
+        baseline = self._baseline()
+        assert check_baseline(baseline) == []
+        zc = baseline["planes"]["sim"]["zero_copy"]
+        assert zc["stats"]["mem"]["bytes_copied"] == zc["bytes_in"]
+
+    def test_extra_copies_are_reported(self):
+        baseline = self._baseline()
+        baseline["planes"]["sim"]["zero_copy"]["stats"]["mem"][
+            "bytes_copied"
+        ] += 1
+        problems = check_baseline(baseline)
+        assert any("exactly one" in p for p in problems)
+
+    def test_read_side_copies_in_a_write_only_scenario_are_reported(self):
+        baseline = self._baseline()
+        mem = baseline["planes"]["sim"]["zero_copy"]["stats"]["mem"]
+        mem["by_site"]["read_boundary"]["bytes"] = 512
+        problems = check_baseline(baseline)
+        assert any("read_boundary" in p for p in problems)
+
+    def test_missing_copy_metric_is_reported(self):
+        baseline = self._baseline()
+        del baseline["planes"]["sim"]["zero_copy"]["copy_ratio"]
+        problems = check_baseline(baseline)
+        assert any("copy_ratio" in p for p in problems)

@@ -38,7 +38,12 @@ from repro.util.rng import rng_for
 CHUNK = 64 * KiB
 
 #: Fast real-time backoff for threaded tests.
-FAST = dict(retry_backoff=1e-4, retry_backoff_max=1e-3)
+FAST = dict(backoff=1e-4, backoff_max=1e-3)
+
+
+def fast(attempts=1, **kw):
+    """A retry schedule with ``FAST`` backoff."""
+    return RetryPolicy(attempts=attempts, **{**FAST, **kw})
 
 
 class Recorder(PipelineObserver):
@@ -59,7 +64,7 @@ class Recorder(PipelineObserver):
 class TestRetryPolicy:
     def test_defaults_fail_fast(self):
         p = RetryPolicy()
-        assert not p.enabled
+        assert p.attempts == 1
         assert not p.should_retry(1)
 
     def test_should_retry_counts_the_first_attempt(self):
@@ -68,16 +73,15 @@ class TestRetryPolicy:
         assert not p.should_retry(3)
 
     def test_delay_is_deterministic_per_chunk(self):
-        p = RetryPolicy(attempts=4, seed=7)
+        p = RetryPolicy(attempts=4)
         d1 = p.delay(1, "/f", 0)
         assert d1 == p.delay(1, "/f", 0)  # same key, same delay
+        assert d1 == RetryPolicy(attempts=4).delay(1, "/f", 0)  # no state
         assert d1 != p.delay(1, "/f", CHUNK)  # different chunk
-        assert d1 != RetryPolicy(attempts=4, seed=8).delay(1, "/f", 0)
+        assert d1 != p.delay(1, "/g", 0)  # different file
 
     def test_delay_grows_and_caps(self):
-        p = RetryPolicy(
-            attempts=10, backoff=0.01, backoff_factor=2.0, backoff_max=0.05, jitter=0.0
-        )
+        p = RetryPolicy(attempts=10, backoff=0.01, backoff_max=0.05, jitter=0.0)
         delays = [p.delay(k, "/f", 0) for k in range(1, 6)]
         assert delays == [0.01, 0.02, 0.04, 0.05, 0.05]
 
@@ -87,21 +91,15 @@ class TestRetryPolicy:
             d = p.delay(1, f"/f{k}", 0)
             assert 0.005 <= d <= 0.015
 
-    def test_timed_out(self):
-        assert not RetryPolicy().timed_out(999.0)  # disabled by default
-        p = RetryPolicy(attempt_timeout=0.1)
-        assert p.timed_out(0.2)
-        assert not p.timed_out(0.05)
-
     @pytest.mark.parametrize(
         "kw",
         [
             dict(attempts=0),
+            dict(attempts=-1),
             dict(backoff=-1.0),
-            dict(backoff_factor=0.5),
             dict(backoff_max=-0.1),
             dict(jitter=1.5),
-            dict(attempt_timeout=-1.0),
+            dict(jitter=-0.1),
         ],
     )
     def test_validation(self, kw):
@@ -109,11 +107,11 @@ class TestRetryPolicy:
             RetryPolicy(**kw)
 
     def test_config_knobs_round_trip(self):
-        cfg = CRFSConfig(retry_attempts=5, retry_backoff=0.01, retry_seed=42)
-        p = cfg.retry_policy()
-        assert p.attempts == 5 and p.backoff == 0.01 and p.seed == 42
+        p = RetryPolicy(attempts=5, backoff=0.01)
+        assert CRFSConfig(retry=p).retry is p
+        assert CRFSConfig().with_(retry=p).retry == p
         with pytest.raises(ConfigError):
-            CRFSConfig(retry_attempts=0)
+            CRFSConfig(retry=RetryPolicy(attempts=0))
         with pytest.raises(ConfigError):
             CRFSConfig(breaker_threshold=-1)
 
@@ -183,10 +181,10 @@ class TestBackendHealth:
 
 
 class TestFunctionalPlaneRetry:
-    def cfg(self, **kw):
-        kw = {**FAST, **kw}
+    def cfg(self, attempts=1, **kw):
         return CRFSConfig(
-            chunk_size=CHUNK, pool_size=4 * CHUNK, io_threads=1, **kw
+            chunk_size=CHUNK, pool_size=4 * CHUNK, io_threads=1,
+            retry=fast(attempts), **kw,
         )
 
     def test_transient_fault_recovers_byte_identical(self):
@@ -201,7 +199,7 @@ class TestFunctionalPlaneRetry:
             sleep=lambda s: None,
         )
         rec = Recorder()
-        with CRFS(backend, self.cfg(retry_attempts=3), observers=(rec,)) as fs:
+        with CRFS(backend, self.cfg(attempts=3), observers=(rec,)) as fs:
             with fs.open("/ckpt") as f:
                 f.write(data)
             stats = fs.stats()
@@ -217,7 +215,7 @@ class TestFunctionalPlaneRetry:
             [FaultRule(op="pwrite", nth=1, every=True, error=OSError("dead"))],
             sleep=lambda s: None,
         )
-        with CRFS(backend, self.cfg(retry_attempts=3)) as fs:
+        with CRFS(backend, self.cfg(attempts=3)) as fs:
             f = fs.open("/ckpt")
             f.write(b"x" * CHUNK)  # async path: write() itself succeeds
             with pytest.raises(BackendIOError, match="dead"):
@@ -238,7 +236,7 @@ class TestFunctionalPlaneRetry:
             sleep=lambda s: None,
         )
         rec = Recorder()
-        cfg = self.cfg(retry_attempts=1, breaker_threshold=2)
+        cfg = self.cfg(attempts=1, breaker_threshold=2)
         with CRFS(backend, cfg, observers=(rec,)) as fs:
             for name in ("/a", "/b"):
                 f = fs.open(name)
@@ -264,7 +262,7 @@ class TestFunctionalPlaneRetry:
             [FaultRule(op="pwrite", nth=1, every=True, error=OSError("dead"))],
             sleep=lambda s: None,
         )
-        cfg = self.cfg(retry_attempts=1, breaker_threshold=1)
+        cfg = self.cfg(attempts=1, breaker_threshold=1)
         with CRFS(backend, cfg) as fs:
             f = fs.open("/a")
             f.write(b"x" * CHUNK)
@@ -313,14 +311,16 @@ def drive_sim(rules, config, streams, seed=2011):
 
 
 class TestTimingPlaneRetry:
-    def cfg(self, **kw):
-        kw = {**FAST, **kw}
-        return CRFSConfig(chunk_size=CHUNK, pool_size=4 * CHUNK, io_threads=1, **kw)
+    def cfg(self, attempts=1, jitter=0.1, **kw):
+        return CRFSConfig(
+            chunk_size=CHUNK, pool_size=4 * CHUNK, io_threads=1,
+            retry=fast(attempts, jitter=jitter), **kw,
+        )
 
     def test_transient_fault_recovers(self):
         crfs, rec, errors = drive_sim(
             [FaultRule(op="pwrite", nth=1, period=2, error=OSError("EIO"))],
-            self.cfg(retry_attempts=3),
+            self.cfg(attempts=3),
             [("/ckpt", [CHUNK] * 4)],
         )
         stats = crfs.stats()
@@ -332,7 +332,7 @@ class TestTimingPlaneRetry:
     def test_backoff_advances_virtual_clock(self):
         crfs, rec, _ = drive_sim(
             [FaultRule(op="pwrite", nth=1, period=2, error=OSError("EIO"))],
-            self.cfg(retry_attempts=2, retry_jitter=0.0),
+            self.cfg(attempts=2, jitter=0.0),
             [("/ckpt", [CHUNK])],
         )
         (retry,) = rec.of(ChunkRetried)
@@ -342,7 +342,7 @@ class TestTimingPlaneRetry:
     def test_outage_trips_breaker_then_degraded_probe_recovers(self):
         crfs, rec, errors = drive_sim(
             [FaultRule(op="pwrite", nth=1, until=2, every=True, error=OSError("EIO"))],
-            self.cfg(retry_attempts=1, breaker_threshold=2),
+            self.cfg(attempts=1, breaker_threshold=2),
             [("/a", [CHUNK]), ("/b", [CHUNK]), ("/c", [CHUNK])],
         )
         stats = crfs.stats()
@@ -363,7 +363,7 @@ class TestCrossPlaneResilienceParity:
         ]
         config = CRFSConfig(
             chunk_size=CHUNK, pool_size=4 * CHUNK, io_threads=1,
-            retry_attempts=3, **FAST,
+            retry=fast(3),
         )
 
         with CRFS(

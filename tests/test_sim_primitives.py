@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError, ShutdownError, SimulationError
+from repro.pipeline.tenancy import DEFAULT_TENANT
 from repro.sim import SimEvent, SimLock, SimQueue, SimSemaphore, Simulator
 
 
@@ -221,7 +222,7 @@ class TestSimQueue:
 
     def test_bounded_put_blocks_until_get(self):
         sim = Simulator()
-        q = SimQueue(sim, capacity=1)
+        q = SimQueue(sim, quotas={DEFAULT_TENANT: 1})
         times = {}
 
         def producer():
@@ -238,6 +239,42 @@ class TestSimQueue:
         sim.spawn(consumer())
         sim.run()
         assert times["second_put"] == 3.0
+
+    def test_parked_putters_readmit_in_arrival_order(self):
+        """Putters parked at a tenant's quota re-enter in arrival order,
+        one per freed slot; another tenant's put never parks behind
+        them, and each parked put is reported once."""
+        sim = Simulator()
+        waits = []
+        q = SimQueue(
+            sim,
+            quotas={"a": 1},
+            on_admission_wait=lambda tenant, depth: waits.append((tenant, depth)),
+        )
+        admitted = []
+
+        def putter(name, tenant, delay):
+            yield sim.timeout(delay)
+            yield q.put(name, tenant=tenant)
+            admitted.append((name, sim.now))
+
+        def consumer():
+            got = []
+            for t in (5.0, 1.0, 1.0):
+                yield sim.timeout(t)
+                got.append((yield q.get()))
+            return got
+
+        for name, tenant, delay in [
+            ("a0", "a", 0.0), ("a1", "a", 1.0), ("a2", "a", 2.0), ("b0", "b", 3.0)
+        ]:
+            sim.spawn(putter(name, tenant, delay))
+        p = sim.spawn(consumer())
+        sim.run()
+        assert admitted == [("a0", 0.0), ("b0", 3.0), ("a1", 5.0), ("a2", 7.0)]
+        assert waits == [("a", 1), ("a", 1)]
+        assert p.result == ["a0", "b0", "a1"]  # weighted round robin
+        assert q.depth("a") == 1 and q.depth("b") == 0
 
     def test_fifo_ordering(self):
         sim = Simulator()

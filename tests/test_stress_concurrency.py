@@ -20,7 +20,7 @@ import threading
 import pytest
 
 from repro.backends import FaultRule, FaultyBackend, MemBackend
-from repro.config import CRFSConfig
+from repro.config import CRFSConfig, RetryPolicy
 from repro.core import CRFS
 from repro.errors import BackendIOError
 from repro.units import KiB
@@ -36,10 +36,9 @@ def pattern(i: int) -> bytes:
     return bytes([(i * 37 + 11) % 256]) * PER_WRITER
 
 
-def stress_config(**kw):
-    kw.setdefault("retry_backoff", 1e-4)
-    kw.setdefault("retry_backoff_max", 1e-3)
+def stress_config(attempts=1, **kw):
     return CRFSConfig(
+        retry=RetryPolicy(attempts, backoff=1e-4, backoff_max=1e-3),
         chunk_size=CHUNK,
         pool_size=3 * CHUNK,  # tiny: constant pool backpressure
         io_threads=3,
@@ -99,7 +98,7 @@ class TestStressFlakyBackend:
                 FaultRule(op="pwrite", p=0.3, seed=13, delay=0.001),
             ],
         )
-        fs = CRFS(backend, stress_config(retry_attempts=6)).mount()
+        fs = CRFS(backend, stress_config(6)).mount()
         results = {}
         run_writers(fs, results)
         stats = fs.stats()
@@ -141,7 +140,7 @@ class TestStressFlakyBackend:
             [FaultRule(op="pwrite", p=0.3, seed=7, error=OSError("EIO"))],
         )
         fs = CRFS(
-            backend, stress_config(retry_attempts=2, breaker_threshold=2)
+            backend, stress_config(2, breaker_threshold=2)
         ).mount()
 
         outcomes = []

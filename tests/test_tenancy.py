@@ -251,7 +251,7 @@ class TestWorkQueueAdmission:
     def test_put_timeout_is_a_deadline_not_rearmed(self):
         """Regression: wakeups that do not admit the put must wait only
         on the remainder, not restart the full timeout."""
-        q = WorkQueue(capacity=1)
+        q = WorkQueue(quotas={DEFAULT_TENANT: 1})
         q.put("full")
         stop = threading.Event()
 

@@ -17,12 +17,14 @@ three-tier chain, checked against three laws:
    any workload/fault combination.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends import FaultRule, FaultyBackend, MemBackend, TieredBackend
-from repro.config import CRFSConfig
+from repro.config import CRFSConfig, RetryPolicy
 from repro.core import CRFS
 from repro.units import KiB
 
@@ -30,7 +32,7 @@ pytestmark = pytest.mark.property
 
 CHUNK = 16 * KiB
 
-FAST = dict(retry_backoff=1e-4, retry_backoff_max=1e-3, retry_jitter=0.0)
+FAST = RetryPolicy(backoff=1e-4, backoff_max=1e-3, jitter=0.0)
 
 #: Tier counters a free-running single-lane run still fully determines
 #: (mirrors the fault-matrix set; the queue-depth gauge is excluded).
@@ -102,9 +104,9 @@ def chain(modes, attempts, pump_threads=1, batch=1, fsync_tier=-1):
     ]
     cfg = CRFSConfig(
         chunk_size=CHUNK, pool_size=32 * CHUNK, io_threads=1,
-        retry_attempts=attempts, breaker_threshold=2,
+        retry=replace(FAST, attempts=attempts), breaker_threshold=2,
         tier_pump_threads=pump_threads, tier_pump_batch_chunks=batch,
-        fsync_tier=fsync_tier, read_passthrough=False, **FAST,
+        fsync_tier=fsync_tier, read_passthrough=False,
     )
     return mems, CRFS(TieredBackend(tiers), cfg)
 
@@ -249,8 +251,8 @@ class TestPlaneParityLaw:
     def _config(attempts):
         return CRFSConfig(
             chunk_size=CHUNK, pool_size=32 * CHUNK, io_threads=1,
-            retry_attempts=attempts, breaker_threshold=2,
-            tier_pump_threads=1, tier_pump_batch_chunks=1, **FAST,
+            retry=replace(FAST, attempts=attempts), breaker_threshold=2,
+            tier_pump_threads=1, tier_pump_batch_chunks=1,
         )
 
     def _functional(self, sizes, deep_mode, attempts):

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from repro.backends import FaultRule, FaultyBackend, MemBackend, TieredBackend
-from repro.config import CRFSConfig
+from repro.config import CRFSConfig, RetryPolicy
 from repro.core import CRFS
 from repro.units import KiB
 
@@ -23,7 +23,7 @@ POOL_CHUNKS = 8
 NFILES = 4
 NCHUNKS = 8  # per file: workload is 4x the pool, so buffers must cycle
 
-FAST = dict(retry_backoff=1e-4, retry_backoff_max=1e-3, retry_jitter=0.0)
+FAST = RetryPolicy(attempts=2, backoff=1e-4, backoff_max=1e-3, jitter=0.0)
 
 #: Generous bound; any deadlock hits the suite's own timeout long after.
 WALL_LIMIT = 60.0
@@ -97,8 +97,8 @@ class TestUnmountMidMigration:
         deep = FaultyBackend(MemBackend(), _dead_rules(), sleep=lambda s: None)
         cfg = CRFSConfig(
             chunk_size=CHUNK, pool_size=POOL_CHUNKS * CHUNK, io_threads=2,
-            retry_attempts=2, breaker_threshold=2,
-            tier_pump_threads=2, tier_pump_batch_chunks=2, **FAST,
+            retry=FAST, breaker_threshold=2,
+            tier_pump_threads=2, tier_pump_batch_chunks=2,
         )
         fs = CRFS(TieredBackend([tier0, deep]), cfg)
         blobs = {}

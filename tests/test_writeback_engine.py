@@ -13,7 +13,7 @@ from contextlib import nullcontext
 
 import pytest
 
-from repro.errors import BackendTimeoutError, FileStateError
+from repro.errors import FileStateError
 from repro.pipeline import (
     BackendHealth,
     BatchBroken,
@@ -190,7 +190,7 @@ class TestDriver:
 # attempts (the one retry/breaker loop)
 
 
-def drive(pol, fn, health=None, clock=None, on_retry=None, log=None):
+def drive(pol, fn, health=None, on_retry=None, log=None):
     log = log if log is not None else []
     return run(
         attempts(
@@ -199,7 +199,6 @@ def drive(pol, fn, health=None, clock=None, on_retry=None, log=None):
             blocking(fn),
             path="/f",
             file_offset=0,
-            clock=clock if clock is not None else (lambda: 0.0),
             sleep=blocking(lambda s: log.append(("sleep", s))),
             on_retry=on_retry,
         )
@@ -265,26 +264,6 @@ class TestAttempts:
         )
         assert [rec[0] for rec in log] == ["retry", "sleep"]
 
-    def test_attempt_timeout_reissues(self):
-        # fake clock: each attempt appears to take 0.5s against a 0.3s cap
-        now = [0.0]
-
-        def clock():
-            now[0] += 0.5
-            return now[0]
-
-        calls = []
-        err = drive(
-            policy(attempts=2, attempt_timeout=0.3),
-            scripted([None, None], calls),
-            clock=clock,
-        )
-        assert isinstance(err, BackendTimeoutError)
-        assert len(calls) == 2  # the over-deadline write was reissued
-
-    def test_no_timeout_when_fast_enough(self):
-        assert drive(policy(attempt_timeout=30.0), scripted([None], [])) is None
-
     def test_teardown_of_a_parked_flow_is_not_swallowed(self):
         """A simulator process closed mid-op gets GeneratorExit; the
         loop must let it through, not count it as a backend failure."""
@@ -295,7 +274,7 @@ class TestAttempts:
 
         flow = attempts(
             policy(attempts=3), h, op, path="/f", file_offset=0,
-            clock=lambda: 0.0, sleep=blocking(lambda s: None),
+            sleep=blocking(lambda s: None),
         )
         next(flow)
         flow.close()
@@ -350,6 +329,17 @@ class TestWriteback:
         run(writeback(port, chunks(f, 1)))
         assert len(port.ops("write")) == 2
         assert port.ops("stage") == [("stage", 0, CHUNK)]
+
+    def test_exhausted_retries_never_stage(self):
+        """Tier 0 is owed an arrival only for a run that landed: a chunk
+        whose every attempt failed stages nothing."""
+        last = OSError("still down")
+        port = FakePort([OSError("down"), last], attempts_allowed=2)
+        f = port.file("/f")
+        run(writeback(port, chunks(f, 1)))
+        assert len(port.ops("write")) == 2
+        assert port.ops("stage") == []
+        assert port.ops("complete") == [("complete", 0, last)]
 
     def test_open_breaker_breaks_the_batch_into_staged_per_chunk_writes(self):
         port = FakePort(threshold=1)
