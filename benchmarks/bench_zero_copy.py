@@ -1,8 +1,8 @@
 """The zero-copy hot path under pytest-benchmark.
 
-Records the wall-clock cost of the copy-gated scenario on both planes
-and of a functional-plane sequential write with batching on/off, and
-asserts the copy budget every time: exactly one ingest copy per byte
+Records the cost of the copy-gated sim scenario and of a
+functional-plane sequential write with batching on/off, and asserts
+the copy budget every time: exactly one ingest copy per byte
 written, zero read-side copies, and a ledger that is invariant to the
 writeback batching knob (coalescing reshapes backend ops, never the
 data path's copies).
@@ -13,7 +13,7 @@ import pytest
 from repro.backends import MemBackend
 from repro.config import CRFSConfig
 from repro.core import CRFS
-from repro.perf.runner import run_scenario_real, run_scenario_sim
+from repro.perf.runner import run_scenario_sim
 from repro.perf.scenarios import SCENARIOS
 from repro.units import MiB
 
@@ -21,15 +21,9 @@ CHUNK = 1 * MiB
 IMAGE = 32 * MiB
 
 
-def test_zero_copy_experiment(artifact):
-    artifact("perfbench", fast=True)
-
-
-@pytest.mark.parametrize("plane", ["sim", "real"])
-def test_zero_copy_scenario(benchmark, plane):
-    runner = run_scenario_sim if plane == "sim" else run_scenario_real
+def test_zero_copy_scenario(benchmark):
     metrics = benchmark.pedantic(
-        runner, args=(SCENARIOS["zero_copy"], 2011), kwargs={"fast": True},
+        run_scenario_sim, args=(SCENARIOS["zero_copy"], 2011), kwargs={"fast": True},
         rounds=1, iterations=1,
     )
     mem = metrics["stats"]["mem"]

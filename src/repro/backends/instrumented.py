@@ -113,10 +113,6 @@ class PipelineOpRecorder(PipelineObserver):
         """Sizes of application writes, in order."""
         return [r.size for r in self.ops("write")]
 
-    def chunk_sizes(self) -> list[int]:
-        """Sizes of completed chunk writebacks, in order."""
-        return [r.size for r in self.ops("chunk_write")]
-
     def clear(self) -> None:
         with self._lock:
             self.records.clear()

@@ -21,7 +21,6 @@ __all__ = [
     "NotADirectory",
     "IsADirectory",
     "DirectoryNotEmpty",
-    "NoSpace",
     "BackendIOError",
     "BackendTimeoutError",
     "ManifestError",
@@ -90,13 +89,6 @@ class DirectoryNotEmpty(CRFSError, OSError):
 
     def __init__(self, path: str):
         super().__init__(self.errno, "directory not empty", path)
-
-
-class NoSpace(CRFSError, OSError):
-    errno = _errno.ENOSPC
-
-    def __init__(self, msg: str = "no space left on device"):
-        super().__init__(self.errno, msg)
 
 
 class BackendIOError(CRFSError, OSError):

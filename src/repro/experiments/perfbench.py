@@ -28,12 +28,8 @@ PAPER = {
 
 
 def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
-    first = build_artifact(
-        run_suite(["sim"], seed=seed, fast=fast), seed=seed, fast=fast
-    )
-    second = build_artifact(
-        run_suite(["sim"], seed=seed, fast=fast), seed=seed, fast=fast
-    )
+    first = build_artifact(run_suite(seed, fast=fast), seed=seed, fast=fast)
+    second = build_artifact(run_suite(seed, fast=fast), seed=seed, fast=fast)
 
     table = TextTable(
         ["scenario", "goodput MiB/s", "write p95 s", "chunks", "drain s"],

@@ -5,10 +5,10 @@ Typical loop::
     # structural gate: the committed baseline covers every scenario
     python -m repro.perf check-baseline
 
-    # measure (sim plane is the deterministic, CI-gating one)
-    python -m repro.perf run --plane sim --out results/perf
+    # measure the sim plane (deterministic, so it can gate CI)
+    python -m repro.perf run --out results/perf
 
-    # gate: nonzero exit when any sim-plane metric regresses
+    # gate: nonzero exit when any metric regresses
     python -m repro.perf compare results/perf/BENCH_*.json
 
     # a PR that intentionally shifts perf re-pins the baseline
@@ -41,51 +41,49 @@ DEFAULT_BASELINE = pathlib.Path("benchmarks/baselines/baseline.json")
 DEFAULT_OUT_DIR = pathlib.Path("results/perf")
 
 
-def _summary_table(planes: dict[str, dict[str, Any]]) -> str:
+def _summary_table(scenarios: dict[str, Any]) -> str:
     table = TextTable(
-        [
-            "plane",
-            "scenario",
-            "goodput MiB/s",
-            "write p50 s",
-            "write p95 s",
-            "chunks",
-            "drain s",
-        ],
-        title="Perf harness run",
+        ["scenario", "goodput MiB/s", "write p50 s", "write p95 s", "chunks", "drain s"],
+        title="Perf harness run (sim plane)",
     )
-    for plane, scenarios in planes.items():
-        for name, m in scenarios.items():
-            table.add_row(
-                [
-                    plane,
-                    name,
-                    f"{m['goodput_mib_s']:.2f}",
-                    f"{m['write_latency_p50_s']:.2e}",
-                    f"{m['write_latency_p95_s']:.2e}",
-                    str(m["chunks_written"]),
-                    f"{m['drain_time_s']:.2e}",
-                ]
-            )
+    for name, m in scenarios.items():
+        table.add_row(
+            [
+                name,
+                f"{m['goodput_mib_s']:.2f}",
+                f"{m['write_latency_p50_s']:.2e}",
+                f"{m['write_latency_p95_s']:.2e}",
+                str(m["chunks_written"]),
+                f"{m['drain_time_s']:.2e}",
+            ]
+        )
     return table.render()
 
 
+def _load(path: pathlib.Path, what: str) -> dict[str, Any] | None:
+    """Load an artifact, or report why not on stderr (the exit-2 cases)."""
+    try:
+        return load_artifact(path)
+    except ArtifactError as exc:
+        print(f"cannot load {what}: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    planes = ["sim", "real"] if args.plane == "both" else [args.plane]
-    section = run_suite(
-        planes, seed=args.seed, fast=args.fast, scenario_names=args.scenario
-    )
-    artifact = build_artifact(section, seed=args.seed, fast=args.fast)
+    scenarios = run_suite(args.seed, fast=args.fast, scenario_names=args.scenario)
+    artifact = build_artifact(scenarios, seed=args.seed, fast=args.fast)
     out = args.out / artifact_filename(artifact["created"])
     dump_artifact(artifact, out)
-    print(_summary_table(section))
+    print(_summary_table(scenarios))
     print(f"\nwrote {out}")
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    new = load_artifact(args.artifact)
-    baseline = load_artifact(args.baseline)
+    new = _load(args.artifact, "artifact")
+    baseline = _load(args.baseline, "baseline")
+    if new is None or baseline is None:
+        return 2
     report = compare_artifacts(new, baseline)
     print(render_report(report, verbose=args.verbose))
     return 0 if report.ok else 1
@@ -223,10 +221,8 @@ def check_baseline(baseline: dict[str, Any]) -> list[str]:
 
 
 def _cmd_check_baseline(args: argparse.Namespace) -> int:
-    try:
-        baseline = load_artifact(args.baseline)
-    except ArtifactError as exc:
-        print(f"cannot load baseline: {exc}", file=sys.stderr)
+    baseline = _load(args.baseline, "baseline")
+    if baseline is None:
         return 2
     problems = check_baseline(baseline)
     if problems:
@@ -243,15 +239,12 @@ def _cmd_check_baseline(args: argparse.Namespace) -> int:
 
 def _cmd_update_baseline(args: argparse.Namespace) -> int:
     if args.from_artifact is not None:
-        artifact = load_artifact(args.from_artifact)
-        if "sim" not in artifact["planes"]:
-            print("refusing: artifact has no sim plane", file=sys.stderr)
+        artifact = _load(args.from_artifact, "artifact")
+        if artifact is None:
             return 2
     else:
-        # The baseline pins only the deterministic plane; committing
-        # machine-dependent real-plane numbers would gate on noise.
-        section = run_suite(["sim"], seed=args.seed, fast=args.fast)
-        artifact = build_artifact(section, seed=args.seed, fast=args.fast)
+        scenarios = run_suite(args.seed, fast=args.fast)
+        artifact = build_artifact(scenarios, seed=args.seed, fast=args.fast)
     dump_artifact(artifact, args.baseline)
     print(f"baseline updated: {args.baseline}")
     return 0
@@ -265,10 +258,6 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run the scenario set, emit BENCH_*.json")
-    run_p.add_argument(
-        "--plane", choices=["sim", "real", "both"], default="sim",
-        help="which plane(s) to measure (default: sim)",
-    )
     run_p.add_argument("--seed", type=int, default=2011)
     run_p.add_argument("--fast", action="store_true", help="reduced image sizes")
     run_p.add_argument(
@@ -305,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     chk_p.set_defaults(fn=_cmd_check_baseline)
 
     up_p = sub.add_parser(
-        "update-baseline", help="re-pin the committed sim-plane baseline"
+        "update-baseline", help="re-pin the committed baseline"
     )
     up_p.add_argument("--seed", type=int, default=2011)
     up_p.add_argument("--fast", action="store_true")

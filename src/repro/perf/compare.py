@@ -1,13 +1,11 @@
 """Artifact diffing and the regression gate.
 
 ``compare`` diffs a fresh artifact against the committed baseline,
-scenario by scenario and metric by metric.  Sim-plane deltas beyond a
-metric's tolerance are **regressions** (nonzero exit in the CLI — the
-CI gate); real-plane deltas are reported but advisory, because
-wall-clock numbers depend on the machine that produced them.
+scenario by scenario and metric by metric.  Deltas beyond a metric's
+tolerance are **regressions** (nonzero exit in the CLI — the CI gate).
 
 Tolerance policy (see :data:`POLICIES`): counters that are a pure
-function of the workload (writes, chunks, bytes) must match exactly —
+function of the workload (writes, chunks, bytes, copies) must match exactly —
 any drift means the pipeline changed shape, which is exactly what a
 perf PR must own up to by re-running ``update-baseline``.  Rates and
 times get a relative tolerance, plus an absolute floor so microsecond
@@ -26,7 +24,6 @@ __all__ = [
     "ComparisonReport",
     "MetricDelta",
     "MetricPolicy",
-    "OPTIONAL_METRICS",
     "POLICIES",
     "compare_artifacts",
     "render_report",
@@ -66,6 +63,8 @@ POLICIES: dict[str, MetricPolicy] = {
     "chunks_queued": MetricPolicy("exact"),
     "chunks_written": MetricPolicy("exact"),
     "drain_waits": MetricPolicy("exact"),
+    "bytes_copied": MetricPolicy("exact"),
+    "copies": MetricPolicy("exact"),
     "elapsed_s": MetricPolicy("lower", tolerance=0.10, abs_floor=1e-6),
     "goodput_mib_s": MetricPolicy("higher", tolerance=0.10),
     "write_latency_p50_s": MetricPolicy("lower", tolerance=0.15, abs_floor=1e-6),
@@ -75,27 +74,16 @@ POLICIES: dict[str, MetricPolicy] = {
     "drain_time_s": MetricPolicy("lower", tolerance=0.15, abs_floor=1e-6),
 }
 
-#: Metrics newer harnesses record beside the required set.  Compared
-#: only when BOTH artifacts carry the key, so a baseline (or historical
-#: BENCH) that predates a metric never fails to diff — but once the
-#: baseline pins one, drift gates exactly like a required counter.
-OPTIONAL_METRICS: dict[str, MetricPolicy] = {
-    "bytes_copied": MetricPolicy("exact"),
-    "copies": MetricPolicy("exact"),
-}
-
 
 @dataclass(frozen=True)
 class MetricDelta:
     """One (scenario, metric) comparison outcome."""
 
-    plane: str
     scenario: str
     metric: str
     baseline: float
     new: float
     regressed: bool
-    gated: bool  # False on the advisory (real) plane
 
     @property
     def change(self) -> float:
@@ -107,11 +95,11 @@ class MetricDelta:
 
 @dataclass
 class ComparisonReport:
-    """Everything ``compare`` found, split gated vs. advisory."""
+    """Everything ``compare`` found."""
 
     deltas: list[MetricDelta] = field(default_factory=list)
     #: Scenarios present in the baseline but absent from the new
-    #: artifact, per gated plane — coverage loss fails the gate too.
+    #: artifact — coverage loss fails the gate too.
     missing: list[str] = field(default_factory=list)
     #: Header disagreements (seed/fast) that make the diff
     #: apples-to-oranges — these fail the gate outright.
@@ -120,62 +108,17 @@ class ComparisonReport:
 
     @property
     def regressions(self) -> list[MetricDelta]:
-        return [d for d in self.deltas if d.regressed and d.gated]
-
-    @property
-    def advisories(self) -> list[MetricDelta]:
-        return [d for d in self.deltas if d.regressed and not d.gated]
+        return [d for d in self.deltas if d.regressed]
 
     @property
     def ok(self) -> bool:
         return not self.regressions and not self.missing and not self.mismatches
 
 
-def _compare_plane(
-    report: ComparisonReport,
-    plane: str,
-    new: dict[str, Any],
-    baseline: dict[str, Any],
-    gated: bool,
-) -> None:
-    for scenario, base_metrics in baseline.items():
-        if scenario not in new:
-            if gated:
-                report.missing.append(f"{plane}/{scenario}")
-            else:
-                report.notes.append(f"{plane}/{scenario}: not in new artifact")
-            continue
-        new_metrics = new[scenario]
-        judged = [(m, POLICIES[m]) for m in REQUIRED_METRICS]
-        judged += [
-            (m, policy)
-            for m, policy in OPTIONAL_METRICS.items()
-            if m in base_metrics and m in new_metrics
-        ]
-        for metric, policy in judged:
-            b, n = base_metrics[metric], new_metrics[metric]
-            report.deltas.append(
-                MetricDelta(
-                    plane=plane,
-                    scenario=scenario,
-                    metric=metric,
-                    baseline=b,
-                    new=n,
-                    regressed=policy.regressed(b, n),
-                    gated=gated,
-                )
-            )
-    for scenario in new:
-        if scenario not in baseline:
-            report.notes.append(
-                f"{plane}/{scenario}: new scenario, no baseline yet"
-            )
-
-
 def compare_artifacts(
     new: dict[str, Any], baseline: dict[str, Any]
 ) -> ComparisonReport:
-    """Diff two artifacts: sim plane gated, real plane advisory.
+    """Diff two artifacts: every required metric of every baseline scenario.
 
     Artifacts measured at a different seed or size class than the
     baseline are not comparable; that mismatch fails the gate before
@@ -189,47 +132,39 @@ def compare_artifacts(
             )
     if report.mismatches:
         return report
-    for plane, gated in (("sim", True), ("real", False)):
-        base_plane = baseline["planes"].get(plane)
-        new_plane = new["planes"].get(plane)
-        if base_plane is None:
+    new_sim, base_sim = new["planes"]["sim"], baseline["planes"]["sim"]
+    for scenario, base_metrics in base_sim.items():
+        if scenario not in new_sim:
+            report.missing.append(scenario)
             continue
-        if new_plane is None:
-            if gated:
-                report.missing.extend(f"{plane}/{s}" for s in base_plane)
-            else:
-                report.notes.append(f"{plane}: plane not in new artifact")
-            continue
-        _compare_plane(report, plane, new_plane, base_plane, gated)
+        new_metrics = new_sim[scenario]
+        for metric in REQUIRED_METRICS:
+            b, n = base_metrics[metric], new_metrics[metric]
+            report.deltas.append(
+                MetricDelta(scenario, metric, b, n, POLICIES[metric].regressed(b, n))
+            )
+    for scenario in new_sim:
+        if scenario not in base_sim:
+            report.notes.append(f"{scenario}: new scenario, no baseline yet")
     return report
 
 
 def render_report(report: ComparisonReport, verbose: bool = False) -> str:
-    """Human-readable comparison: regressions first, then advisories."""
+    """Human-readable comparison: regressions first."""
     table = TextTable(
-        ["plane", "scenario", "metric", "baseline", "new", "change", "verdict"],
-        title="Perf comparison (sim gated, real advisory)",
+        ["scenario", "metric", "baseline", "new", "change", "verdict"],
+        title="Perf comparison (sim plane)",
     )
-    shown = [
-        d
-        for d in report.deltas
-        if verbose or d.regressed
-    ]
-    for d in sorted(
-        shown, key=lambda d: (not d.gated, not d.regressed, d.scenario, d.metric)
-    ):
-        verdict = (
-            ("REGRESSION" if d.gated else "advisory") if d.regressed else "ok"
-        )
+    shown = [d for d in report.deltas if verbose or d.regressed]
+    for d in sorted(shown, key=lambda d: (not d.regressed, d.scenario, d.metric)):
         table.add_row(
             [
-                d.plane,
                 d.scenario,
                 d.metric,
                 f"{d.baseline:.6g}",
                 f"{d.new:.6g}",
                 f"{d.change:+.1%}",
-                verdict,
+                "REGRESSION" if d.regressed else "ok",
             ]
         )
     lines = [table.render()]

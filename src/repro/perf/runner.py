@@ -1,34 +1,25 @@
-"""Scenario execution on both planes.
+"""Scenario execution on the sim plane.
 
 One scenario run produces one metric block (see
 :data:`~repro.perf.schema.REQUIRED_METRICS`): goodput, write/chunk
-latency percentiles off the unified event stream, chunk counts, drain
-time from the stats registry's ``drain`` section, and the full
-``stats()`` snapshot.
+latency percentiles off the pipeline op log, chunk counts, drain time
+from the stats registry's ``drain`` section, copy counts from its
+``mem`` section, and the full ``stats()`` snapshot.
 
-The sim plane drives :class:`~repro.simcrfs.SimCRFS` over a
+Each run drives :class:`~repro.simcrfs.SimCRFS` over a
 :class:`~repro.simio.nullfs.NullSimFilesystem` (paper Fig 5's rig: raw
 aggregation, no backend noise) — or, per scenario, the shared-server
 :class:`~repro.simio.nfs.NFSFilesystem` model whose staged read path
 the restart readahead pipelines — on the virtual clock; every number is
-a pure function of (code, seed).  The real plane drives the threaded
-:class:`~repro.core.CRFS` over a
-:class:`~repro.backends.localdir.LocalDirBackend` in a scratch
-directory, timing actual execution; its numbers are machine-dependent
-and therefore advisory.
+a pure function of (code, seed).  The threaded plane's wall clock is
+timed by ``bench/``, not here.
 """
 
 from __future__ import annotations
 
-import tempfile
-import threading
-import time
 from typing import Any
 
-from ..backends import FaultyBackend, MemBackend, TieredBackend
-from ..backends.localdir import LocalDirBackend
-from ..core import CRFS
-from ..pipeline import ChunkWritten, PipelineEvent, PipelineObserver, WriteObserved
+from ..backends import PipelineOpRecorder
 from ..sim import SharedBandwidth, Simulator
 from ..simcrfs import SimCRFS
 from ..simio.faulty import FaultySimFilesystem
@@ -43,63 +34,39 @@ from ..util.stats import nearest_rank as percentile
 from ..workloads import LLMCadenceWorkload
 from .scenarios import Scenario, default_scenarios
 
-__all__ = [
-    "LatencyRecorder",
-    "percentile",
-    "run_scenario_real",
-    "run_scenario_sim",
-    "run_suite",
-]
-
-
-class LatencyRecorder(PipelineObserver):
-    """Collect per-op durations off the unified event stream."""
-
-    def __init__(self) -> None:
-        self.write_durations: list[float] = []
-        self.chunk_durations: list[float] = []
-
-    def on_event(self, event: PipelineEvent) -> None:
-        if isinstance(event, WriteObserved):
-            self.write_durations.append(event.duration)
-        elif isinstance(event, ChunkWritten) and event.error is None:
-            self.chunk_durations.append(event.duration)
+__all__ = ["percentile", "run_scenario_sim", "run_suite"]
 
 
 def _metrics(
     total_bytes: int,
     nwrites: int,
     elapsed: float,
-    recorder: LatencyRecorder,
+    recorder: PipelineOpRecorder,
     stats: dict[str, Any],
-    restore_marks: list[tuple[float, float]] | None = None,
+    restore_marks: list[tuple[float, float]],
 ) -> dict[str, Any]:
+    writes = [r.duration for r in recorder.ops() if r.op in ("write", "write_through")]
+    chunks = [r.duration for r in recorder.ops("chunk_write")]
+    mem = stats["mem"]
     out = {
         "bytes_in": total_bytes,
         "writes": nwrites,
         "elapsed_s": elapsed,
         "goodput_mib_s": (total_bytes / MiB) / elapsed if elapsed > 0 else 0.0,
-        "write_latency_p50_s": percentile(recorder.write_durations, 50),
-        "write_latency_p95_s": percentile(recorder.write_durations, 95),
-        "chunk_write_p50_s": percentile(recorder.chunk_durations, 50),
-        "chunk_write_p95_s": percentile(recorder.chunk_durations, 95),
+        "write_latency_p50_s": percentile(writes, 50),
+        "write_latency_p95_s": percentile(writes, 95),
+        "chunk_write_p50_s": percentile(chunks, 50),
+        "chunk_write_p95_s": percentile(chunks, 95),
         "chunks_queued": stats["queue"]["puts"],
         "chunks_written": stats["chunks_written"],
         "drain_waits": stats["drain"]["waits"],
         "drain_time_s": stats["drain"]["time_total"],
+        # Copy accounting (DESIGN.md §3k), promoted from the snapshot.
+        "bytes_copied": mem["bytes_copied"],
+        "copies": mem["copies"],
+        "copy_ratio": mem["bytes_copied"] / total_bytes if total_bytes > 0 else 0.0,
         "stats": stats,
     }
-    mem = stats.get("mem")
-    if mem is not None:
-        # Copy accounting (DESIGN.md §3k), promoted from the snapshot to
-        # top-level metrics for every scenario.  Extra keys beside
-        # REQUIRED_METRICS — compared only when both artifacts carry
-        # them, so historical BENCHes that predate the ledger still load.
-        out["bytes_copied"] = mem["bytes_copied"]
-        out["copies"] = mem["copies"]
-        out["copy_ratio"] = (
-            mem["bytes_copied"] / total_bytes if total_bytes > 0 else 0.0
-        )
     if restore_marks:
         # Read-back scenarios: time-to-last-restore (first restart to
         # last byte delivered) and the slowest single rank's restore.
@@ -115,8 +82,8 @@ def _metrics(
 def _delta_workload(scenario: Scenario, fast: bool) -> LLMCadenceWorkload | None:
     """The LLM cadence schedule for a delta scenario (None otherwise).
 
-    One source of truth for the dirty-chunk draws: both planes (and the
-    experiments) replay the same ``rng_for``-derived schedule, so the
+    One source of truth for the dirty-chunk draws: the runner and the
+    experiments replay the same ``rng_for``-derived schedule, so the
     delta stats section is a pure function of (scenario, seed)."""
     if scenario.delta_generations <= 0:
         return None
@@ -126,9 +93,6 @@ def _delta_workload(scenario: Scenario, fast: bool) -> LLMCadenceWorkload | None
         iterations=scenario.delta_generations,
         dirty_fraction=scenario.delta_dirty_fraction,
     )
-
-
-# -- sim plane ----------------------------------------------------------------
 
 
 def run_scenario_sim(scenario: Scenario, seed: int, fast: bool = False) -> dict[str, Any]:
@@ -156,7 +120,7 @@ def run_scenario_sim(scenario: Scenario, seed: int, fast: bool = False) -> dict[
     rules = scenario.fault_rules()
     if rules:
         backend = FaultySimFilesystem(backend, rules)
-    recorder = LatencyRecorder()
+    recorder = PipelineOpRecorder()
     crfs = SimCRFS(sim, hw, scenario.config, backend, membus, observers=(recorder,))
 
     cadence = _delta_workload(scenario, fast)
@@ -237,146 +201,10 @@ def run_scenario_sim(scenario: Scenario, seed: int, fast: bool = False) -> dict[
     )
 
 
-# -- real plane ---------------------------------------------------------------
-
-
-def run_scenario_real(
-    scenario: Scenario,
-    seed: int,
-    fast: bool = False,
-    workdir: str | None = None,
-) -> dict[str, Any]:
-    """One scenario on the threaded mount against a scratch directory."""
-    with tempfile.TemporaryDirectory(dir=workdir, prefix="crfs-perf-") as root:
-        if scenario.sim_backend == "tiered_nfs":
-            # The real-plane mirror of the staging chain: mem tier over
-            # a real directory as the deep store.
-            backend: Any = TieredBackend(
-                [MemBackend(), LocalDirBackend(root)]
-            )
-        else:
-            backend = LocalDirBackend(root)
-        rules = scenario.fault_rules()
-        if rules:
-            # No real sleeping on injected delays: scheduled delays are 0
-            # in the curated set, and timing here should measure CRFS.
-            backend = FaultyBackend(backend, rules, sleep=lambda s: None)
-        recorder = LatencyRecorder()
-        fs = CRFS(backend, scenario.config, observers=(recorder,))
-
-        cadence = _delta_workload(scenario, fast)
-        workloads = [
-            [] if cadence else scenario.sizes(seed, i, fast)
-            for i in range(scenario.nwriters)
-        ]
-        payload = (
-            b"" if cadence else bytes(max(max(w) for w in workloads if w))
-        )
-        failures: list[BaseException] = []
-        restore_marks: list[tuple[float, float]] = []
-        marks_lock = threading.Lock()
-
-        def delta_writer(index: int) -> None:
-            # Real bytes keep the reassembly honest: each generation
-            # fills its dirty chunks with its own byte value, so a
-            # restore that picks the wrong generation for any chunk
-            # cannot match the reference image.
-            try:
-                cs = scenario.config.chunk_size
-                nbytes = scenario.image_for(index, fast)
-                path = scenario.path(index)
-                image = bytearray(nbytes)
-                nchunks = (nbytes + cs - 1) // cs
-                for gen in range(scenario.delta_generations):
-                    dirty = cadence.dirty_chunks(seed, index, gen, cs)
-                    for c in range(nchunks) if dirty is None else dirty:
-                        lo, hi = c * cs, min((c + 1) * cs, nbytes)
-                        image[lo:hi] = bytes([gen % 256]) * (hi - lo)
-                    fs.delta_checkpoint(path, image, dirty)
-                t0 = time.perf_counter()
-                restored = fs.delta_restore(path)
-                if restored != bytes(image):
-                    raise AssertionError(f"{path}: delta restore mismatch")
-                with marks_lock:
-                    restore_marks.append((t0, time.perf_counter()))
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                failures.append(exc)
-
-        def writer(index: int) -> None:
-            try:
-                with fs.open(scenario.path(index)) as f:
-                    for n, size in enumerate(workloads[index], start=1):
-                        f.write(memoryview(payload)[:size])
-                        if scenario.fsync_every and n % scenario.fsync_every == 0:
-                            f.fsync()
-                    if scenario.read_request:
-                        f.fsync()
-                        # No real sleeping for read_think_s: wall-clock
-                        # timing here should measure CRFS, and the real
-                        # plane's numbers are advisory anyway.
-                        t0 = time.perf_counter()
-                        image, done = sum(workloads[index]), 0
-                        while done < image:
-                            n = min(scenario.read_request, image - done)
-                            f.pread(n, done)
-                            done += n
-                        with marks_lock:
-                            restore_marks.append((t0, time.perf_counter()))
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                failures.append(exc)
-
-        target = delta_writer if cadence is not None else writer
-        start = time.perf_counter()
-        with fs:
-            threads = [
-                threading.Thread(target=target, args=(i,), name=f"perf-w{i}")
-                for i in range(scenario.nwriters)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        elapsed = time.perf_counter() - start
-        if failures:
-            raise failures[0]
-        stats = fs.stats()
-        if cadence is not None:
-            total_bytes, nwrites = stats["bytes_in"], stats["writes"]
-        else:
-            total_bytes = sum(sum(w) for w in workloads)
-            nwrites = sum(len(w) for w in workloads)
-        return _metrics(
-            total_bytes=total_bytes,
-            nwrites=nwrites,
-            elapsed=elapsed,
-            recorder=recorder,
-            stats=stats,
-            restore_marks=restore_marks,
-        )
-
-
-# -- suite --------------------------------------------------------------------
-
-_PLANE_RUNNERS = {"sim": run_scenario_sim, "real": run_scenario_real}
-
-
 def run_suite(
-    planes: list[str],
     seed: int,
     fast: bool = False,
     scenario_names: list[str] | None = None,
 ) -> dict[str, dict[str, Any]]:
-    """Run the scenario set on each requested plane.
-
-    Returns the artifact's ``planes`` section:
-    ``{plane: {scenario: metrics}}``.
-    """
-    scenarios = default_scenarios(scenario_names)
-    out: dict[str, dict[str, Any]] = {}
-    for plane in planes:
-        try:
-            runner = _PLANE_RUNNERS[plane]
-        except KeyError:
-            raise KeyError(f"unknown plane {plane!r}; know {sorted(_PLANE_RUNNERS)}") from None
-        out[plane] = {s.name: runner(s, seed, fast) for s in scenarios}
-    return out
+    """Run the scenario set: ``{scenario: metrics}``."""
+    return {s.name: run_scenario_sim(s, seed, fast) for s in default_scenarios(scenario_names)}

@@ -47,7 +47,7 @@ must keep honest:
 Workloads are derived from ``rng_for(seed, "perf/<scenario>/<writer>")``
 so every writer's byte stream is a pure function of the seed — two runs
 of the same scenario at the same seed execute identical write
-sequences on either plane.
+sequences.
 """
 
 from __future__ import annotations
@@ -63,8 +63,7 @@ from ..util.rng import rng_for
 
 __all__ = ["SCENARIOS", "Scenario", "default_scenarios"]
 
-#: Fast, bounded backoff so the functional plane's retries sleep
-#: microseconds, matching the resilience test suite's knobs.
+#: Fast, bounded backoff, matching the resilience test suite's knobs.
 _FAST_RETRY = dict(backoff=1e-4, backoff_max=1e-3, jitter=0.0)
 
 
@@ -83,7 +82,7 @@ def _outage_rules() -> list[FaultRule]:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One benchmark scenario, identical on both planes."""
+    """One benchmark scenario."""
 
     name: str
     description: str
@@ -98,17 +97,15 @@ class Scenario:
     #: and re-reads its image sequentially in requests of this size
     #: (0 = write-only scenario).
     read_request: int = 0
-    #: Per-read restore work on the sim plane, in virtual seconds (the
-    #: CRIU-style page-injection time readahead overlaps with the next
-    #: fetch); the real plane never sleeps for it.
+    #: Per-read restore work, in virtual seconds (the CRIU-style
+    #: page-injection time readahead overlaps with the next fetch).
     read_think_s: float = 0.0
-    #: Sim-plane backing filesystem: "null" (Fig-5 rig, raw aggregation),
+    #: Backing filesystem model: "null" (Fig-5 rig, raw aggregation),
     #: "nfs" (the shared-server NFSv3 model, whose staged read path —
     #: link, server CPU, disk — readahead can pipeline), "lustre" (the
     #: striped multi-OST model with per-request seek latency, the rig
     #: where prefetch pipelining is physical), or "tiered_nfs" (a null
-    #: staging tier over the NFS model, pumped in the background; the
-    #: real plane mirrors it as mem → local dir).
+    #: staging tier over the NFS model, pumped in the background).
     sim_backend: str = "null"
     #: Factory for the backend fault schedule (fresh rules per run).
     fault_rules: Callable[[], list[FaultRule]] = field(default=_no_rules)

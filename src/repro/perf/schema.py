@@ -11,15 +11,14 @@ One ``BENCH_<timestamp>.json`` is one harness run:
       "seed": 2011,
       "fast": false,
       "planes": {
-        "sim":  {"<scenario>": {<metrics>, "stats": {<snapshot>}}, ...},
-        "real": {...}                       # present only when measured
+        "sim": {"<scenario>": {<metrics>, "stats": {<snapshot>}}, ...}
       }
     }
 
-Everything under ``planes`` is the *metric section*: for the sim plane
-it is a pure function of (code, seed, scenario set), which is what
-:func:`canonical_metrics` serializes for byte-identity checks and what
-``compare`` gates CI on.  ``created`` and the header fields exist for
+Everything under ``planes`` is the *metric section*, a pure function of
+(code, seed, scenario set): it is what :func:`canonical_metrics`
+serializes for byte-identity checks and what ``compare`` gates CI on.
+``sim`` is its only plane.  ``created`` and the header fields exist for
 humans and provenance only.
 """
 
@@ -61,6 +60,8 @@ REQUIRED_METRICS = (
     "chunks_written",
     "drain_waits",
     "drain_time_s",
+    "bytes_copied",
+    "copies",
 )
 
 
@@ -85,19 +86,19 @@ def utc_now() -> str:
 
 
 def build_artifact(
-    planes: dict[str, dict[str, Any]],
+    scenarios: dict[str, Any],
     seed: int,
     fast: bool = False,
     created: str | None = None,
 ) -> dict[str, Any]:
-    """Assemble and validate one artifact from per-plane metric maps."""
+    """Assemble and validate one artifact from ``{scenario: metrics}``."""
     artifact = {
         "schema_version": SCHEMA_VERSION,
         "kind": ARTIFACT_KIND,
         "created": created if created is not None else utc_now(),
         "seed": seed,
         "fast": fast,
-        "planes": planes,
+        "planes": {"sim": scenarios},
     }
     validate_artifact(artifact)
     return artifact
@@ -118,35 +119,28 @@ def validate_artifact(artifact: Any) -> None:
             f"(this harness speaks {SCHEMA_VERSION})"
         )
     planes = artifact["planes"]
-    if not isinstance(planes, dict) or not planes:
-        raise ArtifactError("artifact 'planes' must be a non-empty object")
-    for plane, scenarios in planes.items():
-        if plane not in ("sim", "real"):
-            raise ArtifactError(f"unknown plane {plane!r}")
-        if not isinstance(scenarios, dict) or not scenarios:
-            raise ArtifactError(f"plane {plane!r} has no scenarios")
-        for name, metrics in scenarios.items():
-            missing = [m for m in REQUIRED_METRICS if m not in metrics]
-            if missing:
-                raise ArtifactError(
-                    f"{plane}/{name}: missing metric(s) {missing}"
-                )
-            if "stats" not in metrics:
-                raise ArtifactError(f"{plane}/{name}: missing stats snapshot")
+    if not isinstance(planes, dict) or set(planes) != {"sim"}:
+        found = sorted(planes) if isinstance(planes, dict) else type(planes).__name__
+        raise ArtifactError(f"artifact 'planes' must hold the sim plane alone, got {found}")
+    scenarios = planes["sim"]
+    if not isinstance(scenarios, dict) or not scenarios:
+        raise ArtifactError("the sim plane has no scenarios")
+    for name, metrics in scenarios.items():
+        missing = [m for m in REQUIRED_METRICS if m not in metrics]
+        if missing:
+            raise ArtifactError(f"{name}: missing metric(s) {missing}")
+        if "stats" not in metrics:
+            raise ArtifactError(f"{name}: missing stats snapshot")
 
 
-def canonical_metrics(artifact: dict[str, Any], plane: str = "sim") -> str:
-    """The plane's metric section as canonical (sorted, compact) JSON.
+def canonical_metrics(artifact: dict[str, Any]) -> str:
+    """The metric section as canonical (sorted, compact) JSON.
 
-    Two runs at the same seed must produce byte-identical strings for
-    the sim plane — the determinism contract the tests and the
-    ``perfbench`` experiment assert.
+    Two runs at the same seed must produce byte-identical strings — the
+    determinism contract the tests and the ``perfbench`` experiment
+    assert.
     """
-    try:
-        section = artifact["planes"][plane]
-    except KeyError:
-        raise ArtifactError(f"artifact has no {plane!r} plane") from None
-    return json.dumps(section, sort_keys=True, separators=(",", ":"))
+    return json.dumps(artifact["planes"]["sim"], sort_keys=True, separators=(",", ":"))
 
 
 def dump_artifact(artifact: dict[str, Any], path: str | pathlib.Path) -> pathlib.Path:

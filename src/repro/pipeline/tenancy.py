@@ -252,10 +252,6 @@ class DRRScheduler:
     def high_len(self) -> int:
         return self._high_len
 
-    @property
-    def low_len(self) -> int:
-        return self._low_len
-
     def __len__(self) -> int:
         return self._high_len + self._low_len
 

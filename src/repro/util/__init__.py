@@ -1,12 +1,10 @@
 """Small shared utilities: statistics, table rendering, deterministic RNG."""
 
-from .stats import RunningStats, histogram_by_buckets, percentile, summarize
+from .stats import percentile, summarize
 from .tables import TextTable
 from .rng import rng_for
 
 __all__ = [
-    "RunningStats",
-    "histogram_by_buckets",
     "percentile",
     "summarize",
     "TextTable",

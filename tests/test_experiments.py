@@ -1,8 +1,9 @@
 """Smoke + shape tests for the experiment modules.
 
-The heavyweight grid experiments (fig6-9) are exercised in ``fast``
-mode here; the full-fidelity runs live in benchmarks/ where their cost
-is expected.  Cheap experiments run at full fidelity.
+The heavyweight grid experiments (fig6-9, internode) are exercised in
+``fast`` mode here; their full-fidelity runs are
+``python -m repro.experiments.registry <name>``.  Cheap experiments run
+at full fidelity.
 """
 
 import pytest
@@ -94,28 +95,23 @@ class TestCheapExperiments:
 
 @pytest.mark.slow
 class TestGridExperiments:
-    """LU.C.64-based experiments — a couple of minutes total, marked slow."""
+    """LU.C.64-based experiments — a few minutes total, marked slow."""
 
-    def test_table1_passes(self):
-        r = run_experiment("table1")
-        assert r.ok, r.render()
-
-    def test_fig3_passes(self):
-        r = run_experiment("fig3")
-        assert r.ok, r.render()
-
-    def test_fig10_passes(self):
-        r = run_experiment("fig10")
-        assert r.ok, r.render()
-
-    def test_fig11_passes(self):
-        r = run_experiment("fig11")
-        assert r.ok, r.render()
-
-    def test_fig6_fast_passes(self):
-        r = run_experiment("fig6", fast=True)
-        assert r.ok, r.render()
-
-    def test_fig9_fast_passes(self):
-        r = run_experiment("fig9", fast=True)
+    @pytest.mark.parametrize(
+        "name,fast",
+        [
+            ("table1", False),
+            ("fig3", False),
+            ("fig10", False),
+            ("fig11", False),
+            ("restart", False),
+            ("fig6", True),
+            ("fig7", True),
+            ("fig8", True),
+            ("fig9", True),
+            ("internode", True),
+        ],
+    )
+    def test_passes(self, name, fast):
+        r = run_experiment(name, fast=fast)
         assert r.ok, r.render()

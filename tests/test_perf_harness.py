@@ -16,14 +16,8 @@ from repro.backends import MemBackend
 from repro.config import CRFSConfig
 from repro.core import CRFS
 from repro.perf.cli import check_baseline, main as perf_main
-from repro.perf.compare import (
-    OPTIONAL_METRICS,
-    POLICIES,
-    MetricPolicy,
-    compare_artifacts,
-    render_report,
-)
-from repro.perf.runner import percentile, run_scenario_real, run_scenario_sim, run_suite
+from repro.perf.compare import POLICIES, MetricPolicy, compare_artifacts, render_report
+from repro.perf.runner import percentile, run_scenario_sim, run_suite
 from repro.perf.scenarios import SCENARIOS, default_scenarios
 from repro.perf.schema import (
     REQUIRED_METRICS,
@@ -44,9 +38,7 @@ SEED = 2011
 @pytest.fixture(scope="module")
 def sim_artifact():
     """One fast sim-plane artifact, shared by the read-only tests."""
-    return build_artifact(
-        run_suite(["sim"], seed=SEED, fast=True), seed=SEED, fast=True
-    )
+    return build_artifact(run_suite(SEED, fast=True), seed=SEED, fast=True)
 
 
 # -- schema -------------------------------------------------------------------
@@ -90,21 +82,24 @@ class TestSchema:
         with pytest.raises(ArtifactError, match="no such artifact"):
             load_artifact(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize("planes", [["real"], ["sim", "real"], []])
+    def test_any_plane_but_sim_rejected(self, sim_artifact, planes):
+        bad = copy.deepcopy(sim_artifact)
+        bad["planes"] = {p: copy.deepcopy(sim_artifact["planes"]["sim"]) for p in planes}
+        with pytest.raises(ArtifactError, match="sim plane alone"):
+            dump_artifact(bad, "/dev/null")
+
 
 # -- determinism --------------------------------------------------------------
 
 
 class TestDeterminism:
     def test_same_seed_sim_runs_byte_identical(self, sim_artifact):
-        again = build_artifact(
-            run_suite(["sim"], seed=SEED, fast=True), seed=SEED, fast=True
-        )
+        again = build_artifact(run_suite(SEED, fast=True), seed=SEED, fast=True)
         assert canonical_metrics(sim_artifact) == canonical_metrics(again)
 
     def test_different_seed_changes_metrics(self, sim_artifact):
-        other = build_artifact(
-            run_suite(["sim"], seed=SEED + 1, fast=True), seed=SEED + 1, fast=True
-        )
+        other = build_artifact(run_suite(SEED + 1, fast=True), seed=SEED + 1, fast=True)
         assert canonical_metrics(sim_artifact) != canonical_metrics(other)
 
     def test_scenario_sizes_are_seed_deterministic(self):
@@ -154,21 +149,20 @@ class TestCompare:
         assert not report.ok
         assert any(d.metric == "chunks_written" for d in report.regressions)
 
+    def test_copy_counter_drift_fails(self, sim_artifact):
+        drifted = copy.deepcopy(sim_artifact)
+        drifted["planes"]["sim"]["zero_copy"]["bytes_copied"] += 1
+        report = compare_artifacts(drifted, sim_artifact)
+        assert [(d.scenario, d.metric) for d in report.regressions] == [
+            ("zero_copy", "bytes_copied")
+        ]
+
     def test_missing_scenario_fails_gate(self, sim_artifact):
         shrunk = copy.deepcopy(sim_artifact)
         del shrunk["planes"]["sim"]["degraded_retry"]
         report = compare_artifacts(shrunk, sim_artifact)
         assert not report.ok
-        assert report.missing == ["sim/degraded_retry"]
-
-    def test_real_plane_is_advisory(self, sim_artifact):
-        base = copy.deepcopy(sim_artifact)
-        base["planes"]["real"] = copy.deepcopy(base["planes"]["sim"])
-        worse = copy.deepcopy(base)
-        worse["planes"]["real"]["single_writer_seq"]["goodput_mib_s"] *= 0.5
-        report = compare_artifacts(worse, base)
-        assert report.ok  # real-plane drop does not gate
-        assert any(d.metric == "goodput_mib_s" for d in report.advisories)
+        assert report.missing == ["degraded_retry"]
 
     def test_seed_mismatch_fails_gate(self, sim_artifact):
         other = copy.deepcopy(sim_artifact)
@@ -202,12 +196,6 @@ class TestRunner:
         assert percentile([], 50) == 0.0
         assert percentile([7.0], 95) == 7.0
 
-    def test_real_plane_scenario_runs(self):
-        metrics = run_scenario_real(SCENARIOS["single_writer_seq"], SEED, fast=True)
-        assert metrics["bytes_in"] == SCENARIOS["single_writer_seq"].total_bytes(True)
-        assert metrics["goodput_mib_s"] > 0
-        assert metrics["stats"]["io_errors"] == 0
-
     def test_degraded_scenario_exercises_resilience(self):
         metrics = run_scenario_sim(SCENARIOS["degraded_retry"], SEED, fast=True)
         resilience = metrics["stats"]["resilience"]
@@ -220,10 +208,6 @@ class TestRunner:
         plain = run_scenario_sim(SCENARIOS["single_writer_seq"], SEED, fast=True)
         fsync = run_scenario_sim(SCENARIOS["fsync_heavy"], SEED, fast=True)
         assert fsync["drain_waits"] > plain["drain_waits"]
-
-    def test_unknown_plane_rejected(self):
-        with pytest.raises(KeyError, match="quantum"):
-            run_suite(["quantum"], seed=SEED, fast=True)
 
 
 # -- drain counters (satellite: stats surface, not caller re-timing) ----------
@@ -263,8 +247,7 @@ class TestCLI:
         baseline = tmp_path / "baseline.json"
         assert (
             perf_main(
-                ["run", "--plane", "sim", "--fast", "--out", str(out),
-                 "--scenario", "single_writer_seq"]
+                ["run", "--fast", "--out", str(out), "--scenario", "single_writer_seq"]
             )
             == 0
         )
@@ -285,9 +268,7 @@ class TestCLI:
 
     def test_compare_exits_nonzero_on_regression(self, tmp_path, capsys):
         metrics = run_scenario_sim(SCENARIOS["single_writer_seq"], SEED, fast=True)
-        base = build_artifact(
-            {"sim": {"single_writer_seq": metrics}}, seed=SEED, fast=True
-        )
+        base = build_artifact({"single_writer_seq": metrics}, seed=SEED, fast=True)
         slower = copy.deepcopy(base)
         slower["planes"]["sim"]["single_writer_seq"]["goodput_mib_s"] *= 0.8
         base_path = dump_artifact(base, tmp_path / "base.json")
@@ -295,20 +276,25 @@ class TestCLI:
         assert perf_main(["compare", str(new_path), "--baseline", str(base_path)]) == 1
         assert "REGRESSION" in capsys.readouterr().out
 
-    def test_update_baseline_refuses_simless_artifact(self, tmp_path, capsys):
-        metrics = run_scenario_real(SCENARIOS["single_writer_seq"], SEED, fast=True)
-        artifact = build_artifact(
-            {"real": {"single_writer_seq": metrics}}, seed=SEED, fast=True
-        )
-        path = dump_artifact(artifact, tmp_path / "realonly.json")
-        assert (
-            perf_main(
-                ["update-baseline", "--from-artifact", str(path),
-                 "--baseline", str(tmp_path / "b.json")]
-            )
-            == 2
-        )
-        capsys.readouterr()
+    def test_plane_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            perf_main(["run", "--plane", "sim"])
+        assert exc.value.code == 2
+        assert "--plane" in capsys.readouterr().err
+
+    def test_update_baseline_refuses_simless_artifact(self, sim_artifact, tmp_path, capsys):
+        realonly = dict(sim_artifact, planes={"real": sim_artifact["planes"]["sim"]})
+        path = tmp_path / "realonly.json"
+        path.write_text(json.dumps(realonly))
+        baseline = tmp_path / "b.json"
+        argv = ["update-baseline", "--from-artifact", str(path), "--baseline", str(baseline)]
+        assert perf_main(argv) == 2
+        assert not baseline.exists()
+        assert "sim plane alone" in capsys.readouterr().err
+
+    def test_compare_missing_artifact_exits_2(self, tmp_path, capsys):
+        assert perf_main(["compare", str(tmp_path / "absent.json")]) == 2
+        assert "no such artifact" in capsys.readouterr().err
 
 
 # -- check-baseline: structural gate on the committed artifact ----------------
@@ -391,15 +377,13 @@ class TestCheckBaseline:
 
 
 class TestRestartStorm:
-    def test_restore_metrics_surface_on_both_planes(self):
+    def test_restore_metrics_surface(self):
         sim = run_scenario_sim(SCENARIOS["restart_storm"], SEED, fast=True)
-        real = run_scenario_real(SCENARIOS["restart_storm"], SEED, fast=True)
-        for m in (sim, real):
-            assert m["restore_span_s"] > 0
-            assert m["restore_latency_max_s"] > 0
-            # span covers first restart to last byte, so it bounds the
-            # slowest single rank's restore from above
-            assert m["restore_span_s"] >= m["restore_latency_max_s"]
+        assert sim["restore_span_s"] > 0
+        assert sim["restore_latency_max_s"] > 0
+        # span covers first restart to last byte, so it bounds the
+        # slowest single rank's restore from above
+        assert sim["restore_span_s"] >= sim["restore_latency_max_s"]
         # every rank's image came back through the read path
         assert sim["stats"]["read"]["bytes_read"] == sim["bytes_in"]
 
@@ -447,7 +431,7 @@ class TestCommittedBaseline:
         the same check CI's perf job runs (full sizes, default seed)."""
         baseline = load_artifact("benchmarks/baselines/baseline.json")
         fresh = build_artifact(
-            run_suite(["sim"], seed=baseline["seed"], fast=baseline["fast"]),
+            run_suite(baseline["seed"], fast=baseline["fast"]),
             seed=baseline["seed"],
             fast=baseline["fast"],
         )
@@ -487,67 +471,6 @@ class TestTieredStagingGoodput:
         b = run_scenario_sim(SCENARIOS["tiered_staging"], SEED, fast=True)
         assert a["stats"]["tiers"] == b["stats"]["tiers"]
         assert a["elapsed_s"] == b["elapsed_s"]
-
-
-# -- optional copy metrics in compare: fabricated artifacts -------------------
-
-
-def fake_artifact():
-    """A one-scenario sim artifact with every required metric."""
-    metrics = {
-        "bytes_in": 8 << 20,
-        "writes": 128,
-        "elapsed_s": 0.02,
-        "goodput_mib_s": 100.0,
-        "write_latency_p50_s": 1e-5,
-        "write_latency_p95_s": 2e-5,
-        "chunk_write_p50_s": 1e-4,
-        "chunk_write_p95_s": 2e-4,
-        "chunks_queued": 8,
-        "chunks_written": 8,
-        "drain_waits": 1,
-        "drain_time_s": 1e-4,
-        "stats": {},
-    }
-    return build_artifact(
-        {"sim": {"seq": metrics}}, seed=SEED, fast=True, created="2026-08-01T00:00:00Z"
-    )
-
-
-class TestOptionalCopyMetrics:
-    def test_optional_metrics_are_disjoint_from_required(self):
-        assert not set(OPTIONAL_METRICS) & set(REQUIRED_METRICS)
-        assert not set(OPTIONAL_METRICS) & set(POLICIES)
-
-    def _pair(self):
-        base = fake_artifact()
-        new = copy.deepcopy(base)
-        return new, base
-
-    def test_absent_on_either_side_is_not_judged(self):
-        new, base = self._pair()
-        new["planes"]["sim"]["seq"]["bytes_copied"] = 999  # only in new
-        assert compare_artifacts(new, base).ok
-        new, base = self._pair()
-        base["planes"]["sim"]["seq"]["bytes_copied"] = 999  # only in base
-        assert compare_artifacts(new, base).ok
-
-    def test_drift_when_both_present_is_a_regression(self):
-        new, base = self._pair()
-        base["planes"]["sim"]["seq"]["bytes_copied"] = 1000
-        new["planes"]["sim"]["seq"]["bytes_copied"] = 1001
-        report = compare_artifacts(new, base)
-        assert not report.ok
-        assert [(d.scenario, d.metric) for d in report.regressions] == [
-            ("seq", "bytes_copied")
-        ]
-
-    def test_equal_copy_metrics_pass(self):
-        new, base = self._pair()
-        for art in (new, base):
-            art["planes"]["sim"]["seq"]["bytes_copied"] = 4096
-            art["planes"]["sim"]["seq"]["copies"] = 7
-        assert compare_artifacts(new, base).ok
 
 
 # -- check-baseline: the zero_copy pins ---------------------------------------

@@ -1,115 +1,8 @@
-"""Tests for streaming stats, bucket histograms and percentiles."""
+"""Tests for the percentile and summary helpers."""
 
-import math
-
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.util.stats import (
-    RunningStats,
-    histogram_by_buckets,
-    nearest_rank,
-    percentile,
-    summarize,
-)
-
-floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-
-
-class TestRunningStats:
-    def test_empty(self):
-        s = RunningStats()
-        assert s.n == 0
-        assert s.mean == 0.0
-        assert s.variance == 0.0
-
-    def test_single_value(self):
-        s = RunningStats()
-        s.add(5.0)
-        assert s.mean == 5.0
-        assert s.min == 5.0
-        assert s.max == 5.0
-        assert s.variance == 0.0
-
-    def test_known_sequence(self):
-        s = RunningStats()
-        s.extend([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
-        assert s.mean == pytest.approx(5.0)
-        assert s.stdev == pytest.approx(np.std([2, 4, 4, 4, 5, 5, 7, 9], ddof=1))
-        assert s.total == pytest.approx(40.0)
-
-    @given(st.lists(floats, min_size=2, max_size=200))
-    def test_matches_numpy(self, xs):
-        s = RunningStats()
-        s.extend(xs)
-        assert s.mean == pytest.approx(np.mean(xs), rel=1e-9, abs=1e-6)
-        assert s.variance == pytest.approx(np.var(xs, ddof=1), rel=1e-6, abs=1e-6)
-        assert s.min == min(xs)
-        assert s.max == max(xs)
-
-    @given(st.lists(floats, min_size=1, max_size=50), st.lists(floats, min_size=1, max_size=50))
-    def test_merge_equals_concat(self, a, b):
-        sa, sb, sc = RunningStats(), RunningStats(), RunningStats()
-        sa.extend(a)
-        sb.extend(b)
-        sc.extend(a + b)
-        merged = sa.merge(sb)
-        assert merged.n == sc.n
-        assert merged.mean == pytest.approx(sc.mean, rel=1e-9, abs=1e-6)
-        assert merged.variance == pytest.approx(sc.variance, rel=1e-6, abs=1e-6)
-        assert merged.min == sc.min
-        assert merged.max == sc.max
-
-    def test_merge_empty(self):
-        s = RunningStats()
-        s.add(1.0)
-        merged = s.merge(RunningStats())
-        assert merged.n == 1
-        assert merged.mean == 1.0
-
-
-class TestHistogram:
-    def test_paper_table1_style_buckets(self):
-        # Bucket edges mirroring Table I's write-size rows.
-        edges = [0, 64, 256, 1024, 4096, 16384, 65536]
-        sizes = [32, 32, 100, 5000, 20000, 70000, 70000]
-        rows = histogram_by_buckets(sizes, edges)
-        assert [r.count for r in rows] == [2, 1, 0, 0, 1, 1, 2]
-        assert rows[0].weight == 64  # two 32-byte writes
-        assert rows[-1].hi == math.inf
-
-    def test_weights_override(self):
-        rows = histogram_by_buckets([1, 1, 10], [0, 5], weights=[2.0, 3.0, 7.0])
-        assert rows[0].weight == 5.0
-        assert rows[1].weight == 7.0
-
-    def test_counts_and_weights_are_partitions(self):
-        rng = np.random.default_rng(1)
-        sizes = rng.integers(1, 10**6, size=500)
-        rows = histogram_by_buckets(sizes, [0, 64, 1024, 65536])
-        assert sum(r.count for r in rows) == 500
-        assert sum(r.weight for r in rows) == pytest.approx(sizes.sum())
-
-    def test_unsorted_edges_rejected(self):
-        with pytest.raises(ValueError):
-            histogram_by_buckets([1], [10, 0])
-
-    def test_mismatched_weights_rejected(self):
-        with pytest.raises(ValueError):
-            histogram_by_buckets([1, 2], [0], weights=[1.0])
-
-    def test_empty_edges_rejected(self):
-        with pytest.raises(ValueError):
-            histogram_by_buckets([1], [])
-
-    @given(
-        st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False), min_size=1, max_size=100)
-    )
-    def test_partition_property(self, vals):
-        rows = histogram_by_buckets(vals, [0, 10, 1000])
-        assert sum(r.count for r in rows) == len(vals)
-        assert sum(r.weight for r in rows) == pytest.approx(sum(vals), rel=1e-9, abs=1e-6)
+from repro.util.stats import nearest_rank, percentile, summarize
 
 
 class TestPercentileSummary:
