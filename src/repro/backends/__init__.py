@@ -25,7 +25,7 @@ from .base import Backend, BackendStat
 from .mem import MemBackend
 from .localdir import LocalDirBackend
 from .null import NullBackend
-from .instrumented import InstrumentedBackend, OpRecord, PipelineOpRecorder
+from .instrumented import InstrumentedBackend, OpRecord
 from .faulty import FaultyBackend, FaultRule
 from .tiered import TieredBackend
 
@@ -37,7 +37,6 @@ __all__ = [
     "NullBackend",
     "InstrumentedBackend",
     "OpRecord",
-    "PipelineOpRecorder",
     "FaultyBackend",
     "FaultRule",
     "TieredBackend",

@@ -4,13 +4,9 @@ Wraps any other backend and keeps an op log with sizes, offsets and
 wall-clock durations — the functional-plane analogue of the paper's
 extended-BLCR profiling ("we extended the BLCR library to record the
 information for all write operations, including number of writes, size
-of a write and time cost for each write").
-
-:class:`PipelineOpRecorder` is the plane-agnostic counterpart: it builds
-the same kind of op log from the unified pipeline event stream, so one
-recorder subscribed to a :class:`~repro.pipeline.kernel.PipelineKernel`
-captures the pipeline's behaviour on *either* plane — including the
-simulated one, which has no Backend to wrap.
+of a write and time cost for each write").  What the pipeline itself
+did, on either plane, is the event stream's to tell
+(:class:`~repro.pipeline.events.EventLog`).
 """
 
 from __future__ import annotations
@@ -20,18 +16,9 @@ import time
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from ..pipeline import (
-    ChunkSealed,
-    ChunkWritten,
-    FileClosed,
-    FileOpened,
-    PipelineEvent,
-    PipelineObserver,
-    WriteObserved,
-)
 from .base import Backend, BackendStat
 
-__all__ = ["InstrumentedBackend", "OpRecord", "PipelineOpRecorder"]
+__all__ = ["InstrumentedBackend", "OpRecord"]
 
 
 @dataclass(frozen=True)
@@ -44,78 +31,6 @@ class OpRecord:
     offset: int
     start: float
     duration: float
-
-
-class PipelineOpRecorder(PipelineObserver):
-    """Op log built from the unified pipeline event stream.
-
-    Event-to-op mapping: ``WriteObserved`` -> ``"write"`` (or
-    ``"write_through"``), ``ChunkSealed`` -> ``"seal"`` (offset/size are
-    the sealed chunk's), ``ChunkWritten`` -> ``"chunk_write"`` (or
-    ``"chunk_error"``), ``FileOpened``/``FileClosed`` -> ``"open"`` /
-    ``"close"``.  Timestamps are in the emitting plane's clock.
-    """
-
-    def __init__(self) -> None:
-        self.records: list[OpRecord] = []
-        self._lock = threading.Lock()
-
-    def on_event(self, event: PipelineEvent) -> None:
-        if isinstance(event, WriteObserved):
-            rec = OpRecord(
-                op="write_through" if event.write_through else "write",
-                path=event.path,
-                size=event.length,
-                offset=event.offset,
-                start=event.start,
-                duration=event.duration,
-            )
-        elif isinstance(event, ChunkSealed):
-            rec = OpRecord(
-                op="seal",
-                path=event.path,
-                size=event.length,
-                offset=event.file_offset,
-                start=event.t,
-                duration=0.0,
-            )
-        elif isinstance(event, ChunkWritten):
-            rec = OpRecord(
-                op="chunk_error" if event.error is not None else "chunk_write",
-                path=event.path,
-                size=event.length,
-                offset=event.file_offset,
-                start=event.start,
-                duration=event.duration,
-            )
-        elif isinstance(event, FileOpened):
-            rec = OpRecord(
-                op="open", path=event.path, size=0, offset=0, start=event.t,
-                duration=0.0,
-            )
-        elif isinstance(event, FileClosed):
-            rec = OpRecord(
-                op="close", path=event.path, size=0, offset=0, start=event.t,
-                duration=0.0,
-            )
-        else:
-            return
-        with self._lock:
-            self.records.append(rec)
-
-    def ops(self, kind: str | None = None) -> list[OpRecord]:
-        with self._lock:
-            if kind is None:
-                return list(self.records)
-            return [r for r in self.records if r.op == kind]
-
-    def write_sizes(self) -> list[int]:
-        """Sizes of application writes, in order."""
-        return [r.size for r in self.ops("write")]
-
-    def clear(self) -> None:
-        with self._lock:
-            self.records.clear()
 
 
 class InstrumentedBackend(Backend):

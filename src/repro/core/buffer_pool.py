@@ -76,21 +76,6 @@ class BufferPool:
         self._available = threading.Condition(self._lock)
         self._closed = False
 
-    # -- stats views (counted from PoolPressure events) -------------------------
-
-    @property
-    def total_acquires(self) -> int:
-        return self.stats.pool_acquires
-
-    @property
-    def total_waits(self) -> int:
-        """Acquires that had to block."""
-        return self.stats.pool_waits
-
-    @property
-    def max_in_use(self) -> int:
-        return self.stats.pool_max_in_use
-
     @property
     def free_chunks(self) -> int:
         with self._lock:

@@ -10,10 +10,9 @@ The thread count is the paper's IO-throttling knob: fewer threads means
 fewer concurrent writes hitting the back-end filesystem.  Completion
 accounting goes through the entry's shared
 :class:`~repro.pipeline.kernel.FilePipeline`, which publishes a
-``ChunkWritten`` event on the unified stream; the pool's counters
-(``chunks_written``/``bytes_written``/``errors``) are views over the
-:class:`~repro.pipeline.stats.PipelineStats` registry counting those
-events.
+``ChunkWritten`` event on the unified stream, which the mount's
+:class:`~repro.pipeline.stats.PipelineStats` registry counts
+(``stats()``'s ``chunks_written``/``bytes_out``/``io_errors``).
 
 The same workers also service restart-readahead prefetches
 (:class:`~repro.pipeline.readahead.Prefetch`, stepped by
@@ -106,20 +105,6 @@ class IOThreadPool:
         self._emit = emit if emit is not None else self.stats.on_event
         self._threads: list[threading.Thread] = []
         self._started = False
-
-    # -- stats views (counted from ChunkWritten events) ------------------------
-
-    @property
-    def chunks_written(self) -> int:
-        return self.stats.chunks_written
-
-    @property
-    def bytes_written(self) -> int:
-        return self.stats.bytes_out
-
-    @property
-    def errors(self) -> int:
-        return self.stats.io_errors
 
     def start(self) -> None:
         if self._started:

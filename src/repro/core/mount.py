@@ -145,16 +145,14 @@ class CRFS:
         self._mounted = False
         self._lifecycle = threading.Lock()
 
-    @property
-    def write_through_bytes(self) -> int:
-        return self.stats()["write_through_bytes"]
-
     # -- lifecycle -----------------------------------------------------------
 
     def mount(self) -> "CRFS":
         with self._lifecycle:
             if self._mounted:
                 raise MountError("already mounted")
+            if self.queue.closed:
+                raise MountError("unmounted: a CRFS mount is not reusable")
             self.iopool.start()
             self._mounted = True
         return self
@@ -163,8 +161,13 @@ class CRFS:
         """Flush and drain every open file, stop the IO threads.
 
         Files still open are flushed and their backend handles closed (a
-        forced unmount); their CRFSFile handles become unusable.
+        forced unmount); their CRFSFile handles become unusable.  A
+        file's error (a latched writeback failure, a stuck drain) does
+        not stop the teardown: every file is torn down and the mount
+        stopped, then the first error is raised, each later one its
+        ``__context__``.
         """
+        errors: list[Exception] = []
         with self._lifecycle:
             if not self._mounted:
                 return
@@ -176,9 +179,12 @@ class CRFS:
                     entry = self.table.lookup(path)
                     if entry is None:
                         continue
-                    with entry.write_lock:
-                        run(flush(self, entry))
-                    entry.wait_drained(timeout=timeout)
+                    try:
+                        with entry.write_lock:
+                            run(flush(self, entry))
+                        entry.wait_drained(timeout=timeout)
+                    except Exception as exc:  # noqa: BLE001 - raised below
+                        errors.append(exc)
                     if entry.read_cache is not None:
                         # Before iopool.shutdown: in-flight prefetch entries
                         # are marked evicted and the (still running) workers
@@ -188,7 +194,10 @@ class CRFS:
                     last = False
                     while not last:
                         _, last = self.table.close(path)
-                    self.backend.close(entry.backend_handle)
+                    try:
+                        self.backend.close(entry.backend_handle)
+                    except Exception as exc:  # noqa: BLE001 - raised below
+                        errors.append(exc)
                     self.kernel.file_closed(path, tenant=entry.tenant)
             self.iopool.shutdown(timeout=timeout)
             if self.tiered is not None:
@@ -198,6 +207,10 @@ class CRFS:
                 self.tiered.shutdown(timeout=timeout)
             self.pool.close()
             self._mounted = False
+        if errors:
+            for error, later in zip(errors, errors[1:]):
+                error.__context__ = later
+            raise errors[0]
 
     def __enter__(self) -> "CRFS":
         return self.mount()

@@ -76,16 +76,6 @@ class WorkQueue:
         self._not_full = threading.Condition(self._lock)
         self._closed = False
 
-    # -- stats views (counted from QueuePressure events) ------------------------
-
-    @property
-    def total_puts(self) -> int:
-        return self.stats.queue_puts
-
-    @property
-    def max_depth(self) -> int:
-        return self.stats.queue_max_depth
-
     def __len__(self) -> int:
         with self._lock:
             return len(self.scheduler)

@@ -43,7 +43,6 @@ from ..backends import (
     FaultyBackend,
     InstrumentedBackend,
     MemBackend,
-    PipelineOpRecorder,
     TieredBackend,
 )
 from ..backends.faulty import FaultRule
@@ -51,6 +50,7 @@ from ..checkpoint.sizedist import WriteSizeDistribution
 from ..config import CRFSConfig, RetryPolicy, TenantSpec
 from ..core import CRFS
 from ..errors import BackendIOError
+from ..pipeline import ChunkWritten, EventLog, WriteObserved
 from ..sim import SharedBandwidth, Simulator
 from ..simcrfs import SimCRFS
 from ..simio.faulty import FaultySimFilesystem
@@ -142,11 +142,10 @@ def schema(snap: Snapshot) -> dict[str, Any]:
     return {k: set(v) if isinstance(v, dict) else None for k, v in snap.items()}
 
 
-def _result(stats: Snapshot, rec: PipelineOpRecorder, errors: list, writes: list) -> Snapshot:
-    chunks = [(r.offset, r.size) for r in rec.ops("chunk_write")]
-    return dict(
-        stats, errors=errors, chunks=chunks, backend_writes=writes, write_sizes=rec.write_sizes()
-    )
+def _result(stats: Snapshot, log: EventLog, errors: list, writes: list) -> Snapshot:
+    chunks = [(e.file_offset, e.length) for e in log.of(ChunkWritten) if e.error is None]
+    sizes = [e.length for e in log.of(WriteObserved) if not e.write_through]
+    return dict(stats, errors=errors, chunks=chunks, backend_writes=writes, write_sizes=sizes)
 
 
 class RecordingNull(NullSimFilesystem):
@@ -175,8 +174,8 @@ def play_threaded(arm: Arm) -> Snapshot:
     if arm.faulty_tier is not None:
         tiers = [backend, MemBackend()]
         backend = TieredBackend(tiers if arm.faulty_tier == 0 else tiers[::-1])
-    rec = PipelineOpRecorder()
-    fs = CRFS(backend, arm.config, observers=[rec])
+    log = EventLog()
+    fs = CRFS(backend, arm.config, observers=[log])
     cs = arm.config.chunk_size
     files: dict[str, Any] = {}
     images: dict[str, bytearray] = {}
@@ -235,7 +234,7 @@ def play_threaded(arm: Arm) -> Snapshot:
         finally:
             gate.set()
     writes = [(r.offset, r.size) for r in store.ops("pwrite")]
-    return _result(fs.stats(), rec, errors, writes)
+    return _result(fs.stats(), log, errors, writes)
 
 
 def play_sim(arm: Arm, seed: int = DEFAULT_SEED) -> Snapshot:
@@ -250,9 +249,9 @@ def play_sim(arm: Arm, seed: int = DEFAULT_SEED) -> Snapshot:
     if arm.faulty_tier is not None:
         tiers = [backend, NullSimFilesystem(sim, hw, rng("clean"))]
         backend = TieredSimFilesystem(tiers if arm.faulty_tier == 0 else tiers[::-1])
-    rec = PipelineOpRecorder()
+    log = EventLog()
     membus = SharedBandwidth(sim, hw.membus_bandwidth)
-    crfs = SimCRFS(sim, hw, arm.config, backend, membus, observers=[rec])
+    crfs = SimCRFS(sim, hw, arm.config, backend, membus, observers=[log])
     files: dict[str, Any] = {}
     errors: list = []
 
@@ -283,7 +282,7 @@ def play_sim(arm: Arm, seed: int = DEFAULT_SEED) -> Snapshot:
 
     sim.run_until_complete([sim.spawn(proc())])
     crfs.shutdown()
-    return _result(crfs.stats(), rec, errors, store.writes)
+    return _result(crfs.stats(), log, errors, store.writes)
 
 
 # -- the table -----------------------------------------------------------------

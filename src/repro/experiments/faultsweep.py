@@ -18,13 +18,12 @@ Functional-plane rows drive the real threaded mount over a
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any
 
 from ..backends import FaultRule, FaultyBackend, MemBackend, TieredBackend
 from ..config import CRFSConfig, RetryPolicy
 from ..core import CRFS
 from ..errors import BackendIOError
-from ..pipeline import BackendDegraded, BackendRecovered, PipelineObserver
+from ..pipeline import BackendRecovered, EventLog
 from ..sim import SharedBandwidth, Simulator
 from ..simcrfs import SimCRFS
 from ..simio.faulty import FaultySimFilesystem
@@ -73,20 +72,6 @@ def _fault_rules(mode: str, seed: int) -> list[FaultRule]:
     raise ValueError(f"unknown fault mode {mode!r}")
 
 
-class _BreakerWatch(PipelineObserver):
-    """Capture breaker transitions off the unified event stream."""
-
-    def __init__(self) -> None:
-        self.trip_times: list[float] = []
-        self.downtimes: list[float] = []
-
-    def on_event(self, event: Any) -> None:
-        if isinstance(event, BackendDegraded):
-            self.trip_times.append(event.t)
-        elif isinstance(event, BackendRecovered):
-            self.downtimes.append(event.downtime)
-
-
 def _functional_row(mode: str, attempts: int, sizes: list[int], seed: int) -> dict:
     mem = MemBackend()
     backend = FaultyBackend(mem, _fault_rules(mode, seed), sleep=lambda s: None)
@@ -128,13 +113,13 @@ def _timing_row(mode: str, attempts: int, sizes: list[int], seed: int) -> dict:
     membus = SharedBandwidth(sim, hw.membus_bandwidth)
     inner = NullSimFilesystem(sim, hw, rng_for(seed, f"faultsweep/{mode}/{attempts}"))
     backend = FaultySimFilesystem(inner, _fault_rules(mode, seed))
-    watch = _BreakerWatch()
+    log = EventLog()
     # threshold 2: the outage (2 failing ops) trips the breaker exactly
     # when every attempt inside it has failed
     config = CONFIG.with_(
         retry=replace(RETRY, attempts=attempts), breaker_threshold=2
     )
-    crfs = SimCRFS(sim, hw, config, backend, membus, observers=(watch,))
+    crfs = SimCRFS(sim, hw, config, backend, membus, observers=(log,))
     errors: list[str] = []
 
     def writer(name: str, stream: list[int]):
@@ -165,6 +150,7 @@ def _timing_row(mode: str, attempts: int, sizes: list[int], seed: int) -> dict:
     sim.run_until_complete(procs)
     stats = crfs.stats()
     total = sum(sizes)
+    recoveries = log.of(BackendRecovered)
     return {
         "plane": "timing",
         "mode": mode,
@@ -177,7 +163,7 @@ def _timing_row(mode: str, attempts: int, sizes: list[int], seed: int) -> dict:
         "trips": stats["resilience"]["breaker_trips"],
         "recoveries": stats["resilience"]["breaker_recoveries"],
         "degraded_writes": stats["resilience"]["degraded_writes"],
-        "recovery_latency": watch.downtimes[0] if watch.downtimes else 0.0,
+        "recovery_latency": recoveries[0].downtime if recoveries else 0.0,
         "errors": len(errors),
     }
 

@@ -2,7 +2,7 @@
 
 One scenario run produces one metric block (see
 :data:`~repro.perf.schema.REQUIRED_METRICS`): goodput, write/chunk
-latency percentiles off the pipeline op log, chunk counts, drain time
+latency percentiles off the pipeline's event log, chunk counts, drain time
 from the stats registry's ``drain`` section, copy counts from its
 ``mem`` section, and the full ``stats()`` snapshot.
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..backends import PipelineOpRecorder
+from ..pipeline import ChunkWritten, EventLog, WriteObserved
 from ..sim import SharedBandwidth, Simulator
 from ..simcrfs import SimCRFS
 from ..simio.faulty import FaultySimFilesystem
@@ -41,12 +41,12 @@ def _metrics(
     total_bytes: int,
     nwrites: int,
     elapsed: float,
-    recorder: PipelineOpRecorder,
+    log: EventLog,
     stats: dict[str, Any],
     restore_marks: list[tuple[float, float]],
 ) -> dict[str, Any]:
-    writes = [r.duration for r in recorder.ops() if r.op in ("write", "write_through")]
-    chunks = [r.duration for r in recorder.ops("chunk_write")]
+    writes = [e.duration for e in log.of(WriteObserved)]
+    chunks = [e.duration for e in log.of(ChunkWritten) if e.error is None]
     mem = stats["mem"]
     out = {
         "bytes_in": total_bytes,
@@ -120,8 +120,8 @@ def run_scenario_sim(scenario: Scenario, seed: int, fast: bool = False) -> dict[
     rules = scenario.fault_rules()
     if rules:
         backend = FaultySimFilesystem(backend, rules)
-    recorder = PipelineOpRecorder()
-    crfs = SimCRFS(sim, hw, scenario.config, backend, membus, observers=(recorder,))
+    log = EventLog()
+    crfs = SimCRFS(sim, hw, scenario.config, backend, membus, observers=(log,))
 
     cadence = _delta_workload(scenario, fast)
     workloads = [
@@ -195,7 +195,7 @@ def run_scenario_sim(scenario: Scenario, seed: int, fast: bool = False) -> dict[
         total_bytes=total_bytes,
         nwrites=nwrites,
         elapsed=elapsed,
-        recorder=recorder,
+        log=log,
         stats=stats,
         restore_marks=restore_marks,
     )

@@ -35,6 +35,7 @@ from .events import (
     DeltaGenerationCommitted,
     DeltaRestored,
     ErrorLatched,
+    EventLog,
     FileClosed,
     FileDrained,
     FileOpened,
@@ -62,7 +63,7 @@ from .planner import Fill, PlanOp, Seal, SealReason, WritePlanner
 from .readahead import DEMAND, PREFETCH, CacheEntry, ReadaheadCore
 from .resilience import BackendHealth, RetryPolicy
 from .staging import StagedFile, StagingCore
-from .stats import PipelineStats, flatten_snapshot
+from .stats import PipelineStats
 from .tenancy import (
     DEFAULT_TENANT,
     DRRScheduler,
@@ -95,6 +96,7 @@ __all__ = [
     "DeltaRestored",
     "DeltaTracker",
     "ErrorLatched",
+    "EventLog",
     "FileClosed",
     "FileDrained",
     "FETCH",
@@ -135,5 +137,4 @@ __all__ = [
     "WorkersDrained",
     "WriteObserved",
     "WritePlanner",
-    "flatten_snapshot",
 ]

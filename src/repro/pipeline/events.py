@@ -6,9 +6,8 @@ is published as one of these event records through the mount's
 :class:`PipelineObserver`; the canonical subscriber is
 :class:`~repro.pipeline.stats.PipelineStats`, which derives every
 counter the ``stats()`` snapshot reports, but trace recorders
-(:class:`~repro.trace.recorder.TraceObserver`) and op logs
-(:class:`~repro.backends.instrumented.PipelineOpRecorder`) tap the same
-stream.
+(:class:`~repro.trace.recorder.TraceObserver`) and the plain
+:class:`EventLog` tap the same stream.
 
 Timestamps (``t``/``start``/``duration``) are in the emitting plane's
 clock: wall seconds on the functional plane, virtual seconds on the
@@ -26,6 +25,7 @@ from .planner import SealReason
 __all__ = [
     "PipelineEvent",
     "PipelineObserver",
+    "EventLog",
     "AdmissionWait",
     "FileOpened",
     "FileClosed",
@@ -517,3 +517,20 @@ class PipelineObserver:
 
     def on_event(self, event: PipelineEvent) -> None:  # pragma: no cover
         """Receive one event.  Default: ignore."""
+
+
+class EventLog(PipelineObserver):
+    """Every event on the stream, in emission order — the one log a
+    test, an experiment or a report reads instead of a recorder of its
+    own.  (``list.append`` is atomic, so writers and IO workers may
+    emit at once.)"""
+
+    def __init__(self) -> None:
+        self.events: list[PipelineEvent] = []
+
+    def on_event(self, event: PipelineEvent) -> None:
+        self.events.append(event)
+
+    def of(self, *types: type) -> list[PipelineEvent]:
+        """The logged events of any of ``types``, in order."""
+        return [e for e in self.events if isinstance(e, types)]

@@ -76,20 +76,15 @@ class SimSemaphore:
         self.capacity = capacity
         self._in_use = 0
         self._waiters: Deque[Process] = deque()
-        # contention stats, used by models to report queueing behaviour
-        self.total_acquires = 0
-        self.total_waits = 0
 
     def acquire(self) -> Waitable:
         return _Acquire(self)
 
     def _enqueue(self, proc: Process) -> None:
-        self.total_acquires += 1
         if self._in_use < self.capacity and not self._waiters:
             self._in_use += 1
             self.sim.schedule(0.0, proc._resume, None)
         else:
-            self.total_waits += 1
             self._waiters.append(proc)
 
     def release(self) -> None:
@@ -145,8 +140,6 @@ class SimTenantPool:
         self.sim = sim
         self.ledger = ledger
         self._waiters: Deque[tuple[Process, str]] = deque()
-        self.total_acquires = 0
-        self.total_waits = 0
 
     def acquire(self, tenant: str = DEFAULT_TENANT) -> Waitable:
         return _PoolAcquire(self, tenant)
@@ -157,12 +150,10 @@ class SimTenantPool:
         return not self.ledger.can_acquire(tenant)
 
     def _enqueue(self, proc: Process, tenant: str) -> None:
-        self.total_acquires += 1
         if self.ledger.can_acquire(tenant):
             self.ledger.acquire(tenant)
             self.sim.schedule(0.0, proc._resume, None)
         else:
-            self.total_waits += 1
             self._waiters.append((proc, tenant))
 
     def release(self, tenant: str = DEFAULT_TENANT) -> None:
@@ -253,8 +244,6 @@ class SimQueue:
         self._getters: Deque[Process] = deque()
         self._putters: Deque[tuple[Process, Any, str]] = deque()
         self.closed = False
-        self.max_depth = 0
-        self.total_puts = 0
 
     def __len__(self) -> int:
         return len(self.scheduler)
@@ -286,7 +275,6 @@ class SimQueue:
         if self.closed:
             self.sim.schedule(0.0, proc._throw, ShutdownError("queue closed"))
             return
-        self.total_puts += 1
         if self._getters:
             getter = self._getters.popleft()
             self.sim.schedule(0.0, getter._resume, item)
@@ -298,7 +286,6 @@ class SimQueue:
             self._putters.append((proc, item, tenant))
             return
         self.scheduler.push(tenant, item, low=low)
-        self.max_depth = max(self.max_depth, len(self))
         self.sim.schedule(0.0, proc._resume, None)
 
     def _readmit_putters(self) -> None:
@@ -313,7 +300,6 @@ class SimQueue:
                 kept.append((proc, item, tenant))
             else:
                 self.scheduler.push(tenant, item)
-                self.max_depth = max(self.max_depth, len(self))
                 self.sim.schedule(0.0, proc._resume, None)
         self._putters = kept
 

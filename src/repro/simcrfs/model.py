@@ -330,16 +330,6 @@ class SimCRFS:
             for i in range(config.io_threads)
         ]
 
-    # -- stats views (all counters live in kernel.stats) ------------------------
-
-    @property
-    def chunks_written(self) -> int:
-        return self.kernel.stats.chunks_written
-
-    @property
-    def bytes_written(self) -> int:
-        return self.kernel.stats.bytes_out
-
     def stats(self) -> dict[str, Any]:
         """One atomic snapshot of the pipeline counters — the identical
         schema (and counting code) as the functional plane's

@@ -103,7 +103,7 @@ class TestBufferPool:
         pool.release(held)
         t.join(timeout=5.0)
         assert len(got) == 1
-        assert pool.total_waits == 1
+        assert pool.stats.snapshot()["pool"]["waits"] == 1
 
     def test_acquire_timeout_raises(self):
         pool = BufferPool(64, 64)
@@ -145,7 +145,7 @@ class TestBufferPool:
         chunks = [pool.acquire() for _ in range(3)]
         for c in chunks:
             pool.release(c)
-        assert pool.max_in_use == 3
+        assert pool.stats.snapshot()["pool"]["max_in_use"] == 3
 
 
 class TestWorkQueue:
@@ -222,8 +222,8 @@ class TestWorkQueue:
         q = WorkQueue()
         for i in range(5):
             q.put(i)
-        assert q.total_puts == 5
-        assert q.max_depth == 5
+        queue = q.stats.snapshot()["queue"]
+        assert (queue["puts"], queue["max_depth"]) == (5, 5)
         assert len(q) == 5
 
 
@@ -328,8 +328,8 @@ class TestIOThreadPool:
         queue.put(WorkItem(chunk=chunk, entry=entry))
         entry.wait_drained(timeout=5.0)
         assert backend.read_file("/out") == b"payload!"
-        assert iop.chunks_written == 1
-        assert iop.bytes_written == 8
+        snap = iop.stats.snapshot()
+        assert (snap["chunks_written"], snap["bytes_out"]) == (1, 8)
         iop.shutdown()
 
     def test_chunk_recycled_after_write(self):
@@ -359,7 +359,7 @@ class TestIOThreadPool:
         queue.put(WorkItem(chunk=chunk, entry=entry))
         with pytest.raises(BackendIOError):
             entry.wait_drained(timeout=5.0)
-        assert iop.errors == 1
+        assert iop.stats.snapshot()["io_errors"] == 1
         iop.shutdown()
 
     def test_shutdown_joins_threads(self):

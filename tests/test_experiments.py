@@ -86,6 +86,12 @@ class TestCheapExperiments:
             r.measured["sim"][k] == v for k, v in r.measured["expected"].items()
         )
 
+    @pytest.mark.parametrize("name", ["faultsweep", "perfbench", "restart_storm"])
+    def test_fast_passes(self, name):
+        r = run_experiment(name, fast=True)
+        assert r.ok, r.render()
+        assert r.checks
+
     def test_fig5_fast_passes(self):
         r = run_experiment("fig5", fast=True)
         assert r.ok, r.render()

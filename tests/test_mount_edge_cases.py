@@ -1,5 +1,7 @@
 """Edge cases for mount lifecycle, error latching and stats."""
 
+import threading
+
 import pytest
 
 from repro.backends import FaultRule, FaultyBackend, MemBackend
@@ -68,6 +70,38 @@ class TestForcedUnmount:
         fs.unmount()
         assert backend.read_file("/f") == b"abc"
         assert len(fs.table) == 0
+
+    def test_one_files_latched_error_does_not_stop_the_teardown(self):
+        mem = MemBackend()
+        backend = FaultyBackend(mem, [FaultRule(op="pwrite", nth=1, error=OSError("EIO"))])
+        fs = CRFS(backend, small_cfg(io_threads=1))
+        before = set(threading.enumerate())
+        with pytest.raises(BackendIOError, match="/a"):
+            with fs:
+                fs.open("/a").write(b"x" * 100)  # its chunk fails at unmount
+                fs.open("/b").write(b"y" * 1000)
+        assert mem.read_file("/b") == b"y" * 1000
+        assert fs.stats()["open_files"] == 0 and len(fs.table) == 0
+        assert not fs.mounted
+        assert set(threading.enumerate()) <= before  # the IO workers stopped
+
+    def test_every_files_error_is_kept(self):
+        rule = FaultRule(op="pwrite", nth=1, until=2, every=True, error=OSError("EIO"))
+        fs = CRFS(FaultyBackend(MemBackend(), [rule]), small_cfg(io_threads=1)).mount()
+        fs.open("/a").write(b"x")
+        fs.open("/b").write(b"y")
+        with pytest.raises(BackendIOError, match="/a") as raised:
+            fs.unmount()
+        assert "/b" in str(raised.value.__context__)
+        assert not fs.mounted
+
+    def test_mount_after_unmount_refused(self):
+        fs = CRFS(MemBackend(), small_cfg())
+        with fs:
+            pass
+        with pytest.raises(MountError, match="not reusable"):
+            fs.mount()
+        assert not fs.mounted
 
     def test_remount_new_instance_reads_old_data(self):
         backend = MemBackend()

@@ -29,7 +29,6 @@ from repro.perf.schema import (
     dump_artifact,
     load_artifact,
 )
-from repro.pipeline.stats import flatten_snapshot
 from repro.units import KiB
 
 SEED = 2011
@@ -232,10 +231,6 @@ class TestDrainCounters:
         b = run_scenario_sim(SCENARIOS["fsync_heavy"], SEED, fast=True)
         assert a["drain_time_s"] == b["drain_time_s"]
         assert a["drain_time_s"] > 0.0
-
-    def test_flatten_snapshot(self):
-        flat = flatten_snapshot({"a": 1, "pool": {"waits": 2, "sub": {"x": 3}}})
-        assert flat == {"a": 1, "pool.waits": 2, "pool.sub.x": 3}
 
 
 # -- CLI ----------------------------------------------------------------------

@@ -140,9 +140,10 @@ class TestEventStream:
         assert sum(isinstance(e, ChunkSealed) for e in events) == 2
         assert sum(isinstance(e, ChunkWritten) for e in events) == 2
         # the kernel's stats observer counted the same stream
-        assert kernel.stats.chunks_written == 2
-        assert kernel.stats.bytes_out == 2 * CHUNK
-        assert kernel.stats.seal_counts[SealReason.FULL] == 2
+        snap = kernel.snapshot()
+        assert snap["chunks_written"] == 2
+        assert snap["bytes_out"] == 2 * CHUNK
+        assert snap["seals"][SealReason.FULL.value] == 2
 
     @given(ops=OPS)
     @settings(max_examples=100, deadline=None)

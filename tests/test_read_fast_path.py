@@ -29,6 +29,7 @@ from repro.core import CRFS
 from repro.errors import BackendIOError
 from repro.pipeline import (
     CopyObserved,
+    EventLog,
     PrefetchDropped,
     PrefetchWasted,
     ReadHit,
@@ -47,7 +48,6 @@ from repro.util.rng import rng_for
 
 from .test_cross_plane import DETERMINISTIC_FIELDS
 from .test_restore_engine import CHUNK, SIZE, FakeCache, FakeMount
-from .test_write_fast_path import Recorder
 
 NCHUNKS = SIZE // CHUNK
 
@@ -604,7 +604,7 @@ class TestObservers:
     def observed(self, late_after):
         """The read records an early observer and one subscribed after
         ``late_after`` reads get for READS over a resident 3-chunk file."""
-        early, late = Recorder(), Recorder()
+        early, late = EventLog(), EventLog()
         data = image(3 * CHUNK)
         with CRFS(MemBackend(), cached_config(depth=0), observers=[early]) as fs:
             with fs.open("/f", tenant="t") as f:

@@ -131,14 +131,14 @@ class TestFileAffinity:
 
     def test_affine_writes_all_data(self):
         finish, crfs = self._run(affine=True)
-        assert crfs.bytes_written == 8 * 8 * 4 * MiB
+        assert crfs.stats()["bytes_out"] == 8 * 8 * 4 * MiB
         assert len(finish) == 8
 
     def test_affine_and_fifo_same_totals(self):
         _, crfs_a = self._run(affine=True)
         _, crfs_f = self._run(affine=False)
-        assert crfs_a.bytes_written == crfs_f.bytes_written
-        assert crfs_a.chunks_written == crfs_f.chunks_written
+        a, f = crfs_a.stats(), crfs_f.stats()
+        assert (a["bytes_out"], a["chunks_written"]) == (f["bytes_out"], f["chunks_written"])
 
     def test_affinity_staggers_completions(self):
         finish_a, _ = self._run(affine=True)

@@ -24,7 +24,7 @@ from repro.pipeline import (
     BackendHealth,
     BackendRecovered,
     ChunkRetried,
-    PipelineObserver,
+    EventLog,
     RetryPolicy,
 )
 from repro.sim import SharedBandwidth, Simulator
@@ -44,17 +44,6 @@ FAST = dict(backoff=1e-4, backoff_max=1e-3)
 def fast(attempts=1, **kw):
     """A retry schedule with ``FAST`` backoff."""
     return RetryPolicy(attempts=attempts, **{**FAST, **kw})
-
-
-class Recorder(PipelineObserver):
-    def __init__(self):
-        self.events = []
-
-    def on_event(self, event):
-        self.events.append(event)
-
-    def of(self, cls):
-        return [e for e in self.events if isinstance(e, cls)]
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +187,7 @@ class TestFunctionalPlaneRetry:
             [FaultRule(op="pwrite", nth=1, period=2, error=OSError("EIO"))],
             sleep=lambda s: None,
         )
-        rec = Recorder()
+        rec = EventLog()
         with CRFS(backend, self.cfg(attempts=3), observers=(rec,)) as fs:
             with fs.open("/ckpt") as f:
                 f.write(data)
@@ -235,7 +224,7 @@ class TestFunctionalPlaneRetry:
             [FaultRule(op="pwrite", nth=1, until=2, every=True, error=OSError("EIO"))],
             sleep=lambda s: None,
         )
-        rec = Recorder()
+        rec = EventLog()
         cfg = self.cfg(attempts=1, breaker_threshold=2)
         with CRFS(backend, cfg, observers=(rec,)) as fs:
             for name in ("/a", "/b"):
@@ -290,7 +279,7 @@ def drive_sim(rules, config, streams, seed=2011):
     membus = SharedBandwidth(sim, hw.membus_bandwidth)
     inner = NullSimFilesystem(sim, hw, rng_for(seed, "resilience"))
     backend = FaultySimFilesystem(inner, rules)
-    rec = Recorder()
+    rec = EventLog()
     crfs = SimCRFS(sim, hw, config, backend, membus, observers=(rec,))
     errors = []
 

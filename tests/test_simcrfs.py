@@ -58,7 +58,7 @@ class TestSimCRFSPipeline:
             yield from crfs.close(f)
 
         sim.run_until_complete([sim.spawn(proc())])
-        assert crfs.bytes_written == 10 * MiB
+        assert crfs.stats()["bytes_out"] == 10 * MiB
         assert backend.total_bytes == 10 * MiB
 
     def test_chunks_sealed_at_chunk_size(self):

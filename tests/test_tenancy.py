@@ -364,7 +364,8 @@ class TestSimTenantPool:
         # (the victim's reserved-slot release does not admit it).
         assert ("storm", 2, mock.ANY) not in order
         assert s.alive and not v.alive
-        assert pool.total_waits == 1
+        assert order[:2] == [("storm", 0, 0.0), ("storm", 1, 0.0)]
+        assert pool.waiting == 1
 
     def test_release_resumes_first_admissible_waiter(self):
         sim = Simulator()

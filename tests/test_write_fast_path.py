@@ -26,10 +26,10 @@ from repro.core import CRFS
 from repro.errors import BackendIOError
 from repro.pipeline import (
     CopyObserved,
+    EventLog,
     FilePipeline,
     Fill,
     PipelineKernel,
-    PipelineObserver,
     WriteObserved,
     WritePlanner,
 )
@@ -59,17 +59,6 @@ def planner_state(planner: WritePlanner):
         planner.sealed_chunks,
         dict(planner.seal_reasons),
     )
-
-
-class Recorder(PipelineObserver):
-    def __init__(self):
-        self.events = []
-
-    def on_event(self, event):
-        self.events.append(event)
-
-    def writes(self):
-        return [e for e in self.events if type(e) in (CopyObserved, WriteObserved)]
 
 
 @pytest.fixture
@@ -302,7 +291,7 @@ class TestObservers:
     SIZES = [16, 40, 0, 63, 8]  # the first opens the chunk; the rest fit
 
     def test_early_and_midstream_observers_get_each_write_once(self, slow_plans):
-        early, late = Recorder(), Recorder()
+        early, late = EventLog(), EventLog()
         with CRFS(MemBackend(), small_config(), observers=[early]) as fs:
             with fs.open("/f", tenant="t") as f:
                 offsets = []
@@ -320,8 +309,8 @@ class TestObservers:
             for offset, n in zip(offsets, self.SIZES + [24])
             for e in _expected_events("/f", offset, n, tenant="t")
         ]
-        assert [_untimed(e) for e in early.writes()] == every
-        assert [_untimed(e) for e in late.writes()] == every[-2:]
+        assert [_untimed(e) for e in early.of(CopyObserved, WriteObserved)] == every
+        assert [_untimed(e) for e in late.of(CopyObserved, WriteObserved)] == every[-2:]
         # and the registry counted each exactly once, events or not
         assert stats["writes"] == len(self.SIZES) + 1
         assert stats["bytes_in"] == sum(self.SIZES) + 24

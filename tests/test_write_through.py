@@ -61,7 +61,7 @@ class TestWriteThroughMount:
         with CRFS(backend, wt_config()) as fs:
             with fs.open("/f") as f:
                 f.write(b"L" * (64 * KiB))  # at threshold -> direct
-            assert fs.write_through_bytes == 64 * KiB
+            assert fs.stats()["write_through_bytes"] == 64 * KiB
         # the direct write is a single backend pwrite of the full size
         assert 64 * KiB in backend.write_sizes()
 
@@ -71,7 +71,7 @@ class TestWriteThroughMount:
             with fs.open("/f") as f:
                 for _ in range(32):
                     f.write(b"s" * 1024)  # 32 KiB -> 2 chunks of 16 KiB
-            assert fs.write_through_bytes == 0
+            assert fs.stats()["write_through_bytes"] == 0
         assert max(backend.write_sizes()) <= 16 * KiB
 
     def test_mixed_stream_content_correct(self):
@@ -103,7 +103,7 @@ class TestWriteThroughMount:
         with CRFS(backend, cfg) as fs:
             with fs.open("/f") as f:
                 f.write(b"L" * (256 * KiB))
-            assert fs.write_through_bytes == 0
+            assert fs.stats()["write_through_bytes"] == 0
         assert max(backend.write_sizes()) <= 16 * KiB
 
     def test_negative_threshold_rejected(self):
