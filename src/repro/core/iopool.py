@@ -19,8 +19,8 @@ The same workers also service restart-readahead prefetches
 :func:`~repro.pipeline.readahead.service_prefetch`), queued on the work
 queue's low-priority band so speculative reads never delay a checkpoint
 writeback — over a backend with latency of its own.  Over one that
-reads from memory the reader that slid the window has already leased
-the prefetch and will fill it itself, and a worker drops the item.
+reads from memory the reader that slides the window warms and fills
+each prefetch itself and queues nothing, so no worker wakes for it.
 
 What a worker does with a dequeued run of chunks — retry under the
 mount's :class:`~repro.pipeline.resilience.RetryPolicy`, batch
@@ -131,10 +131,8 @@ class IOThreadPool:
                 # buffer with try_lease and drops starved fetches, so
                 # this path can never park the worker on a full pool —
                 # shutdown() always drains.  Low-band items are never
-                # batched, so the list is a singleton.  Over a backend
-                # that reads from memory the reader warmed it already.
-                if items[0].cache.warm_reads:
-                    run(service_prefetch(items[0]))
+                # batched, so the list is a singleton.
+                run(service_prefetch(items[0]))
             else:
                 run(writeback(self, items))
 

@@ -6,8 +6,8 @@
 timing plane runs.  This module is what those flows stand on here:
 chunk buffers leased from the mount's
 :class:`~repro.core.buffer_pool.BufferPool`, blocking backend reads,
-and prefetches pushed through the existing
-:class:`~repro.core.workqueue.WorkQueue` as low-priority
+and — over a backend with latency — prefetches pushed through the
+existing :class:`~repro.core.workqueue.WorkQueue` as low-priority
 :class:`~repro.pipeline.readahead.Prefetch` items.
 
 A chunk's backend read is two port steps, **warm** and **fill**, and
@@ -27,9 +27,10 @@ the backend decides which one moves the bytes
   cache lock it already holds (a read still collecting views of pooled
   buffers does so once they are joined, or when it reaches the chunk),
   and the first reader to touch the entry fills it with its own
-  ``pread_into``, GIL released, right before its copy-out.  No reader
-  waits on another thread and no IO worker holds a cache buffer; the
-  workers drop the queued items.
+  ``pread_into``, GIL released, right before its copy-out — a read
+  inside that one chunk in the plain ``read_resident``, without
+  entering the read flow.  No reader waits on another thread, no
+  prefetch is queued, and no IO worker wakes for one.
 
 Deadlock discipline (the shutdown-safety contract the regression tests
 pin):
@@ -64,7 +65,7 @@ from ..pipeline.tenancy import DEFAULT_TENANT
 from ..pipeline.writeback import blocking, run
 from .buffer_pool import BufferPool
 from .chunk import Chunk
-from .workqueue import WorkQueue
+from .workqueue import QueueClosed, WorkQueue
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..backends.base import Backend
@@ -129,10 +130,12 @@ class ReadCache:
     def read(self, fs: Any, entry: Any, size: int, offset: int) -> bytes:
         """One pread of the file this cache belongs to (``entry``, open
         on mount ``fs``).  Bytes that are resident are a slice: the
-        shared plain function finds them, and they are joined — before
-        the window slides, so no view outlives a buffer and nothing is
-        deferred — under one hold of ``lock``.  Any other read runs
-        :func:`repro.pipeline.readahead.read`, the flow."""
+        shared plain function finds them (filling a warmed chunk first
+        where the reader fills), and they are joined — before the window
+        slides, so no view outlives a buffer and nothing is deferred —
+        under one hold of ``lock``; if its fill failed, the flow it
+        hands back refetches the chunk and joins instead.  Any other
+        read runs :func:`repro.pipeline.readahead.read`, the flow."""
         kernel = fs.kernel
         # Timestamps feed the read's events, which nobody but the stats
         # registry may be listening for (it ignores them).
@@ -142,12 +145,15 @@ class ReadCache:
                 fs, entry, size, offset, None if t0 is None else kernel.publish
             )
             if served is not None:
-                parts, slide = served
-                # The POSIX-shim boundary: the one materialization a
-                # cached read pays (the read_boundary copy).
-                data = b"".join(parts)
-                if slide is not None:
-                    run(slide)
+                parts, flow = served
+                if parts is None:  # the fill failed: the demand fetch serves it
+                    data = run(flow)
+                else:
+                    # The POSIX-shim boundary: the one materialization a
+                    # cached read pays (the read_boundary copy).
+                    data = b"".join(parts)
+                    if flow is not None:
+                        run(flow)
         if served is None:
             return run(readahead.read(fs, entry, size, offset))
         if t0 is not None:
@@ -189,20 +195,22 @@ class ReadCache:
         """The backend read where the warm is it (an IO worker's
         prefetch, without ``lock``; a demand miss, under it); free —
         the fill will read — otherwise."""
-        return self._read_into(chunk, offset, length) if self.warm_reads else length
+        return self.read_into(chunk, offset, length) if self.warm_reads else length
 
     @blocking
     def fill(self, chunk: Chunk, offset: int, length: int) -> int:
         """The reader's backend read, under ``lock``, where the warm
         did not read; free otherwise."""
-        return length if self.warm_reads else self._read_into(chunk, offset, length)
+        return length if self.warm_reads else self.read_into(chunk, offset, length)
 
-    def _read_into(self, chunk: Chunk, offset: int, length: int) -> int:
+    def read_into(self, chunk: Chunk, offset: int, length: int) -> int:
         """Fill the leased buffer directly (``pread_into`` — no
-        intermediate bytes).  A prefetch's chunk is exclusively its IO
-        worker's until ``warm_done`` publishes it, so the worker needs
-        no lock; the read happens before ``open_for``, so a failed one
-        leaves the chunk clean."""
+        intermediate bytes): the backend read of :meth:`warm` and
+        :meth:`fill`, and ``read_resident``'s fill as a plain call.  A
+        prefetch's chunk is exclusively its IO worker's until
+        ``warm_done`` publishes it, so the worker needs no lock; the
+        read happens before ``open_for``, so a failed one leaves the
+        chunk clean."""
         got = self.backend.pread_into(self.backend_handle, chunk.view[:length], offset)
         chunk.open_for(self, offset)
         chunk.fill_external(got)
@@ -265,14 +273,17 @@ class ReadCache:
 
     @blocking
     def enqueue_prefetch(self, item: Prefetch) -> None:
-        """Queue the prefetch for the IO workers; where the reader
-        warms, also lease and warm it on this thread (the caller holds
+        """Queue the prefetch for the IO workers — or, where the
+        reader warms, lease and warm it on this thread (the caller holds
         ``lock``): right here, or — while a read is collecting views —
-        once they are joined.  The put comes first so a queue closed by
-        a racing unmount drops the entry before it leases."""
-        self.queue.put(item, low=True, tenant=self.tenant)
+        once they are joined; then nothing is queued and no worker
+        wakes.  Either way a queue closed by a racing unmount drops the
+        entry before it leases."""
         if self.warm_reads:
+            self.queue.put(item, low=True, tenant=self.tenant)
             return
+        if self.queue.closed:
+            raise QueueClosed("work queue closed")
         if self._defer_depth:
             self._unwarmed.append(item)
         else:

@@ -6,7 +6,7 @@ snapshots must agree on every workload-determined counter.  The proof
 is one table of *arms* (:func:`arms`): each is a config, a script of
 steps, the fault rules of its backing store and the snapshot fields it
 compares.  One player per plane runs any arm — :func:`play_threaded`
-over a :class:`~repro.backends.FaultyBackend` on a ``MemBackend``,
+over a :class:`~repro.backends.FaultyBackend` on a :class:`DeviceStore`,
 :func:`play_sim` over a :class:`~repro.simio.faulty.FaultySimFilesystem`
 on a null filesystem — and ``tests/test_cross_plane.py`` plays the same
 table and arm builders.
@@ -148,6 +148,16 @@ def _result(stats: Snapshot, log: EventLog, errors: list, writes: list) -> Snaps
     return dict(stats, errors=errors, chunks=chunks, backend_writes=writes, write_sizes=sizes)
 
 
+class DeviceStore(MemBackend):
+    """A RAM store that declares latency of its own, like the device
+    the timing plane models: the IO workers fetch the readahead window
+    and every prefetch is a queue put, on both planes.  (Over a store
+    that reads from memory the reader fills each chunk itself and queues
+    nothing.)"""
+
+    reads_from_memory = False
+
+
 class RecordingNull(NullSimFilesystem):
     """A null filesystem that keeps the (offset, length) of every
     single-extent write it discards."""
@@ -169,7 +179,7 @@ def play_threaded(arm: Arm) -> Snapshot:
         held.set()
         gate.wait()
 
-    store = InstrumentedBackend(MemBackend())
+    store = InstrumentedBackend(DeviceStore())
     backend: Any = FaultyBackend(store, list(arm.rules), sleep=hold)
     if arm.faulty_tier is not None:
         tiers = [backend, MemBackend()]

@@ -13,8 +13,9 @@ miss, admits/evicts entries and plans the prefetch window — and so do
 the *control flows* that execute them, as plain generator functions over
 a per-plane port (the technique of :mod:`repro.pipeline.writeback`):
 
-* :func:`read_resident` — not a flow: the one per-call case that cannot
-  block (a clean file, every chunk of the range resident) served by a
+* :func:`read_resident` — not a flow: the per-call case that cannot
+  park (a clean file, every chunk of the range resident — or, where
+  the reader fills, the one chunk of the range warmed) served by a
   plain function both planes try first;
 * :func:`read` — one application read: passthrough or cached;
 * :func:`serve` / :func:`cached_chunk` — the per-chunk loop of a cached
@@ -53,6 +54,9 @@ Ports (duck-typed).  The *mount* (:class:`~repro.core.mount.CRFS`,
     the second half — have the warmed bytes in the leased buffer;
     returns the byte count there (short if the file shrank behind the
     mount);
+``read_into(lease, offset, length)``
+    the fill as a plain call, for :func:`read_resident` — needed only
+    where the fill reads (``warm_reads`` False: the threaded plane);
 ``read_uncached(offset, length)``
     a slice straight from the backend (starved demand read);
 ``view(lease, lo, hi)``
@@ -68,8 +72,9 @@ Ports (duck-typed).  The *mount* (:class:`~repro.core.mount.CRFS`,
 ``enqueue_prefetch(item)``
     put one :class:`Prefetch` on the work queue's low band, where the
     plane's IO side runs :func:`service_prefetch` on it — or, where the
-    reader warms, run that on the reader and leave the IO side nothing
-    to do;
+    reader warms, run that on the reader and queue nothing; either way
+    raise :class:`~repro.errors.ShutdownError` before leasing once the
+    queue is closed;
 ``serve_read(offset, end, file_size)``
     run :func:`serve` with the plane's own cost of handing the bytes
     back (the threaded join under the cache lock, the modelled FUSE
@@ -375,13 +380,14 @@ class ReadaheadCore:
                 WindowGrown(path=self.path, window=self.window.window, t=self._clock())
             )
 
-    def resident(self, index: int, nbytes: int) -> Optional[CacheEntry]:
+    def resident(self, index: int, nbytes: int, warmed: bool = False) -> Optional[CacheEntry]:
         """The entry of chunk ``index`` if a read of its first
         ``nbytes`` bytes can be served from it right now — resident,
-        filled, and not short of them (:attr:`CacheEntry.valid`) — else
+        filled (or, with ``warmed``, at least warmed: the caller fills
+        it), and not short of them (:attr:`CacheEntry.valid`) — else
         None.  Decides and counts nothing."""
         entry = self._entries.get(index)
-        if entry is not None and entry.filled and entry.valid >= nbytes:
+        if entry is not None and (entry.filled or warmed and entry.ready) and entry.valid >= nbytes:
             return entry
         return None
 
@@ -582,12 +588,12 @@ class Prefetch:
 
 def read_resident(
     port: Any, f: Any, size: int, offset: int, publish: Optional[EmitFn]
-) -> Optional[Tuple[list, Optional[Gen]]]:
+) -> Optional[Tuple[Optional[list], Optional[Gen]]]:
     """Serve one application read from resident cache chunks, or return
     None — having decided and counted nothing — for :func:`read` to.
 
     Not a flow: the case is split off by what the call can see in its
-    input, and nothing in it can block.  The mount is not degraded, the
+    input, and nothing in it can park.  The mount is not degraded, the
     file is *clean* (``FilePipeline.clean``: nothing to flush, wait for
     or surface, so no drain lock is taken and no drain wait recorded)
     and every chunk of ``[offset, offset + size)`` is in the cache,
@@ -600,16 +606,29 @@ def read_resident(
     ``ReadHit`` record is built only for ``publish`` — the observers
     besides the stats registry, None while there are none.
 
-    Returns ``(parts, slide)``: the per-chunk views, which the caller
-    joins before it does anything else, and — only when a chunk of the
-    window after the last access is absent — the :func:`issue_prefetches`
-    flow for the caller to drive as it drives any flow.  A read of
-    several chunks is served only when none but its last can have a
-    window to slide (a slide is a flow this function cannot enter
-    mid-read): the widest window an earlier access could leave must be
-    resident already.  Then no admission happens before the last
-    access, and that one's victims lie outside its window — never a
-    chunk this read has yet to touch.
+    Where the reader fills (``warm_reads`` False), a read inside one
+    chunk is served from an entry the window warmed and no read has
+    filled yet too — a restore's chunk-boundary read.  After the hit
+    the entry is filled by the port's plain ``read_into`` and counted
+    as :func:`_fill` counts it (a breaker success, ``fill_done`` and
+    its ``fetch`` copy); a fill that comes back short makes the read
+    short.  A failed fill drops the entry and counts a breaker failure,
+    as :func:`_fill` does, and the read — its hit counted — goes on as
+    :func:`cached_chunk` then does: ``(None, rest)`` comes back,
+    ``rest`` being the port's ``serve_read`` of the range (a fresh
+    access whose miss fetches the chunk on demand, then the slide),
+    which the caller drives for the read's bytes.
+
+    Otherwise returns ``(parts, slide)``: the per-chunk views, which the
+    caller joins before it does anything else, and — only when a chunk
+    of the window after the last access is absent — the
+    :func:`issue_prefetches` flow for the caller to drive as it drives
+    any flow.  A read of several chunks is served only when none but
+    its last can have a window to slide (a slide is a flow this function
+    cannot enter mid-read): the widest window an earlier access could
+    leave must be resident already.  Then no admission happens before
+    the last access, and that one's victims lie outside its window —
+    never a chunk this read has yet to touch.
 
     The caller holds ``f.read_cache.lock`` from here until it has
     joined the parts and driven the slide.
@@ -622,9 +641,10 @@ def read_resident(
     cs = core.chunk_size
     end = offset + size
     first, last = offset // cs, (end - 1) // cs
+    warmed = first == last and not cache.warm_reads
     found = []
     for index in range(first, last + 1):
-        centry = core.resident(index, min(end - index * cs, cs))
+        centry = core.resident(index, min(end - index * cs, cs), warmed)
         if centry is None:
             return None
         found.append(centry)
@@ -634,9 +654,20 @@ def read_resident(
     for centry in found:
         core.hit(centry, publish)
         base = centry.index * cs
-        parts.append(
-            cache.view(centry.payload, max(offset - base, 0), min(end - base, cs))
-        )
+        lo, hi = max(offset - base, 0), min(end - base, cs)
+        if not centry.filled:  # warmed: this read fills it
+            try:
+                got = cache.read_into(centry.payload, base, centry.valid)
+            except Exception:
+                _drop_failed_fill(cache, centry)
+                pipeline.count_read(size, 1)
+                file_size = port.file_size(f)
+                end = max(offset, min(end, file_size))
+                return None, cache.serve_read(offset, end, file_size)
+            cache.health.record_success()
+            core.fill_done(centry, got)
+            hi = max(lo, min(hi, got))
+        parts.append(cache.view(centry.payload, lo, hi))
     pipeline.count_read(size, len(found))
     slide = None
     if not core.window_resident(last):
@@ -657,8 +688,11 @@ def read(port: Any, f: Any, size: int, offset: int) -> Gen:
     anything pending (read-your-writes through pending chunks; a latched
     writeback error surfaces here), clip at the file size like a
     passthrough pread would, and serve chunk-aligned slices from the
-    cache.
+    cache.  A negative ``size`` or ``offset`` raises :class:`ValueError`
+    before anything is decided, counted or read.
     """
+    if size < 0 or offset < 0:
+        raise ValueError(f"{f.path}: negative read size or offset ({size} @ {offset})")
     pipeline = f.pipeline
     t0 = pipeline.clock()
     cache = f.read_cache
@@ -753,14 +787,20 @@ def _fill(cache: Any, centry: CacheEntry) -> Gen:
             centry.payload, centry.index * core.chunk_size, centry.valid
         )
     except Exception:
-        core.fetch_failed(centry)
-        release_evicted(cache, [centry])
-        cache.health.record_failure()
+        _drop_failed_fill(cache, centry)
         return False
     if not cache.warm_reads:  # the warm counted its own read
         cache.health.record_success()
     core.fill_done(centry, got)
     return True
+
+
+def _drop_failed_fill(cache: Any, centry: CacheEntry) -> None:
+    """A warmed entry's fill failed (caller holds ``cache.lock``): the
+    entry leaves the cache silently and the breaker counts it."""
+    cache.core.fetch_failed(centry)
+    release_evicted(cache, [centry])
+    cache.health.record_failure()
 
 
 def _demand_fetch(cache: Any, index: int, lo: int, hi: int, file_size: int) -> Gen:

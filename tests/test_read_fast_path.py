@@ -25,8 +25,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.backends import FaultRule, FaultyBackend, InstrumentedBackend, MemBackend
 from repro.config import CRFSConfig
-from repro.core import CRFS
+from repro.core import CRFS, PosixShim
+from repro.core.posix import O_CREAT
 from repro.errors import BackendIOError
+from repro.experiments.crossplane import DeviceStore
 from repro.pipeline import (
     CopyObserved,
     EventLog,
@@ -441,24 +443,32 @@ class TestIneligibleReadsTakeTheFlow:
                 assert flows == [(CHUNK, 8)]  # landed: resident now
 
     def test_warmed_entry(self, flows):
-        """A warmed prefetch holds no bytes until a read fills it: the
-        first read of it takes the flow, the next one is a slice."""
-        data = image(2 * CHUNK)
+        """A warmed prefetch holds no bytes until a read fills it.  Over
+        a backend that reads from memory a read inside that one chunk
+        fills it without the flow; a read spanning it and a filled
+        chunk still takes the flow."""
+        data = image(3 * CHUNK)
         with CRFS(MemBackend(), cached_config(depth=1)) as fs:
             with fs.open("/f") as f:
                 f.write(data)
                 f.fsync()
                 assert f.pread(8, 0) == data[:8]
-                assert f._entry.read_cache.core.entries()[-1].ready  # chunk 1, warmed
+                chunk1 = f._entry.read_cache.core.entries()[-1]
+                assert chunk1.ready and not chunk1.filled  # warmed
                 del flows[:]
                 assert f.pread(8, CHUNK) == data[CHUNK : CHUNK + 8]
-                assert flows == [(CHUNK, 8)]
+                assert flows == [] and chunk1.filled
                 assert f.pread(8, CHUNK + 8) == data[CHUNK + 8 : CHUNK + 16]
-                assert flows == [(CHUNK, 8)]  # filled: resident now
+                (chunk2,) = [e for e in f._entry.read_cache.core.entries() if e.index == 2]
+                assert chunk2.ready and not chunk2.filled  # chunk 1's slide warmed it
+                assert f.pread(16, 2 * CHUNK - 8) == data[2 * CHUNK - 8 : 2 * CHUNK + 8]
+                assert flows == [(2 * CHUNK - 8, 16)] and chunk2.filled
 
     def test_entry_fetched_short_at_an_old_eof(self, flows):
-        """PR 18's repro: chunk 1 was fetched holding one byte; the
-        file has since grown past it without touching it."""
+        """Chunk 1 was warmed holding one byte; the file has since grown
+        past it without touching it.  A read inside the valid byte fills
+        it without the flow; one reaching past it takes the flow, which
+        re-fetches the chunk whole."""
         with CRFS(MemBackend(), cached_config()) as fs:
             with fs.open("/f") as f:
                 f.write(b"\x07" * (CHUNK + 1))
@@ -467,10 +477,10 @@ class TestIneligibleReadsTakeTheFlow:
                 f.fsync()
                 del flows[:]
                 assert f.pread(1, CHUNK) == b"\x07"  # the fill: inside the valid byte
-                assert flows == [(CHUNK, 1)]
+                assert flows == []
                 assert f.pread(2, CHUNK) == b"\x07\x00"
                 assert f.pread(CHUNK + 2, 0) == b"\x07" * (CHUNK + 1) + b"\x00"
-                assert flows == [(CHUNK, 1), (CHUNK, 2)]  # re-fetched whole: resident since
+                assert flows == [(CHUNK, 2)]  # re-fetched whole: resident since
 
     def test_range_spanning_a_missing_chunk(self, flows):
         data = image(3 * CHUNK)
@@ -595,6 +605,59 @@ class TestARefusalDecidesNothing:
         assert mount.file.pipeline._hot.reads == (1, 2 * CHUNK, 3)
 
 
+class TestANegativeReadRaises:
+    """A negative size or offset is the caller's error, refused before
+    anything is decided, counted or read.  Unchecked, ``pread(10, -5)``
+    on a cached file is a failed demand fetch of chunk -1 — a breaker
+    failure, a degraded mount at ``breaker_threshold=1`` — and a
+    passthrough ``pread(-1, 0)`` over ``MemBackend`` the file but its
+    last byte."""
+
+    BAD = [(10, -5), (-1, 0), (0, -1), (-1, -1)]
+
+    @pytest.mark.parametrize("cache", [4, 0])
+    def test_threaded(self, cache):
+        backend = InstrumentedBackend(MemBackend())
+        cfg = CRFSConfig(
+            chunk_size=CHUNK, pool_size=16 * CHUNK, io_threads=1,
+            read_cache_chunks=cache, readahead_chunks=min(cache, 2), breaker_threshold=1,
+        )
+        data = image(3 * CHUNK)
+        with CRFS(backend, cfg) as fs:
+            with fs.open("/f") as f:
+                f.write(data)
+                f.fsync()
+                assert f.pread(8, 0) == data[:8]
+                before, ops = fs.stats(), len(backend.ops("pread") + backend.ops("pread_into"))
+                for size, offset in self.BAD:
+                    with pytest.raises(ValueError, match="negative"):
+                        f.pread(size, offset)
+                after = fs.stats()
+                assert len(backend.ops("pread") + backend.ops("pread_into")) == ops
+                assert not fs.health.degraded and fs.health.failures == 0
+                assert after["read"] == before["read"] and after["mem"] == before["mem"]
+                assert f.pread(8, 8) == data[8:16]
+
+    def test_posix_shim(self):
+        with CRFS(MemBackend(), cached_config()) as fs:
+            shim = PosixShim(fs)
+            fd = shim.open("/f", O_CREAT)
+            shim.write(fd, image(CHUNK))
+            with pytest.raises(ValueError, match="negative"):
+                shim.pread(fd, 10, -5)
+            shim.close(fd)
+
+    def test_timing_plane(self):
+        sim = Simulator()
+        membus = SharedBandwidth(sim, DEFAULT_HW.membus_bandwidth)
+        backend = NullSimFilesystem(sim, DEFAULT_HW, rng_for(1, "negative-read"))
+        crfs = SimCRFS(sim, DEFAULT_HW, cached_config(), backend, membus)
+        f = crfs.open("/f", size=2 * CHUNK)
+        with pytest.raises(ValueError, match="negative"):
+            next(crfs.read(f, -1))
+        assert crfs.stats()["read"]["reads"] == 0
+
+
 # -- (e) what other observers see ------------------------------------------------
 
 
@@ -712,7 +775,9 @@ class TestHotCountersFoldAndDrop:
     READS = [(0, 64), (CHUNK, CHUNK), (2 * CHUNK, 100), (64, 64), (CHUNK - 8, 16), (0, 3 * CHUNK)]
 
     def _functional(self):
-        with CRFS(MemBackend(), cached_config()) as fs:
+        # A store with latency of its own, as the timing plane models:
+        # the IO workers fetch the window and every prefetch is a put.
+        with CRFS(DeviceStore(), cached_config()) as fs:
             for i in range(self.FILES):
                 with fs.open(f"/rank{i}.img") as f:
                     f.write(bytes(3 * CHUNK))
