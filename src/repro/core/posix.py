@@ -118,9 +118,12 @@ class PosixShim:
         self._state(fd).handle.fsync()
 
     def close(self, fd: int) -> None:
-        state = self._state(fd)
+        # Looked up and removed in one step: of two closes racing on
+        # one fd exactly one gets the handle.
         with self._lock:
-            del self._fds[fd]
+            state = self._fds.pop(fd, None)
+        if state is None:
+            raise BadFileDescriptor(f"fd {fd}")
         state.handle.close()
 
     def fstat_size(self, fd: int) -> int:

@@ -27,7 +27,9 @@ restore against a model of the bytes written, so a wrong byte is an
 error too.  Both players add ``chunks`` — the (offset, length) of every
 chunk the pipeline reports written — and ``backend_writes``, the
 (offset, length) of every single-extent write that reached the faulty
-store: what each plane's IO path actually issued.
+store: what each plane's IO path actually issued.  ``downtime`` lists,
+per breaker recovery, how long the mount ran degraded (virtual seconds
+on the timing plane).
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from ..checkpoint.sizedist import WriteSizeDistribution
 from ..config import CRFSConfig, RetryPolicy, TenantSpec
 from ..core import CRFS
 from ..errors import BackendIOError
-from ..pipeline import ChunkWritten, EventLog, WriteObserved
+from ..pipeline import BackendRecovered, ChunkWritten, EventLog, WriteObserved
 from ..sim import SharedBandwidth, Simulator
 from ..simcrfs import SimCRFS
 from ..simio.faulty import FaultySimFilesystem
@@ -145,7 +147,9 @@ def schema(snap: Snapshot) -> dict[str, Any]:
 def _result(stats: Snapshot, log: EventLog, errors: list, writes: list) -> Snapshot:
     chunks = [(e.file_offset, e.length) for e in log.of(ChunkWritten) if e.error is None]
     sizes = [e.length for e in log.of(WriteObserved) if not e.write_through]
-    return dict(stats, errors=errors, chunks=chunks, backend_writes=writes, write_sizes=sizes)
+    downtime = [e.downtime for e in log.of(BackendRecovered)]
+    return dict(stats, errors=errors, chunks=chunks, backend_writes=writes, write_sizes=sizes,
+                downtime=downtime)
 
 
 class DeviceStore(MemBackend):

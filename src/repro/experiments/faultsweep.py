@@ -3,38 +3,35 @@
 Beyond the paper's artifacts: the paper's IO-thread pool assumes the
 backing filesystem never fails a ``write()``; this experiment measures
 what the resilience layer (retry/backoff + circuit breaker, see
-``pipeline/resilience.py``) buys when it does.  It sweeps fault mode ×
-retry budget on both planes and reports goodput (fraction of the
-checkpoint that landed in the backing store), retries, latched errors,
-and — where the breaker trips — the recovery latency.
+``pipeline/resilience.py``) and the staging tiers' own breakers buy
+when it does.  It reports goodput (fraction of the checkpoint that
+landed in the backing store), retries, latched errors, breaker trips
+and the recovery downtime.
 
-Functional-plane rows drive the real threaded mount over a
-:class:`~repro.backends.faulty.FaultyBackend`; timing-plane rows drive
-:class:`~repro.simcrfs.SimCRFS` over a
-:class:`~repro.simio.faulty.FaultySimFilesystem` — the same
-:class:`~repro.backends.faulty.FaultRule` vocabulary on both.
+The sweep is one table of crossplane arms (:func:`arms`), one per cell
+of two sweeps — fault mode × retry budget on the backend, and deep-tier
+fault × retry budget under tiered staging — and the crossplane players
+run each on both planes.  A cell whose every byte should land writes
+its checkpoint in one ``write()``, fsyncs and reads it all back (the
+threaded player checks each byte); a tier cell's fsync reaches through
+the deep tier.  A cell where a chunk may fail for good writes each
+chunk to a file of its own instead, so no later write races that
+failure to the file's fail-fast latch.  The rows are read off the two
+snapshots, and a check passes only if it holds on both planes.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from ..backends import FaultRule, FaultyBackend, MemBackend, TieredBackend
+from ..backends import FaultRule
+from ..backends.faulty import FaultSchedule
 from ..config import CRFSConfig, RetryPolicy
-from ..core import CRFS
-from ..errors import BackendIOError
-from ..pipeline import BackendRecovered, EventLog
-from ..sim import SharedBandwidth, Simulator
-from ..simcrfs import SimCRFS
-from ..simio.faulty import FaultySimFilesystem
-from ..simio.nullfs import NullSimFilesystem
-from ..simio.tiered import TieredSimFilesystem
-from ..simio.params import DEFAULT_HW
 from ..units import KiB
-from ..util.rng import rng_for
 from ..util.tables import TextTable
 from .base import Check, ExperimentResult
 from .common import DEFAULT_SEED
+from .crossplane import COMPARED_FIELDS, Arm, Snapshot, mismatches, play_sim, play_threaded, schema
 
 PAPER = {
     "narrative": "resilient writeback under backend faults "
@@ -42,482 +39,257 @@ PAPER = {
 }
 
 CHUNK = 64 * KiB
-#: Single IO thread keeps the functional plane's fault schedule
-#: deterministic (chunk pwrites hit the FaultyBackend in seal order).
-CONFIG = CRFSConfig(chunk_size=CHUNK, pool_size=4 * CHUNK, io_threads=1)
-#: Fast, deterministic backoff for the sweep (microseconds of real sleep).
+#: One IO thread and one pump thread keep every fault schedule in seal
+#: order on both planes.  Threshold 2: the outage (2 failing ops) trips
+#: the breaker exactly when every attempt inside it has failed.
+CONFIG = CRFSConfig(chunk_size=CHUNK, pool_size=4 * CHUNK, io_threads=1, breaker_threshold=2)
+#: Fast backoff (microseconds of real sleep on the threaded plane).
 RETRY = RetryPolicy(backoff=1e-4, backoff_max=1e-3)
+ATTEMPTS = (1, 4)
+EIO = OSError("EIO")
+FIELDS = COMPARED_FIELDS + ("pool.acquires", "queue.puts", "errors", "chunks", "backend_writes")
 
 
-def _workload(fast: bool) -> list[int]:
-    """A fixed append stream: whole chunks plus a trailing partial."""
-    nchunks = 8 if fast else 24
-    return [CHUNK] * nchunks + [CHUNK // 2]
+def checkpoint_bytes(fast: bool) -> int:
+    """Whole chunks plus a trailing partial one."""
+    return (8 if fast else 24) * CHUNK + CHUNK // 2
 
 
-def _fault_rules(mode: str, seed: int) -> list[FaultRule]:
-    """The fault matrix axis, shared verbatim by both planes."""
-    if mode == "none":
-        return []
-    if mode == "transient":
+def script(nbytes: int, path: str = "/rank0.img", read: bool = False) -> tuple:
+    """One ``write()`` of ``nbytes`` and a close; ``read``: fsync, then
+    read it all back (a passthrough read does not flush)."""
+    steps = [("open", path), ("write", path, nbytes)]
+    if read:
+        steps += [("fsync", path), ("seek", path, 0), ("read", path, nbytes)]
+    return (*steps, ("close", path))
+
+
+def claims(mode: str, attempts: int, total: int, steps: tuple) -> tuple:
+    """What a cell must show, as ``(what, predicate)`` pairs over either
+    plane's snapshot."""
+    nchunks = -(-total // CHUNK)
+    image = [(off, min(CHUNK, total - off)) for off in range(0, total, CHUNK)]
+
+    def res(s: Snapshot, key: str) -> int:
+        return s["resilience"][key]
+
+    def goodput(s: Snapshot) -> float:
+        return (s["bytes_out"] + s["write_through_bytes"]) / total
+
+    def deep(s: Snapshot, key: str) -> int:
+        return s["tiers"]["per_tier"]["1"][key]
+
+    def raised(s: Snapshot) -> list[str]:
+        return [steps[i][0] for i, *_ in s["errors"]]
+
+    clean = (
+        "no-fault cells are clean: every byte lands and reads back, nothing "
+        "retried or latched",
+        lambda s: goodput(s) == 1.0 and not any(s["resilience"].values()) and not s["errors"],
+    )
+    exhausted = (
+        "with retries exhausted each failed chunk latches its file's error, "
+        "and close() surfaces it and still releases the file",
+        lambda s: res(s, "errors_latched") == len(raised(s)) == (nchunks + 1) // 2
+        and set(raised(s)) == {"close"}
+        and s["open_files"] == 0,
+    )
+    recovered = (
+        "retries ride out transient faults: every chunk retried once, nothing "
+        "latched, every byte reads back as written",
+        lambda s: res(s, "chunks_retried") == nchunks
+        and res(s, "errors_latched") == 0
+        and goodput(s) == 1.0
+        and not s["errors"],
+    )
+    flaky = ("probabilistic faults exercise the retry path", lambda s: res(s, "chunks_retried") > 0)
+    probed = (
+        "without retries the outage latches, trips the breaker, and a degraded "
+        "write-through probe restores async mode",
+        lambda s: res(s, "errors_latched") == 2
+        and raised(s) == ["close", "close"]
+        and res(s, "breaker_trips") == res(s, "breaker_recoveries") == 1
+        and res(s, "degraded_writes") >= 1,
+    )
+    outage = (
+        "a bounded outage with retries trips the breaker and recovers: nothing "
+        "latched, downtime > 0, goodput 1.0",
+        lambda s: res(s, "errors_latched") == 0
+        and res(s, "breaker_trips") == res(s, "breaker_recoveries") == 1
+        and s["downtime"][0] > 0
+        and goodput(s) == 1.0
+        and not s["errors"],
+    )
+    attribution = (
+        "breaker attribution stays on the faulty tier: mount-level resilience "
+        "counters never move, and only a dead deep tier trips its breaker",
+        lambda s: not any(s["resilience"].values())
+        and deep(s, "breaker_trips") == (mode == "tier_dead"),
+    )
+    migrated = (
+        "per-tier retries ride out transient deep faults: nothing strands and "
+        "every extent of the image lands on the deep tier once",
+        lambda s: deep(s, "chunks_stranded") == 0
+        and deep(s, "migrate_retries") == nchunks
+        and sorted(s["backend_writes"]) == image
+        and not s["errors"],
+    )
+    dead = (
+        "a dead deep tier strands every extent at tier 0: fsync surfaces it, "
+        "tier 0 reads back the full image, and the mount never writes through",
+        lambda s: deep(s, "chunks_stranded") == nchunks
+        and s["backend_writes"] == []
+        and raised(s) == ["fsync"]
+        and s["write_through_bytes"] == 0,
+    )
+    table = {
+        ("none", 1): (clean,),
+        ("none", 4): (clean,),
+        ("transient", 1): (exhausted,),
+        ("transient", 4): (recovered,),
+        ("flaky", 4): (flaky,),
+        ("outage", 1): (probed,),
+        ("outage", 4): (outage,),
+        ("tier_transient", 1): (attribution,),
+        ("tier_transient", 4): (attribution, migrated),
+        ("tier_dead", 1): (attribution, dead),
+        ("tier_dead", 4): (attribution, dead),
+    }
+    return table.get((mode, attempts), ())
+
+
+def arms(seed: int = DEFAULT_SEED, fast: bool = True) -> dict[str, Arm]:
+    """Every cell, by name: ``<fault>_x<attempts>``."""
+    total = checkpoint_bytes(fast)
+    faults = {
+        "none": (),
         # every chunk write fails exactly once, then its retry succeeds
-        return [FaultRule(op="pwrite", nth=1, period=2, error=OSError("EIO"))]
-    if mode == "flaky":
-        return [FaultRule(op="pwrite", p=0.3, seed=seed, error=OSError("EIO"))]
-    if mode == "outage":
-        # ops 1..2 fail, then the backend heals — a bounded outage
-        return [
-            FaultRule(op="pwrite", nth=1, until=2, every=True, error=OSError("EIO"))
-        ]
-    raise ValueError(f"unknown fault mode {mode!r}")
-
-
-def _functional_row(mode: str, attempts: int, sizes: list[int], seed: int) -> dict:
-    mem = MemBackend()
-    backend = FaultyBackend(mem, _fault_rules(mode, seed), sleep=lambda s: None)
-    config = CONFIG.with_(retry=replace(RETRY, attempts=attempts))
-    path = "/rank0.img"
-    write_errors = close_errors = 0
-    with CRFS(backend, config) as fs:
-        f = fs.open(path)
-        for size in sizes:
-            try:
-                f.write(b"\xa5" * size)
-            except BackendIOError:
-                write_errors += 1
-        try:
-            f.close()
-        except BackendIOError:
-            close_errors += 1
-        stats = fs.stats()
-    total = sum(sizes)
-    landed = mem.stat(path).size if mem.exists(path) else 0
-    return {
-        "plane": "functional",
-        "mode": mode,
-        "attempts": attempts,
-        "goodput": landed / total,
-        "retried": stats["resilience"]["chunks_retried"],
-        "latched": stats["resilience"]["errors_latched"],
-        "write_errors": write_errors,
-        "close_errors": close_errors,
-        "content": mem.pread(mem.open(path, create=False), landed, 0)
-        if landed
-        else b"",
-    }
-
-
-def _timing_row(mode: str, attempts: int, sizes: list[int], seed: int) -> dict:
-    sim = Simulator()
-    hw = DEFAULT_HW
-    membus = SharedBandwidth(sim, hw.membus_bandwidth)
-    inner = NullSimFilesystem(sim, hw, rng_for(seed, f"faultsweep/{mode}/{attempts}"))
-    backend = FaultySimFilesystem(inner, _fault_rules(mode, seed))
-    log = EventLog()
-    # threshold 2: the outage (2 failing ops) trips the breaker exactly
-    # when every attempt inside it has failed
-    config = CONFIG.with_(
-        retry=replace(RETRY, attempts=attempts), breaker_threshold=2
-    )
-    crfs = SimCRFS(sim, hw, config, backend, membus, observers=(log,))
-    errors: list[str] = []
-
-    def writer(name: str, stream: list[int]):
-        f = crfs.open(name)
-        for size in stream:
-            try:
-                yield from crfs.write(f, size)
-            except BackendIOError:
-                errors.append(f"{name}:write")
-                break
-        try:
-            yield from crfs.close(f)
-        except BackendIOError:
-            errors.append(f"{name}:close")
-
-    if attempts > 1:
-        # one file: the in-chunk retry chain rides out the outage
-        procs = [sim.spawn(writer("/rank0.img", sizes))]
-    else:
-        # no retries: each failing chunk latches its file; spread the
-        # stream over files so the breaker trips and later files probe
-        per_file = max(1, len(sizes) // 4)
-        streams = [sizes[i : i + per_file] for i in range(0, len(sizes), per_file)]
-        procs = [
-            sim.spawn(writer(f"/rank{i}.img", stream))
-            for i, stream in enumerate(streams)
-        ]
-    sim.run_until_complete(procs)
-    stats = crfs.stats()
-    total = sum(sizes)
-    recoveries = log.of(BackendRecovered)
-    return {
-        "plane": "timing",
-        "mode": mode,
-        "attempts": attempts,
-        "goodput": (stats["bytes_out"] + stats["write_through_bytes"]) / total
-        if total
-        else 0.0,
-        "retried": stats["resilience"]["chunks_retried"],
-        "latched": stats["resilience"]["errors_latched"],
-        "trips": stats["resilience"]["breaker_trips"],
-        "recoveries": stats["resilience"]["breaker_recoveries"],
-        "degraded_writes": stats["resilience"]["degraded_writes"],
-        "recovery_latency": recoveries[0].downtime if recoveries else 0.0,
-        "errors": len(errors),
-    }
-
-
-# -- tiered rows: deep-tier faults against the staging pump -------------------
-#
-# The per-tier resilience claim: a fault on the *deep* tier of a
-# staging chain is absorbed by that tier's own retry chain and breaker
-# — migrations strand ("durable at tier 0") instead of dragging the
-# mount into write-through, and the mount-level resilience counters
-# never move.  Single pump thread and batch size 1 keep the deep-tier
-# fault schedule in seal order, so every counter below is
-# workload-determined and comparable across planes.
-
-#: The tier counters a free-running (ungated) run still determines:
-#: everything except the pump-queue depth gauge and time-valued fields.
-_TIER_COMPARED = (
-    "chunks_staged",
-    "bytes_staged",
-    "chunks_migrated",
-    "bytes_migrated",
-    "chunks_stranded",
-    "bytes_stranded",
-    "migrate_errors",
-    "migrate_retries",
-    "breaker_trips",
-    "breaker_recoveries",
-)
-
-
-def _tier_fault_rules(mode: str) -> list[FaultRule]:
-    """Deep-tier fault axis (applies to migration pwrites only)."""
-    if mode == "tier_transient":
-        # every odd deep write fails: with retries each migration rides
-        # it out; without, odd extents strand and even ones land
-        return [FaultRule(op="pwrite", nth=1, period=2, error=OSError("EIO"))]
-    if mode == "tier_dead":
+        "transient": (FaultRule("pwrite", period=2, error=EIO),),
+        "flaky": (FaultRule("pwrite", p=0.3, seed=seed, error=EIO),),
+        # ops 1..2 fail, then the backend heals: a bounded outage
+        "outage": (FaultRule("pwrite", until=2, every=True, error=EIO),),
+        # Deep-tier faults hit migrations only.  Every odd deep write
+        # fails: with retries each migration rides it out; without, odd
+        # extents strand and even ones land.
+        "tier_transient": (FaultRule("pwrite", period=2, error=EIO),),
         # the deep store never comes back: everything strands at tier 0
-        return [FaultRule(op="pwrite", nth=1, every=True, error=OSError("EIO"))]
-    raise ValueError(f"unknown tier fault mode {mode!r}")
-
-
-def _tier_config(attempts: int) -> CRFSConfig:
-    return CONFIG.with_(
-        retry=replace(RETRY, attempts=attempts),
-        breaker_threshold=2,
-        tier_pump_threads=1,
-        tier_pump_batch_chunks=1,
-    )
-
-
-def _tier_row_fields(stats: dict, total: int, sync_errors: int) -> dict:
-    per_tier = stats["tiers"]["per_tier"]
-    return {
-        "deep_goodput": per_tier["1"]["bytes_staged"] / total,
-        "stranded": per_tier["1"]["chunks_stranded"],
-        "migrate_retries": per_tier["1"]["migrate_retries"],
-        "tier_trips": per_tier["1"]["breaker_trips"],
-        "mount_retried": stats["resilience"]["chunks_retried"],
-        "mount_trips": stats["resilience"]["breaker_trips"],
-        "sync_errors": sync_errors,
-        "compared": {
-            level: {k: counters[k] for k in _TIER_COMPARED}
-            for level, counters in per_tier.items()
-        },
+        "tier_dead": (FaultRule("pwrite", every=True, error=EIO),),
     }
+    table = []
+    for mode, rules in faults.items():
+        tiered = mode.startswith("tier_")
+        # A seeded schedule may exhaust a chunk's retries at some seed.
+        promised = all(rule.p is None for rule in rules)
+        for attempts in ATTEMPTS:
+            # The free-running pump's queue-depth gauge is a race.
+            drop = ("tiers.per_tier.*.pump_queue_max",) if tiered else ()
+            if tiered and attempts == 1:
+                # The timing plane's files are append streams: an extent
+                # landing after a stranded one is recorded at the append
+                # position, not at its offset.
+                drop += ("backend_writes",)
+            if tiered or (promised and (attempts > 1 or not rules)):
+                # Every byte lands (a tier cell's at tier 0); a strand
+                # fails the fsync once.
+                steps = script(total, read=True)
+                raised = int(tiered and (attempts == 1 or mode == "tier_dead"))
+            else:
+                # A chunk may fail for good and latch its file, and a later
+                # write to that file would race the latch.  So each chunk
+                # is a file of its own, closed before the next is written:
+                # the outage's first chunk latches, its second trips the
+                # breaker, and the third file's write is the degraded
+                # probe.  A file whose every attempt fails raises once, at
+                # its close (or, as a probe, at its write).
+                sizes = [CHUNK] * (total // CHUNK) + [total % CHUNK]
+                steps = sum((script(n, f"/rank{i}.img") for i, n in enumerate(sizes)), ())
+                schedule = FaultSchedule(rules)
+                raised = sum(
+                    all(schedule.decide("pwrite")[1] for _ in range(attempts)) for _ in sizes
+                )
+            table.append(
+                Arm(
+                    f"{mode}_x{attempts}",
+                    CONFIG.with_(retry=replace(RETRY, attempts=attempts)),
+                    steps,
+                    fields=FIELDS,
+                    drop=drop,
+                    rules=rules,
+                    faulty_tier=1 if tiered else None,
+                    expect_errors=raised,
+                    checks=claims(mode, attempts, total, steps),
+                )
+            )
+    return {arm.name: arm for arm in table}
 
 
-def _functional_tier_row(mode: str, attempts: int, sizes: list[int]) -> dict:
-    tier0 = MemBackend()
-    deep_mem = MemBackend()
-    deep = FaultyBackend(deep_mem, _tier_fault_rules(mode), sleep=lambda s: None)
-    path = "/rank0.img"
-    sync_errors = 0
-    with CRFS(TieredBackend([tier0, deep]), _tier_config(attempts)) as fs:
-        f = fs.open(path)
-        for size in sizes:
-            f.write(b"\xa5" * size)
-        try:
-            # Durability through the deepest tier: waits out the pump,
-            # surfaces the strand error when the deep tier is gone.
-            f.fsync()
-        except OSError:
-            sync_errors += 1
-        f.close()
-        stats = fs.stats()
-    deep_size = deep_mem.stat(path).size if deep_mem.exists(path) else 0
-    row = {"plane": "functional", "mode": mode, "attempts": attempts}
-    row.update(_tier_row_fields(stats, sum(sizes), sync_errors))
-    row["deep_content"] = (
-        deep_mem.pread(deep_mem.open(path, create=False), deep_size, 0)
-        if deep_size
-        else b""
-    )
-    row["tier0_content"] = tier0.pread(
-        tier0.open(path, create=False), tier0.stat(path).size, 0
-    )
-    return row
-
-
-def _timing_tier_row(mode: str, attempts: int, sizes: list[int], seed: int) -> dict:
-    sim = Simulator()
-    hw = DEFAULT_HW
-    membus = SharedBandwidth(sim, hw.membus_bandwidth)
-    deep = FaultySimFilesystem(
-        NullSimFilesystem(sim, hw, rng_for(seed, f"faultsweep/{mode}/deep")),
-        _tier_fault_rules(mode),
-    )
-    backend = TieredSimFilesystem(
-        [NullSimFilesystem(sim, hw, rng_for(seed, f"faultsweep/{mode}/t0")), deep]
-    )
-    crfs = SimCRFS(sim, hw, _tier_config(attempts), backend, membus)
-    sync_errors = [0]
-
-    def writer():
-        f = crfs.open("/rank0.img")
-        for size in sizes:
-            yield from crfs.write(f, size)
-        try:
-            yield from crfs.fsync(f)
-        except OSError:
-            sync_errors[0] += 1
-        yield from crfs.close(f)
-
-    sim.run_until_complete([sim.spawn(writer())])
-    sim.run_until_complete([sim.spawn(crfs.drain_staging(), name="drain")])
-    crfs.shutdown()
-    row = {"plane": "timing", "mode": mode, "attempts": attempts}
-    row.update(_tier_row_fields(crfs.stats(), sum(sizes), sync_errors[0]))
-    return row
+def row(arm: Arm, s: Snapshot, total: int) -> dict:
+    """A cell's table row, read off one plane's snapshot."""
+    res = s["resilience"]
+    if arm.faulty_tier is None:
+        return {
+            "goodput": (s["bytes_out"] + s["write_through_bytes"]) / total,
+            "retried": res["chunks_retried"],
+            "latched": res["errors_latched"],
+            "trips": res["breaker_trips"],
+            "recoveries": res["breaker_recoveries"],
+            "downtime_ms": s["downtime"][0] * 1e3 if s["downtime"] else None,
+        }
+    deep = s["tiers"]["per_tier"]["1"]
+    return {
+        "deep_goodput": deep["bytes_staged"] / total,
+        "migrate_retries": deep["migrate_retries"],
+        "stranded": deep["chunks_stranded"],
+        "tier_trips": deep["breaker_trips"],
+        "mount_retried": res["chunks_retried"],
+        "sync_errors": sum(arm.steps[i][0] == "fsync" for i, *_ in s["errors"]),
+    }
 
 
 def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
-    sizes = _workload(fast)
-    func_rows = [
-        _functional_row(mode, attempts, sizes, seed)
-        for mode in ("none", "transient", "flaky")
-        for attempts in (1, 4)
-    ]
-    timing_rows = [
-        _timing_row(mode, attempts, sizes, seed)
-        for mode in ("none", "outage")
-        for attempts in (1, 4)
-    ]
-    tier_cells = [
-        (mode, attempts)
-        for mode in ("tier_transient", "tier_dead")
-        for attempts in (1, 4)
-    ]
-    func_tier_rows = [
-        _functional_tier_row(mode, attempts, sizes) for mode, attempts in tier_cells
-    ]
-    timing_tier_rows = [
-        _timing_tier_row(mode, attempts, sizes, seed)
-        for mode, attempts in tier_cells
-    ]
-
-    table = TextTable(
-        [
-            "plane",
-            "fault mode",
-            "attempts",
-            "goodput",
-            "retried",
-            "latched",
-            "trips",
-            "recoveries",
-            "recovery latency",
-        ],
-        title="Fault rate x retry budget (goodput = landed/attempted bytes)",
+    total = checkpoint_bytes(fast)
+    modes = TextTable(
+        ["plane", "fault mode", "attempts", "goodput", "retried", "latched", "trips",
+         "recoveries", "recovery downtime (ms)"],
+        title="Fault mode x retry budget (goodput = landed/attempted bytes)",
     )
-    for row in func_rows + timing_rows:
-        table.add_row(
-            [
-                row["plane"],
-                row["mode"],
-                str(row["attempts"]),
-                f"{row['goodput']:.3f}",
-                str(row["retried"]),
-                str(row["latched"]),
-                str(row.get("trips", "-")),
-                str(row.get("recoveries", "-")),
-                f"{row['recovery_latency']:.4f}s"
-                if row.get("recovery_latency")
-                else "-",
-            ]
-        )
-
-    tier_table = TextTable(
-        [
-            "plane",
-            "deep-tier fault",
-            "attempts",
-            "deep goodput",
-            "migrate retries",
-            "stranded",
-            "tier-1 trips",
-            "mount retried",
-            "sync errors",
-        ],
-        title="Deep-tier fault x retry budget (tiered staging: a strand "
-        "means durable at tier 0, never mount write-through)",
+    tiers = TextTable(
+        ["plane", "deep-tier fault", "attempts", "deep goodput", "migrate retries",
+         "stranded", "tier-1 trips", "mount retried", "sync errors"],
+        title="Deep-tier fault x retry budget (tiered staging: a strand means "
+        "durable at tier 0, never mount write-through)",
     )
-    for row in func_tier_rows + timing_tier_rows:
-        tier_table.add_row(
-            [
-                row["plane"],
-                row["mode"],
-                str(row["attempts"]),
-                f"{row['deep_goodput']:.3f}",
-                str(row["migrate_retries"]),
-                str(row["stranded"]),
-                str(row["tier_trips"]),
-                str(row["mount_retried"]),
-                str(row["sync_errors"]),
-            ]
-        )
-
-    by = {(r["plane"], r["mode"], r["attempts"]): r for r in func_rows + timing_rows}
-    clean = by[("functional", "none", 1)]
-    recovered = by[("functional", "transient", 4)]
-    exhausted = by[("functional", "transient", 1)]
-    flaky = by[("functional", "flaky", 4)]
-    outage = by[("timing", "outage", 4)]
-    probe = by[("timing", "outage", 1)]
-
+    rows: list[dict] = []
+    diverged: dict[str, list[str]] = {}
+    held: dict[str, list[bool]] = {}
+    for arm in arms(seed, fast).values():
+        mode, attempts = arm.name.rsplit("_x", 1)
+        func, timing = play_threaded(arm), play_sim(arm, seed)
+        bad = mismatches(arm, func, timing)
+        if bad or schema(func) != schema(timing):
+            diverged[arm.name] = bad or ["schema"]
+        for what, ok in arm.checks:
+            held.setdefault(what, []).extend(bool(ok(s)) for s in (func, timing))
+        for plane, s in (("functional", func), ("timing", timing)):
+            fields = row(arm, s, total)
+            rows.append({"plane": plane, "mode": mode, "attempts": int(attempts), **fields})
+            cells = ["-" if v is None else f"{v:.3f}" if isinstance(v, float) else str(v)
+                     for v in fields.values()]
+            (modes if arm.faulty_tier is None else tiers).add_row([plane, mode, attempts, *cells])
     checks = [
         Check(
-            "no-fault rows are clean (goodput 1.0, nothing retried or latched)",
-            all(
-                by[k]["goodput"] == 1.0
-                and by[k]["retried"] == 0
-                and by[k]["latched"] == 0
-                for k in by
-                if k[1] == "none"
-            ),
+            "every cell: compared stats() fields, steps that raised and IO issued "
+            "identical across planes",
+            not diverged,
+            f"diverged: {diverged}" if diverged else f"{len(rows) // 2} cells match",
         ),
-        Check(
-            "retries ride out transient faults: every-pwrite-fails-once "
-            "completes with zero latched errors and byte-identical output",
-            recovered["latched"] == 0
-            and recovered["close_errors"] == 0
-            and recovered["retried"] > 0
-            and recovered["content"] == clean["content"],
-            f"retried {recovered['retried']} chunks",
-        ),
-        Check(
-            "with retries exhausted the error still latches and surfaces "
-            "at close()",
-            exhausted["latched"] > 0 and exhausted["close_errors"] > 0,
-            f"latched {exhausted['latched']}",
-        ),
-        Check(
-            "probabilistic faults exercise the retry path",
-            flaky["retried"] > 0,
-            f"retried {flaky['retried']}",
-        ),
-        Check(
-            "a bounded outage with retry budget trips the breaker and "
-            "recovers with zero latched errors",
-            outage["latched"] == 0
-            and outage["trips"] >= 1
-            and outage["recoveries"] >= 1
-            and outage["recovery_latency"] > 0
-            and outage["goodput"] == 1.0,
-            f"recovered after {outage['recovery_latency']:.4f}s virtual downtime",
-        ),
-        Check(
-            "without retries the outage latches, trips the breaker, and a "
-            "degraded write-through probe restores async mode",
-            probe["latched"] > 0
-            and probe["trips"] >= 1
-            and probe["degraded_writes"] >= 1
-            and probe["recoveries"] >= 1,
-            f"{probe['degraded_writes']} degraded write(s) probed the backend",
-        ),
+        *(Check(f"{what} (both planes)", all(oks)) for what, oks in held.items()),
     ]
-
-    tby = {
-        (r["plane"], r["mode"], r["attempts"]): r
-        for r in func_tier_rows + timing_tier_rows
-    }
-    t_recovered = tby[("functional", "tier_transient", 4)]
-    t_dead = tby[("functional", "tier_dead", 4)]
-    checks += [
-        Check(
-            "tier rows: workload-determined tier counters bit-identical "
-            "across planes in every cell",
-            all(
-                tby[("functional", mode, attempts)]["compared"]
-                == tby[("timing", mode, attempts)]["compared"]
-                for mode, attempts in tier_cells
-            ),
-            f"{len(tier_cells)} cells x {len(_TIER_COMPARED)} counters/tier",
-        ),
-        Check(
-            "per-tier retries ride out transient deep faults: zero strands "
-            "and the deep tier holds the image byte-identically",
-            t_recovered["stranded"] == 0
-            and t_recovered["sync_errors"] == 0
-            and t_recovered["migrate_retries"] == len(sizes)
-            and t_recovered["deep_content"] == t_recovered["tier0_content"],
-            f"retried {t_recovered['migrate_retries']} migration(s)",
-        ),
-        Check(
-            "a dead deep tier degrades to durable-at-tier-0: every extent "
-            "strands, the deep-durability fsync surfaces the error, and "
-            "tier 0 still holds the full image",
-            t_dead["stranded"] == len(sizes)
-            and t_dead["deep_goodput"] == 0.0
-            and t_dead["sync_errors"] == 1
-            and t_dead["deep_content"] == b""
-            and len(t_dead["tier0_content"]) == sum(sizes),
-            f"{t_dead['stranded']} extent(s) stranded at tier 0",
-        ),
-        Check(
-            "breaker attribution stays on the faulty tier: mount-level "
-            "resilience counters never move in any tier cell, and only "
-            "the dead deep tier trips its breaker",
-            all(
-                r["mount_retried"] == 0 and r["mount_trips"] == 0
-                for r in tby.values()
-            )
-            and all(
-                tby[(plane, "tier_dead", attempts)]["tier_trips"] == 1
-                for plane in ("functional", "timing")
-                for attempts in (1, 4)
-            )
-            and all(
-                tby[(plane, "tier_transient", 4)]["tier_trips"] == 0
-                for plane in ("functional", "timing")
-            ),
-            "tier-1 breaker only; resilience section untouched",
-        ),
-    ]
-    measured = {
-        "rows": [
-            {k: v for k, v in row.items() if k != "content"}
-            for row in func_rows + timing_rows
-        ],
-        "tier_rows": [
-            {
-                k: v
-                for k, v in row.items()
-                if k not in ("deep_content", "tier0_content", "compared")
-            }
-            for row in func_tier_rows + timing_tier_rows
-        ],
-    }
     return ExperimentResult(
         name="faultsweep",
         title="Writeback resilience: fault rate x retry budget",
-        table=table.render() + "\n\n" + tier_table.render(),
-        measured=measured,
+        table=modes.render() + "\n\n" + tiers.render(),
+        measured={"rows": rows},
         paper=PAPER,
         checks=checks,
     )

@@ -455,8 +455,10 @@ class SimCRFS:
         On a tiered mount a file with migrations still in flight defers
         the backend close to the pump process that pays its last debt —
         close never waits for deep tiers (mirror of
-        ``TieredBackend.close``)."""
-        yield from self.flush_drain(f)
+        ``TieredBackend.close``).  A latched writeback error is raised
+        once the file is released, as on the threaded plane."""
+        yield from flush(self, f)
+        yield from self._wait_drained(f)
         if f.read_cache is not None:
             # Teardown: cached-but-unused prefetches are
             # waste-accounted, pool slots go back.
@@ -468,6 +470,7 @@ class SimCRFS:
         else:
             yield from self.backend.close(f.backend_file)
         self.kernel.file_closed(f.path, tenant=f.tenant)
+        f.pipeline.raise_latched()
 
     def fsync(self, f: SimCRFSFile):
         """Generator: Section IV-D2 fsync — flush, drain, backend fsync.

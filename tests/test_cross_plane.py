@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.backends import FaultRule
 from repro.config import CRFSConfig
+from repro.experiments import faultsweep
 from repro.experiments.crossplane import (
     Arm,
     arms,
@@ -382,11 +383,12 @@ class TestCrossPlaneDeltaDifferential:
 
 
 class TestArmTable:
-    """The table's remaining arms, each with its own expectations."""
+    """The crossplane table's remaining arms and every cell of the fault
+    sweep's, each with its own expectations."""
 
-    @pytest.mark.parametrize("name", ["main", "adaptive", "tenants"])
+    @pytest.mark.parametrize("name", ["main", "adaptive", "tenants", *faultsweep.arms()])
     def test_arm_agrees_and_holds(self, name):
-        arm = arms()[name]
+        arm = {**arms(), **faultsweep.arms()}[name]
         func, timing = both(arm)
         assert schema(func) == schema(timing)
         holds(arm, func)

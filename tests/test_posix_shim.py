@@ -165,6 +165,38 @@ class TestIO:
         with pytest.raises(BadFileDescriptor):
             px.close(fd)
 
+    def test_racing_close_rejected(self, rig):
+        """A second close of the fd lands the moment the first releases
+        the fd table's lock after its lookup: exactly one close gets the
+        handle, the other reports a bad fd (not a ``KeyError``)."""
+        px, _ = rig
+        fd = px.open("/f", O_CREAT)
+        outcomes = []
+
+        def close():
+            try:
+                px.close(fd)
+                outcomes.append("closed")
+            except BadFileDescriptor:
+                outcomes.append("EBADF")
+
+        class RaceOnRelease:
+            def __init__(self, lock):
+                self.lock, self.race = lock, close
+
+            def __enter__(self):
+                return self.lock.__enter__()
+
+            def __exit__(self, *exc):
+                self.lock.__exit__(*exc)
+                race, self.race = self.race, None
+                if race is not None:
+                    race()
+
+        px._lock = RaceOnRelease(px._lock)
+        close()
+        assert sorted(outcomes) == ["EBADF", "closed"]
+
 
 class TestNamespace:
     def test_mkdir_listdir_rename_unlink(self, rig):
