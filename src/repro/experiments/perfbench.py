@@ -1,22 +1,22 @@
 """Perf-harness self-check (repository artifact, not a paper figure).
 
-The perf-regression gate (:mod:`repro.perf`) is only trustworthy if the
-sim plane is actually deterministic and the comparator actually trips.
-This experiment proves both, the same way ``crossplane`` proves kernel
-parity: run the scenario suite twice at the same seed and require
-byte-identical metric sections, self-compare (must pass the gate), then
-inject a 20% goodput drop and require the gate to fail.
+The perf-regression gate (``python -m repro.perf check``) compares a
+fresh run with the committed baseline exactly, so it is only
+trustworthy if the sim plane is actually deterministic and each
+scenario's machinery actually engaged.  This experiment proves both:
+run the scenario suite twice at the same seed and require byte-identical
+metric sections, then require each subsystem scenario to have done its
+work (tenants drained, tiers staged, prefetches issued, chains restored)
+and each optimisation to beat its knocked-out ablation.
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
+import json
 
-from ..perf.compare import compare_artifacts
 from ..perf.runner import run_scenario_sim, run_suite
 from ..perf.scenarios import SCENARIOS
-from ..perf.schema import build_artifact, canonical_metrics
 from ..util.tables import TextTable
 from .base import Check, ExperimentResult
 from .common import DEFAULT_SEED
@@ -28,14 +28,14 @@ PAPER = {
 
 
 def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
-    first = build_artifact(run_suite(seed, fast=fast), seed=seed, fast=fast)
-    second = build_artifact(run_suite(seed, fast=fast), seed=seed, fast=fast)
+    first = run_suite(seed, fast=fast)
+    second = run_suite(seed, fast=fast)
 
     table = TextTable(
         ["scenario", "goodput MiB/s", "write p95 s", "chunks", "drain s"],
         title="Perf harness, sim plane (deterministic, CI-gating)",
     )
-    for name, m in first["planes"]["sim"].items():
+    for name, m in first.items():
         table.add_row(
             [
                 name,
@@ -46,18 +46,10 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
             ]
         )
 
-    identical = canonical_metrics(first) == canonical_metrics(second)
-    self_report = compare_artifacts(second, first)
-
-    injected = copy.deepcopy(second)
-    victim = next(iter(injected["planes"]["sim"]))
-    injected["planes"]["sim"][victim]["goodput_mib_s"] *= 0.8
-    drop_report = compare_artifacts(injected, first)
-
+    identical = json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
     conserved = all(
-        m["stats"]["bytes_out"]
-        == m["bytes_in"] - m["stats"]["write_through_bytes"]
-        for m in first["planes"]["sim"].values()
+        m["stats"]["bytes_out"] == m["bytes_in"] - m["stats"]["write_through_bytes"]
+        for m in first.values()
     )
 
     # Readahead ablation: the restart scenario with the cache knocked
@@ -79,9 +71,7 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
     # Batching ablation: the coalesced-writeback scenario with the
     # gather knocked out (writeback_batch_chunks=1, every chunk its own
     # backend op) must be measurably slower — the virtual-clock proof
-    # the drain-stage gather pays for itself.  Substituting the
-    # unbatched metrics into the artifact must then trip the gate: the
-    # committed baseline really does pin batching on.
+    # the drain-stage gather pays for itself.
     bw = SCENARIOS["batched_writeback"]
     bw_on = run_scenario_sim(bw, seed=seed, fast=fast)
     bw_off = run_scenario_sim(
@@ -94,18 +84,12 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
     bw_gain = bw_on["goodput_mib_s"] / bw_off["goodput_mib_s"] - 1.0
     bw_batch = bw_on["stats"]["batch"]
 
-    unbatched = copy.deepcopy(second)
-    unbatched["planes"]["sim"]["batched_writeback"] = bw_off
-    unbatched_report = compare_artifacts(unbatched, first)
-
     # Delta ablation: the LLM cadence scenario with incremental
     # checkpointing knocked out (delta_dirty_fraction=1.0 — every
     # generation a full rewrite) must move ~3x the bytes through the
     # pipeline; the virtual-clock proof the delta path pays for itself,
     # gated at dirty_fraction + 0.1 so the manifest/bookkeeping overhead
-    # stays honest.  Substituting the full-rewrite metrics into the
-    # artifact must then trip the compare gate (bytes_in is exact):
-    # the committed baseline really does pin delta on.
+    # stays honest.
     lc = SCENARIOS["llm_cadence"]
     lc_on = run_scenario_sim(lc, seed=seed, fast=fast)
     lc_off = run_scenario_sim(
@@ -116,26 +100,13 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
     lc_bytes_ratio = lc_delta["bytes_written"] / lc_full["bytes_written"]
     lc_restore_ratio = lc_on["restore_span_s"] / lc_off["restore_span_s"]
 
-    full_rewrite = copy.deepcopy(second)
-    full_rewrite["planes"]["sim"]["llm_cadence"] = lc_off
-    full_rewrite_report = compare_artifacts(full_rewrite, first)
-
     # Zero-copy gate: the dedicated sequential-write scenario must pay
     # exactly one copy per ingested byte — the Chunk.append snapshot —
     # so bytes-copied-per-byte-written is 1.0 within ε, with zero
-    # read_boundary/fetch traffic on a write-only run.  Then prove the
-    # gate has teeth: inflate bytes_copied by stats["bytes_out"] (the
-    # exact signature of one redundant bytes() per drained chunk
-    # sneaking back into the hot path) and require compare to trip on
-    # (zero_copy, bytes_copied).
-    zc = first["planes"]["sim"]["zero_copy"]
+    # read_boundary/fetch traffic on a write-only run.
+    zc = first["zero_copy"]
     zc_mem = zc["stats"]["mem"]
     zc_ratio = zc_mem["bytes_copied"] / zc["bytes_in"]
-
-    copy_regressed = copy.deepcopy(second)
-    zc_victim = copy_regressed["planes"]["sim"]["zero_copy"]
-    zc_victim["bytes_copied"] += zc_victim["stats"]["bytes_out"]
-    copy_report = compare_artifacts(copy_regressed, first)
 
     # Restart-storm ablation: under contention (4 ranks, one tight
     # shared cache) a window as wide as the cache allows (current chunk
@@ -164,6 +135,14 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
     adaptive_vs_off = st_off["restore_span_s"] / st_ad["restore_span_s"] - 1.0
     static_vs_off = st_off["restore_span_s"] / st_static["restore_span_s"] - 1.0
 
+    # The subsystem scenarios' machinery engaged on the fresh run: an
+    # exact check against a baseline pinned with it idle would pass.
+    tenants = first["tenant_storm"]["stats"]["tenants"]
+    tiers = first["tiered_staging"]["stats"]["tiers"]
+    deep = tiers["per_tier"].get("1", {})
+    storm_read = first["restart_storm"]["stats"]["read"]
+    lc_fresh = first["llm_cadence"]["stats"]["delta"]
+
     checks = [
         Check(
             "two same-seed sim runs are byte-identical",
@@ -171,17 +150,6 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
             "canonical metric sections match"
             if identical
             else "metric sections diverged",
-        ),
-        Check(
-            "self-comparison passes the gate",
-            self_report.ok,
-            f"{len(self_report.regressions)} regression(s)",
-        ),
-        Check(
-            "an injected 20% goodput drop fails the gate",
-            not drop_report.ok
-            and any(d.metric == "goodput_mib_s" for d in drop_report.regressions),
-            f"regressions: {[(d.scenario, d.metric) for d in drop_report.regressions]}",
         ),
         Check(
             "every scenario conserved its byte stream",
@@ -192,7 +160,7 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
             "drain time is surfaced by the stats registry",
             all(
                 m["drain_waits"] >= 1 and m["stats"]["drain"]["shutdown_drains"] == 1
-                for m in first["planes"]["sim"].values()
+                for m in first.values()
             ),
             "drain section populated in every scenario",
         ),
@@ -265,16 +233,6 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
             f"({lc_restore_ratio:.2f}x)",
         ),
         Check(
-            "substituting the full-rewrite arm trips the compare gate",
-            not full_rewrite_report.ok
-            and any(
-                d.scenario == "llm_cadence" and d.metric == "bytes_in"
-                for d in full_rewrite_report.regressions
-            ),
-            f"regressions: "
-            f"{[(d.scenario, d.metric) for d in full_rewrite_report.regressions]}",
-        ),
-        Check(
             "zero-copy write path: exactly one copy per ingested byte "
             "(bytes_copied/bytes_in <= 1.0 + eps)",
             zc_ratio <= 1.0 + 1e-9
@@ -293,36 +251,41 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
                     s["bytes"] for s in m["stats"]["mem"]["by_site"].values()
                 )
                 and m["bytes_copied"] == m["stats"]["mem"]["bytes_copied"]
-                for m in first["planes"]["sim"].values()
+                for m in first.values()
             ),
             "mem.bytes_copied matches its by_site decomposition everywhere",
         ),
         Check(
-            "an injected per-chunk rematerialization trips the copy gate",
-            not copy_report.ok
-            and any(
-                d.scenario == "zero_copy" and d.metric == "bytes_copied"
-                for d in copy_report.regressions
-            ),
-            f"regressions: "
-            f"{[(d.scenario, d.metric) for d in copy_report.regressions]}",
+            "tenant storm: all three tenants ran and the storm tenant drained",
+            {"storm", "alice", "bob"} <= set(tenants)
+            and tenants["storm"]["chunks_written"] > 0,
+            f"tenants {sorted(tenants)}, storm drained "
+            f"{tenants.get('storm', {}).get('chunks_written', 0)} chunk(s)",
         ),
         Check(
-            "disabling batching fails the goodput gate",
-            not unbatched_report.ok
-            and any(
-                d.scenario == "batched_writeback" and d.metric == "goodput_mib_s"
-                for d in unbatched_report.regressions
-            ),
-            f"regressions: "
-            f"{[(d.scenario, d.metric) for d in unbatched_report.regressions]}",
+            "tiered staging: 2 tiers, the deep tier staged chunks, none stranded",
+            tiers["levels"] == 2
+            and deep.get("chunks_staged", 0) > 0
+            and deep.get("chunks_stranded") == 0,
+            f"levels {tiers['levels']}, deep tier: {deep}",
+        ),
+        Check(
+            "storm restore prefetched",
+            storm_read["prefetched"] > 0,
+            f"{storm_read['prefetched']} prefetch(es)",
+        ),
+        Check(
+            "llm cadence restored from the chain through reassembly runs",
+            lc_fresh["restores"] > 0 and lc_fresh["reassembly_reads"] > 0,
+            f"{lc_fresh['restores']} restore(s), "
+            f"{lc_fresh['reassembly_reads']} reassembly read(s)",
         ),
     ]
     return ExperimentResult(
         name="perfbench",
         title="Perf-regression harness self-check (sim-plane determinism + gate)",
         table=table.render(),
-        measured={"first": first["planes"]["sim"], "identical": identical},
+        measured={"first": first, "identical": identical},
         paper=PAPER,
         checks=checks,
     )

@@ -5,45 +5,28 @@ contended medium writes into a few large sequential ones — so the repo
 tracks a machine-readable perf trajectory alongside correctness.  This
 package runs a curated scenario set (:mod:`~repro.perf.scenarios`) on
 :class:`~repro.simcrfs.SimCRFS` and its virtual clock: noise-free and
-bit-reproducible, so these numbers *gate* CI — a regression beyond
-per-metric tolerance fails the build.  The threaded plane's wall clock
-is ``bench/``'s job (``python3 -m bench.run``).
+bit-reproducible, so the gate is exact — any number that moves against
+the committed baseline fails it (:mod:`~repro.perf.artifact`).  The
+threaded plane's wall clock is ``bench/``'s job (``python3 -m bench.run``).
 
-``python -m repro.perf`` exposes ``run`` (emit a schema-versioned
-``BENCH_<timestamp>.json`` artifact), ``compare`` (diff an artifact
-against the committed ``benchmarks/baselines/baseline.json``, nonzero
-exit on regression), ``check-baseline`` and ``update-baseline``.
+``python -m repro.perf`` exposes ``run`` (write one artifact) and
+``check`` (re-run at the committed ``benchmarks/baselines/baseline.json``'s
+seed and size class; exit 1 and print every path that differs).
 """
 
-from .compare import ComparisonReport, MetricDelta, compare_artifacts, render_report
+from .artifact import ArtifactError, build_artifact, check, diff, dump_artifact, load_artifact
 from .runner import run_scenario_sim, run_suite
 from .scenarios import SCENARIOS, Scenario
-from .schema import (
-    SCHEMA_VERSION,
-    ArtifactError,
-    artifact_filename,
-    build_artifact,
-    canonical_metrics,
-    dump_artifact,
-    load_artifact,
-    validate_artifact,
-)
 
 __all__ = [
     "ArtifactError",
-    "ComparisonReport",
-    "MetricDelta",
     "SCENARIOS",
-    "SCHEMA_VERSION",
     "Scenario",
-    "artifact_filename",
     "build_artifact",
-    "canonical_metrics",
-    "compare_artifacts",
+    "check",
+    "diff",
     "dump_artifact",
     "load_artifact",
-    "render_report",
     "run_scenario_sim",
     "run_suite",
-    "validate_artifact",
 ]

@@ -1,7 +1,6 @@
 """Scenario execution on the sim plane.
 
-One scenario run produces one metric block (see
-:data:`~repro.perf.schema.REQUIRED_METRICS`): goodput, write/chunk
+One scenario run produces one metric block: goodput, write/chunk
 latency percentiles off the pipeline's event log, chunk counts, drain time
 from the stats registry's ``drain`` section, copy counts from its
 ``mem`` section, and the full ``stats()`` snapshot.
@@ -30,11 +29,11 @@ from ..simio.params import DEFAULT_HW
 from ..simio.tiered import TieredSimFilesystem
 from ..units import MiB
 from ..util.rng import rng_for
-from ..util.stats import nearest_rank as percentile
+from ..util.stats import nearest_rank
 from ..workloads import LLMCadenceWorkload
-from .scenarios import Scenario, default_scenarios
+from .scenarios import SCENARIOS, Scenario
 
-__all__ = ["percentile", "run_scenario_sim", "run_suite"]
+__all__ = ["run_scenario_sim", "run_suite"]
 
 
 def _metrics(
@@ -53,10 +52,10 @@ def _metrics(
         "writes": nwrites,
         "elapsed_s": elapsed,
         "goodput_mib_s": (total_bytes / MiB) / elapsed if elapsed > 0 else 0.0,
-        "write_latency_p50_s": percentile(writes, 50),
-        "write_latency_p95_s": percentile(writes, 95),
-        "chunk_write_p50_s": percentile(chunks, 50),
-        "chunk_write_p95_s": percentile(chunks, 95),
+        "write_latency_p50_s": nearest_rank(writes, 50),
+        "write_latency_p95_s": nearest_rank(writes, 95),
+        "chunk_write_p50_s": nearest_rank(chunks, 50),
+        "chunk_write_p95_s": nearest_rank(chunks, 95),
         "chunks_queued": stats["queue"]["puts"],
         "chunks_written": stats["chunks_written"],
         "drain_waits": stats["drain"]["waits"],
@@ -70,8 +69,6 @@ def _metrics(
     if restore_marks:
         # Read-back scenarios: time-to-last-restore (first restart to
         # last byte delivered) and the slowest single rank's restore.
-        # Extra keys beside REQUIRED_METRICS — recorded in the artifact,
-        # gated by the perfbench ablation checks rather than compare.
         starts = [t0 for t0, _ in restore_marks]
         ends = [t1 for _, t1 in restore_marks]
         out["restore_span_s"] = max(ends) - min(starts)
@@ -201,10 +198,6 @@ def run_scenario_sim(scenario: Scenario, seed: int, fast: bool = False) -> dict[
     )
 
 
-def run_suite(
-    seed: int,
-    fast: bool = False,
-    scenario_names: list[str] | None = None,
-) -> dict[str, dict[str, Any]]:
+def run_suite(seed: int, fast: bool = False) -> dict[str, dict[str, Any]]:
     """Run the scenario set: ``{scenario: metrics}``."""
-    return {s.name: run_scenario_sim(s, seed, fast) for s in default_scenarios(scenario_names)}
+    return {name: run_scenario_sim(s, seed, fast) for name, s in SCENARIOS.items()}

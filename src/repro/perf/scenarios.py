@@ -61,7 +61,7 @@ from ..config import CRFSConfig, RetryPolicy, TenantSpec
 from ..units import KiB, MiB
 from ..util.rng import rng_for
 
-__all__ = ["SCENARIOS", "Scenario", "default_scenarios"]
+__all__ = ["SCENARIOS", "Scenario"]
 
 #: Fast, bounded backoff, matching the resilience test suite's knobs.
 _FAST_RETRY = dict(backoff=1e-4, backoff_max=1e-3, jitter=0.0)
@@ -323,13 +323,3 @@ SCENARIOS: dict[str, Scenario] = {
         ),
     )
 }
-
-
-def default_scenarios(names: list[str] | None = None) -> list[Scenario]:
-    """Resolve scenario names (all of them when ``names`` is falsy)."""
-    if not names:
-        return list(SCENARIOS.values())
-    unknown = [n for n in names if n not in SCENARIOS]
-    if unknown:
-        raise KeyError(f"unknown scenario(s) {unknown}; know {sorted(SCENARIOS)}")
-    return [SCENARIOS[n] for n in names]

@@ -1,10 +1,11 @@
-"""Perf-regression harness: schema, determinism, comparator, CLI, and
-the drain-time counters it reads from the stats registry.
+"""Perf-regression harness: the artifact file, determinism, the exact
+check, the CLI, and the drain-time counters it reads from the stats
+registry.
 
-The contract under test (per ISSUE 3's acceptance criteria): two
-sim-plane runs at the same seed produce byte-identical metric sections,
-``compare`` passes on identical artifacts, and an injected 20% goodput
-drop (or any gated-counter drift) exits nonzero.
+The contract under test: two sim-plane runs at the same seed produce
+byte-identical artifacts, and ``python -m repro.perf check`` re-runs the
+suite at the baseline's seed and fails, naming the path, on any number
+that differs from the baseline beyond float summation order.
 """
 
 import copy
@@ -15,23 +16,22 @@ import pytest
 from repro.backends import MemBackend
 from repro.config import CRFSConfig
 from repro.core import CRFS
-from repro.perf.cli import check_baseline, main as perf_main
-from repro.perf.compare import POLICIES, MetricPolicy, compare_artifacts, render_report
-from repro.perf.runner import percentile, run_scenario_sim, run_suite
-from repro.perf.scenarios import SCENARIOS, default_scenarios
-from repro.perf.schema import (
-    REQUIRED_METRICS,
-    SCHEMA_VERSION,
+from repro.perf.artifact import (
     ArtifactError,
-    artifact_filename,
     build_artifact,
-    canonical_metrics,
+    check,
+    diff,
     dump_artifact,
     load_artifact,
 )
+from repro.perf.cli import main as perf_main
+from repro.perf.runner import run_scenario_sim, run_suite
+from repro.perf.scenarios import SCENARIOS
 from repro.units import KiB
+from repro.util.stats import nearest_rank as percentile
 
 SEED = 2011
+COMMITTED = "benchmarks/baselines/baseline.json"
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +40,18 @@ def sim_artifact():
     return build_artifact(run_suite(SEED, fast=True), seed=SEED, fast=True)
 
 
-# -- schema -------------------------------------------------------------------
+def _planes_diff(new_artifact, baseline):
+    return diff(new_artifact["planes"], baseline["planes"], "planes")
+
+
+def _check_cli(baseline, tmp_path, capsys):
+    """``check`` against ``baseline`` written to a file: (exit, stdout)."""
+    path = dump_artifact(baseline, tmp_path / "baseline.json")
+    code = perf_main(["check", "--baseline", str(path)])
+    return code, capsys.readouterr().out
+
+
+# -- the artifact file --------------------------------------------------------
 
 
 class TestSchema:
@@ -48,33 +59,45 @@ class TestSchema:
         path = dump_artifact(sim_artifact, tmp_path / "BENCH_test.json")
         assert load_artifact(path) == sim_artifact
 
-    def test_artifact_filename_is_compact_stamp(self):
-        assert artifact_filename("2026-08-05T12:00:00Z") == "BENCH_20260805T120000Z.json"
-
     def test_every_required_metric_present(self, sim_artifact):
+        # what the run summary table and perfbench read off every scenario
         for name, metrics in sim_artifact["planes"]["sim"].items():
-            for metric in REQUIRED_METRICS:
+            for metric in (
+                "bytes_in",
+                "goodput_mib_s",
+                "write_latency_p50_s",
+                "write_latency_p95_s",
+                "chunks_written",
+                "drain_waits",
+                "drain_time_s",
+                "bytes_copied",
+                "stats",
+            ):
                 assert metric in metrics, (name, metric)
-            assert "stats" in metrics
 
-    def test_unknown_schema_version_rejected(self, sim_artifact, tmp_path):
-        bad = copy.deepcopy(sim_artifact)
-        bad["schema_version"] = SCHEMA_VERSION + 1
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(bad))
-        with pytest.raises(ArtifactError, match="schema version"):
-            load_artifact(path)
+    def test_header_is_seed_fast_planes(self, sim_artifact):
+        assert set(sim_artifact) == {"seed", "fast", "planes"}
+        assert (sim_artifact["seed"], sim_artifact["fast"]) == (SEED, True)
 
     def test_missing_metric_rejected(self, sim_artifact):
         bad = copy.deepcopy(sim_artifact)
         del bad["planes"]["sim"]["single_writer_seq"]["goodput_mib_s"]
-        with pytest.raises(ArtifactError, match="goodput_mib_s"):
-            dump_artifact(bad, "/dev/null")
+        assert _planes_diff(bad, sim_artifact) == [
+            "planes.sim.single_writer_seq.goodput_mib_s: "
+            "in the baseline, missing from this run"
+        ]
 
     def test_non_json_rejected(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("not json {")
         with pytest.raises(ArtifactError, match="not JSON"):
+            load_artifact(path)
+
+    @pytest.mark.parametrize("body", [[], {"seed": 1, "fast": False}, {"seed": "1"}])
+    def test_json_that_is_not_an_artifact_rejected(self, tmp_path, body):
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(body))
+        with pytest.raises(ArtifactError, match="not a perf artifact"):
             load_artifact(path)
 
     def test_missing_file_rejected(self, tmp_path):
@@ -85,8 +108,7 @@ class TestSchema:
     def test_any_plane_but_sim_rejected(self, sim_artifact, planes):
         bad = copy.deepcopy(sim_artifact)
         bad["planes"] = {p: copy.deepcopy(sim_artifact["planes"]["sim"]) for p in planes}
-        with pytest.raises(ArtifactError, match="sim plane alone"):
-            dump_artifact(bad, "/dev/null")
+        assert _planes_diff(sim_artifact, bad)
 
 
 # -- determinism --------------------------------------------------------------
@@ -95,92 +117,108 @@ class TestSchema:
 class TestDeterminism:
     def test_same_seed_sim_runs_byte_identical(self, sim_artifact):
         again = build_artifact(run_suite(SEED, fast=True), seed=SEED, fast=True)
-        assert canonical_metrics(sim_artifact) == canonical_metrics(again)
+        assert json.dumps(sim_artifact) == json.dumps(again)
 
     def test_different_seed_changes_metrics(self, sim_artifact):
         other = build_artifact(run_suite(SEED + 1, fast=True), seed=SEED + 1, fast=True)
-        assert canonical_metrics(sim_artifact) != canonical_metrics(other)
+        assert json.dumps(sim_artifact) != json.dumps(other)
 
     def test_scenario_sizes_are_seed_deterministic(self):
         s = SCENARIOS["single_writer_seq"]
         assert s.sizes(SEED, 0, True) == s.sizes(SEED, 0, True)
         assert s.sizes(SEED, 0, True) != s.sizes(SEED, 1, True)
 
-    def test_unknown_scenario_rejected(self):
-        with pytest.raises(KeyError, match="nonesuch"):
-            default_scenarios(["nonesuch"])
 
-
-# -- comparator ---------------------------------------------------------------
+# -- the exact comparison -----------------------------------------------------
 
 
 class TestCompare:
     def test_identical_artifacts_pass(self, sim_artifact):
-        report = compare_artifacts(sim_artifact, sim_artifact)
-        assert report.ok
-        assert not report.regressions
-        assert "gate: PASS" in render_report(report)
+        assert _planes_diff(sim_artifact, copy.deepcopy(sim_artifact)) == []
 
     def test_goodput_drop_20pct_fails(self, sim_artifact):
         slower = copy.deepcopy(sim_artifact)
-        slower["planes"]["sim"]["single_writer_seq"]["goodput_mib_s"] *= 0.8
-        report = compare_artifacts(slower, sim_artifact)
-        assert not report.ok
-        assert [(d.scenario, d.metric) for d in report.regressions] == [
-            ("single_writer_seq", "goodput_mib_s")
+        metrics = slower["planes"]["sim"]["single_writer_seq"]
+        metrics["goodput_mib_s"] *= 0.8
+        assert _planes_diff(slower, sim_artifact) == [
+            f"planes.sim.single_writer_seq.goodput_mib_s: baseline "
+            f"{sim_artifact['planes']['sim']['single_writer_seq']['goodput_mib_s']!r}, "
+            f"this run {metrics['goodput_mib_s']!r}"
         ]
-        assert "REGRESSION" in render_report(report)
-
-    def test_goodput_drop_within_tolerance_passes(self, sim_artifact):
-        slightly = copy.deepcopy(sim_artifact)
-        slightly["planes"]["sim"]["single_writer_seq"]["goodput_mib_s"] *= 0.95
-        assert compare_artifacts(slightly, sim_artifact).ok
-
-    def test_goodput_improvement_passes(self, sim_artifact):
-        faster = copy.deepcopy(sim_artifact)
-        faster["planes"]["sim"]["single_writer_seq"]["goodput_mib_s"] *= 1.5
-        assert compare_artifacts(faster, sim_artifact).ok
 
     def test_exact_counter_drift_fails(self, sim_artifact):
         drifted = copy.deepcopy(sim_artifact)
         drifted["planes"]["sim"]["fsync_heavy"]["chunks_written"] += 1
-        report = compare_artifacts(drifted, sim_artifact)
-        assert not report.ok
-        assert any(d.metric == "chunks_written" for d in report.regressions)
+        [line] = _planes_diff(drifted, sim_artifact)
+        assert line.startswith("planes.sim.fsync_heavy.chunks_written: ")
 
     def test_copy_counter_drift_fails(self, sim_artifact):
         drifted = copy.deepcopy(sim_artifact)
         drifted["planes"]["sim"]["zero_copy"]["bytes_copied"] += 1
-        report = compare_artifacts(drifted, sim_artifact)
-        assert [(d.scenario, d.metric) for d in report.regressions] == [
-            ("zero_copy", "bytes_copied")
-        ]
+        [line] = _planes_diff(drifted, sim_artifact)
+        assert line.startswith("planes.sim.zero_copy.bytes_copied: ")
 
     def test_missing_scenario_fails_gate(self, sim_artifact):
         shrunk = copy.deepcopy(sim_artifact)
         del shrunk["planes"]["sim"]["degraded_retry"]
-        report = compare_artifacts(shrunk, sim_artifact)
-        assert not report.ok
-        assert report.missing == ["degraded_retry"]
+        assert _planes_diff(shrunk, sim_artifact) == [
+            "planes.sim.degraded_retry: in the baseline, missing from this run"
+        ]
 
     def test_seed_mismatch_fails_gate(self, sim_artifact):
+        # check runs at the baseline's seed: numbers pinned at another
+        # seed than the header says cannot pass
         other = copy.deepcopy(sim_artifact)
         other["seed"] = SEED + 1
-        report = compare_artifacts(other, sim_artifact)
-        assert not report.ok
-        assert report.mismatches
+        assert check(other)
 
-    def test_every_required_metric_has_a_policy(self):
-        assert set(REQUIRED_METRICS) <= set(POLICIES)
+    def test_a_float_within_summation_order_passes(self):
+        assert diff(0.1 + 0.2 + 0.3, 0.3 + 0.2 + 0.1, "x") == []
+        assert diff(1.0 * (1 + 1e-12), 1.0, "x") == []
+        assert diff(1.0 * (1 + 1e-6), 1.0, "x") != []
+        assert diff(0.0, 1e-300, "x") != []
 
-    def test_policy_directions(self):
-        assert MetricPolicy("higher", 0.1).regressed(100.0, 80.0)
-        assert not MetricPolicy("higher", 0.1).regressed(100.0, 95.0)
-        assert MetricPolicy("lower", 0.1).regressed(1.0, 1.2)
-        assert not MetricPolicy("lower", 0.1, abs_floor=0.5).regressed(1.0, 1.2)
-        assert MetricPolicy("exact").regressed(3, 4)
-        with pytest.raises(ValueError, match="direction"):
-            MetricPolicy("sideways").regressed(1.0, 1.0)
+    def test_ints_bools_and_strings_must_be_equal(self):
+        big = 10**12
+        assert diff(big + 1, big, "x") == ["x: baseline 1000000000000, this run 1000000000001"]
+        assert diff(True, 1, "x") != []
+        assert diff("a", "b", "x") != []
+        assert diff([1, 2], [1, 2, 3], "x") != []
+        assert diff([1, 2.0], [1, 2.0 * (1 + 1e-12)], "x") == []
+        assert diff({"k": [0, 1]}, {"k": [0, 2]}, "x") == ["x.k[1]: baseline 2, this run 1"]
+
+
+# -- check: the drifts a tolerance table let through --------------------------
+
+
+class TestCheck:
+    """A drift edited into a baseline fails ``check``, which names its
+    path.  Both drifts here passed the old per-metric tolerance table
+    (goodput -10 %, latencies +15 %, no ``restore_span_s``, no
+    ``stats`` field); a wasted prefetch and a missing or extra scenario
+    are in :class:`TestCheckBaseline`."""
+
+    @pytest.mark.parametrize(
+        "scenario, metric, factor",
+        [("restart_storm", "restore_span_s", 1.5), ("batched_writeback", "goodput_mib_s", 0.91)],
+    )
+    def test_drift_fails_check_and_names_its_path(
+        self, sim_artifact, tmp_path, capsys, scenario, metric, factor
+    ):
+        # the run reads `factor` times what the baseline pins
+        baseline = copy.deepcopy(sim_artifact)
+        baseline["planes"]["sim"][scenario][metric] /= factor
+        code, out = _check_cli(baseline, tmp_path, capsys)
+        assert code == 1
+        assert f"planes.sim.{scenario}.{metric}: " in out
+        assert "check: FAIL, 1 path(s) differ" in out
+
+    def test_a_float_off_by_1e12_relative_passes(self, sim_artifact, tmp_path, capsys):
+        baseline = copy.deepcopy(sim_artifact)
+        baseline["planes"]["sim"]["batched_writeback"]["goodput_mib_s"] *= 1 + 1e-12
+        code, out = _check_cli(baseline, tmp_path, capsys)
+        assert code == 0, out
+        assert "check: PASS" in out
 
 
 # -- runner internals ---------------------------------------------------------
@@ -237,39 +275,60 @@ class TestDrainCounters:
 
 
 class TestCLI:
-    def test_run_compare_update_baseline_loop(self, tmp_path, capsys):
-        out = tmp_path / "artifacts"
-        baseline = tmp_path / "baseline.json"
-        assert (
-            perf_main(
-                ["run", "--fast", "--out", str(out), "--scenario", "single_writer_seq"]
-            )
-            == 0
-        )
-        artifacts = sorted(out.glob("BENCH_*.json"))
-        assert len(artifacts) == 1
-        assert (
-            perf_main(
-                ["update-baseline", "--fast", "--baseline", str(baseline),
-                 "--from-artifact", str(artifacts[0])]
-            )
-            == 0
-        )
-        assert (
-            perf_main(["compare", str(artifacts[0]), "--baseline", str(baseline)])
-            == 0
-        )
+    def test_run_check_loop(self, tmp_path, capsys):
+        out = tmp_path / "perf" / "BENCH.json"
+        assert perf_main(["run", "--fast", "--out", str(out)]) == 0
+        first = out.read_bytes()
+        # no timestamp: a second run writes the same bytes, so a re-pin
+        # of the committed baseline is a reviewable diff
+        assert perf_main(["run", "--fast", "--out", str(out)]) == 0
+        assert out.read_bytes() == first
         capsys.readouterr()
 
-    def test_compare_exits_nonzero_on_regression(self, tmp_path, capsys):
-        metrics = run_scenario_sim(SCENARIOS["single_writer_seq"], SEED, fast=True)
-        base = build_artifact({"single_writer_seq": metrics}, seed=SEED, fast=True)
-        slower = copy.deepcopy(base)
-        slower["planes"]["sim"]["single_writer_seq"]["goodput_mib_s"] *= 0.8
-        base_path = dump_artifact(base, tmp_path / "base.json")
-        new_path = dump_artifact(slower, tmp_path / "new.json")
-        assert perf_main(["compare", str(new_path), "--baseline", str(base_path)]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
+        assert perf_main(["check", "--baseline", str(out)]) == 0
+        assert "check: PASS" in capsys.readouterr().out
+
+        artifact = json.loads(first)
+        artifact["planes"]["sim"]["fsync_heavy"]["stats"]["drain"]["waits"] += 1
+        out.write_text(json.dumps(artifact))
+        assert perf_main(["check", "--baseline", str(out)]) == 1
+        printed = capsys.readouterr().out
+        assert "planes.sim.fsync_heavy.stats.drain.waits: " in printed
+        assert "check: FAIL, 1 path(s) differ" in printed
+
+    def test_run_compare_update_baseline_loop(self, tmp_path, capsys):
+        # compare is now check, and update-baseline is now run --out onto
+        # the baseline: a stale pin fails check until the re-pin
+        baseline = tmp_path / "baseline.json"
+        assert perf_main(["run", "--fast", "--out", str(baseline)]) == 0
+        stale = json.loads(baseline.read_text())
+        stale["planes"]["sim"]["restart_storm"]["restore_span_s"] *= 2
+        baseline.write_text(json.dumps(stale))
+        capsys.readouterr()
+        assert perf_main(["check", "--baseline", str(baseline)]) == 1
+        assert "planes.sim.restart_storm.restore_span_s: " in capsys.readouterr().out
+
+        assert perf_main(["run", "--fast", "--out", str(baseline)]) == 0
+        capsys.readouterr()
+        assert perf_main(["check", "--baseline", str(baseline)]) == 0
+        assert "check: PASS" in capsys.readouterr().out
+
+    def test_compare_exits_nonzero_on_regression(self, sim_artifact, tmp_path, capsys):
+        # llm_cadence's p95 write latency 14 % slower than pinned: inside
+        # the old +15 % latency tolerance, a failure for check
+        baseline = copy.deepcopy(sim_artifact)
+        baseline["planes"]["sim"]["llm_cadence"]["write_latency_p95_s"] /= 1.14
+        code, out = _check_cli(baseline, tmp_path, capsys)
+        assert code == 1
+        assert "planes.sim.llm_cadence.write_latency_p95_s: " in out
+
+    def test_compare_missing_artifact_exits_2(self, tmp_path, monkeypatch, capsys):
+        # the default baseline path, resolved in a directory that lacks it
+        monkeypatch.chdir(tmp_path)
+        assert perf_main(["check"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot load baseline: ") and "no such artifact" in err
+        assert "Traceback" not in err
 
     def test_plane_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -277,95 +336,90 @@ class TestCLI:
         assert exc.value.code == 2
         assert "--plane" in capsys.readouterr().err
 
-    def test_update_baseline_refuses_simless_artifact(self, sim_artifact, tmp_path, capsys):
-        realonly = dict(sim_artifact, planes={"real": sim_artifact["planes"]["sim"]})
-        path = tmp_path / "realonly.json"
-        path.write_text(json.dumps(realonly))
-        baseline = tmp_path / "b.json"
-        argv = ["update-baseline", "--from-artifact", str(path), "--baseline", str(baseline)]
-        assert perf_main(argv) == 2
-        assert not baseline.exists()
-        assert "sim plane alone" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "x.json"],
+            ["check-baseline"],
+            ["update-baseline"],
+            ["run", "--scenario", "zero_copy"],
+        ],
+    )
+    def test_only_run_and_check_remain(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            perf_main(argv)
+        assert exc.value.code == 2
+        capsys.readouterr()
 
-    def test_compare_missing_artifact_exits_2(self, tmp_path, capsys):
-        assert perf_main(["compare", str(tmp_path / "absent.json")]) == 2
-        assert "no such artifact" in capsys.readouterr().err
 
-
-# -- check-baseline: structural gate on the committed artifact ----------------
+# -- check against the baseline -----------------------------------------------
 
 
 class TestCheckBaseline:
     def test_committed_baseline_is_structurally_sound(self):
-        from repro.perf.cli import check_baseline
-
-        baseline = load_artifact("benchmarks/baselines/baseline.json")
-        assert check_baseline(baseline) == []
+        baseline = load_artifact(COMMITTED)
+        assert set(baseline) == {"seed", "fast", "planes"}
+        assert set(baseline["planes"]) == {"sim"}
+        assert set(baseline["planes"]["sim"]) == set(SCENARIOS)
 
     def test_cli_passes_on_committed_baseline(self, capsys):
-        assert perf_main(["check-baseline"]) == 0
-        assert "baseline ok" in capsys.readouterr().out
+        assert perf_main(["check"]) == 0
+        assert "check: PASS" in capsys.readouterr().out
 
     def test_missing_scenario_is_reported_and_exits_nonzero(
-        self, tmp_path, capsys
+        self, sim_artifact, tmp_path, capsys
     ):
-        from repro.perf.cli import check_baseline
-
-        baseline = load_artifact("benchmarks/baselines/baseline.json")
-        broken = copy.deepcopy(baseline)
+        broken = copy.deepcopy(sim_artifact)
         del broken["planes"]["sim"]["restart_storm"]
-        problems = check_baseline(broken)
-        assert any("restart_storm" in p and "missing" in p for p in problems)
-        path = dump_artifact(broken, tmp_path / "broken.json")
-        assert perf_main(["check-baseline", "--baseline", str(path)]) == 1
-        assert "restart_storm" in capsys.readouterr().err
+        code, out = _check_cli(broken, tmp_path, capsys)
+        assert code == 1
+        assert "planes.sim.restart_storm: in this run, missing from the baseline" in out
 
-    def test_unknown_pinned_scenario_is_reported(self):
-        from repro.perf.cli import check_baseline
-
-        baseline = copy.deepcopy(
-            load_artifact("benchmarks/baselines/baseline.json")
-        )
+    def test_unknown_pinned_scenario_is_reported(self, sim_artifact, tmp_path, capsys):
+        baseline = copy.deepcopy(sim_artifact)
         baseline["planes"]["sim"]["mystery"] = copy.deepcopy(
             baseline["planes"]["sim"]["single_writer_seq"]
         )
-        assert any(
-            "mystery" in p for p in check_baseline(baseline)
-        )
+        code, out = _check_cli(baseline, tmp_path, capsys)
+        assert code == 1
+        assert "planes.sim.mystery: in the baseline, missing from this run" in out
 
-    def test_disengaged_machinery_is_reported(self):
-        from repro.perf.cli import check_baseline
-
-        baseline = copy.deepcopy(
-            load_artifact("benchmarks/baselines/baseline.json")
-        )
-        baseline["planes"]["sim"]["batched_writeback"]["stats"]["batch"][
-            "batches"
-        ] = 0
-        del baseline["planes"]["sim"]["restart_storm"]["stats"]["read"][
-            "window_grown"
+    def test_disengaged_machinery_is_reported(self, sim_artifact):
+        baseline = copy.deepcopy(sim_artifact)
+        sim = baseline["planes"]["sim"]
+        sim["batched_writeback"]["stats"]["batch"]["batches"] = 0
+        del sim["restart_storm"]["stats"]["read"]["window_grown"]
+        problems = _planes_diff(sim_artifact, baseline)
+        assert [p.split(":")[0] for p in problems] == [
+            "planes.sim.batched_writeback.stats.batch.batches",
+            "planes.sim.restart_storm.stats.read.window_grown",
         ]
-        problems = check_baseline(baseline)
-        assert any("gather never coalesced" in p for p in problems)
-        assert any("window_grown" in p for p in problems)
 
     @pytest.mark.parametrize("scenario", ["restart_readahead", "restart_storm"])
-    def test_a_wasted_prefetch_in_a_sequential_restore_is_reported(self, scenario):
-        from repro.perf.cli import check_baseline
-
-        baseline = copy.deepcopy(
-            load_artifact("benchmarks/baselines/baseline.json")
-        )
+    def test_a_wasted_prefetch_in_a_sequential_restore_is_reported(
+        self, sim_artifact, tmp_path, capsys, scenario
+    ):
+        # one wasted prefetch pinned in the baseline: the fresh run's 0
+        # differs from it
+        baseline = copy.deepcopy(sim_artifact)
         read = baseline["planes"]["sim"][scenario]["stats"]["read"]
         assert read["prefetch_wasted"] == 0
-        read["prefetch_wasted"] = 3
-        problems = check_baseline(baseline)
-        assert [p for p in problems if scenario in p and "wasted" in p]
+        read["prefetch_wasted"] += 1
+        code, out = _check_cli(baseline, tmp_path, capsys)
+        assert code == 1
+        assert f"planes.sim.{scenario}.stats.read.prefetch_wasted: baseline 1, this run 0" in out
 
     def test_unreadable_baseline_exits_2(self, tmp_path, capsys):
-        missing = tmp_path / "absent.json"
-        assert perf_main(["check-baseline", "--baseline", str(missing)]) == 2
-        capsys.readouterr()
+        junk = tmp_path / "junk.json"
+        junk.write_text("not json {")
+        for path, reason in [
+            (tmp_path / "absent.json", "no such artifact"),
+            (junk, "not JSON"),
+        ]:
+            assert perf_main(["check", "--baseline", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("cannot load baseline: ") and reason in err
+            assert "Traceback" not in err
 
 
 # -- restart storm: adaptive readahead under contention -----------------------
@@ -422,16 +476,10 @@ class TestRestartStorm:
 
 class TestCommittedBaseline:
     def test_committed_baseline_loads_and_gates_green(self):
-        """The repo's own baseline must match what this tree produces —
-        the same check CI's perf job runs (full sizes, default seed)."""
-        baseline = load_artifact("benchmarks/baselines/baseline.json")
-        fresh = build_artifact(
-            run_suite(baseline["seed"], fast=baseline["fast"]),
-            seed=baseline["seed"],
-            fast=baseline["fast"],
-        )
-        report = compare_artifacts(fresh, baseline)
-        assert report.ok, render_report(report)
+        """The repo's own baseline must equal what this tree produces —
+        ``python -m repro.perf check`` (full sizes, default seed)."""
+        differences = check(load_artifact(COMMITTED))
+        assert differences == [], "\n".join(differences)
 
 
 # -- hierarchical staging acceptance ------------------------------------------
@@ -468,36 +516,38 @@ class TestTieredStagingGoodput:
         assert a["elapsed_s"] == b["elapsed_s"]
 
 
-# -- check-baseline: the zero_copy pins ---------------------------------------
+# -- check: the zero_copy pins ------------------------------------------------
 
 
 class TestCheckBaselineZeroCopyPins:
-    def _baseline(self):
-        return copy.deepcopy(load_artifact("benchmarks/baselines/baseline.json"))
-
     def test_committed_baseline_pins_zero_copy(self):
-        baseline = self._baseline()
-        assert check_baseline(baseline) == []
-        zc = baseline["planes"]["sim"]["zero_copy"]
+        zc = load_artifact(COMMITTED)["planes"]["sim"]["zero_copy"]
         assert zc["stats"]["mem"]["bytes_copied"] == zc["bytes_in"]
+        assert zc["stats"]["mem"]["by_site"]["read_boundary"]["bytes"] == 0
 
-    def test_extra_copies_are_reported(self):
-        baseline = self._baseline()
-        baseline["planes"]["sim"]["zero_copy"]["stats"]["mem"][
-            "bytes_copied"
-        ] += 1
-        problems = check_baseline(baseline)
-        assert any("exactly one" in p for p in problems)
+    def _reported(self, sim_artifact, edit):
+        baseline = copy.deepcopy(sim_artifact)
+        edit(baseline["planes"]["sim"]["zero_copy"])
+        return [p.split(":")[0] for p in _planes_diff(sim_artifact, baseline)]
 
-    def test_read_side_copies_in_a_write_only_scenario_are_reported(self):
-        baseline = self._baseline()
-        mem = baseline["planes"]["sim"]["zero_copy"]["stats"]["mem"]
-        mem["by_site"]["read_boundary"]["bytes"] = 512
-        problems = check_baseline(baseline)
-        assert any("read_boundary" in p for p in problems)
+    def test_extra_copies_are_reported(self, sim_artifact):
+        def edit(zc):
+            zc["stats"]["mem"]["bytes_copied"] -= 1
 
-    def test_missing_copy_metric_is_reported(self):
-        baseline = self._baseline()
-        del baseline["planes"]["sim"]["zero_copy"]["copy_ratio"]
-        problems = check_baseline(baseline)
-        assert any("copy_ratio" in p for p in problems)
+        assert self._reported(sim_artifact, edit) == [
+            "planes.sim.zero_copy.stats.mem.bytes_copied"
+        ]
+
+    def test_read_side_copies_in_a_write_only_scenario_are_reported(self, sim_artifact):
+        def edit(zc):
+            zc["stats"]["mem"]["by_site"]["read_boundary"]["bytes"] = 512
+
+        assert self._reported(sim_artifact, edit) == [
+            "planes.sim.zero_copy.stats.mem.by_site.read_boundary.bytes"
+        ]
+
+    def test_missing_copy_metric_is_reported(self, sim_artifact):
+        def edit(zc):
+            del zc["copy_ratio"]
+
+        assert self._reported(sim_artifact, edit) == ["planes.sim.zero_copy.copy_ratio"]
