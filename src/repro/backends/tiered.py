@@ -102,8 +102,8 @@ class TieredBackend(Backend):
         self._started = False
         self._shutdown = False
         self._rebuild()
-        # Private queue: its QueuePressure events land in its own stats
-        # sink, never the mount's `queue` section.
+        # Private queue: its QueuePressure records go nowhere, never to
+        # the mount's `queue` section.
         from ..core.workqueue import WorkQueue
 
         self._queue = WorkQueue()

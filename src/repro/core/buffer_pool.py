@@ -24,7 +24,8 @@ import time
 import threading
 
 from ..errors import ConfigError, ShutdownError
-from ..pipeline import PipelineStats, PoolPressure
+from ..pipeline import PoolPressure
+from ..pipeline.kernel import EmitFn
 from ..pipeline.tenancy import DEFAULT_TENANT, PoolLedger
 from .chunk import Chunk
 
@@ -36,19 +37,17 @@ class BufferPool:
 
     ``acquire()`` blocks while no admissible chunk exists (bounded by
     ``timeout`` to keep tests debuggable); ``release()`` recycles a chunk
-    and wakes waiters.  Pressure accounting is published as
-    ``PoolPressure`` events into the shared
-    :class:`~repro.pipeline.stats.PipelineStats` registry (the mount
-    passes its kernel's; a standalone pool gets a private one) — one
-    event per acquire *and* one per release, so the ``in_use`` gauge
-    falls in the event timeline as well as rises.
+    and wakes waiters.  Pressure goes out as ``PoolPressure`` records
+    on ``emit`` (the mount passes its kernel's; a standalone pool drops
+    them) — one per acquire *and* one per release, so the ``in_use``
+    gauge falls in the event timeline as well as rises.
     """
 
     def __init__(
         self,
         chunk_size: int,
         pool_size: int,
-        stats: PipelineStats | None = None,
+        emit: EmitFn | None = None,
         ledger: PoolLedger | None = None,
     ):
         if chunk_size <= 0:
@@ -65,9 +64,7 @@ class BufferPool:
         self.chunk_size = chunk_size
         self.nchunks = nchunks
         self.ledger = ledger
-        self.stats = stats if stats is not None else PipelineStats(
-            chunk_size=chunk_size, pool_chunks=nchunks
-        )
+        self._emit: EmitFn = emit if emit is not None else (lambda event: None)
         self._free: list[Chunk] = [Chunk(i, chunk_size) for i in range(nchunks)]
         #: chunk.index -> owning tenant, tracked only with a ledger (a
         #: release must credit the tenant that acquired the chunk).
@@ -95,17 +92,21 @@ class BufferPool:
             return False
         return self.ledger is None or self.ledger.can_acquire(tenant)
 
-    def _take(self, tenant: str) -> tuple[Chunk, int]:
-        """Pop a free chunk for ``tenant`` and emit the acquire event
+    def _take(self, tenant: str, waited: bool = False) -> Chunk:
+        """Pop a free chunk for ``tenant`` and emit the acquire record
         (caller holds the lock and has checked admissibility)."""
         chunk = self._free.pop()
+        in_use = self.nchunks - len(self._free)
         if self.ledger is not None:
             self.ledger.acquire(tenant)
             self._owner[chunk.index] = tenant
             tenant_in_use = self.ledger.held(tenant)
         else:
-            tenant_in_use = self.nchunks - len(self._free)
-        return chunk, tenant_in_use
+            tenant_in_use = in_use
+        self._emit(
+            PoolPressure(waited=waited, in_use=in_use, tenant=tenant, tenant_in_use=tenant_in_use)
+        )
+        return chunk
 
     def acquire(
         self, timeout: float | None = 30.0, tenant: str = DEFAULT_TENANT
@@ -141,16 +142,7 @@ class BufferPool:
                         f"({self.nchunks} chunks all in flight, "
                         f"tenant {tenant!r}) — IO stalled?"
                     )
-            chunk, tenant_in_use = self._take(tenant)
-            self.stats.on_event(
-                PoolPressure(
-                    waited=waited,
-                    in_use=self.nchunks - len(self._free),
-                    tenant=tenant,
-                    tenant_in_use=tenant_in_use,
-                )
-            )
-            return chunk
+            return self._take(tenant, waited)
 
     def try_acquire(self, tenant: str = DEFAULT_TENANT) -> Chunk | None:
         """Take an admissible chunk without ever blocking; None when the
@@ -165,16 +157,7 @@ class BufferPool:
         with self._available:
             if self._closed or not self._admissible(tenant):
                 return None
-            chunk, tenant_in_use = self._take(tenant)
-            self.stats.on_event(
-                PoolPressure(
-                    waited=False,
-                    in_use=self.nchunks - len(self._free),
-                    tenant=tenant,
-                    tenant_in_use=tenant_in_use,
-                )
-            )
-            return chunk
+            return self._take(tenant)
 
     # -- release ---------------------------------------------------------------
 
@@ -195,7 +178,7 @@ class BufferPool:
                 tenant = DEFAULT_TENANT
                 tenant_in_use = self.nchunks - len(self._free) - 1
             self._free.append(chunk)
-            self.stats.on_event(
+            self._emit(
                 PoolPressure(
                     waited=False,
                     in_use=self.nchunks - len(self._free),

@@ -121,7 +121,7 @@ class FileEntry:
         surface any latched writeback error (the POSIX close/fsync
         error-reporting contract, raised exactly once).
 
-        Drain latency is published on the event stream
+        Drain latency is emitted on the event stream
         (``FileDrained``) and accumulated in the stats registry's
         ``drain`` section — callers read it from ``stats()`` instead of
         timing this wait themselves.  ``timeout`` is a deadline for the

@@ -9,7 +9,7 @@ incremented.  Then the chunk is returned to the buffer pool to be reused."
 The thread count is the paper's IO-throttling knob: fewer threads means
 fewer concurrent writes hitting the back-end filesystem.  Completion
 accounting goes through the entry's shared
-:class:`~repro.pipeline.kernel.FilePipeline`, which publishes a
+:class:`~repro.pipeline.kernel.FilePipeline`, which emits a
 ``ChunkWritten`` event on the unified stream, which the mount's
 :class:`~repro.pipeline.stats.PipelineStats` registry counts
 (``stats()``'s ``chunks_written``/``bytes_out``/``io_errors``).
@@ -37,7 +37,6 @@ import time
 from typing import TYPE_CHECKING, Sequence
 
 from ..backends.tiered import TieredBackend
-from ..pipeline import PipelineStats
 from ..pipeline.events import WorkersDrained
 from ..pipeline.kernel import EmitFn
 from ..pipeline.readahead import Prefetch, service_prefetch
@@ -79,7 +78,6 @@ class IOThreadPool:
         pool: BufferPool,
         nthreads: int,
         name: str = "crfs-io",
-        stats: PipelineStats | None = None,
         retry: RetryPolicy | None = None,
         health: BackendHealth | None = None,
         emit: EmitFn | None = None,
@@ -95,14 +93,12 @@ class IOThreadPool:
         self.pool = pool
         self.nthreads = nthreads
         self.batch_chunks = batch_chunks
-        self.stats = stats if stats is not None else PipelineStats()
         self.retry = retry if retry is not None else RetryPolicy()
         # A standalone pool gets a breaker that never trips (threshold 0).
         self.health = health if health is not None else BackendHealth()
-        # Shutdown drain time goes out on the mount's event stream when
-        # one is wired; standalone pools fall back to feeding the stats
-        # registry directly so the counter exists either way.
-        self._emit = emit if emit is not None else self.stats.on_event
+        # Shutdown drain time goes out on the mount's event stream; a
+        # standalone pool drops it.
+        self._emit: EmitFn = emit if emit is not None else (lambda event: None)
         self._threads: list[threading.Thread] = []
         self._started = False
 
@@ -172,7 +168,7 @@ class IOThreadPool:
 
         ``timeout`` is one shared deadline across all worker joins, not
         a per-thread allowance — N stuck threads cannot stretch shutdown
-        to N×timeout.  The time the drain-close took is published as a
+        to N×timeout.  The time the drain-close took is emitted as a
         ``WorkersDrained`` event (``stats()['drain']`` accumulates it),
         so callers never re-time shutdown themselves.
         """

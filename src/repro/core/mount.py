@@ -22,9 +22,10 @@ The pipeline *state machine* — fill/seal planning, drain accounting,
 the error latch — lives in the shared, plane-agnostic
 :class:`~repro.pipeline.kernel.FilePipeline`; this module supplies its
 threaded execution: real buffers, locks, IO threads.  Every state
-transition is published on the mount's
+transition is emitted on the mount's
 :class:`~repro.pipeline.kernel.PipelineKernel` event stream, from which
-the :meth:`CRFS.stats` snapshot is derived (and to which callers may
+— with the per-call facts the pipeline counts directly — the
+:meth:`CRFS.stats` snapshot is derived (and to which callers may
 ``subscribe`` extra observers, e.g. a trace recorder).
 """
 
@@ -39,7 +40,7 @@ from ..backends.base import Backend, BackendStat, byte_view, normalize_path
 from ..backends.tiered import TieredBackend
 from ..config import CRFSConfig, DEFAULT_CONFIG
 from ..errors import FileStateError, MountError
-from ..pipeline import Fill, PipelineKernel, PipelineObserver, Seal
+from ..pipeline import CopyObserved, Fill, PipelineKernel, PipelineObserver, Seal, WriteObserved
 from ..pipeline import readahead
 from ..pipeline.readahead import ReadaheadCore
 from ..pipeline.resilience import BackendHealth
@@ -93,7 +94,6 @@ class CRFS:
                 else -1
             ),
         )
-        stats = self.kernel.stats
         self.retry = config.retry
         self.health = BackendHealth(
             config.breaker_threshold, emit=self.kernel.emit, clock=self.kernel.clock
@@ -117,10 +117,10 @@ class CRFS:
             else None
         )
         self.pool = BufferPool(
-            config.chunk_size, config.pool_size, stats=stats, ledger=ledger
+            config.chunk_size, config.pool_size, emit=self.kernel.emit, ledger=ledger
         )
         self.queue = WorkQueue(
-            stats=stats,
+            emit=self.kernel.emit,
             scheduler=DRRScheduler(
                 weights=self.tenants.weights(), fair=config.tenant_fairness
             ),
@@ -131,7 +131,6 @@ class CRFS:
             self.queue,
             self.pool,
             config.io_threads,
-            stats=stats,
             retry=self.retry,
             health=self.health,
             emit=self.kernel.emit,
@@ -271,9 +270,8 @@ class CRFS:
                         self.config.chunk_size,
                         capacity=self.config.read_cache_chunks,
                         depth=self.config.readahead_chunks,
-                        emit=self.kernel.emit,
-                        clock=self.kernel.clock,
                         adaptive=self.config.readahead_adaptive,
+                        kernel=self.kernel,
                     ),
                     self.pool,
                     self.queue,
@@ -342,10 +340,10 @@ class CRFS:
             # the planner advanced would wedge the file.
             view = byte_view(view)
         nbytes = len(view)
-        kernel = self.kernel
-        # Timestamps feed the write's events, which nobody but the
-        # stats registry may be listening for (it ignores them).
-        t0 = kernel.clock() if kernel.observed else None
+        routes = self.kernel._routes
+        # The write's records are built only for the types routed; the
+        # registry counts it either way.
+        t0 = self.kernel.clock() if WriteObserved in routes else None
         pipeline = entry.pipeline
         degraded = self.health.degraded
         if nbytes >= self._direct_from or degraded:
@@ -402,8 +400,8 @@ class CRFS:
             lock.release()
         if at is None:
             pipeline.note_write(offset, nbytes, start=t0)
-        elif t0 is not None:
-            pipeline.publish_write(offset, nbytes, t0)
+        elif t0 is not None or CopyObserved in routes:
+            pipeline._observe_write(offset, nbytes, t0)
         return offset + nbytes
 
     # The write flows' port (threaded plane): ``ingest`` and ``flush``

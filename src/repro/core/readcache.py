@@ -58,7 +58,7 @@ import time
 from typing import TYPE_CHECKING, Any
 
 from ..errors import FileStateError
-from ..pipeline import readahead
+from ..pipeline import CopyObserved, ReadObserved, readahead
 from ..pipeline.readahead import CacheEntry, Prefetch, ReadaheadCore
 from ..pipeline.resilience import BackendHealth
 from ..pipeline.tenancy import DEFAULT_TENANT
@@ -137,13 +137,12 @@ class ReadCache:
         hands back refetches the chunk and joins instead.  Any other
         read runs :func:`repro.pipeline.readahead.read`, the flow."""
         kernel = fs.kernel
-        # Timestamps feed the read's events, which nobody but the stats
-        # registry may be listening for (it ignores them).
-        t0 = kernel.clock() if kernel.observed else None
+        routes = kernel._routes
+        # The read's records are built only for the types routed; the
+        # file's hot cell counts it either way.
+        t0 = kernel.clock() if ReadObserved in routes else None
         with self.lock:
-            served = readahead.read_resident(
-                fs, entry, size, offset, None if t0 is None else kernel.publish
-            )
+            served = readahead.read_resident(fs, entry, size, offset)
             if served is not None:
                 parts, flow = served
                 if parts is None:  # the fill failed: the demand fetch serves it
@@ -156,8 +155,8 @@ class ReadCache:
                         run(flow)
         if served is None:
             return run(readahead.read(fs, entry, size, offset))
-        if t0 is not None:
-            entry.pipeline.publish_read(offset, size, t0)
+        if t0 is not None or CopyObserved in routes:
+            entry.pipeline._observe_read(offset, size, t0, copied=size)
         return data
 
     # -- the read engine's port (threaded plane) -------------------------------
@@ -208,7 +207,7 @@ class ReadCache:
         intermediate bytes): the backend read of :meth:`warm` and
         :meth:`fill`, and ``read_resident``'s fill as a plain call.  A
         prefetch's chunk is exclusively its IO worker's until
-        ``warm_done`` publishes it, so the worker needs no lock; the
+        ``warm_done`` hands it to the cache, so the worker needs no lock; the
         read happens before ``open_for``, so a failed one leaves the
         chunk clean."""
         got = self.backend.pread_into(self.backend_handle, chunk.view[:length], offset)

@@ -25,7 +25,8 @@ import time
 from typing import Any, Callable, Mapping
 
 from ..errors import QueueFullTimeout, ShutdownError
-from ..pipeline import AdmissionWait, PipelineStats, QueuePressure
+from ..pipeline import AdmissionWait, QueuePressure
+from ..pipeline.kernel import EmitFn
 from ..pipeline.tenancy import DEFAULT_TENANT, DRRScheduler
 
 __all__ = ["WorkQueue", "QueueClosed", "QueueFullTimeout"]
@@ -57,18 +58,18 @@ class WorkQueue:
     is already bounded by cache admission, and a blocking low put from
     a reader holding cache locks could deadlock).
 
-    Depth accounting is published as ``QueuePressure`` /
-    ``AdmissionWait`` events into the shared
-    :class:`~repro.pipeline.stats.PipelineStats` registry.
+    Depth goes out as ``QueuePressure`` / ``AdmissionWait`` records on
+    ``emit`` (the mount passes its kernel's; a standalone queue drops
+    them).
     """
 
     def __init__(
         self,
-        stats: PipelineStats | None = None,
+        emit: EmitFn | None = None,
         scheduler: DRRScheduler | None = None,
         quotas: Mapping[str, int] | None = None,
     ):
-        self.stats = stats if stats is not None else PipelineStats()
+        self._emit: EmitFn = emit if emit is not None else (lambda event: None)
         self.scheduler = scheduler if scheduler is not None else DRRScheduler()
         self.quotas = {t: q for t, q in (quotas or {}).items() if q > 0}
         self._lock = threading.Lock()
@@ -91,6 +92,13 @@ class WorkQueue:
             return self._closed
 
     # -- put -------------------------------------------------------------------
+
+    def _pushed(self, tenant: str) -> None:
+        """Emit the depths after a put and wake a getter (caller holds
+        the lock)."""
+        depth, tenant_depth = len(self.scheduler), self.scheduler.depth(tenant)
+        self._emit(QueuePressure(depth=depth, tenant=tenant, tenant_depth=tenant_depth))
+        self._not_empty.notify()
 
     def _wake_putters(self) -> None:
         """Wake blocked putters after a high-band item left the queue
@@ -132,14 +140,7 @@ class WorkQueue:
                 if self._closed:
                     raise QueueClosed("work queue closed")
                 self.scheduler.push(tenant, item, low=True)
-                self.stats.on_event(
-                    QueuePressure(
-                        depth=len(self.scheduler),
-                        tenant=tenant,
-                        tenant_depth=self.scheduler.depth(tenant),
-                    )
-                )
-                self._not_empty.notify()
+                self._pushed(tenant)
                 return
             quota = self.quotas.get(tenant, 0)
             deadline = None if timeout is None else time.monotonic() + timeout
@@ -147,11 +148,7 @@ class WorkQueue:
             while quota and self.scheduler.depth(tenant) >= quota and not self._closed:
                 if not admission_noted:
                     # Count the blocking put once, not once per wakeup.
-                    self.stats.on_event(
-                        AdmissionWait(
-                            tenant=tenant, depth=self.scheduler.depth(tenant)
-                        )
-                    )
+                    self._emit(AdmissionWait(tenant=tenant, depth=self.scheduler.depth(tenant)))
                     admission_noted = True
                 remaining = (
                     None if deadline is None else deadline - time.monotonic()
@@ -169,14 +166,7 @@ class WorkQueue:
             if self._closed:
                 raise QueueClosed("work queue closed")
             self.scheduler.push(tenant, item)
-            self.stats.on_event(
-                QueuePressure(
-                    depth=len(self.scheduler),
-                    tenant=tenant,
-                    tenant_depth=self.scheduler.depth(tenant),
-                )
-            )
-            self._not_empty.notify()
+            self._pushed(tenant)
 
     # -- get -------------------------------------------------------------------
 

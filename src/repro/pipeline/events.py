@@ -1,13 +1,17 @@
 """The unified pipeline event stream.
 
 Every state transition of the aggregation pipeline — on either plane —
-is published as one of these event records through the mount's
-:class:`~repro.pipeline.kernel.PipelineKernel`.  Consumers subscribe a
-:class:`PipelineObserver`; the canonical subscriber is
-:class:`~repro.pipeline.stats.PipelineStats`, which derives every
-counter the ``stats()`` snapshot reports, but trace recorders
+is a record delivered through the mount's
+:class:`~repro.pipeline.kernel.PipelineKernel`, which routes each
+record by its exact type: to the
+:class:`~repro.pipeline.stats.PipelineStats` registry's handler, if
+the type has one, then to each :class:`PipelineObserver` subscribed
+to the type (:attr:`PipelineObserver.types`) — trace recorders
 (:class:`~repro.trace.recorder.TraceObserver`) and the plain
-:class:`EventLog` tap the same stream.
+:class:`EventLog`.  The per-call records (``WriteObserved``,
+``ReadObserved``, ``CopyObserved``, ``ReadHit``, ``ReadMiss``) have no
+registry handler: the registry counts those facts by direct calls, and
+a record is built only while an observer is routed its type.
 
 Timestamps (``t``/``start``/``duration``) are in the emitting plane's
 clock: wall seconds on the functional plane, virtual seconds on the
@@ -514,6 +518,11 @@ class PipelineObserver:
     Observers are invoked synchronously at the emission point (possibly
     under per-file locks) and must be cheap and non-reentrant.
     """
+
+    #: The event types this observer is routed, read when it joins the
+    #: kernel; None routes it every type.  A per-call record is built
+    #: only while some observer is routed its type.
+    types: Optional[tuple[type, ...]] = None
 
     def on_event(self, event: PipelineEvent) -> None:  # pragma: no cover
         """Receive one event.  Default: ignore."""

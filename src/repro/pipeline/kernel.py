@@ -14,25 +14,28 @@ Split of responsibilities:
 * :class:`FilePipeline` — per-file state machine.  ``plan_*`` methods
   decide what happens (fail-fast on a latched error, then delegate to
   the shared :class:`~repro.pipeline.planner.WritePlanner`);
-  ``note_*`` methods account for what the plane executed and publish
-  the matching event on the unified stream.  The per-call cases that
+  ``note_*`` methods account for what the plane executed and emit the
+  matching record on the unified stream.  The per-call cases that
   can neither block nor seal have plain functions of their own: a
-  write that fits the open chunk (:meth:`FilePipeline.fit_write`,
-  ``publish_write``) and a read served from resident
-  cache chunks (:func:`repro.pipeline.readahead.read_resident`, which
-  asks :attr:`FilePipeline.clean` and uses ``count_read``,
-  ``publish_read``).  The drain *predicate*
-  (``drained``) and the raise-exactly-once error contract
-  (:meth:`FilePipeline.raise_latched`) live here; how a caller blocks
-  until drained is the plane's business (condition variables vs. sim
-  events).
-* :class:`PipelineKernel` — per-mount: fan-out of the event stream to
-  observers, the shared :class:`~repro.pipeline.stats.PipelineStats`
-  registry, and the :class:`FilePipeline` factory.
+  write that fits the open chunk (:meth:`FilePipeline.fit_write`) and a
+  read served from resident cache chunks
+  (:func:`repro.pipeline.readahead.read_resident`, which asks
+  :attr:`FilePipeline.clean` and uses ``count_read``); each counts its
+  facts in the file's hot cell, and its caller builds the records
+  (``_observe_write``/``_observe_read``) only for the types routed.
+  The drain *predicate* (``drained``) and the raise-exactly-once error
+  contract (:meth:`FilePipeline.raise_latched`) live here; how a
+  caller blocks until drained is the plane's business (condition
+  variables vs. sim events).
+* :class:`PipelineKernel` — per-mount: the route table that delivers
+  each record by its type, the shared
+  :class:`~repro.pipeline.stats.PipelineStats` registry, and the
+  :class:`FilePipeline` factory.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Any, Callable, Iterable
 
@@ -56,7 +59,7 @@ from .events import (
     WriteObserved,
 )
 from .planner import PlanOp, Seal, WritePlanner
-from .stats import HotCounts, PipelineStats
+from .stats import PipelineStats
 
 __all__ = ["FilePipeline", "PipelineKernel"]
 
@@ -73,8 +76,20 @@ class _NullLock:
         return None
 
 
-def _no_emit(event: PipelineEvent) -> None:
-    return None
+class _Emit(PipelineObserver):
+    """A bare ``emit`` callable as an observer of every type."""
+
+    def __init__(self, emit: EmitFn):
+        self.on_event = emit
+
+
+def _own_kernel(
+    chunk_size: int, emit: EmitFn | None, clock: Callable[[], float] | None
+) -> "PipelineKernel":
+    """The kernel of a pipeline part built without its mount's: every
+    record goes to ``emit`` (if any), and the registry is read by
+    nobody."""
+    return PipelineKernel(chunk_size, clock=clock, observers=() if emit is None else (_Emit(emit),))
 
 
 class FilePipeline:
@@ -83,10 +98,11 @@ class FilePipeline:
     ``lock`` protects the drain counters and the error latch; the
     functional plane passes the :class:`threading.RLock` its drain
     condition is built on, the timing plane passes nothing (virtual
-    time needs no lock).  ``clock`` supplies event timestamps:
-    ``time.perf_counter`` or the simulator's ``now``.  ``kernel`` is
-    the mount's :class:`PipelineKernel`, which then supplies stream and
-    clock; a pipeline built without one publishes to ``emit`` alone.
+    time needs no lock).  ``kernel`` is the mount's
+    :class:`PipelineKernel`, which supplies the stream, the registry and
+    the clock (``time.perf_counter`` or the simulator's ``now``); a
+    pipeline built without one gets its own, which routes every record
+    to ``emit`` and timestamps them with ``clock``.
     """
 
     def __init__(
@@ -99,24 +115,17 @@ class FilePipeline:
         tenant: str = "default",
         kernel: "PipelineKernel | None" = None,
     ):
-        if kernel is not None:
-            emit, clock = kernel.emit, kernel.clock
+        if kernel is None:
+            kernel = _own_kernel(chunk_size, emit, clock)
         self.path = path
         self.tenant = tenant
         self.planner = WritePlanner(chunk_size)
-        self.clock = clock if clock is not None else time.perf_counter
-        self._emit = emit if emit is not None else _no_emit
+        self.clock = kernel.clock
+        self._kernel = kernel
+        self._emit = kernel.emit
         # Writes that fit the open chunk and reads of resident cache
-        # chunks are counted per file, in a cell the kernel's stats
-        # fold, and published only to the observers that did not count
-        # them; without a kernel nobody folds the cell and ``emit`` is
-        # the only observer.
-        if kernel is not None:
-            self._hot = kernel.stats.hot_counts(path, tenant)
-            self._publish = kernel.publish
-        else:
-            self._hot = HotCounts(tenant)
-            self._publish = self._emit
+        # chunks are counted in a cell the registry folds.
+        self._hot = kernel.stats.hot_counts(path, tenant)
         self._lock = lock if lock is not None else _NullLock()
         self.write_chunk_count = 0  # chunks handed to the work queue
         self.complete_chunk_count = 0  # chunks the IO workers finished
@@ -148,8 +157,8 @@ class FilePipeline:
         :meth:`~repro.pipeline.planner.WritePlanner.write` would (its
         plan for this case is one ``Fill``, or nothing) and counted the
         write, and its one ingest copy, in the file's hot counters —
-        what :meth:`note_write` has the stats registry derive from two
-        events (an empty write copies nothing).  Returns None, with
+        what :meth:`note_write` counts under the registry lock (an
+        empty write copies nothing).  Returns None, with
         planner and counters untouched, for every other write — no
         chunk open yet, the chunk fills or spans, a gap or a rewind —
         which goes through :meth:`plan_write`.  Raises, like it, if an
@@ -211,42 +220,40 @@ class FilePipeline:
         hands the caller's view straight to the backend: no pipeline
         copy.
         """
-        self._observe_write(self._emit, offset, length, start, write_through, degraded)
-
-    def publish_write(self, offset: int, length: int, start: float) -> None:
-        """The events of a write already counted by :meth:`fit_write`,
-        for the observers other than the stats registry (skipped
-        entirely while there are none: ``PipelineKernel.observed``)."""
-        self._observe_write(self._publish, offset, length, start)
+        self._kernel.stats._count_write(self.tenant, length, write_through, degraded)
+        self._observe_write(offset, length, start, write_through, degraded)
 
     def _observe_write(
         self,
-        emit: EmitFn,
         offset: int,
         length: int,
         start: float | None,
         write_through: bool = False,
         degraded: bool = False,
     ) -> None:
+        """The records of one counted write, each built only if its type
+        is routed."""
+        routes = self._kernel._routes
         now = self.clock()
         if start is None:
             start = now
         # Positional: a per-call path, and keywords cost a quarter of
         # what building these two records does.
-        if not write_through and length > 0:
-            emit(CopyObserved(self.path, INGEST, length, now))
-        emit(
-            WriteObserved(
-                self.path,
-                offset,
-                length,
-                start,
-                now - start,
-                write_through,
-                degraded,
-                self.tenant,
+        if not write_through and length > 0 and CopyObserved in routes:
+            self._emit(CopyObserved(self.path, INGEST, length, now))
+        if WriteObserved in routes:
+            self._emit(
+                WriteObserved(
+                    self.path,
+                    offset,
+                    length,
+                    start,
+                    now - start,
+                    write_through,
+                    degraded,
+                    self.tenant,
+                )
             )
-        )
 
     def note_read(
         self,
@@ -265,39 +272,31 @@ class FilePipeline:
         inside the backend is its own boundary property, documented on
         :class:`~repro.backends.base.Backend`).
         """
-        self._observe_read(self._emit, offset, length, start, copied)
+        self._kernel.stats._count_read(self.tenant, length, copied)
+        self._observe_read(offset, length, start, copied)
 
     def count_read(self, length: int, hits: int) -> None:
         """A read of ``length`` bytes was served from ``hits`` resident
         cache chunks and joined at the shim boundary: count it, the
         hits and that one ``read_boundary`` copy in the file's hot
         counters — what :meth:`note_read` and ``ReadaheadCore.access``
-        have the stats registry derive from events.  The caller holds
-        the file's read-cache lock, which serialises such reads."""
+        count under the registry lock.  The caller holds the file's
+        read-cache lock, which serialises such reads."""
         hot = self._hot
         reads, nbytes, total_hits = hot.reads
         hot.reads = (reads + 1, nbytes + length, total_hits + hits)
 
-    def publish_read(self, offset: int, length: int, start: float) -> None:
-        """The events of a read already counted by :meth:`count_read`,
-        for the observers other than the stats registry (skipped
-        entirely while there are none: ``PipelineKernel.observed``)."""
-        self._observe_read(self._publish, offset, length, start, copied=length)
-
-    def _observe_read(
-        self,
-        emit: EmitFn,
-        offset: int,
-        length: int,
-        start: float | None,
-        copied: int,
-    ) -> None:
+    def _observe_read(self, offset: int, length: int, start: float | None, copied: int) -> None:
+        """The records of one counted read, each built only if its type
+        is routed."""
+        routes = self._kernel._routes
         now = self.clock()
         if start is None:
             start = now
-        if copied > 0:
-            emit(CopyObserved(self.path, READ_BOUNDARY, copied, now))
-        emit(ReadObserved(self.path, offset, length, start, now - start, self.tenant))
+        if copied > 0 and CopyObserved in routes:
+            self._emit(CopyObserved(self.path, READ_BOUNDARY, copied, now))
+        if ReadObserved in routes:
+            self._emit(ReadObserved(self.path, offset, length, start, now - start, self.tenant))
 
     def note_retry(
         self, file_offset: int, attempt: int, delay: float, error: BaseException
@@ -500,10 +499,18 @@ class FilePipeline:
 
 
 class PipelineKernel:
-    """Per-mount kernel: event fan-out, stats registry, pipeline factory.
+    """Per-mount kernel: event routing, stats registry, pipeline factory.
 
     Both planes own exactly one; ``CRFS.stats()`` and ``SimCRFS.stats()``
     are both ``kernel.stats.snapshot()``.
+
+    :meth:`emit` is the one way a record is delivered: ``_routes`` maps
+    each exact record type to the callables it goes to — the registry's
+    handler first, then each observer routed the type, in the order
+    they joined.  A per-call site builds its record only while its type
+    is in the table.  The table is replaced whole when an observer
+    joins, never changed in place, so an emit running meanwhile
+    delivers by the old table or the new one.
     """
 
     def __init__(
@@ -525,30 +532,29 @@ class PipelineKernel:
             tiers=tiers,
             fsync_tier=fsync_tier,
         )
-        #: Everyone listening besides the kernel's own stats.
-        self._observers: list[PipelineObserver] = list(observers)
-        #: Whether there is anyone — the per-call paths build event
-        #: objects only then.
-        self.observed = bool(self._observers)
+        self._routes: dict[type, tuple[EmitFn, ...]] = {
+            kind: (route,) for kind, route in self.stats._routes().items()
+        }
+        self._subscribing = threading.Lock()
+        for observer in observers:
+            self.subscribe(observer)
         # Per-path delta-checkpoint generation chains (created lazily;
         # non-delta mounts never populate this).
         self._deltas: dict[str, DeltaTracker] = {}
 
     def subscribe(self, observer: PipelineObserver) -> None:
-        """Attach an observer to the unified event stream."""
-        self._observers.append(observer)
-        self.observed = True
+        """Route ``observer`` the record types its ``types`` names
+        (every type when that is None, or when it has no ``types``)."""
+        types = getattr(observer, "types", None)
+        with self._subscribing:
+            routes = dict(self._routes)
+            for kind in PipelineEvent.__subclasses__() if types is None else types:
+                routes[kind] = routes.get(kind, ()) + (observer.on_event,)
+            self._routes = routes
 
     def emit(self, event: PipelineEvent) -> None:
-        self.stats.on_event(event)
-        for observer in self._observers:
-            observer.on_event(event)
-
-    def publish(self, event: PipelineEvent) -> None:
-        """Deliver an event whose counts the stats registry already has
-        (``FilePipeline.fit_write``) to every other observer."""
-        for observer in self._observers:
-            observer.on_event(event)
+        for route in self._routes.get(type(event), ()):
+            route(event)
 
     def file(
         self, path: str, lock: Any = None, tenant: str = "default"

@@ -124,7 +124,7 @@ from .events import (
     WindowGrown,
     WindowShrunk,
 )
-from .kernel import EmitFn
+from .kernel import EmitFn, PipelineKernel, _own_kernel
 from .writeback import Gen
 
 __all__ = [
@@ -281,6 +281,12 @@ class ReadaheadCore:
     and by the window ceiling), which is also what guarantees a victim
     outside the window exists.  The slot the adaptive ceiling leaves
     beyond current chunk + window holds the chunk just consumed.
+
+    ``kernel`` is the mount's :class:`~repro.pipeline.kernel.
+    PipelineKernel`: the core counts its hits, misses and ``fetch``
+    copies in its registry and emits on its stream.  A core built
+    without one routes every record to ``emit``, timestamped by
+    ``clock`` (0.0 by default).
     """
 
     def __init__(
@@ -292,6 +298,7 @@ class ReadaheadCore:
         emit: Optional[EmitFn] = None,
         clock: Optional[Callable[[], float]] = None,
         adaptive: bool = False,
+        kernel: Optional[PipelineKernel] = None,
     ):
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
@@ -308,8 +315,11 @@ class ReadaheadCore:
             ceiling=ceiling,
             adaptive=adaptive,
         )
-        self._emit = emit if emit is not None else (lambda event: None)
-        self._clock = clock if clock is not None else (lambda: 0.0)
+        if kernel is None:
+            kernel = _own_kernel(chunk_size, emit, clock if clock is not None else lambda: 0.0)
+        self._kernel = kernel
+        self._emit = kernel.emit
+        self._clock = kernel.clock
         self._entries: "OrderedDict[int, CacheEntry]" = OrderedDict()
 
     @property
@@ -346,32 +356,27 @@ class ReadaheadCore:
         A resident entry — filled, warmed *or* still in flight — is a
         hit (the caller fills a warmed entry and waits on an in-flight
         one); absence is a miss and the caller fetches on demand.  Both
-        outcomes go out on the event stream.
+        outcomes are counted.
         """
         entry = self._entries.get(index)
-        if entry is None:
-            self._emit(
-                ReadMiss(
-                    path=self.path,
-                    file_offset=index * self.chunk_size,
-                    t=self._clock(),
-                )
-            )
-            self._observe_access(index, hit=False)
-        else:
-            self.hit(entry, self._emit)
-        return entry
+        self._kernel.stats._count_access(hit=entry is not None)
+        if entry is not None:
+            self.hit(entry)
+            return entry
+        if ReadMiss in self._kernel._routes:
+            self._emit(ReadMiss(self.path, index * self.chunk_size, self._clock()))
+        self._observe_access(index, hit=False)
+        return None
 
-    def hit(self, entry: CacheEntry, emit: Optional[EmitFn]) -> None:
-        """The decisions of one hit: ``entry`` is marked used, moved to
-        MRU and shown to the window controller.  Its ``ReadHit`` goes to
-        ``emit`` — the stream for :meth:`access`; for a caller that
-        counts the hit itself (:func:`read_resident`), the observers
-        besides the stats registry, or None while there are none."""
+    def hit(self, entry: CacheEntry) -> None:
+        """The decisions of one hit, which the caller counts
+        (:meth:`access`, or :func:`read_resident` in the file's hot
+        cell): ``entry`` is marked used, moved to MRU and shown to the
+        window controller, and a ``ReadHit`` is built if routed."""
         entry.used = True
         self._entries.move_to_end(entry.index)
-        if emit is not None:
-            emit(ReadHit(self.path, entry.index * self.chunk_size, self._clock()))
+        if ReadHit in self._kernel._routes:
+            self._emit(ReadHit(self.path, entry.index * self.chunk_size, self._clock()))
         self._observe_access(entry.index, hit=True)
 
     def _observe_access(self, index: int, hit: bool) -> None:
@@ -493,7 +498,9 @@ class ReadaheadCore:
         pooled-buffer copy happened whether or not the entry survived,
         so the ``fetch`` copy is accounted either way (a failed fill
         moved no bytes and goes through :meth:`fetch_failed` instead)."""
-        self._emit(CopyObserved(path=self.path, site=FETCH, length=got, t=self._clock()))
+        self._kernel.stats._count_copy(FETCH, got)
+        if CopyObserved in self._kernel._routes:
+            self._emit(CopyObserved(path=self.path, site=FETCH, length=got, t=self._clock()))
         entry.filled = True
         entry.valid = got
 
@@ -587,7 +594,7 @@ class Prefetch:
 
 
 def read_resident(
-    port: Any, f: Any, size: int, offset: int, publish: Optional[EmitFn]
+    port: Any, f: Any, size: int, offset: int
 ) -> Optional[Tuple[Optional[list], Optional[Gen]]]:
     """Serve one application read from resident cache chunks, or return
     None — having decided and counted nothing — for :func:`read` to.
@@ -601,10 +608,9 @@ def read_resident(
     ``valid`` existed when it was filled and a write would have dropped
     the entry, so the file size is not asked for either.  Each chunk
     then gets exactly the decisions :func:`cached_chunk` makes on a hit
-    (``ReadaheadCore.hit``), in the same order, and the read is counted
-    in the file's hot counters (``FilePipeline.count_read``); a
-    ``ReadHit`` record is built only for ``publish`` — the observers
-    besides the stats registry, None while there are none.
+    (``ReadaheadCore.hit``), in the same order, and the read and its
+    hits are counted in the file's hot counters
+    (``FilePipeline.count_read``).
 
     Where the reader fills (``warm_reads`` False), a read inside one
     chunk is served from an entry the window warmed and no read has
@@ -652,7 +658,7 @@ def read_resident(
         return None
     parts = []
     for centry in found:
-        core.hit(centry, publish)
+        core.hit(centry)
         base = centry.index * cs
         lo, hi = max(offset - base, 0), min(end - base, cs)
         if not centry.filled:  # warmed: this read fills it

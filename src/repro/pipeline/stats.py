@@ -2,11 +2,14 @@
 
 One instance per mount, shared by every pipeline component (file
 pipelines, buffer pool, work queue, IO workers) on *either* plane.
-Counters are derived from the unified event stream in :meth:`on_event`
-and bumped under one lock — all but the per-call ones of a write that
-fits its open chunk and of a read served from resident cache chunks,
-which each open file gathers in its own :class:`HotCounts` cell without
-that lock and :meth:`snapshot` folds in.
+Counters are bumped under one lock by the registry's routes on the
+kernel's event stream (:data:`_HANDLERS`, one handler per record type)
+— all but the per-call facts (an application write or read, a cache
+hit or miss, a budgeted copy), which take no record: a write that fits
+its open chunk and a read served from resident cache chunks are
+counted in the open file's :class:`HotCounts` cell without that lock,
+which :meth:`snapshot` folds in, and every other one by a direct call
+that takes the lock and goes through the fold's own arithmetic.
 Either way :meth:`snapshot` returns one atomic, mutually-consistent
 view — the functional plane's ``CRFS.stats()`` and the timing plane's
 ``SimCRFS.stats()`` both return exactly this schema, which the
@@ -20,6 +23,7 @@ plus the fields derived from it.
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Any, Callable, Iterable
 
@@ -35,7 +39,6 @@ from .events import (
     ChunkRetried,
     ChunkSealed,
     ChunkWritten,
-    CopyObserved,
     DeltaGenerationCommitted,
     DeltaRestored,
     ErrorLatched,
@@ -48,9 +51,6 @@ from .events import (
     PrefetchDropped,
     PrefetchWasted,
     QueuePressure,
-    ReadHit,
-    ReadMiss,
-    ReadObserved,
     TierDegraded,
     TierMigrated,
     TierPumpPressure,
@@ -61,7 +61,6 @@ from .events import (
     WindowGrown,
     WindowShrunk,
     WorkersDrained,
-    WriteObserved,
 )
 from .planner import SealReason
 
@@ -215,9 +214,9 @@ def _copy(counters: Counters) -> Counters:
 
 
 class HotCounts:
-    """One open file's count of the per-call cases that build no event:
-    writes that fit their open chunk, reads served from resident cache
-    chunks.
+    """One open file's count of the per-call facts of the cases its own
+    serialisation covers: writes that fit their open chunk, reads served
+    from resident cache chunks.
 
     The file's writer — whoever holds its write serialisation (the
     threaded plane's per-file ``write_lock``; the simulator is
@@ -244,7 +243,8 @@ class HotCounts:
 
 
 class PipelineStats(PipelineObserver):
-    """Thread-safe counter registry fed by the pipeline event stream.
+    """Thread-safe counter registry fed by the pipeline event stream
+    and by direct per-call counts.
 
     ``_counts`` holds every counter in the snapshot's shape; read them
     through :meth:`snapshot`, which folds the open files' hot counts in
@@ -299,54 +299,91 @@ class PipelineStats(PipelineObserver):
 
     def _fold(self, hot: HotCounts) -> None:
         """Absorb what ``hot`` gathered since it was last folded (caller
-        holds the lock) — through the same arithmetic as the
-        ``WriteObserved``/``ReadObserved``/``ReadHit``/``CopyObserved``
-        events these calls replace."""
+        holds the lock), through the arithmetic the direct counts use."""
         counts = hot.writes
         writes, nbytes, copies = (now - was for now, was in zip(counts, hot.folded_writes))
         if writes:
-            self._count_writes(hot.tenant, writes, nbytes)
+            self._add_writes(hot.tenant, writes, nbytes)
             self.copies.record(INGEST, nbytes, copies)
             hot.folded_writes = counts
         counts = hot.reads
         reads, nbytes, hits = (now - was for now, was in zip(counts, hot.folded_reads))
         if reads:
-            self._count_reads(hot.tenant, reads, nbytes)
-            self._counts["read"]["hits"] += hits
+            self._add_reads(hot.tenant, reads, nbytes, hits)
             self.copies.record(READ_BOUNDARY, nbytes, reads)
             hot.folded_reads = counts
+
+    def _add_writes(self, tenant: str, writes: int, nbytes: int) -> None:
+        """``writes`` accepted application writes of ``nbytes`` in all
+        (caller holds the lock)."""
+        for counters in (self._counts, self._tenant(tenant)):
+            counters["writes"] += writes
+            counters["bytes_in"] += nbytes
+
+    def _add_reads(self, tenant: str, reads: int, nbytes: int, hits: int = 0) -> None:
+        """``reads`` application reads asking for ``nbytes`` in all, and
+        ``hits`` cache hits (caller holds the lock)."""
+        for counters in (self._counts["read"], self._tenant(tenant)):
+            counters["reads"] += reads
+            counters["bytes_read"] += nbytes
+        self._counts["read"]["hits"] += hits
+
+    # -- per-call facts outside a hot cell ------------------------------------
+    # Counted by the pipeline where nothing serialises the file for a
+    # cell: each takes the lock.
+
+    def _count_write(self, tenant: str, length: int, write_through: bool, degraded: bool) -> None:
+        """One application write; an aggregated one paid its ``ingest``
+        copy, a write-through none."""
+        with self._lock:
+            self._add_writes(tenant, 1, length)
+            if write_through:
+                self._counts["write_through_bytes"] += length
+            elif length > 0:
+                self.copies.record(INGEST, length)
+            if degraded:
+                r = self._counts["resilience"]
+                r["degraded_writes"] += 1
+                r["degraded_bytes"] += length
+
+    def _count_read(self, tenant: str, length: int, copied: int) -> None:
+        """One application read of ``length`` bytes, ``copied`` of them
+        joined at the shim boundary."""
+        with self._lock:
+            self._add_reads(tenant, 1, length)
+            if copied > 0:
+                self.copies.record(READ_BOUNDARY, copied)
+
+    def _count_access(self, hit: bool) -> None:
+        """One chunk-aligned cache lookup."""
+        with self._lock:
+            self._counts["read"]["hits" if hit else "misses"] += 1
+
+    def _count_copy(self, site: str, length: int) -> None:
+        """One budgeted copy of ``length`` bytes at ``site``."""
+        with self._lock:
+            self.copies.record(site, length)
 
     # -- event intake ---------------------------------------------------------
 
     def on_event(self, event: PipelineEvent) -> None:
         handler = _HANDLERS.get(type(event))
         if handler is not None:
-            with self._lock:
-                handler(self, event)
+            self._handle(handler, event)
+
+    def _routes(self) -> dict[type, Callable[[PipelineEvent], None]]:
+        """The registry's route of each record type it counts: the
+        type's handler, under the lock — what :meth:`on_event` does
+        with the lookup already made."""
+        return {kind: functools.partial(self._handle, h) for kind, h in _HANDLERS.items()}
+
+    def _handle(self, handler: "Handler", event: PipelineEvent) -> None:
+        with self._lock:
+            handler(self, event)
 
     # One handler per event type (caller holds the lock); ``_HANDLERS``
     # below maps each exact type to its handler — no event class is
     # subclassed, so the exact type is the whole dispatch.
-
-    def _count_writes(self, tenant: str, writes: int, nbytes: int) -> None:
-        """``writes`` accepted application writes of ``nbytes`` in all
-        — one ``WriteObserved``, or what a file's hot counters gathered
-        since they were last folded."""
-        for counters in (self._counts, self._tenant(tenant)):
-            counters["writes"] += writes
-            counters["bytes_in"] += nbytes
-
-    def _on_write(self, event: WriteObserved) -> None:
-        self._count_writes(event.tenant, 1, event.length)
-        if event.write_through:
-            self._counts["write_through_bytes"] += event.length
-        if event.degraded:
-            r = self._counts["resilience"]
-            r["degraded_writes"] += 1
-            r["degraded_bytes"] += event.length
-
-    def _on_copy(self, event: CopyObserved) -> None:
-        self.copies.record(event.site, event.length)
 
     def _on_chunk_sealed(self, event: ChunkSealed) -> None:
         self._counts["seals"][event.reason.value] += 1
@@ -424,17 +461,6 @@ class PipelineStats(PipelineObserver):
         d = self._counts["drain"]
         d["shutdown_drains"] += 1
         d["shutdown_time_total"] += event.duration
-
-    def _count_reads(self, tenant: str, reads: int, nbytes: int) -> None:
-        """``reads`` application reads asking for ``nbytes`` in all —
-        one ``ReadObserved``, or what a file's hot counters gathered
-        since they were last folded."""
-        for counters in (self._counts["read"], self._tenant(tenant)):
-            counters["reads"] += reads
-            counters["bytes_read"] += nbytes
-
-    def _on_read(self, event: ReadObserved) -> None:
-        self._count_reads(event.tenant, 1, event.length)
 
     def _on_window_moved(self, event: WindowGrown | WindowShrunk) -> None:
         r = self._counts["read"]
@@ -530,8 +556,6 @@ def _one_per_tier(key: str) -> Handler:
 
 
 _HANDLERS: dict[type, Handler] = {
-    WriteObserved: PipelineStats._on_write,
-    CopyObserved: PipelineStats._on_copy,
     ChunkSealed: PipelineStats._on_chunk_sealed,
     ChunkWritten: PipelineStats._on_chunk_written,
     BatchWritten: PipelineStats._on_batch_written,
@@ -547,9 +571,6 @@ _HANDLERS: dict[type, Handler] = {
     BackendRecovered: _one("resilience", "breaker_recoveries"),
     FileDrained: PipelineStats._on_file_drained,
     WorkersDrained: PipelineStats._on_workers_drained,
-    ReadObserved: PipelineStats._on_read,
-    ReadHit: _one("read", "hits"),
-    ReadMiss: _one("read", "misses"),
     ChunkPrefetched: _one("read", "prefetched"),
     PrefetchDropped: _one("read", "prefetch_dropped"),
     PrefetchWasted: _one("read", "prefetch_wasted"),

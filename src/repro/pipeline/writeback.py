@@ -330,7 +330,7 @@ def flush(port: Any, file: Any, through: tuple[int, int] | None = None) -> Gen:
 def _enqueue(port: Any, extent: Extent) -> Gen:
     """Hand one extent to the pump (caller holds ``port.lock``).  The
     depth gauge is maintained here rather than read back from the queue
-    so both planes publish the same workload-determined depths."""
+    so both planes report the same workload-determined depths."""
     port.pump_depth += 1
     port.staging.enqueued(extent.tier, port.pump_depth)
     yield from port.pump_put(extent)

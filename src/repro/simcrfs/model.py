@@ -13,7 +13,7 @@ flows that run it — chunk writeback and the tier pump
 (:mod:`repro.pipeline.delta`) — are the generator functions the
 threaded plane runs too.  This module is their *port* on the virtual
 clock: processes, queues, the pool, and the modelled costs.  Every
-state transition is published on the mount's
+state transition is emitted on the mount's
 :class:`~repro.pipeline.kernel.PipelineKernel` stream, so
 :meth:`SimCRFS.stats` reports the same schema as the functional plane's
 ``CRFS.stats()`` — from the identical counting code.
@@ -375,9 +375,8 @@ class SimCRFS:
                     self.config.chunk_size,
                     capacity=self.config.read_cache_chunks,
                     depth=self.config.readahead_chunks,
-                    emit=self.kernel.emit,
-                    clock=lambda: self.sim.now,
                     adaptive=self.config.readahead_adaptive,
+                    kernel=self.kernel,
                 ),
             )
             self._cached_files.append(f)
@@ -446,8 +445,8 @@ class SimCRFS:
             pipeline.note_write(
                 offset0, nbytes, start=t0, write_through=direct, degraded=degraded
             )
-        elif self.kernel.observed:
-            pipeline.publish_write(offset0, nbytes, t0)
+        else:
+            pipeline._observe_write(offset0, nbytes, t0)
 
     def close(self, f: SimCRFSFile):
         """Generator: Section IV-C close — flush, drain, backend close.
@@ -508,8 +507,7 @@ class SimCRFS:
         prefetches serviced by the IO threads off the queue's low
         band)."""
         t0 = self.sim.now
-        publish = self.kernel.publish if self.kernel.observed else None
-        served = readahead.read_resident(self, f, nbytes, f.read_pos, publish)
+        served = readahead.read_resident(self, f, nbytes, f.read_pos)
         if served is None:
             yield from readahead.read(self, f, nbytes, f.read_pos)
         else:
@@ -517,8 +515,7 @@ class SimCRFS:
             if slide is not None:
                 yield from slide
             yield from f.read_cache.hand_back(nbytes)
-            if publish is not None:
-                f.pipeline.publish_read(f.read_pos, nbytes, t0)
+            f.pipeline._observe_read(f.read_pos, nbytes, t0, copied=nbytes)
         f.read_pos += nbytes
 
     def seek(self, f: SimCRFSFile, pos: int) -> None:

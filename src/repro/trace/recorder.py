@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from ..pipeline import PipelineEvent, PipelineObserver, WriteObserved
+from ..pipeline import PipelineObserver, WriteObserved
 
 __all__ = ["WriteRecord", "WriteTrace", "TraceObserver"]
 
@@ -98,6 +98,8 @@ class TraceObserver(PipelineObserver):
     used throughout the experiments).
     """
 
+    types = (WriteObserved,)
+
     def __init__(
         self,
         trace: Optional[WriteTrace] = None,
@@ -106,8 +108,5 @@ class TraceObserver(PipelineObserver):
         self.trace = trace if trace is not None else WriteTrace()
         self.rank_of = rank_of if rank_of is not None else _rank_from_path
 
-    def on_event(self, event: PipelineEvent) -> None:
-        if isinstance(event, WriteObserved):
-            self.trace.add(
-                self.rank_of(event.path), event.length, event.start, event.duration
-            )
+    def on_event(self, event: WriteObserved) -> None:
+        self.trace.add(self.rank_of(event.path), event.length, event.start, event.duration)

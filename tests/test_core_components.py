@@ -10,6 +10,7 @@ from repro.core.buffer_pool import BufferPool
 from repro.core.chunk import Chunk
 from repro.core.filetable import FileEntry, OpenFileTable
 from repro.core.iopool import IOThreadPool, WorkItem
+from repro.pipeline import PipelineStats
 from repro.pipeline.planner import SealReason
 from repro.core.workqueue import QueueClosed, WorkQueue
 from repro.pipeline.tenancy import DEFAULT_TENANT
@@ -89,7 +90,8 @@ class TestBufferPool:
         assert c.valid == 0 and c.owner is None  # and scrubbed
 
     def test_acquire_blocks_until_release(self):
-        pool = BufferPool(64, 64)
+        stats = PipelineStats()
+        pool = BufferPool(64, 64, emit=stats.on_event)
         held = pool.acquire()
         got = []
 
@@ -103,7 +105,7 @@ class TestBufferPool:
         pool.release(held)
         t.join(timeout=5.0)
         assert len(got) == 1
-        assert pool.stats.snapshot()["pool"]["waits"] == 1
+        assert stats.snapshot()["pool"]["waits"] == 1
 
     def test_acquire_timeout_raises(self):
         pool = BufferPool(64, 64)
@@ -141,11 +143,12 @@ class TestBufferPool:
             BufferPool(1024, 512)
 
     def test_max_in_use_stat(self):
-        pool = BufferPool(64, 256)
+        stats = PipelineStats()
+        pool = BufferPool(64, 256, emit=stats.on_event)
         chunks = [pool.acquire() for _ in range(3)]
         for c in chunks:
             pool.release(c)
-        assert pool.stats.snapshot()["pool"]["max_in_use"] == 3
+        assert stats.snapshot()["pool"]["max_in_use"] == 3
 
 
 class TestWorkQueue:
@@ -219,10 +222,11 @@ class TestWorkQueue:
         assert len(errs) == 1
 
     def test_stats(self):
-        q = WorkQueue()
+        stats = PipelineStats()
+        q = WorkQueue(emit=stats.on_event)
         for i in range(5):
             q.put(i)
-        queue = q.stats.snapshot()["queue"]
+        queue = stats.snapshot()["queue"]
         assert (queue["puts"], queue["max_depth"]) == (5, 5)
         assert len(q) == 5
 
@@ -309,9 +313,11 @@ class TestOpenFileTable:
 class TestIOThreadPool:
     def _rig(self, nthreads=2):
         backend = MemBackend()
-        queue = WorkQueue()
-        pool = BufferPool(64, 64 * 8)
-        iop = IOThreadPool(backend, queue, pool, nthreads)
+        self.stats = PipelineStats()
+        emit = self.stats.on_event
+        queue = WorkQueue(emit=emit)
+        pool = BufferPool(64, 64 * 8, emit=emit)
+        iop = IOThreadPool(backend, queue, pool, nthreads, emit=emit)
         iop.start()
         return backend, queue, pool, iop
 
@@ -319,8 +325,8 @@ class TestIOThreadPool:
         backend, queue, pool, iop = self._rig()
         fd = backend.open("/out")
         # Completion accounting flows over the event stream: wire the
-        # standalone entry to the io-pool's stats registry.
-        entry = FileEntry("/out", fd, 64, emit=iop.stats.on_event)
+        # standalone entry to the rig's stats registry.
+        entry = FileEntry("/out", fd, 64, emit=self.stats.on_event)
         chunk = pool.acquire()
         chunk.open_for(entry, 0)
         chunk.append(b"payload!", 0, 8)
@@ -328,7 +334,7 @@ class TestIOThreadPool:
         queue.put(WorkItem(chunk=chunk, entry=entry))
         entry.wait_drained(timeout=5.0)
         assert backend.read_file("/out") == b"payload!"
-        snap = iop.stats.snapshot()
+        snap = self.stats.snapshot()
         assert (snap["chunks_written"], snap["bytes_out"]) == (1, 8)
         iop.shutdown()
 
@@ -351,7 +357,7 @@ class TestIOThreadPool:
     def test_write_error_latches_into_entry(self):
         backend, queue, pool, iop = self._rig()
         # bogus fd -> pwrite fails
-        entry = FileEntry("/out", 999999, 64, emit=iop.stats.on_event)
+        entry = FileEntry("/out", 999999, 64, emit=self.stats.on_event)
         chunk = pool.acquire()
         chunk.open_for(entry, 0)
         chunk.append(b"x", 0, 1)
@@ -359,7 +365,7 @@ class TestIOThreadPool:
         queue.put(WorkItem(chunk=chunk, entry=entry))
         with pytest.raises(BackendIOError):
             entry.wait_drained(timeout=5.0)
-        assert iop.stats.snapshot()["io_errors"] == 1
+        assert self.stats.snapshot()["io_errors"] == 1
         iop.shutdown()
 
     def test_shutdown_joins_threads(self):

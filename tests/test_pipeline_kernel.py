@@ -12,16 +12,28 @@ The invariants the planes rely on, checked over random op sequences:
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.backends import MemBackend
+from repro.config import CRFSConfig
+from repro.core import CRFS
 from repro.errors import BackendIOError, FileStateError
 from repro.pipeline import (
     ChunkSealed,
     ChunkWritten,
     ErrorLatched,
+    EventLog,
     FilePipeline,
     PipelineKernel,
+    PoolPressure,
+    QueuePressure,
     Seal,
     SealReason,
 )
+from repro.sim import SharedBandwidth, Simulator
+from repro.simcrfs import SimCRFS
+from repro.simio.nullfs import NullSimFilesystem
+from repro.simio.params import DEFAULT_HW
+from repro.units import KiB
+from repro.util.rng import rng_for
 
 CHUNK = 64
 
@@ -145,6 +157,22 @@ class TestEventStream:
         assert snap["bytes_out"] == 2 * CHUNK
         assert snap["seals"][SealReason.FULL.value] == 2
 
+    def test_an_observer_is_routed_only_its_types(self):
+        class Sealed(EventLog):
+            types = (ChunkSealed,)
+
+        kernel = PipelineKernel(CHUNK)
+        sealed, every = Sealed(), EventLog()
+        kernel.subscribe(sealed)
+        p = kernel.file("/f")
+        p.note_queued(_seal(0))
+        kernel.subscribe(every)  # midstream: from the next record on
+        p.note_queued(_seal(CHUNK))
+        p.note_complete(length=CHUNK)
+        assert [type(e) for e in sealed.events] == [ChunkSealed, ChunkSealed]
+        assert [type(e) for e in every.events] == [ChunkSealed, ChunkWritten]
+        assert kernel.snapshot()["chunks_written"] == 1
+
     @given(ops=OPS)
     @settings(max_examples=100, deadline=None)
     def test_stats_agree_with_pipeline_counts(self, ops):
@@ -160,3 +188,49 @@ class TestEventStream:
         assert sum(snap["seals"].values()) == p.write_chunk_count
         assert snap["chunks_written"] + snap["io_errors"] == p.complete_chunk_count
         assert snap["bytes_out"] == snap["chunks_written"] * CHUNK
+
+
+class TestPoolAndQueueRecords:
+    """Both planes' pool and queue emit on the kernel's stream: an
+    observer logs every acquire, release and put the registry counts.
+    300 KiB written in 64 KiB chunks through a 256 KiB pool is five
+    chunks, each acquired, queued and released once."""
+
+    CONFIG = CRFSConfig(chunk_size=64 * KiB, pool_size=256 * KiB, io_threads=1)
+    SIZE = 300 * KiB
+
+    def threaded(self):
+        log = EventLog()
+        with CRFS(MemBackend(), self.CONFIG, observers=[log]) as fs:
+            with fs.open("/rank0.img") as f:
+                f.write(bytes(self.SIZE))
+        return fs.stats(), log
+
+    def timing(self):
+        sim, log = Simulator(), EventLog()
+        membus = SharedBandwidth(sim, DEFAULT_HW.membus_bandwidth)
+        backend = NullSimFilesystem(sim, DEFAULT_HW, rng_for(1, "pool-queue-records"))
+        crfs = SimCRFS(sim, DEFAULT_HW, self.CONFIG, backend, membus, observers=[log])
+
+        def proc():
+            f = crfs.open("/rank0.img")
+            yield from crfs.write(f, self.SIZE)
+            yield from crfs.close(f)
+
+        sim.run_until_complete([sim.spawn(proc())])
+        crfs.shutdown()
+        return crfs.stats(), log
+
+    def test_both_planes_log_what_they_count(self):
+        counts = {}
+        for plane, (stats, log) in (("threaded", self.threaded()), ("timing", self.timing())):
+            pool = log.of(PoolPressure)
+            logged = (
+                sum(not e.released for e in pool),
+                sum(e.released for e in pool),
+                len(log.of(QueuePressure)),
+            )
+            counted = (stats["pool"]["acquires"], stats["pool"]["releases"], stats["queue"]["puts"])
+            assert logged == counted, plane
+            counts[plane] = logged
+        assert counts["threaded"] == counts["timing"] == (5, 5, 5)

@@ -3,8 +3,9 @@
 A ``pread`` of a clean file whose every chunk is resident is served by
 ``readahead.read_resident`` — a plain function: the decisions
 ``cached_chunk`` makes on a hit, one join under the cache lock, the
-call counted in the file's hot counters instead of three events — and
-any other read by the ``read`` flow, unchanged.  Under both, eviction
+call counted in the file's hot counters, its records built only for the
+types an observer is routed — and any other read by the ``read`` flow,
+unchanged.  Under both, eviction
 spares the live window, so a sequential restore fetches every chunk
 from the backend once.
 
@@ -35,11 +36,11 @@ from repro.pipeline import (
     PrefetchDropped,
     PrefetchWasted,
     ReadHit,
+    ReadMiss,
     ReadObserved,
     readahead,
 )
-from repro.pipeline import kernel as kernel_module
-from repro.pipeline.copies import READ_BOUNDARY
+from repro.pipeline.copies import FETCH, READ_BOUNDARY
 from repro.pipeline.readahead import DEMAND, PREFETCH, ReadaheadCore, service_prefetch
 from repro.pipeline.writeback import run
 from repro.sim import SharedBandwidth, Simulator
@@ -79,6 +80,18 @@ def flows(monkeypatch):
     return taken
 
 
+def per_call_records(recorder):
+    """Every per-call record in ``recorder``, times zeroed."""
+    out = []
+    for e in recorder.events:
+        if type(e) in (ReadHit, ReadMiss, CopyObserved):
+            out.append(dataclasses.replace(e, t=0.0))
+        elif type(e) is ReadObserved:
+            assert e.duration >= 0
+            out.append(dataclasses.replace(e, start=0.0, duration=0.0))
+    return out
+
+
 def read_records(recorder):
     """The records of the read path a hit produces, times zeroed."""
     out = []
@@ -113,7 +126,7 @@ def fake_mount(capacity, depth, adaptive):
 
 def fake_pread(mount, size, offset):
     """What both planes do: the plain function if it accepts, else the flow."""
-    served = readahead.read_resident(mount, mount.file, size, offset, None)
+    served = readahead.read_resident(mount, mount.file, size, offset)
     if served is None:
         return mount.read(size, offset)
     parts, slide = served
@@ -586,19 +599,16 @@ class TestARefusalDecidesNothing:
     def test_refused_reads_leave_no_trace(self, resident, size, offset):
         mount, cache = self.primed(resident)
         before = self.state(mount, cache)
-        assert readahead.read_resident(mount, mount.file, size, offset, None) is None
+        assert readahead.read_resident(mount, mount.file, size, offset) is None
         assert self.state(mount, cache) == before
         assert cache.events == [] and cache.log == [] and cache.queue == []
 
     def test_accepted_multi_chunk_read_slides_only_after_its_last_chunk(self):
         mount, cache = self.primed([0, 1, 2, 3])  # windows (1, 2] and (2, 3] are resident
-        published = []
-        parts, slide = readahead.read_resident(
-            mount, mount.file, 2 * CHUNK, CHUNK // 2, published.append
-        )
+        parts, slide = readahead.read_resident(mount, mount.file, 2 * CHUNK, CHUNK // 2)
         # chunks 0-2, as (lease, lo, hi)
         assert parts == [(1, CHUNK // 2, CHUNK), (2, 0, CHUNK), (3, 0, CHUNK // 2)]
-        assert [type(e) for e in published] == [ReadHit] * 3
+        assert [type(e) for e in cache.events] == [ReadHit] * 3
         assert cache.queue == []  # nothing admitted yet
         run(slide)  # chunk 2's window is (3, 4], and 4 is absent
         assert [item.file_offset for item in cache.queue] == [4 * CHUNK]
@@ -713,30 +723,83 @@ class TestObservers:
 
     def test_no_event_is_built_when_nobody_else_listens(self, monkeypatch, flows):
         built = []
-        for module, cls in (
-            (kernel_module, CopyObserved),
-            (kernel_module, ReadObserved),
-            (readahead, ReadHit),
-        ):
+        for cls in (CopyObserved, ReadObserved, ReadHit, ReadMiss):
 
-            def counting(*args, _cls=cls, **kwargs):
-                built.append(_cls.__name__)
-                return _cls(*args, **kwargs)
+            def counting(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
 
-            monkeypatch.setattr(module, cls.__name__, counting)
+            monkeypatch.setattr(cls, "__init__", counting)
         data = image(3 * CHUNK)
         with CRFS(MemBackend(), cached_config(depth=0)) as fs:
-            assert not fs.kernel.observed
             with fs.open("/f") as f:
                 f.write(data)
                 f.fsync()
                 f.pread(3 * CHUNK, 0)
-                assert "ReadObserved" in built  # the flow's
-                del built[:], flows[:]
+                assert flows == [(0, 3 * CHUNK)]  # the flow's misses and fetches
                 for offset, size in self.READS:
                     assert f.pread(size, offset) == data[offset : offset + size]
-                assert built == [] and flows == []
+                assert built == [] and flows == [(0, 3 * CHUNK)]
             assert fs.stats()["read"]["reads"] == 1 + len(self.READS)
+
+    #: case -> (config, reads as (offset, size), each read's per-call
+    #: records) over a written and synced 3-chunk file; the midstream
+    #: observer joins before the last read, the case's own.
+    SLOW = {
+        "passthrough": (
+            CRFSConfig(chunk_size=CHUNK, pool_size=16 * CHUNK, io_threads=1),
+            [(0, 16), (CHUNK + 8, 64)],
+            [
+                (ReadObserved(path="/f", offset=0, length=16, start=0.0, duration=0.0),),
+                (ReadObserved(path="/f", offset=CHUNK + 8, length=64, start=0.0, duration=0.0),),
+            ],
+        ),
+        "flow-miss-fetch": (
+            cached_config(depth=0),
+            [(0, 16), (CHUNK + 8, 64)],
+            [
+                (
+                    ReadMiss(path="/f", file_offset=0, t=0.0),
+                    CopyObserved(path="/f", site=FETCH, length=CHUNK, t=0.0),
+                    CopyObserved(path="/f", site=READ_BOUNDARY, length=16, t=0.0),
+                    ReadObserved(path="/f", offset=0, length=16, start=0.0, duration=0.0),
+                ),
+                (
+                    ReadMiss(path="/f", file_offset=CHUNK, t=0.0),
+                    CopyObserved(path="/f", site=FETCH, length=CHUNK, t=0.0),
+                    CopyObserved(path="/f", site=READ_BOUNDARY, length=64, t=0.0),
+                    ReadObserved(path="/f", offset=CHUNK + 8, length=64, start=0.0, duration=0.0),
+                ),
+            ],
+        ),
+    }
+
+    def slow_run(self, case, early=None, late=None):
+        """Play ``SLOW[case]``; returns the mount's final ``stats()``."""
+        cfg, reads, _ = self.SLOW[case]
+        data = image(3 * CHUNK)
+        with CRFS(MemBackend(), cfg, observers=[early] if early else []) as fs:
+            with fs.open("/f") as f:
+                f.write(data)
+                f.fsync()
+                if early is not None:
+                    del early.events[:]
+                for i, (offset, size) in enumerate(reads):
+                    if i == len(reads) - 1 and late is not None:
+                        fs.kernel.subscribe(late)
+                    assert f.pread(size, offset) == data[offset : offset + size]
+        return fs.stats()
+
+    @pytest.mark.parametrize("case", SLOW)
+    def test_slow_paths_are_recorded_and_counted_once(self, case):
+        early, late = EventLog(), EventLog()
+        observed = self.slow_run(case, early, late)
+        alone = self.slow_run(case)
+        records = self.SLOW[case][2]
+        assert per_call_records(early) == [e for read in records for e in read]
+        assert per_call_records(late) == list(records[-1])
+        for key in DETERMINISTIC_FIELDS + ("read", "mem"):
+            assert observed[key] == alone[key], key
 
 
 # -- (f) a file that grows through another handle -------------------------------

@@ -219,7 +219,7 @@ class TestDRRScheduler:
 class TestWorkQueueAdmission:
     def test_quota_blocks_only_the_offending_tenant(self):
         stats = PipelineStats(tenants=("default", "storm"))
-        q = WorkQueue(stats=stats, quotas={"storm": 2})
+        q = WorkQueue(emit=stats.on_event, quotas={"storm": 2})
         q.put("s0", tenant="storm")
         q.put("s1", tenant="storm")
         with pytest.raises(QueueFullTimeout):
@@ -290,12 +290,13 @@ class TestBufferPoolTenancy:
             pool.release(c)
 
     def test_release_emits_pool_pressure_event(self):
-        pool = BufferPool(64 * KiB, 2 * 64 * KiB)
+        stats = PipelineStats()
+        pool = BufferPool(64 * KiB, 2 * 64 * KiB, emit=stats.on_event)
         chunk = pool.acquire()
-        snap = pool.stats.snapshot()
+        snap = stats.snapshot()
         assert snap["pool"]["releases"] == 0
         pool.release(chunk)
-        snap = pool.stats.snapshot()
+        snap = stats.snapshot()
         assert snap["pool"]["acquires"] == 1
         assert snap["pool"]["releases"] == 1
 

@@ -1,9 +1,9 @@
 """The per-call fast path of ``write()``: a write that continues the
 append point and leaves room in the open chunk (or is empty) is planned
 by ``FilePipeline.fit_write`` — arithmetic, no ``Fill``/``Seal`` list —
-copied under the per-file lock alone, counted in the file's hot
-counters instead of two events, and published as events only to
-observers other than the stats registry.
+copied under the per-file lock alone and counted in the file's hot
+counters; its records are built only for the types an observer is
+routed.
 
 What must not change, and is pinned here: the planner state and seal
 sequence (against the general ``WritePlanner``), the ``stats()`` values
@@ -33,12 +33,12 @@ from repro.pipeline import (
     WriteObserved,
     WritePlanner,
 )
-from repro.pipeline import kernel as kernel_module
 from repro.pipeline.copies import INGEST
 from repro.sim import SharedBandwidth, Simulator
 from repro.simcrfs import SimCRFS
 from repro.simio.nullfs import NullSimFilesystem
 from repro.simio.params import DEFAULT_HW
+from repro.trace import TraceObserver
 from repro.util.rng import rng_for
 
 from .test_cross_plane import DETERMINISTIC_FIELDS
@@ -287,8 +287,111 @@ def _untimed(event):
     return dataclasses.replace(event, start=0.0, duration=0.0)
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """Names of the write records built, in order."""
+    names = []
+    for cls in (CopyObserved, WriteObserved):
+
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            names.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return names
+
+
+def _copy(path, n):
+    return CopyObserved(path=path, site=INGEST, length=n, t=0.0)
+
+
+def _write(path, offset, n, **kw):
+    return WriteObserved(path=path, offset=offset, length=n, start=0.0, duration=0.0, **kw)
+
+
 class TestObservers:
     SIZES = [16, 40, 0, 63, 8]  # the first opens the chunk; the rest fit
+
+    #: case -> (config overrides, writes as (path, size), each write's
+    #: records).  Each write appends to its file; the midstream observer
+    #: joins before the last, the case's own.
+    SLOW = {
+        "chunk-opening": (
+            {},
+            [("/f", 100), ("/f", CHUNK - 100), ("/f", 40)],
+            [
+                (_copy("/f", 100), _write("/f", 0, 100)),
+                (_copy("/f", CHUNK - 100), _write("/f", 100, CHUNK - 100)),
+                (_copy("/f", 40), _write("/f", CHUNK, 40)),
+            ],
+        ),
+        "spanning": (
+            {},
+            [("/f", 100), ("/f", CHUNK)],
+            [
+                (_copy("/f", 100), _write("/f", 0, 100)),
+                (_copy("/f", CHUNK), _write("/f", 100, CHUNK)),
+            ],
+        ),
+        "write-through": (
+            {"write_through_threshold": 1024},
+            [("/f", 100), ("/f", 2048)],
+            [
+                (_copy("/f", 100), _write("/f", 0, 100)),
+                (_write("/f", 100, 2048, write_through=True),),
+            ],
+        ),
+        # /a's sealed chunk fails its writeback and opens the breaker;
+        # /b's write is then degraded, and its probe closes it again
+        "degraded": (
+            {"breaker_threshold": 1},
+            [("/a", CHUNK), ("/b", 100)],
+            [
+                (_copy("/a", CHUNK), _write("/a", 0, CHUNK)),
+                (_write("/b", 0, 100, write_through=True, degraded=True),),
+            ],
+        ),
+    }
+
+    def slow_run(self, case, early=None, late=None):
+        """Play ``SLOW[case]``; returns the mount's final ``stats()``."""
+        overrides, writes, _ = self.SLOW[case]
+        rules = [FaultRule(op="pwrite", nth=1, error=BackendIOError("injected"))]
+        backend = FaultyBackend(MemBackend(), rules if case == "degraded" else [])
+        fs = CRFS(backend, small_config(**overrides), observers=[early] if early else [])
+        fs.mount()
+        files = {}
+        for i, (path, n) in enumerate(writes):
+            if i == len(writes) - 1:
+                if late is not None:
+                    fs.kernel.subscribe(late)
+                deadline = time.monotonic() + 10
+                while case == "degraded" and not fs.health.degraded:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+            if path not in files:
+                files[path] = fs.open(path)
+            files[path].write(b"x" * n)
+        for f in files.values():
+            try:
+                f.close()
+            except BackendIOError:  # /a's failed writeback, latched
+                pass
+        fs.unmount()
+        return fs.stats()
+
+    @pytest.mark.parametrize("case", SLOW)
+    def test_slow_paths_are_recorded_and_counted_once(self, case):
+        early, late = EventLog(), EventLog()
+        observed = self.slow_run(case, early, late)
+        alone = self.slow_run(case)
+        records = self.SLOW[case][2]
+        assert [_untimed(e) for e in early.of(CopyObserved, WriteObserved)] == [
+            e for write in records for e in write
+        ]
+        assert [_untimed(e) for e in late.of(CopyObserved, WriteObserved)] == list(records[-1])
+        for key in DETERMINISTIC_FIELDS + ("mem", "resilience"):
+            assert observed[key] == alone[key], key
 
     def test_early_and_midstream_observers_get_each_write_once(self, slow_plans):
         early, late = EventLog(), EventLog()
@@ -316,35 +419,84 @@ class TestObservers:
         assert stats["bytes_in"] == sum(self.SIZES) + 24
         assert stats["mem"]["by_site"]["ingest"]["copies"] == len(self.SIZES)
 
-    def test_no_event_is_built_when_nobody_else_listens(self, monkeypatch, slow_plans):
-        built = []
-        for cls in (CopyObserved, WriteObserved):
+    def test_observers_joining_while_writers_run(self):
+        """Three threads subscribe 30 logs while two write: each log
+        holds an ordered tail of each file's writes, none is lost, and
+        the registry counts every write once."""
+        per_writer, joiners, per_joiner = 3_000, 3, 10
+        cfg = CRFSConfig.from_sizes(chunk="2M", pool="8M", io_threads=1)
+        payload = memoryview(bytes(16))
+        logs, errors = [], []
+        start = threading.Barrier(2 + joiners)
 
-            def counting(*args, _cls=cls, **kwargs):
-                built.append(_cls.__name__)
-                return _cls(*args, **kwargs)
+        def writer(path):
+            try:
+                with fs.open(path) as f:
+                    start.wait(timeout=30)
+                    for _ in range(per_writer):
+                        f.write(payload)
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
 
-            monkeypatch.setattr(kernel_module, cls.__name__, counting)
+        def joiner():
+            start.wait(timeout=30)
+            for _ in range(per_joiner):
+                log = EventLog()
+                logs.append(log)
+                fs.kernel.subscribe(log)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with CRFS(MemBackend(), cfg) as fs:
+                threads = [threading.Thread(target=writer, args=(p,)) for p in ("/a", "/b")]
+                threads += [threading.Thread(target=joiner) for _ in range(joiners)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+                with fs.open("/c") as f:
+                    f.write(payload)
+            stats = fs.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == [] and len(logs) == joiners * per_joiner
+        assert stats["writes"] == 2 * per_writer + 1
+        for log in logs:
+            for path in ("/a", "/b"):
+                offsets = [e.offset for e in log.of(WriteObserved) if e.path == path]
+                assert offsets == [16 * i for i in range(per_writer - len(offsets), per_writer)]
+            assert [e.path for e in log.of(WriteObserved)][-1] == "/c"
+
+    def test_no_event_is_built_when_nobody_else_listens(self, built, slow_plans):
         with CRFS(MemBackend(), small_config()) as fs:
-            assert not fs.kernel.observed
             with fs.open("/f") as f:
-                f.write(b"x" * 16)
-                assert built == ["CopyObserved", "WriteObserved"]  # the general path
-                for n in self.SIZES[1:]:
+                for n in self.SIZES:
                     f.write(b"x" * n)
-                assert built == ["CopyObserved", "WriteObserved"]
+                assert built == []  # the general path's first write too
                 assert slow_plans == [0]
             assert fs.stats()["writes"] == len(self.SIZES)
+
+    def test_a_trace_observer_gets_the_write_record_alone(self, built, slow_plans):
+        trace = TraceObserver()
+        with CRFS(MemBackend(), small_config(), observers=[trace]) as fs:
+            with fs.open("/f") as f:
+                f.write(b"x" * 16)
+                del built[:]
+                f.write(b"x" * 40)  # fits
+                assert built == ["WriteObserved"]
+                assert slow_plans == [0]
+        assert [r.size for r in trace.trace] == [16, 40]
 
     def test_standalone_pipeline_publishes_to_its_emit(self):
         events = []
         p = FilePipeline("/f", CHUNK, emit=events.append, clock=lambda: 5.0)
         p.plan_write(0, 10)
-        assert p.fit_write(10, 6) == 10
-        p.publish_write(10, 6, 4.0)
+        p.note_write(0, 10, start=4.0)
         assert events == [
-            CopyObserved(path="/f", site=INGEST, length=6, t=5.0),
-            WriteObserved(path="/f", offset=10, length=6, start=4.0, duration=1.0),
+            CopyObserved(path="/f", site=INGEST, length=10, t=5.0),
+            WriteObserved(path="/f", offset=0, length=10, start=4.0, duration=1.0),
         ]
 
 

@@ -56,6 +56,8 @@ from repro.perf.runner import run_scenario_sim
 from repro.perf.scenarios import SCENARIOS
 from repro.pipeline.copies import COPY_SITES, FETCH, INGEST, READ_BOUNDARY, CopyLedger
 from repro.pipeline.events import CopyObserved
+from repro.pipeline.kernel import PipelineKernel
+from repro.pipeline.readahead import DEMAND, CacheEntry, ReadaheadCore
 from repro.pipeline.stats import PipelineStats
 from repro.pipeline.tenancy import DRRScheduler
 from repro.units import KiB, MiB
@@ -103,11 +105,16 @@ class TestCopyLedger:
 
 class TestStatsMemSection:
     def test_copy_events_feed_the_mem_section(self):
-        stats = PipelineStats(chunk_size=CHUNK, pool_chunks=4)
-        stats.on_event(CopyObserved(path="/f", site=INGEST, length=100))
-        stats.on_event(CopyObserved(path="/f", site=INGEST, length=28))
-        stats.on_event(CopyObserved(path="/f", site=FETCH, length=CHUNK))
-        mem = stats.snapshot()["mem"]
+        """Each copy is counted where it is made; the registry takes no
+        ``CopyObserved`` record."""
+        kernel = PipelineKernel(CHUNK, pool_chunks=4)
+        pipeline = kernel.file("/f")
+        pipeline.note_write(0, 100)
+        pipeline.note_write(100, 28)
+        core = ReadaheadCore("/f", CHUNK, capacity=4, depth=0, kernel=kernel)
+        core.fill_done(CacheEntry(0, DEMAND), CHUNK)
+        kernel.stats.on_event(CopyObserved(path="/f", site=INGEST, length=1))
+        mem = kernel.snapshot()["mem"]
         assert mem["copies"] == 3
         assert mem["bytes_copied"] == 128 + CHUNK
         assert mem["by_site"][INGEST] == {"copies": 2, "bytes": 128}
