@@ -38,6 +38,7 @@ import threading
 import time
 from typing import Any, Callable, Optional, Sequence
 
+from .. import waits
 from ..errors import BackendTimeoutError, ShutdownError
 from ..pipeline.events import PipelineEvent
 from ..pipeline.resilience import BackendHealth, RetryPolicy
@@ -284,27 +285,21 @@ class TieredBackend(Backend):
     def fsync(self, handle: Any) -> None:
         self.fsync_through(handle, self.staging.fsync_tier)
 
-    def fsync_through(
-        self, handle: Any, tier: int, timeout: float | None = 60.0
-    ) -> None:
+    def fsync_through(self, handle: Any, tier: int) -> None:
         """Durability through tier ``tier``: wait until every extent the
         file staged has arrived at (or stranded short of) tiers
         0..``tier``, surface the shallowest strand error if any, then
-        fsync those tiers in order.  ``timeout`` is a deadline."""
+        fsync those tiers in order."""
         tier = StagingCore.resolve_tier(tier, len(self.tiers))
         sf: StagedFile = handle.staged
         with self._idle:
-            deadline = None if timeout is None else time.monotonic() + timeout
-            while sf.pending_through(tier) > 0:
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
+            if not self._idle.wait_for(
+                lambda: sf.pending_through(tier) <= 0, waits.STUCK_S
+            ):
+                raise BackendTimeoutError(
+                    f"{handle.path}: tier-{tier} sync stuck "
+                    f"({sf.pending_through(tier)} extent(s) in flight)"
                 )
-                stuck = remaining is not None and remaining <= 0
-                if stuck or not self._idle.wait(timeout=remaining):
-                    raise BackendTimeoutError(
-                        f"{handle.path}: tier-{tier} sync stuck "
-                        f"({sf.pending_through(tier)} extent(s) in flight)"
-                    )
             error = sf.sync_error(tier)
         if error is not None:
             raise error
@@ -328,23 +323,19 @@ class TieredBackend(Backend):
 
     # -- drain / shutdown -----------------------------------------------------
 
-    def drain(self, timeout: float | None = 30.0) -> None:
+    def drain(self) -> None:
         """Block until the pump has no migrations outstanding anywhere
         (every extent arrived at the deepest tier or stranded)."""
         with self._idle:
-            deadline = None if timeout is None else time.monotonic() + timeout
-            while self.staging.outstanding > 0:
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
+            if not self._idle.wait_for(
+                lambda: self.staging.outstanding <= 0, waits.STUCK_S
+            ):
+                raise BackendTimeoutError(
+                    f"tier pump drain stuck "
+                    f"({self.staging.outstanding} arrival(s) outstanding)"
                 )
-                stuck = remaining is not None and remaining <= 0
-                if stuck or not self._idle.wait(timeout=remaining):
-                    raise BackendTimeoutError(
-                        f"tier pump drain stuck "
-                        f"({self.staging.outstanding} arrival(s) outstanding)"
-                    )
 
-    def shutdown(self, timeout: float | None = 30.0) -> None:
+    def shutdown(self) -> None:
         """Drain the pump, then stop its workers.  Idempotent; the queue
         closes (drain-then-stop) even when the drain times out, so
         workers always exit once their current op finishes."""
@@ -355,22 +346,10 @@ class TieredBackend(Backend):
             started = self._started
         try:
             if started:
-                self.drain(timeout)
+                self.drain()
         finally:
             self._queue.close()
-            deadline = (
-                None if timeout is None else time.monotonic() + timeout
-            )
-            stuck = []
-            for worker in self._workers:
-                remaining = (
-                    None
-                    if deadline is None
-                    else max(0.0, deadline - time.monotonic())
-                )
-                worker.join(timeout=remaining)
-                if worker.is_alive():
-                    stuck.append(worker.name)
+            stuck = waits.join_all(self._workers)
             if stuck:
                 raise BackendTimeoutError(
                     f"tier pump worker(s) did not exit: {', '.join(stuck)}"

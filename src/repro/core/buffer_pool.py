@@ -19,10 +19,9 @@ exactly the pre-tenant pool.
 
 from __future__ import annotations
 
-import time
-
 import threading
 
+from .. import waits
 from ..errors import ConfigError, ShutdownError
 from ..pipeline import PoolPressure
 from ..pipeline.kernel import EmitFn
@@ -35,12 +34,12 @@ __all__ = ["BufferPool"]
 class BufferPool:
     """Thread-safe pool of pre-allocated chunks.
 
-    ``acquire()`` blocks while no admissible chunk exists (bounded by
-    ``timeout`` to keep tests debuggable); ``release()`` recycles a chunk
-    and wakes waiters.  Pressure goes out as ``PoolPressure`` records
-    on ``emit`` (the mount passes its kernel's; a standalone pool drops
-    them) — one per acquire *and* one per release, so the ``in_use``
-    gauge falls in the event timeline as well as rises.
+    ``acquire()`` blocks while no admissible chunk exists; ``release()``
+    recycles a chunk and wakes waiters.  Pressure goes out as
+    ``PoolPressure`` records on ``emit`` (the mount passes its kernel's;
+    a standalone pool drops them) — one per acquire *and* one per
+    release, so the ``in_use`` gauge falls in the event timeline as well
+    as rises.
     """
 
     def __init__(
@@ -108,41 +107,23 @@ class BufferPool:
         )
         return chunk
 
-    def acquire(
-        self, timeout: float | None = 30.0, tenant: str = DEFAULT_TENANT
-    ) -> Chunk:
-        """Take a chunk admissible for ``tenant``, blocking while none is.
-
-        ``timeout`` guards against pipeline deadlocks in tests; production
-        callers can pass ``None`` to wait forever.  The bound is a
-        *deadline*: condition wakeups that do not yield an admissible
-        chunk wait only on the remainder, so racing acquirers cannot
-        stretch the advertised bound.
-        """
-        deadline = (
-            None if timeout is None else time.monotonic() + timeout
-        )
+    def acquire(self, tenant: str = DEFAULT_TENANT) -> Chunk:
+        """Take a chunk admissible for ``tenant``, blocking while none is."""
         with self._available:
-            waited = not self._admissible(tenant) and not self._closed
-            while not self._admissible(tenant):
-                if self._closed:
-                    raise ShutdownError("buffer pool closed")
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    raise ShutdownError(
-                        f"buffer pool exhausted for {timeout}s "
-                        f"({self.nchunks} chunks all in flight, "
-                        f"tenant {tenant!r}) — IO stalled?"
-                    )
-                if not self._available.wait(timeout=remaining):
-                    raise ShutdownError(
-                        f"buffer pool exhausted for {timeout}s "
-                        f"({self.nchunks} chunks all in flight, "
-                        f"tenant {tenant!r}) — IO stalled?"
-                    )
-            return self._take(tenant, waited)
+            if self._admissible(tenant):
+                return self._take(tenant)
+            self._available.wait_for(
+                lambda: self._closed or self._admissible(tenant), waits.STUCK_S
+            )
+            if self._admissible(tenant):
+                return self._take(tenant, waited=True)
+            if self._closed:
+                raise ShutdownError("buffer pool closed")
+            raise ShutdownError(
+                f"buffer pool exhausted for {waits.STUCK_S}s "
+                f"({self.nchunks} chunks all in flight, "
+                f"tenant {tenant!r}) — IO stalled?"
+            )
 
     def try_acquire(self, tenant: str = DEFAULT_TENANT) -> Chunk | None:
         """Take an admissible chunk without ever blocking; None when the

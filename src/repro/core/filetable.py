@@ -22,9 +22,9 @@ scanning the whole mount.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any, Callable, Optional
 
+from .. import waits
 from ..errors import FileStateError
 from ..pipeline import FilePipeline, PipelineKernel, Seal
 from ..pipeline.kernel import EmitFn
@@ -116,7 +116,7 @@ class FileEntry:
             )
             self._drain.notify_all()
 
-    def wait_drained(self, timeout: float | None = 60.0) -> None:
+    def wait_drained(self) -> None:
         """Block until complete_chunk_count == write_chunk_count, then
         surface any latched writeback error (the POSIX close/fsync
         error-reporting contract, raised exactly once).
@@ -124,27 +124,16 @@ class FileEntry:
         Drain latency is emitted on the event stream
         (``FileDrained``) and accumulated in the stats registry's
         ``drain`` section — callers read it from ``stats()`` instead of
-        timing this wait themselves.  ``timeout`` is a deadline for the
-        whole wait: wakeups that find chunks still outstanding (each
-        completion notifies every waiter) wait only on the remainder,
-        so a storm of completions cannot extend a stuck drain forever."""
+        timing this wait themselves."""
         with self._drain:
             start = self.pipeline.clock()
             outstanding = self.pipeline.outstanding
-            deadline = (
-                None if timeout is None else time.monotonic() + timeout
-            )
-            while not self.pipeline.drained:
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
+            if not self._drain.wait_for(lambda: self.pipeline.drained, waits.STUCK_S):
+                raise FileStateError(
+                    f"{self.path}: drain stuck "
+                    f"({self.pipeline.complete_chunk_count}"
+                    f"/{self.pipeline.write_chunk_count})"
                 )
-                stuck = remaining is not None and remaining <= 0
-                if stuck or not self._drain.wait(timeout=remaining):
-                    raise FileStateError(
-                        f"{self.path}: drain stuck "
-                        f"({self.pipeline.complete_chunk_count}"
-                        f"/{self.pipeline.write_chunk_count})"
-                    )
             self.pipeline.note_drained(start, outstanding)
             self.pipeline.raise_latched()
 

@@ -36,6 +36,7 @@ import threading
 import time
 from typing import TYPE_CHECKING, Sequence
 
+from .. import waits
 from ..backends.tiered import TieredBackend
 from ..pipeline.events import WorkersDrained
 from ..pipeline.kernel import EmitFn
@@ -163,22 +164,17 @@ class IOThreadPool:
         )
         self.pool.release(item.chunk)
 
-    def shutdown(self, timeout: float = 30.0) -> None:
+    def shutdown(self) -> None:
         """Drain-close the queue and join the workers.
 
-        ``timeout`` is one shared deadline across all worker joins, not
-        a per-thread allowance — N stuck threads cannot stretch shutdown
-        to N×timeout.  The time the drain-close took is emitted as a
-        ``WorkersDrained`` event (``stats()['drain']`` accumulates it),
-        so callers never re-time shutdown themselves.
+        The time the drain-close took is emitted as a ``WorkersDrained``
+        event (``stats()['drain']`` accumulates it), so callers never
+        re-time shutdown themselves.
         """
         was_started = self._started
         start = time.monotonic()
         self.queue.close()
-        deadline = start + timeout
-        for t in self._threads:
-            t.join(timeout=max(0.0, deadline - time.monotonic()))
-        alive = [t.name for t in self._threads if t.is_alive()]
+        alive = waits.join_all(self._threads)
         if alive:
             raise TimeoutError(f"IO threads did not exit: {alive}")
         self._threads.clear()

@@ -156,14 +156,15 @@ class CRFS:
             self._mounted = True
         return self
 
-    def unmount(self, timeout: float = 30.0) -> None:
+    def unmount(self) -> None:
         """Flush and drain every open file, stop the IO threads.
 
         Files still open are flushed and their backend handles closed (a
-        forced unmount); their CRFSFile handles become unusable.  A
-        file's error (a latched writeback failure, a stuck drain) does
-        not stop the teardown: every file is torn down and the mount
-        stopped, then the first error is raised, each later one its
+        forced unmount); their CRFSFile handles become unusable.  An
+        error (a latched writeback failure, a stuck drain, a worker that
+        will not exit) does not stop the teardown: every file is torn
+        down, the workers are stopped, the pool is closed and the mount
+        is down, then the first error is raised, each later one its
         ``__context__``.
         """
         errors: list[Exception] = []
@@ -181,7 +182,7 @@ class CRFS:
                     try:
                         with entry.write_lock:
                             run(flush(self, entry))
-                        entry.wait_drained(timeout=timeout)
+                        entry.wait_drained()
                     except Exception as exc:  # noqa: BLE001 - raised below
                         errors.append(exc)
                     if entry.read_cache is not None:
@@ -198,12 +199,17 @@ class CRFS:
                     except Exception as exc:  # noqa: BLE001 - raised below
                         errors.append(exc)
                     self.kernel.file_closed(path, tenant=entry.tenant)
-            self.iopool.shutdown(timeout=timeout)
+            # The IO workers stop first, so tier 0 holds everything it
+            # will ever hold; then the tier pump drains to the deepest
+            # tier and stops.
+            stops = [self.iopool.shutdown]
             if self.tiered is not None:
-                # The IO workers are gone, so tier 0 holds everything it
-                # will ever hold; drain the pump to the deepest tier and
-                # stop its workers before declaring the mount down.
-                self.tiered.shutdown(timeout=timeout)
+                stops.append(self.tiered.shutdown)
+            for stop in stops:
+                try:
+                    stop()
+                except Exception as exc:  # noqa: BLE001 - raised below
+                    errors.append(exc)
             self.pool.close()
             self._mounted = False
         if errors:
@@ -283,14 +289,14 @@ class CRFS:
         entry = self.table.open(norm, make_entry)
         return CRFSFile(self, entry)
 
-    def _close_entry(self, entry: FileEntry, timeout: float = 60.0) -> None:
+    def _close_entry(self, entry: FileEntry) -> None:
         """close() semantics (Section IV-C): flush the partial chunk, wait
         for all outstanding chunk writes, then drop the reference."""
         self._require_mounted()
         with entry.write_lock:
             run(flush(self, entry))
         try:
-            entry.wait_drained(timeout=timeout)
+            entry.wait_drained()
         finally:
             _, last = self.table.close(entry.path)
             if last:
@@ -459,14 +465,14 @@ class CRFS:
             self.iopool.complete(item, exc, None)
             raise
 
-    def _fsync(self, entry: FileEntry, timeout: float = 60.0) -> None:
+    def _fsync(self, entry: FileEntry) -> None:
         """fsync() semantics (Section IV-D2): enqueue the current buffer
         chunk, wait for all outstanding chunk writes, then fsync the
         underlying file."""
         self._require_mounted()
         with entry.write_lock:
             run(flush(self, entry))
-        entry.wait_drained(timeout=timeout)
+        entry.wait_drained()
         self.backend.fsync(entry.backend_handle)
 
     # -- read path (passthrough or readahead cache) ----------------------------

@@ -54,9 +54,9 @@ background fetches.
 from __future__ import annotations
 
 import threading
-import time
 from typing import TYPE_CHECKING, Any
 
+from .. import waits
 from ..errors import FileStateError
 from ..pipeline import CopyObserved, ReadObserved, readahead
 from ..pipeline.readahead import CacheEntry, Prefetch, ReadaheadCore
@@ -228,14 +228,12 @@ class ReadCache:
         return chunk.view[lo:hi]
 
     @blocking
-    def await_entry(self, centry: CacheEntry, timeout: float = 30.0) -> None:
+    def await_entry(self, centry: CacheEntry) -> None:
         """Until ``centry`` is warmed or evicted (caller holds
         ``lock``).  Where the reader warms, only this read's own slide
         can have left it unwarmed: warm it now, on this thread.
         Otherwise park on the cache condition while an IO worker
-        fetches it.  ``timeout`` is a deadline — completion broadcasts
-        for *other* chunks wake this waiter too, and each wakeup must
-        wait only on the remainder."""
+        fetches it."""
         if not self.warm_reads:
             for i, item in enumerate(self._unwarmed):
                 if item.centry is centry:
@@ -243,14 +241,13 @@ class ReadCache:
                     run(readahead.service_prefetch(item))
                     return
             return
-        deadline = time.monotonic() + timeout
-        while not centry.ready and not centry.evicted:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not self._cond.wait(timeout=remaining):
-                base = centry.index * self.core.chunk_size
-                raise FileStateError(
-                    f"{self.path}: readahead fetch stuck (chunk @{base})"
-                )
+        if not self._cond.wait_for(
+            lambda: centry.ready or centry.evicted, waits.STUCK_S
+        ):
+            base = centry.index * self.core.chunk_size
+            raise FileStateError(
+                f"{self.path}: readahead fetch stuck (chunk @{base})"
+            )
 
     def wake(self, centry: CacheEntry) -> None:
         if self.warm_reads:  # nobody parks where the reader warms

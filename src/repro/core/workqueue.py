@@ -21,20 +21,15 @@ unmount without dropping in-flight chunks.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any, Callable, Mapping
 
+from .. import waits
 from ..errors import QueueFullTimeout, ShutdownError
 from ..pipeline import AdmissionWait, QueuePressure
 from ..pipeline.kernel import EmitFn
 from ..pipeline.tenancy import DEFAULT_TENANT, DRRScheduler
 
 __all__ = ["WorkQueue", "QueueClosed", "QueueFullTimeout"]
-
-#: Sentinel distinguishing "caller never passed timeout" (fine for any
-#: band) from an explicit value (a contract violation for the low band,
-#: whose puts never block).
-_DEFAULT_TIMEOUT: Any = object()
 
 
 class QueueClosed(ShutdownError):
@@ -109,98 +104,62 @@ class WorkQueue:
             self._not_full.notify_all()
 
     def put(
-        self,
-        item: Any,
-        timeout: float | None = _DEFAULT_TIMEOUT,
-        low: bool = False,
-        tenant: str = DEFAULT_TENANT,
+        self, item: Any, low: bool = False, tenant: str = DEFAULT_TENANT
     ) -> None:
         """Enqueue ``item`` for ``tenant``; raises :class:`QueueClosed`
         once closed.
 
-        Band contract: high-band puts block while the tenant is at its
-        ``queue_quota``, and raise :class:`QueueFullTimeout` after
-        ``timeout`` seconds (None = wait forever; default 30 s).  The
-        bound is a *deadline*: wakeups that do not admit the put wait
-        only on the remainder.  Low-band puts NEVER block — the band is
-        unbounded and quota-exempt by design (prefetch volume is capped
-        upstream by cache admission, and a blocking low put from a
-        reader holding cache locks could deadlock) — so passing
-        ``timeout`` with ``low=True`` is a contract violation and raises
-        :class:`ValueError` instead of being silently ignored.
+        Band contract: a high-band put blocks while the tenant is at its
+        ``queue_quota`` (:class:`QueueFullTimeout` if it stays there).
+        A low-band put NEVER blocks — the band is unbounded and
+        quota-exempt by design (prefetch volume is capped upstream by
+        cache admission, and a blocking low put from a reader holding
+        cache locks could deadlock).
         """
-        if low and timeout is not _DEFAULT_TIMEOUT:
-            raise ValueError(
-                "timeout does not apply to low-band puts — they never block"
-            )
-        if timeout is _DEFAULT_TIMEOUT:
-            timeout = 30.0
         with self._not_full:
-            if low:
-                if self._closed:
-                    raise QueueClosed("work queue closed")
-                self.scheduler.push(tenant, item, low=True)
-                self._pushed(tenant)
-                return
-            quota = self.quotas.get(tenant, 0)
-            deadline = None if timeout is None else time.monotonic() + timeout
-            admission_noted = False
-            while quota and self.scheduler.depth(tenant) >= quota and not self._closed:
-                if not admission_noted:
-                    # Count the blocking put once, not once per wakeup.
-                    self._emit(AdmissionWait(tenant=tenant, depth=self.scheduler.depth(tenant)))
-                    admission_noted = True
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
+            quota = 0 if low else self.quotas.get(tenant, 0)
+            if quota and self.scheduler.depth(tenant) >= quota and not self._closed:
+                # Count the blocking put once, not once per wakeup.
+                self._emit(AdmissionWait(tenant=tenant, depth=self.scheduler.depth(tenant)))
+                if not self._not_full.wait_for(
+                    lambda: self._closed or self.scheduler.depth(tenant) < quota,
+                    waits.STUCK_S,
+                ):
                     raise QueueFullTimeout(
-                        f"work queue full for {timeout}s "
-                        f"(tenant {tenant!r}) — IO stalled?"
-                    )
-                if not self._not_full.wait(timeout=remaining):
-                    raise QueueFullTimeout(
-                        f"work queue full for {timeout}s "
+                        f"work queue full for {waits.STUCK_S}s "
                         f"(tenant {tenant!r}) — IO stalled?"
                     )
             if self._closed:
                 raise QueueClosed("work queue closed")
-            self.scheduler.push(tenant, item)
+            self.scheduler.push(tenant, item, low=low)
             self._pushed(tenant)
 
     # -- get -------------------------------------------------------------------
 
-    def get(self, timeout: float | None = None) -> Any:
+    def _pop(self) -> tuple[str, Any, bool]:
+        """Park until an item is queued or the queue closes, then take
+        the next one in service order: (tenant, item, was_high).  An
+        idle worker's wait has no bound.  Caller holds the lock."""
+        self._not_empty.wait_for(lambda: self._closed or len(self.scheduler))
+        if not len(self.scheduler):
+            raise QueueClosed("work queue closed")
+        was_high = self.scheduler.high_len > 0
+        popped = self.scheduler.pop()
+        assert popped is not None
+        tenant, item = popped
+        return tenant, item, was_high
+
+    def get(self) -> Any:
         """Take the next item in scheduler service order, high band
         first; blocks while empty; raises QueueClosed once closed *and*
-        both bands drained.  ``timeout`` is a deadline: wakeups that
-        find the queue still empty wait only on the remainder."""
+        both bands drained."""
         with self._not_empty:
-            deadline = None if timeout is None else time.monotonic() + timeout
-            while not len(self.scheduler):
-                if self._closed:
-                    raise QueueClosed("work queue closed")
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    raise TimeoutError("work queue get timed out")
-                if not self._not_empty.wait(timeout=remaining):
-                    raise TimeoutError("work queue get timed out")
-            was_high = self.scheduler.high_len > 0
-            popped = self.scheduler.pop()
-            assert popped is not None
-            _, item = popped
+            _, item, was_high = self._pop()
             if was_high:
                 self._wake_putters()
             return item
 
-    def get_batch(
-        self,
-        limit: int,
-        chain: Callable[[Any, Any], bool],
-        timeout: float | None = None,
-    ) -> list[Any]:
+    def get_batch(self, limit: int, chain: Callable[[Any, Any], bool]) -> list[Any]:
         """Take the next item plus up to ``limit - 1`` queued high-band
         items that ``chain`` accepts as its continuation.
 
@@ -217,21 +176,7 @@ class WorkQueue:
         if limit < 1:
             raise ValueError(f"limit must be >= 1, got {limit}")
         with self._not_empty:
-            deadline = None if timeout is None else time.monotonic() + timeout
-            while not len(self.scheduler):
-                if self._closed:
-                    raise QueueClosed("work queue closed")
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    raise TimeoutError("work queue get timed out")
-                if not self._not_empty.wait(timeout=remaining):
-                    raise TimeoutError("work queue get timed out")
-            was_high = self.scheduler.high_len > 0
-            popped = self.scheduler.pop()
-            assert popped is not None
-            tenant, item = popped
+            tenant, item, was_high = self._pop()
             if not was_high:
                 return [item]
             batch = [item]

@@ -134,8 +134,9 @@ class ShutdownError(CRFSError):
 
 
 class QueueFullTimeout(ShutdownError):
-    """A bounded work-queue put() waited out its timeout while the queue
-    stayed full — the IO path behind it is stalled or undersized.
+    """A quota-blocked work-queue put() waited out the wait bound
+    (:data:`repro.waits.STUCK_S`) — the IO path behind it is stalled or
+    undersized.
 
     Subclasses :class:`ShutdownError` so existing handlers of the old
     generic error keep catching it.

@@ -13,6 +13,7 @@ import threading
 
 import pytest
 
+from repro import waits
 from repro.backends import FaultRule, FaultyBackend, MemBackend
 from repro.backends.base import Backend
 from repro.backends.instrumented import InstrumentedBackend
@@ -129,10 +130,6 @@ class TestGetBatch:
         with pytest.raises(QueueClosed):
             q.get_batch(8, contiguous)
 
-    def test_timeout_raises(self):
-        with pytest.raises(TimeoutError):
-            WorkQueue().get_batch(8, contiguous, timeout=0.01)
-
 
 def at_quota():
     """A queue whose default tenant is at its quota of one high-band
@@ -145,15 +142,11 @@ def at_quota():
 class TestPutContract:
     """The two bands' blocking/timeout/close contracts."""
 
-    def test_full_high_band_put_times_out(self):
+    def test_full_high_band_put_times_out(self, monkeypatch):
+        monkeypatch.setattr(waits, "STUCK_S", 0.01)
         q = at_quota()
         with pytest.raises(QueueFullTimeout):
-            q.put("y", timeout=0.01)
-
-    def test_low_band_put_rejects_explicit_timeout(self):
-        q = at_quota()  # a low put must still not block
-        with pytest.raises(ValueError, match="never block"):
-            q.put("y", timeout=0.01, low=True)
+            q.put("y")
 
     def test_low_band_put_never_blocks_at_capacity(self):
         q = at_quota()
@@ -184,7 +177,7 @@ class TestPutContract:
 
         def blocked_put():
             try:
-                q.put("y", timeout=None)
+                q.put("y")
             except QueueClosed as exc:
                 errors.append(exc)
 

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro import waits
 from repro.backends import MemBackend
 from repro.core.buffer_pool import BufferPool
 from repro.core.chunk import Chunk
@@ -96,7 +97,7 @@ class TestBufferPool:
         got = []
 
         def taker():
-            got.append(pool.acquire(timeout=5.0))
+            got.append(pool.acquire())
 
         t = threading.Thread(target=taker)
         t.start()
@@ -107,11 +108,12 @@ class TestBufferPool:
         assert len(got) == 1
         assert stats.snapshot()["pool"]["waits"] == 1
 
-    def test_acquire_timeout_raises(self):
+    def test_acquire_timeout_raises(self, monkeypatch):
+        monkeypatch.setattr(waits, "STUCK_S", 0.05)
         pool = BufferPool(64, 64)
         pool.acquire()
         with pytest.raises(ShutdownError, match="exhausted"):
-            pool.acquire(timeout=0.05)
+            pool.acquire()
 
     def test_close_wakes_waiters(self):
         pool = BufferPool(64, 64)
@@ -120,7 +122,7 @@ class TestBufferPool:
 
         def taker():
             try:
-                pool.acquire(timeout=5.0)
+                pool.acquire()
             except ShutdownError as e:
                 errs.append(e)
 
@@ -179,7 +181,7 @@ class TestWorkQueue:
         done = []
 
         def putter():
-            q.put(2, timeout=5.0)
+            q.put(2)
             done.append(True)
 
         t = threading.Thread(target=putter)
@@ -240,7 +242,7 @@ class TestFileEntryDrain:
         e.note_chunk_complete()
         e.note_chunk_complete()
         assert e.outstanding == 0
-        e.wait_drained(timeout=0.1)  # returns immediately
+        e.wait_drained()  # returns immediately
 
     def test_wait_drained_blocks_until_complete(self):
         e = FileEntry("/f", 3, 1024)
@@ -253,7 +255,7 @@ class TestFileEntryDrain:
 
         t = threading.Thread(target=completer)
         t.start()
-        e.wait_drained(timeout=5.0)
+        e.wait_drained()
         t.join()
         assert e.outstanding == 0
 
@@ -262,15 +264,16 @@ class TestFileEntryDrain:
         e.note_chunk_queued()
         e.note_chunk_complete(error=OSError("disk on fire"))
         with pytest.raises(BackendIOError, match="disk on fire"):
-            e.wait_drained(timeout=0.1)
+            e.wait_drained()
         # error was consumed
-        e.wait_drained(timeout=0.1)
+        e.wait_drained()
 
-    def test_wait_drained_timeout(self):
+    def test_wait_drained_timeout(self, monkeypatch):
+        monkeypatch.setattr(waits, "STUCK_S", 0.05)
         e = FileEntry("/f", 3, 1024)
         e.note_chunk_queued()
         with pytest.raises(FileStateError, match="stuck"):
-            e.wait_drained(timeout=0.05)
+            e.wait_drained()
 
 
 class TestOpenFileTable:
@@ -332,7 +335,7 @@ class TestIOThreadPool:
         chunk.append(b"payload!", 0, 8)
         entry.note_chunk_queued()
         queue.put(WorkItem(chunk=chunk, entry=entry))
-        entry.wait_drained(timeout=5.0)
+        entry.wait_drained()
         assert backend.read_file("/out") == b"payload!"
         snap = self.stats.snapshot()
         assert (snap["chunks_written"], snap["bytes_out"]) == (1, 8)
@@ -347,7 +350,7 @@ class TestIOThreadPool:
         chunk.append(b"x", 0, 1)
         entry.note_chunk_queued()
         queue.put(WorkItem(chunk=chunk, entry=entry))
-        entry.wait_drained(timeout=5.0)
+        entry.wait_drained()
         deadline = time.time() + 5.0
         while pool.free_chunks != pool.nchunks and time.time() < deadline:
             time.sleep(0.01)
@@ -364,7 +367,7 @@ class TestIOThreadPool:
         entry.note_chunk_queued()
         queue.put(WorkItem(chunk=chunk, entry=entry))
         with pytest.raises(BackendIOError):
-            entry.wait_drained(timeout=5.0)
+            entry.wait_drained()
         assert self.stats.snapshot()["io_errors"] == 1
         iop.shutdown()
 
@@ -392,7 +395,7 @@ class TestIOThreadPool:
             e.note_chunk_queued()
             queue.put(WorkItem(chunk=chunk, entry=e))
         for e in entries:
-            e.wait_drained(timeout=5.0)
+            e.wait_drained()
         for i in range(8):
             assert backend.read_file(f"/f{i}") == bytes([i]) * 16
         iop.shutdown()

@@ -157,8 +157,8 @@ class TestConcurrencyStress:
         def consumer():
             while True:
                 try:
-                    item = q.get(timeout=2.0)
-                except (QueueClosed, TimeoutError):
+                    item = q.get()
+                except QueueClosed:
                     return
                 with lock:
                     consumed.append(item)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import waits
 from repro.errors import DeadlockError
 from repro.sim import SimEvent, Simulator
 from repro.simio.network import Link
@@ -137,7 +138,7 @@ class TestRunUntilComplete:
 
 
 class TestIOPoolShutdown:
-    def test_shutdown_timeout_raises_on_stuck_thread(self):
+    def test_shutdown_timeout_raises_on_stuck_thread(self, monkeypatch):
         import time
 
         from repro.backends import MemBackend
@@ -163,8 +164,10 @@ class TestIOPoolShutdown:
         chunk.append(b"x", 0, 1)
         entry.note_chunk_queued()
         queue.put(WorkItem(chunk=chunk, entry=entry))
+        monkeypatch.setattr(waits, "STUCK_S", 0.05)
         with pytest.raises(TimeoutError):
-            iop.shutdown(timeout=0.05)
+            iop.shutdown()
         # let the hung write finish so the thread exits cleanly
-        entry.wait_drained(timeout=5.0)
+        monkeypatch.setattr(waits, "STUCK_S", 5.0)
+        entry.wait_drained()
         iop._threads.clear()

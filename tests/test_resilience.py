@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro import waits
 from repro.backends import FaultRule, FaultyBackend, MemBackend
 from repro.config import CRFSConfig
 from repro.core import CRFS
@@ -378,7 +379,7 @@ class TestCrossPlaneResilienceParity:
 
 
 class TestShutdownSharedDeadline:
-    def test_timeout_is_shared_not_per_thread(self):
+    def test_timeout_is_shared_not_per_thread(self, monkeypatch):
         """Four workers all stuck in a slow pwrite: shutdown must give
         up after ~timeout total, not ~4x timeout."""
         gate = threading.Event()
@@ -394,9 +395,10 @@ class TestShutdownSharedDeadline:
         for i in range(4):
             f.write(b"x" * 4 * KiB)
         time.sleep(0.05)  # let all four workers block in pwrite
+        monkeypatch.setattr(waits, "STUCK_S", 0.4)
         t0 = time.monotonic()
         with pytest.raises(TimeoutError, match="IO threads did not exit"):
-            fs.iopool.shutdown(timeout=0.4)
+            fs.iopool.shutdown()
         elapsed = time.monotonic() - t0
         assert elapsed < 1.2  # shared deadline; per-thread would be ~1.6+
         gate.set()  # release the workers so the process exits cleanly

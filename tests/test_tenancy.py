@@ -8,6 +8,7 @@ from unittest import mock
 
 import pytest
 
+from repro import waits
 from repro.backends import MemBackend
 from repro.config import CRFSConfig, TenantSpec
 from repro.core import CRFS
@@ -217,13 +218,14 @@ class TestDRRScheduler:
 
 
 class TestWorkQueueAdmission:
-    def test_quota_blocks_only_the_offending_tenant(self):
+    def test_quota_blocks_only_the_offending_tenant(self, monkeypatch):
+        monkeypatch.setattr(waits, "STUCK_S", 0.05)
         stats = PipelineStats(tenants=("default", "storm"))
         q = WorkQueue(emit=stats.on_event, quotas={"storm": 2})
         q.put("s0", tenant="storm")
         q.put("s1", tenant="storm")
         with pytest.raises(QueueFullTimeout):
-            q.put("s2", timeout=0.05, tenant="storm")
+            q.put("s2", tenant="storm")
         q.put("v0")  # another tenant's put is untouched
         snap = stats.snapshot()
         assert snap["queue"]["admission_waits"] == 1
@@ -235,7 +237,7 @@ class TestWorkQueueAdmission:
         done = threading.Event()
 
         def blocked_put():
-            q.put("s1", timeout=5.0, tenant="storm")
+            q.put("s1", tenant="storm")
             done.set()
 
         t = threading.Thread(target=blocked_put)
@@ -248,9 +250,10 @@ class TestWorkQueueAdmission:
             t.join()
         assert q.get() == "s1"
 
-    def test_put_timeout_is_a_deadline_not_rearmed(self):
+    def test_put_timeout_is_a_deadline_not_rearmed(self, monkeypatch):
         """Regression: wakeups that do not admit the put must wait only
-        on the remainder, not restart the full timeout."""
+        on the remainder, not restart the full bound."""
+        monkeypatch.setattr(waits, "STUCK_S", 0.3)
         q = WorkQueue(quotas={DEFAULT_TENANT: 1})
         q.put("full")
         stop = threading.Event()
@@ -266,7 +269,7 @@ class TestWorkQueueAdmission:
         try:
             t0 = time.monotonic()
             with pytest.raises(QueueFullTimeout):
-                q.put("late", timeout=0.3)
+                q.put("late")
             elapsed = time.monotonic() - t0
         finally:
             stop.set()
@@ -300,9 +303,10 @@ class TestBufferPoolTenancy:
         assert snap["pool"]["acquires"] == 1
         assert snap["pool"]["releases"] == 1
 
-    def test_acquire_timeout_is_a_deadline_not_rearmed(self):
+    def test_acquire_timeout_is_a_deadline_not_rearmed(self, monkeypatch):
         """Regression for the re-armed acquire timeout: a waiter racing
         with other acquirers must not block past the advertised bound."""
+        monkeypatch.setattr(waits, "STUCK_S", 0.3)
         pool = BufferPool(64 * KiB, 64 * KiB)
         pool.acquire()  # drain the single chunk and never release it
         stop = threading.Event()
@@ -321,7 +325,7 @@ class TestBufferPoolTenancy:
         try:
             t0 = time.monotonic()
             with pytest.raises(ShutdownError):
-                pool.acquire(timeout=0.3)
+                pool.acquire()
             elapsed = time.monotonic() - t0
         finally:
             stop.set()

@@ -1,25 +1,22 @@
-"""Deadline semantics of the threaded plane's timeout loops.
+"""The table of the threaded plane's bounded waits.
 
-Every blocking wait in the functional plane treats its ``timeout`` as a
-*deadline*, not a per-wakeup budget: a wakeup that finds the condition
-still false must wait only on the remainder.  The regression these
-tests pin: a "teaser" thread hammering the condition with notifies
-(spurious wakeups, completions for other files/chunks) must not extend
-the wait — each loop still gives up within the original deadline.
-
-Covered loops: ``WorkQueue.get`` / ``WorkQueue.get_batch``,
-``FileEntry.wait_drained``, ``TieredBackend.fsync_through`` /
-``TieredBackend.drain``, and the readahead cache's in-flight wait,
-``ReadCache.await_entry`` (the threaded port's one waiting method, so
-its deadline is a plain argument) — which parks only over a backend
-that does not read from memory, where the IO workers fetch the window.
+One row per wait that gives up after ``waits.STUCK_S``.  Under a bound
+patched to ``BOUND`` and a "teaser" thread hammering the wait's
+condition with notifies (spurious wakeups), each row raises its
+exception type within ``[0.5 × BOUND, BOUND + SLACK]``; its twin returns
+when the condition comes true mid-wait.  An idle worker's
+``WorkQueue.get`` is the one wait without a bound, pinned last.
 """
 
+import functools
 import threading
 import time
+from collections import namedtuple
+from contextlib import contextmanager
 
 import pytest
 
+from repro import waits
 from repro.backends import FaultRule, FaultyBackend, MemBackend, TieredBackend
 from repro.config import CRFSConfig
 from repro.core import CRFS
@@ -27,15 +24,25 @@ from repro.core.buffer_pool import BufferPool
 from repro.core.filetable import FileEntry
 from repro.core.readcache import ReadCache
 from repro.core.workqueue import WorkQueue
-from repro.errors import BackendTimeoutError, FileStateError
+from repro.errors import (
+    BackendTimeoutError,
+    FileStateError,
+    MountError,
+    QueueFullTimeout,
+    ShutdownError,
+)
 from repro.pipeline.readahead import PREFETCH, ReadaheadCore
+from repro.pipeline.tenancy import DEFAULT_TENANT
 from repro.pipeline.writeback import run
 from repro.units import KiB
 
 CHUNK = 64 * KiB
 
-#: The storm must not extend a 0.3 s deadline anywhere near this bound;
-#: generous so slow CI machines never flake.
+#: The patched bound every row must give up at.
+BOUND = 0.3
+
+#: The storm must not extend BOUND anywhere near this; generous so slow
+#: CI machines never flake.  Also the bound a twin waits under.
 SLACK = 5.0
 
 
@@ -71,128 +78,167 @@ def assert_deadline(fn, exc_type, timeout):
     assert timeout * 0.5 <= elapsed < timeout + SLACK, elapsed
 
 
-class TestWorkQueueDeadlines:
-    def test_get_times_out_under_notify_storm(self):
-        q = WorkQueue()
-        with _Teaser(q._not_empty):
-            assert_deadline(lambda: q.get(timeout=0.3), TimeoutError, 0.3)
+#: ``wait`` blocks on ``cond`` until ``come_true`` is called.
+Row = namedtuple("Row", "wait cond come_true")
 
-    def test_get_batch_times_out_under_notify_storm(self):
-        q = WorkQueue()
-        with _Teaser(q._not_empty):
-            assert_deadline(
-                lambda: q.get_batch(4, lambda a, b: True, timeout=0.3),
-                TimeoutError,
-                0.3,
-            )
 
-    def test_get_still_returns_a_late_item(self):
-        """The deadline must not fire early either: an item arriving
-        mid-wait (amid the storm) is returned, not dropped."""
-        q = WorkQueue()
-        with _Teaser(q._not_empty):
-            threading.Timer(0.1, lambda: q.put("late")).start()
-            assert q.get(timeout=5.0) == "late"
+def _gated(backend):
+    """``backend`` with every ``pwrite`` parked on a gate until it is set."""
+    gate = threading.Event()
+    rule = FaultRule(op="pwrite", nth=1, every=True, delay=1.0)
+    return gate, FaultyBackend(backend, [rule], sleep=lambda _s: gate.wait())
+
+
+@contextmanager
+def pool_acquire():
+    pool = BufferPool(CHUNK, CHUNK)
+    held = pool.acquire()
+    yield Row(pool.acquire, pool._available, lambda: pool.release(held))
+
+
+@contextmanager
+def quota_put():
+    q = WorkQueue(quotas={DEFAULT_TENANT: 1})
+    q.put("full")
+    yield Row(lambda: q.put("late"), q._not_full, q.get)
+
+
+@contextmanager
+def wait_drained():
+    entry = FileEntry("/stuck", None, CHUNK)
+    entry.note_chunk_queued()  # one chunk outstanding until completed
+    yield Row(entry.wait_drained, entry._drain, entry.note_chunk_complete)
+
+
+@contextmanager
+def mount_wait(op):
+    """A mount with one full chunk parked in its ``pwrite``: ``close``
+    and ``fsync`` wait on the file's drain, the IO pool's ``shutdown``
+    joins the parked worker (the idle one parks on the queue)."""
+    gate, backend = _gated(MemBackend())
+    fs = CRFS(backend, CRFSConfig(chunk_size=CHUNK, pool_size=4 * CHUNK, io_threads=2))
+    fs.mount()
+    f = fs.open("/ckpt")
+    try:
+        f.write(b"x" * CHUNK)
+        if op == "shutdown":
+            yield Row(fs.iopool.shutdown, fs.queue._not_empty, gate.set)
+        else:
+            drain = fs.table.lookup("/ckpt")._drain
+            yield Row(getattr(f, op), drain, gate.set)
+    finally:
+        gate.set()
+        fs.unmount()
+
+
+@contextmanager
+def await_entry():
+    """A cache with one prefetch entry nobody will land until told to,
+    over a backend whose reads are delayed — so a reader parks on it."""
+    slow = FaultyBackend(MemBackend(), [FaultRule(op="pread", delay=1.0)])
+    cache = ReadCache(
+        "/stuck", slow, None,
+        ReadaheadCore("/stuck", CHUNK, capacity=4, depth=1),
+        BufferPool(CHUNK, 4 * CHUNK), WorkQueue(),
+    )
+    centry, _ = cache.core.admit(3, PREFETCH)
+
+    def wait():
+        with cache.lock:
+            run(cache.await_entry(centry))
+        assert centry.ready  # landed, not evicted
+
+    def land():
+        with cache.lock:
+            cache.core.warm_done(centry, object(), CHUNK)
+            cache.wake(centry)
+
+    yield Row(wait, cache._cond, land)
+
+
+@contextmanager
+def tiered_wait(op):
+    """A two-tier backend whose pump is parked in its first deep write,
+    leaving staging debt outstanding."""
+    gate, deep = _gated(MemBackend())
+    backend = TieredBackend([MemBackend(), deep])
+    try:
+        h = backend.open("/ckpt")
+        backend.pwrite(h, b"x" * CHUNK, 0)
+        wait = (lambda: backend.fsync_through(h, 1)) if op == "fsync_through" else getattr(backend, op)
+        yield Row(wait, backend._idle, gate.set)
+    finally:
+        gate.set()  # free the pump so shutdown drains cleanly
+        backend.shutdown()
+
+
+#: name -> (arrange, the exception the wait gives up with).
+WAITS = {
+    "pool_acquire": (pool_acquire, ShutdownError),
+    "quota_put": (quota_put, QueueFullTimeout),
+    "wait_drained": (wait_drained, FileStateError),
+    "close": (functools.partial(mount_wait, "close"), FileStateError),
+    "fsync": (functools.partial(mount_wait, "fsync"), FileStateError),
+    "await_entry": (await_entry, FileStateError),
+    "fsync_through": (functools.partial(tiered_wait, "fsync_through"), BackendTimeoutError),
+    "drain": (functools.partial(tiered_wait, "drain"), BackendTimeoutError),
+    "io_shutdown": (functools.partial(mount_wait, "shutdown"), TimeoutError),
+    "tiered_shutdown": (functools.partial(tiered_wait, "shutdown"), BackendTimeoutError),
+}
+
+
+def gives_up(name, monkeypatch):
+    arrange, exc_type = WAITS[name]
+    with arrange() as row, monkeypatch.context() as m:
+        m.setattr(waits, "STUCK_S", BOUND)
+        with _Teaser(row.cond):
+            assert_deadline(row.wait, exc_type, BOUND)
+
+
+def returns(name, monkeypatch):
+    arrange, _ = WAITS[name]
+    with arrange() as row, monkeypatch.context() as m:
+        m.setattr(waits, "STUCK_S", SLACK)
+        with _Teaser(row.cond):
+            threading.Timer(0.1, row.come_true).start()
+            row.wait()  # must not raise
+
+
+@pytest.mark.parametrize("name", WAITS)
+def test_bounded_wait_gives_up_at_the_bound(name, monkeypatch):
+    gives_up(name, monkeypatch)
+
+
+@pytest.mark.parametrize("name", WAITS)
+def test_bounded_wait_returns_when_its_condition_comes_true(name, monkeypatch):
+    returns(name, monkeypatch)
+
+
+# Rows of the table under the names they had as per-site tests.
 
 
 class TestWaitDrainedDeadline:
-    def test_wait_drained_times_out_under_notify_storm(self):
-        entry = FileEntry("/stuck", None, CHUNK)
-        entry.note_chunk_queued()  # one chunk forever outstanding
-        with _Teaser(entry._drain):
-            assert_deadline(
-                lambda: entry.wait_drained(timeout=0.3), FileStateError, 0.3
-            )
+    def test_wait_drained_times_out_under_notify_storm(self, monkeypatch):
+        gives_up("wait_drained", monkeypatch)
 
-    def test_wait_drained_wakes_on_real_completion(self):
-        entry = FileEntry("/ok", None, CHUNK)
-        entry.note_chunk_queued()
-        with _Teaser(entry._drain):
-            threading.Timer(0.1, entry.note_chunk_complete).start()
-            entry.wait_drained(timeout=5.0)  # must not raise
-
-
-def _held_tiered_backend():
-    """A two-tier backend whose pump is stuck forever in its first deep
-    write (the gate is never set), leaving staging debt outstanding."""
-    gate = threading.Event()
-    deep = FaultyBackend(
-        MemBackend(),
-        [FaultRule(op="pwrite", nth=1, every=True, delay=1.0)],
-        sleep=lambda _s: gate.wait(),
-    )
-    return gate, TieredBackend([MemBackend(), deep])
+    def test_wait_drained_wakes_on_real_completion(self, monkeypatch):
+        returns("wait_drained", monkeypatch)
 
 
 class TestTierStagingDeadlines:
-    def test_fsync_through_times_out_under_notify_storm(self):
-        gate, backend = _held_tiered_backend()
-        try:
-            h = backend.open("/ckpt")
-            backend.pwrite(h, b"x" * CHUNK, 0)
-            with _Teaser(backend._idle):
-                assert_deadline(
-                    lambda: backend.fsync_through(h, 1, timeout=0.3),
-                    BackendTimeoutError,
-                    0.3,
-                )
-        finally:
-            gate.set()  # free the pump so shutdown drains cleanly
-            backend.shutdown()
+    def test_fsync_through_times_out_under_notify_storm(self, monkeypatch):
+        gives_up("fsync_through", monkeypatch)
 
-    def test_drain_times_out_under_notify_storm(self):
-        gate, backend = _held_tiered_backend()
-        try:
-            h = backend.open("/ckpt")
-            backend.pwrite(h, b"x" * CHUNK, 0)
-            assert backend.outstanding > 0
-            with _Teaser(backend._idle):
-                assert_deadline(
-                    lambda: backend.drain(timeout=0.3),
-                    BackendTimeoutError,
-                    0.3,
-                )
-        finally:
-            gate.set()
-            backend.shutdown()
+    def test_drain_times_out_under_notify_storm(self, monkeypatch):
+        gives_up("drain", monkeypatch)
 
 
 class TestReadCacheInFlightWait:
-    def _parked(self):
-        """A cache with one prefetch entry nobody will ever land, over a
-        backend whose reads are delayed — so a reader parks on it."""
-        slow = FaultyBackend(MemBackend(), [FaultRule(op="pread", delay=1.0)])
-        cache = ReadCache(
-            "/stuck", slow, None,
-            ReadaheadCore("/stuck", CHUNK, capacity=4, depth=1),
-            BufferPool(CHUNK, 4 * CHUNK), WorkQueue(),
-        )
-        centry, _ = cache.core.admit(3, PREFETCH)
-        return cache, centry
+    def test_inflight_wait_times_out_under_notify_storm(self, monkeypatch):
+        gives_up("await_entry", monkeypatch)
 
-    def test_inflight_wait_times_out_under_notify_storm(self):
-        cache, centry = self._parked()
-
-        def wait():
-            with cache.lock:
-                run(cache.await_entry(centry, timeout=0.3))
-
-        with _Teaser(cache._cond):
-            assert_deadline(wait, FileStateError, 0.3)
-
-    def test_inflight_wait_returns_when_the_fetch_lands(self):
-        cache, centry = self._parked()
-
-        def land():
-            with cache.lock:
-                cache.core.warm_done(centry, object(), CHUNK)
-                cache.wake(centry)
-
-        with _Teaser(cache._cond):
-            threading.Timer(0.1, land).start()
-            with cache.lock:
-                run(cache.await_entry(centry, timeout=5.0))  # must not raise
-        assert centry.ready
+    def test_inflight_wait_returns_when_the_fetch_lands(self, monkeypatch):
+        returns("await_entry", monkeypatch)
 
     def test_inflight_wait_survives_spurious_wakeups(self):
         """A read that lands on its own in-flight prefetch is woken by
@@ -218,3 +264,74 @@ class TestReadCacheInFlightWait:
             out = b"".join(f.pread(CHUNK, i * CHUNK) for i in range(4))
             assert out == data
             f.close()
+
+
+# -- the unbounded wait --------------------------------------------------------
+
+
+class TestWorkQueueDeadlines:
+    def test_get_still_returns_a_late_item(self):
+        """An item arriving mid-wait (amid the storm) is returned, not
+        dropped."""
+        q = WorkQueue()
+        with _Teaser(q._not_empty):
+            threading.Timer(0.1, lambda: q.put("late")).start()
+            assert q.get() == "late"
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+def test_an_idle_worker_is_never_bounded(batch, monkeypatch):
+    """IO workers idle in ``get`` / ``get_batch`` past the bound, then
+    write a file that reads back byte-exact."""
+    monkeypatch.setattr(waits, "STUCK_S", 0.2)
+    cfg = CRFSConfig(
+        chunk_size=CHUNK, pool_size=4 * CHUNK, io_threads=2,
+        writeback_batch_chunks=batch,
+    )
+    data = bytes(range(256)) * (CHUNK // 256) * 3
+    with CRFS(MemBackend(), cfg) as fs:
+        time.sleep(0.5)
+        with fs.open("/ckpt") as f:
+            f.write(data)
+        with fs.open("/ckpt", create=False) as f:
+            assert f.pread(len(data), 0) == data
+
+
+# -- unmount past a stuck worker -----------------------------------------------
+
+
+def test_unmount_finishes_its_teardown_past_a_stuck_worker(monkeypatch):
+    """A worker parked in ``pwrite`` forever: unmount raises the file's
+    drain error with the worker join's chained, and still takes the
+    mount down — pool closed, its parked acquirer woken."""
+    gate, backend = _gated(MemBackend())
+    fs = CRFS(backend, CRFSConfig(chunk_size=CHUNK, pool_size=CHUNK, io_threads=1))
+    fs.mount()
+    woke = []
+
+    def acquirer():
+        try:
+            fs.pool.acquire()
+        except ShutdownError as exc:
+            woke.append(exc)
+
+    writer = threading.Thread(target=acquirer)
+    try:
+        monkeypatch.setattr(waits, "STUCK_S", SLACK)
+        fs.open("/ckpt").write(b"x" * CHUNK)  # the pool's one chunk, parked
+        writer.start()  # parks on the empty pool under the long bound
+        while not fs.pool._available._waiters:
+            time.sleep(0.001)
+        monkeypatch.setattr(waits, "STUCK_S", BOUND)
+        with pytest.raises(FileStateError, match="drain stuck") as info:
+            fs.unmount()
+        join_error = info.value.__context__
+        assert isinstance(join_error, TimeoutError), join_error
+        assert "IO threads did not exit" in str(join_error)
+        assert not fs.mounted
+        writer.join(SLACK)
+        assert len(woke) == 1 and "closed" in str(woke[0])
+        with pytest.raises(MountError):
+            fs.open("/after")
+    finally:
+        gate.set()
