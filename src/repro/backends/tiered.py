@@ -294,7 +294,7 @@ class TieredBackend(Backend):
         sf: StagedFile = handle.staged
         with self._idle:
             if not self._idle.wait_for(
-                lambda: sf.pending_through(tier) <= 0, waits.STUCK_S
+                lambda: sf.pending_through(tier) <= 0, waits.bound()
             ):
                 raise BackendTimeoutError(
                     f"{handle.path}: tier-{tier} sync stuck "
@@ -328,7 +328,7 @@ class TieredBackend(Backend):
         (every extent arrived at the deepest tier or stranded)."""
         with self._idle:
             if not self._idle.wait_for(
-                lambda: self.staging.outstanding <= 0, waits.STUCK_S
+                lambda: self.staging.outstanding <= 0, waits.bound()
             ):
                 raise BackendTimeoutError(
                     f"tier pump drain stuck "
@@ -336,7 +336,8 @@ class TieredBackend(Backend):
                 )
 
     def shutdown(self) -> None:
-        """Drain the pump, then stop its workers.  Idempotent; the queue
+        """Drain the pump, then stop its workers, against one shared
+        deadline (:func:`waits.one_deadline`).  Idempotent; the queue
         closes (drain-then-stop) even when the drain times out, so
         workers always exit once their current op finishes."""
         with self.lock:
@@ -344,16 +345,17 @@ class TieredBackend(Backend):
                 return
             self._shutdown = True
             started = self._started
-        try:
-            if started:
-                self.drain()
-        finally:
-            self._queue.close()
-            stuck = waits.join_all(self._workers)
-            if stuck:
-                raise BackendTimeoutError(
-                    f"tier pump worker(s) did not exit: {', '.join(stuck)}"
-                )
+        with waits.one_deadline():
+            try:
+                if started:
+                    self.drain()
+            finally:
+                self._queue.close()
+                stuck = waits.join_all(self._workers)
+                if stuck:
+                    raise BackendTimeoutError(
+                        f"tier pump worker(s) did not exit: {', '.join(stuck)}"
+                    )
 
     # -- namespace plane ------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Buffer pool: fixed-size chunks allocated at mount time.
+"""Buffer pool: fixed-size chunks, capacity fixed at mount time.
 
 The paper (Section IV-B): "CRFS manages a buffer pool initialized at
 mount time.  The buffer pool is divided into fixed-sized chunks."  The
@@ -6,6 +6,15 @@ pool is the pipeline's backpressure mechanism: when IO threads fall
 behind the writers, the pool drains and writers block in
 :meth:`acquire` — exactly the stall that makes Figure 5's bandwidth rise
 with pool size.
+
+The chunk count is fixed at mount; the memory is not.  Each chunk is an
+anonymous mapping the kernel commits on first fill (``core/chunk.py``),
+and the free list is a stack — an acquire takes the chunk released
+last — so a chunk is first leased only when every chunk leased before it
+is in use.  The chunks a mount ever touches are therefore exactly
+``stats()["pool"]["max_in_use"]`` of them, and that gauge bounds the
+pool's share of the mount's resident set
+(``tests/test_core_components.py::TestCommittedMemory``).
 
 Multi-tenant mounts partition the pool through a shared
 :class:`~repro.pipeline.tenancy.PoolLedger`: each tenant owns a
@@ -65,9 +74,10 @@ class BufferPool:
         self.ledger = ledger
         self._emit: EmitFn = emit if emit is not None else (lambda event: None)
         self._free: list[Chunk] = [Chunk(i, chunk_size) for i in range(nchunks)]
-        #: chunk.index -> owning tenant, tracked only with a ledger (a
-        #: release must credit the tenant that acquired the chunk).
-        self._owner: dict[int, str] = {}
+        #: chunk.index -> the tenant leasing it, None while it is free: a
+        #: release credits the tenant that acquired the chunk, and a
+        #: release of a chunk not leased is refused.
+        self._owner: list[str | None] = [None] * nchunks
         self._lock = threading.Lock()
         self._available = threading.Condition(self._lock)
         self._closed = False
@@ -95,10 +105,10 @@ class BufferPool:
         """Pop a free chunk for ``tenant`` and emit the acquire record
         (caller holds the lock and has checked admissibility)."""
         chunk = self._free.pop()
+        self._owner[chunk.index] = tenant
         in_use = self.nchunks - len(self._free)
         if self.ledger is not None:
             self.ledger.acquire(tenant)
-            self._owner[chunk.index] = tenant
             tenant_in_use = self.ledger.held(tenant)
         else:
             tenant_in_use = in_use
@@ -112,15 +122,14 @@ class BufferPool:
         with self._available:
             if self._admissible(tenant):
                 return self._take(tenant)
-            self._available.wait_for(
-                lambda: self._closed or self._admissible(tenant), waits.STUCK_S
-            )
+            bound = waits.bound()
+            self._available.wait_for(lambda: self._closed or self._admissible(tenant), bound)
             if self._admissible(tenant):
                 return self._take(tenant, waited=True)
             if self._closed:
                 raise ShutdownError("buffer pool closed")
             raise ShutdownError(
-                f"buffer pool exhausted for {waits.STUCK_S}s "
+                f"buffer pool exhausted for {bound:.3g}s "
                 f"({self.nchunks} chunks all in flight, "
                 f"tenant {tenant!r}) — IO stalled?"
             )
@@ -147,16 +156,16 @@ class BufferPool:
         ``PoolPressure`` event, so the stats timeline sees the
         ``in_use`` gauge fall.
         """
-        chunk.reset()
         with self._available:
-            if len(self._free) >= self.nchunks:
-                raise ShutdownError("double release into buffer pool")
+            tenant = self._owner[chunk.index]
+            if tenant is None:
+                raise ShutdownError(f"double release of chunk {chunk.index} into buffer pool")
+            self._owner[chunk.index] = None
+            chunk.reset()
             if self.ledger is not None:
-                tenant = self._owner.pop(chunk.index, DEFAULT_TENANT)
                 self.ledger.release(tenant)
                 tenant_in_use = self.ledger.held(tenant)
             else:
-                tenant = DEFAULT_TENANT
                 tenant_in_use = self.nchunks - len(self._free) - 1
             self._free.append(chunk)
             self._emit(

@@ -2,19 +2,24 @@
 
 The paper (Section IV-B): "Each chunk is tagged with metadata information
 including target file handler, offset into the file, valid data size in
-the chunk, etc."  A chunk's byte buffer is allocated once (pool init) and
+the chunk, etc."  A chunk's byte buffer is mapped once (pool init) and
 reused for its whole life; only the metadata is reset between uses.
 
-The ingest copy into that buffer is one ``memcpy`` (DESIGN.md §3k): a
-``bytearray`` slice assignment would first materialise a non-
-``bytearray`` source as a temporary ``bytearray`` and copy that, so
-:meth:`Chunk.append` writes through a standing ``memoryview`` instead,
-and through ``np.copyto`` — which releases the GIL — from
+The buffer is a private anonymous mapping, not a zero-filled
+``bytearray``: the kernel commits each page on the first write or
+``pread_into`` that touches it, so a mount holds in memory only the
+chunks it has used, not its whole pool (DESIGN.md §3k).  ``MAP_PRIVATE``
+(not the shared default) keeps a forked child from sharing the pool.
+
+The ingest copy into that buffer is one ``memcpy`` (DESIGN.md §3k):
+:meth:`Chunk.append` writes through a standing ``memoryview``, and
+through ``np.copyto`` — which releases the GIL — from
 :data:`BULK_COPY_BYTES` up.
 """
 
 from __future__ import annotations
 
+import mmap
 from typing import Any, Optional
 
 import numpy as np
@@ -41,7 +46,7 @@ class Chunk:
 
     :attr:`view` and :attr:`array` are the buffer's two standing
     exports, made once: every copy in or out goes through one of them,
-    and while they exist the ``bytearray`` cannot be resized.
+    and while they exist the mapping cannot be closed or resized.
     """
 
     __slots__ = (
@@ -57,7 +62,7 @@ class Chunk:
 
     def __init__(self, index: int, size: int):
         self.index = index
-        self.buffer = bytearray(size)
+        self.buffer = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
         self.view = memoryview(self.buffer)
         self.array = np.frombuffer(self.buffer, np.uint8)
         self.valid = 0  # bytes of valid data ("size of valid data in the chunk")

@@ -128,7 +128,7 @@ class FileEntry:
         with self._drain:
             start = self.pipeline.clock()
             outstanding = self.pipeline.outstanding
-            if not self._drain.wait_for(lambda: self.pipeline.drained, waits.STUCK_S):
+            if not self._drain.wait_for(lambda: self.pipeline.drained, waits.bound()):
                 raise FileStateError(
                     f"{self.path}: drain stuck "
                     f"({self.pipeline.complete_chunk_count}"

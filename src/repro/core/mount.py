@@ -36,6 +36,7 @@ import threading
 import time
 from typing import Any, Iterable
 
+from .. import waits
 from ..backends.base import Backend, BackendStat, byte_view, normalize_path
 from ..backends.tiered import TieredBackend
 from ..config import CRFSConfig, DEFAULT_CONFIG
@@ -160,62 +161,80 @@ class CRFS:
         """Flush and drain every open file, stop the IO threads.
 
         Files still open are flushed and their backend handles closed (a
-        forced unmount); their CRFSFile handles become unusable.  An
-        error (a latched writeback failure, a stuck drain, a worker that
-        will not exit) does not stop the teardown: every file is torn
-        down, the workers are stopped, the pool is closed and the mount
-        is down, then the first error is raised, each later one its
-        ``__context__``.
+        forced unmount); their CRFSFile handles become unusable.  Every
+        file is flushed before any is drained, and the drains and the
+        worker joins share one deadline (:func:`waits.one_deadline`), so
+        a stuck pipeline costs the teardown one ``waits.STUCK_S``, not
+        one per file.  An error (a latched writeback failure, a stuck
+        drain, a worker that will not exit) does not stop the teardown:
+        every file is torn down, the workers are stopped, the pool is
+        closed and the mount is down, then the first error is raised,
+        each later one its ``__context__``.
         """
         errors: list[Exception] = []
         with self._lifecycle:
             if not self._mounted:
                 return
-            # Shard-ordered teardown: each tenant partition flushes and
-            # drains as a unit, so one tenant's backlog is fully retired
-            # before the next partition is touched.
-            for tenant in self.table.tenants():
-                for path in self.table.paths(tenant):
-                    entry = self.table.lookup(path)
-                    if entry is None:
-                        continue
-                    try:
-                        with entry.write_lock:
-                            run(flush(self, entry))
-                        entry.wait_drained()
-                    except Exception as exc:  # noqa: BLE001 - raised below
-                        errors.append(exc)
-                    if entry.read_cache is not None:
-                        # Before iopool.shutdown: in-flight prefetch entries
-                        # are marked evicted and the (still running) workers
-                        # return their buffers themselves.
-                        readahead.clear(entry.read_cache)
-                    # drop all remaining references
-                    last = False
-                    while not last:
-                        _, last = self.table.close(path)
-                    try:
-                        self.backend.close(entry.backend_handle)
-                    except Exception as exc:  # noqa: BLE001 - raised below
-                        errors.append(exc)
-                    self.kernel.file_closed(path, tenant=entry.tenant)
-            # The IO workers stop first, so tier 0 holds everything it
-            # will ever hold; then the tier pump drains to the deepest
-            # tier and stops.
-            stops = [self.iopool.shutdown]
-            if self.tiered is not None:
-                stops.append(self.tiered.shutdown)
-            for stop in stops:
-                try:
-                    stop()
-                except Exception as exc:  # noqa: BLE001 - raised below
-                    errors.append(exc)
+            with waits.one_deadline():
+                self._teardown(errors)
             self.pool.close()
             self._mounted = False
         if errors:
             for error, later in zip(errors, errors[1:]):
                 error.__context__ = later
             raise errors[0]
+
+    def _teardown(self, errors: list[Exception]) -> None:
+        """Flush, drain and close every open file, then stop the IO
+        workers and the tier pump, appending each error to ``errors``."""
+        # Shard-ordered: tenant by tenant, in the table's order.
+        entries = [
+            (path, entry)
+            for tenant in self.table.tenants()
+            for path in self.table.paths(tenant)
+            if (entry := self.table.lookup(path)) is not None
+        ]
+        # Every partial chunk is queued before the first drain waits, so
+        # one stuck file does not hold the others' chunks back.
+        unflushed: set[str] = set()
+        for path, entry in entries:
+            try:
+                with entry.write_lock:
+                    run(flush(self, entry))
+            except Exception as exc:  # noqa: BLE001 - raised by unmount
+                errors.append(exc)
+                unflushed.add(path)
+        for path, entry in entries:
+            if path not in unflushed:
+                try:
+                    entry.wait_drained()
+                except Exception as exc:  # noqa: BLE001 - raised by unmount
+                    errors.append(exc)
+            if entry.read_cache is not None:
+                # Before iopool.shutdown: in-flight prefetch entries
+                # are marked evicted and the (still running) workers
+                # return their buffers themselves.
+                readahead.clear(entry.read_cache)
+            # drop all remaining references
+            last = False
+            while not last:
+                _, last = self.table.close(path)
+            try:
+                self.backend.close(entry.backend_handle)
+            except Exception as exc:  # noqa: BLE001 - raised by unmount
+                errors.append(exc)
+            self.kernel.file_closed(path, tenant=entry.tenant)
+        # The IO workers stop first, so tier 0 holds everything it
+        # will ever hold; then the tier pump drains to the deepest
+        # tier and stops.
+        stops = [self.iopool.shutdown]
+        if self.tiered is not None:
+            stops.append(self.tiered.shutdown)
+        for stop in stops:
+            try:
+                stop()
+            except Exception as exc:  # noqa: BLE001 - raised by unmount
+                errors.append(exc)
 
     def __enter__(self) -> "CRFS":
         return self.mount()

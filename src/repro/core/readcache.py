@@ -242,7 +242,7 @@ class ReadCache:
                     return
             return
         if not self._cond.wait_for(
-            lambda: centry.ready or centry.evicted, waits.STUCK_S
+            lambda: centry.ready or centry.evicted, waits.bound()
         ):
             base = centry.index * self.core.chunk_size
             raise FileStateError(

@@ -121,12 +121,12 @@ class WorkQueue:
             if quota and self.scheduler.depth(tenant) >= quota and not self._closed:
                 # Count the blocking put once, not once per wakeup.
                 self._emit(AdmissionWait(tenant=tenant, depth=self.scheduler.depth(tenant)))
+                bound = waits.bound()
                 if not self._not_full.wait_for(
-                    lambda: self._closed or self.scheduler.depth(tenant) < quota,
-                    waits.STUCK_S,
+                    lambda: self._closed or self.scheduler.depth(tenant) < quota, bound
                 ):
                     raise QueueFullTimeout(
-                        f"work queue full for {waits.STUCK_S}s "
+                        f"work queue full for {bound:.3g}s "
                         f"(tenant {tenant!r}) — IO stalled?"
                     )
             if self._closed:

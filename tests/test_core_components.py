@@ -1,11 +1,17 @@
 """Tests for Chunk, BufferPool, WorkQueue and IOThreadPool."""
 
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 
 import pytest
 
-from repro import waits
+import repro
+from repro import CRFS, CRFSConfig, waits
 from repro.backends import MemBackend
 from repro.core.buffer_pool import BufferPool
 from repro.core.chunk import Chunk
@@ -14,7 +20,7 @@ from repro.core.iopool import IOThreadPool, WorkItem
 from repro.pipeline import PipelineStats
 from repro.pipeline.planner import SealReason
 from repro.core.workqueue import QueueClosed, WorkQueue
-from repro.pipeline.tenancy import DEFAULT_TENANT
+from repro.pipeline.tenancy import DEFAULT_TENANT, TenantSpec
 from repro.errors import (
     BackendIOError,
     ConfigError,
@@ -140,6 +146,20 @@ class TestBufferPool:
         with pytest.raises(ShutdownError):
             pool.release(c)
 
+    def test_a_release_of_a_chunk_not_leased_is_refused(self):
+        """Releasing ``a`` twice while ``b`` is still leased: the second
+        release is refused and leaves the pool as it was, so two
+        acquires get two buffers."""
+        pool = BufferPool(64, 128)
+        a, b = pool.acquire(), pool.acquire()
+        pool.release(a)
+        with pytest.raises(ShutdownError, match="double release of chunk"):
+            pool.release(a)
+        assert pool.free_chunks == 1
+        pool.release(b)
+        first, second = pool.acquire(), pool.acquire()
+        assert first is not second
+
     def test_too_small_pool_rejected(self):
         with pytest.raises(ConfigError):
             BufferPool(1024, 512)
@@ -151,6 +171,112 @@ class TestBufferPool:
         for c in chunks:
             pool.release(c)
         assert stats.snapshot()["pool"]["max_in_use"] == 3
+
+
+def _write_epoch(fs):
+    for i in range(3):
+        with fs.open(f"/w{i}") as f:
+            for _ in range(10):
+                f.write(b"x" * 40_000)
+
+
+def _restore(fs):
+    image = bytes(range(256)) * 1024  # 4 chunks of 64 KiB
+    with fs.open("/img") as f:
+        f.write(image)
+    with fs.open("/img", create=False) as f:
+        got = b"".join(f.pread(16_384, off) for off in range(0, len(image), 16_384))
+    assert got == image
+
+
+def _tenant_storm(fs):
+    def writer(tenant):
+        with fs.open(f"/{tenant}", tenant=tenant) as f:
+            for _ in range(20):
+                f.write(b"t" * 50_000)
+
+    threads = [threading.Thread(target=writer, args=(t,)) for t in ("a", "b")]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(30)
+    assert not any(t.is_alive() for t in threads)
+
+
+class TestCommittedMemory:
+    """A chunk's memory is committed when it is first leased and filled,
+    and the free list is a stack, so the chunks a mount ever touches are
+    exactly ``stats()["pool"]["max_in_use"]`` of them — the pool's share
+    of the mount's resident set."""
+
+    CASES = {
+        "write_epoch": (_write_epoch, {}),
+        "readahead_restore": (_restore, {"read_cache_chunks": 3, "readahead_chunks": 2}),
+        "tenant_ledger": (
+            _tenant_storm,
+            {"tenants": (TenantSpec("a", pool_reserved=2), TenantSpec("b"))},
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_chunks_ever_leased_are_max_in_use(self, case, monkeypatch):
+        workload, extra = self.CASES[case]
+        leased = set()
+        take = BufferPool._take
+
+        def spy(pool, *args, **kw):
+            chunk = take(pool, *args, **kw)
+            leased.add(chunk.index)
+            return chunk
+
+        monkeypatch.setattr(BufferPool, "_take", spy)
+        cfg = CRFSConfig(chunk_size=64 * 1024, pool_size=16 * 64 * 1024, io_threads=2, **extra)
+        with CRFS(MemBackend(), cfg) as fs:
+            workload(fs)
+            stats = fs.stats()
+        assert stats["pool"]["acquires"] > len(leased)  # chunks were reused
+        assert len(leased) == stats["pool"]["max_in_use"]
+
+    @pytest.mark.skipif(
+        not pathlib.Path("/proc/self/status").exists(), reason="reads VmRSS (Linux)"
+    )
+    def test_a_mount_is_resident_only_in_the_chunks_it_fills(self):
+        """A 256 MiB pool adds almost nothing to the resident set at
+        construct + mount; one 4 MiB write + fsync adds its one chunk and
+        the backend's copy of it.  Measured in a fresh interpreter."""
+        script = textwrap.dedent(
+            """
+            from repro import CRFS, CRFSConfig, MemBackend
+
+            def rss():
+                with open("/proc/self/status") as f:
+                    return next(int(l.split()[1]) * 1024 for l in f if l.startswith("VmRSS:"))
+
+            with CRFS(MemBackend(), CRFSConfig.from_sizes("64K", "64K", io_threads=1)) as warm:
+                with warm.open("/warm") as f:
+                    f.write(b"w")  # imports and first-use allocations
+            data = b"x" * (4 << 20)
+            before = rss()
+            fs = CRFS(MemBackend(), CRFSConfig.from_sizes("4M", "256M", io_threads=2)).mount()
+            mounted = rss()
+            with fs.open("/ckpt") as f:
+                f.write(data)
+                f.fsync()
+                written = rss()
+            fs.unmount()
+            print(mounted - before, written - mounted)
+            """
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(pathlib.Path(repro.__file__).parents[1])},
+            capture_output=True, text=True, timeout=60, check=True,
+        ).stdout
+        mount_bytes, write_bytes = map(int, out.split())
+        chunk = 4 * 1024 * 1024
+        assert mount_bytes < 8 * 1024 * 1024  # +256 MiB when the pool was zero-filled
+        # the pool's one chunk + MemBackend's copy; 1 MiB for the allocator
+        assert write_bytes <= 2 * chunk + 1024 * 1024
 
 
 class TestWorkQueue:

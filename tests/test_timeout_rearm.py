@@ -335,3 +335,55 @@ def test_unmount_finishes_its_teardown_past_a_stuck_worker(monkeypatch):
             fs.open("/after")
     finally:
         gate.set()
+
+
+# -- one deadline for a whole teardown -----------------------------------------
+
+
+def test_unmount_spends_one_bound_however_many_files_are_stuck(monkeypatch):
+    """Three files each with a full chunk behind a worker parked in
+    ``pwrite``: every drain and the worker join share one deadline, so
+    unmount gives up after one bound (four, one per wait, before) and
+    still reports every file and the join."""
+    gate, backend = _gated(MemBackend())
+    fs = CRFS(backend, CRFSConfig(chunk_size=CHUNK, pool_size=4 * CHUNK, io_threads=1))
+    fs.mount()
+    try:
+        for path in ("/a", "/b", "/c"):
+            fs.open(path).write(b"x" * CHUNK)
+        monkeypatch.setattr(waits, "STUCK_S", BOUND)
+        start = time.monotonic()
+        with pytest.raises(FileStateError, match="/a: drain stuck") as info:
+            fs.unmount()
+        assert time.monotonic() - start < 1.5 * BOUND
+        chain, error = [], info.value
+        while error is not None:
+            chain.append(str(error))
+            error = error.__context__
+        assert [c.split(":")[0] for c in chain[:3]] == ["/a", "/b", "/c"]
+        assert "IO threads did not exit" in chain[3] and len(chain) == 4
+        assert not fs.mounted
+    finally:
+        gate.set()
+
+
+def test_tiered_shutdown_spends_one_bound_on_its_drain_and_join(monkeypatch):
+    """A pump parked in its deep write: the drain and the join share one
+    deadline (one bound each before)."""
+    with tiered_wait("shutdown") as row:
+        monkeypatch.setattr(waits, "STUCK_S", BOUND)
+        start = time.monotonic()
+        with pytest.raises(BackendTimeoutError, match="did not exit") as info:
+            row.wait()
+        assert time.monotonic() - start < 1.5 * BOUND
+        assert "drain stuck" in str(info.value.__context__)
+
+
+def test_a_nested_deadline_keeps_the_outer_one(monkeypatch):
+    monkeypatch.setattr(waits, "STUCK_S", SLACK)
+    assert waits.bound() == SLACK
+    with waits.one_deadline():
+        time.sleep(0.05)
+        with waits.one_deadline():
+            assert waits.bound() < SLACK - 0.04
+    assert waits.bound() == SLACK
