@@ -25,16 +25,17 @@ def run_cell(
     seed: int = DEFAULT_SEED,
     record_writes: bool = False,
     io_threads: int = 4,
+    chunk_size: int = DEFAULT_CONFIG.chunk_size,
 ) -> CheckpointResult:
     """One (stack, class, filesystem, mode) checkpoint run, memoized —
-    figure modules and benches share cells without re-simulating."""
+    figure modules and ablations share cells without re-simulating."""
     job = MPIJob(
         stack=stack_by_name(stack_name),
         nas=lu_class(nas_name),
         nprocs=nprocs,
         nnodes=nnodes,
     )
-    config = DEFAULT_CONFIG if io_threads == 4 else DEFAULT_CONFIG.with_(io_threads=io_threads)
+    config = DEFAULT_CONFIG.with_(io_threads=io_threads, chunk_size=chunk_size)
     coord = CheckpointCoordinator(
         job,
         fs_kind,

@@ -1,35 +1,46 @@
-"""Cross-plane pipeline parity (repository artifact, not a paper figure).
+"""The workload table: one table of arms, two players (repository artifact).
 
 Both planes drive one pipeline kernel and one set of control flows
 (:mod:`repro.pipeline`), so for the same workload their ``stats()``
-snapshots must agree on every workload-determined counter.  The proof
-is one table of *arms* (:func:`arms`): each is a config, a script of
-steps, the fault rules of its backing store and the snapshot fields it
-compares.  One player per plane runs any arm — :func:`play_threaded`
-over a :class:`~repro.backends.FaultyBackend` on a :class:`DeviceStore`,
-:func:`play_sim` over a :class:`~repro.simio.faulty.FaultySimFilesystem`
-on a null filesystem — and ``tests/test_cross_plane.py`` plays the same
-table and arm builders.
+snapshots must agree on every workload-determined counter.  Every
+workload the repository plays on both planes is an *arm* of one table
+(:func:`arms`, plus the fault sweep's cells): a config, one step script
+per writer, the store it runs over, its fault rules and the snapshot
+fields it compares.  One player per plane runs any arm —
+:func:`play_threaded` (one thread per writer, over a
+:class:`~repro.backends.FaultyBackend` on a :class:`DeviceStore`) and
+:func:`play_sim` (one process per writer, spawned in order, over a
+:class:`~repro.simio.faulty.FaultySimFilesystem` on the arm's store
+model).  ``tests/test_cross_plane.py`` plays the same table and arm
+builders, and the sim gate (``python -m repro.perf check``) pins
+:func:`metrics` of every arm's timing-plane snapshot.
 
 Steps: ``("open", path)``; ``("write", path, n)`` and ``("read", path,
 n)`` at the file's cursor, which ``("seek", path, offset)`` moves (a
 write after a read seeks first: the timing plane keeps two cursors);
 ``("fsync", path)``; ``("close", path)``; ``("delta", path, size, dirty,
 generation)`` and ``("restore", path)`` — one delta-checkpoint
-generation, one chain restore.  A rule with a delay is a *gate*: on the
+generation, one chain restore; ``("think", s)`` — ``s`` virtual seconds
+of restore work between reads.  A rule with a delay is a *gate*: on the
 threaded plane the op waits until ``("release",)``; ``("held",)`` waits
 until the gated op is reached and ``("staged", n)`` until tier 0 of a
 tiered mount has staged more than ``n`` extents.  The timing plane
-models the gate as a long virtual delay and skips those three steps.  A
-step that raises is recorded as ``(step, type, message)`` in the
-snapshot's ``errors``; the threaded player also checks every read and
-restore against a model of the bytes written, so a wrong byte is an
-error too.  Both players add ``chunks`` — the (offset, length) of every
-chunk the pipeline reports written — and ``backend_writes``, the
-(offset, length) of every single-extent write that reached the faulty
-store: what each plane's IO path actually issued.  ``downtime`` lists,
-per breaker recovery, how long the mount ran degraded (virtual seconds
-on the timing plane).
+models the gate as a long virtual delay and skips those three steps;
+the threaded plane skips ``think``.  Every threaded wait is bounded by
+:func:`repro.waits.bound`.  A step that raises is recorded as
+``(writer, step, op, type, message)`` in the snapshot's ``errors``, and
+so is a writer still running when the player gives up joining it; the
+threaded player also checks every read and restore against a model of
+the bytes written, so a wrong byte is an error too.  Both players add
+``chunks`` — the (offset, length) of every chunk the pipeline reports
+written — and ``backend_writes``, the (offset, length) of every
+single-extent write that reached a null faulty store: what each plane's
+IO path actually issued.  ``downtime`` lists, per breaker recovery, how
+long the mount ran degraded, and ``clock`` holds the run's own times:
+``elapsed`` (until the last writer finished), each reading writer's
+``restores`` span (first read or restore to the end of its last), and
+every write's and landed chunk's latency — virtual seconds on the
+timing plane, wall seconds on the threaded one.
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ from dataclasses import dataclass
 from fnmatch import fnmatch
 from typing import Any, Callable
 
+from .. import waits
 from ..backends import (
     FaultyBackend,
     InstrumentedBackend,
@@ -56,11 +68,14 @@ from ..pipeline import BackendRecovered, ChunkWritten, EventLog, WriteObserved
 from ..sim import SharedBandwidth, Simulator
 from ..simcrfs import SimCRFS
 from ..simio.faulty import FaultySimFilesystem
+from ..simio.lustre import LustreFilesystem, LustreServers
+from ..simio.nfs import NFSFilesystem, NFSServer
 from ..simio.nullfs import NullSimFilesystem
 from ..simio.params import DEFAULT_HW
 from ..simio.tiered import TieredSimFilesystem
 from ..units import KiB, MiB
 from ..util.rng import rng_for
+from ..util.stats import nearest_rank
 from ..util.tables import TextTable
 from ..workloads import LLMCadenceWorkload
 from .base import Check, ExperimentResult
@@ -85,16 +100,20 @@ GATE = FaultRule(op="pwrite", nth=1, delay=1.0)
 
 TIER_ARMS = ("clean", "deep_dead", "broken_batch")
 
+#: What the players add to a ``stats()`` snapshot.
+PLAYED = ("errors", "chunks", "backend_writes", "write_sizes", "downtime", "clock")
+
 Snapshot = dict[str, Any]
 
 
 @dataclass(frozen=True)
 class Arm:
-    """One cross-plane comparison."""
+    """One workload, played on either plane."""
 
     name: str
     config: CRFSConfig
-    steps: tuple[tuple[Any, ...], ...]
+    #: One step script per writer.
+    writers: tuple[tuple[tuple[Any, ...], ...], ...]
     #: Dotted snapshot paths compared (``errors``, ``chunks``,
     #: ``backend_writes`` and ``write_sizes`` are the players' own).
     fields: tuple[str, ...]
@@ -102,11 +121,15 @@ class Arm:
     #: determined by the workload: left out of the comparison.
     drop: tuple[str, ...] = ()
     rules: tuple[FaultRule, ...] = ()
-    #: None: the faulty store is the backend; k: it is tier k of a
-    #: two-tier stack whose other tier is clean.
-    faulty_tier: int | None = None
+    #: The timing plane's store model, one per tier: ``"null"`` (paper
+    #: Fig 5's rig: discard at a fixed cost), ``"nfs"`` (the shared
+    #: NFSv3 server) or ``"lustre"`` (striped OSTs); two make a two-tier
+    #: staging stack.  The threaded plane keeps every tier in RAM.
+    store: tuple[str, ...] = ("null",)
+    #: The tier the rules apply to.
+    faulty_tier: int = 0
     expect_errors: int = 0
-    #: (what, predicate) over the threaded snapshot.
+    #: (what, predicate) over either plane's snapshot.
     checks: tuple[tuple[str, Callable[[Snapshot], bool]], ...] = ()
 
 
@@ -144,12 +167,76 @@ def schema(snap: Snapshot) -> dict[str, Any]:
     return {k: set(v) if isinstance(v, dict) else None for k, v in snap.items()}
 
 
-def _result(stats: Snapshot, log: EventLog, errors: list, writes: list) -> Snapshot:
-    chunks = [(e.file_offset, e.length) for e in log.of(ChunkWritten) if e.error is None]
-    sizes = [e.length for e in log.of(WriteObserved) if not e.write_through]
-    downtime = [e.downtime for e in log.of(BackendRecovered)]
-    return dict(stats, errors=errors, chunks=chunks, backend_writes=writes, write_sizes=sizes,
-                downtime=downtime)
+def raised(snap: Snapshot) -> list[str]:
+    """The op of each step that raised, in (writer, step) order."""
+    return [op for _w, _i, op, *_ in snap["errors"]]
+
+
+def metrics(snap: Snapshot) -> Snapshot:
+    """One played arm as the sim gate pins it: goodput over the writers'
+    elapsed time, write and chunk latency percentiles, the restore span
+    of an arm that reads back, the headline counters, the steps that
+    raised and the ``stats()`` snapshot itself."""
+    clock, mem = snap["clock"], snap["mem"]
+    nbytes, elapsed = snap["bytes_in"], clock["elapsed"]
+    out = {
+        "bytes_in": nbytes,
+        "writes": snap["writes"],
+        "elapsed_s": elapsed,
+        "goodput_mib_s": (nbytes / MiB) / elapsed if elapsed > 0 else 0.0,
+        "write_latency_p50_s": nearest_rank(clock["write_s"], 50),
+        "write_latency_p95_s": nearest_rank(clock["write_s"], 95),
+        "chunk_write_p50_s": nearest_rank(clock["chunk_s"], 50),
+        "chunk_write_p95_s": nearest_rank(clock["chunk_s"], 95),
+        "chunks_queued": snap["queue"]["puts"],
+        "chunks_written": snap["chunks_written"],
+        "drain_waits": snap["drain"]["waits"],
+        "drain_time_s": snap["drain"]["time_total"],
+        "bytes_copied": mem["bytes_copied"],
+        "copies": mem["copies"],
+        "copy_ratio": mem["bytes_copied"] / nbytes if nbytes > 0 else 0.0,
+        "errors": snap["errors"],
+        "stats": {k: v for k, v in snap.items() if k not in PLAYED},
+    }
+    if clock["restores"]:
+        # Time to last restore (first restart to last byte delivered) and
+        # the slowest single writer's restore.
+        out["restore_span_s"] = max(t1 for _, t1 in clock["restores"]) - min(
+            t0 for t0, _ in clock["restores"]
+        )
+        out["restore_latency_max_s"] = max(t1 - t0 for t0, t1 in clock["restores"])
+    return out
+
+
+def _mark(span: list[float], op: str, start: float, end: float) -> None:
+    """Stretch a writer's restore span over a read-back step (restore
+    work after a read counts too)."""
+    if op in ("read", "restore") and not span:
+        span.append(start)
+    if op in ("read", "restore", "think") and span:
+        span[1:] = [end]
+
+
+def _result(
+    stats: Snapshot, log: EventLog, errors: list, writes: list, elapsed: float, spans: list
+) -> Snapshot:
+    landed = [e for e in log.of(ChunkWritten) if e.error is None]
+    observed = log.of(WriteObserved)
+    clock = {
+        "elapsed": elapsed,
+        "restores": [tuple(span) for span in spans if span],
+        "write_s": [e.duration for e in observed],
+        "chunk_s": [e.duration for e in landed],
+    }
+    return dict(
+        stats,
+        errors=sorted(errors),
+        chunks=[(e.file_offset, e.length) for e in landed],
+        backend_writes=writes,
+        write_sizes=[e.length for e in observed if not e.write_through],
+        downtime=[e.downtime for e in log.of(BackendRecovered)],
+        clock=clock,
+    )
 
 
 class DeviceStore(MemBackend):
@@ -175,8 +262,29 @@ class RecordingNull(NullSimFilesystem):
         yield from super()._write(f, nbytes)
 
 
+#: The timing plane's store models, by name: ``(sim, hw, rng, membus)``
+#: to a filesystem.
+SIM_STORES: dict[str, Callable[..., Any]] = {
+    "null": lambda sim, hw, rng, membus: RecordingNull(sim, hw, rng),
+    "nfs": lambda sim, hw, rng, membus: NFSFilesystem(sim, hw, rng, membus, NFSServer(sim, hw)),
+    "lustre": lambda sim, hw, rng, membus: LustreFilesystem(
+        sim, hw, rng, membus, LustreServers(sim, hw), app_memory=0
+    ),
+}
+
+
+def _poll(ready: Callable[[], bool]) -> bool:
+    """Whether ``ready`` came true within one wait bound."""
+    with waits.one_deadline():
+        while not ready():
+            if not waits.bound():
+                return False
+            time.sleep(0.001)
+    return True
+
+
 def play_threaded(arm: Arm) -> Snapshot:
-    """Run ``arm`` on the threaded mount."""
+    """Run ``arm`` on the threaded mount, one thread per writer."""
     gate, held = threading.Event(), threading.Event()
 
     def hold(_delay: float) -> None:
@@ -184,94 +292,115 @@ def play_threaded(arm: Arm) -> Snapshot:
         gate.wait()
 
     store = InstrumentedBackend(DeviceStore())
-    backend: Any = FaultyBackend(store, list(arm.rules), sleep=hold)
-    if arm.faulty_tier is not None:
-        tiers = [backend, MemBackend()]
-        backend = TieredBackend(tiers if arm.faulty_tier == 0 else tiers[::-1])
+    tiers: list[Any] = [MemBackend() for _ in arm.store]
+    tiers[arm.faulty_tier] = FaultyBackend(store, list(arm.rules), sleep=hold)
+    backend = tiers[0] if len(tiers) == 1 else TieredBackend(tiers)
     log = EventLog()
     fs = CRFS(backend, arm.config, observers=[log])
     cs = arm.config.chunk_size
-    files: dict[str, Any] = {}
-    images: dict[str, bytearray] = {}
     errors: list = []
-    with fs:
-        try:
-            for i, (op, *args) in enumerate(arm.steps):
-                path, f = (args[0], files.get(args[0])) if args else (None, None)
-                try:
-                    if op == "open":
-                        parent = posixpath.dirname(path)
+    spans: list[list[float]] = [[] for _ in arm.writers]
+    at = [0] * len(arm.writers)
+    mkdir = threading.Lock()  # writers may share a parent directory
+
+    def play(w: int, script: tuple) -> None:
+        files: dict[str, Any] = {}
+        images: dict[str, bytearray] = {}
+        for i, (op, *args) in enumerate(script):
+            at[w], start = i, time.perf_counter()
+            path, f = (args[0], files.get(args[0])) if args else (None, None)
+            try:
+                if op == "open":
+                    parent = posixpath.dirname(path)
+                    with mkdir:
                         if parent != "/" and not fs.exists(parent):
                             fs.mkdir(parent)
-                        files[path] = fs.open(path)
-                    elif op == "write":
-                        pos, data = f.tell(), bytes([i % 251 + 1]) * args[1]
-                        f.write(data)
-                        image = images.setdefault(path, bytearray())
-                        image.extend(bytes(max(0, pos - len(image))))
-                        image[pos : pos + len(data)] = data
-                    elif op == "seek":
-                        f.seek(args[1])
-                    elif op == "read":
-                        pos = f.tell()
-                        if f.read(args[1]) != images.get(path, b"")[pos : pos + args[1]]:
-                            raise AssertionError(f"{path}@{pos}: read bytes not written")
-                    elif op == "fsync":
-                        f.fsync()
-                    elif op == "close":
-                        files.pop(path).close()
-                    elif op == "delta":
-                        size, dirty, generation = args[1:]
-                        image = images.setdefault(path, bytearray(size))
-                        # Each generation writes its own byte value: a
-                        # chunk restored from the wrong one cannot match.
-                        for c in range(-(-size // cs)) if dirty is None else dirty:
-                            lo, hi = c * cs, min((c + 1) * cs, size)
-                            image[lo:hi] = bytes([generation + 1]) * (hi - lo)
-                        fs.delta_checkpoint(path, image, dirty)
-                    elif op == "restore" and fs.delta_restore(path) != images[path]:
-                        raise AssertionError(f"{path}: restore diverged from the image")
-                    elif op == "held" and not held.wait(timeout=30):
-                        raise RuntimeError("the gated op was never reached")
-                    elif op == "staged":
-                        # Extents are staged and queued for the pump under
-                        # the lock ``outstanding`` is read under.
-                        deadline = time.monotonic() + 30
-                        while fs.backend.outstanding <= args[0]:
-                            if time.monotonic() > deadline:
-                                raise RuntimeError("the run was never staged")
-                            time.sleep(0.001)
-                    elif op == "release":
-                        gate.set()
-                except Exception as exc:  # noqa: BLE001 - compared across planes
-                    errors.append((i, type(exc).__name__, str(exc)))
+                    files[path] = fs.open(path)
+                elif op == "write":
+                    pos, data = f.tell(), bytes([i % 251 + 1]) * args[1]
+                    f.write(data)
+                    image = images.setdefault(path, bytearray())
+                    image.extend(bytes(max(0, pos - len(image))))
+                    image[pos : pos + len(data)] = data
+                elif op == "seek":
+                    f.seek(args[1])
+                elif op == "read":
+                    pos = f.tell()
+                    if f.read(args[1]) != images.get(path, b"")[pos : pos + args[1]]:
+                        raise AssertionError(f"{path}@{pos}: read bytes not written")
+                elif op == "fsync":
+                    f.fsync()
+                elif op == "close":
+                    files.pop(path).close()
+                elif op == "delta":
+                    size, dirty, generation = args[1:]
+                    image = images.setdefault(path, bytearray(size))
+                    # Each generation writes its own byte value: a
+                    # chunk restored from the wrong one cannot match.
+                    for c in range(-(-size // cs)) if dirty is None else dirty:
+                        lo, hi = c * cs, min((c + 1) * cs, size)
+                        image[lo:hi] = bytes([generation + 1]) * (hi - lo)
+                    fs.delta_checkpoint(path, image, dirty)
+                elif op == "restore" and fs.delta_restore(path) != images[path]:
+                    raise AssertionError(f"{path}: restore diverged from the image")
+                elif op == "held" and not held.wait(waits.bound()):
+                    raise RuntimeError("the gated op was never reached")
+                # Extents are staged and queued for the pump under the
+                # lock ``outstanding`` is read under.
+                elif op == "staged" and not _poll(lambda: fs.backend.outstanding > args[0]):
+                    raise RuntimeError("the run was never staged")
+                elif op == "release":
+                    gate.set()
+            except Exception as exc:  # noqa: BLE001 - compared across planes
+                errors.append((w, i, op, type(exc).__name__, str(exc)))
+            _mark(spans[w], op, start, time.perf_counter())
+
+    threads = [
+        threading.Thread(target=play, args=(w, script), name=f"{arm.name}-w{w}", daemon=True)
+        for w, script in enumerate(arm.writers)
+    ]
+    with fs:
+        t0 = time.perf_counter()
+        try:
+            for thread in threads:
+                thread.start()
+            stuck = set(waits.join_all(threads))
+            elapsed = time.perf_counter() - t0
         finally:
             gate.set()
+        for w, thread in enumerate(threads):
+            if thread.name in stuck:
+                op = arm.writers[w][at[w]][0]
+                errors.append((w, at[w], op, "TimeoutError", f"{thread.name} still running"))
+        # A released writer finishes before the mount goes.
+        waits.join_all(threads)
     writes = [(r.offset, r.size) for r in store.ops("pwrite")]
-    return _result(fs.stats(), log, errors, writes)
+    return _result(fs.stats(), log, errors, writes, elapsed, spans)
 
 
 def play_sim(arm: Arm, seed: int = DEFAULT_SEED) -> Snapshot:
-    """Run ``arm`` on the timing plane: the same steps, the same rules."""
+    """Run ``arm`` on the timing plane: the same steps, the same rules,
+    one process per writer.  Tier ``k``'s store model draws from
+    ``rng_for(seed, "perf/<arm>/backend")`` (``backend-deep`` below
+    tier 0)."""
     sim, hw = Simulator(), DEFAULT_HW
-
-    def rng(tag: str) -> Any:
-        return rng_for(seed, f"crossplane/{arm.name}/{tag}")
-
-    store = RecordingNull(sim, hw, rng("faulty"))
-    backend: Any = FaultySimFilesystem(store, list(arm.rules))
-    if arm.faulty_tier is not None:
-        tiers = [backend, NullSimFilesystem(sim, hw, rng("clean"))]
-        backend = TieredSimFilesystem(tiers if arm.faulty_tier == 0 else tiers[::-1])
-    log = EventLog()
     membus = SharedBandwidth(sim, hw.membus_bandwidth)
+    tiers = [
+        SIM_STORES[kind](sim, hw, rng_for(seed, f"perf/{arm.name}/{tag}"), membus)
+        for kind, tag in zip(arm.store, ("backend", "backend-deep"))
+    ]
+    recorded = getattr(tiers[arm.faulty_tier], "writes", [])
+    tiers[arm.faulty_tier] = FaultySimFilesystem(tiers[arm.faulty_tier], list(arm.rules))
+    backend = tiers[0] if len(tiers) == 1 else TieredSimFilesystem(tiers)
+    log = EventLog()
     crfs = SimCRFS(sim, hw, arm.config, backend, membus, observers=[log])
-    files: dict[str, Any] = {}
     errors: list = []
+    spans: list[list[float]] = [[] for _ in arm.writers]
 
-    def proc():
-        for i, (op, *args) in enumerate(arm.steps):
-            f = files.get(args[0]) if args else None
+    def proc(w: int, script: tuple):
+        files: dict[str, Any] = {}
+        for i, (op, *args) in enumerate(script):
+            f, start = files.get(args[0]) if args else None, sim.now
             try:
                 if op == "open":
                     files[args[0]] = crfs.open(args[0])
@@ -290,26 +419,58 @@ def play_sim(arm: Arm, seed: int = DEFAULT_SEED) -> Snapshot:
                     yield from crfs.delta_checkpoint(*args[:3])
                 elif op == "restore":
                     yield from crfs.delta_restore(args[0])
+                elif op == "think":
+                    yield sim.timeout(args[0])
             except Exception as exc:  # noqa: BLE001 - compared across planes
-                errors.append((i, type(exc).__name__, str(exc)))
-        yield from crfs.drain_staging()
+                errors.append((w, i, op, type(exc).__name__, str(exc)))
+            _mark(spans[w], op, start, sim.now)
 
-    sim.run_until_complete([sim.spawn(proc())])
+    sim.run_until_complete([sim.spawn(proc(w, script)) for w, script in enumerate(arm.writers)])
+    # The writers finish at tier-0 speed; the pump then drains past
+    # `elapsed`, so the snapshot holds the settled tier counters.
+    elapsed = sim.now
+    if crfs.staging is not None:
+        sim.run_until_complete([sim.spawn(crfs.drain_staging())])
     crfs.shutdown()
-    return _result(crfs.stats(), log, errors, store.writes)
+    return _result(crfs.stats(), log, errors, recorded, elapsed, spans)
 
 
 # -- the table -----------------------------------------------------------------
 
 
-def stream_steps(sizes: list[int], read: int = 0, path: str = "/rank0.img") -> tuple:
-    """Write ``sizes`` in order, then (``read`` > 0) read the file back
-    from the start in ``read``-byte requests, each after its own seek."""
+def stream_steps(sizes: list[int], read: int = 0, path: str = "/rank0.img", fsync_every: int = 0,
+                 restart: bool = False, think: float = 0.0) -> tuple:
+    """Write ``sizes`` in order, with an fsync after every ``fsync_every``
+    writes; then (``read`` > 0) read the file back from the start in
+    ``read``-byte requests, each after its own seek and followed by
+    ``think`` seconds of restore work.  ``restart``: fsync before the
+    read-back, as a restart never overlaps writeback."""
+    steps = [("open", path)]
+    for n, size in enumerate(sizes, 1):
+        steps.append(("write", path, size))
+        if fsync_every and n % fsync_every == 0:
+            steps.append(("fsync", path))
     total = sum(sizes)
-    steps = [("open", path), *(("write", path, n) for n in sizes)]
+    steps += [("fsync", path)] if restart else []
     for pos in range(0, total if read else 0, read or 1):
         steps += [("seek", path, pos), ("read", path, min(read, total - pos))]
+        steps += [("think", think)] if think else []
     return (*steps, ("close", path))
+
+
+def rank_arm(seed: int, name: str, config: CRFSConfig, images: list[int], paths: tuple = (),
+             fsync_every: int = 0, read: int = 0, think: float = 0.0, **arm: Any) -> Arm:
+    """One writer per rank: rank ``i`` streams a Table I write mix of
+    ``images[i]`` bytes, drawn from ``rng_for(seed, "perf/<name>/writer<i>")``,
+    into ``paths[i]`` (default ``/rank<i>.img``), then (``read`` > 0)
+    restarts: fsyncs and reads its image back (:func:`stream_steps`)."""
+    writers = tuple(
+        stream_steps(WriteSizeDistribution().plan(n, rng_for(seed, f"perf/{name}/writer{i}")),
+                     read, paths[i] if paths else f"/rank{i}.img", fsync_every,
+                     restart=read > 0, think=think)
+        for i, n in enumerate(images)
+    )
+    return Arm(name, config, writers, **arm)
 
 
 def gated_steps(runs: dict[str, int], chunk: int, before=(), after=()) -> tuple:
@@ -336,7 +497,7 @@ def batched_arm(nchunks: int, batch: int) -> Arm:
     return Arm(
         f"batched_{nchunks}x{batch}",
         CRFSConfig(cs, (nchunks + 4) * cs, io_threads=1, writeback_batch_chunks=batch),
-        gated_steps({"/rank0.img": nchunks}, cs),
+        (gated_steps({"/rank0.img": nchunks}, cs),),
         fields=("batch", "chunks_written", "bytes_out", "io_errors", "errors"),
         rules=(GATE,),
         checks=((f"{batched} chunks coalesced, all {nchunks + 1} drained", drained),),
@@ -405,10 +566,11 @@ def tiered_arm(kind: str) -> Arm:
     return Arm(
         f"tiered_{kind}",
         config,
-        gated_steps({"/rank0.img": run}, cs, before=before, after=(("fsync", "/rank0.img"),)),
+        (gated_steps({"/rank0.img": run}, cs, before=before, after=(("fsync", "/rank0.img"),)),),
         fields=("tiers", "errors") + (("batch",) if broken else ()),
         drop=("tiers.per_tier.*.pump_queue_max",) if broken else (),
         rules=tuple(rules),
+        store=("null", "null"),
         faulty_tier=0 if broken else 1,
         expect_errors=0 if kind == "clean" else 1,
         checks=(checks[kind],),
@@ -418,6 +580,168 @@ def tiered_arm(kind: str) -> Arm:
 def by_site(s: Snapshot, site: str) -> int:
     """Bytes the mount copied at one copy site."""
     return s["mem"]["by_site"][site]["bytes"]
+
+
+#: Fields of a free-running multi-writer stream that no interleaving
+#: moves: each file's chunking is its own writes'.
+STREAM_FIELDS = (
+    "writes", "bytes_in", "write_through_bytes", "chunks_written", "bytes_out", "io_errors",
+    "seals", "open_files", "mem", "pool.acquires", "queue.puts", "errors",
+)
+
+
+def cadence(fast: bool, dirty_fraction: float = 0.25) -> LLMCadenceWorkload:
+    """The ``llm_cadence`` arm's trainer: two tensor shards checkpointed
+    every iteration for eight.  16 chunks at 256 KiB: round(0.25 * 16) =
+    4 dirty chunks per generation, so 8 generations write 16 + 7 * 4 =
+    44 of the 128 full-rewrite chunks (ratio 0.34375, under perfbench's
+    0.35 ceiling); ``fast`` keeps the ratio: 4 chunks, 1 dirty."""
+    return LLMCadenceWorkload(
+        shards=2, shard_bytes=(1 if fast else 4) * MiB, iterations=8,
+        dirty_fraction=dirty_fraction,
+    )
+
+
+def cadence_arm(seed: int, fast: bool, dirty_fraction: float = 0.25) -> Arm:
+    """The LLM trainer personality: each shard is a writer committing its
+    dirty chunks every iteration through the delta pipeline (generation
+    0 is a full dump), then restoring its image across the chain through
+    the readahead cache, over the NFS model."""
+    wl, cs = cadence(fast, dirty_fraction), 256 * KiB
+
+    def restored(s: Snapshot) -> bool:
+        return s["delta"]["restores"] > 0 and s["delta"]["reassembly_reads"] > 0
+
+    return Arm(
+        "llm_cadence",
+        # 32 chunks: the chain restore stays fed.
+        CRFSConfig(cs, 8 * MiB, io_threads=2, read_cache_chunks=8, readahead_chunks=4),
+        tuple(
+            (
+                *(
+                    ("delta", wl.shard_path(s), wl.shard_bytes,
+                     wl.dirty_chunks(seed, s, it, cs), it)
+                    for it in range(wl.iterations)
+                ),
+                ("restore", wl.shard_path(s)),
+            )
+            for s in range(wl.shards)
+        ),
+        fields=("delta", "errors"),
+        store=("nfs",),
+        checks=(("the chain restored through reassembly runs", restored),),
+    )
+
+
+def rank_arms(seed: int, fast: bool) -> list[Arm]:
+    """The sim gate's rank workloads, each pinning one corner of the
+    pipeline: ``single_writer_seq`` (one rank, the Table I mix),
+    ``concurrent_writers`` (four ranks over an undersized pool),
+    ``chunk_sweep_256k`` (the left edge of paper Fig 5), ``fsync_heavy``
+    (flush and drain every 8 writes), ``degraded_retry`` (a bounded
+    outage: retries, a breaker trip, degraded write-through, recovery),
+    ``batched_writeback`` (contiguous runs gathered into vectored
+    writes), ``restart_readahead`` (a read-back over NFS through the
+    prefetch window), ``restart_storm`` (four ranks restoring at once
+    over Lustre through an adaptive window as wide as the tight shared
+    cache allows), ``tenant_storm`` (a storm tenant's 4x burst beside two
+    reserved-pool victims), ``tiered_staging`` (null staging over NFS:
+    writers finish at tier-0 speed, the pump drains after),
+    ``llm_cadence`` (:func:`cadence_arm`) and ``zero_copy`` (one ingest
+    copy per byte written).  Sizes are full / ``fast``."""
+
+    def size(full: int, small: int) -> int:
+        return small if fast else full
+
+    def tenants_ran(s: Snapshot) -> bool:
+        t = s["tenants"]
+        return {"storm", "alice", "bob"} <= set(t) and t["storm"]["chunks_written"] > 0
+
+    def staged_deep(s: Snapshot) -> bool:
+        deep = s["tiers"]["per_tier"].get("1", {})
+        return (
+            s["tiers"]["levels"] == 2
+            and deep.get("chunks_staged", 0) > 0
+            and deep.get("chunks_stranded") == 0
+        )
+
+    def prefetched(s: Snapshot) -> bool:
+        return s["read"]["prefetched"] > 0
+
+    return [
+        rank_arm(seed, "single_writer_seq", CRFSConfig(MiB, 8 * MiB, io_threads=4),
+                 [size(8 * MiB, MiB)], fields=STREAM_FIELDS),
+        rank_arm(seed, "concurrent_writers", CRFSConfig(MiB, 4 * MiB, io_threads=2),
+                 [size(4 * MiB, 512 * KiB)] * 4, fields=STREAM_FIELDS),
+        rank_arm(seed, "chunk_sweep_256k", CRFSConfig(256 * KiB, 4 * MiB, io_threads=4),
+                 [size(8 * MiB, MiB)], fields=STREAM_FIELDS),
+        # 512 KiB is a single Table I draw, so fsync_every would never
+        # fire: --fast keeps 1 MiB.
+        rank_arm(seed, "fsync_heavy", CRFSConfig(MiB, 8 * MiB, io_threads=4),
+                 [size(4 * MiB, MiB)], fsync_every=8, fields=STREAM_FIELDS),
+        # One IO thread: the faults land in seal order, as in the sweep.
+        rank_arm(
+            seed, "degraded_retry",
+            CRFSConfig(MiB, 8 * MiB, io_threads=1, breaker_threshold=3,
+                       retry=RetryPolicy(attempts=8, backoff=1e-4, backoff_max=1e-3, jitter=0.0)),
+            [size(4 * MiB, MiB)], fields=STREAM_FIELDS + ("resilience",),
+            # Which write meets the open breaker is a race: its bytes go
+            # through, the rest through the pool.
+            drop=("bytes_out", "write_through_bytes", "mem.*", "resilience.degraded_bytes"),
+            rules=(FaultRule(op="pwrite", nth=1, every=True, until=6, error=OSError("EIO")),),
+        ),
+        rank_arm(seed, "batched_writeback",
+                 CRFSConfig(16 * KiB, 4 * MiB, io_threads=1, writeback_batch_chunks=8),
+                 [size(4 * MiB, MiB)] * 4, fields=STREAM_FIELDS),
+        rank_arm(
+            seed, "restart_readahead",
+            CRFSConfig(512 * KiB, 8 * MiB, io_threads=4, read_cache_chunks=8, readahead_chunks=4),
+            [size(8 * MiB, 2 * MiB)], read=256 * KiB, fields=STREAM_FIELDS + ("read",),
+            store=("nfs",),
+        ),
+        rank_arm(
+            seed, "restart_storm",
+            # 4 chunks per resident rank; current chunk + window = cache.
+            CRFSConfig(256 * KiB, 16 * 256 * KiB, io_threads=2, read_cache_chunks=4,
+                       readahead_chunks=3, readahead_adaptive=True),
+            [size(4 * MiB, 2 * MiB)] * 4, read=256 * KiB, think=0.02,
+            fields=STREAM_FIELDS + ("read",), store=("lustre",),
+            checks=(("the restore prefetched", prefetched),),
+        ),
+        rank_arm(
+            seed, "tenant_storm",
+            CRFSConfig(
+                64 * KiB,
+                2 * MiB,  # 32 chunks: 6 + 6 reserved, 20 shared
+                io_threads=1,
+                tenants=(
+                    TenantSpec("storm", weight=1, queue_quota=16, patterns=("/storm*",)),
+                    TenantSpec("alice", weight=8, pool_reserved=6, patterns=("/a*",)),
+                    TenantSpec("bob", weight=8, pool_reserved=6, patterns=("/b*",)),
+                ),
+            ),
+            [4 * size(2 * MiB, 512 * KiB), size(2 * MiB, 512 * KiB), size(2 * MiB, 512 * KiB)],
+            paths=("/storm0.img", "/a0.img", "/b0.img"),
+            fields=STREAM_FIELDS + ("tenants",),
+            # How far the three writers get before each parks is a race.
+            drop=tuple(f"tenants.*.{k}" for k in (
+                "admission_waits", "drain_time_*", "drain_p*", "drain_waits_blocked",
+                "pool_max_in_use", "queue_max_depth",
+            )),
+            checks=(("all three tenants ran and the storm tenant drained", tenants_ran),),
+        ),
+        rank_arm(
+            seed, "tiered_staging",
+            CRFSConfig(MiB, 8 * MiB, io_threads=4, tier_pump_threads=2, tier_pump_batch_chunks=4),
+            [size(4 * MiB, MiB)] * 2, fields=STREAM_FIELDS + ("tiers",),
+            drop=("tiers.per_tier.*.pump_queue_max",),  # the free-running pump's gauge
+            store=("null", "nfs"),
+            checks=(("2 tiers, the deep tier staged chunks, none stranded", staged_deep),),
+        ),
+        cadence_arm(seed, fast),
+        rank_arm(seed, "zero_copy", CRFSConfig(MiB, 8 * MiB, io_threads=2),
+                 [size(8 * MiB, MiB)], fields=STREAM_FIELDS),
+    ]
 
 
 def arms(seed: int = DEFAULT_SEED, fast: bool = True) -> dict[str, Arm]:
@@ -472,7 +796,7 @@ def arms(seed: int = DEFAULT_SEED, fast: bool = True) -> dict[str, Arm]:
         Arm(
             "main",
             CRFSConfig(256 * KiB, 1 * MiB, io_threads=2, read_cache_chunks=4, readahead_chunks=2),
-            stream_steps(sizes, READ_REQUEST),
+            (stream_steps(sizes, READ_REQUEST),),
             fields=COMPARED_FIELDS + ("pool.acquires", "queue.puts", "errors"),
             checks=(
                 (
@@ -497,7 +821,7 @@ def arms(seed: int = DEFAULT_SEED, fast: bool = True) -> dict[str, Arm]:
                 readahead_chunks=2,
                 readahead_adaptive=True,
             ),
-            gated_steps({p: 40}, cs, after=window_reads),
+            (gated_steps({p: 40}, cs, after=window_reads),),
             fields=("read", "chunks_written", "bytes_out", "errors"),
             rules=(GATE,),
             checks=(("the window grew, shrank on wasted prefetches, and is live", adapted),),
@@ -518,7 +842,7 @@ def arms(seed: int = DEFAULT_SEED, fast: bool = True) -> dict[str, Arm]:
                     TenantSpec("b", weight=1, pool_reserved=1, patterns=("/b/*",)),
                 ),
             ),
-            gated_steps({"/a/rank0.img": 6, "/b/rank0.img": 3}, cs),
+            (gated_steps({"/a/rank0.img": 6, "/b/rank0.img": 3}, cs),),
             fields=("tenants", "errors"),
             drop=(
                 "tenants.*.drain_time_*",
@@ -538,11 +862,13 @@ def arms(seed: int = DEFAULT_SEED, fast: bool = True) -> dict[str, Arm]:
             "delta",
             CRFSConfig(cs, 64 * cs, io_threads=2, read_cache_chunks=4, readahead_chunks=2),
             (
-                *(
-                    ("delta", wl.shard_path(shard), wl.shard_bytes, dirty, it)
-                    for it, shard, dirty in wl.schedule(seed, cs)
+                (
+                    *(
+                        ("delta", wl.shard_path(shard), wl.shard_bytes, dirty, it)
+                        for it, shard, dirty in wl.schedule(seed, cs)
+                    ),
+                    *(("restore", wl.shard_path(shard)) for shard in range(wl.shards)),
                 ),
-                *(("restore", wl.shard_path(shard)) for shard in range(wl.shards)),
             ),
             fields=COMPARED_FIELDS[:8]
             + ("delta", "errors", "read.reads", "read.bytes_read", "read.hits", "read.misses"),
@@ -559,17 +885,19 @@ def arms(seed: int = DEFAULT_SEED, fast: bool = True) -> dict[str, Arm]:
             "short_entry",
             CRFSConfig(small, 4 * small, io_threads=1, read_cache_chunks=4, readahead_chunks=2),
             (
-                ("open", p),
-                ("write", p, small + 1),
-                ("seek", p, 0),
-                ("read", p, 1),
-                ("seek", p, 2 * small),
-                ("write", p, 1),
-                ("seek", p, 0),
-                ("read", p, small + 2),
-                ("seek", p, 2 * small),
-                ("read", p, 1),
-                ("close", p),
+                (
+                    ("open", p),
+                    ("write", p, small + 1),
+                    ("seek", p, 0),
+                    ("read", p, 1),
+                    ("seek", p, 2 * small),
+                    ("write", p, 1),
+                    ("seek", p, 0),
+                    ("read", p, small + 2),
+                    ("seek", p, 2 * small),
+                    ("read", p, 1),
+                    ("close", p),
+                ),
             ),
             fields=("read", "mem", "errors"),
             checks=(
@@ -579,6 +907,7 @@ def arms(seed: int = DEFAULT_SEED, fast: bool = True) -> dict[str, Arm]:
                 ),
             ),
         ),
+        *rank_arms(seed, fast),
     ]
     return {arm.name: arm for arm in table}
 
@@ -590,7 +919,7 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
     )
     own: list[Check] = []
     diverged: dict[str, list[str]] = {}
-    raised: dict[str, list] = {}
+    unexpected: dict[str, list] = {}
     played: dict[str, tuple[Snapshot, Snapshot]] = {}
     for arm in arms(seed, fast).values():
         func, timing = played[arm.name] = play_threaded(arm), play_sim(arm, seed)
@@ -603,13 +932,16 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
         if bad or schema(func) != schema(timing):
             diverged[arm.name] = bad or ["schema"]
         if len(func["errors"]) != arm.expect_errors:
-            raised[arm.name] = func["errors"]
-        own += [Check(f"{arm.name}: {what}", bool(ok(func))) for what, ok in arm.checks]
+            unexpected[arm.name] = func["errors"]
+        own += [
+            Check(f"{arm.name}: {what} (both planes)", bool(ok(func) and ok(timing)))
+            for what, ok in arm.checks
+        ]
     checks = [
         Check("every arm: compared stats() fields and the stats() schema identical "
               "across planes", not diverged, f"diverged: {diverged}" if diverged else "all match"),
         Check("every arm: only the expected steps raised, every byte read back was written",
-              not raised, f"unexpected: {raised}" if raised else "as expected"),
+              not unexpected, f"unexpected: {unexpected}" if unexpected else "as expected"),
         *own,
     ]
     func, timing = played["main"]

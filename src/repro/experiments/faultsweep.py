@@ -31,7 +31,9 @@ from ..units import KiB
 from ..util.tables import TextTable
 from .base import Check, ExperimentResult
 from .common import DEFAULT_SEED
-from .crossplane import COMPARED_FIELDS, Arm, Snapshot, mismatches, play_sim, play_threaded, schema
+from .crossplane import (
+    COMPARED_FIELDS, Arm, Snapshot, mismatches, play_sim, play_threaded, raised, schema
+)
 
 PAPER = {
     "narrative": "resilient writeback under backend faults "
@@ -64,7 +66,7 @@ def script(nbytes: int, path: str = "/rank0.img", read: bool = False) -> tuple:
     return (*steps, ("close", path))
 
 
-def claims(mode: str, attempts: int, total: int, steps: tuple) -> tuple:
+def claims(mode: str, attempts: int, total: int) -> tuple:
     """What a cell must show, as ``(what, predicate)`` pairs over either
     plane's snapshot."""
     nchunks = -(-total // CHUNK)
@@ -78,9 +80,6 @@ def claims(mode: str, attempts: int, total: int, steps: tuple) -> tuple:
 
     def deep(s: Snapshot, key: str) -> int:
         return s["tiers"]["per_tier"]["1"][key]
-
-    def raised(s: Snapshot) -> list[str]:
-        return [steps[i][0] for i, *_ in s["errors"]]
 
     clean = (
         "no-fault cells are clean: every byte lands and reads back, nothing "
@@ -192,7 +191,7 @@ def arms(seed: int = DEFAULT_SEED, fast: bool = True) -> dict[str, Arm]:
                 # Every byte lands (a tier cell's at tier 0); a strand
                 # fails the fsync once.
                 steps = script(total, read=True)
-                raised = int(tiered and (attempts == 1 or mode == "tier_dead"))
+                failing = int(tiered and (attempts == 1 or mode == "tier_dead"))
             else:
                 # A chunk may fail for good and latch its file, and a later
                 # write to that file would race the latch.  So each chunk
@@ -204,20 +203,21 @@ def arms(seed: int = DEFAULT_SEED, fast: bool = True) -> dict[str, Arm]:
                 sizes = [CHUNK] * (total // CHUNK) + [total % CHUNK]
                 steps = sum((script(n, f"/rank{i}.img") for i, n in enumerate(sizes)), ())
                 schedule = FaultSchedule(rules)
-                raised = sum(
+                failing = sum(
                     all(schedule.decide("pwrite")[1] for _ in range(attempts)) for _ in sizes
                 )
             table.append(
                 Arm(
                     f"{mode}_x{attempts}",
                     CONFIG.with_(retry=replace(RETRY, attempts=attempts)),
-                    steps,
+                    (steps,),
                     fields=FIELDS,
                     drop=drop,
                     rules=rules,
-                    faulty_tier=1 if tiered else None,
-                    expect_errors=raised,
-                    checks=claims(mode, attempts, total, steps),
+                    store=("null", "null") if tiered else ("null",),
+                    faulty_tier=1 if tiered else 0,
+                    expect_errors=failing,
+                    checks=claims(mode, attempts, total),
                 )
             )
     return {arm.name: arm for arm in table}
@@ -226,7 +226,7 @@ def arms(seed: int = DEFAULT_SEED, fast: bool = True) -> dict[str, Arm]:
 def row(arm: Arm, s: Snapshot, total: int) -> dict:
     """A cell's table row, read off one plane's snapshot."""
     res = s["resilience"]
-    if arm.faulty_tier is None:
+    if len(arm.store) == 1:
         return {
             "goodput": (s["bytes_out"] + s["write_through_bytes"]) / total,
             "retried": res["chunks_retried"],
@@ -242,7 +242,7 @@ def row(arm: Arm, s: Snapshot, total: int) -> dict:
         "stranded": deep["chunks_stranded"],
         "tier_trips": deep["breaker_trips"],
         "mount_retried": res["chunks_retried"],
-        "sync_errors": sum(arm.steps[i][0] == "fsync" for i, *_ in s["errors"]),
+        "sync_errors": raised(s).count("fsync"),
     }
 
 
@@ -275,7 +275,7 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
             rows.append({"plane": plane, "mode": mode, "attempts": int(attempts), **fields})
             cells = ["-" if v is None else f"{v:.3f}" if isinstance(v, float) else str(v)
                      for v in fields.values()]
-            (modes if arm.faulty_tier is None else tiers).add_row([plane, mode, attempts, *cells])
+            (modes if len(arm.store) == 1 else tiers).add_row([plane, mode, attempts, *cells])
     checks = [
         Check(
             "every cell: compared stats() fields, steps that raised and IO issued "

@@ -2,9 +2,9 @@
 
 The paper's workloads rewrite whole BLCR images per epoch; an LLM
 trainer checkpoints a few huge tensor-shard files every iteration with
-most bytes unchanged.  This experiment drives the ``llm_cadence`` perf
-scenario on the sim plane and proves the incremental-checkpoint chain
-end to end:
+most bytes unchanged.  This experiment plays the ``llm_cadence`` arm of
+the workload table on the sim plane and proves the incremental-checkpoint
+chain end to end:
 
 * the ``stats()["delta"]`` section matches an *independent* recount of
   the workload's dirty draws — the pipeline wrote exactly the chunks
@@ -17,13 +17,11 @@ end to end:
 from __future__ import annotations
 
 from ..mpi.stacks import LLMStack
-from ..perf.runner import run_scenario_sim
-from ..perf.scenarios import SCENARIOS
 from ..units import MiB
 from ..util.tables import TextTable
-from ..workloads import LLMCadenceWorkload
 from .base import Check, ExperimentResult
 from .common import DEFAULT_SEED
+from .crossplane import cadence, cadence_arm, metrics, play_sim
 
 PAPER = {
     "narrative": "incremental (delta) checkpoints for iteration-cadence "
@@ -32,15 +30,8 @@ PAPER = {
 
 
 def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
-    scn = SCENARIOS["llm_cadence"]
-    cs = scn.config.chunk_size
-    shard_bytes = scn.image_for(0, fast)
-    wl = LLMCadenceWorkload(
-        shards=scn.nwriters,
-        shard_bytes=shard_bytes,
-        iterations=scn.delta_generations,
-        dirty_fraction=scn.delta_dirty_fraction,
-    )
+    arm, wl = cadence_arm(seed, fast), cadence(fast)
+    cs, shard_bytes = arm.config.chunk_size, wl.shard_bytes
     nchunks = wl.nchunks(cs)
 
     # Independent recount of the cadence schedule: what the delta
@@ -59,12 +50,12 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
         "logical_bytes": generations * shard_bytes,
     }
 
-    sim = run_scenario_sim(scn, seed=seed, fast=fast)
+    sim = metrics(play_sim(arm, seed))
     delta = sim["stats"]["delta"]
     savings = 1.0 - delta["bytes_written"] / delta["logical_bytes"]
 
     stack = LLMStack(shards=wl.shards, dirty_fraction=wl.dirty_fraction)
-    # The stack's provisioning arithmetic, evaluated at this scenario's
+    # The stack's provisioning arithmetic, evaluated at this arm's
     # model size (shard framing removed so the shapes are comparable).
     model_total = wl.shards * (shard_bytes - stack.shard_overhead)
     stack_ratio = stack.delta_bytes_per_checkpoint(

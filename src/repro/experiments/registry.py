@@ -15,6 +15,7 @@ from typing import Callable
 
 from .base import ExperimentResult
 from . import (
+    ablations,
     crossplane,
     faultsweep,
     fig3,
@@ -51,6 +52,7 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     # beyond the numbered artifacts:
     "restart": restart.run,  # Section V-F claim
     "internode": internode.run,  # Section VII future work, prototyped
+    "ablations": ablations.run,  # Section V-B and the design's alternatives
     "crossplane": crossplane.run,  # repo artifact: shared-kernel parity
     "faultsweep": faultsweep.run,  # repo artifact: writeback resilience
     "perfbench": perfbench.run,  # repo artifact: perf-regression gate

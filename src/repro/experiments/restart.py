@@ -14,7 +14,7 @@ A third arm mounts CRFS with the restart readahead cache on (this
 repo's read-plane extension, off by default).  On the ext3 rig the disk
 is the single bottleneck and 8 ranks already keep it saturated, so
 readahead must be close to harmless here — its win lives on staged
-backends like NFS (see the ``restart_readahead`` perf scenario); this
+backends like NFS (see the ``restart_readahead`` arm of the workload table); this
 arm checks the no-harm bound.
 """
 

@@ -1,6 +1,8 @@
 """The perf artifact and the exact check that gates it.
 
-One artifact is one ``python -m repro.perf run``:
+One artifact is one ``python -m repro.perf run``: every arm of the
+workload table (:func:`repro.experiments.perfbench.table`) played on the
+timing plane, as :func:`repro.experiments.crossplane.metrics` reads it:
 
 .. code-block:: text
 
@@ -8,14 +10,14 @@ One artifact is one ``python -m repro.perf run``:
       "seed": 2011,
       "fast": false,
       "planes": {
-        "sim": {"<scenario>": {<metrics>, "stats": {<snapshot>}}, ...}
+        "sim": {"<arm>": {<metrics>, "stats": {<snapshot>}}, ...}
       }
     }
 
 The sim plane runs on a virtual clock, so everything under ``planes`` is
 a pure function of (code, seed, size class), and two runs write
 byte-identical files.  The gate is therefore equality, not a tolerance:
-:func:`check` re-runs the suite at the baseline's own seed and size
+:func:`check` re-plays the table at the baseline's own seed and size
 class and :func:`diff` lists every path where the two ``planes``
 sections differ.  Ints, bools, strings and ``None`` must be equal;
 floats must agree within ``REL_TOL``, which covers summation order
@@ -30,7 +32,7 @@ import math
 import pathlib
 from typing import Any
 
-from .runner import run_suite
+from ..experiments.perfbench import suite
 
 __all__ = [
     "REL_TOL",
@@ -49,10 +51,10 @@ class ArtifactError(ValueError):
     """A perf artifact cannot be read."""
 
 
-def build_artifact(scenarios: dict[str, Any], seed: int, fast: bool) -> dict[str, Any]:
-    """One artifact from ``{scenario: metrics}``, as it reads back from
-    its file (JSON object keys are strings, tuples are lists)."""
-    return json.loads(json.dumps({"seed": seed, "fast": fast, "planes": {"sim": scenarios}}))
+def build_artifact(arms: dict[str, Any], seed: int, fast: bool) -> dict[str, Any]:
+    """One artifact from ``{arm: metrics}``, as it reads back from its
+    file (JSON object keys are strings, tuples are lists)."""
+    return json.loads(json.dumps({"seed": seed, "fast": fast, "planes": {"sim": arms}}))
 
 
 def dump_artifact(artifact: dict[str, Any], path: str | pathlib.Path) -> pathlib.Path:
@@ -108,8 +110,8 @@ def diff(new: Any, base: Any, path: str) -> list[str]:
 
 
 def check(baseline: dict[str, Any]) -> list[str]:
-    """Run the suite at ``baseline``'s seed and size class; every path
+    """Play the table at ``baseline``'s seed and size class; every path
     of ``planes`` that differs from it (empty: the check passes)."""
     seed, fast = baseline["seed"], baseline["fast"]
-    fresh = build_artifact(run_suite(seed, fast=fast), seed, fast)
+    fresh = build_artifact(suite(seed, fast), seed, fast)
     return diff(fresh["planes"], baseline["planes"], "planes")

@@ -1,4 +1,4 @@
-"""``python -m repro.perf`` — run the sim-plane suite, or check it.
+"""``python -m repro.perf`` — play the workload table on the sim plane, or check it.
 
 Typical loop::
 
@@ -9,9 +9,9 @@ Typical loop::
     # measure the sim plane (deterministic: two runs, identical files)
     python -m repro.perf run --out results/perf/BENCH.json
 
-    # a PR that moves the sim plane on purpose re-pins the baseline;
+    # a change that moves the sim plane on purpose re-pins the baseline;
     # its diff is the list of numbers that moved
-    python -m repro.perf run --out benchmarks/baselines/baseline.json
+    python -m repro.perf run --out src/repro/perf/baseline.json
 """
 
 from __future__ import annotations
@@ -19,41 +19,21 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
-from typing import Any
 
-from ..util.tables import TextTable
+from ..experiments.perfbench import suite, summary
 from .artifact import ArtifactError, build_artifact, check, dump_artifact, load_artifact
-from .runner import run_suite
 
 __all__ = ["main", "DEFAULT_BASELINE", "DEFAULT_OUT"]
 
-DEFAULT_BASELINE = pathlib.Path("benchmarks/baselines/baseline.json")
+#: The committed baseline, beside this module.
+DEFAULT_BASELINE = pathlib.Path(__file__).with_name("baseline.json")
 DEFAULT_OUT = pathlib.Path("results/perf/BENCH.json")
 
 
-def _summary_table(scenarios: dict[str, Any]) -> str:
-    table = TextTable(
-        ["scenario", "goodput MiB/s", "write p50 s", "write p95 s", "chunks", "drain s"],
-        title="Perf harness run (sim plane)",
-    )
-    for name, m in scenarios.items():
-        table.add_row(
-            [
-                name,
-                f"{m['goodput_mib_s']:.2f}",
-                f"{m['write_latency_p50_s']:.2e}",
-                f"{m['write_latency_p95_s']:.2e}",
-                str(m["chunks_written"]),
-                f"{m['drain_time_s']:.2e}",
-            ]
-        )
-    return table.render()
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    scenarios = run_suite(args.seed, fast=args.fast)
-    dump_artifact(build_artifact(scenarios, args.seed, args.fast), args.out)
-    print(_summary_table(scenarios))
+    arms = suite(args.seed, fast=args.fast)
+    dump_artifact(build_artifact(arms, args.seed, args.fast), args.out)
+    print(summary(arms))
     print(f"\nwrote {args.out}")
     return 0
 
@@ -83,7 +63,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run the scenario set, write one artifact")
+    run_p = sub.add_parser("run", help="play the workload table, write one artifact")
     run_p.add_argument("--seed", type=int, default=2011)
     run_p.add_argument("--fast", action="store_true", help="reduced image sizes")
     run_p.add_argument(
@@ -101,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
         "--baseline",
         type=pathlib.Path,
         default=DEFAULT_BASELINE,
-        help=f"baseline artifact (default: {DEFAULT_BASELINE})",
+        help="baseline artifact (default: the committed one)",
     )
     chk_p.set_defaults(fn=_cmd_check)
 

@@ -11,7 +11,7 @@ scheduler:
   calibrated experiments use);
 * ``elevator`` — C-LOOK: the head sweeps ascending block order, wrapping
   to the lowest pending request at the top.  An ablation
-  (``benchmarks/bench_ablation_elevator.py``) shows request reordering
+  (the ``ablations`` experiment's elevator study) shows request reordering
   recovers some sequentiality for the native path but cannot match
   CRFS's contiguous allocation.
 

@@ -5,8 +5,9 @@ every iteration boundary, each tensor-shard file checkpoints a
 deterministic dirty subset of its chunks (generation 0 is a full dump),
 and a restart reassembles the current image across the generation
 chain.  A thin workload-facing wrapper over
-:class:`repro.checkpoint.llm.LLMCheckpointPlan` so experiments and the
-perf runner share one source of truth for shard paths and dirty draws.
+:class:`repro.checkpoint.llm.LLMCheckpointPlan` so the workload table's
+arms (``delta``, ``llm_cadence``) and the experiments share one source
+of truth for shard paths and dirty draws.
 """
 
 from __future__ import annotations

@@ -97,6 +97,28 @@ class TestGetBatch:
         assert q.get_batch(8, contiguous) == [("a", 0), ("a", 1), ("a", 2)]
         assert q.get_batch(8, contiguous) == [("b", 0), ("b", 1)]
 
+    @pytest.mark.parametrize("limit", [1, 8])
+    def test_concurrent_producers_drain_complete_and_in_order(self, limit):
+        """Four producers put their runs at once: the gather consumes every
+        item, keeps each writer's order, and (limit > 1) finds runs."""
+        q, producers, per = WorkQueue(), 4, 500
+        threads = [
+            threading.Thread(target=lambda w=w: [q.put((w, i)) for i in range(per)])
+            for w in range(producers)
+        ]
+        for t in threads:
+            t.start()
+        taken, gathers = [], 0
+        while len(taken) < producers * per:
+            taken += q.get_batch(limit, contiguous)
+            gathers += 1
+        for t in threads:
+            t.join()
+        assert sorted(taken) == [(w, i) for w in range(producers) for i in range(per)]
+        for w in range(producers):
+            assert [i for v, i in taken if v == w] == list(range(per))
+        assert (gathers < len(taken)) == (limit > 1)
+
     def test_limit_one_is_plain_get(self):
         q = WorkQueue()
         q.put(("a", 0))

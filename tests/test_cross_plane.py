@@ -14,19 +14,24 @@ filesystem*."""
 
 from dataclasses import replace
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import waits
 from repro.backends import FaultRule
 from repro.config import CRFSConfig
 from repro.experiments import faultsweep
 from repro.experiments.crossplane import (
+    GATE,
     Arm,
     arms,
     batched_arm,
     mismatches,
     play_sim,
     play_threaded,
+    raised,
     schema,
     stream_steps,
     tiered_arm,
@@ -70,7 +75,7 @@ def write_arm(sizes, chunk, fields=DETERMINISTIC_FIELDS):
     """A write stream into one file through a 4-chunk pool, one IO
     thread (the chunk write order is then the seal order)."""
     config = CRFSConfig(chunk_size=chunk, pool_size=chunk * 4, io_threads=1)
-    return Arm("stream", config, stream_steps(sizes), fields=fields + ("errors",))
+    return Arm("stream", config, (stream_steps(sizes),), fields=fields + ("errors",))
 
 
 class TestCrossPlaneEquivalence:
@@ -151,7 +156,7 @@ class TestCrossPlaneStatsDifferential:
             64 * KiB, 256 * KiB, io_threads=1, write_through_threshold=64 * KiB,
             read_passthrough=False,
         )
-        arm = Arm("direct", config, stream_steps(sizes, 48 * KiB),
+        arm = Arm("direct", config, (stream_steps(sizes, 48 * KiB),),
                   fields=DETERMINISTIC_FIELDS + ("errors",))
         for snap in both(arm):
             assert snap["errors"] == []
@@ -207,13 +212,13 @@ def read_arm(sizes, request, chunk, rules=(), fields=READ_FIELDS, **overrides):
     """Write ``sizes``, then read the file back in ``request``-byte
     reads through the readahead cache, under ``rules``."""
     config = _read_config(chunk, **overrides)
-    return Arm("read", config, stream_steps(sizes, request), fields=fields, rules=tuple(rules))
+    return Arm("read", config, (stream_steps(sizes, request),), fields=fields, rules=tuple(rules))
 
 
 def outcomes(arm, snap):
     """Each read's outcome: ``"ok"`` or the type of what it raised."""
-    failed = {step: kind for step, kind, _ in snap["errors"]}
-    return [failed.get(i, "ok") for i, step in enumerate(arm.steps) if step[0] == "read"]
+    failed = {step: kind for _, step, _, kind, _ in snap["errors"]}
+    return [failed.get(i, "ok") for i, step in enumerate(arm.writers[0]) if step[0] == "read"]
 
 
 #: A read-only restart mount that keeps faults deterministic across
@@ -366,8 +371,7 @@ class TestCrossPlaneTieredDifferential:
         table_arm = tiered_arm(arm)
         func, _ = both(table_arm)
         holds(table_arm, func)
-        failed = [table_arm.steps[step][0] for step, *_ in func["errors"]]
-        assert failed == {"clean": [], "deep_dead": ["fsync"], "broken_batch": ["close"]}[arm]
+        assert raised(func) == {"clean": [], "deep_dead": ["fsync"], "broken_batch": ["close"]}[arm]
 
 
 class TestCrossPlaneDeltaDifferential:
@@ -386,9 +390,57 @@ class TestArmTable:
     """The crossplane table's remaining arms and every cell of the fault
     sweep's, each with its own expectations."""
 
-    @pytest.mark.parametrize("name", ["main", "adaptive", "tenants", *faultsweep.arms()])
+    @pytest.mark.parametrize(
+        "name",
+        ["main", "adaptive", "tenants", "concurrent_writers", "tenant_storm",
+         *faultsweep.arms()],
+    )
     def test_arm_agrees_and_holds(self, name):
         arm = {**arms(), **faultsweep.arms()}[name]
         func, timing = both(arm)
         assert schema(func) == schema(timing)
         holds(arm, func)
+
+    def test_multi_writer_arms_run_a_writer_per_rank(self):
+        table = arms()
+        assert len(table["concurrent_writers"].writers) == 4
+        assert len(table["tenant_storm"].writers) == 3
+        assert table["tenant_storm"].config.tenants
+
+    def test_an_arm_played_twice_plays_the_same(self):
+        """A fault rule holds no state (the schedule counts), so the same
+        arm object played twice faults the same way."""
+        arm = arms()["degraded_retry"]
+        assert play_sim(arm, seed=1) == play_sim(arm, seed=1)
+        first, second = play_threaded(arm), play_threaded(arm)
+        assert first["resilience"] == second["resilience"]
+        assert first["resilience"]["breaker_trips"] == 1
+
+
+class TestThreadedPlayerWaits:
+    """The threaded player's waits obey the one bound (``waits.STUCK_S``)."""
+
+    def test_a_gate_never_reached_gives_up_within_the_bound(self, monkeypatch):
+        monkeypatch.setattr(waits, "STUCK_S", 0.2)
+        p = "/rank0.img"
+        arm = Arm("ungated", CRFSConfig(4 * KiB, 16 * KiB, io_threads=1),
+                  ((("open", p), ("held",), ("close", p)),), fields=("errors",), rules=(GATE,))
+        t0 = time.monotonic()
+        snap = play_threaded(arm)
+        assert time.monotonic() - t0 < 1.0
+        assert (0, 1, "held", "RuntimeError", "the gated op was never reached") in snap["errors"]
+
+    def test_a_writer_still_running_after_the_join_is_an_error(self, monkeypatch):
+        """The writer's two fsyncs each wait out a drain bound behind the
+        held gate, so the join's one bound ends first."""
+        monkeypatch.setattr(waits, "STUCK_S", 0.2)
+        p = "/rank0.img"
+        script = (("open", p), ("write", p, 4 * KiB), ("held",), ("fsync", p), ("fsync", p),
+                  ("close", p))
+        arm = Arm("stuck", CRFSConfig(4 * KiB, 16 * KiB, io_threads=1), (script,),
+                  fields=("errors",), rules=(GATE,))
+        t0 = time.monotonic()
+        snap = play_threaded(arm)
+        assert time.monotonic() - t0 < 1.0
+        [stuck] = [e for e in snap["errors"] if e[3] == "TimeoutError"]
+        assert (stuck[0], stuck[2], stuck[4]) == (0, "fsync", "stuck-w0 still running")

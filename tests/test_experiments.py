@@ -50,7 +50,7 @@ class TestFramework:
         assert set(EXPERIMENTS) == {
             "table1", "fig3", "fig5", "table2",
             "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-            "restart", "internode", "crossplane", "faultsweep", "perfbench",
+            "restart", "internode", "ablations", "crossplane", "faultsweep", "perfbench",
             "tenant_storm", "restart_storm", "llm_cadence",
         }
 
@@ -116,8 +116,15 @@ class TestGridExperiments:
             ("fig8", True),
             ("fig9", True),
             ("internode", True),
+            ("ablations", True),
         ],
     )
     def test_passes(self, name, fast):
         r = run_experiment(name, fast=fast)
+        assert r.ok, r.render()
+
+    @pytest.mark.parametrize("seed", [2011, 7, 99])
+    def test_fig6_shape_stable_across_seeds(self, seed):
+        """The reproduced shapes are not artifacts of one RNG seed."""
+        r = run_experiment("fig6", seed=seed, fast=True)
         assert r.ok, r.render()

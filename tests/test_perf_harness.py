@@ -2,13 +2,15 @@
 check, the CLI, and the drain-time counters it reads from the stats
 registry.
 
-The contract under test: two sim-plane runs at the same seed produce
-byte-identical artifacts, and ``python -m repro.perf check`` re-runs the
-suite at the baseline's seed and fails, naming the path, on any number
-that differs from the baseline beyond float summation order.
+The contract under test: two sim-plane plays of the workload table at
+the same seed produce byte-identical artifacts, and ``python -m
+repro.perf check`` re-plays the table at the baseline's seed and fails,
+naming the path, on any number that differs from the baseline beyond
+float summation order.
 """
 
 import copy
+import dataclasses
 import json
 
 import pytest
@@ -24,20 +26,27 @@ from repro.perf.artifact import (
     dump_artifact,
     load_artifact,
 )
+from repro.experiments.crossplane import arms, metrics, play_sim
+from repro.experiments.perfbench import suite, table
+from repro.perf import cli
 from repro.perf.cli import main as perf_main
-from repro.perf.runner import run_scenario_sim, run_suite
-from repro.perf.scenarios import SCENARIOS
 from repro.units import KiB
 from repro.util.stats import nearest_rank as percentile
 
 SEED = 2011
-COMMITTED = "benchmarks/baselines/baseline.json"
+COMMITTED = cli.DEFAULT_BASELINE
+
+
+def played(name, **knobs):
+    """Metrics of the fast arm ``name``, with ``knobs`` set, on the sim plane."""
+    arm = arms(SEED, fast=True)[name]
+    return metrics(play_sim(dataclasses.replace(arm, config=arm.config.with_(**knobs)), SEED))
 
 
 @pytest.fixture(scope="module")
 def sim_artifact():
     """One fast sim-plane artifact, shared by the read-only tests."""
-    return build_artifact(run_suite(SEED, fast=True), seed=SEED, fast=True)
+    return build_artifact(suite(SEED, fast=True), seed=SEED, fast=True)
 
 
 def _planes_diff(new_artifact, baseline):
@@ -60,7 +69,7 @@ class TestSchema:
         assert load_artifact(path) == sim_artifact
 
     def test_every_required_metric_present(self, sim_artifact):
-        # what the run summary table and perfbench read off every scenario
+        # what the run summary table and perfbench read off every arm
         for name, metrics in sim_artifact["planes"]["sim"].items():
             for metric in (
                 "bytes_in",
@@ -116,17 +125,20 @@ class TestSchema:
 
 class TestDeterminism:
     def test_same_seed_sim_runs_byte_identical(self, sim_artifact):
-        again = build_artifact(run_suite(SEED, fast=True), seed=SEED, fast=True)
+        again = build_artifact(suite(SEED, fast=True), seed=SEED, fast=True)
         assert json.dumps(sim_artifact) == json.dumps(again)
 
     def test_different_seed_changes_metrics(self, sim_artifact):
-        other = build_artifact(run_suite(SEED + 1, fast=True), seed=SEED + 1, fast=True)
+        other = build_artifact(suite(SEED + 1, fast=True), seed=SEED + 1, fast=True)
         assert json.dumps(sim_artifact) != json.dumps(other)
 
     def test_scenario_sizes_are_seed_deterministic(self):
-        s = SCENARIOS["single_writer_seq"]
-        assert s.sizes(SEED, 0, True) == s.sizes(SEED, 0, True)
-        assert s.sizes(SEED, 0, True) != s.sizes(SEED, 1, True)
+        # full size: a fast rank's 512 KiB is a single Table I draw
+        writers = arms(SEED, fast=False)["concurrent_writers"].writers
+        assert writers == arms(SEED, fast=False)["concurrent_writers"].writers
+        assert writers != arms(SEED + 1, fast=False)["concurrent_writers"].writers
+        sizes = [[step[2] for step in script if step[0] == "write"] for script in writers]
+        assert sizes[0] != sizes[1]
 
 
 # -- the exact comparison -----------------------------------------------------
@@ -234,17 +246,15 @@ class TestRunner:
         assert percentile([7.0], 95) == 7.0
 
     def test_degraded_scenario_exercises_resilience(self):
-        metrics = run_scenario_sim(SCENARIOS["degraded_retry"], SEED, fast=True)
-        resilience = metrics["stats"]["resilience"]
+        degraded = played("degraded_retry")
+        resilience = degraded["stats"]["resilience"]
         assert resilience["chunks_retried"] > 0
         assert resilience["breaker_trips"] >= 1
         assert resilience["breaker_recoveries"] >= 1
-        assert metrics["stats"]["io_errors"] == 0  # outage outlasted by retries
+        assert degraded["stats"]["io_errors"] == 0  # outage outlasted by retries
 
     def test_fsync_scenario_counts_extra_drains(self):
-        plain = run_scenario_sim(SCENARIOS["single_writer_seq"], SEED, fast=True)
-        fsync = run_scenario_sim(SCENARIOS["fsync_heavy"], SEED, fast=True)
-        assert fsync["drain_waits"] > plain["drain_waits"]
+        assert played("fsync_heavy")["drain_waits"] > played("single_writer_seq")["drain_waits"]
 
 
 # -- drain counters (satellite: stats surface, not caller re-timing) ----------
@@ -265,8 +275,7 @@ class TestDrainCounters:
         assert stats["drain"]["shutdown_drains"] == 1
 
     def test_sim_plane_drain_deterministic(self):
-        a = run_scenario_sim(SCENARIOS["fsync_heavy"], SEED, fast=True)
-        b = run_scenario_sim(SCENARIOS["fsync_heavy"], SEED, fast=True)
+        a, b = played("fsync_heavy"), played("fsync_heavy")
         assert a["drain_time_s"] == b["drain_time_s"]
         assert a["drain_time_s"] > 0.0
 
@@ -323,8 +332,8 @@ class TestCLI:
         assert "planes.sim.llm_cadence.write_latency_p95_s: " in out
 
     def test_compare_missing_artifact_exits_2(self, tmp_path, monkeypatch, capsys):
-        # the default baseline path, resolved in a directory that lacks it
-        monkeypatch.chdir(tmp_path)
+        # the default baseline path, pointed where no file is
+        monkeypatch.setattr(cli, "DEFAULT_BASELINE", tmp_path / "absent.json")
         assert perf_main(["check"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("cannot load baseline: ") and "no such artifact" in err
@@ -360,7 +369,17 @@ class TestCheckBaseline:
         baseline = load_artifact(COMMITTED)
         assert set(baseline) == {"seed", "fast", "planes"}
         assert set(baseline["planes"]) == {"sim"}
-        assert set(baseline["planes"]["sim"]) == set(SCENARIOS)
+
+    def test_committed_baseline_has_one_row_per_arm(self):
+        baseline = load_artifact(COMMITTED)
+        names = list(table(baseline["seed"], baseline["fast"]))
+        assert len(names) == len(set(names))
+        assert sorted(baseline["planes"]["sim"]) == sorted(names)
+
+    def test_default_baseline_resolves_beside_the_module(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.DEFAULT_BASELINE.is_absolute()
+        assert load_artifact(cli.DEFAULT_BASELINE)["seed"] == SEED
 
     def test_cli_passes_on_committed_baseline(self, capsys):
         assert perf_main(["check"]) == 0
@@ -427,7 +446,7 @@ class TestCheckBaseline:
 
 class TestRestartStorm:
     def test_restore_metrics_surface(self):
-        sim = run_scenario_sim(SCENARIOS["restart_storm"], SEED, fast=True)
+        sim = played("restart_storm")
         assert sim["restore_span_s"] > 0
         assert sim["restore_latency_max_s"] > 0
         # span covers first restart to last byte, so it bounds the
@@ -437,27 +456,9 @@ class TestRestartStorm:
         assert sim["stats"]["read"]["bytes_read"] == sim["bytes_in"]
 
     def test_adaptive_beats_static_and_off_under_contention(self):
-        import dataclasses
-
-        storm = SCENARIOS["restart_storm"]
-        adaptive = run_scenario_sim(storm, SEED, fast=True)
-        static = run_scenario_sim(
-            dataclasses.replace(
-                storm, config=storm.config.with_(readahead_adaptive=False)
-            ),
-            SEED,
-            fast=True,
-        )
-        off = run_scenario_sim(
-            dataclasses.replace(
-                storm,
-                config=storm.config.with_(
-                    readahead_chunks=0, readahead_adaptive=False
-                ),
-            ),
-            SEED,
-            fast=True,
-        )
+        adaptive = played("restart_storm")
+        static = played("restart_storm", readahead_adaptive=False)
+        off = played("restart_storm", readahead_chunks=0, readahead_adaptive=False)
         assert adaptive["restore_span_s"] < static["restore_span_s"]
         assert adaptive["restore_span_s"] < off["restore_span_s"]
         # eviction spares the live window: neither arm re-fetches a chunk
@@ -465,8 +466,7 @@ class TestRestartStorm:
         assert static["stats"]["read"]["prefetch_wasted"] == 0
 
     def test_storm_scenario_is_seed_deterministic(self):
-        a = run_scenario_sim(SCENARIOS["restart_storm"], SEED, fast=True)
-        b = run_scenario_sim(SCENARIOS["restart_storm"], SEED, fast=True)
+        a, b = played("restart_storm"), played("restart_storm")
         assert a["restore_span_s"] == b["restore_span_s"]
         assert a["stats"]["read"] == b["stats"]["read"]
 
@@ -488,18 +488,16 @@ class TestCommittedBaseline:
 class TestTieredStagingGoodput:
     """The staging hierarchy's reason to exist: writers complete at
     tier-0 (staging) speed while the pump migrates in the background.
-    Same scenario, same seed, same workload — only the backend chain
-    differs — so the elapsed ratio is a pure staging win."""
+    Same arm, same seed, same workload — only the store chain differs —
+    so the elapsed ratio is a pure staging win."""
 
     def test_staging_beats_direct_deep_writes_2x(self):
-        import dataclasses
-
-        staged_scenario = SCENARIOS["tiered_staging"]
-        # identical name => identical seed-derived write streams; the
-        # twin just writes straight into the deep NFS model
-        direct_scenario = dataclasses.replace(staged_scenario, sim_backend="nfs")
-        staged = run_scenario_sim(staged_scenario, SEED, fast=True)
-        direct = run_scenario_sim(direct_scenario, SEED, fast=True)
+        staged_arm = arms(SEED, fast=True)["tiered_staging"]
+        # identical name => identical streams; the twin just writes
+        # straight into the deep NFS model
+        direct_arm = dataclasses.replace(staged_arm, store=("nfs",))
+        staged = metrics(play_sim(staged_arm, SEED))
+        direct = metrics(play_sim(direct_arm, SEED))
         assert direct["elapsed_s"] / staged["elapsed_s"] >= 2.0
 
         # the win is real only if the deep tier actually received the
@@ -510,8 +508,7 @@ class TestTieredStagingGoodput:
         assert staged["stats"]["tiers"]["levels"] == 2
 
     def test_tiered_scenario_is_seed_deterministic(self):
-        a = run_scenario_sim(SCENARIOS["tiered_staging"], SEED, fast=True)
-        b = run_scenario_sim(SCENARIOS["tiered_staging"], SEED, fast=True)
+        a, b = played("tiered_staging"), played("tiered_staging")
         assert a["stats"]["tiers"] == b["stats"]["tiers"]
         assert a["elapsed_s"] == b["elapsed_s"]
 

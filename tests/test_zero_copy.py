@@ -52,8 +52,7 @@ from repro.config import CRFSConfig
 from repro.core import CRFS
 from repro.core.chunk import BULK_COPY_BYTES, Chunk
 from repro.errors import FileStateError
-from repro.perf.runner import run_scenario_sim
-from repro.perf.scenarios import SCENARIOS
+from repro.experiments.crossplane import arms, metrics, play_sim
 from repro.pipeline.copies import COPY_SITES, FETCH, INGEST, READ_BOUNDARY, CopyLedger
 from repro.pipeline.events import CopyObserved
 from repro.pipeline.kernel import PipelineKernel
@@ -406,23 +405,27 @@ class TestDRRGatherOrder:
         assert sched.depth("t") == 1
 
 
-# -- the runner's copy metrics ------------------------------------------------
+# -- the sim gate's copy metrics ----------------------------------------------
+
+
+def zero_copy_metrics():
+    """The ``zero_copy`` arm played on the sim plane, as the gate reads it."""
+    return metrics(play_sim(arms(2011, fast=True)["zero_copy"], 2011))
 
 
 class TestZeroCopyScenarioMetrics:
     def test_sequential_write_path_pays_exactly_one_copy_per_byte(self):
-        metrics = run_scenario_sim(SCENARIOS["zero_copy"], 2011, fast=True)
-        mem = metrics["stats"]["mem"]
-        assert metrics["bytes_copied"] == mem["bytes_copied"] == metrics["bytes_in"]
-        assert metrics["copies"] == mem["copies"] > 0
-        assert metrics["copy_ratio"] == 1.0
-        assert mem["by_site"]["ingest"]["bytes"] == metrics["bytes_in"]
+        m = zero_copy_metrics()
+        mem = m["stats"]["mem"]
+        assert m["bytes_copied"] == mem["bytes_copied"] == m["bytes_in"]
+        assert m["copies"] == mem["copies"] > 0
+        assert m["copy_ratio"] == 1.0
+        assert mem["by_site"]["ingest"]["bytes"] == m["bytes_in"]
         assert mem["by_site"]["read_boundary"]["bytes"] == 0
         assert mem["by_site"]["fetch"]["bytes"] == 0
 
     def test_ledger_is_conserved(self):
-        metrics = run_scenario_sim(SCENARIOS["zero_copy"], 2011, fast=True)
-        mem = metrics["stats"]["mem"]
+        mem = zero_copy_metrics()["stats"]["mem"]
         assert mem["bytes_copied"] == sum(
             b["bytes"] for b in mem["by_site"].values()
         )
@@ -436,17 +439,22 @@ class TestMemSectionCrossPlane:
     def test_functional_plane_counts_ingest_identically(self):
         # The emissions live in shared kernel code, so the threaded mount
         # produces the same ingest accounting the sim does: one copy per
-        # byte written on the aggregated path.
-        cfg = CRFSConfig(chunk_size=CHUNK, pool_size=4 * CHUNK, io_threads=1)
+        # byte written on the aggregated path, however writeback batches.
         image = bytes((i % 251) + 1 for i in range(2 * CHUNK))
-        with CRFS(MemBackend(), cfg) as fs:
-            with fs.open("/ckpt") as f:
-                f.write(image)
-            stats = fs.stats()
-        mem = stats["mem"]
-        assert mem["by_site"]["ingest"]["bytes"] == len(image)
-        assert mem["bytes_copied"] == len(image)
-        assert mem["by_site"]["read_boundary"]["bytes"] == 0
+        for batch_chunks in (1, 8):
+            cfg = CRFSConfig(chunk_size=CHUNK, pool_size=4 * CHUNK, io_threads=1,
+                             writeback_batch_chunks=batch_chunks)
+            with CRFS(MemBackend(), cfg) as fs:
+                with fs.open("/ckpt") as f:
+                    f.write(image)
+                stats = fs.stats()
+            mem = stats["mem"]
+            assert stats["bytes_in"] == len(image)
+            assert mem["by_site"]["ingest"]["bytes"] == len(image)
+            assert mem["bytes_copied"] == len(image)
+            assert mem["by_site"]["read_boundary"]["bytes"] == 0
+            assert mem["by_site"]["fetch"]["bytes"] == 0
+            assert stats["io_errors"] == 0
 
     def test_write_through_pays_no_ingest_copy(self):
         # Write-through hands the caller's buffer straight to the
