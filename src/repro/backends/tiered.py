@@ -39,9 +39,10 @@ import time
 from typing import Any, Callable, Optional, Sequence
 
 from .. import waits
+from ..config import CRFSConfig
 from ..errors import BackendTimeoutError, ShutdownError
 from ..pipeline.events import PipelineEvent
-from ..pipeline.resilience import BackendHealth, RetryPolicy
+from ..pipeline.resilience import BackendHealth
 from ..pipeline.staging import StagedFile, StagingCore, tier_health_emit
 from ..pipeline.writeback import Extent, blocking, contiguous, migrate, run, stage
 from .base import Backend, BackendStat
@@ -71,13 +72,6 @@ class TieredBackend(Backend):
     def __init__(
         self,
         tiers: Sequence[Backend],
-        fsync_tier: int = -1,
-        pump_threads: int = 1,
-        pump_batch_chunks: int = 1,
-        retry: RetryPolicy | None = None,
-        breaker_threshold: int = 0,
-        emit: EmitFn | None = None,
-        clock: Callable[[], float] | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
         if len(tiers) < 2:
@@ -86,14 +80,7 @@ class TieredBackend(Backend):
                 "(a single tier is just that backend)"
             )
         self.tiers: list[Backend] = list(tiers)
-        self.retry = retry if retry is not None else RetryPolicy()
-        self._breaker_threshold = breaker_threshold
-        self._emit: EmitFn = emit if emit is not None else (lambda event: None)
-        self._clock = clock if clock is not None else time.perf_counter
         self.sleep = blocking(sleep)
-        self._fsync_tier_knob = fsync_tier
-        self._pump_threads = pump_threads
-        self._pump_batch = pump_batch_chunks
         # One lock guards the staging accounting; the idle condition
         # wakes fsync/drain waiters whenever debt is paid (or forgiven).
         self.lock = threading.RLock()
@@ -102,7 +89,9 @@ class TieredBackend(Backend):
         self._workers: list[threading.Thread] = []
         self._started = False
         self._shutdown = False
-        self._rebuild()
+        # Unmounted, the default config's knobs and a dropped event
+        # stream; a mount rebinds to its own before any IO.
+        self.bind(lambda event: None, time.perf_counter, CRFSConfig())
         # Private queue: its QueuePressure records go nowhere, never to
         # the mount's `queue` section.
         from ..core.workqueue import WorkQueue
@@ -113,59 +102,37 @@ class TieredBackend(Backend):
     def reads_from_memory(self) -> bool:  # type: ignore[override]
         return self.tiers[0].reads_from_memory  # reads are served by tier 0
 
-    def _rebuild(self) -> None:
-        """(Re)derive the staging core and per-tier breakers from the
-        current emit/clock/policy — called at construction and again
-        from :meth:`bind` once the mount's kernel exists."""
+    # -- mount wiring ---------------------------------------------------------
+
+    def bind(self, emit: EmitFn, clock: Callable[[], float], config: CRFSConfig) -> None:
+        """Wire this backend into a mount's pipeline kernel: tier events
+        join the unified stream, per-tier breakers use the kernel clock,
+        and ``config``'s staging knobs (``fsync_tier``, ``retry``,
+        ``breaker_threshold``, ``tier_pump_threads``,
+        ``tier_pump_batch_chunks``) take effect.  Must be called before
+        any IO (the mount does it at construction)."""
+        if self._started:
+            raise ShutdownError("cannot bind a tiered backend after IO started")
+        self.retry = config.retry
+        self._pump_threads = config.tier_pump_threads
+        self._pump_batch = config.tier_pump_batch_chunks
         self.staging = StagingCore(
             ntiers=len(self.tiers),
-            fsync_tier=self._fsync_tier_knob,
-            emit=self._emit,
-            clock=self._clock,
+            fsync_tier=config.fsync_tier,
+            emit=emit,
+            clock=clock,
         )
         # healths[k] guards migrations *into* tier k (k >= 1); tier 0 is
         # covered by the mount's own breaker, since tier-0 writes are the
         # mount's backend writes.
-        self.tier_healths: list[Optional[BackendHealth]] = [None]
-        for tier in range(1, len(self.tiers)):
-            self.tier_healths.append(
-                BackendHealth(
-                    threshold=self._breaker_threshold,
-                    emit=tier_health_emit(self._emit, tier),
-                    clock=self._clock,
-                )
+        self.tier_healths: list[Optional[BackendHealth]] = [None] + [
+            BackendHealth(
+                threshold=config.breaker_threshold,
+                emit=tier_health_emit(emit, tier),
+                clock=clock,
             )
-
-    # -- mount wiring ---------------------------------------------------------
-
-    def bind(
-        self,
-        emit: EmitFn,
-        clock: Callable[[], float],
-        retry: RetryPolicy | None = None,
-        breaker_threshold: int | None = None,
-        fsync_tier: int = -1,
-        pump_threads: int | None = None,
-        pump_batch_chunks: int | None = None,
-    ) -> None:
-        """Wire this backend into a mount's pipeline kernel: tier events
-        join the unified stream, per-tier breakers use the kernel clock,
-        and the config's staging knobs take effect.  Must be called
-        before any IO (the mount does it at construction)."""
-        if self._started:
-            raise ShutdownError("cannot bind a tiered backend after IO started")
-        self._emit = emit
-        self._clock = clock
-        if retry is not None:
-            self.retry = retry
-        if breaker_threshold is not None:
-            self._breaker_threshold = breaker_threshold
-        self._fsync_tier_knob = fsync_tier
-        if pump_threads is not None:
-            self._pump_threads = pump_threads
-        if pump_batch_chunks is not None:
-            self._pump_batch = pump_batch_chunks
-        self._rebuild()
+            for tier in range(1, len(self.tiers))
+        ]
 
     @property
     def fsync_tier(self) -> int:

@@ -11,8 +11,8 @@ Mirrors the tunables the paper exposes at mount time (Section IV/V-B):
 
 The defaults here are the paper's chosen operating point.  The work
 queue has no bound of its own: a chunk is allocated from the pool
-before it is queued, so the pool (and, on a multi-tenant mount, each
-tenant's queue quota) bounds it.  Every other field is here because a
+before it is queued, so the pool (and each tenant's queue quota, where
+a ``TenantSpec`` sets one) bounds it.  Every other field is here because a
 scenario, experiment or benchmark sets it to a value other than its
 default; ``tests/test_config.py`` pins the field names, so a new knob
 is a reviewed diff.
@@ -86,17 +86,13 @@ class CRFSConfig:
     #: backend write (``pwritev``).  1 (the default) disables gathering
     #: — byte- and stats-identical to the unbatched pipeline.
     writeback_batch_chunks: int = 1
-    #: Multi-tenant mount: per-tenant IO shares, buffer-pool
-    #: reservations, queue quotas and path-mapping rules (see
-    #: :class:`~repro.pipeline.tenancy.TenantSpec`).  Empty (the
-    #: default) keeps the mount single-tenant — everything resolves to
-    #: ``default`` with weight 1, no reservation, no quota, and the
-    #: scheduler degrades to the exact pre-tenant FIFO behaviour.
+    #: Per-tenant IO shares, buffer-pool reservations, queue quotas and
+    #: path-mapping rules (see :class:`~repro.pipeline.tenancy.TenantSpec`).
+    #: Every mount runs the same pool ledger and DRR queue; empty (the
+    #: default) resolves every open without an explicit tenant id to
+    #: ``default`` — one tenant at weight 1 with no reservation or
+    #: quota, so the pool and the queue are the paper's FIFO ones.
     tenants: tuple[TenantSpec, ...] = ()
-    #: Weighted deficit-round-robin service across tenant sub-queues.
-    #: False is the ablation arm: global FIFO arrival order, tenants
-    #: tracked but never isolated (``tenant_storm`` shows the damage).
-    tenant_fairness: bool = True
     #: Hierarchical staging durability level: with a tiered backend,
     #: ``fsync`` returns once every extent the file staged has reached
     #: (or stranded short of) tiers 0..k and those tiers acknowledged

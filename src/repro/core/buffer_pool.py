@@ -16,19 +16,21 @@ is in use.  The chunks a mount ever touches are therefore exactly
 pool's share of the mount's resident set
 (``tests/test_core_components.py::TestCommittedMemory``).
 
-Multi-tenant mounts partition the pool through a shared
-:class:`~repro.pipeline.tenancy.PoolLedger`: each tenant owns a
-reserved region, the remainder is a shared overflow everyone competes
-for.  An acquire is admissible when the tenant has reservation headroom
-*or* the shared region has a free chunk — so an idle node still gives
-one tenant the whole pool, but a storm can never take another tenant's
-reservation.  Without a ledger (single-tenant mounts) the behaviour is
-exactly the pre-tenant pool.
+Every acquire and release is accounted per tenant through a
+:class:`~repro.pipeline.tenancy.PoolLedger`, as the timing plane's
+``SimTenantPool`` does: each tenant owns its reserved region (if the
+mount gives it one), the remainder is a shared overflow everyone
+competes for.  An acquire is admissible when the tenant has reservation
+headroom *or* the shared region has a free chunk — so an idle node
+still gives one tenant the whole pool, but a storm can never take
+another tenant's reservation.  A mount with no reservations is one
+shared region: the paper's pool, with a per-tenant gauge.
 """
 
 from __future__ import annotations
 
 import threading
+from typing import Mapping
 
 from .. import waits
 from ..errors import ConfigError, ShutdownError
@@ -56,7 +58,7 @@ class BufferPool:
         chunk_size: int,
         pool_size: int,
         emit: EmitFn | None = None,
-        ledger: PoolLedger | None = None,
+        reservations: Mapping[str, int] | None = None,
     ):
         if chunk_size <= 0:
             raise ConfigError(f"chunk_size must be positive, got {chunk_size}")
@@ -65,13 +67,11 @@ class BufferPool:
             raise ConfigError(
                 f"pool_size {pool_size} holds no chunk of size {chunk_size}"
             )
-        if ledger is not None and ledger.nchunks != nchunks:
-            raise ConfigError(
-                f"ledger sized for {ledger.nchunks} chunks, pool holds {nchunks}"
-            )
         self.chunk_size = chunk_size
         self.nchunks = nchunks
-        self.ledger = ledger
+        # Every lease goes through the ledger, so it admits a tenant only
+        # while a free chunk exists: admissibility is the ledger's alone.
+        self.ledger = PoolLedger(nchunks, reservations)
         self._emit: EmitFn = emit if emit is not None else (lambda event: None)
         self._free: list[Chunk] = [Chunk(i, chunk_size) for i in range(nchunks)]
         #: chunk.index -> the tenant leasing it, None while it is free: a
@@ -80,6 +80,16 @@ class BufferPool:
         self._owner: list[str | None] = [None] * nchunks
         self._lock = threading.Lock()
         self._available = threading.Condition(self._lock)
+        # With no reservation every waiter waits on one predicate (a
+        # free chunk), so a release wakes one.  With reservations a
+        # shared-region release may admit any waiting tenant, a
+        # reserved-slot release only its owner: wake everyone and let
+        # the admissibility predicate sort it out.
+        self._wake = (
+            self._available.notify_all
+            if self.ledger.shared_capacity < nchunks
+            else self._available.notify
+        )
         self._closed = False
 
     @property
@@ -92,39 +102,39 @@ class BufferPool:
         with self._lock:
             return self.nchunks - len(self._free)
 
-    # -- acquire ---------------------------------------------------------------
+    def would_wait(self, tenant: str) -> bool:
+        """Whether an acquire for ``tenant`` would block right now — the
+        same per-tenant predicate as the timing plane's pool."""
+        with self._lock:
+            return not self.ledger.can_acquire(tenant)
 
-    def _admissible(self, tenant: str) -> bool:
-        """A free chunk exists and the ledger admits the tenant (caller
-        holds the lock)."""
-        if not self._free:
-            return False
-        return self.ledger is None or self.ledger.can_acquire(tenant)
+    # -- acquire ---------------------------------------------------------------
 
     def _take(self, tenant: str, waited: bool = False) -> Chunk:
         """Pop a free chunk for ``tenant`` and emit the acquire record
         (caller holds the lock and has checked admissibility)."""
         chunk = self._free.pop()
         self._owner[chunk.index] = tenant
-        in_use = self.nchunks - len(self._free)
-        if self.ledger is not None:
-            self.ledger.acquire(tenant)
-            tenant_in_use = self.ledger.held(tenant)
-        else:
-            tenant_in_use = in_use
+        self.ledger.acquire(tenant)
         self._emit(
-            PoolPressure(waited=waited, in_use=in_use, tenant=tenant, tenant_in_use=tenant_in_use)
+            PoolPressure(
+                waited=waited,
+                in_use=self.nchunks - len(self._free),
+                tenant=tenant,
+                tenant_in_use=self.ledger.held(tenant),
+            )
         )
         return chunk
 
     def acquire(self, tenant: str = DEFAULT_TENANT) -> Chunk:
         """Take a chunk admissible for ``tenant``, blocking while none is."""
+        admissible = self.ledger.can_acquire
         with self._available:
-            if self._admissible(tenant):
+            if admissible(tenant):
                 return self._take(tenant)
             bound = waits.bound()
-            self._available.wait_for(lambda: self._closed or self._admissible(tenant), bound)
-            if self._admissible(tenant):
+            self._available.wait_for(lambda: self._closed or admissible(tenant), bound)
+            if admissible(tenant):
                 return self._take(tenant, waited=True)
             if self._closed:
                 raise ShutdownError("buffer pool closed")
@@ -145,7 +155,7 @@ class BufferPool:
         dropped and the chunk refetched on demand.
         """
         with self._available:
-            if self._closed or not self._admissible(tenant):
+            if self._closed or not self.ledger.can_acquire(tenant):
                 return None
             return self._take(tenant)
 
@@ -162,28 +172,18 @@ class BufferPool:
                 raise ShutdownError(f"double release of chunk {chunk.index} into buffer pool")
             self._owner[chunk.index] = None
             chunk.reset()
-            if self.ledger is not None:
-                self.ledger.release(tenant)
-                tenant_in_use = self.ledger.held(tenant)
-            else:
-                tenant_in_use = self.nchunks - len(self._free) - 1
+            self.ledger.release(tenant)
             self._free.append(chunk)
             self._emit(
                 PoolPressure(
                     waited=False,
                     in_use=self.nchunks - len(self._free),
                     tenant=tenant,
-                    tenant_in_use=tenant_in_use,
+                    tenant_in_use=self.ledger.held(tenant),
                     released=True,
                 )
             )
-            if self.ledger is not None:
-                # A shared-region release may admit any waiting tenant, a
-                # reserved-slot release only its owner: wake everyone and
-                # let the admissibility predicate sort it out.
-                self._available.notify_all()
-            else:
-                self._available.notify()
+            self._wake()
 
     def close(self) -> None:
         """Wake all blocked acquirers with ShutdownError (unmount path)."""

@@ -10,13 +10,8 @@ The drain counters of Section IV-B/C (``write_chunk_count`` /
 live in the shared :class:`~repro.pipeline.kernel.FilePipeline`; this
 module adds only what the *threaded* plane needs on top — the condition
 variable that close()/fsync() block on until the pipeline reports
-drained.
-
-Multi-tenant mounts shard the table per tenant: every entry lives in
-exactly one tenant partition, each with its own membership and drain
-accounting, so unmount can drain tenants independently and the stats /
-experiments can ask "how much is tenant X still holding?" without
-scanning the whole mount.
+drained.  An entry records the tenant its file was opened for; the
+per-tenant counters live in ``stats()["tenants"]``, not in the table.
 """
 
 from __future__ import annotations
@@ -139,18 +134,15 @@ class FileEntry:
 
 
 class OpenFileTable:
-    """Thread-safe path -> FileEntry map, sharded per tenant.
+    """Thread-safe path -> FileEntry map.
 
-    Each entry lives in exactly one tenant partition; a flat path index
-    keeps lookup O(1) regardless of how many tenants share the mount.
-    The partition is fixed at first open: reopening an already-open path
-    joins the existing entry (refcount bump) whatever tenant the new
-    opener resolved to — one file, one pipeline, one drain accounting.
+    Reopening an already-open path joins the existing entry (refcount
+    bump) whatever tenant the new opener resolved to — one file, one
+    pipeline, one drain accounting.
     """
 
     def __init__(self) -> None:
         self._index: dict[str, FileEntry] = {}
-        self._shards: dict[str, dict[str, FileEntry]] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -166,17 +158,14 @@ class OpenFileTable:
 
         ``make_entry`` is called (under the table lock) only when the path
         is not already open — it should open the backend file and return a
-        FileEntry; the entry's own ``tenant`` decides its partition.
+        FileEntry.
         """
         with self._lock:
             entry = self._index.get(path)
             if entry is not None:
                 entry.refcount += 1
                 return entry
-            entry = make_entry()
-            self._index[path] = entry
-            shard = self._shards.setdefault(entry.tenant, {})
-            shard[path] = entry
+            entry = self._index[path] = make_entry()
             return entry
 
     def close(self, path: str) -> tuple[FileEntry, bool]:
@@ -190,31 +179,9 @@ class OpenFileTable:
             last = entry.refcount == 0
             if last:
                 del self._index[path]
-                shard = self._shards[entry.tenant]
-                del shard[path]
-                if not shard:
-                    del self._shards[entry.tenant]
             return entry, last
 
-    def paths(self, tenant: str | None = None) -> list[str]:
-        """Open paths — all of them, or one tenant partition's."""
+    def paths(self) -> list[str]:
+        """Open paths, in the order they were first opened."""
         with self._lock:
-            if tenant is None:
-                return list(self._index)
-            return list(self._shards.get(tenant, ()))
-
-    def tenants(self) -> list[str]:
-        """Tenants with at least one open file, in sorted order."""
-        with self._lock:
-            return sorted(self._shards)
-
-    def outstanding(self, tenant: str | None = None) -> int:
-        """Chunks still in flight — mount-wide, or one partition's drain
-        backlog.  A snapshot: entries are collected under the table lock
-        but their counters read without it (each read is atomic)."""
-        with self._lock:
-            if tenant is None:
-                entries = list(self._index.values())
-            else:
-                entries = list(self._shards.get(tenant, {}).values())
-        return sum(e.outstanding for e in entries)
+            return list(self._index)

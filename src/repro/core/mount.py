@@ -45,7 +45,7 @@ from ..pipeline import CopyObserved, Fill, PipelineKernel, PipelineObserver, Sea
 from ..pipeline import readahead
 from ..pipeline.readahead import ReadaheadCore
 from ..pipeline.resilience import BackendHealth
-from ..pipeline.tenancy import DRRScheduler, PoolLedger
+from ..pipeline.tenancy import DRRScheduler
 from ..pipeline.writeback import Extent, blocking, flush, ingest, run, write_through
 from .buffer_pool import BufferPool
 from .chunk import BULK_COPY_BYTES
@@ -100,32 +100,17 @@ class CRFS:
             config.breaker_threshold, emit=self.kernel.emit, clock=self.kernel.clock
         )
         if self.tiered is not None:
-            self.tiered.bind(
-                emit=self.kernel.emit,
-                clock=self.kernel.clock,
-                retry=self.retry,
-                breaker_threshold=config.breaker_threshold,
-                fsync_tier=config.fsync_tier,
-                pump_threads=config.tier_pump_threads,
-                pump_batch_chunks=config.tier_pump_batch_chunks,
-            )
-        # With no tenants configured the ledger stays off and the
-        # scheduler (one default sub-queue, weight 1) degrades to exact
-        # FIFO — the pre-tenant single-tenant pipeline.
-        ledger = (
-            PoolLedger(config.pool_chunks, self.tenants.reservations())
-            if self.tenants.active
-            else None
-        )
+            self.tiered.bind(self.kernel.emit, self.kernel.clock, config)
         self.pool = BufferPool(
-            config.chunk_size, config.pool_size, emit=self.kernel.emit, ledger=ledger
+            config.chunk_size,
+            config.pool_size,
+            emit=self.kernel.emit,
+            reservations=self.tenants.reservations(),
         )
         self.queue = WorkQueue(
             emit=self.kernel.emit,
-            scheduler=DRRScheduler(
-                weights=self.tenants.weights(), fair=config.tenant_fairness
-            ),
-            quotas=self.tenants.quotas() if self.tenants.active else None,
+            scheduler=DRRScheduler(weights=self.tenants.weights()),
+            quotas=self.tenants.quotas(),
         )
         self.iopool = IOThreadPool(
             backend,
@@ -187,11 +172,9 @@ class CRFS:
     def _teardown(self, errors: list[Exception]) -> None:
         """Flush, drain and close every open file, then stop the IO
         workers and the tier pump, appending each error to ``errors``."""
-        # Shard-ordered: tenant by tenant, in the table's order.
         entries = [
             (path, entry)
-            for tenant in self.table.tenants()
-            for path in self.table.paths(tenant)
+            for path in self.table.paths()
             if (entry := self.table.lookup(path)) is not None
         ]
         # Every partial chunk is queued before the first drain waits, so
@@ -433,7 +416,7 @@ class CRFS:
     # run these under the file's ``write_lock``.
 
     def pool_would_wait(self, entry: FileEntry) -> bool:
-        return self.pool.free_chunks == 0
+        return self.pool.would_wait(entry.tenant)
 
     def shed_read_caches(self) -> None:
         """Pool-pressure relief: return every read-cache-held buffer.
@@ -445,11 +428,10 @@ class CRFS:
         marked evicted and release on completion, so a shed may free
         chunks slightly later than it returns; ``pool.acquire`` then
         waits the short remainder."""
-        for tenant in self.table.tenants():
-            for path in self.table.paths(tenant):
-                entry = self.table.lookup(path)
-                if entry is not None and entry.read_cache is not None:
-                    readahead.clear(entry.read_cache)
+        for path in self.table.paths():
+            entry = self.table.lookup(path)
+            if entry is not None and entry.read_cache is not None:
+                readahead.clear(entry.read_cache)
 
     @blocking
     def acquire(self, entry: FileEntry, file_offset: int) -> None:

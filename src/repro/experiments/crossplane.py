@@ -15,7 +15,8 @@ model).  ``tests/test_cross_plane.py`` plays the same table and arm
 builders, and the sim gate (``python -m repro.perf check``) pins
 :func:`metrics` of every arm's timing-plane snapshot.
 
-Steps: ``("open", path)``; ``("write", path, n)`` and ``("read", path,
+Steps: ``("open", path)`` or ``("open", path, tenant)`` — an explicit
+tenant id; ``("write", path, n)`` and ``("read", path,
 n)`` at the file's cursor, which ``("seek", path, offset)`` moves (a
 write after a read seeks first: the timing plane keeps two cursors);
 ``("fsync", path)``; ``("close", path)``; ``("delta", path, size, dirty,
@@ -315,7 +316,7 @@ def play_threaded(arm: Arm) -> Snapshot:
                     with mkdir:
                         if parent != "/" and not fs.exists(parent):
                             fs.mkdir(parent)
-                    files[path] = fs.open(path)
+                    files[path] = fs.open(path, tenant=args[1] if args[1:] else None)
                 elif op == "write":
                     pos, data = f.tell(), bytes([i % 251 + 1]) * args[1]
                     f.write(data)
@@ -403,7 +404,7 @@ def play_sim(arm: Arm, seed: int = DEFAULT_SEED) -> Snapshot:
             f, start = files.get(args[0]) if args else None, sim.now
             try:
                 if op == "open":
-                    files[args[0]] = crfs.open(args[0])
+                    files[args[0]] = crfs.open(args[0], tenant=args[1] if args[1:] else None)
                 elif op == "write":
                     yield from crfs.write(f, args[1])
                 elif op == "seek":

@@ -20,6 +20,10 @@ bit-identical by construction:
   class, so the service order is one function of the arrival order on
   either plane.
 
+Every mount runs the same three, tenants configured or not: a mount
+with no specs is one tenant at weight 1 with no reservation, whose
+ledger is the paper's one pool and whose DRR queue is a FIFO.
+
 None of these classes lock: callers serialize access (the work queue's
 mutex on the functional plane, the single-threaded event loop on the
 timing plane).
@@ -37,7 +41,7 @@ from ..errors import ConfigError
 __all__ = ["DEFAULT_TENANT", "DRRScheduler", "PoolLedger", "TenantRegistry", "TenantSpec"]
 
 #: Every mount has this tenant; unmatched paths and unconfigured mounts
-#: resolve to it (weight 1, no reservation, no quota — today's behaviour).
+#: resolve to it (weight 1, no reservation, no quota).
 DEFAULT_TENANT = "default"
 
 
@@ -77,11 +81,12 @@ class TenantSpec:
 
 
 class TenantRegistry:
-    """Per-mount tenant resolution and spec lookup.
+    """Per-mount tenant resolution.
 
-    A mount with no configured specs is single-tenant: every open
-    resolves to :data:`DEFAULT_TENANT` and the scheduler/pool degrade to
-    one global FIFO.
+    A mount with no configured specs runs the same pool ledger and DRR
+    queue as any other: an open with no explicit id resolves to
+    :data:`DEFAULT_TENANT`, and one tenant at weight 1 with no
+    reservation is a FIFO pool and a FIFO queue.
     """
 
     def __init__(self, specs: Iterable[TenantSpec] = (), pool_chunks: int = 0):
@@ -99,21 +104,10 @@ class TenantRegistry:
         self.pool_chunks = pool_chunks
 
     @property
-    def active(self) -> bool:
-        """Whether any tenant is explicitly configured."""
-        return bool(self.specs)
-
-    @property
     def names(self) -> tuple[str, ...]:
         """Every known tenant, default included, in sorted order — the
         pre-seeded keys of ``stats()['tenants']`` on both planes."""
         return tuple(sorted({DEFAULT_TENANT, *self._by_name}))
-
-    def spec(self, name: str) -> TenantSpec:
-        """The spec for ``name``; unknown tenants get default terms
-        (weight 1, no reservation, no quota)."""
-        found = self._by_name.get(name)
-        return found if found is not None else TenantSpec(name)
 
     def resolve(self, path: str, tenant: str | None = None) -> str:
         """The tenant an open of ``path`` belongs to.
@@ -175,9 +169,9 @@ class PoolLedger:
         return self._used_reserved.get(tenant, 0) + self._used_shared.get(tenant, 0)
 
     def can_acquire(self, tenant: str) -> bool:
-        if self._used_reserved.get(tenant, 0) < self._reserved.get(tenant, 0):
+        if self.shared_used < self.shared_capacity:
             return True
-        return self.shared_used < self.shared_capacity
+        return self._used_reserved.get(tenant, 0) < self._reserved.get(tenant, 0)
 
     def acquire(self, tenant: str) -> None:
         if self._used_reserved.get(tenant, 0) < self._reserved.get(tenant, 0):
@@ -209,37 +203,26 @@ class DRRScheduler:
     prefetches — :meth:`pop` always exhausts the high band first, so
     prefetch never delays a checkpoint write regardless of weights.
 
-    * ``fair=True`` (DRR): each tenant gets a quantum of ``weight``
-      items per round; a tenant whose queue empties leaves the ring and
-      forfeits its residual deficit (no banking, so an idle tenant
-      cannot later burst past its share).  With a single tenant DRR
-      degrades to exact FIFO — today's single-tenant behaviour.
-    * ``fair=False`` (FIFO): one global arrival-order queue, tenants
-      ignored — the unfair ablation arm of the ``tenant_storm``
-      experiment.
+    Each tenant gets a quantum of ``weight`` items per round; a tenant
+    whose queue empties leaves the ring and forfeits its residual
+    deficit (no banking, so an idle tenant cannot later burst past its
+    share).  With a single tenant DRR is exact FIFO — the paper's one
+    work queue.
 
     Item cost is 1 (every queued chunk is the same size), so integer
     weights make DRR an exact weighted round robin: a saturated tenant
-    is served ``weight`` consecutive items per round.  ``service_counts``
-    records high-band pops per tenant for the fairness property tests.
+    is served ``weight`` consecutive items per round.
 
     Not thread-safe: the owning queue serializes access.
     """
 
-    def __init__(self, weights: Mapping[str, int] | None = None, fair: bool = True):
-        self.fair = fair
+    def __init__(self, weights: Mapping[str, int] | None = None):
         self._weights = dict(weights or {})
-        self.service_counts: dict[str, int] = {}
-        # fair mode: per-tenant deques + active rings + deficit counters
         self._high: dict[str, Deque[Any]] = {}
         self._low: dict[str, Deque[Any]] = {}
         self._ring: Deque[str] = deque()
         self._low_ring: Deque[str] = deque()
         self._deficit: dict[str, int] = {}
-        # fifo mode: global arrival-order bands of (tenant, item)
-        self._fifo_high: Deque[tuple[str, Any]] = deque()
-        self._fifo_low: Deque[tuple[str, Any]] = deque()
-        self._fifo_depth: dict[str, int] = {}
         self._high_len = 0
         self._low_len = 0
 
@@ -257,8 +240,6 @@ class DRRScheduler:
 
     def depth(self, tenant: str) -> int:
         """Queued high-band items for ``tenant`` (the admission gauge)."""
-        if not self.fair:
-            return self._fifo_depth.get(tenant, 0)
         q = self._high.get(tenant)
         return len(q) if q is not None else 0
 
@@ -267,9 +248,6 @@ class DRRScheduler:
     def push(self, tenant: str, item: Any, low: bool = False) -> None:
         if low:
             self._low_len += 1
-            if not self.fair:
-                self._fifo_low.append((tenant, item))
-                return
             q = self._low.get(tenant)
             if q is None:
                 q = self._low[tenant] = deque()
@@ -278,10 +256,6 @@ class DRRScheduler:
             q.append(item)
             return
         self._high_len += 1
-        if not self.fair:
-            self._fifo_high.append((tenant, item))
-            self._fifo_depth[tenant] = self._fifo_depth.get(tenant, 0) + 1
-            return
         q = self._high.get(tenant)
         if q is None:
             q = self._high[tenant] = deque()
@@ -295,17 +269,6 @@ class DRRScheduler:
     def pop(self) -> tuple[str, Any] | None:
         """Take the next (tenant, item): high band through DRR, then the
         low band round-robin; None when both bands are empty."""
-        if not self.fair:
-            if self._fifo_high:
-                tenant, item = self._fifo_high.popleft()
-                self._fifo_depth[tenant] -= 1
-                self._high_len -= 1
-                self.service_counts[tenant] = self.service_counts.get(tenant, 0) + 1
-                return tenant, item
-            if self._fifo_low:
-                self._low_len -= 1
-                return self._fifo_low.popleft()
-            return None
         while self._ring:
             tenant = self._ring[0]
             q = self._high[tenant]
@@ -320,7 +283,6 @@ class DRRScheduler:
             self._deficit[tenant] -= 1
             item = q.popleft()
             self._high_len -= 1
-            self.service_counts[tenant] = self.service_counts.get(tenant, 0) + 1
             if not q:
                 # Empty queues leave the ring and forfeit their residual
                 # deficit — no banking across idle periods.
@@ -353,13 +315,10 @@ class DRRScheduler:
         """Take up to ``limit`` queued high-band items that ``chain``
         accepts as the continuation of ``tail`` (rolling).
 
-        Batches never span tenants: in fair mode only ``tenant``'s own
-        sub-queue is scanned (skip-and-preserve, keeping relative
-        order), and the gathered items are charged against the tenant's
-        deficit so a long coalesced run still costs its weight.  In
-        fifo mode the global band is scanned, exactly the pre-tenant
-        behaviour (``chain`` requires same-file continuity, so a batch
-        cannot cross tenants there either).
+        Batches never span tenants: only ``tenant``'s own sub-queue is
+        scanned (skip-and-preserve, keeping relative order), and the
+        gathered items are charged against the tenant's deficit so a
+        long coalesced run still costs its weight.
 
         The scan mutates the sub-queue in place: matches pop off the
         front, skipped items rotate to the back and rotate home once the
@@ -368,36 +327,8 @@ class DRRScheduler:
         in order) the gather allocates nothing but the returned list.
         """
         batch: list[Any] = []
-        if limit <= 0:
-            return batch
-        if not self.fair:
-            q = self._fifo_high
-            scanned = skipped = 0
-            to_scan = len(q)
-            while scanned < to_scan and len(batch) < limit:
-                cand_tenant, candidate = q[0]
-                if chain(tail, candidate):
-                    q.popleft()
-                    batch.append(candidate)
-                    tail = candidate
-                    self._fifo_depth[cand_tenant] -= 1
-                    self._high_len -= 1
-                    self.service_counts[cand_tenant] = (
-                        self.service_counts.get(cand_tenant, 0) + 1
-                    )
-                else:
-                    q.rotate(-1)
-                    skipped += 1
-                scanned += 1
-            if skipped:
-                # Skipped items sit at the back in original order, after
-                # any unexamined ones; one right-rotate restores the
-                # band's relative order (every skip predates every
-                # unexamined item).
-                q.rotate(skipped)
-            return batch
         q = self._high.get(tenant)
-        if not q:
+        if limit <= 0 or not q:
             return batch
         scanned = skipped = 0
         to_scan = len(q)
@@ -412,12 +343,12 @@ class DRRScheduler:
                 skipped += 1
             scanned += 1
         if skipped:
+            # Skipped items sit at the back in original order, after any
+            # unexamined ones; one right-rotate restores the sub-queue's
+            # relative order (every skip predates every unexamined item).
             q.rotate(skipped)
         if batch:
             self._high_len -= len(batch)
-            self.service_counts[tenant] = (
-                self.service_counts.get(tenant, 0) + len(batch)
-            )
             # Charge the gather against the quantum (may go negative; the
             # tenant then waits extra rounds before its next service).
             self._deficit[tenant] = self._deficit.get(tenant, 0) - len(batch)

@@ -310,16 +310,14 @@ class SimCRFS:
             ]
         # The same ledger / scheduler classes the functional plane
         # delegates to, so service order is identical across planes by
-        # construction (one default tenant: a global FIFO pool and queue).
+        # construction (one tenant: a FIFO pool and queue).
         self.pool = SimTenantPool(
             sim,
             PoolLedger(max(1, config.pool_chunks), self.tenants.reservations()),
         )
         self.queue = SimQueue(
             sim,
-            scheduler=DRRScheduler(
-                weights=self.tenants.weights(), fair=config.tenant_fairness
-            ),
+            scheduler=DRRScheduler(weights=self.tenants.weights()),
             quotas=self.tenants.quotas(),
             on_admission_wait=lambda tenant, depth: self.kernel.emit(
                 AdmissionWait(tenant=tenant, depth=depth, t=sim.now)

