@@ -15,8 +15,10 @@ always served from tier 0, which by construction holds every byte.
 
 Resilience applies **per tier**: each migration destination gets its
 own :class:`~repro.pipeline.resilience.RetryPolicy` chain and
-:class:`~repro.pipeline.resilience.BackendHealth` breaker (surfaced as
-``TierDegraded``/``TierRecovered`` on the unified stream).  A migration
+:class:`~repro.pipeline.resilience.BackendHealth` breaker (its
+``BackendDegraded``/``BackendRecovered`` and the pump's ``ChunkRetried``
+carry the destination tier, so the stats registry counts them in that
+tier's slice, not the mount's ``resilience`` section).  A migration
 whose retries exhaust *strands* its extents at the shallower tier — a
 broken PFS degrades the mount to "durable on local disk" instead of
 dragging it into synchronous write-through; the strand error latches
@@ -43,7 +45,7 @@ from ..config import CRFSConfig
 from ..errors import BackendTimeoutError, ShutdownError
 from ..pipeline.events import PipelineEvent
 from ..pipeline.resilience import BackendHealth
-from ..pipeline.staging import StagedFile, StagingCore, tier_health_emit
+from ..pipeline.staging import StagedFile, StagingCore
 from ..pipeline.writeback import Extent, blocking, contiguous, migrate, run, stage
 from .base import Backend, BackendStat
 
@@ -122,17 +124,9 @@ class TieredBackend(Backend):
             emit=emit,
             clock=clock,
         )
-        # healths[k] guards migrations *into* tier k (k >= 1); tier 0 is
-        # covered by the mount's own breaker, since tier-0 writes are the
-        # mount's backend writes.
-        self.tier_healths: list[Optional[BackendHealth]] = [None] + [
-            BackendHealth(
-                threshold=config.breaker_threshold,
-                emit=tier_health_emit(emit, tier),
-                clock=clock,
-            )
-            for tier in range(1, len(self.tiers))
-        ]
+        self.tier_healths: list[Optional[BackendHealth]] = self.staging.breakers(
+            config.breaker_threshold
+        )
 
     @property
     def fsync_tier(self) -> int:
@@ -169,10 +163,7 @@ class TieredBackend(Backend):
     def _pump_worker(self) -> None:
         while True:
             try:
-                if self._pump_batch > 1:
-                    extents = self._queue.get_batch(self._pump_batch, contiguous)
-                else:
-                    extents = [self._queue.get()]
+                extents = self._queue.get_batch(self._pump_batch, contiguous)
             except ShutdownError:
                 return
             run(migrate(self, extents))

@@ -41,18 +41,14 @@ class CRFSConfig:
     pool_size: int = 16 * MiB
     #: Number of IO worker threads draining the work queue (paper: 4).
     io_threads: int = 4
-    #: Whether read() passes straight through to the backend (paper
-    #: behaviour: "we directly pass it to the underlying filesystem").
-    #: With False, a read first flushes and drains the file's pending
-    #: chunks, so reads always observe the latest writes — a
-    #: read-your-writes extension for general (non-checkpoint) workloads
-    #: that interleave reads and writes.
-    read_passthrough: bool = True
     #: Per-file restart readahead cache, in chunks leased from the
     #: buffer pool.  0 (the paper's behaviour, and the default) keeps
-    #: reads pure passthrough; > 0 serves chunk-aligned reads from a
-    #: bounded LRU cache with read-your-writes semantics.  Must leave
-    #: pool headroom (<= pool_chunks) and exceed ``readahead_chunks``.
+    #: reads pure passthrough: "we directly pass it to the underlying
+    #: filesystem", bytes still in the pipeline unseen; > 0 serves
+    #: chunk-aligned reads from a bounded LRU cache with read-your-writes
+    #: semantics (a file with pending writes is flushed and drained
+    #: first).  Must leave pool headroom (<= pool_chunks) and exceed
+    #: ``readahead_chunks``.
     read_cache_chunks: int = 0
     #: Sliding prefetch window: after every cached read access, the next
     #: N absent chunks are fetched asynchronously through the IO thread

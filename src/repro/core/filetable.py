@@ -76,21 +76,6 @@ class FileEntry:
     def planner(self):
         return self.pipeline.planner
 
-    @property
-    def write_chunk_count(self) -> int:
-        return self.pipeline.write_chunk_count
-
-    @property
-    def complete_chunk_count(self) -> int:
-        return self.pipeline.complete_chunk_count
-
-    @property
-    def outstanding(self) -> int:
-        return self.pipeline.outstanding
-
-    def peek_error(self) -> BaseException | None:
-        return self.pipeline.peek_error()
-
     # -- drain protocol ------------------------------------------------------
 
     def note_chunk_queued(self, seal: Seal | None = None) -> None:

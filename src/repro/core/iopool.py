@@ -117,10 +117,7 @@ class IOThreadPool:
     def _worker(self) -> None:
         while True:
             try:
-                if self.batch_chunks > 1:
-                    items = self.queue.get_batch(self.batch_chunks, contiguous)
-                else:
-                    items = [self.queue.get()]
+                items = self.queue.get_batch(self.batch_chunks, contiguous)
             except QueueClosed:
                 return
             if isinstance(items[0], Prefetch):

@@ -488,10 +488,9 @@ class CRFS:
 
         The paper's behaviour (Section IV-D1) — "we directly pass it to
         the underlying filesystem without any additional operation" —
-        is the default and the ``read_cache_chunks=0`` path.  With
-        ``read_passthrough=False`` a passthrough read still flushes and
-        drains first if anything is pending (read-your-writes for
-        non-checkpoint workloads).
+        is the default and the ``read_cache_chunks=0`` path.  A cached
+        read flushes and drains first if anything is pending
+        (read-your-writes for non-checkpoint workloads).
         """
         if not self._mounted:
             raise MountError("filesystem is not mounted")

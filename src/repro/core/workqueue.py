@@ -179,11 +179,7 @@ class WorkQueue:
             tenant, item, was_high = self._pop()
             if not was_high:
                 return [item]
-            batch = [item]
-            if limit > 1:
-                batch.extend(
-                    self.scheduler.gather(tenant, limit - 1, chain, item)
-                )
+            batch = [item, *self.scheduler.gather(tenant, limit - 1, chain, item)]
             self._wake_putters()
             return batch
 

@@ -35,9 +35,10 @@ threaded player also checks every read and restore against a model of
 the bytes written, so a wrong byte is an error too.  Both players add
 ``chunks`` — the (offset, length) of every chunk the pipeline reports
 written — and ``backend_writes``, the (offset, length) of every
-single-extent write that reached a null faulty store: what each plane's
-IO path actually issued.  ``downtime`` lists, per breaker recovery, how
-long the mount ran degraded, and ``clock`` holds the run's own times:
+single-extent write that got past the faulty store's rules: what each
+plane's IO path actually issued.  ``downtime`` lists, per recovery of
+the mount's own breaker (tier 0), how long the mount ran degraded, and
+``clock`` holds the run's own times:
 ``elapsed`` (until the last writer finished), each reading writer's
 ``restores`` span (first read or restore to the end of its last), and
 every write's and landed chunk's latency — virtual seconds on the
@@ -235,7 +236,7 @@ def _result(
         chunks=[(e.file_offset, e.length) for e in landed],
         backend_writes=writes,
         write_sizes=[e.length for e in observed if not e.write_through],
-        downtime=[e.downtime for e in log.of(BackendRecovered)],
+        downtime=[e.downtime for e in log.of(BackendRecovered) if e.tier == 0],
         clock=clock,
     )
 
@@ -250,23 +251,10 @@ class DeviceStore(MemBackend):
     reads_from_memory = False
 
 
-class RecordingNull(NullSimFilesystem):
-    """A null filesystem that keeps the (offset, length) of every
-    single-extent write it discards."""
-
-    def __init__(self, *args: Any):
-        super().__init__(*args)
-        self.writes: list[tuple[int, int]] = []
-
-    def _write(self, f: Any, nbytes: int):
-        self.writes.append((f.pos, nbytes))
-        yield from super()._write(f, nbytes)
-
-
 #: The timing plane's store models, by name: ``(sim, hw, rng, membus)``
 #: to a filesystem.
 SIM_STORES: dict[str, Callable[..., Any]] = {
-    "null": lambda sim, hw, rng, membus: RecordingNull(sim, hw, rng),
+    "null": lambda sim, hw, rng, membus: NullSimFilesystem(sim, hw, rng),
     "nfs": lambda sim, hw, rng, membus: NFSFilesystem(sim, hw, rng, membus, NFSServer(sim, hw)),
     "lustre": lambda sim, hw, rng, membus: LustreFilesystem(
         sim, hw, rng, membus, LustreServers(sim, hw), app_memory=0
@@ -390,8 +378,8 @@ def play_sim(arm: Arm, seed: int = DEFAULT_SEED) -> Snapshot:
         SIM_STORES[kind](sim, hw, rng_for(seed, f"perf/{arm.name}/{tag}"), membus)
         for kind, tag in zip(arm.store, ("backend", "backend-deep"))
     ]
-    recorded = getattr(tiers[arm.faulty_tier], "writes", [])
-    tiers[arm.faulty_tier] = FaultySimFilesystem(tiers[arm.faulty_tier], list(arm.rules))
+    faulty = FaultySimFilesystem(tiers[arm.faulty_tier], list(arm.rules))
+    tiers[arm.faulty_tier] = faulty
     backend = tiers[0] if len(tiers) == 1 else TieredSimFilesystem(tiers)
     log = EventLog()
     crfs = SimCRFS(sim, hw, arm.config, backend, membus, observers=[log])
@@ -433,7 +421,7 @@ def play_sim(arm: Arm, seed: int = DEFAULT_SEED) -> Snapshot:
     if crfs.staging is not None:
         sim.run_until_complete([sim.spawn(crfs.drain_staging())])
     crfs.shutdown()
-    return _result(crfs.stats(), log, errors, recorded, elapsed, spans)
+    return _result(crfs.stats(), log, errors, faulty.writes, elapsed, spans)
 
 
 # -- the table -----------------------------------------------------------------

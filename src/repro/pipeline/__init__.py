@@ -48,11 +48,8 @@ from .events import (
     ReadHit,
     ReadMiss,
     ReadObserved,
-    TierDegraded,
     TierMigrated,
     TierPumpPressure,
-    TierRecovered,
-    TierRetried,
     TierStaged,
     TierSynced,
     WorkersDrained,
@@ -125,11 +122,8 @@ __all__ = [
     "SealReason",
     "StagedFile",
     "StagingCore",
-    "TierDegraded",
     "TierMigrated",
     "TierPumpPressure",
-    "TierRecovered",
-    "TierRetried",
     "TierStaged",
     "TierSynced",
     "TenantRegistry",

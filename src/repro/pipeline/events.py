@@ -61,9 +61,6 @@ __all__ = [
     "TierMigrated",
     "TierPumpPressure",
     "TierSynced",
-    "TierRetried",
-    "TierDegraded",
-    "TierRecovered",
 ]
 
 
@@ -169,10 +166,12 @@ class BatchBroken(PipelineEvent):
 
 @dataclass(frozen=True)
 class ChunkRetried(PipelineEvent):
-    """A chunk writeback attempt failed and will be retried after
-    ``delay`` seconds of backoff.  ``attempt`` is the 1-based attempt
-    that failed; degraded-mode probe writes reuse this event with the
-    write's file offset."""
+    """A write attempt into tier ``tier`` failed and will be retried
+    after ``delay`` seconds of backoff.  ``attempt`` is the 1-based
+    attempt that failed.  Tier 0 is the mount's backend (a chunk
+    writeback; degraded-mode probe writes reuse this event with the
+    write's file offset); tier k > 0 is a staging migration into tier
+    k, counted in that tier's ``stats()`` slice, never the mount's."""
 
     path: str
     file_offset: int
@@ -180,26 +179,32 @@ class ChunkRetried(PipelineEvent):
     delay: float
     error: BaseException
     t: float = 0.0
+    tier: int = 0
 
 
 @dataclass(frozen=True)
 class BackendDegraded(PipelineEvent):
-    """The backend health tracker tripped its circuit breaker after
-    ``consecutive_failures`` failed write attempts; the mount degrades
-    to synchronous write-through until a probe write succeeds."""
+    """Tier ``tier``'s health tracker tripped its circuit breaker after
+    ``consecutive_failures`` failed write attempts.  Tier 0 is the
+    mount's backend: the mount degrades to synchronous write-through
+    until a probe write succeeds.  A deeper tier's migrations keep
+    probing, and on exhaustion strand one tier shallower."""
 
     consecutive_failures: int
     t: float = 0.0
+    tier: int = 0
 
 
 @dataclass(frozen=True)
 class BackendRecovered(PipelineEvent):
-    """A probe write succeeded while the circuit breaker was open; the
-    mount restored asynchronous aggregation after ``downtime`` seconds
-    in degraded mode."""
+    """A probe write into tier ``tier`` succeeded while its circuit
+    breaker was open, after ``downtime`` seconds degraded: tier 0 (the
+    mount's backend) restores asynchronous aggregation, a deeper tier
+    resumes normal staging."""
 
     downtime: float
     t: float = 0.0
+    tier: int = 0
 
 
 @dataclass(frozen=True)
@@ -471,43 +476,6 @@ class TierSynced(PipelineEvent):
 
     tier: int
     path: str
-    t: float = 0.0
-
-
-@dataclass(frozen=True)
-class TierRetried(PipelineEvent):
-    """A migration attempt into tier ``tier`` failed and will be
-    retried after ``delay`` seconds of backoff (the per-tier analogue of
-    :class:`ChunkRetried`; kept separate so deep-tier trouble is never
-    attributed to the mount's own backend)."""
-
-    tier: int
-    path: str
-    file_offset: int
-    attempt: int
-    delay: float
-    error: BaseException
-    t: float = 0.0
-
-
-@dataclass(frozen=True)
-class TierDegraded(PipelineEvent):
-    """Tier ``tier``'s own circuit breaker tripped after
-    ``consecutive_failures`` failed migration attempts; extents bound
-    for it keep probing, and on exhaustion strand one tier shallower."""
-
-    tier: int
-    consecutive_failures: int
-    t: float = 0.0
-
-
-@dataclass(frozen=True)
-class TierRecovered(PipelineEvent):
-    """A migration into tier ``tier`` succeeded while its breaker was
-    open; the tier resumed normal staging after ``downtime`` seconds."""
-
-    tier: int
-    downtime: float
     t: float = 0.0
 
 

@@ -29,7 +29,7 @@ a per-plane port (the technique of :mod:`repro.pipeline.writeback`):
   release + waiter wake-up, and the write-path / teardown hooks.
 
 Ports (duck-typed).  The *mount* (:class:`~repro.core.mount.CRFS`,
-:class:`~repro.simcrfs.model.SimCRFS`) provides ``config``, ``health``,
+:class:`~repro.simcrfs.model.SimCRFS`) provides ``health``,
 ``flush_drain(file)`` (entered only for a file that is not
 ``pipeline.clean``), ``read_through(file, size, offset)`` and
 ``file_size(file)``; files expose ``pipeline`` and ``read_cache``.  The
@@ -192,8 +192,9 @@ class AdaptiveWindow:
     Multiplicative decrease: each cache-pressure signal
     — an unread prefetch evicted, a fetch dropped on a starved pool, a
     delivered prefetch wasted — halves the window down to ``floor``.
-    With ``adaptive=False`` the window is pinned at ``initial``: the
-    static-``readahead_chunks`` degeneracy the property tests pin.
+    A static window is one whose bounds meet: with ``floor == initial
+    == ceiling`` it neither grows nor shrinks, which the property tests
+    pin.
 
     Purity contract: the window is a function of the sequence of
     :meth:`on_access` / :meth:`on_pressure` calls alone, which both
@@ -203,44 +204,33 @@ class AdaptiveWindow:
     """
 
     __slots__ = ("window", "initial", "floor", "ceiling", "grow_streak",
-                 "adaptive", "last_index", "_streak")
+                 "last_index", "_streak")
 
     def __init__(
         self,
         initial: int,
         ceiling: int,
-        adaptive: bool = False,
         floor: int = 1,
         grow_streak: int = 2,
     ):
-        if adaptive and initial < 1:
-            raise ValueError(f"adaptive window needs initial >= 1, got {initial}")
-        if adaptive and not floor <= initial <= ceiling:
+        if not 0 <= floor <= initial <= ceiling:
             raise ValueError(
-                f"adaptive window needs {floor} <= initial <= {ceiling}, got {initial}"
+                f"window needs 0 <= {floor} <= initial <= {ceiling}, got {initial}"
             )
         self.window = initial
         self.initial = initial
         self.floor = floor
         self.ceiling = ceiling
         self.grow_streak = grow_streak
-        self.adaptive = adaptive
         self._streak = 0
         #: The chunk the latest access touched — the low edge of the
         #: live window eviction spares (None before the first access).
         self.last_index: Optional[int] = None
 
-    @property
-    def widest(self) -> int:
-        """The widest the window can be after any further accesses."""
-        return self.ceiling if self.adaptive else self.window
-
     def on_access(self, index: int, hit: bool) -> bool:
         """Observe one chunk access; True when the window grew."""
         sequential = self.last_index is not None and index == self.last_index + 1
         self.last_index = index
-        if not self.adaptive:
-            return False
         if hit and sequential:
             self._streak += 1
         else:
@@ -255,8 +245,6 @@ class AdaptiveWindow:
         """Observe one cache-pressure signal; True when the window
         shrank.  Pressure also breaks the current hit streak, so growth
         restarts from scratch once the pressure clears."""
-        if not self.adaptive:
-            return False
         self._streak = 0
         shrunk = max(self.floor, self.window // 2)
         if shrunk < self.window:
@@ -269,11 +257,11 @@ class ReadaheadCore:
     """Per-file readahead decisions: LRU cache index + prefetch window.
 
     ``capacity`` bounds resident entries (both ready and in flight);
-    ``depth`` is the sliding prefetch window issued after every access —
-    fixed at the ``readahead_chunks`` knob by default, governed by an
-    :class:`AdaptiveWindow` between 1 and ``capacity - 2`` when
-    ``adaptive`` is set.  Eviction spares the *live window* — the chunk
-    the latest access touched and the ``depth`` chunks after it — and
+    ``depth`` is the sliding prefetch window issued after every access,
+    an :class:`AdaptiveWindow` — pinned at the ``readahead_chunks`` knob
+    by default (its bounds meet there), between 1 and ``capacity - 2``
+    when ``adaptive`` is set.  Eviction spares the *live window* — the
+    chunk the latest access touched and the ``depth`` chunks after it — and
     takes the least recently used entry outside it, so the chunk being
     served and the prefetches issued for it are never their own
     window's victims: a sequential scan fetches every chunk once at any
@@ -307,14 +295,13 @@ class ReadaheadCore:
         self.path = path
         self.chunk_size = chunk_size
         self.capacity = capacity
-        ceiling = max(1, capacity - 2)
-        self.window = AdaptiveWindow(
+        if adaptive:
             # An adaptive window starts inside its own bounds even when
-            # the configured static depth exceeds the thrash-free ceiling.
-            initial=min(depth, ceiling) if adaptive else depth,
-            ceiling=ceiling,
-            adaptive=adaptive,
-        )
+            # the configured depth exceeds the thrash-free ceiling.
+            ceiling = max(1, capacity - 2)
+            self.window = AdaptiveWindow(min(depth, ceiling), ceiling)
+        else:
+            self.window = AdaptiveWindow(depth, depth, floor=depth)
         if kernel is None:
             kernel = _own_kernel(chunk_size, emit, clock if clock is not None else lambda: 0.0)
         self._kernel = kernel
@@ -324,8 +311,7 @@ class ReadaheadCore:
 
     @property
     def depth(self) -> int:
-        """The current prefetch-window width (the static knob, or the
-        adaptive controller's live value)."""
+        """The current prefetch-window width."""
         return self.window.window
 
     # -- introspection ---------------------------------------------------------
@@ -654,7 +640,7 @@ def read_resident(
         if centry is None:
             return None
         found.append(centry)
-    if last > first and not core.window_resident(last, core.window.widest - 1):
+    if last > first and not core.window_resident(last, core.window.ceiling - 1):
         return None
     parts = []
     for centry in found:
@@ -685,12 +671,12 @@ def read(port: Any, f: Any, size: int, offset: int) -> Gen:
     """One application read of ``size`` bytes at ``offset`` — any that
     :func:`read_resident` did not serve.
 
-    Passthrough (the paper's Section IV-D1 behaviour) when the file has
-    no cache or while the circuit breaker is open — with the breaker
-    open every backend op is suspect, and the passthrough read doubles
-    as a recovery probe, the read-side analogue of "every degraded
-    write is a probe": its outcome is recorded, so a healed backend
-    gets its cache back.  Otherwise flush + drain if the file has
+    Passthrough (the paper's Section IV-D1 behaviour: nothing pending
+    is flushed first) when the file has no cache or while the circuit
+    breaker is open — with the breaker open every backend op is
+    suspect, and the passthrough read doubles as a recovery probe, the
+    read-side analogue of "every degraded write is a probe": its
+    outcome is recorded, so a healed backend gets its cache back.  Otherwise flush + drain if the file has
     anything pending (read-your-writes through pending chunks; a latched
     writeback error surfaces here), clip at the file size like a
     passthrough pread would, and serve chunk-aligned slices from the
@@ -705,8 +691,6 @@ def read(port: Any, f: Any, size: int, offset: int) -> Gen:
     health = port.health
     degraded = health.degraded
     if cache is None or degraded:
-        if not port.config.read_passthrough and not pipeline.clean:
-            yield from port.flush_drain(f)
         try:
             data = yield from port.read_through(f, size, offset)
         except Exception:

@@ -14,7 +14,10 @@ place that failure policy is encoded for both planes:
   breaker (``BackendDegraded`` on the unified stream); the mount then
   serves writes synchronously (write-through, bypassing the buffer
   pool) until any probe write succeeds, which closes the breaker
-  (``BackendRecovered``) and restores asynchronous aggregation.
+  (``BackendRecovered``) and restores asynchronous aggregation.  A
+  tiered mount gives each staging tier a breaker of its own, built
+  with that ``tier``: its records carry the tier, and the stats
+  registry counts them in the tier's slice instead of the mount's.
 
 The attempt loop that drives a backend op under these two objects is
 :func:`repro.pipeline.writeback.attempts` — one definition, run by both
@@ -98,6 +101,9 @@ class BackendHealth:
            ▼  emit BackendRecovered(downtime)
         CLOSED
 
+    ``tier`` is the tier the breaker guards — 0, the mount's backend,
+    or a staging tier's index — stamped on every record it emits.
+
     Thread-safe: IO workers and degraded application writers record
     outcomes concurrently.  Events are emitted outside the lock.
     """
@@ -107,10 +113,12 @@ class BackendHealth:
         threshold: int = 0,
         emit: EmitFn | None = None,
         clock: Callable[[], float] | None = None,
+        tier: int = 0,
     ):
         if threshold < 0:
             raise ConfigError(f"threshold must be >= 0, got {threshold}")
         self.threshold = threshold
+        self.tier = tier
         self._emit = emit if emit is not None else (lambda event: None)
         self._clock = clock if clock is not None else time.perf_counter
         self._lock = threading.Lock()
@@ -123,8 +131,6 @@ class BackendHealth:
         self._degraded_since = 0.0
         self.failures = 0
         self.successes = 0
-        self.trips = 0
-        self.recoveries = 0
 
     @property
     def consecutive_failures(self) -> int:
@@ -146,10 +152,9 @@ class BackendHealth:
             if tripped:
                 self.degraded = True
                 self._degraded_since = now
-                self.trips += 1
                 consecutive = self._consecutive_failures
         if tripped:
-            self._emit(BackendDegraded(consecutive_failures=consecutive, t=now))
+            self._emit(BackendDegraded(consecutive_failures=consecutive, t=now, tier=self.tier))
         return tripped
 
     def record_success(self) -> bool:
@@ -162,8 +167,7 @@ class BackendHealth:
             recovered = self.degraded
             if recovered:
                 self.degraded = False
-                self.recoveries += 1
                 downtime = now - self._degraded_since
         if recovered:
-            self._emit(BackendRecovered(downtime=downtime, t=now))
+            self._emit(BackendRecovered(downtime=downtime, t=now, tier=self.tier))
         return recovered

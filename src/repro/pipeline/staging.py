@@ -27,43 +27,18 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .events import (
-    BackendDegraded,
-    BackendRecovered,
+    ChunkRetried,
     PipelineEvent,
-    TierDegraded,
     TierMigrated,
     TierPumpPressure,
-    TierRecovered,
-    TierRetried,
     TierStaged,
     TierSynced,
 )
+from .resilience import BackendHealth
 
-__all__ = ["StagedFile", "StagingCore", "tier_health_emit"]
+__all__ = ["StagedFile", "StagingCore"]
 
 EmitFn = Callable[[PipelineEvent], None]
-
-
-def tier_health_emit(emit: EmitFn, tier: int) -> EmitFn:
-    """Wrap a mount's emit so a per-tier breaker's
-    ``BackendDegraded``/``BackendRecovered`` surface as
-    ``TierDegraded``/``TierRecovered`` tagged with the destination tier
-    — the same translation on both planes, so breaker attribution in
-    the ``tiers`` stats section is bit-identical."""
-
-    def translate(event: PipelineEvent) -> None:
-        if isinstance(event, BackendDegraded):
-            emit(
-                TierDegraded(
-                    tier=tier,
-                    consecutive_failures=event.consecutive_failures,
-                    t=event.t,
-                )
-            )
-        elif isinstance(event, BackendRecovered):
-            emit(TierRecovered(tier=tier, downtime=event.downtime, t=event.t))
-
-    return translate
 
 
 class StagedFile:
@@ -130,6 +105,16 @@ class StagingCore:
 
     def file(self, path: str) -> StagedFile:
         return StagedFile(path, self.ntiers)
+
+    def breakers(self, threshold: int) -> list[Optional[BackendHealth]]:
+        """One breaker per migration destination: ``[k]`` guards the
+        migrations into tier k >= 1 and stamps its records with k.  Tier
+        0 has none here: its writes are the mount's backend writes,
+        guarded by the mount's own breaker."""
+        return [None] + [
+            BackendHealth(threshold, emit=self.emit, clock=self.clock, tier=tier)
+            for tier in range(1, self.ntiers)
+        ]
 
     # -- transitions (caller holds its plane's lock) ----------------------
 
@@ -203,10 +188,12 @@ class StagingCore:
         delay: float,
         error: BaseException,
     ) -> None:
+        """A migration attempt into ``tier`` failed and will be retried:
+        the mount's retry record, stamped with the destination tier."""
         self.emit(
-            TierRetried(
-                tier=tier, path=path, file_offset=file_offset,
-                attempt=attempt, delay=delay, error=error, t=self.clock(),
+            ChunkRetried(
+                path=path, file_offset=file_offset, attempt=attempt,
+                delay=delay, error=error, t=self.clock(), tier=tier,
             )
         )
 

@@ -51,11 +51,8 @@ from .events import (
     PrefetchDropped,
     PrefetchWasted,
     QueuePressure,
-    TierDegraded,
     TierMigrated,
     TierPumpPressure,
-    TierRecovered,
-    TierRetried,
     TierStaged,
     TierSynced,
     WindowGrown,
@@ -546,11 +543,16 @@ def _one(section: str, key: str) -> Handler:
     return handler
 
 
-def _one_per_tier(key: str) -> Handler:
-    """The handler of an event that adds one to its tier's ``key``."""
+def _one_by_tier(key: str, tier_key: str) -> Handler:
+    """The handler of a record stamped with the tier it happened at:
+    tier 0 (the mount's backend) adds one to ``resilience.key``, tier k
+    to ``tiers.per_tier[k].tier_key``."""
 
     def handler(stats: PipelineStats, event: Any) -> None:
-        stats._tier(event.tier)[key] += 1
+        if event.tier:
+            stats._tier(event.tier)[tier_key] += 1
+        else:
+            stats._counts["resilience"][key] += 1
 
     return handler
 
@@ -566,9 +568,9 @@ _HANDLERS: dict[type, Handler] = {
     FileOpened: PipelineStats._on_file_opened,
     FileClosed: PipelineStats._on_file_closed,
     ErrorLatched: _one("resilience", "errors_latched"),
-    ChunkRetried: _one("resilience", "chunks_retried"),
-    BackendDegraded: _one("resilience", "breaker_trips"),
-    BackendRecovered: _one("resilience", "breaker_recoveries"),
+    ChunkRetried: _one_by_tier("chunks_retried", "migrate_retries"),
+    BackendDegraded: _one_by_tier("breaker_trips", "breaker_trips"),
+    BackendRecovered: _one_by_tier("breaker_recoveries", "breaker_recoveries"),
     FileDrained: PipelineStats._on_file_drained,
     WorkersDrained: PipelineStats._on_workers_drained,
     ChunkPrefetched: _one("read", "prefetched"),
@@ -582,7 +584,4 @@ _HANDLERS: dict[type, Handler] = {
     TierMigrated: PipelineStats._on_tier_migrated,
     TierPumpPressure: PipelineStats._on_tier_pump_pressure,
     TierSynced: PipelineStats._on_tier_synced,
-    TierRetried: _one_per_tier("migrate_retries"),
-    TierDegraded: _one_per_tier("breaker_trips"),
-    TierRecovered: _one_per_tier("breaker_recoveries"),
 }

@@ -54,7 +54,7 @@ from ..pipeline import (
 from ..pipeline import delta, readahead
 from ..pipeline.delta import DeltaExtent
 from ..pipeline.readahead import CacheEntry, Prefetch, ReadaheadCore
-from ..pipeline.staging import StagedFile, StagingCore, tier_health_emit
+from ..pipeline.staging import StagedFile, StagingCore
 from ..pipeline.tenancy import DEFAULT_TENANT, DRRScheduler, PoolLedger
 from ..pipeline.writeback import (
     Extent,
@@ -148,18 +148,6 @@ class SimCRFSFile:
     @property
     def planner(self):
         return self.pipeline.planner
-
-    @property
-    def write_chunk_count(self) -> int:
-        return self.pipeline.write_chunk_count
-
-    @property
-    def complete_chunk_count(self) -> int:
-        return self.pipeline.complete_chunk_count
-
-    @property
-    def drained(self) -> bool:
-        return self.pipeline.drained
 
 
 class SimReadCache:
@@ -296,14 +284,7 @@ class SimCRFS:
                 clock=lambda: sim.now,
             )
             self._pump_queue = SimQueue(sim)
-            self.tier_healths = [None] + [
-                BackendHealth(
-                    config.breaker_threshold,
-                    emit=tier_health_emit(self.kernel.emit, tier),
-                    clock=lambda: sim.now,
-                )
-                for tier in range(1, ntiers)
-            ]
+            self.tier_healths = self.staging.breakers(config.breaker_threshold)
             self._pump_procs = [
                 sim.spawn(self._pump_proc(i), name=f"{node}-crfs-pump{i}")
                 for i in range(config.tier_pump_threads)
@@ -680,12 +661,8 @@ class SimCRFS:
                 item = yield self._pump_queue.get()
             except ShutdownError:  # pump queue closed at unmount
                 return
-            extents = [item]
-            if batch_limit > 1:
-                extents.extend(
-                    self._pump_queue.take_adjacent(item, batch_limit - 1, contiguous)
-                )
-            yield from migrate(self, extents)
+            extents = self._pump_queue.take_adjacent(item, batch_limit - 1, contiguous)
+            yield from migrate(self, [item, *extents])
 
     def staging_wake(self, sf: StagedFile) -> None:
         """Wake fsync waiters parked on the file plus mount-wide drain
@@ -718,7 +695,7 @@ class SimCRFS:
     def _wait_drained(self, f: SimCRFSFile):
         start = self.sim.now
         outstanding = f.pipeline.outstanding
-        while not f.drained:
+        while not f.pipeline.drained:
             yield from _park(self.sim, f._drain_waiters)
         f.pipeline.note_drained(start, outstanding)
 
@@ -752,13 +729,12 @@ class SimCRFS:
                 # the backlog; coalescing is not applied on top of it.
                 item = self._take_affine(last)
                 last = item.file
-            extents = [item]
-            if batch_limit > 1 and not self.file_affine:
-                extents.extend(
-                    self.queue.take_adjacent(
-                        item, batch_limit - 1, contiguous, tenant=item.file.tenant
-                    )
+                extents = [item]
+            else:
+                adjacent = self.queue.take_adjacent(
+                    item, batch_limit - 1, contiguous, tenant=item.file.tenant
                 )
+                extents = [item, *adjacent]
             yield from writeback(self, extents)
 
     def shutdown(self) -> None:

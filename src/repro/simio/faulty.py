@@ -41,6 +41,10 @@ class FaultySimFilesystem(SimFilesystem):
         self.hw = inner.hw
         self.rng = inner.rng
         self.schedule = schedule if schedule is not None else FaultSchedule(rules)
+        #: (append position, length) of every single-extent write that
+        #: passed the rules — the threaded plane's view of a store
+        #: recorded behind its ``FaultyBackend``.
+        self.writes: list[tuple[int, int]] = []
 
     # -- schedule passthrough (same surface as FaultyBackend) ------------------
 
@@ -84,6 +88,7 @@ class FaultySimFilesystem(SimFilesystem):
 
     def write(self, f: SimFile, nbytes: int):
         yield from self._check("pwrite", f.path)
+        self.writes.append((f.pos, nbytes))
         yield from self.inner.write(f, nbytes)
 
     def writev(self, f: SimFile, sizes: "list[int]"):

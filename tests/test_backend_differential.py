@@ -99,12 +99,12 @@ class TestReadConsistencyOption:
             chunk_size=64 * KiB,
             pool_size=256 * KiB,
             io_threads=1,
-            read_passthrough=False,
+            read_cache_chunks=2,
         )
         with CRFS(MemBackend(), cfg) as fs:
             with fs.open("/f") as f:
                 f.write(b"fresh bytes")
-                # read-your-writes: flushes + drains before reading
+                # read-your-writes: a cached read flushes + drains first
                 assert f.pread(11, 0) == b"fresh bytes"
                 f.write(b"MORE")
                 assert f.pread(4, 11) == b"MORE"

@@ -1,9 +1,12 @@
 """Tests for CRFSConfig validation and derived values."""
 
+import ast
 import dataclasses
+import pathlib
 
 import pytest
 
+import repro
 from repro.config import CRFSConfig, DEFAULT_CONFIG, RetryPolicy, TenantSpec
 from repro.errors import ConfigError
 from repro.units import KiB, MiB
@@ -27,7 +30,7 @@ class TestDefaults:
     def test_knob_count_is_a_tracked_yardstick(self):
         """ROADMAP aim 2 counts config knobs; a new one must be argued
         for (and this number moved) deliberately."""
-        assert len(dataclasses.fields(CRFSConfig)) == 15
+        assert len(dataclasses.fields(CRFSConfig)) == 14
 
 
 class TestOptionSet:
@@ -40,7 +43,6 @@ class TestOptionSet:
             "chunk_size",
             "pool_size",
             "io_threads",
-            "read_passthrough",
             "read_cache_chunks",
             "readahead_chunks",
             "readahead_adaptive",
@@ -53,6 +55,27 @@ class TestOptionSet:
             "tier_pump_threads",
             "tier_pump_batch_chunks",
         ]
+
+    def test_every_field_has_a_caller(self):
+        """The class docstring's rule, checked: each field is passed by
+        keyword to ``CRFSConfig(...)``, ``.with_(...)`` or
+        ``from_sizes(...)`` somewhere in the package outside
+        ``config.py`` itself."""
+        package = pathlib.Path(repro.__file__).parent
+        makers = {"CRFSConfig", "with_", "from_sizes"}
+        passed = set()
+        for path in package.rglob("*.py"):
+            if path == package / "config.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in makers:
+                    passed.update(k.arg for k in node.keywords if k.arg is not None)
+        fields = [f.name for f in dataclasses.fields(CRFSConfig)]
+        assert [name for name in fields if name not in passed] == []
 
     def test_retry_policy_fields(self):
         assert [f.name for f in dataclasses.fields(RetryPolicy)] == [

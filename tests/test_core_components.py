@@ -364,10 +364,10 @@ class TestFileEntryDrain:
         e = FileEntry("/f", 3, 1024)
         e.note_chunk_queued()
         e.note_chunk_queued()
-        assert e.outstanding == 2
+        assert e.pipeline.outstanding == 2
         e.note_chunk_complete()
         e.note_chunk_complete()
-        assert e.outstanding == 0
+        assert e.pipeline.outstanding == 0
         e.wait_drained()  # returns immediately
 
     def test_wait_drained_blocks_until_complete(self):
@@ -383,7 +383,7 @@ class TestFileEntryDrain:
         t.start()
         e.wait_drained()
         t.join()
-        assert e.outstanding == 0
+        assert e.pipeline.outstanding == 0
 
     def test_error_latched_and_raised_once(self):
         e = FileEntry("/f", 3, 1024)

@@ -71,11 +71,23 @@ def holds(arm, snap):
         assert ok(snap), what
 
 
-def write_arm(sizes, chunk, fields=DETERMINISTIC_FIELDS):
+def write_arm(sizes, chunk, fields=DETERMINISTIC_FIELDS, store="null"):
     """A write stream into one file through a 4-chunk pool, one IO
-    thread (the chunk write order is then the seal order)."""
+    thread (the chunk write order is then the seal order), over the
+    timing plane's ``store`` model."""
     config = CRFSConfig(chunk_size=chunk, pool_size=chunk * 4, io_threads=1)
-    return Arm("stream", config, (stream_steps(sizes),), fields=fields + ("errors",))
+    return Arm("stream", config, (stream_steps(sizes),), fields=fields + ("errors",),
+               store=(store,))
+
+
+WRITE_STREAMS = [
+    [100, 200, 300],
+    [4096] * 20,
+    [10 * KiB, 64, 64, 5 * KiB, 40 * KiB],
+    [64 * KiB],  # exactly one chunk
+    [65 * KiB],  # one chunk + spill
+    [1],
+]
 
 
 class TestCrossPlaneEquivalence:
@@ -83,18 +95,16 @@ class TestCrossPlaneEquivalence:
     each plane's store, as its IO path issued it."""
 
     @pytest.mark.parametrize(
-        "sizes",
+        "store,sizes",
         [
-            [100, 200, 300],
-            [4096] * 20,
-            [10 * KiB, 64, 64, 5 * KiB, 40 * KiB],
-            [64 * KiB],  # exactly one chunk
-            [65 * KiB],  # one chunk + spill
-            [1],
+            # the null store's rows keep the bare ``sizesN`` ids
+            pytest.param(store, sizes, id=f"sizes{i}" if store == "null" else f"{store}-sizes{i}")
+            for store in ("null", "nfs", "lustre")
+            for i, sizes in enumerate(WRITE_STREAMS)
         ],
     )
-    def test_same_chunk_sequence(self, sizes):
-        func, _ = both(write_arm(sizes, 64 * KiB, ("backend_writes",)))
+    def test_same_chunk_sequence(self, store, sizes):
+        func, _ = both(write_arm(sizes, 64 * KiB, ("backend_writes",), store))
         assert sum(n for _, n in func["backend_writes"]) == sum(sizes)
 
     @given(
@@ -150,13 +160,12 @@ class TestCrossPlaneStatsDifferential:
         """Threshold writes mixed into aggregated ones: each seals the
         partial chunk, then is written through (on the threaded plane
         possibly before that chunk lands: the store's order is a race).
-        Reads flush and drain first, so the read-back checks every byte."""
+        The read-back follows an fsync, so it checks every byte."""
         sizes = [10 * KiB, 64 * KiB, 5 * KiB, 100 * KiB, 64]
         config = CRFSConfig(
             64 * KiB, 256 * KiB, io_threads=1, write_through_threshold=64 * KiB,
-            read_passthrough=False,
         )
-        arm = Arm("direct", config, (stream_steps(sizes, 48 * KiB),),
+        arm = Arm("direct", config, (stream_steps(sizes, 48 * KiB, restart=True),),
                   fields=DETERMINISTIC_FIELDS + ("errors",))
         for snap in both(arm):
             assert snap["errors"] == []

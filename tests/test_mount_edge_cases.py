@@ -31,7 +31,7 @@ class TestErrorLatching:
         import time
 
         deadline = time.time() + 5
-        while f._entry.peek_error() is None and time.time() < deadline:
+        while f._entry.pipeline.peek_error() is None and time.time() < deadline:
             time.sleep(0.01)
         with pytest.raises(BackendIOError):
             f.write(b"more" * 1024)

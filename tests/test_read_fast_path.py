@@ -559,9 +559,9 @@ class TestIneligibleReadsTakeTheFlow:
         assert f.pread(8, 0) == data[:8]
         f.pwrite(b"x" * CHUNK, 2 * CHUNK)  # seals at once; its pwrite fails
         deadline = time.monotonic() + 10
-        while f._entry.peek_error() is None and time.monotonic() < deadline:
+        while f._entry.pipeline.peek_error() is None and time.monotonic() < deadline:
             time.sleep(0.001)
-        assert f._entry.peek_error() is not None
+        assert f._entry.pipeline.peek_error() is not None
         assert not f._entry.pipeline.clean
         del flows[:]
         with pytest.raises(BackendIOError, match="async chunk write failed"):

@@ -4,13 +4,13 @@ The readahead cache must be *semantically invisible*: for any
 interleaving of pwrite/pread/write/read/seek/fsync, a mount with the
 cache on returns byte-for-byte what a pass-through mount returns — and
 both leave the backing file identical.  That includes read-your-writes
-of data still sitting in undrained chunks (the read path flushes and
-drains first on both configurations).
+of data still sitting in undrained chunks (a cached read flushes and
+drains first).
 
-The reference mount uses ``read_passthrough=False`` — the flush+drain
-pass-through — because that is the semantics the cache claims to
-preserve; the default ``read_passthrough=True`` skips the drain and has
-weaker (paper Section IV-D1, checkpoint-only) read semantics.
+The reference mount has no cache, so its reads are the paper's
+pass-through (Section IV-D1), which sees only what reached the backend:
+it fsyncs before every read, the flush+drain a cached read does on its
+own — the semantics the cache claims to preserve.
 """
 
 import pytest
@@ -39,7 +39,7 @@ def cached_config():
 def passthrough_config():
     return CRFSConfig(
         chunk_size=CHUNK, pool_size=4 * CHUNK, io_threads=1,
-        read_cache_chunks=0, read_passthrough=False,
+        read_cache_chunks=0,
     )
 
 
@@ -99,6 +99,8 @@ def run_sequence(ops, config):
     with fs:
         with fs.open("/ckpt") as f:
             for tag, (op, arg1, arg2) in enumerate(ops):
+                if op in ("pread", "read") and not config.read_cache_chunks:
+                    f.fsync()  # a passthrough read sees the backend only
                 observed.append(apply_op(f, op, arg1, arg2, tag))
     handle = mem.open("/ckpt", create=False)
     size = mem.file_size(handle)
@@ -130,8 +132,9 @@ class TestReadPathProperties:
     )
     @settings(max_examples=30, deadline=None)
     def test_read_your_writes_of_undrained_data(self, sizes, request):
-        """A read issued immediately after writes — no fsync, chunks
-        still buffered/queued — sees every byte, on both configs."""
+        """A cached read issued immediately after writes — no fsync,
+        chunks still buffered/queued — sees every byte; the reference
+        passthrough mount fsyncs first."""
         expected = b"".join(_payload(i, n) for i, n in enumerate(sizes))
 
         def collect(config):
@@ -139,6 +142,8 @@ class TestReadPathProperties:
             with fs, fs.open("/ckpt") as f:
                 for i, n in enumerate(sizes):
                     f.write(_payload(i, n))
+                if not config.read_cache_chunks:
+                    f.fsync()
                 f.seek(0)
                 parts, got = [], 0
                 while got < len(expected):

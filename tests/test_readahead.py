@@ -68,7 +68,6 @@ class TestConfigKnobs:
         cfg = CRFSConfig()
         assert cfg.read_cache_chunks == 0
         assert cfg.readahead_chunks == 0
-        assert cfg.read_passthrough is True
 
 
 class TestCacheServesReads:

@@ -13,9 +13,10 @@ Pure-kernel properties on :class:`repro.pipeline.readahead.AdaptiveWindow`
   within ``log2`` steps;
 * **recovery**: once pressure clears, a long enough run of sequential
   hits grows the window back to the ceiling from any state;
-* **static degeneracy**: with ``adaptive=False`` the window is pinned
-  at ``initial`` and never reports growth or shrinkage — the plain
-  ``readahead_chunks`` knob.
+* **static degeneracy**: with ``floor == initial == ceiling`` the
+  window is pinned at ``initial`` and never reports growth or
+  shrinkage — the plain ``readahead_chunks`` knob, which a core with
+  ``adaptive=False`` builds.
 
 This file runs in the CI stress/property step, not the tier-1 lane.
 """
@@ -71,7 +72,7 @@ class TestBounds:
     @settings(max_examples=200, deadline=None)
     def test_window_stays_within_floor_and_ceiling(self, geometry, ops):
         initial, ceiling = geometry
-        window = AdaptiveWindow(initial=initial, ceiling=ceiling, adaptive=True)
+        window = AdaptiveWindow(initial=initial, ceiling=ceiling)
         for width in _drive(window, ops):
             assert window.floor <= width <= ceiling
 
@@ -95,9 +96,9 @@ class TestBounds:
 
     def test_invalid_initial_rejected(self):
         with pytest.raises(ValueError):
-            AdaptiveWindow(initial=0, ceiling=4, adaptive=True)
+            AdaptiveWindow(initial=0, ceiling=4)
         with pytest.raises(ValueError):
-            AdaptiveWindow(initial=9, ceiling=4, adaptive=True)
+            AdaptiveWindow(initial=9, ceiling=4)
 
 
 class TestPressure:
@@ -107,7 +108,7 @@ class TestPressure:
         self, geometry, nsignals
     ):
         initial, ceiling = geometry
-        window = AdaptiveWindow(initial=initial, ceiling=ceiling, adaptive=True)
+        window = AdaptiveWindow(initial=initial, ceiling=ceiling)
         previous = window.window
         for _ in range(nsignals):
             shrank = window.on_pressure()
@@ -122,7 +123,7 @@ class TestPressure:
     @settings(max_examples=200, deadline=None)
     def test_recovery_after_pressure_clears(self, geometry, ops):
         initial, ceiling = geometry
-        window = AdaptiveWindow(initial=initial, ceiling=ceiling, adaptive=True)
+        window = AdaptiveWindow(initial=initial, ceiling=ceiling)
         _drive(window, ops)  # arbitrary history, possibly ending shrunk
         # pressure gone: a pure sequential hit run regrows to the
         # ceiling within grow_streak accesses per step
@@ -136,7 +137,7 @@ class TestPressure:
     @settings(max_examples=100, deadline=None)
     def test_pressure_breaks_the_hit_streak(self, geometry):
         initial, ceiling = geometry
-        window = AdaptiveWindow(initial=initial, ceiling=ceiling, adaptive=True)
+        window = AdaptiveWindow(initial=initial, ceiling=ceiling)
         window.on_access(0, hit=True)
         window.on_access(1, hit=True)  # streak one step short of growth
         window.on_pressure()
@@ -150,7 +151,7 @@ class TestStaticDegeneracy:
     @given(depth=st.integers(min_value=0, max_value=16), ops=_ops)
     @settings(max_examples=200, deadline=None)
     def test_static_window_is_pinned(self, depth, ops):
-        window = AdaptiveWindow(initial=depth, ceiling=depth, adaptive=False)
+        window = AdaptiveWindow(initial=depth, ceiling=depth, floor=depth)
         index = 0
         for kind, delta, hit in ops:
             if kind == "access":

@@ -112,14 +112,16 @@ class TestRetryPolicy:
 
 class TestBackendHealth:
     def test_disabled_breaker_never_degrades(self):
-        h = BackendHealth(threshold=0)
+        events = []
+        h = BackendHealth(threshold=0, emit=events.append)
         for _ in range(10):
             assert not h.record_failure()
         assert not h.degraded
-        assert h.failures == 10 and h.trips == 0
+        assert h.failures == 10 and events == []
 
     def test_trips_on_consecutive_failures_only(self):
-        h = BackendHealth(threshold=3)
+        events = []
+        h = BackendHealth(threshold=3, emit=events.append)
         h.record_failure()
         h.record_failure()
         h.record_success()  # resets the streak
@@ -127,7 +129,8 @@ class TestBackendHealth:
         h.record_failure()
         assert not h.degraded
         assert h.record_failure()  # third consecutive -> trip
-        assert h.degraded and h.trips == 1
+        assert h.degraded
+        assert [(type(e), e.consecutive_failures) for e in events] == [(BackendDegraded, 3)]
 
     def test_probe_success_recovers(self):
         clock = iter([float(i) for i in range(100)])
@@ -136,19 +139,28 @@ class TestBackendHealth:
         h.record_failure()
         assert h.degraded
         assert h.record_success()
-        assert not h.degraded and h.recoveries == 1
-        assert isinstance(events[0], BackendDegraded)
-        assert isinstance(events[1], BackendRecovered)
+        assert not h.degraded
+        assert [type(e) for e in events] == [BackendDegraded, BackendRecovered]
         assert events[1].downtime == pytest.approx(1.0)
+        assert events[0].tier == events[1].tier == 0  # the mount's backend
+
+    def test_a_tier_breaker_stamps_its_tier(self):
+        events = []
+        h = BackendHealth(threshold=1, emit=events.append, tier=2)
+        h.record_failure()
+        h.record_success()
+        assert [e.tier for e in events] == [2, 2]
 
     def test_no_double_trip_while_open(self):
-        h = BackendHealth(threshold=1)
+        events = []
+        h = BackendHealth(threshold=1, emit=events.append)
         assert h.record_failure()
         assert not h.record_failure()  # already open
-        assert h.trips == 1
+        assert len(events) == 1
 
     def test_thread_safety(self):
-        h = BackendHealth(threshold=1)
+        events = []
+        h = BackendHealth(threshold=1, emit=events.append)
         barrier = threading.Barrier(8)
 
         def hammer():
@@ -163,7 +175,8 @@ class TestBackendHealth:
         for t in threads:
             t.join()
         assert h.failures == h.successes == 8000
-        assert h.trips == h.recoveries
+        trips = sum(isinstance(e, BackendDegraded) for e in events)
+        assert trips == sum(isinstance(e, BackendRecovered) for e in events)
 
 
 # ---------------------------------------------------------------------------

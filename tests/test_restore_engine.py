@@ -393,10 +393,9 @@ class TestFill:
 class FakeMount:
     """The mount-level half of the read port."""
 
-    def __init__(self, cache=None, passthrough=True, threshold=0, outcomes=()):
+    def __init__(self, cache=None, threshold=0, outcomes=()):
         self.events = cache.events if cache is not None else []
         self.log = []
-        self.config = SimpleNamespace(read_passthrough=passthrough)
         self.health = (
             cache.health if cache is not None else BackendHealth(threshold)
         )
@@ -434,15 +433,9 @@ class TestRead:
         assert (seen.offset, seen.length) == (7, 100)
         assert mount.health.successes == 0  # a closed breaker is not probed
 
-    def test_passthrough_flushes_first_when_asked_to(self):
-        mount = FakeMount(passthrough=False)
-        mount.file.pipeline.plan_write(0, 10)  # an open chunk to flush
-        mount.read(100, 0)
-        assert mount.log == ["flush_drain", ("through", 100, 0)]
-
     @pytest.mark.parametrize("cached", [False, True])
     def test_a_read_of_a_clean_file_is_not_a_drain_wait(self, cached):
-        mount = FakeMount(FakeCache() if cached else None, passthrough=False)
+        mount = FakeMount(FakeCache() if cached else None)
         assert mount.file.pipeline.clean
         mount.read(100, 0)
         assert "flush_drain" not in mount.log

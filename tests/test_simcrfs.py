@@ -74,8 +74,8 @@ class TestSimCRFSPipeline:
         p = sim.spawn(proc())
         sim.run_until_complete([p])
         f = p.result
-        assert f.write_chunk_count == 4  # 3 full + 1 flush
-        assert f.complete_chunk_count == 4
+        assert f.pipeline.write_chunk_count == 4  # 3 full + 1 flush
+        assert f.pipeline.complete_chunk_count == 4
 
     def test_close_waits_for_drain(self):
         sim, crfs, backend = make_crfs()
@@ -85,8 +85,8 @@ class TestSimCRFSPipeline:
             yield from crfs.write(f, 8 * MiB)
             yield from crfs.close(f)
             # Section IV-C: after close, counts must match
-            assert f.drained
-            return f.complete_chunk_count
+            assert f.pipeline.drained
+            return f.pipeline.complete_chunk_count
 
         p = sim.spawn(proc())
         sim.run_until_complete([p])
@@ -122,7 +122,7 @@ class TestSimCRFSPipeline:
 
         p = sim.spawn(proc())
         sim.run_until_complete([p])
-        assert p.result.drained
+        assert p.result.pipeline.drained
         assert backend.total_bytes == 1 * MiB
 
     def test_multiple_files_interleaved(self):
@@ -133,7 +133,7 @@ class TestSimCRFSPipeline:
             for _ in range(5):
                 yield from crfs.write(f, 1 * MiB)
             yield from crfs.close(f)
-            return f.complete_chunk_count
+            return f.pipeline.complete_chunk_count
 
         procs = [sim.spawn(proc(i)) for i in range(4)]
         results = sim.run_until_complete(procs)
@@ -163,7 +163,7 @@ class TestSimCRFSPipeline:
         def proc():
             f = crfs.open("/empty")
             yield from crfs.close(f)
-            return f.write_chunk_count
+            return f.pipeline.write_chunk_count
 
         p = sim.spawn(proc())
         sim.run_until_complete([p])

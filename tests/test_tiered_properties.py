@@ -106,7 +106,7 @@ def chain(modes, attempts, pump_threads=1, batch=1, fsync_tier=-1):
         chunk_size=CHUNK, pool_size=32 * CHUNK, io_threads=1,
         retry=replace(FAST, attempts=attempts), breaker_threshold=2,
         tier_pump_threads=pump_threads, tier_pump_batch_chunks=batch,
-        fsync_tier=fsync_tier, read_passthrough=False,
+        fsync_tier=fsync_tier, read_cache_chunks=2,
     )
     return mems, CRFS(TieredBackend(tiers), cfg)
 
@@ -146,7 +146,8 @@ class TestReplicationLaw:
                 f.write(piece)  # staging is async: never raises
                 written += len(piece)
                 if read_mask[i]:
-                    # read-your-writes mid-staging (flush+drain path):
+                    # read-your-writes mid-staging (a cached read
+                    # flushes and drains first):
                     # a tail slice of everything written so far
                     n = min(written, 2 * CHUNK + 7)
                     assert f.pread(n, written - n) == blob[written - n : written]

@@ -249,9 +249,9 @@ class TestLatchedErrorFailsTheFittingWrite:
         f = fs.open("/f")
         f.write(b"x" * (CHUNK + 10))  # seals chunk 0 (its pwrite fails), opens chunk 1
         deadline = time.monotonic() + 10
-        while f._entry.peek_error() is None and time.monotonic() < deadline:
+        while f._entry.pipeline.peek_error() is None and time.monotonic() < deadline:
             time.sleep(0.001)
-        assert f._entry.peek_error() is not None
+        assert f._entry.pipeline.peek_error() is not None
         del slow_plans[:]
         with pytest.raises(BackendIOError, match="earlier async chunk write failed"):
             f.write(b"y" * 16)  # continues chunk 1 with room to spare

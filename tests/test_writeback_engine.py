@@ -23,7 +23,6 @@ from repro.pipeline import (
     RetryPolicy,
     StagingCore,
     TierMigrated,
-    TierRetried,
 )
 from repro.pipeline.writeback import (
     Extent,
@@ -79,9 +78,7 @@ class FakePort:
         self.staging = None
         if ntiers:
             self.staging = StagingCore(ntiers, emit=self.events.append)
-            self.tier_healths = [None] + [
-                BackendHealth(threshold) for _ in range(1, ntiers)
-            ]
+            self.tier_healths = self.staging.breakers(threshold)
 
     def file(self, path):
         return FakeFile(path, self.events, self.staging)
@@ -406,7 +403,7 @@ class TestPump:
         port, f = self.staged_port([OSError("first"), err], attempts_allowed=2)
         extents, port.pump_queue = port.pump_queue, []
         run(migrate(port, extents))
-        assert len(port.of(TierRetried)) == 1
+        assert [e.tier for e in port.of(ChunkRetried)] == [1]
         assert f.staged.pending == [0, 0, 0]  # stranded: nothing owed deeper
         assert f.staged.stranded[1] is err
         assert port.pump_queue == []  # not forwarded
