@@ -65,10 +65,6 @@ class MemBackend(Backend):
         self._tree_lock = threading.RLock()
         self._fd_counter = itertools.count(3)  # 0-2 reserved, as tradition
         self._handles: Dict[int, _Handle] = {}
-        # -- stats
-        self.total_pwrites = 0
-        self.total_bytes_written = 0
-        self.total_fsyncs = 0
 
     # -- tree walking ------------------------------------------------------
 
@@ -161,8 +157,6 @@ class MemBackend(Backend):
                 if over < len(v):
                     data += v[over:]
                 pos += len(v)
-        self.total_pwrites += 1
-        self.total_bytes_written += total
         return total
 
     def pread(self, handle: Any, size: int, offset: int) -> bytes:
@@ -195,7 +189,6 @@ class MemBackend(Backend):
 
     def fsync(self, handle: Any) -> None:
         self._handle(handle)  # validate only; memory is already "stable"
-        self.total_fsyncs += 1
 
     def close(self, handle: Any) -> None:
         h = self._handle(handle)

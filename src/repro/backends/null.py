@@ -34,8 +34,6 @@ class NullBackend(Backend):
         self._fd_paths: dict[int, str] = {}
         self._fds = itertools.count(3)
         self._lock = threading.Lock()
-        self.total_pwrites = 0
-        self.total_bytes = 0
 
     def open(self, path: str, create: bool = True, truncate: bool = False) -> int:
         norm = normalize_path(path)
@@ -63,8 +61,6 @@ class NullBackend(Backend):
         with self._lock:
             if n:  # POSIX: zero-length writes do not extend the file
                 self._sizes[path] = max(self._sizes[path], offset + n)
-            self.total_pwrites += 1
-            self.total_bytes += n
         return n
 
     def pread(self, handle: Any, size: int, offset: int) -> bytes:

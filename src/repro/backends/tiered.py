@@ -43,15 +43,13 @@ from typing import Any, Callable, Optional, Sequence
 from .. import waits
 from ..config import CRFSConfig
 from ..errors import BackendTimeoutError, ShutdownError
-from ..pipeline.events import PipelineEvent
+from ..pipeline.kernel import PipelineKernel
 from ..pipeline.resilience import BackendHealth
 from ..pipeline.staging import StagedFile, StagingCore
 from ..pipeline.writeback import Extent, blocking, contiguous, migrate, run, stage
 from .base import Backend, BackendStat
 
 __all__ = ["TieredBackend"]
-
-EmitFn = Callable[[PipelineEvent], None]
 
 
 class _TierHandle:
@@ -91,9 +89,10 @@ class TieredBackend(Backend):
         self._workers: list[threading.Thread] = []
         self._started = False
         self._shutdown = False
-        # Unmounted, the default config's knobs and a dropped event
-        # stream; a mount rebinds to its own before any IO.
-        self.bind(lambda event: None, time.perf_counter, CRFSConfig())
+        # Unmounted, the default config's knobs and a private kernel; a
+        # mount rebinds to its own before any IO.
+        config = CRFSConfig()
+        self.bind(PipelineKernel(config.chunk_size, tiers=len(self.tiers)), config)
         # Private queue: its QueuePressure records go nowhere, never to
         # the mount's `queue` section.
         from ..core.workqueue import WorkQueue
@@ -106,24 +105,18 @@ class TieredBackend(Backend):
 
     # -- mount wiring ---------------------------------------------------------
 
-    def bind(self, emit: EmitFn, clock: Callable[[], float], config: CRFSConfig) -> None:
+    def bind(self, kernel: PipelineKernel, config: CRFSConfig) -> None:
         """Wire this backend into a mount's pipeline kernel: tier events
-        join the unified stream, per-tier breakers use the kernel clock,
-        and ``config``'s staging knobs (``fsync_tier``, ``retry``,
-        ``breaker_threshold``, ``tier_pump_threads``,
-        ``tier_pump_batch_chunks``) take effect.  Must be called before
-        any IO (the mount does it at construction)."""
+        join its stream, stamped by its clock, and ``config``'s staging
+        knobs (``fsync_tier``, ``retry``, ``breaker_threshold``,
+        ``tier_pump_threads``, ``tier_pump_batch_chunks``) take effect.
+        Must be called before any IO (the mount does it at construction)."""
         if self._started:
             raise ShutdownError("cannot bind a tiered backend after IO started")
         self.retry = config.retry
         self._pump_threads = config.tier_pump_threads
         self._pump_batch = config.tier_pump_batch_chunks
-        self.staging = StagingCore(
-            ntiers=len(self.tiers),
-            fsync_tier=config.fsync_tier,
-            emit=emit,
-            clock=clock,
-        )
+        self.staging = StagingCore(len(self.tiers), kernel, fsync_tier=config.fsync_tier)
         self.tier_healths: list[Optional[BackendHealth]] = self.staging.breakers(
             config.breaker_threshold
         )

@@ -34,8 +34,7 @@ from typing import Mapping
 
 from .. import waits
 from ..errors import ConfigError, ShutdownError
-from ..pipeline import PoolPressure
-from ..pipeline.kernel import EmitFn
+from ..pipeline import PipelineKernel, PoolPressure
 from ..pipeline.tenancy import DEFAULT_TENANT, PoolLedger
 from .chunk import Chunk
 
@@ -46,20 +45,19 @@ class BufferPool:
     """Thread-safe pool of pre-allocated chunks.
 
     ``acquire()`` blocks while no admissible chunk exists; ``release()``
-    recycles a chunk and wakes waiters.  Pressure goes out as
-    ``PoolPressure`` records on ``emit`` (the mount passes its kernel's;
-    a standalone pool drops them) — one per acquire *and* one per
-    release, so the ``in_use`` gauge falls in the event timeline as well
-    as rises.
+    recycles a chunk and wakes waiters.  Chunks are ``kernel``'s chunk
+    size, and pressure goes out as ``PoolPressure`` records on its
+    stream — one per acquire *and* one per release, so the ``in_use``
+    gauge falls in the event timeline as well as rises.
     """
 
     def __init__(
         self,
-        chunk_size: int,
+        kernel: PipelineKernel,
         pool_size: int,
-        emit: EmitFn | None = None,
         reservations: Mapping[str, int] | None = None,
     ):
+        chunk_size = kernel.chunk_size
         if chunk_size <= 0:
             raise ConfigError(f"chunk_size must be positive, got {chunk_size}")
         nchunks = pool_size // chunk_size
@@ -72,7 +70,7 @@ class BufferPool:
         # Every lease goes through the ledger, so it admits a tenant only
         # while a free chunk exists: admissibility is the ledger's alone.
         self.ledger = PoolLedger(nchunks, reservations)
-        self._emit: EmitFn = emit if emit is not None else (lambda event: None)
+        self._emit = kernel.emit
         self._free: list[Chunk] = [Chunk(i, chunk_size) for i in range(nchunks)]
         #: chunk.index -> the tenant leasing it, None while it is free: a
         #: release credits the tenant that acquired the chunk, and a

@@ -20,12 +20,11 @@ through ``np.copyto`` — which releases the GIL — from
 from __future__ import annotations
 
 import mmap
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
 from ..errors import FileStateError
-from ..pipeline.planner import SealReason
 from ..units import KiB
 
 __all__ = ["BULK_COPY_BYTES", "Chunk"]
@@ -57,7 +56,6 @@ class Chunk:
         "valid",
         "file_offset",
         "owner",
-        "seal_reason",
     )
 
     def __init__(self, index: int, size: int):
@@ -68,7 +66,6 @@ class Chunk:
         self.valid = 0  # bytes of valid data ("size of valid data in the chunk")
         self.file_offset = 0  # "offset of this chunk in the original file"
         self.owner: Any = None  # "ownership identities" (the file entry)
-        self.seal_reason: Optional[SealReason] = None
 
     @property
     def size(self) -> int:
@@ -85,7 +82,6 @@ class Chunk:
             raise FileStateError(f"chunk {self.index} is not clean")
         self.owner = owner
         self.file_offset = file_offset
-        self.seal_reason = None
 
     def append(self, data: bytes | memoryview, chunk_offset: int, length: int) -> None:
         """Copy ``data`` — exactly ``length`` unsigned bytes — to the
@@ -134,9 +130,6 @@ class Chunk:
             )
         self.valid = length
 
-    def seal(self, reason: SealReason) -> None:
-        self.seal_reason = reason
-
     def payload(self) -> memoryview:
         """The valid bytes, zero-copy."""
         return self.view[: self.valid]
@@ -146,7 +139,6 @@ class Chunk:
         self.valid = 0
         self.file_offset = 0
         self.owner = None
-        self.seal_reason = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

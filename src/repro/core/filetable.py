@@ -21,8 +21,7 @@ from typing import Any, Callable, Optional
 
 from .. import waits
 from ..errors import FileStateError
-from ..pipeline import FilePipeline, PipelineKernel, Seal
-from ..pipeline.kernel import EmitFn
+from ..pipeline import PipelineKernel, Seal
 from ..pipeline.tenancy import DEFAULT_TENANT
 from .chunk import Chunk
 
@@ -30,18 +29,16 @@ __all__ = ["FileEntry", "OpenFileTable"]
 
 
 class FileEntry:
-    """Per-open-file metadata: the shared pipeline state machine plus the
-    threaded plane's chunk buffer and drain condition."""
+    """Per-open-file metadata: the shared pipeline state machine, built
+    by the mount's ``kernel``, plus the threaded plane's chunk buffer
+    and drain condition."""
 
     def __init__(
         self,
         path: str,
         backend_handle: Any,
-        chunk_size: int,
-        emit: EmitFn | None = None,
-        clock: Callable[[], float] | None = None,
+        kernel: PipelineKernel,
         tenant: str = DEFAULT_TENANT,
-        kernel: PipelineKernel | None = None,
     ):
         self.path = path
         self.backend_handle = backend_handle
@@ -60,21 +57,7 @@ class FileEntry:
         # lock, so note_chunk_complete can account and notify atomically.
         self._lock = threading.RLock()
         self._drain = threading.Condition(self._lock)
-        self.pipeline = FilePipeline(
-            path,
-            chunk_size,
-            emit=emit,
-            lock=self._lock,
-            clock=clock,
-            tenant=tenant,
-            kernel=kernel,
-        )
-
-    # -- kernel passthrough ----------------------------------------------------
-
-    @property
-    def planner(self):
-        return self.pipeline.planner
+        self.pipeline = kernel.file(path, lock=self._lock, tenant=tenant)
 
     # -- drain protocol ------------------------------------------------------
 

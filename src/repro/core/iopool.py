@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Sequence
 from .. import waits
 from ..backends.tiered import TieredBackend
 from ..pipeline.events import WorkersDrained
-from ..pipeline.kernel import EmitFn
+from ..pipeline.kernel import PipelineKernel
 from ..pipeline.readahead import Prefetch, service_prefetch
 from ..pipeline.resilience import BackendHealth, RetryPolicy
 from ..pipeline.writeback import Extent, blocking, contiguous, run, writeback
@@ -70,7 +70,12 @@ class WorkItem(Extent):
 
 
 class IOThreadPool:
-    """N daemon threads: get chunk -> pwrite to backend -> account -> recycle."""
+    """N daemon threads: get chunk -> pwrite to backend -> account -> recycle.
+
+    Each chunk is written under the mount's ``retry`` policy and fed to
+    its ``health`` breaker; the shutdown drain goes out on ``kernel``'s
+    stream, stamped by its clock.
+    """
 
     def __init__(
         self,
@@ -78,10 +83,9 @@ class IOThreadPool:
         queue: WorkQueue,
         pool: BufferPool,
         nthreads: int,
-        name: str = "crfs-io",
-        retry: RetryPolicy | None = None,
-        health: BackendHealth | None = None,
-        emit: EmitFn | None = None,
+        kernel: PipelineKernel,
+        retry: RetryPolicy,
+        health: BackendHealth,
         batch_chunks: int = 1,
     ):
         if nthreads < 1:
@@ -94,12 +98,10 @@ class IOThreadPool:
         self.pool = pool
         self.nthreads = nthreads
         self.batch_chunks = batch_chunks
-        self.retry = retry if retry is not None else RetryPolicy()
-        # A standalone pool gets a breaker that never trips (threshold 0).
-        self.health = health if health is not None else BackendHealth()
-        # Shutdown drain time goes out on the mount's event stream; a
-        # standalone pool drops it.
-        self._emit: EmitFn = emit if emit is not None else (lambda event: None)
+        self.retry = retry
+        self.health = health
+        self._emit = kernel.emit
+        self._clock = kernel.clock
         self._threads: list[threading.Thread] = []
         self._started = False
 
@@ -169,7 +171,7 @@ class IOThreadPool:
         re-time shutdown themselves.
         """
         was_started = self._started
-        start = time.monotonic()
+        start = self._clock()
         self.queue.close()
         alive = waits.join_all(self._threads)
         if alive:
@@ -177,4 +179,4 @@ class IOThreadPool:
         self._threads.clear()
         self._started = False
         if was_started:
-            self._emit(WorkersDrained(duration=time.monotonic() - start, t=start))
+            self._emit(WorkersDrained(duration=self._clock() - start, t=start))

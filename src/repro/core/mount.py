@@ -96,16 +96,11 @@ class CRFS:
             ),
         )
         self.retry = config.retry
-        self.health = BackendHealth(
-            config.breaker_threshold, emit=self.kernel.emit, clock=self.kernel.clock
-        )
+        self.health = BackendHealth(self.kernel, config.breaker_threshold)
         if self.tiered is not None:
-            self.tiered.bind(self.kernel.emit, self.kernel.clock, config)
+            self.tiered.bind(self.kernel, config)
         self.pool = BufferPool(
-            config.chunk_size,
-            config.pool_size,
-            emit=self.kernel.emit,
-            reservations=self.tenants.reservations(),
+            self.kernel, config.pool_size, reservations=self.tenants.reservations()
         )
         self.queue = WorkQueue(
             emit=self.kernel.emit,
@@ -117,9 +112,9 @@ class CRFS:
             self.queue,
             self.pool,
             config.io_threads,
-            retry=self.retry,
-            health=self.health,
-            emit=self.kernel.emit,
+            self.kernel,
+            self.retry,
+            self.health,
             batch_chunks=config.writeback_batch_chunks,
         )
         self.table = OpenFileTable()
@@ -261,13 +256,7 @@ class CRFS:
         def make_entry() -> FileEntry:
             handle = self.backend.open(norm, create=create, truncate=truncate)
             self.kernel.file_opened(norm, tenant=resolved)
-            entry = FileEntry(
-                norm,
-                handle,
-                self.config.chunk_size,
-                tenant=resolved,
-                kernel=self.kernel,
-            )
+            entry = FileEntry(norm, handle, self.kernel, tenant=resolved)
             if self.config.read_cache_chunks > 0:
                 entry.read_cache = ReadCache(
                     norm,
@@ -275,11 +264,10 @@ class CRFS:
                     handle,
                     ReadaheadCore(
                         norm,
-                        self.config.chunk_size,
+                        self.kernel,
                         capacity=self.config.read_cache_chunks,
                         depth=self.config.readahead_chunks,
                         adaptive=self.config.readahead_adaptive,
-                        kernel=self.kernel,
                     ),
                     self.pool,
                     self.queue,
@@ -453,7 +441,6 @@ class CRFS:
                 f"(chunk {chunk.file_offset}+{chunk.valid}, "
                 f"seal {seal.file_offset}+{seal.length})"
             )
-        chunk.seal(seal.reason)
         entry.current_chunk = None
         entry.note_chunk_queued(seal)
         item = WorkItem(chunk=chunk, entry=entry)
@@ -515,7 +502,7 @@ class CRFS:
     def file_size(self, entry: FileEntry) -> int:
         """Logical size: the backend's, or the end of what the planner
         took in — buffered or still in flight — whichever is larger."""
-        return max(self.backend.file_size(entry.backend_handle), entry.planner.size)
+        return max(self.backend.file_size(entry.backend_handle), entry.pipeline.planner.size)
 
     # -- incremental (delta) checkpointing --------------------------------------
 

@@ -85,7 +85,7 @@ class ReadCache:
         core: ReadaheadCore,
         pool: BufferPool,
         queue: WorkQueue,
-        health: BackendHealth | None = None,
+        health: BackendHealth,
         tenant: str = DEFAULT_TENANT,
     ):
         self.path = path
@@ -94,8 +94,8 @@ class ReadCache:
         self.core = core
         self.pool = pool
         self.queue = queue
-        # A standalone cache gets a breaker that never trips.
-        self.health = health if health is not None else BackendHealth()
+        #: The mount's breaker, fed each fetch's outcome.
+        self.health = health
         #: The owning file's tenant: cache leases draw on its pool quota
         #: and prefetches queue under its name (low band, so they are
         #: never weighed against the tenant's writeback share).

@@ -33,14 +33,14 @@ __all__ = ["WorkQueue", "QueueClosed", "QueueFullTimeout"]
 
 
 class QueueClosed(ShutdownError):
-    """Raised from get()/put() once the queue has shut down."""
+    """Raised from get_batch()/put() once the queue has shut down."""
 
 
 class WorkQueue:
     """Thread-safe queue with drain-close.
 
     Two priority bands: the default (high) band carries writeback
-    chunks, the low band readahead prefetches — ``get`` always drains
+    chunks, the low band readahead prefetches — :meth:`get_batch` drains
     the high band first, so prefetch never delays a checkpoint write.
     The queue has no bound of its own: a chunk is taken from the buffer
     pool before it is queued, so the pool bounds the high band (the
@@ -54,8 +54,9 @@ class WorkQueue:
     a reader holding cache locks could deadlock).
 
     Depth goes out as ``QueuePressure`` / ``AdmissionWait`` records on
-    ``emit`` (the mount passes its kernel's; a standalone queue drops
-    them).
+    ``emit``: the mount passes its kernel's, and a tiered backend's
+    private pump queue passes none, so its depths never reach the
+    mount's ``queue`` section.
     """
 
     def __init__(
@@ -136,47 +137,32 @@ class WorkQueue:
 
     # -- get -------------------------------------------------------------------
 
-    def _pop(self) -> tuple[str, Any, bool]:
-        """Park until an item is queued or the queue closes, then take
-        the next one in service order: (tenant, item, was_high).  An
-        idle worker's wait has no bound.  Caller holds the lock."""
-        self._not_empty.wait_for(lambda: self._closed or len(self.scheduler))
-        if not len(self.scheduler):
-            raise QueueClosed("work queue closed")
-        was_high = self.scheduler.high_len > 0
-        popped = self.scheduler.pop()
-        assert popped is not None
-        tenant, item = popped
-        return tenant, item, was_high
-
-    def get(self) -> Any:
-        """Take the next item in scheduler service order, high band
-        first; blocks while empty; raises QueueClosed once closed *and*
-        both bands drained."""
-        with self._not_empty:
-            _, item, was_high = self._pop()
-            if was_high:
-                self._wake_putters()
-            return item
-
     def get_batch(self, limit: int, chain: Callable[[Any, Any], bool]) -> list[Any]:
-        """Take the next item plus up to ``limit - 1`` queued high-band
-        items that ``chain`` accepts as its continuation.
+        """Take the next item in service order plus up to ``limit - 1``
+        queued high-band items that ``chain`` accepts as its
+        continuation.
 
-        Blocking, close and band semantics are exactly :meth:`get`'s:
-        the wait is for the *first* item only, the high band drains
-        before the low band, and a low-band item is never batched
-        (prefetches carry no contiguity).  The gather scans only the
-        popped tenant's sub-queue — ``chain(batch[-1], candidate)`` —
-        skipping non-matching items and preserving their relative order,
-        so a batch never spans tenants; the gathered run is charged
-        against the tenant's DRR deficit, so a long coalesced batch
-        still costs its weight.
+        Blocks while the queue is empty — an idle worker's wait has no
+        bound — and raises :class:`QueueClosed` once it is closed *and*
+        both bands are drained.  The wait is for the *first* item only,
+        the high band drains before the low band, and a low-band item
+        is never batched (prefetches carry no contiguity).  The gather
+        scans only the popped tenant's sub-queue —
+        ``chain(batch[-1], candidate)`` — skipping non-matching items and
+        preserving their relative order, so a batch never spans tenants;
+        the gathered run is charged against the tenant's DRR deficit, so
+        a long coalesced batch still costs its weight.
         """
         if limit < 1:
             raise ValueError(f"limit must be >= 1, got {limit}")
         with self._not_empty:
-            tenant, item, was_high = self._pop()
+            self._not_empty.wait_for(lambda: self._closed or len(self.scheduler))
+            if not len(self.scheduler):
+                raise QueueClosed("work queue closed")
+            was_high = self.scheduler.high_len > 0
+            popped = self.scheduler.pop()
+            assert popped is not None
+            tenant, item = popped
             if not was_high:
                 return [item]
             batch = [item, *self.scheduler.gather(tenant, limit - 1, chain, item)]

@@ -45,21 +45,17 @@ extents.  A port provides ``kernel`` plus
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Iterable
+from typing import TYPE_CHECKING, Any, Generator, Iterable
 
 from ..checkpoint.manifest import Manifest
 from ..errors import ManifestError
-from .events import DeltaGenerationCommitted, DeltaRestored, PipelineEvent
+from .events import DeltaGenerationCommitted, DeltaRestored
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .kernel import PipelineKernel
 
 __all__ = ["DeltaExtent", "DeltaPlan", "DeltaTracker", "checkpoint", "restore"]
-
-EmitFn = Callable[[PipelineEvent], None]
-
-
-def _no_emit(event: PipelineEvent) -> None:
-    return None
 
 
 @dataclass(frozen=True)
@@ -122,17 +118,11 @@ class DeltaTracker:
     an older generation that never saw them.
     """
 
-    def __init__(
-        self,
-        path: str,
-        chunk_size: int,
-        emit: EmitFn | None = None,
-        clock: Callable[[], float] | None = None,
-    ):
+    def __init__(self, path: str, kernel: "PipelineKernel"):
         self.path = path
-        self.chunk_size = chunk_size
-        self._emit = emit if emit is not None else _no_emit
-        self.clock = clock if clock is not None else time.perf_counter
+        self.chunk_size = kernel.chunk_size
+        self._emit = kernel.emit
+        self.clock = kernel.clock
         self.generation = -1  # committed generations so far - 1
         self.logical_size = 0
         self.owners: list[int] = []

@@ -76,22 +76,6 @@ class _NullLock:
         return None
 
 
-class _Emit(PipelineObserver):
-    """A bare ``emit`` callable as an observer of every type."""
-
-    def __init__(self, emit: EmitFn):
-        self.on_event = emit
-
-
-def _own_kernel(
-    chunk_size: int, emit: EmitFn | None, clock: Callable[[], float] | None
-) -> "PipelineKernel":
-    """The kernel of a pipeline part built without its mount's: every
-    record goes to ``emit`` (if any), and the registry is read by
-    nobody."""
-    return PipelineKernel(chunk_size, clock=clock, observers=() if emit is None else (_Emit(emit),))
-
-
 class FilePipeline:
     """Per-file aggregation state machine — shared by both planes.
 
@@ -99,27 +83,21 @@ class FilePipeline:
     functional plane passes the :class:`threading.RLock` its drain
     condition is built on, the timing plane passes nothing (virtual
     time needs no lock).  ``kernel`` is the mount's
-    :class:`PipelineKernel`, which supplies the stream, the registry and
-    the clock (``time.perf_counter`` or the simulator's ``now``); a
-    pipeline built without one gets its own, which routes every record
-    to ``emit`` and timestamps them with ``clock``.
+    :class:`PipelineKernel`, which supplies the chunk size, the stream,
+    the registry and the clock (``time.perf_counter`` or the
+    simulator's ``now``); :meth:`PipelineKernel.file` builds one.
     """
 
     def __init__(
         self,
         path: str,
-        chunk_size: int,
-        emit: EmitFn | None = None,
+        kernel: "PipelineKernel",
         lock: Any = None,
-        clock: Callable[[], float] | None = None,
         tenant: str = "default",
-        kernel: "PipelineKernel | None" = None,
     ):
-        if kernel is None:
-            kernel = _own_kernel(chunk_size, emit, clock)
         self.path = path
         self.tenant = tenant
-        self.planner = WritePlanner(chunk_size)
+        self.planner = WritePlanner(kernel.chunk_size)
         self.clock = kernel.clock
         self._kernel = kernel
         self._emit = kernel.emit
@@ -181,10 +159,8 @@ class FilePipeline:
             ):
                 return None
             planner.chunk_fill = fill + length
-            planner.total_bytes += length
         elif length < 0 or offset < 0:
             return None  # the planner rejects it
-        planner.total_writes += 1
         hot = self._hot
         writes, nbytes, copies = hot.writes
         hot.writes = (writes + 1, nbytes + length, copies + (length > 0))
@@ -560,18 +536,14 @@ class PipelineKernel:
         self, path: str, lock: Any = None, tenant: str = "default"
     ) -> FilePipeline:
         """A per-file pipeline wired to this kernel's stream and clock."""
-        return FilePipeline(
-            path, self.chunk_size, lock=lock, tenant=tenant, kernel=self
-        )
+        return FilePipeline(path, self, lock=lock, tenant=tenant)
 
     def delta(self, path: str) -> DeltaTracker:
         """The path's delta generation chain (created on first use),
         wired to this kernel's event stream and clock."""
         tracker = self._deltas.get(path)
         if tracker is None:
-            tracker = self._deltas[path] = DeltaTracker(
-                path, self.chunk_size, emit=self.emit, clock=self.clock
-            )
+            tracker = self._deltas[path] = DeltaTracker(path, self)
         return tracker
 
     def file_opened(self, path: str, tenant: str = "default") -> None:

@@ -91,11 +91,9 @@ class WritePlanner:
         #: unless the append point itself is further on.
         self.high_water = 0
         self._before = (0, 0)  # (chunk_file_offset, chunk_fill) before a plan
-        # -- lifetime stats
-        self.total_writes = 0
-        self.total_bytes = 0
+        #: Chunks sealed so far: ``FilePipeline.clean`` compares it with
+        #: the completions (``stats()`` counts writes, bytes and seals).
         self.sealed_chunks = 0
-        self.seal_reasons: dict[SealReason, int] = {r: 0 for r in SealReason}
 
     # -- derived ------------------------------------------------------------
 
@@ -111,10 +109,6 @@ class WritePlanner:
         write came last (``O_APPEND`` and ``SEEK_END`` land here)."""
         return max(self.high_water, self.chunk_file_offset + self.chunk_fill)
 
-    @property
-    def has_partial(self) -> bool:
-        return self.chunk_fill > 0
-
     def _mark(self) -> None:
         """Record the append point before it may jump."""
         self._before = (self.chunk_file_offset, self.chunk_fill)
@@ -128,8 +122,6 @@ class WritePlanner:
             raise ValueError(f"negative offset: {offset}")
         if length < 0:
             raise ValueError(f"negative length: {length}")
-        self.total_writes += 1
-        self.total_bytes += length
         if length == 0:
             return []
         self._mark()
@@ -179,8 +171,6 @@ class WritePlanner:
         ops: list[PlanOp] = []
         if self.chunk_fill > 0:
             ops.append(self._seal(SealReason.FLUSH))
-        self.total_writes += 1
-        self.total_bytes += length
         self.chunk_file_offset = offset + length
         self.chunk_fill = 0
         return ops
@@ -199,12 +189,7 @@ class WritePlanner:
         else:
             self.chunk_file_offset = last.file_offset - last.chunk_offset
             self.chunk_fill = last.chunk_offset + last.length
-        for op in ops[done:]:
-            if type(op) is Seal:
-                self.sealed_chunks -= 1
-                self.seal_reasons[op.reason] -= 1
-            else:
-                self.total_bytes -= op.length
+        self.sealed_chunks -= sum(type(op) is Seal for op in ops[done:])
 
     def _seal(self, reason: SealReason) -> Seal:
         seal = Seal(
@@ -215,7 +200,6 @@ class WritePlanner:
         # Counted before ``chunk_fill`` empties below: the lock-free
         # ``FilePipeline.clean`` must never see neither.
         self.sealed_chunks += 1
-        self.seal_reasons[reason] += 1
         self.chunk_file_offset += self.chunk_fill
         self.chunk_fill = 0
         return seal

@@ -110,7 +110,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
 from ..errors import BackendIOError, ShutdownError
 from .copies import FETCH
@@ -124,7 +124,7 @@ from .events import (
     WindowGrown,
     WindowShrunk,
 )
-from .kernel import EmitFn, PipelineKernel, _own_kernel
+from .kernel import PipelineKernel
 from .writeback import Gen
 
 __all__ = [
@@ -203,8 +203,7 @@ class AdaptiveWindow:
     differential holds for the window counters too.
     """
 
-    __slots__ = ("window", "initial", "floor", "ceiling", "grow_streak",
-                 "last_index", "_streak")
+    __slots__ = ("window", "floor", "ceiling", "grow_streak", "last_index", "_streak")
 
     def __init__(
         self,
@@ -218,7 +217,6 @@ class AdaptiveWindow:
                 f"window needs 0 <= {floor} <= initial <= {ceiling}, got {initial}"
             )
         self.window = initial
-        self.initial = initial
         self.floor = floor
         self.ceiling = ceiling
         self.grow_streak = grow_streak
@@ -271,29 +269,24 @@ class ReadaheadCore:
     beyond current chunk + window holds the chunk just consumed.
 
     ``kernel`` is the mount's :class:`~repro.pipeline.kernel.
-    PipelineKernel`: the core counts its hits, misses and ``fetch``
-    copies in its registry and emits on its stream.  A core built
-    without one routes every record to ``emit``, timestamped by
-    ``clock`` (0.0 by default).
+    PipelineKernel`: the core reads its chunk size, counts its hits,
+    misses and ``fetch`` copies in its registry and emits on its stream.
     """
 
     def __init__(
         self,
         path: str,
-        chunk_size: int,
+        kernel: PipelineKernel,
         capacity: int,
         depth: int,
-        emit: Optional[EmitFn] = None,
-        clock: Optional[Callable[[], float]] = None,
         adaptive: bool = False,
-        kernel: Optional[PipelineKernel] = None,
     ):
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         if depth < 0:
             raise ValueError(f"prefetch depth must be >= 0, got {depth}")
         self.path = path
-        self.chunk_size = chunk_size
+        self.chunk_size = kernel.chunk_size
         self.capacity = capacity
         if adaptive:
             # An adaptive window starts inside its own bounds even when
@@ -302,8 +295,6 @@ class ReadaheadCore:
             self.window = AdaptiveWindow(min(depth, ceiling), ceiling)
         else:
             self.window = AdaptiveWindow(depth, depth, floor=depth)
-        if kernel is None:
-            kernel = _own_kernel(chunk_size, emit, clock if clock is not None else lambda: 0.0)
         self._kernel = kernel
         self._emit = kernel.emit
         self._clock = kernel.clock

@@ -28,17 +28,17 @@ comparable.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING
 
 from ..errors import ConfigError
 from ..util.rng import rng_for
-from .events import BackendDegraded, BackendRecovered, PipelineEvent
+from .events import BackendDegraded, BackendRecovered
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .kernel import PipelineKernel
 
 __all__ = ["RetryPolicy", "BackendHealth"]
-
-EmitFn = Callable[[PipelineEvent], None]
 
 #: Each backoff is this many times the one before it (up to the cap).
 BACKOFF_FACTOR = 2.0
@@ -101,6 +101,8 @@ class BackendHealth:
            ▼  emit BackendRecovered(downtime)
         CLOSED
 
+    ``kernel`` is the mount's :class:`~repro.pipeline.kernel.
+    PipelineKernel`, whose stream and clock the records go out on;
     ``tier`` is the tier the breaker guards — 0, the mount's backend,
     or a staging tier's index — stamped on every record it emits.
 
@@ -108,19 +110,13 @@ class BackendHealth:
     outcomes concurrently.  Events are emitted outside the lock.
     """
 
-    def __init__(
-        self,
-        threshold: int = 0,
-        emit: EmitFn | None = None,
-        clock: Callable[[], float] | None = None,
-        tier: int = 0,
-    ):
+    def __init__(self, kernel: "PipelineKernel", threshold: int = 0, tier: int = 0):
         if threshold < 0:
             raise ConfigError(f"threshold must be >= 0, got {threshold}")
         self.threshold = threshold
         self.tier = tier
-        self._emit = emit if emit is not None else (lambda event: None)
-        self._clock = clock if clock is not None else time.perf_counter
+        self._emit = kernel.emit
+        self._clock = kernel.clock
         self._lock = threading.Lock()
         self._consecutive_failures = 0
         #: Whether the breaker is open (mount is in write-through).

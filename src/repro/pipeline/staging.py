@@ -24,21 +24,15 @@ nothing) and implement "wait until drained" against
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
-from .events import (
-    ChunkRetried,
-    PipelineEvent,
-    TierMigrated,
-    TierPumpPressure,
-    TierStaged,
-    TierSynced,
-)
+from .events import ChunkRetried, TierMigrated, TierPumpPressure, TierStaged, TierSynced
 from .resilience import BackendHealth
 
-__all__ = ["StagedFile", "StagingCore"]
+if TYPE_CHECKING:  # pragma: no cover
+    from .kernel import PipelineKernel
 
-EmitFn = Callable[[PipelineEvent], None]
+__all__ = ["StagedFile", "StagingCore"]
 
 
 class StagedFile:
@@ -76,21 +70,17 @@ class StagedFile:
 
 
 class StagingCore:
-    """The shared tier-staging state machine (accounting + events)."""
+    """The shared tier-staging state machine (accounting + events on
+    the mount's ``kernel``)."""
 
-    def __init__(
-        self,
-        ntiers: int,
-        fsync_tier: int = -1,
-        emit: Optional[EmitFn] = None,
-        clock: Callable[[], float] = lambda: 0.0,
-    ) -> None:
+    def __init__(self, ntiers: int, kernel: "PipelineKernel", fsync_tier: int = -1) -> None:
         if ntiers < 2:
             raise ValueError(f"staging needs >= 2 tiers, got {ntiers}")
         self.ntiers = ntiers
         self.fsync_tier = self.resolve_tier(fsync_tier, ntiers)
-        self.emit: EmitFn = emit if emit is not None else (lambda event: None)
-        self.clock = clock
+        self.kernel = kernel
+        self.emit = kernel.emit
+        self.clock = kernel.clock
         #: Total arrivals still owed across all files and tiers.
         self.outstanding = 0
 
@@ -112,7 +102,7 @@ class StagingCore:
         0 has none here: its writes are the mount's backend writes,
         guarded by the mount's own breaker."""
         return [None] + [
-            BackendHealth(threshold, emit=self.emit, clock=self.clock, tier=tier)
+            BackendHealth(self.kernel, threshold, tier=tier)
             for tier in range(1, self.ntiers)
         ]
 

@@ -143,12 +143,6 @@ class SimCRFSFile:
         #: reads on the paper's passthrough path.
         self.read_cache: Optional[SimReadCache] = None
 
-    # -- kernel passthrough ----------------------------------------------------
-
-    @property
-    def planner(self):
-        return self.pipeline.planner
-
 
 class SimReadCache:
     """Per-file readahead cache on the timing plane: the port the
@@ -263,9 +257,7 @@ class SimCRFS:
             ),
         )
         self.retry = config.retry
-        self.health = BackendHealth(
-            config.breaker_threshold, emit=self.kernel.emit, clock=lambda: sim.now
-        )
+        self.health = BackendHealth(self.kernel, config.breaker_threshold)
         # Tiered staging: the same plane-agnostic StagingCore the
         # functional TieredBackend drives, paid down here by pump
         # *processes* over their own SimQueue (its depths never touch
@@ -277,12 +269,7 @@ class SimCRFS:
         self.tier_healths: list[Optional[BackendHealth]] = []
         self._pump_procs: list = []
         if ntiers:
-            self.staging = StagingCore(
-                ntiers,
-                fsync_tier=config.fsync_tier,
-                emit=self.kernel.emit,
-                clock=lambda: sim.now,
-            )
+            self.staging = StagingCore(ntiers, self.kernel, fsync_tier=config.fsync_tier)
             self._pump_queue = SimQueue(sim)
             self.tier_healths = self.staging.breakers(config.breaker_threshold)
             self._pump_procs = [
@@ -351,11 +338,10 @@ class SimCRFS:
                 f,
                 ReadaheadCore(
                     path,
-                    self.config.chunk_size,
+                    self.kernel,
                     capacity=self.config.read_cache_chunks,
                     depth=self.config.readahead_chunks,
                     adaptive=self.config.readahead_adaptive,
-                    kernel=self.kernel,
                 ),
             )
             self._cached_files.append(f)
@@ -516,7 +502,7 @@ class SimCRFS:
 
     @staticmethod
     def file_size(f: SimCRFSFile) -> int:
-        return max(f.known_size, f.planner.size)
+        return max(f.known_size, f.pipeline.planner.size)
 
     def shed_read_caches(self) -> None:
         """Pool-pressure relief: drop every read-cache lease back to the

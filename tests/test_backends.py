@@ -285,12 +285,12 @@ class TestMemBackendSpecifics:
             b.listdir("/f")
 
     def test_write_stats(self):
-        b = MemBackend()
+        b = InstrumentedBackend(MemBackend())
         fd = b.open("/f")
         b.pwrite(fd, b"abc", 0)
         b.pwrite(fd, b"de", 3)
-        assert b.total_pwrites == 2
-        assert b.total_bytes_written == 5
+        assert b.write_sizes() == [3, 2]
+        assert b.inner.read_file("/f") == b"abcde"
 
 
 class TestLocalDirBackend:
@@ -318,7 +318,6 @@ class TestNullBackend:
         b.pwrite(fd, b"y" * 50, 200)
         assert b.file_size(fd) == 250
         assert b.pread(fd, 10, 0) == b"\x00" * 10
-        assert b.total_bytes == 150
         b.close(fd)
 
     def test_namespace_minimal(self):

@@ -50,11 +50,12 @@ def batched_config(**overrides) -> CRFSConfig:
 
 def gated_mount(extra_rules=(), **overrides):
     """A mount whose lone worker blocks inside the gate file's pwrite
-    until ``gate`` is set; returns (mem, backend, fs, gate)."""
+    until ``gate`` is set; returns (mem, backend, fs, gate), ``mem``
+    recording the ops that reached the store."""
     gate = threading.Event()
     rules = [FaultRule(op="pwrite", nth=1, delay=1.0, path="/gate*")]
     rules.extend(extra_rules)
-    mem = MemBackend()
+    mem = InstrumentedBackend(MemBackend())
     backend = FaultyBackend(mem, rules, sleep=lambda _s: gate.wait())
     fs = CRFS(backend, batched_config(**overrides))
     return mem, backend, fs, gate
@@ -188,10 +189,10 @@ class TestPutContract:
         q.put("lo", low=True)
         q.put("hi")
         q.close()
-        assert q.get() == "hi"
-        assert q.get() == "lo"
+        assert q.get_batch(1, contiguous) == ["hi"]
+        assert q.get_batch(1, contiguous) == ["lo"]
         with pytest.raises(QueueClosed):
-            q.get()
+            q.get_batch(1, contiguous)
 
     def test_close_wakes_blocked_high_put(self):
         q = at_quota()
@@ -259,26 +260,26 @@ class TestBackendPwritev:
     VIEWS = [b"aa", b"bbb", memoryview(b"cccc")]
 
     def test_base_fallback_loops_pwrite(self):
-        mem = MemBackend()
+        mem = InstrumentedBackend(MemBackend())
         h = mem.open("/f")
         n = Backend.pwritev(mem, h, self.VIEWS, 5)
         assert n == 9
         assert mem.pread(h, 9, 5) == b"aabbbcccc"
-        assert mem.total_pwrites == 3  # the fallback is per-view pwrites
+        assert mem.write_sizes() == [2, 3, 4]  # the fallback is per-view pwrites
 
-    def test_mem_backend_is_one_op(self):
+    def test_mem_backend_is_one_op(self, monkeypatch):
         mem = MemBackend()
         h = mem.open("/f")
+        # Not the base class's per-view loop: no pwrite is issued.
+        monkeypatch.setattr(mem, "pwrite", None)
         assert mem.pwritev(h, self.VIEWS, 5) == 9
         assert mem.pread(h, 9, 5) == b"aabbbcccc"
-        assert mem.total_pwrites == 1
-        assert mem.total_bytes_written == 9
 
     def test_mem_backend_empty_batch(self):
         mem = MemBackend()
         h = mem.open("/f")
         assert mem.pwritev(h, [], 0) == 0
-        assert mem.total_pwrites == 0
+        assert mem.file_size(h) == 0
 
     def test_localdir_backend(self, tmp_path):
         backend = LocalDirBackend(str(tmp_path))
@@ -291,7 +292,7 @@ class TestBackendPwritev:
             backend.close(h)
 
     def test_faulty_backend_counts_one_op_per_batch(self):
-        mem = MemBackend()
+        mem = InstrumentedBackend(MemBackend())
         backend = FaultyBackend(
             mem,
             [FaultRule(op="pwritev", nth=2, error=OSError("injected"))],
@@ -302,7 +303,7 @@ class TestBackendPwritev:
         with pytest.raises(OSError, match="injected"):
             backend.pwritev(h, self.VIEWS, 9)  # op #2 (not #4): the batch
         assert backend.faults_fired == 1
-        assert mem.total_pwrites == 1  # the failed batch never reached mem
+        assert len(mem.ops("pwritev")) == 1  # the failed batch never reached mem
 
     def test_instrumented_backend_records_one_op(self):
         backend = InstrumentedBackend(MemBackend())
@@ -355,7 +356,11 @@ class TestBatchedMount:
         }
         # vectored writes replaced per-chunk ones in the backend op count:
         # 1 gate pwrite + 2 pwritevs
-        assert mem.total_pwrites == 3
+        assert [r.op for r in mem.ops() if r.op.startswith("pwrite")] == [
+            "pwrite",
+            "pwritev",
+            "pwritev",
+        ]
         assert fs.pool.free_chunks == fs.pool.nchunks
 
     def test_batch_disabled_matches_enabled_byte_for_byte(self):

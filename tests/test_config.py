@@ -2,13 +2,24 @@
 
 import ast
 import dataclasses
+import inspect
 import pathlib
 
 import pytest
 
 import repro
+from repro.backends.tiered import TieredBackend
 from repro.config import CRFSConfig, DEFAULT_CONFIG, RetryPolicy, TenantSpec
+from repro.core.buffer_pool import BufferPool
+from repro.core.filetable import FileEntry
+from repro.core.iopool import IOThreadPool
+from repro.core.readcache import ReadCache
 from repro.errors import ConfigError
+from repro.pipeline.delta import DeltaTracker
+from repro.pipeline.kernel import FilePipeline
+from repro.pipeline.readahead import ReadaheadCore
+from repro.pipeline.resilience import BackendHealth
+from repro.pipeline.staging import StagingCore
 from repro.units import KiB, MiB
 
 
@@ -84,6 +95,52 @@ class TestOptionSet:
             "backoff_max",
             "jitter",
         ]
+
+
+class TestPartWiring:
+    """One wire from a pipeline part to its mount: the mount's
+    ``PipelineKernel``, which supplies the chunk size, the record stream
+    and the clock.  No part takes an ``emit`` or a ``clock`` of its own,
+    and no part defaults the retry policy or the breaker it is fed, so
+    every record of a mount goes out on one stream and one clock.  The
+    exact parameter lists (34 in all; 50 when each part took its own
+    ``emit``/``clock``) make a new wire a reviewed diff."""
+
+    PARTS = {
+        FilePipeline.__init__: ["path", "kernel", "lock", "tenant"],
+        FileEntry.__init__: ["path", "backend_handle", "kernel", "tenant"],
+        ReadaheadCore.__init__: ["path", "kernel", "capacity", "depth", "adaptive"],
+        DeltaTracker.__init__: ["path", "kernel"],
+        StagingCore.__init__: ["ntiers", "kernel", "fsync_tier"],
+        BackendHealth.__init__: ["kernel", "threshold", "tier"],
+        BufferPool.__init__: ["kernel", "pool_size", "reservations"],
+        IOThreadPool.__init__: [
+            "backend", "queue", "pool", "nthreads", "kernel", "retry", "health", "batch_chunks"
+        ],
+        TieredBackend.bind: ["kernel", "config"],
+    }
+
+    @staticmethod
+    def params(fn):
+        return {n: p for n, p in inspect.signature(fn).parameters.items() if n != "self"}
+
+    @pytest.mark.parametrize("fn", PARTS, ids=lambda fn: fn.__qualname__)
+    def test_each_part_takes_the_kernel_and_no_emit_or_clock(self, fn):
+        params = self.params(fn)
+        assert list(params) == self.PARTS[fn]
+        assert params["kernel"].default is inspect.Parameter.empty
+
+    def test_the_parts_take_34_parameters(self):
+        assert sum(len(names) for names in self.PARTS.values()) == 34
+
+    @pytest.mark.parametrize(
+        "fn", [IOThreadPool.__init__, ReadCache.__init__], ids=lambda fn: fn.__qualname__
+    )
+    def test_the_breaker_and_retry_policy_have_no_default(self, fn):
+        params = self.params(fn)
+        for name in ("retry", "health"):
+            if name in params:
+                assert params[name].default is inspect.Parameter.empty
 
 
 class TestValidation:

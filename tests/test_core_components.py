@@ -17,8 +17,9 @@ from repro.core.buffer_pool import BufferPool
 from repro.core.chunk import Chunk
 from repro.core.filetable import FileEntry, OpenFileTable
 from repro.core.iopool import IOThreadPool, WorkItem
-from repro.pipeline import PipelineStats
-from repro.pipeline.planner import SealReason
+from repro.pipeline import PipelineKernel, PipelineStats
+from repro.pipeline.resilience import BackendHealth, RetryPolicy
+from repro.pipeline.writeback import contiguous
 from repro.core.workqueue import QueueClosed, WorkQueue
 from repro.pipeline.tenancy import DEFAULT_TENANT, TenantSpec
 from repro.errors import (
@@ -54,11 +55,10 @@ class TestChunk:
         c = Chunk(0, 64)
         c.open_for("o", 7)
         c.append(b"abc", 0, 3)
-        c.seal(SealReason.FLUSH)
         c.reset()
         assert c.valid == 0
         assert c.owner is None
-        assert c.seal_reason is None
+        assert c.file_offset == 0
 
     def test_open_dirty_chunk_rejected(self):
         c = Chunk(0, 64)
@@ -78,12 +78,12 @@ class TestChunk:
 
 class TestBufferPool:
     def test_pool_size_chunking(self):
-        pool = BufferPool(chunk_size=1024, pool_size=4096)
+        pool = BufferPool(PipelineKernel(1024), pool_size=4096)
         assert pool.nchunks == 4
         assert pool.free_chunks == 4
 
     def test_acquire_release_cycle(self):
-        pool = BufferPool(1024, 2048)
+        pool = BufferPool(PipelineKernel(1024), 2048)
         a = pool.acquire()
         b = pool.acquire()
         assert pool.free_chunks == 0
@@ -97,8 +97,8 @@ class TestBufferPool:
         assert c.valid == 0 and c.owner is None  # and scrubbed
 
     def test_acquire_blocks_until_release(self):
-        stats = PipelineStats()
-        pool = BufferPool(64, 64, emit=stats.on_event)
+        kernel = PipelineKernel(64)
+        pool = BufferPool(kernel, 64)
         held = pool.acquire()
         got = []
 
@@ -112,17 +112,17 @@ class TestBufferPool:
         pool.release(held)
         t.join(timeout=5.0)
         assert len(got) == 1
-        assert stats.snapshot()["pool"]["waits"] == 1
+        assert kernel.snapshot()["pool"]["waits"] == 1
 
     def test_acquire_timeout_raises(self, monkeypatch):
         monkeypatch.setattr(waits, "STUCK_S", 0.05)
-        pool = BufferPool(64, 64)
+        pool = BufferPool(PipelineKernel(64), 64)
         pool.acquire()
         with pytest.raises(ShutdownError, match="exhausted"):
             pool.acquire()
 
     def test_close_wakes_waiters(self):
-        pool = BufferPool(64, 64)
+        pool = BufferPool(PipelineKernel(64), 64)
         pool.acquire()
         errs = []
 
@@ -140,7 +140,7 @@ class TestBufferPool:
         assert len(errs) == 1
 
     def test_double_release_rejected(self):
-        pool = BufferPool(64, 128)
+        pool = BufferPool(PipelineKernel(64), 128)
         c = pool.acquire()
         pool.release(c)
         with pytest.raises(ShutdownError):
@@ -150,7 +150,7 @@ class TestBufferPool:
         """Releasing ``a`` twice while ``b`` is still leased: the second
         release is refused and leaves the pool as it was, so two
         acquires get two buffers."""
-        pool = BufferPool(64, 128)
+        pool = BufferPool(PipelineKernel(64), 128)
         a, b = pool.acquire(), pool.acquire()
         pool.release(a)
         with pytest.raises(ShutdownError, match="double release of chunk"):
@@ -162,15 +162,15 @@ class TestBufferPool:
 
     def test_too_small_pool_rejected(self):
         with pytest.raises(ConfigError):
-            BufferPool(1024, 512)
+            BufferPool(PipelineKernel(1024), 512)
 
     def test_max_in_use_stat(self):
-        stats = PipelineStats()
-        pool = BufferPool(64, 256, emit=stats.on_event)
+        kernel = PipelineKernel(64)
+        pool = BufferPool(kernel, 256)
         chunks = [pool.acquire() for _ in range(3)]
         for c in chunks:
             pool.release(c)
-        assert stats.snapshot()["pool"]["max_in_use"] == 3
+        assert kernel.snapshot()["pool"]["max_in_use"] == 3
 
 
 def _write_epoch(fs):
@@ -284,15 +284,15 @@ class TestWorkQueue:
         q = WorkQueue()
         q.put(1)
         q.put(2)
-        assert q.get() == 1
-        assert q.get() == 2
+        assert q.get_batch(1, contiguous) == [1]
+        assert q.get_batch(1, contiguous) == [2]
 
     def test_get_blocks_until_put(self):
         q = WorkQueue()
         got = []
 
         def getter():
-            got.append(q.get())
+            got.extend(q.get_batch(1, contiguous))
 
         t = threading.Thread(target=getter)
         t.start()
@@ -314,7 +314,7 @@ class TestWorkQueue:
         t.start()
         time.sleep(0.05)
         assert not done
-        q.get()
+        q.get_batch(1, contiguous)
         t.join(timeout=5.0)
         assert done
 
@@ -322,9 +322,9 @@ class TestWorkQueue:
         q = WorkQueue()
         q.put("x")
         q.close()
-        assert q.get() == "x"
+        assert q.get_batch(1, contiguous) == ["x"]
         with pytest.raises(QueueClosed):
-            q.get()
+            q.get_batch(1, contiguous)
 
     def test_put_after_close_rejected(self):
         q = WorkQueue()
@@ -338,7 +338,7 @@ class TestWorkQueue:
 
         def getter():
             try:
-                q.get()
+                q.get_batch(1, contiguous)
             except QueueClosed as e:
                 errs.append(e)
 
@@ -361,7 +361,7 @@ class TestWorkQueue:
 
 class TestFileEntryDrain:
     def test_counts_match_after_completion(self):
-        e = FileEntry("/f", 3, 1024)
+        e = FileEntry("/f", 3, PipelineKernel(1024))
         e.note_chunk_queued()
         e.note_chunk_queued()
         assert e.pipeline.outstanding == 2
@@ -371,7 +371,7 @@ class TestFileEntryDrain:
         e.wait_drained()  # returns immediately
 
     def test_wait_drained_blocks_until_complete(self):
-        e = FileEntry("/f", 3, 1024)
+        e = FileEntry("/f", 3, PipelineKernel(1024))
         e.note_chunk_queued()
         waited = []
 
@@ -386,7 +386,7 @@ class TestFileEntryDrain:
         assert e.pipeline.outstanding == 0
 
     def test_error_latched_and_raised_once(self):
-        e = FileEntry("/f", 3, 1024)
+        e = FileEntry("/f", 3, PipelineKernel(1024))
         e.note_chunk_queued()
         e.note_chunk_complete(error=OSError("disk on fire"))
         with pytest.raises(BackendIOError, match="disk on fire"):
@@ -396,7 +396,7 @@ class TestFileEntryDrain:
 
     def test_wait_drained_timeout(self, monkeypatch):
         monkeypatch.setattr(waits, "STUCK_S", 0.05)
-        e = FileEntry("/f", 3, 1024)
+        e = FileEntry("/f", 3, PipelineKernel(1024))
         e.note_chunk_queued()
         with pytest.raises(FileStateError, match="stuck"):
             e.wait_drained()
@@ -408,7 +408,7 @@ class TestOpenFileTable:
         made = []
 
         def make():
-            e = FileEntry("/a", 1, 64)
+            e = FileEntry("/a", 1, PipelineKernel(64))
             made.append(e)
             return e
 
@@ -420,8 +420,8 @@ class TestOpenFileTable:
 
     def test_close_drops_reference(self):
         t = OpenFileTable()
-        t.open("/a", lambda: FileEntry("/a", 1, 64))
-        t.open("/a", lambda: FileEntry("/a", 1, 64))
+        t.open("/a", lambda: FileEntry("/a", 1, PipelineKernel(64)))
+        t.open("/a", lambda: FileEntry("/a", 1, PipelineKernel(64)))
         _, last = t.close("/a")
         assert not last
         _, last = t.close("/a")
@@ -434,28 +434,28 @@ class TestOpenFileTable:
 
     def test_paths(self):
         t = OpenFileTable()
-        t.open("/a", lambda: FileEntry("/a", 1, 64))
-        t.open("/b", lambda: FileEntry("/b", 2, 64))
+        t.open("/a", lambda: FileEntry("/a", 1, PipelineKernel(64)))
+        t.open("/b", lambda: FileEntry("/b", 2, PipelineKernel(64)))
         assert sorted(t.paths()) == ["/a", "/b"]
 
 
 class TestIOThreadPool:
     def _rig(self, nthreads=2):
         backend = MemBackend()
-        self.stats = PipelineStats()
-        emit = self.stats.on_event
-        queue = WorkQueue(emit=emit)
-        pool = BufferPool(64, 64 * 8, emit=emit)
-        iop = IOThreadPool(backend, queue, pool, nthreads, emit=emit)
+        self.kernel = kernel = PipelineKernel(64)
+        queue = WorkQueue(emit=kernel.emit)
+        pool = BufferPool(kernel, 64 * 8)
+        iop = IOThreadPool(
+            backend, queue, pool, nthreads, kernel, RetryPolicy(), BackendHealth(kernel)
+        )
         iop.start()
         return backend, queue, pool, iop
 
     def test_chunks_written_to_backend(self):
         backend, queue, pool, iop = self._rig()
         fd = backend.open("/out")
-        # Completion accounting flows over the event stream: wire the
-        # standalone entry to the rig's stats registry.
-        entry = FileEntry("/out", fd, 64, emit=self.stats.on_event)
+        # Completion accounting flows over the rig kernel's stream.
+        entry = FileEntry("/out", fd, self.kernel)
         chunk = pool.acquire()
         chunk.open_for(entry, 0)
         chunk.append(b"payload!", 0, 8)
@@ -463,14 +463,14 @@ class TestIOThreadPool:
         queue.put(WorkItem(chunk=chunk, entry=entry))
         entry.wait_drained()
         assert backend.read_file("/out") == b"payload!"
-        snap = self.stats.snapshot()
+        snap = self.kernel.snapshot()
         assert (snap["chunks_written"], snap["bytes_out"]) == (1, 8)
         iop.shutdown()
 
     def test_chunk_recycled_after_write(self):
         backend, queue, pool, iop = self._rig()
         fd = backend.open("/out")
-        entry = FileEntry("/out", fd, 64)
+        entry = FileEntry("/out", fd, self.kernel)
         chunk = pool.acquire()
         chunk.open_for(entry, 0)
         chunk.append(b"x", 0, 1)
@@ -486,7 +486,7 @@ class TestIOThreadPool:
     def test_write_error_latches_into_entry(self):
         backend, queue, pool, iop = self._rig()
         # bogus fd -> pwrite fails
-        entry = FileEntry("/out", 999999, 64, emit=self.stats.on_event)
+        entry = FileEntry("/out", 999999, self.kernel)
         chunk = pool.acquire()
         chunk.open_for(entry, 0)
         chunk.append(b"x", 0, 1)
@@ -494,7 +494,7 @@ class TestIOThreadPool:
         queue.put(WorkItem(chunk=chunk, entry=entry))
         with pytest.raises(BackendIOError):
             entry.wait_drained()
-        assert self.stats.snapshot()["io_errors"] == 1
+        assert self.kernel.snapshot()["io_errors"] == 1
         iop.shutdown()
 
     def test_shutdown_joins_threads(self):
@@ -503,16 +503,17 @@ class TestIOThreadPool:
         assert not iop._threads
 
     def test_bad_thread_count(self):
-        backend = MemBackend()
+        backend, kernel = MemBackend(), PipelineKernel(64)
+        pool, health = BufferPool(kernel, 64), BackendHealth(kernel)
         with pytest.raises(ValueError):
-            IOThreadPool(backend, WorkQueue(), BufferPool(64, 64), 0)
+            IOThreadPool(backend, WorkQueue(), pool, 0, kernel, RetryPolicy(), health)
 
     def test_concurrent_chunks_across_files(self):
         backend, queue, pool, iop = self._rig(nthreads=4)
         entries = []
         for i in range(8):
             fd = backend.open(f"/f{i}")
-            e = FileEntry(f"/f{i}", fd, 64)
+            e = FileEntry(f"/f{i}", fd, self.kernel)
             entries.append(e)
             chunk = pool.acquire()
             chunk.open_for(e, 0)

@@ -1,7 +1,9 @@
 """Integration tests for the CRFS mount — the paper's Section IV semantics
 end-to-end on the functional plane."""
 
+import itertools
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +14,12 @@ from repro.backends import (
     InstrumentedBackend,
     MemBackend,
     NullBackend,
+    TieredBackend,
 )
 from repro.config import CRFSConfig
 from repro.core import CRFS
 from repro.errors import BackendIOError, FileStateError, MountError
+from repro.pipeline import EventLog, ReadHit, TierMigrated, WorkersDrained
 from repro.units import KiB
 
 
@@ -95,15 +99,16 @@ class TestWriteReadRoundtrip:
             f.write(data)
         assert backend.read_file("/big") == data
 
-    def test_many_small_writes_coalesce(self, fs, backend):
-        inner = backend
-        with fs.open("/f") as f:
-            for i in range(1000):
-                f.write(bytes([i % 256]) * 16)  # 16 KB total... 16*1000=16000
+    def test_many_small_writes_coalesce(self):
+        backend = InstrumentedBackend(MemBackend())
+        with CRFS(backend, small_config()) as fs:
+            with fs.open("/f") as f:
+                for i in range(1000):
+                    f.write(bytes([i % 256]) * 16)  # 16 KB total... 16*1000=16000
         expected = b"".join(bytes([i % 256]) * 16 for i in range(1000))
-        assert backend.read_file("/f") == expected
+        assert backend.inner.read_file("/f") == expected
         # Aggregation: 1000 writes became few backend pwrites.
-        assert inner.total_pwrites <= 5
+        assert len(backend.ops("pwrite")) <= 5
 
     def test_positional_writes_with_gap(self, fs, backend):
         with fs.open("/f") as f:
@@ -198,13 +203,15 @@ class TestCloseAndDrainSemantics:
 
 
 class TestFsync:
-    def test_fsync_pushes_to_backend(self, fs, backend):
-        f = fs.open("/f")
-        f.write(b"must be durable")
-        f.fsync()
-        assert backend.read_file("/f") == b"must be durable"
-        assert backend.total_fsyncs == 1
-        f.close()
+    def test_fsync_pushes_to_backend(self):
+        backend = InstrumentedBackend(MemBackend())
+        with CRFS(backend, small_config()) as fs:
+            f = fs.open("/f")
+            f.write(b"must be durable")
+            f.fsync()
+            assert backend.inner.read_file("/f") == b"must be durable"
+            assert len(backend.ops("fsync")) == 1
+            f.close()
 
     def test_fsync_then_more_writes(self, fs, backend):
         f = fs.open("/f")
@@ -346,11 +353,11 @@ class TestAggregationEffect:
 
     def test_null_backend_fig5_rig(self):
         # Figure 5's method: chunks discarded by the null backend.
-        null = NullBackend()
+        null = InstrumentedBackend(NullBackend())
         fs = CRFS(null, small_config()).mount()
         with fs.open("/f") as f:
             f.write(b"x" * (40 * KiB))
-        assert null.total_bytes == 40 * KiB
+        assert sum(null.write_sizes()) == 40 * KiB
         fs.unmount()
 
 
@@ -383,3 +390,41 @@ class TestPropertyRoundtrip:
                 reference[offset:end] = data
         assert backend.read_file("/f") == bytes(reference)
         fs.unmount()
+
+
+class TestOneClock:
+    def test_every_record_is_stamped_by_the_kernel_clock(self, monkeypatch):
+        """Every time a record of a mount carries — ``t`` or ``start`` —
+        is a reading of the one clock the mount's kernel was built with,
+        whichever thread stamped it: the writer, an IO worker, a tier
+        pump or the teardown.  The clock is a counter far from
+        ``time.monotonic()``, so a record stamped by any other clock
+        shows."""
+        readings = []
+        ticks = itertools.count(1e12)
+
+        def counter():
+            readings.append(next(ticks))
+            return readings[-1]
+
+        monkeypatch.setattr(time, "perf_counter", counter)
+        log = EventLog()
+        cfg = small_config(read_cache_chunks=4, readahead_chunks=2)
+        fs = CRFS(TieredBackend([MemBackend(), MemBackend()]), cfg, observers=[log]).mount()
+        f = fs.open("/ckpt")
+        data = bytes(range(256)) * 64  # four chunks
+        f.write(data)
+        f.fsync()
+        for _ in range(2):  # a miss, then a hit
+            assert f.pread(4 * KiB, 4 * KiB) == data[4 * KiB : 8 * KiB]
+        f.close()
+        fs.unmount()
+        stamps = [
+            (type(event).__name__, name, getattr(event, name))
+            for event in log.events
+            for name in ("t", "start")
+            if hasattr(event, name)
+        ]
+        assert {WorkersDrained, TierMigrated, ReadHit} <= {type(e) for e in log.events}
+        clock = set(readings)
+        assert [stamp for stamp in stamps if stamp[2] not in clock] == []

@@ -34,7 +34,7 @@ class TestSequentialAggregation:
         assert len(seals) == 1
         assert seals[0].reason == SealReason.FULL
         assert seals[0].length == 256
-        assert not p.has_partial
+        assert p.chunk_fill == 0
 
     def test_large_write_spans_chunks(self):
         p = WritePlanner(chunk_size=100)
@@ -100,8 +100,7 @@ class TestEdgeCases:
     def test_zero_length_write_is_noop(self):
         p = WritePlanner(chunk_size=64)
         assert p.write(0, 0) == []
-        assert p.total_writes == 1
-        assert p.total_bytes == 0
+        assert (p.chunk_fill, p.size, p.sealed_chunks) == (0, 0, 0)
 
     def test_flush_empty_is_noop(self):
         p = WritePlanner(chunk_size=64)
@@ -132,10 +131,10 @@ class TestEdgeCases:
 
     def test_stats_accumulate(self):
         p = WritePlanner(chunk_size=100)
-        run_plan(p, [(0, 50), (50, 100), (1000, 10)])
-        assert p.total_writes == 3
-        assert p.total_bytes == 160
-        assert p.sealed_chunks == sum(p.seal_reasons.values())
+        fills, seals = run_plan(p, [(0, 50), (50, 100), (1000, 10)])
+        assert sum(f.length for f in fills) == 160
+        assert p.sealed_chunks == len(seals) == 3  # full, gap, flush
+        assert p.size == 1010
 
 
 # -- property-based invariants ------------------------------------------------

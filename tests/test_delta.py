@@ -19,6 +19,7 @@ from repro.checkpoint.manifest import Manifest, generation_path, manifest_path
 from repro.config import CRFSConfig
 from repro.core import CRFS
 from repro.errors import ManifestError
+from repro.pipeline import PipelineKernel
 from repro.pipeline.delta import DeltaTracker
 from repro.units import KiB
 
@@ -90,7 +91,7 @@ class TestManifest:
 
 class TestDeltaTracker:
     def test_generation_zero_is_always_a_full_dump(self):
-        t = DeltaTracker("/ckpt", CHUNK)
+        t = DeltaTracker("/ckpt", PipelineKernel(CHUNK))
         # declared dirtiness is irrelevant before the first commit
         plan = t.plan_checkpoint(4 * CHUNK, dirty=[1])
         assert plan.generation == 0
@@ -99,7 +100,7 @@ class TestDeltaTracker:
         assert [e.file_offset for e in plan.extents] == [0]
 
     def test_dirty_subset_plans_only_those_extents(self):
-        t = DeltaTracker("/ckpt", CHUNK)
+        t = DeltaTracker("/ckpt", PipelineKernel(CHUNK))
         t.commit(t.plan_checkpoint(4 * CHUNK))
         plan = t.plan_checkpoint(4 * CHUNK, dirty=[0, 2, 3])
         assert plan.generation == 1
@@ -112,34 +113,34 @@ class TestDeltaTracker:
         assert plan.gen_file_size == 4 * CHUNK  # sparse between runs
 
     def test_growth_auto_dirties_new_and_old_tail_chunks(self):
-        t = DeltaTracker("/ckpt", CHUNK)
+        t = DeltaTracker("/ckpt", PipelineKernel(CHUNK))
         t.commit(t.plan_checkpoint(2 * CHUNK + 10))  # partial tail chunk
         plan = t.plan_checkpoint(4 * CHUNK, dirty=[])
         # chunk 2 (the old partial tail) and chunks 3 (new) are forced
         assert plan.dirty == frozenset({2, 3})
 
     def test_shrink_auto_dirties_new_tail(self):
-        t = DeltaTracker("/ckpt", CHUNK)
+        t = DeltaTracker("/ckpt", PipelineKernel(CHUNK))
         t.commit(t.plan_checkpoint(4 * CHUNK))
         plan = t.plan_checkpoint(2 * CHUNK + 10, dirty=[])
         assert plan.dirty == frozenset({2})
         assert plan.manifest.owners == (0, 0, 1)
 
     def test_dirty_index_out_of_range(self):
-        t = DeltaTracker("/ckpt", CHUNK)
+        t = DeltaTracker("/ckpt", PipelineKernel(CHUNK))
         t.commit(t.plan_checkpoint(2 * CHUNK))
         with pytest.raises(ValueError, match="outside image"):
             t.plan_checkpoint(2 * CHUNK, dirty=[2])
 
     def test_commit_enforces_chain_order(self):
-        t = DeltaTracker("/ckpt", CHUNK)
+        t = DeltaTracker("/ckpt", PipelineKernel(CHUNK))
         plan = t.plan_checkpoint(CHUNK)
         t.commit(plan)
         with pytest.raises(ManifestError, match="commit of generation"):
             t.commit(plan)  # re-committing generation 0 against gen 0
 
     def test_torn_latch_blocks_restore_until_clean_commit(self):
-        t = DeltaTracker("/ckpt", CHUNK)
+        t = DeltaTracker("/ckpt", PipelineKernel(CHUNK))
         t.commit(t.plan_checkpoint(CHUNK))
         t.note_torn()
         with pytest.raises(ManifestError, match="torn"):
@@ -148,7 +149,7 @@ class TestDeltaTracker:
         t.check_restorable()  # clean commit clears the latch
 
     def test_fresh_chain_is_not_restorable(self):
-        t = DeltaTracker("/ckpt", CHUNK)
+        t = DeltaTracker("/ckpt", PipelineKernel(CHUNK))
         with pytest.raises(ManifestError, match="no committed"):
             t.check_restorable()
         with pytest.raises(ManifestError, match="never committed"):

@@ -143,6 +143,7 @@ class TestConcurrencyStress:
     def test_queue_stress_many_producers(self):
         from repro.core.workqueue import QueueClosed, WorkQueue
         from repro.pipeline.tenancy import DEFAULT_TENANT
+        from repro.pipeline.writeback import contiguous
 
         q = WorkQueue(quotas={DEFAULT_TENANT: 8})  # producers block
         produced, consumed = [], []
@@ -157,7 +158,7 @@ class TestConcurrencyStress:
         def consumer():
             while True:
                 try:
-                    item = q.get()
+                    (item,) = q.get_batch(1, contiguous)
                 except QueueClosed:
                     return
                 with lock:

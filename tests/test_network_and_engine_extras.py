@@ -146,6 +146,8 @@ class TestIOPoolShutdown:
         from repro.core.filetable import FileEntry
         from repro.core.iopool import IOThreadPool, WorkItem
         from repro.core.workqueue import WorkQueue
+        from repro.pipeline import PipelineKernel
+        from repro.pipeline.resilience import BackendHealth, RetryPolicy
 
         class HangingBackend(MemBackend):
             def pwrite(self, handle, data, offset):
@@ -153,12 +155,13 @@ class TestIOPoolShutdown:
                 return super().pwrite(handle, data, offset)
 
         backend = HangingBackend()
+        kernel = PipelineKernel(64)
         queue = WorkQueue()
-        pool = BufferPool(64, 256)
-        iop = IOThreadPool(backend, queue, pool, 1)
+        pool = BufferPool(kernel, 256)
+        iop = IOThreadPool(backend, queue, pool, 1, kernel, RetryPolicy(), BackendHealth(kernel))
         iop.start()
         fd = backend.open("/f")
-        entry = FileEntry("/f", fd, 64)
+        entry = FileEntry("/f", fd, kernel)
         chunk = pool.acquire()
         chunk.open_for(entry, 0)
         chunk.append(b"x", 0, 1)

@@ -21,7 +21,6 @@ from repro.pipeline import (
     ChunkWritten,
     ErrorLatched,
     EventLog,
-    FilePipeline,
     PipelineKernel,
     PoolPressure,
     QueuePressure,
@@ -56,7 +55,7 @@ class TestCounterInvariants:
     @given(ops=OPS)
     @settings(max_examples=200, deadline=None)
     def test_complete_never_exceeds_write(self, ops):
-        p = FilePipeline("/f", CHUNK)
+        p = PipelineKernel(CHUNK).file("/f")
         for op in ops:
             if op[0] == "queue":
                 p.note_queued(_seal())
@@ -74,7 +73,7 @@ class TestCounterInvariants:
     @given(n=st.integers(min_value=0, max_value=40))
     @settings(max_examples=50, deadline=None)
     def test_drain_iff_all_completed(self, n):
-        p = FilePipeline("/f", CHUNK)
+        p = PipelineKernel(CHUNK).file("/f")
         for _ in range(n):
             p.note_queued(_seal())
         for i in range(n):
@@ -84,14 +83,14 @@ class TestCounterInvariants:
         assert p.drained
 
     def test_complete_without_queue_rejected(self):
-        p = FilePipeline("/f", CHUNK)
+        p = PipelineKernel(CHUNK).file("/f")
         with pytest.raises(FileStateError):
             p.note_complete(length=CHUNK)
 
 
 class TestErrorLatch:
     def _failed_pipeline(self, errors=1, total=3):
-        p = FilePipeline("/f", CHUNK)
+        p = PipelineKernel(CHUNK).file("/f")
         for _ in range(total):
             p.note_queued(_seal())
         for i in range(total):
@@ -110,7 +109,7 @@ class TestErrorLatch:
         assert p.peek_error() is None
 
     def test_first_error_wins(self):
-        p = FilePipeline("/f", CHUNK)
+        p = PipelineKernel(CHUNK).file("/f")
         p.note_queued(_seal())
         p.note_queued(_seal())
         p.note_complete(length=CHUNK, error=OSError("first"))
@@ -119,24 +118,24 @@ class TestErrorLatch:
 
     def test_plan_write_fails_fast_while_latched(self):
         p = self._failed_pipeline()
-        before = (p.planner.total_writes, p.planner.total_bytes)
+        before = vars(p.planner).copy()
         with pytest.raises(BackendIOError):
             p.plan_write(0, 10)
         with pytest.raises(BackendIOError):
             p.plan_write_through(0, 10)
         # the failed attempts consumed nothing from the planner
-        assert (p.planner.total_writes, p.planner.total_bytes) == before
+        assert vars(p.planner) == before
         # and did not consume the latch itself
         assert p.peek_error() is not None
 
     def test_latch_emits_error_latched_event_once(self):
-        events = []
-        p = FilePipeline("/f", CHUNK, emit=events.append)
+        log = EventLog()
+        p = PipelineKernel(CHUNK, observers=[log]).file("/f")
         p.note_queued(_seal())
         p.note_queued(_seal())
         p.note_complete(length=CHUNK, error=OSError("x"))
         p.note_complete(length=CHUNK, error=OSError("y"))
-        assert sum(isinstance(e, ErrorLatched) for e in events) == 1
+        assert len(log.of(ErrorLatched)) == 1
 
 
 class TestEventStream:

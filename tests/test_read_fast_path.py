@@ -33,6 +33,7 @@ from repro.experiments.crossplane import DeviceStore
 from repro.pipeline import (
     CopyObserved,
     EventLog,
+    PipelineKernel,
     PrefetchDropped,
     PrefetchWasted,
     ReadHit,
@@ -118,9 +119,7 @@ _REQUEST = st.integers(min_value=CHUNK // 16, max_value=5 * CHUNK // 2)
 def fake_mount(capacity, depth, adaptive):
     cache = FakeCache(capacity=capacity, depth=depth, free=capacity + 2)
     if adaptive:
-        cache.core = ReadaheadCore(
-            cache.path, CHUNK, capacity, depth, emit=cache.events.append, adaptive=True
-        )
+        cache.core = ReadaheadCore(cache.path, cache.kernel, capacity, depth, adaptive=True)
     return FakeMount(cache), cache
 
 
@@ -218,7 +217,7 @@ class TestEvictionIsAFunctionOfTheAccessSequence:
         capacity, depth = geometry
         outcomes = [
             replay(
-                ReadaheadCore("/f", CHUNK, capacity, depth, adaptive=adaptive),
+                ReadaheadCore("/f", PipelineKernel(CHUNK), capacity, depth, adaptive=adaptive),
                 accesses,
                 landing,
             )
@@ -230,14 +229,14 @@ class TestEvictionIsAFunctionOfTheAccessSequence:
         """cache = window + 1: chunk 0 is re-touched by every read of
         it, so strict LRU evicted the ready-but-unread chunk 2 when the
         window slid to chunk 3 — and fetched it again a read later."""
-        core = ReadaheadCore("/f", CHUNK, capacity=3, depth=2)
+        core = ReadaheadCore("/f", PipelineKernel(CHUNK), capacity=3, depth=2)
         replay(core, [0, 0, 0], "now")
         decisions, resident, _ = replay(core, [1], "now")
         assert decisions == [(3, PREFETCH, [0])]
         assert resident == [2, 1, 3]
 
     def test_without_a_window_the_rule_is_plain_lru(self):
-        core = ReadaheadCore("/f", CHUNK, capacity=2, depth=0)
+        core = ReadaheadCore("/f", PipelineKernel(CHUNK), capacity=2, depth=0)
         decisions, _, _ = replay(core, [0, 1, 0, 2, 3], "now")
         assert decisions == [
             (0, DEMAND, []), (1, DEMAND, []), (2, DEMAND, [1]), (3, DEMAND, [0]),

@@ -27,6 +27,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from repro.pipeline import PipelineKernel
 from repro.pipeline.readahead import AdaptiveWindow, ReadaheadCore
 
 pytestmark = pytest.mark.property
@@ -86,7 +87,7 @@ class TestBounds:
         self, capacity, depth, ops
     ):
         core = ReadaheadCore(
-            "/img", chunk_size=4, capacity=capacity, depth=depth, adaptive=True
+            "/img", PipelineKernel(4), capacity=capacity, depth=depth, adaptive=True
         )
         bound = max(1, capacity - 2)
         # the clamp holds at construction (even for an over-eager knob)
@@ -169,7 +170,7 @@ class TestStaticDegeneracy:
     def test_static_core_keeps_the_configured_depth(self, capacity, ops):
         depth = capacity - 1  # the largest depth the config would allow
         core = ReadaheadCore(
-            "/img", chunk_size=4, capacity=capacity, depth=depth, adaptive=False
+            "/img", PipelineKernel(4), capacity=capacity, depth=depth, adaptive=False
         )
         _drive(core.window, ops)
         assert core.depth == depth

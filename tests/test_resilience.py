@@ -26,6 +26,7 @@ from repro.pipeline import (
     BackendRecovered,
     ChunkRetried,
     EventLog,
+    PipelineKernel,
     RetryPolicy,
 )
 from repro.sim import SharedBandwidth, Simulator
@@ -110,18 +111,24 @@ class TestRetryPolicy:
 # BackendHealth
 
 
+def health(threshold, tier=0, clock=None):
+    """A breaker on a kernel whose every record lands in the returned
+    list (tiers 0-2 are counted by its registry)."""
+    log = EventLog()
+    kernel = PipelineKernel(64, clock=clock, observers=[log], tiers=3)
+    return BackendHealth(kernel, threshold, tier=tier), log.events
+
+
 class TestBackendHealth:
     def test_disabled_breaker_never_degrades(self):
-        events = []
-        h = BackendHealth(threshold=0, emit=events.append)
+        h, events = health(0)
         for _ in range(10):
             assert not h.record_failure()
         assert not h.degraded
         assert h.failures == 10 and events == []
 
     def test_trips_on_consecutive_failures_only(self):
-        events = []
-        h = BackendHealth(threshold=3, emit=events.append)
+        h, events = health(3)
         h.record_failure()
         h.record_failure()
         h.record_success()  # resets the streak
@@ -134,8 +141,7 @@ class TestBackendHealth:
 
     def test_probe_success_recovers(self):
         clock = iter([float(i) for i in range(100)])
-        events = []
-        h = BackendHealth(threshold=1, emit=events.append, clock=lambda: next(clock))
+        h, events = health(1, clock=lambda: next(clock))
         h.record_failure()
         assert h.degraded
         assert h.record_success()
@@ -145,22 +151,19 @@ class TestBackendHealth:
         assert events[0].tier == events[1].tier == 0  # the mount's backend
 
     def test_a_tier_breaker_stamps_its_tier(self):
-        events = []
-        h = BackendHealth(threshold=1, emit=events.append, tier=2)
+        h, events = health(1, tier=2)
         h.record_failure()
         h.record_success()
         assert [e.tier for e in events] == [2, 2]
 
     def test_no_double_trip_while_open(self):
-        events = []
-        h = BackendHealth(threshold=1, emit=events.append)
+        h, events = health(1)
         assert h.record_failure()
         assert not h.record_failure()  # already open
         assert len(events) == 1
 
     def test_thread_safety(self):
-        events = []
-        h = BackendHealth(threshold=1, emit=events.append)
+        h, events = health(1)
         barrier = threading.Barrier(8)
 
         def hammer():

@@ -25,7 +25,7 @@ from repro.pipeline import (
     CopyObserved,
     DeltaGenerationCommitted,
     DeltaRestored,
-    FilePipeline,
+    EventLog,
     PipelineKernel,
     PrefetchDropped,
     PrefetchWasted,
@@ -50,6 +50,13 @@ CHUNK = 4096
 SIZE = 8 * CHUNK  # the fake file: eight whole chunks
 
 
+def recording_kernel():
+    """A kernel on a clock stopped at 0.0 whose every record lands in
+    the returned list."""
+    log = EventLog()
+    return PipelineKernel(CHUNK, clock=lambda: 0.0, observers=[log]), log.events
+
+
 class FakeCache:
     """A scripted per-file cache port, shaped like the timing plane's:
     the warm is the backend read, the fill is free.  ``free`` pool slots
@@ -68,12 +75,10 @@ class FakeCache:
         self, capacity=4, depth=0, free=4, threshold=0, outcomes=(), fills=(), warm_reads=True
     ):
         self.warm_reads = warm_reads
-        self.events = []
+        self.kernel, self.events = recording_kernel()
         self.log = []
-        self.core = ReadaheadCore(
-            self.path, CHUNK, capacity, depth, emit=self.events.append
-        )
-        self.health = BackendHealth(threshold, emit=self.events.append)
+        self.core = ReadaheadCore(self.path, self.kernel, capacity, depth)
+        self.health = BackendHealth(self.kernel, threshold)
         self.free = free
         self.leased = 0
         self.outcomes = list(outcomes)
@@ -394,16 +399,14 @@ class FakeMount:
     """The mount-level half of the read port."""
 
     def __init__(self, cache=None, threshold=0, outcomes=()):
-        self.events = cache.events if cache is not None else []
+        if cache is not None:
+            kernel, self.events, self.health = cache.kernel, cache.events, cache.health
+        else:
+            kernel, self.events = recording_kernel()
+            self.health = BackendHealth(kernel, threshold)
         self.log = []
-        self.health = (
-            cache.health if cache is not None else BackendHealth(threshold)
-        )
         self.outcomes = list(outcomes)
-        self.file = SimpleNamespace(
-            pipeline=FilePipeline("/f", CHUNK, emit=self.events.append),
-            read_cache=cache,
-        )
+        self.file = SimpleNamespace(pipeline=kernel.file("/f"), read_cache=cache)
 
     @blocking
     def flush_drain(self, f):

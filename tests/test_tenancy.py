@@ -15,7 +15,8 @@ from repro.core import CRFS
 from repro.core.buffer_pool import BufferPool
 from repro.core.workqueue import QueueFullTimeout, WorkQueue
 from repro.errors import ConfigError, ShutdownError
-from repro.pipeline import PipelineStats
+from repro.pipeline import PipelineKernel, PipelineStats
+from repro.pipeline.writeback import contiguous
 from repro.pipeline.tenancy import (
     DEFAULT_TENANT,
     DRRScheduler,
@@ -238,11 +239,11 @@ class TestWorkQueueAdmission:
         t.start()
         try:
             assert not done.wait(0.1)  # parked at admission
-            assert q.get() == "s0"
+            assert q.get_batch(1, contiguous) == ["s0"]
             assert done.wait(2.0)  # the freed quota admits the put
         finally:
             t.join()
-        assert q.get() == "s1"
+        assert q.get_batch(1, contiguous) == ["s1"]
 
     def test_put_timeout_is_a_deadline_not_rearmed(self, monkeypatch):
         """Regression: wakeups that do not admit the put must wait only
@@ -276,7 +277,7 @@ class TestWorkQueueAdmission:
 
 class TestBufferPoolTenancy:
     def test_reservation_survives_a_storm(self):
-        pool = BufferPool(64 * KiB, 3 * 64 * KiB, reservations={"victim": 1})
+        pool = BufferPool(PipelineKernel(64 * KiB), 3 * 64 * KiB, reservations={"victim": 1})
         held = [pool.acquire(tenant="storm"), pool.acquire(tenant="storm")]
         assert pool.try_acquire(tenant="storm") is None  # shared exhausted
         # A free chunk is left, but only the victim may take it.
@@ -288,13 +289,13 @@ class TestBufferPoolTenancy:
             pool.release(c)
 
     def test_release_emits_pool_pressure_event(self):
-        stats = PipelineStats()
-        pool = BufferPool(64 * KiB, 2 * 64 * KiB, emit=stats.on_event)
+        kernel = PipelineKernel(64 * KiB)
+        pool = BufferPool(kernel, 2 * 64 * KiB)
         chunk = pool.acquire()
-        snap = stats.snapshot()
+        snap = kernel.snapshot()
         assert snap["pool"]["releases"] == 0
         pool.release(chunk)
-        snap = stats.snapshot()
+        snap = kernel.snapshot()
         assert snap["pool"]["acquires"] == 1
         assert snap["pool"]["releases"] == 1
 
@@ -302,7 +303,7 @@ class TestBufferPoolTenancy:
         """Regression for the re-armed acquire timeout: a waiter racing
         with other acquirers must not block past the advertised bound."""
         monkeypatch.setattr(waits, "STUCK_S", 0.3)
-        pool = BufferPool(64 * KiB, 64 * KiB)
+        pool = BufferPool(PipelineKernel(64 * KiB), 64 * KiB)
         pool.acquire()  # drain the single chunk and never release it
         stop = threading.Event()
 

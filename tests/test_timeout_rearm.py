@@ -5,7 +5,7 @@ patched to ``BOUND`` and a "teaser" thread hammering the wait's
 condition with notifies (spurious wakeups), each row raises its
 exception type within ``[0.5 × BOUND, BOUND + SLACK]``; its twin returns
 when the condition comes true mid-wait.  An idle worker's
-``WorkQueue.get`` is the one wait without a bound, pinned last.
+``WorkQueue.get_batch`` is the one wait without a bound, pinned last.
 """
 
 import functools
@@ -31,9 +31,11 @@ from repro.errors import (
     QueueFullTimeout,
     ShutdownError,
 )
+from repro.pipeline import PipelineKernel
 from repro.pipeline.readahead import PREFETCH, ReadaheadCore
+from repro.pipeline.resilience import BackendHealth
 from repro.pipeline.tenancy import DEFAULT_TENANT
-from repro.pipeline.writeback import run
+from repro.pipeline.writeback import contiguous, run
 from repro.units import KiB
 
 CHUNK = 64 * KiB
@@ -91,7 +93,7 @@ def _gated(backend):
 
 @contextmanager
 def pool_acquire():
-    pool = BufferPool(CHUNK, CHUNK)
+    pool = BufferPool(PipelineKernel(CHUNK), CHUNK)
     held = pool.acquire()
     yield Row(pool.acquire, pool._available, lambda: pool.release(held))
 
@@ -100,12 +102,12 @@ def pool_acquire():
 def quota_put():
     q = WorkQueue(quotas={DEFAULT_TENANT: 1})
     q.put("full")
-    yield Row(lambda: q.put("late"), q._not_full, q.get)
+    yield Row(lambda: q.put("late"), q._not_full, lambda: q.get_batch(1, contiguous))
 
 
 @contextmanager
 def wait_drained():
-    entry = FileEntry("/stuck", None, CHUNK)
+    entry = FileEntry("/stuck", None, PipelineKernel(CHUNK))
     entry.note_chunk_queued()  # one chunk outstanding until completed
     yield Row(entry.wait_drained, entry._drain, entry.note_chunk_complete)
 
@@ -136,11 +138,10 @@ def await_entry():
     """A cache with one prefetch entry nobody will land until told to,
     over a backend whose reads are delayed — so a reader parks on it."""
     slow = FaultyBackend(MemBackend(), [FaultRule(op="pread", delay=1.0)])
-    cache = ReadCache(
-        "/stuck", slow, None,
-        ReadaheadCore("/stuck", CHUNK, capacity=4, depth=1),
-        BufferPool(CHUNK, 4 * CHUNK), WorkQueue(),
-    )
+    kernel = PipelineKernel(CHUNK)
+    core = ReadaheadCore("/stuck", kernel, capacity=4, depth=1)
+    pool = BufferPool(kernel, 4 * CHUNK)
+    cache = ReadCache("/stuck", slow, None, core, pool, WorkQueue(), BackendHealth(kernel))
     centry, _ = cache.core.admit(3, PREFETCH)
 
     def wait():
@@ -276,12 +277,12 @@ class TestWorkQueueDeadlines:
         q = WorkQueue()
         with _Teaser(q._not_empty):
             threading.Timer(0.1, lambda: q.put("late")).start()
-            assert q.get() == "late"
+            assert q.get_batch(1, contiguous) == ["late"]
 
 
 @pytest.mark.parametrize("batch", [1, 4])
 def test_an_idle_worker_is_never_bounded(batch, monkeypatch):
-    """IO workers idle in ``get`` / ``get_batch`` past the bound, then
+    """IO workers idle in ``get_batch`` past the bound, then
     write a file that reads back byte-exact."""
     monkeypatch.setattr(waits, "STUCK_S", 0.2)
     cfg = CRFSConfig(

@@ -51,14 +51,7 @@ def small_config(**kw):
 
 
 def planner_state(planner: WritePlanner):
-    return (
-        planner.chunk_file_offset,
-        planner.chunk_fill,
-        planner.total_writes,
-        planner.total_bytes,
-        planner.sealed_chunks,
-        dict(planner.seal_reasons),
-    )
+    return (planner.chunk_file_offset, planner.chunk_fill, planner.sealed_chunks)
 
 
 @pytest.fixture
@@ -95,7 +88,7 @@ class TestFitWriteMatchesThePlanner:
     @settings(max_examples=200, deadline=None)
     def test_same_state_and_same_plan_as_the_general_planner(self, writes):
         reference = WritePlanner(CHUNK)
-        pipeline = FilePipeline("/f", CHUNK)
+        pipeline = PipelineKernel(CHUNK).file("/f")
         for kind, n in writes:
             at = reference.append_point
             room = CHUNK - reference.chunk_fill
@@ -119,7 +112,7 @@ class TestFitWriteMatchesThePlanner:
             assert planner_state(pipeline.planner) == planner_state(reference)
 
     def test_only_a_write_that_continues_and_leaves_room_is_accepted(self):
-        p = FilePipeline("/f", CHUNK)
+        p = PipelineKernel(CHUNK).file("/f")
         assert p.fit_write(0, 10) is None  # no chunk open yet
         p.plan_write(0, 10)
         assert p.fit_write(10, 20) == 10
@@ -129,18 +122,17 @@ class TestFitWriteMatchesThePlanner:
         assert p.fit_write(30, CHUNK) is None  # would span
         assert p.fit_write(30, CHUNK - 31) == 30  # one byte of room left
         assert p.fit_write(7, 0) == CHUNK - 1  # empty: anywhere, any state
-        assert p.planner.total_writes == 4
         # (writes, bytes, ingest copies): the accepted three, and no refusal
         assert p._hot.writes == (3, 20 + CHUNK - 31, 2)
 
     def test_what_the_planner_rejects_is_left_to_the_planner(self):
-        p = FilePipeline("/f", CHUNK)
+        p = PipelineKernel(CHUNK).file("/f")
         p.plan_write(0, 10)
         for offset, length in [(-1, 0), (10, -1), (-1, 5)]:
             assert p.fit_write(offset, length) is None
             with pytest.raises(ValueError):
                 p.plan_write(offset, length)
-        assert planner_state(p.planner) == (0, 10, 1, 10, 0, dict(p.planner.seal_reasons))
+        assert planner_state(p.planner) == (0, 10, 0)
 
 
 # -- (b) snapshots while writers run ------------------------------------------
@@ -489,12 +481,12 @@ class TestObservers:
                 assert slow_plans == [0]
         assert [r.size for r in trace.trace] == [16, 40]
 
-    def test_standalone_pipeline_publishes_to_its_emit(self):
-        events = []
-        p = FilePipeline("/f", CHUNK, emit=events.append, clock=lambda: 5.0)
+    def test_a_pipeline_publishes_on_its_kernel_clock(self):
+        log = EventLog()
+        p = PipelineKernel(CHUNK, clock=lambda: 5.0, observers=[log]).file("/f")
         p.plan_write(0, 10)
         p.note_write(0, 10, start=4.0)
-        assert events == [
+        assert log.events == [
             CopyObserved(path="/f", site=INGEST, length=10, t=5.0),
             WriteObserved(path="/f", offset=0, length=10, start=4.0, duration=1.0),
         ]

@@ -29,7 +29,7 @@ class TestPlannerExternalWrite:
         assert ops[0].reason == SealReason.FLUSH
         assert ops[0].length == 40
         assert p.append_point == 540
-        assert not p.has_partial
+        assert p.chunk_fill == 0
 
     def test_no_partial_no_seal(self):
         p = WritePlanner(chunk_size=100)
@@ -45,9 +45,10 @@ class TestPlannerExternalWrite:
 
     def test_stats_counted(self):
         p = WritePlanner(chunk_size=100)
+        # The planner keeps the write's extent; ``stats()`` counts the
+        # write itself (TestWriteThroughMount::test_stats_exposed).
         p.note_external_write(0, 500)
-        assert p.total_writes == 1
-        assert p.total_bytes == 500
+        assert (p.size, p.sealed_chunks) == (500, 0)
 
     def test_negative_rejected(self):
         p = WritePlanner(chunk_size=100)

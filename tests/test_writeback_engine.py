@@ -19,7 +19,8 @@ from repro.pipeline import (
     BatchBroken,
     BatchWritten,
     ChunkRetried,
-    FilePipeline,
+    EventLog,
+    PipelineKernel,
     RetryPolicy,
     StagingCore,
     TierMigrated,
@@ -51,9 +52,9 @@ def policy(**kw):
 class FakeFile:
     """What the engine reads off a file on either plane."""
 
-    def __init__(self, path, events, staging=None):
+    def __init__(self, path, kernel, staging=None):
         self.path = path
-        self.pipeline = FilePipeline(path, CHUNK, emit=events.append)
+        self.pipeline = kernel.file(path)
         self.staged = staging.file(path) if staging is not None else None
         self.current_chunk = None
 
@@ -66,22 +67,24 @@ class FakePort:
     lock = nullcontext()
 
     def __init__(self, outcomes=(), attempts_allowed=1, threshold=0, ntiers=0):
-        self.events = []
+        log = EventLog()
+        self.kernel = PipelineKernel(CHUNK, observers=[log], tiers=ntiers)
+        self.events = log.events
         self.log = []
         self.outcomes = list(outcomes)
         self.retry = policy(attempts=attempts_allowed)
-        self.health = BackendHealth(threshold, emit=self.events.append)
+        self.health = BackendHealth(self.kernel, threshold)
         self.pump_depth = 0
         self.pump_queue = []
         self.would_wait = False
         self.raises = {}  # write-port op -> the error it raises once
         self.staging = None
         if ntiers:
-            self.staging = StagingCore(ntiers, emit=self.events.append)
+            self.staging = StagingCore(ntiers, self.kernel)
             self.tier_healths = self.staging.breakers(threshold)
 
     def file(self, path):
-        return FakeFile(path, self.events, self.staging)
+        return FakeFile(path, self.kernel, self.staging)
 
     def _op(self, *record):
         self.log.append(record)
@@ -192,7 +195,7 @@ def drive(pol, fn, health=None, on_retry=None, log=None):
     return run(
         attempts(
             pol,
-            health if health is not None else BackendHealth(),
+            health if health is not None else BackendHealth(PipelineKernel(CHUNK)),
             blocking(fn),
             path="/f",
             file_offset=0,
@@ -237,7 +240,7 @@ class TestAttempts:
         assert err is last
 
     def test_one_health_record_per_attempt(self):
-        h = BackendHealth()
+        h = BackendHealth(PipelineKernel(CHUNK))
         drive(policy(attempts=3), scripted([OSError("x"), OSError("y"), None], []), h)
         assert (h.failures, h.successes) == (2, 1)
 
@@ -246,7 +249,7 @@ class TestAttempts:
         caught and returned (so it latches like any writeback error),
         counted as a failed attempt, and not retried."""
         calls = []
-        h = BackendHealth()
+        h = BackendHealth(PipelineKernel(CHUNK))
         err = drive(policy(attempts=5), scripted([KeyboardInterrupt()], calls), h)
         assert isinstance(err, KeyboardInterrupt)
         assert len(calls) == 1 and h.failures == 1
@@ -264,7 +267,7 @@ class TestAttempts:
     def test_teardown_of_a_parked_flow_is_not_swallowed(self):
         """A simulator process closed mid-op gets GeneratorExit; the
         loop must let it through, not count it as a backend failure."""
-        h = BackendHealth()
+        h = BackendHealth(PipelineKernel(CHUNK))
 
         def op():
             yield "parked"

@@ -110,7 +110,7 @@ class TestStatsMemSection:
         pipeline = kernel.file("/f")
         pipeline.note_write(0, 100)
         pipeline.note_write(100, 28)
-        core = ReadaheadCore("/f", CHUNK, capacity=4, depth=0, kernel=kernel)
+        core = ReadaheadCore("/f", kernel, capacity=4, depth=0)
         core.fill_done(CacheEntry(0, DEMAND), CHUNK)
         kernel.stats.on_event(CopyObserved(path="/f", site=INGEST, length=1))
         mem = kernel.snapshot()["mem"]
