@@ -35,7 +35,7 @@ def error_at_close() -> None:
         raise AssertionError("close() should have raised")
     except BackendIOError as exc:
         print(f"   close() raised: {exc}")
-    fs.iopool.shutdown()
+    fs.unmount()
     print()
 
 

@@ -91,11 +91,6 @@ class BufferPool:
         self._closed = False
 
     @property
-    def free_chunks(self) -> int:
-        with self._lock:
-            return len(self._free)
-
-    @property
     def in_use(self) -> int:
         with self._lock:
             return self.nchunks - len(self._free)
@@ -148,8 +143,8 @@ class BufferPool:
 
         This is the readahead-cache lease path: IO workers servicing a
         prefetch must never block on the pool (a worker parked in
-        :meth:`acquire` behind a full pool would deadlock
-        ``IOThreadPool.shutdown``), so a starved prefetch is simply
+        :meth:`acquire` behind a full pool would deadlock the mount's
+        ``stop_workers``), so a starved prefetch is simply
         dropped and the chunk refetched on demand.
         """
         with self._available:

@@ -21,7 +21,10 @@ POSIX writeback-error contract.
 The pipeline *state machine* — fill/seal planning, drain accounting,
 the error latch — lives in the shared, plane-agnostic
 :class:`~repro.pipeline.kernel.FilePipeline`; this module supplies its
-threaded execution: real buffers, locks, IO threads.  Every state
+threaded execution: real buffers, locks, IO threads.  The mount is the
+port of every shared flow it runs — ingest and flush, the writeback
+step its IO workers take off the queue, the mount half of reads — as
+:class:`~repro.simcrfs.model.SimCRFS` is on the timing plane.  Every state
 transition is emitted on the mount's
 :class:`~repro.pipeline.kernel.PipelineKernel` event stream, from which
 — with the per-call facts the pipeline counts directly — the
@@ -34,7 +37,7 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from .. import waits
 from ..backends.base import Backend, BackendStat, byte_view, normalize_path
@@ -43,20 +46,44 @@ from ..config import CRFSConfig, DEFAULT_CONFIG
 from ..errors import FileStateError, MountError
 from ..pipeline import CopyObserved, Fill, PipelineKernel, PipelineObserver, Seal, WriteObserved
 from ..pipeline import readahead
-from ..pipeline.readahead import ReadaheadCore
+from ..pipeline.events import WorkersDrained
+from ..pipeline.readahead import Prefetch, ReadaheadCore, service_prefetch
 from ..pipeline.resilience import BackendHealth
 from ..pipeline.tenancy import DRRScheduler
-from ..pipeline.writeback import Extent, blocking, flush, ingest, run, write_through
+from ..pipeline.writeback import (
+    Extent,
+    blocking,
+    contiguous,
+    flush,
+    ingest,
+    run,
+    write_through,
+    writeback,
+)
 from .buffer_pool import BufferPool
-from .chunk import BULK_COPY_BYTES
+from .chunk import BULK_COPY_BYTES, Chunk
 from .delta import DeltaCheckpointer
 from .filetable import FileEntry, OpenFileTable
 from .handle import CRFSFile
-from .iopool import IOThreadPool, WorkItem
 from .readcache import ReadCache
-from .workqueue import WorkQueue
+from .workqueue import QueueClosed, WorkQueue
 
 __all__ = ["CRFS"]
+
+
+class WorkItem(Extent):
+    """A sealed chunk bound for the backing filesystem: the engine's
+    tier-0 extent plus the pooled buffer to recycle.  ``data`` is one
+    payload view for all attempts — the chunk stays leased (and stable)
+    until its completion."""
+
+    __slots__ = ("chunk",)
+
+    def __init__(self, chunk: Chunk, entry: FileEntry):
+        super().__init__(
+            entry, 0, chunk.file_offset, chunk.valid, data=chunk.payload()
+        )
+        self.chunk = chunk
 
 
 class CRFS:
@@ -103,20 +130,11 @@ class CRFS:
             self.kernel, config.pool_size, reservations=self.tenants.reservations()
         )
         self.queue = WorkQueue(
-            emit=self.kernel.emit,
+            self.kernel,
             scheduler=DRRScheduler(weights=self.tenants.weights()),
             quotas=self.tenants.quotas(),
         )
-        self.iopool = IOThreadPool(
-            backend,
-            self.queue,
-            self.pool,
-            config.io_threads,
-            self.kernel,
-            self.retry,
-            self.health,
-            batch_chunks=config.writeback_batch_chunks,
-        )
+        self._workers: list[threading.Thread] = []
         self.table = OpenFileTable()
         self.delta = DeltaCheckpointer(self)
         #: Writes at least this long bypass aggregation (no write is as
@@ -133,7 +151,12 @@ class CRFS:
                 raise MountError("already mounted")
             if self.queue.closed:
                 raise MountError("unmounted: a CRFS mount is not reusable")
-            self.iopool.start()
+            self._workers = [
+                threading.Thread(target=self._worker, name=f"crfs-io-{i}", daemon=True)
+                for i in range(self.config.io_threads)
+            ]
+            for worker in self._workers:
+                worker.start()
             self._mounted = True
         return self
 
@@ -189,7 +212,7 @@ class CRFS:
                 except Exception as exc:  # noqa: BLE001 - raised by unmount
                     errors.append(exc)
             if entry.read_cache is not None:
-                # Before iopool.shutdown: in-flight prefetch entries
+                # Before stop_workers: in-flight prefetch entries
                 # are marked evicted and the (still running) workers
                 # return their buffers themselves.
                 readahead.clear(entry.read_cache)
@@ -205,7 +228,7 @@ class CRFS:
         # The IO workers stop first, so tier 0 holds everything it
         # will ever hold; then the tier pump drains to the deepest
         # tier and stops.
-        stops = [self.iopool.shutdown]
+        stops = [self.stop_workers]
         if self.tiered is not None:
             stops.append(self.tiered.shutdown)
         for stop in stops:
@@ -213,6 +236,45 @@ class CRFS:
                 stop()
             except Exception as exc:  # noqa: BLE001 - raised by unmount
                 errors.append(exc)
+
+    def stop_workers(self) -> None:
+        """Drain-close the queue and join the IO workers.
+
+        The time the drain-close took goes out as a ``WorkersDrained``
+        record (``stats()['drain']`` accumulates it), so callers never
+        re-time shutdown themselves.  Workers still running when the
+        bound runs out raise ``TimeoutError`` and stay joinable.
+        """
+        start = self.kernel.clock()
+        self.queue.close()
+        alive = waits.join_all(self._workers)
+        if alive:
+            raise TimeoutError(f"IO threads did not exit: {alive}")
+        if self._workers:
+            self._workers = []
+            self.kernel.emit(WorkersDrained(duration=self.kernel.clock() - start, t=start))
+
+    def _worker(self) -> None:
+        """One IO worker (Section IV-B): take a run of sealed chunks off
+        the queue and write it back, until the queue is closed and
+        drained.  The same workers service the readahead prefetches
+        queued on the low band — over a backend with latency of its own;
+        over one that reads from memory the reader warms each prefetch
+        itself and queues nothing."""
+        batch_chunks = self.config.writeback_batch_chunks
+        while True:
+            try:
+                items = self.queue.get_batch(batch_chunks, contiguous)
+            except QueueClosed:
+                return
+            if isinstance(items[0], Prefetch):
+                # A prefetch leases its buffer with try_lease and is
+                # dropped when starved, so it never parks the worker on
+                # a full pool and stop_workers always drains.  Low-band
+                # items are never batched: the list is a singleton.
+                run(service_prefetch(items[0]))
+            else:
+                run(writeback(self, items))
 
     def __enter__(self) -> "CRFS":
         return self.mount()
@@ -259,9 +321,8 @@ class CRFS:
             entry = FileEntry(norm, handle, self.kernel, tenant=resolved)
             if self.config.read_cache_chunks > 0:
                 entry.read_cache = ReadCache(
-                    norm,
-                    self.backend,
-                    handle,
+                    self,
+                    entry,
                     ReadaheadCore(
                         norm,
                         self.kernel,
@@ -269,10 +330,6 @@ class CRFS:
                         depth=self.config.readahead_chunks,
                         adaptive=self.config.readahead_adaptive,
                     ),
-                    self.pool,
-                    self.queue,
-                    health=self.health,
-                    tenant=resolved,
                 )
             return entry
 
@@ -356,7 +413,7 @@ class CRFS:
             # enqueued under the lock, and positional pwrites to
             # disjoint offsets commute.
             extent = Extent(entry, 0, offset, nbytes, data=view)
-            run(write_through(self.iopool, extent))
+            run(write_through(self, extent))
             pipeline.note_write(
                 offset, nbytes, start=t0, write_through=True, degraded=degraded
             )
@@ -450,8 +507,41 @@ class CRFS:
             # Sealed and counted but never queued (a stalled or closed
             # queue): complete it as failed, so the cause is latched for
             # the next write and close, and the buffer is recycled.
-            self.iopool.complete(item, exc, None)
+            self.complete(item, exc, None)
             raise
+
+    # The writeback engine's port (threaded plane): the IO workers run
+    # ``writeback`` over the mount, and a write that skips aggregation
+    # runs ``write_through``.
+
+    sleep = staticmethod(blocking(time.sleep))
+
+    @blocking
+    def backend_write(
+        self, entry: FileEntry, extents: Sequence[Extent], offset: int
+    ) -> None:
+        backend, handle = self.backend, entry.backend_handle
+        if self.tiered is not None:
+            # Tier 0 directly: the engine stages a run once, after its
+            # attempt loop — never once per reissued attempt.
+            backend, handle = self.tiered.tier0(handle)
+        if len(extents) == 1:
+            backend.pwrite(handle, extents[0].data, offset)
+        else:
+            backend.pwritev(handle, [e.data for e in extents], offset)
+
+    @blocking
+    def stage(self, entry: FileEntry, offset: int, length: int) -> None:
+        if self.tiered is not None:
+            self.tiered.stage(entry.backend_handle, offset, length)
+
+    def complete(
+        self, item: WorkItem, error: BaseException | None, start: float | None
+    ) -> None:
+        item.file.note_chunk_complete(
+            error, nbytes=item.length, file_offset=item.offset, start=start
+        )
+        self.pool.release(item.chunk)
 
     def _fsync(self, entry: FileEntry) -> None:
         """fsync() semantics (Section IV-D2): enqueue the current buffer

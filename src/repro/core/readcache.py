@@ -37,7 +37,7 @@ pin):
 
 * nothing on the read path blocks on the pool — a prefetch's lease is
   a :meth:`BufferPool.try_acquire`, *dropped* when starved, so a full
-  pool cannot park a worker and hang ``IOThreadPool.shutdown``;
+  pool cannot park a worker and hang the mount's ``stop_workers``;
 * low-band queue puts never block, so a reader holding the cache lock
   cannot stall behind write backpressure;
 * teardown (:func:`~repro.pipeline.readahead.clear`) never waits for
@@ -60,50 +60,42 @@ from .. import waits
 from ..errors import FileStateError
 from ..pipeline import CopyObserved, ReadObserved, readahead
 from ..pipeline.readahead import CacheEntry, Prefetch, ReadaheadCore
-from ..pipeline.resilience import BackendHealth
-from ..pipeline.tenancy import DEFAULT_TENANT
 from ..pipeline.writeback import blocking, run
-from .buffer_pool import BufferPool
 from .chunk import Chunk
-from .workqueue import QueueClosed, WorkQueue
+from .filetable import FileEntry
+from .workqueue import QueueClosed
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..backends.base import Backend
+    from .mount import CRFS
 
 __all__ = ["ReadCache"]
 
 
 class ReadCache:
     """Per-file readahead cache on the functional plane: the port the
-    shared read flows drive."""
+    shared read flows drive, for file ``entry`` open on mount ``fs``
+    (as :class:`~repro.simcrfs.model.SimReadCache` takes its mount and
+    file).  The mount's backend, pool, queue and breaker and the
+    file's handle and tenant are kept as attributes: the read paths
+    reach them per chunk."""
 
-    def __init__(
-        self,
-        path: str,
-        backend: "Backend",
-        backend_handle: Any,
-        core: ReadaheadCore,
-        pool: BufferPool,
-        queue: WorkQueue,
-        health: BackendHealth,
-        tenant: str = DEFAULT_TENANT,
-    ):
-        self.path = path
-        self.backend = backend
-        self.backend_handle = backend_handle
+    def __init__(self, fs: "CRFS", entry: FileEntry, core: ReadaheadCore):
+        self.path = entry.path
+        self.backend = fs.backend
+        self.backend_handle = entry.backend_handle
         self.core = core
-        self.pool = pool
-        self.queue = queue
+        self.pool = fs.pool
+        self.queue = fs.queue
         #: The mount's breaker, fed each fetch's outcome.
-        self.health = health
+        self.health = fs.health
         #: The owning file's tenant: cache leases draw on its pool quota
         #: and prefetches queue under its name (low band, so they are
         #: never weighed against the tenant's writeback share).
-        self.tenant = tenant
+        self.tenant = entry.tenant
         #: Whether the warm is the backend read (the IO workers fetch
         #: ahead) rather than the fill (the reader fetches what it
         #: consumes) — fixed for the cache's life.
-        self.warm_reads = not backend.reads_from_memory
+        self.warm_reads = not fs.backend.reads_from_memory
         self.lock = threading.RLock()
         self._cond = threading.Condition(self.lock)
         # Deferred-release machinery for the zero-copy serve path: while

@@ -1,4 +1,4 @@
-"""The work queue between writers and the IO thread pool.
+"""The work queue between writers and the mount's IO workers.
 
 The paper (Section IV-B): "Data chunks are eventually handed over to the
 Work Queue for actual writing... Whenever a chunk is enqueued, an IO
@@ -26,7 +26,7 @@ from typing import Any, Callable, Mapping
 from .. import waits
 from ..errors import QueueFullTimeout, ShutdownError
 from ..pipeline import AdmissionWait, QueuePressure
-from ..pipeline.kernel import EmitFn
+from ..pipeline.kernel import PipelineKernel
 from ..pipeline.tenancy import DEFAULT_TENANT, DRRScheduler
 
 __all__ = ["WorkQueue", "QueueClosed", "QueueFullTimeout"]
@@ -54,18 +54,19 @@ class WorkQueue:
     a reader holding cache locks could deadlock).
 
     Depth goes out as ``QueuePressure`` / ``AdmissionWait`` records on
-    ``emit``: the mount passes its kernel's, and a tiered backend's
-    private pump queue passes none, so its depths never reach the
-    mount's ``queue`` section.
+    ``kernel``'s stream, an admission wait stamped by its clock: the
+    mount passes its own, and a tiered backend's private pump queue
+    passes none, so its depths never reach the mount's ``queue``
+    section.
     """
 
     def __init__(
         self,
-        emit: EmitFn | None = None,
+        kernel: PipelineKernel | None = None,
         scheduler: DRRScheduler | None = None,
         quotas: Mapping[str, int] | None = None,
     ):
-        self._emit: EmitFn = emit if emit is not None else (lambda event: None)
+        self.kernel = kernel
         self.scheduler = scheduler if scheduler is not None else DRRScheduler()
         self.quotas = {t: q for t, q in (quotas or {}).items() if q > 0}
         self._lock = threading.Lock()
@@ -92,8 +93,11 @@ class WorkQueue:
     def _pushed(self, tenant: str) -> None:
         """Emit the depths after a put and wake a getter (caller holds
         the lock)."""
-        depth, tenant_depth = len(self.scheduler), self.scheduler.depth(tenant)
-        self._emit(QueuePressure(depth=depth, tenant=tenant, tenant_depth=tenant_depth))
+        if self.kernel is not None:
+            depth, tenant_depth = len(self.scheduler), self.scheduler.depth(tenant)
+            self.kernel.emit(
+                QueuePressure(depth=depth, tenant=tenant, tenant_depth=tenant_depth)
+            )
         self._not_empty.notify()
 
     def _wake_putters(self) -> None:
@@ -121,7 +125,14 @@ class WorkQueue:
             quota = 0 if low else self.quotas.get(tenant, 0)
             if quota and self.scheduler.depth(tenant) >= quota and not self._closed:
                 # Count the blocking put once, not once per wakeup.
-                self._emit(AdmissionWait(tenant=tenant, depth=self.scheduler.depth(tenant)))
+                if self.kernel is not None:
+                    self.kernel.emit(
+                        AdmissionWait(
+                            tenant=tenant,
+                            depth=self.scheduler.depth(tenant),
+                            t=self.kernel.clock(),
+                        )
+                    )
                 bound = waits.bound()
                 if not self._not_full.wait_for(
                     lambda: self._closed or self.scheduler.depth(tenant) < quota, bound

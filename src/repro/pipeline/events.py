@@ -277,7 +277,7 @@ class AdmissionWait(PipelineEvent):
 
     tenant: str
     depth: int
-    t: float = 0.0
+    t: float
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,10 @@ blocking calls wrapped with :func:`blocking` — generators that never
 yield — driven by :func:`run`, which raises if anything does.  Python's
 own ``yield from`` is the only interpreter.
 
-Ports (duck-typed; see :class:`~repro.core.iopool.IOThreadPool`,
-:class:`~repro.backends.tiered.TieredBackend` and
-:class:`~repro.simcrfs.model.SimCRFS`) provide, for the writeback flows:
+Ports (duck-typed; see the mounts, :class:`~repro.core.mount.CRFS` and
+:class:`~repro.simcrfs.model.SimCRFS`, and the tier pump's
+:class:`~repro.backends.tiered.TieredBackend`) provide, for the
+writeback flows (the mount):
 
 ``retry`` / ``health``
     the mount's retry policy and tier-0 breaker;
@@ -45,8 +46,7 @@ Ports (duck-typed; see :class:`~repro.core.iopool.IOThreadPool`,
 ``complete(extent, error, start)``
     per-chunk completion accounting plus buffer recycle;
 
-for the write flows (the mount, :class:`~repro.core.mount.CRFS` /
-:class:`~repro.simcrfs.model.SimCRFS`, run under the file's
+for the write flows (the mount again, run under the file's
 ``write_lock`` on the threaded plane):
 
 ``acquire(file, offset)``

@@ -361,7 +361,7 @@ class TestBatchedMount:
             "pwritev",
             "pwritev",
         ]
-        assert fs.pool.free_chunks == fs.pool.nchunks
+        assert fs.pool.in_use == 0
 
     def test_batch_disabled_matches_enabled_byte_for_byte(self):
         data = run_data()

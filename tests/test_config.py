@@ -12,7 +12,6 @@ from repro.backends.tiered import TieredBackend
 from repro.config import CRFSConfig, DEFAULT_CONFIG, RetryPolicy, TenantSpec
 from repro.core.buffer_pool import BufferPool
 from repro.core.filetable import FileEntry
-from repro.core.iopool import IOThreadPool
 from repro.core.readcache import ReadCache
 from repro.errors import ConfigError
 from repro.pipeline.delta import DeltaTracker
@@ -20,6 +19,7 @@ from repro.pipeline.kernel import FilePipeline
 from repro.pipeline.readahead import ReadaheadCore
 from repro.pipeline.resilience import BackendHealth
 from repro.pipeline.staging import StagingCore
+from repro.simcrfs.model import SimReadCache
 from repro.units import KiB, MiB
 
 
@@ -103,8 +103,8 @@ class TestPartWiring:
     and the clock.  No part takes an ``emit`` or a ``clock`` of its own,
     and no part defaults the retry policy or the breaker it is fed, so
     every record of a mount goes out on one stream and one clock.  The
-    exact parameter lists (34 in all; 50 when each part took its own
-    ``emit``/``clock``) make a new wire a reviewed diff."""
+    exact parameter lists (26 in all) make a new wire a reviewed
+    diff."""
 
     PARTS = {
         FilePipeline.__init__: ["path", "kernel", "lock", "tenant"],
@@ -114,9 +114,6 @@ class TestPartWiring:
         StagingCore.__init__: ["ntiers", "kernel", "fsync_tier"],
         BackendHealth.__init__: ["kernel", "threshold", "tier"],
         BufferPool.__init__: ["kernel", "pool_size", "reservations"],
-        IOThreadPool.__init__: [
-            "backend", "queue", "pool", "nthreads", "kernel", "retry", "health", "batch_chunks"
-        ],
         TieredBackend.bind: ["kernel", "config"],
     }
 
@@ -130,17 +127,21 @@ class TestPartWiring:
         assert list(params) == self.PARTS[fn]
         assert params["kernel"].default is inspect.Parameter.empty
 
-    def test_the_parts_take_34_parameters(self):
-        assert sum(len(names) for names in self.PARTS.values()) == 34
+    def test_the_parts_take_26_parameters(self):
+        assert sum(len(names) for names in self.PARTS.values()) == 26
 
     @pytest.mark.parametrize(
-        "fn", [IOThreadPool.__init__, ReadCache.__init__], ids=lambda fn: fn.__qualname__
+        "fn", [*PARTS, ReadCache.__init__], ids=lambda fn: fn.__qualname__
     )
     def test_the_breaker_and_retry_policy_have_no_default(self, fn):
         params = self.params(fn)
         for name in ("retry", "health"):
             if name in params:
                 assert params[name].default is inspect.Parameter.empty
+
+    def test_a_read_cache_takes_its_mount_file_and_core_on_both_planes(self):
+        assert list(self.params(ReadCache.__init__)) == ["fs", "entry", "core"]
+        assert list(self.params(SimReadCache.__init__)) == ["fs", "f", "core"]
 
 
 class TestValidation:
@@ -164,6 +165,11 @@ class TestValidation:
         # The work queue's only bound of its own is a tenant's quota.
         with pytest.raises(ConfigError):
             CRFSConfig(tenants=(TenantSpec("a", queue_quota=-1),))
+
+    def test_zero_batch_rejected(self):
+        # The IO workers take at least one chunk per dequeue.
+        with pytest.raises(ConfigError):
+            CRFSConfig(writeback_batch_chunks=0)
 
     def test_pool_equal_chunk_ok(self):
         cfg = CRFSConfig(chunk_size=4 * MiB, pool_size=4 * MiB)

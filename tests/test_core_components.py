@@ -1,4 +1,4 @@
-"""Tests for Chunk, BufferPool, WorkQueue and IOThreadPool."""
+"""Tests for Chunk, BufferPool, WorkQueue and the mount's IO workers."""
 
 import os
 import pathlib
@@ -12,13 +12,11 @@ import pytest
 
 import repro
 from repro import CRFS, CRFSConfig, waits
-from repro.backends import MemBackend
+from repro.backends import FaultRule, FaultyBackend, MemBackend
 from repro.core.buffer_pool import BufferPool
 from repro.core.chunk import Chunk
 from repro.core.filetable import FileEntry, OpenFileTable
-from repro.core.iopool import IOThreadPool, WorkItem
-from repro.pipeline import PipelineKernel, PipelineStats
-from repro.pipeline.resilience import BackendHealth, RetryPolicy
+from repro.pipeline import PipelineKernel
 from repro.pipeline.writeback import contiguous
 from repro.core.workqueue import QueueClosed, WorkQueue
 from repro.pipeline.tenancy import DEFAULT_TENANT, TenantSpec
@@ -80,18 +78,17 @@ class TestBufferPool:
     def test_pool_size_chunking(self):
         pool = BufferPool(PipelineKernel(1024), pool_size=4096)
         assert pool.nchunks == 4
-        assert pool.free_chunks == 4
+        assert pool.in_use == 0
 
     def test_acquire_release_cycle(self):
         pool = BufferPool(PipelineKernel(1024), 2048)
         a = pool.acquire()
         b = pool.acquire()
-        assert pool.free_chunks == 0
         assert pool.in_use == 2
         a.open_for("owner", 0)
         a.append(b"x" * 16, 0, 16)
         pool.release(a)
-        assert pool.free_chunks == 1
+        assert pool.in_use == 1
         c = pool.acquire()
         assert c is a  # recycled
         assert c.valid == 0 and c.owner is None  # and scrubbed
@@ -155,7 +152,7 @@ class TestBufferPool:
         pool.release(a)
         with pytest.raises(ShutdownError, match="double release of chunk"):
             pool.release(a)
-        assert pool.free_chunks == 1
+        assert pool.in_use == 1
         pool.release(b)
         first, second = pool.acquire(), pool.acquire()
         assert first is not second
@@ -350,11 +347,11 @@ class TestWorkQueue:
         assert len(errs) == 1
 
     def test_stats(self):
-        stats = PipelineStats()
-        q = WorkQueue(emit=stats.on_event)
+        kernel = PipelineKernel(64)
+        q = WorkQueue(kernel)
         for i in range(5):
             q.put(i)
-        queue = stats.snapshot()["queue"]
+        queue = kernel.snapshot()["queue"]
         assert (queue["puts"], queue["max_depth"]) == (5, 5)
         assert len(q) == 5
 
@@ -439,90 +436,71 @@ class TestOpenFileTable:
         assert sorted(t.paths()) == ["/a", "/b"]
 
 
-class TestIOThreadPool:
-    def _rig(self, nthreads=2):
-        backend = MemBackend()
-        self.kernel = kernel = PipelineKernel(64)
-        queue = WorkQueue(emit=kernel.emit)
-        pool = BufferPool(kernel, 64 * 8)
-        iop = IOThreadPool(
-            backend, queue, pool, nthreads, kernel, RetryPolicy(), BackendHealth(kernel)
-        )
-        iop.start()
-        return backend, queue, pool, iop
+class TestIOWorkers:
+    """The mount's IO workers (Section IV-B), driven through the mount:
+    a sealed chunk goes to the backend, its buffer back to the pool, a
+    failed write is latched in its file, and ``stop_workers`` joins
+    them."""
+
+    def _mount(self, io_threads=2, backend=None):
+        self.backend = MemBackend() if backend is None else backend
+        cfg = CRFSConfig(chunk_size=4096, pool_size=8 * 4096, io_threads=io_threads)
+        return CRFS(self.backend, cfg).mount()
 
     def test_chunks_written_to_backend(self):
-        backend, queue, pool, iop = self._rig()
-        fd = backend.open("/out")
-        # Completion accounting flows over the rig kernel's stream.
-        entry = FileEntry("/out", fd, self.kernel)
-        chunk = pool.acquire()
-        chunk.open_for(entry, 0)
-        chunk.append(b"payload!", 0, 8)
-        entry.note_chunk_queued()
-        queue.put(WorkItem(chunk=chunk, entry=entry))
-        entry.wait_drained()
-        assert backend.read_file("/out") == b"payload!"
-        snap = self.kernel.snapshot()
+        fs = self._mount()
+        f = fs.open("/out")
+        f.write(b"payload!")
+        f.fsync()  # seals the partial chunk and waits for its worker
+        assert self.backend.read_file("/out") == b"payload!"
+        snap = fs.stats()
         assert (snap["chunks_written"], snap["bytes_out"]) == (1, 8)
-        iop.shutdown()
+        f.close()
+        fs.unmount()
 
     def test_chunk_recycled_after_write(self):
-        backend, queue, pool, iop = self._rig()
-        fd = backend.open("/out")
-        entry = FileEntry("/out", fd, self.kernel)
-        chunk = pool.acquire()
-        chunk.open_for(entry, 0)
-        chunk.append(b"x", 0, 1)
-        entry.note_chunk_queued()
-        queue.put(WorkItem(chunk=chunk, entry=entry))
-        entry.wait_drained()
+        fs = self._mount()
+        f = fs.open("/out")
+        f.write(b"x" * 4096)  # one full chunk: sealed and queued
+        f.fsync()
+        # The drain ends at the completion count; the release follows.
         deadline = time.time() + 5.0
-        while pool.free_chunks != pool.nchunks and time.time() < deadline:
+        while fs.pool.in_use and time.time() < deadline:
             time.sleep(0.01)
-        assert pool.free_chunks == pool.nchunks
-        iop.shutdown()
+        assert fs.pool.in_use == 0
+        f.close()
+        fs.unmount()
 
     def test_write_error_latches_into_entry(self):
-        backend, queue, pool, iop = self._rig()
-        # bogus fd -> pwrite fails
-        entry = FileEntry("/out", 999999, self.kernel)
-        chunk = pool.acquire()
-        chunk.open_for(entry, 0)
-        chunk.append(b"x", 0, 1)
-        entry.note_chunk_queued()
-        queue.put(WorkItem(chunk=chunk, entry=entry))
+        failing = FaultyBackend(
+            MemBackend(), [FaultRule(op="pwrite", nth=1, error=OSError("EIO"))]
+        )
+        fs = self._mount(backend=failing)
+        f = fs.open("/out")
+        f.write(b"x" * 4096)
         with pytest.raises(BackendIOError):
-            entry.wait_drained()
-        assert self.kernel.snapshot()["io_errors"] == 1
-        iop.shutdown()
+            f.fsync()
+        assert fs.stats()["io_errors"] == 1
+        f.close()  # the latched error was raised once
+        fs.unmount()
 
     def test_shutdown_joins_threads(self):
-        _, queue, _, iop = self._rig(nthreads=3)
-        iop.shutdown()
-        assert not iop._threads
-
-    def test_bad_thread_count(self):
-        backend, kernel = MemBackend(), PipelineKernel(64)
-        pool, health = BufferPool(kernel, 64), BackendHealth(kernel)
-        with pytest.raises(ValueError):
-            IOThreadPool(backend, WorkQueue(), pool, 0, kernel, RetryPolicy(), health)
+        fs = self._mount(io_threads=3)
+        workers = list(fs._workers)
+        assert len(workers) == 3 and all(t.is_alive() for t in workers)
+        fs.stop_workers()
+        assert not fs._workers
+        assert not any(t.is_alive() for t in workers)
+        fs.unmount()
 
     def test_concurrent_chunks_across_files(self):
-        backend, queue, pool, iop = self._rig(nthreads=4)
-        entries = []
+        fs = self._mount(io_threads=4)
+        files = [fs.open(f"/f{i}") for i in range(8)]
+        for i, f in enumerate(files):
+            f.write(bytes([i]) * 4096)  # a full chunk each: all eight queued
+        for f in files:
+            f.close()
         for i in range(8):
-            fd = backend.open(f"/f{i}")
-            e = FileEntry(f"/f{i}", fd, self.kernel)
-            entries.append(e)
-            chunk = pool.acquire()
-            chunk.open_for(e, 0)
-            payload = bytes([i]) * 16
-            chunk.append(payload, 0, 16)
-            e.note_chunk_queued()
-            queue.put(WorkItem(chunk=chunk, entry=e))
-        for e in entries:
-            e.wait_drained()
-        for i in range(8):
-            assert backend.read_file(f"/f{i}") == bytes([i]) * 16
-        iop.shutdown()
+            assert self.backend.read_file(f"/f{i}") == bytes([i]) * 4096
+        assert fs.stats()["chunks_written"] == 8
+        fs.unmount()

@@ -19,7 +19,8 @@ from repro.backends import (
 from repro.config import CRFSConfig
 from repro.core import CRFS
 from repro.errors import BackendIOError, FileStateError, MountError
-from repro.pipeline import EventLog, ReadHit, TierMigrated, WorkersDrained
+from repro.pipeline import AdmissionWait, EventLog, ReadHit, TierMigrated, WorkersDrained
+from repro.pipeline.tenancy import TenantSpec
 from repro.units import KiB
 
 
@@ -266,7 +267,7 @@ class TestErrorPaths:
         f.write(b"x" * (8 * KiB))  # 2 chunks, both will fail
         with pytest.raises(BackendIOError):
             f.close()
-        fs.iopool.shutdown()
+        fs.unmount()
 
     def test_async_write_error_surfaces_at_fsync(self):
         backend = FaultyBackend(
@@ -277,7 +278,7 @@ class TestErrorPaths:
         f.write(b"x" * (4 * KiB))  # exactly 1 chunk -> queued -> fails
         with pytest.raises(BackendIOError):
             f.fsync()
-        fs.iopool.shutdown()
+        fs.unmount()
 
     def test_open_missing_no_create(self, fs):
         from repro.errors import FileNotFound
@@ -407,12 +408,21 @@ class TestOneClock:
             readings.append(next(ticks))
             return readings[-1]
 
+        class SlowTier0(MemBackend):
+            def pwrite(self, handle, data, offset):
+                time.sleep(0.1)  # both workers busy: the next chunks queue
+                return super().pwrite(handle, data, offset)
+
         monkeypatch.setattr(time, "perf_counter", counter)
         log = EventLog()
-        cfg = small_config(read_cache_chunks=4, readahead_chunks=2)
-        fs = CRFS(TieredBackend([MemBackend(), MemBackend()]), cfg, observers=[log]).mount()
+        cfg = small_config(
+            read_cache_chunks=4,
+            readahead_chunks=2,
+            tenants=(TenantSpec("ckpt", queue_quota=1, patterns=("/ckpt",)),),
+        )
+        fs = CRFS(TieredBackend([SlowTier0(), MemBackend()]), cfg, observers=[log]).mount()
         f = fs.open("/ckpt")
-        data = bytes(range(256)) * 64  # four chunks
+        data = bytes(range(256)) * 64  # four chunks: the fourth put waits
         f.write(data)
         f.fsync()
         for _ in range(2):  # a miss, then a hit
@@ -425,6 +435,8 @@ class TestOneClock:
             for name in ("t", "start")
             if hasattr(event, name)
         ]
-        assert {WorkersDrained, TierMigrated, ReadHit} <= {type(e) for e in log.events}
+        assert {WorkersDrained, TierMigrated, ReadHit, AdmissionWait} <= {
+            type(e) for e in log.events
+        }
         clock = set(readings)
         assert [stamp for stamp in stamps if stamp[2] not in clock] == []

@@ -95,7 +95,7 @@ class TestDeltaChainsUnderPoolContention:
 
         assert time.monotonic() - start < WALL_LIMIT
         # no chunk leaks: the whole pool is back on the free list
-        assert pool.free_chunks == pool.nchunks == POOL_CHUNKS
+        assert (pool.in_use, pool.nchunks) == (0, POOL_CHUNKS)
 
         delta = stats["delta"]
         assert delta["generations"] == sum(committed) == NTHREADS * GENERATIONS

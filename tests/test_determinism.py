@@ -7,7 +7,6 @@ plane must survive concurrency stress without losing a byte.
 
 import threading
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.backends import MemBackend

@@ -373,7 +373,7 @@ class TestPwritevCells:
         assert backend.faults_fired == 2
         # nothing from the failed batches reached the backing store
         assert mem.file_size(mem.open("/run.img", create=False)) == 0
-        assert fs.pool.free_chunks == fs.pool.nchunks
+        assert fs.pool.in_use == 0
 
     def test_batch_retries_as_one_op(self):
         """A one-shot pwritev fault with budget: the whole batch reissues

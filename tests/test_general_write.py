@@ -174,4 +174,4 @@ class TestPortFailureMidWrite:
             with pytest.raises(BackendIOError, match="queue stalled"):
                 f.close()
             assert fs.table.lookup("/f") is None
-            assert fs.pool.free_chunks == 4
+            assert fs.pool.in_use == 0

@@ -37,7 +37,7 @@ class TestErrorLatching:
             f.write(b"more" * 1024)
         with pytest.raises(BackendIOError):
             f.close()
-        fs.iopool.shutdown()
+        fs.unmount()
 
     def test_unmount_after_error_still_possible(self):
         backend = FaultyBackend(

@@ -141,36 +141,23 @@ class TestIOPoolShutdown:
     def test_shutdown_timeout_raises_on_stuck_thread(self, monkeypatch):
         import time
 
+        from repro import CRFS, CRFSConfig
         from repro.backends import MemBackend
-        from repro.core.buffer_pool import BufferPool
-        from repro.core.filetable import FileEntry
-        from repro.core.iopool import IOThreadPool, WorkItem
-        from repro.core.workqueue import WorkQueue
-        from repro.pipeline import PipelineKernel
-        from repro.pipeline.resilience import BackendHealth, RetryPolicy
 
         class HangingBackend(MemBackend):
             def pwrite(self, handle, data, offset):
                 time.sleep(0.8)
                 return super().pwrite(handle, data, offset)
 
-        backend = HangingBackend()
-        kernel = PipelineKernel(64)
-        queue = WorkQueue()
-        pool = BufferPool(kernel, 256)
-        iop = IOThreadPool(backend, queue, pool, 1, kernel, RetryPolicy(), BackendHealth(kernel))
-        iop.start()
-        fd = backend.open("/f")
-        entry = FileEntry("/f", fd, kernel)
-        chunk = pool.acquire()
-        chunk.open_for(entry, 0)
-        chunk.append(b"x", 0, 1)
-        entry.note_chunk_queued()
-        queue.put(WorkItem(chunk=chunk, entry=entry))
+        cfg = CRFSConfig(chunk_size=4096, pool_size=4 * 4096, io_threads=1)
+        fs = CRFS(HangingBackend(), cfg).mount()
+        f = fs.open("/f")
+        f.write(b"x" * 4096)  # one full chunk: its worker hangs in pwrite
         monkeypatch.setattr(waits, "STUCK_S", 0.05)
         with pytest.raises(TimeoutError):
-            iop.shutdown()
-        # let the hung write finish so the thread exits cleanly
+            fs.stop_workers()
+        # let the hung write finish so the worker exits cleanly
         monkeypatch.setattr(waits, "STUCK_S", 5.0)
-        entry.wait_drained()
-        iop._threads.clear()
+        f.close()
+        fs.unmount()
+        assert fs.backend.read_file("/f") == b"x" * 4096

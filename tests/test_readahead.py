@@ -3,7 +3,7 @@
 Covers the knobs, the accounting, and the two safety contracts the
 design leans on:
 
-* **shutdown safety** — ``IOThreadPool.shutdown`` must never deadlock
+* **shutdown safety** — the mount's ``stop_workers`` must never deadlock
   with prefetches queued behind a full pool (prefetch uses
   ``try_acquire`` and is dropped when starved; teardown marks in-flight
   entries evicted and the worker releases the buffer itself);
@@ -170,7 +170,7 @@ class TestPoolStarvation:
                 assert f.pread(CHUNK, i * CHUNK) == data[i * CHUNK : (i + 1) * CHUNK]
             # settle: the cache now pins all four pool chunks
             deadline = time.monotonic() + 10
-            while fs.pool.free_chunks > 0:
+            while fs.pool.in_use < fs.pool.nchunks:
                 assert time.monotonic() < deadline, fs.stats()["read"]
                 time.sleep(0.001)
             t0 = time.monotonic()
@@ -179,7 +179,7 @@ class TestPoolStarvation:
             assert time.monotonic() - t0 < 10.0  # no pool-deadline stall
             assert f.pread(CHUNK, 4 * CHUNK) == b"Y" * CHUNK
             f.close()
-            assert fs.pool.free_chunks == 4  # every lease returned
+            assert fs.pool.in_use == 0  # every lease returned
 
     @pytest.mark.timeout(60)
     def test_sim_plane_sheds_instead_of_deadlocking_the_clock(self):
@@ -235,7 +235,7 @@ class TestShutdownSafety:
                 f.pread(CHUNK, i * CHUNK)
             f.close()  # clear() with prefetches possibly still queued
         # unmount returned: no deadlock, and no buffer leaked
-        assert fs.pool.free_chunks == fs.pool.nchunks
+        assert fs.pool.in_use == 0
 
     @pytest.mark.timeout(30)
     def test_shutdown_with_inflight_prefetch_does_not_deadlock(self):
@@ -271,7 +271,7 @@ class TestShutdownSafety:
         closer.join(timeout=20)
         assert not closer.is_alive()
         fs.unmount()
-        assert fs.pool.free_chunks == fs.pool.nchunks
+        assert fs.pool.in_use == 0
 
 
 class TestEvictionAccounting:
@@ -287,7 +287,7 @@ class TestEvictionAccounting:
                 got = b"".join(f.pread(CHUNK, i * CHUNK) for i in range(8))
             stats = fs.stats()
         assert got == data
-        assert fs.pool.free_chunks == fs.pool.nchunks
+        assert fs.pool.in_use == 0
         read = stats["read"]
         assert read["prefetched"] + read["prefetch_dropped"] >= 1
         assert read["prefetch_wasted"] <= read["prefetched"]

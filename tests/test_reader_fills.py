@@ -27,7 +27,7 @@ from repro.backends import (
     TieredBackend,
 )
 from repro.config import CRFSConfig
-from repro.core import CRFS, iopool
+from repro.core import CRFS, mount
 from repro.errors import BackendIOError
 from repro.pipeline import readahead
 
@@ -75,7 +75,7 @@ def restore(monkeypatch, backend, request_size, nchunks=16):
         return flow(port, f, size, offset)
 
     monkeypatch.setattr(readahead, "service_prefetch", spy)
-    monkeypatch.setattr(iopool, "service_prefetch", spy)  # the IO workers' name for it
+    monkeypatch.setattr(mount, "service_prefetch", spy)  # the IO workers' name for it
     monkeypatch.setattr(readahead, "read", flow_spy)
     cfg = CRFSConfig(
         chunk_size=CHUNK, pool_size=8 * CHUNK, io_threads=2,

@@ -391,7 +391,7 @@ class TestCrossPlaneResilienceParity:
 
 
 # ---------------------------------------------------------------------------
-# IOThreadPool.shutdown: shared deadline (satellite fix)
+# The mount's stop_workers: one deadline for every worker
 
 
 class TestShutdownSharedDeadline:
@@ -414,7 +414,7 @@ class TestShutdownSharedDeadline:
         monkeypatch.setattr(waits, "STUCK_S", 0.4)
         t0 = time.monotonic()
         with pytest.raises(TimeoutError, match="IO threads did not exit"):
-            fs.iopool.shutdown()
+            fs.stop_workers()
         elapsed = time.monotonic() - t0
         assert elapsed < 1.2  # shared deadline; per-thread would be ~1.6+
         gate.set()  # release the workers so the process exits cleanly

@@ -105,7 +105,7 @@ class TestStressFlakyBackend:
         fs.unmount()
 
         # no chunk leaks: the whole pool is back on the free list
-        assert fs.pool.free_chunks == fs.pool.nchunks == 3
+        assert (fs.pool.in_use, fs.pool.nchunks) == (0, 3)
 
         # accounting is consistent despite races:
         # every sealed chunk was either written or errored, exactly once
@@ -173,7 +173,7 @@ class TestStressFlakyBackend:
 
         stats = fs.stats()
         fs.unmount()
-        assert fs.pool.free_chunks == fs.pool.nchunks
+        assert fs.pool.in_use == 0
         assert len(outcomes) == NWRITERS
         assert sum(stats["seals"].values()) == (
             stats["chunks_written"] + stats["io_errors"]
@@ -236,7 +236,7 @@ class TestStressReadersAndWriters:
         fs.unmount()
         # the no-leak contract: cache entries, in-flight prefetches and
         # write buffers all returned their pool chunks
-        assert fs.pool.free_chunks == fs.pool.nchunks == 3
+        assert (fs.pool.in_use, fs.pool.nchunks) == (0, 3)
         read = stats["read"]
         assert read["bytes_read"] == NWRITERS * PER_WRITER
         assert read["hits"] + read["misses"] > 0
@@ -299,7 +299,7 @@ class TestMultiHandleInterleaving:
         fs.unmount()
 
         # no buffer-pool leak whatever the interleaving (or batching) did
-        assert fs.pool.free_chunks == fs.pool.nchunks == 3
+        assert (fs.pool.in_use, fs.pool.nchunks) == (0, 3)
         assert stats["resilience"]["errors_latched"] == 0
         assert stats["bytes_in"] == stats["bytes_out"] == 2 * PER_WRITER
 

@@ -15,7 +15,7 @@ from repro.core import CRFS
 from repro.core.buffer_pool import BufferPool
 from repro.core.workqueue import QueueFullTimeout, WorkQueue
 from repro.errors import ConfigError, ShutdownError
-from repro.pipeline import PipelineKernel, PipelineStats
+from repro.pipeline import PipelineKernel
 from repro.pipeline.writeback import contiguous
 from repro.pipeline.tenancy import (
     DEFAULT_TENANT,
@@ -215,14 +215,14 @@ class TestDRRScheduler:
 class TestWorkQueueAdmission:
     def test_quota_blocks_only_the_offending_tenant(self, monkeypatch):
         monkeypatch.setattr(waits, "STUCK_S", 0.05)
-        stats = PipelineStats(tenants=("default", "storm"))
-        q = WorkQueue(emit=stats.on_event, quotas={"storm": 2})
+        kernel = PipelineKernel(64, tenants=("default", "storm"))
+        q = WorkQueue(kernel, quotas={"storm": 2})
         q.put("s0", tenant="storm")
         q.put("s1", tenant="storm")
         with pytest.raises(QueueFullTimeout):
             q.put("s2", tenant="storm")
         q.put("v0")  # another tenant's put is untouched
-        snap = stats.snapshot()
+        snap = kernel.snapshot()
         assert snap["queue"]["admission_waits"] == 1
         assert snap["tenants"]["storm"]["admission_waits"] == 1
 

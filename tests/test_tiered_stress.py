@@ -80,7 +80,7 @@ class TestUnmountMidMigration:
 
         stats = fs.stats()
         tiers = stats["tiers"]["per_tier"]
-        assert pool.free_chunks == POOL_CHUNKS  # no buffer leak
+        assert pool.in_use == 0  # no buffer leak
         assert stats["open_files"] == 0
         assert tiers["1"]["chunks_staged"] == NFILES * NCHUNKS
         assert tiers["1"]["chunks_stranded"] == 0
@@ -116,7 +116,7 @@ class TestUnmountMidMigration:
 
         stats = fs.stats()
         tiers = stats["tiers"]["per_tier"]
-        assert pool.free_chunks == POOL_CHUNKS
+        assert pool.in_use == 0
         assert tiers["1"]["chunks_stranded"] == NFILES * NCHUNKS
         assert tiers["1"]["chunks_staged"] == 0
         assert tiers["1"]["breaker_trips"] == 1
@@ -149,7 +149,7 @@ class TestUnmountMidMigration:
         assert elapsed < WALL_LIMIT
 
         stats = fs.stats()
-        assert pool.free_chunks == 4
+        assert pool.in_use == 0
         assert stats["tiers"]["per_tier"]["1"]["chunks_staged"] == nfiles * 2
         assert stats["tiers"]["per_tier"]["1"]["chunks_stranded"] == 0
         for i in range(nfiles):

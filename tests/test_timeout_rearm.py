@@ -33,7 +33,6 @@ from repro.errors import (
 )
 from repro.pipeline import PipelineKernel
 from repro.pipeline.readahead import PREFETCH, ReadaheadCore
-from repro.pipeline.resilience import BackendHealth
 from repro.pipeline.tenancy import DEFAULT_TENANT
 from repro.pipeline.writeback import contiguous, run
 from repro.units import KiB
@@ -115,7 +114,7 @@ def wait_drained():
 @contextmanager
 def mount_wait(op):
     """A mount with one full chunk parked in its ``pwrite``: ``close``
-    and ``fsync`` wait on the file's drain, the IO pool's ``shutdown``
+    and ``fsync`` wait on the file's drain, the mount's ``stop_workers``
     joins the parked worker (the idle one parks on the queue)."""
     gate, backend = _gated(MemBackend())
     fs = CRFS(backend, CRFSConfig(chunk_size=CHUNK, pool_size=4 * CHUNK, io_threads=2))
@@ -124,7 +123,7 @@ def mount_wait(op):
     try:
         f.write(b"x" * CHUNK)
         if op == "shutdown":
-            yield Row(fs.iopool.shutdown, fs.queue._not_empty, gate.set)
+            yield Row(fs.stop_workers, fs.queue._not_empty, gate.set)
         else:
             drain = fs.table.lookup("/ckpt")._drain
             yield Row(getattr(f, op), drain, gate.set)
@@ -138,10 +137,9 @@ def await_entry():
     """A cache with one prefetch entry nobody will land until told to,
     over a backend whose reads are delayed — so a reader parks on it."""
     slow = FaultyBackend(MemBackend(), [FaultRule(op="pread", delay=1.0)])
-    kernel = PipelineKernel(CHUNK)
-    core = ReadaheadCore("/stuck", kernel, capacity=4, depth=1)
-    pool = BufferPool(kernel, 4 * CHUNK)
-    cache = ReadCache("/stuck", slow, None, core, pool, WorkQueue(), BackendHealth(kernel))
+    fs = CRFS(slow, CRFSConfig(chunk_size=CHUNK, pool_size=4 * CHUNK))  # never mounted
+    core = ReadaheadCore("/stuck", fs.kernel, capacity=4, depth=1)
+    cache = ReadCache(fs, FileEntry("/stuck", None, fs.kernel), core)
     centry, _ = cache.core.admit(3, PREFETCH)
 
     def wait():

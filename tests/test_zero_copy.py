@@ -23,7 +23,6 @@ The PR's contract, unit-by-unit:
   arms of :data:`~repro.core.chunk.BULK_COPY_BYTES`.
 """
 
-import copy
 import ctypes
 import hashlib
 import mmap
@@ -335,7 +334,7 @@ class TestReadCacheDeferredRelease:
             f.fsync()
             got = f.pread(3 * CHUNK, 0)
         assert got == image
-        assert fs.pool.free_chunks == fs.pool.nchunks  # nothing leaked
+        assert fs.pool.in_use == 0  # nothing leaked
 
 
 # -- DRR gather: in-place scan ------------------------------------------------
